@@ -16,6 +16,14 @@ The algorithm is the classic two-step used by CGRA mappers:
    geometric cooling schedule (deterministically seeded so builds are
    reproducible).
 
+Each annealing move is costed incrementally, as in VPR's placer (Betz &
+Rose, FPL 1997): the refiner lists every placed node's incident placed
+edges once, keeps a unit -> occupants index and the unit coordinates in
+flat lists, so a move's wire-length delta is summed over the edges of the
+moved node and its swap partner only — O(degree), not O(edges).  The
+swap partner is the first compatible occupant of the target unit in
+``node_to_unit`` order.
+
 If the graph demands more nodes of a class than the grid has units, the
 mapper falls back to sharing units (several nodes time-multiplex one
 unit); the cycle simulator models the resulting structural hazard.
@@ -23,6 +31,7 @@ unit); the cycle simulator models the resulting structural hazard.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -48,9 +57,6 @@ class Placement:
 
     def unit_of(self, node_id: int) -> int | None:
         return self.node_to_unit.get(node_id)
-
-    def nodes_on_unit(self, unit_id: int) -> list[int]:
-        return [n for n, u in self.node_to_unit.items() if u == unit_id]
 
     def shared_units(self) -> dict[int, int]:
         """Units hosting more than one node: ``{unit_id: node_count}``."""
@@ -170,86 +176,91 @@ class AnnealingRefiner:
     def refine(self, placement: Placement) -> Placement:
         graph = placement.graph
         grid = placement.grid
-        placed_nodes = list(placement.node_to_unit)
+        node_to_unit = placement.node_to_unit
+        placed_nodes = list(node_to_unit)
         if len(placed_nodes) < 2 or self.iterations == 0:
             return placement
         rng = random.Random(self.seed)
         temperature = self.initial_temperature
-        current_cost = placement.wire_length()
 
-        # Pre-compute, per node, the units it may occupy.
+        # Pre-compute, per node, the units it may occupy (one list and one
+        # set per unit class, shared by every node of that class).
+        by_class: dict[UnitClass, tuple[list[int], frozenset[int]]] = {}
         allowed: dict[int, list[int]] = {}
+        allowed_set: dict[int, frozenset[int]] = {}
         for node_id in placed_nodes:
-            node = graph.node(node_id)
-            allowed[node_id] = [
-                u.unit_id for u in grid.units_compatible_with(node.unit_class)
-            ]
+            unit_class = graph.node(node_id).unit_class
+            if unit_class not in by_class:
+                units = [u.unit_id for u in grid.units_compatible_with(unit_class)]
+                by_class[unit_class] = (units, frozenset(units))
+            allowed[node_id], allowed_set[node_id] = by_class[unit_class]
+
+        # Unit coordinates, indexed by unit id.
+        rows = [u.row for u in grid]
+        cols = [u.col for u in grid]
+
+        # Per placed node, the far endpoint of every incident placed edge
+        # (one entry per edge, so parallel edges keep their multiplicity).
+        # Self-loops never change length and edges from unplaced sources
+        # have none, so neither is listed.
+        neighbours: dict[int, list[int]] = {node_id: [] for node_id in placed_nodes}
+        for edge in graph.edges():
+            src, dst = edge.src, edge.dst
+            if src == dst or src not in neighbours or dst not in neighbours:
+                continue
+            neighbours[src].append(dst)
+            neighbours[dst].append(src)
+
+        # Unit -> positions (in ``node_to_unit`` insertion order) of the
+        # nodes it hosts; the swap partner is the first eligible one.
+        occupants: dict[int, list[int]] = {}
+        for pos, node_id in enumerate(placed_nodes):
+            occupants.setdefault(node_to_unit[node_id], []).append(pos)
+        position = {node_id: pos for pos, node_id in enumerate(placed_nodes)}
 
         for _ in range(self.iterations):
             node_id = rng.choice(placed_nodes)
-            old_unit = placement.node_to_unit[node_id]
+            old_unit = node_to_unit[node_id]
             new_unit = rng.choice(allowed[node_id])
             if new_unit == old_unit:
                 temperature *= self.cooling
                 continue
-            swap_partner = self._occupant(placement, new_unit, node_id, allowed, old_unit)
-            delta = self._move_delta(placement, node_id, old_unit, new_unit, swap_partner)
+            swap_partner = None
+            for pos in occupants.get(new_unit, ()):
+                if old_unit in allowed_set[placed_nodes[pos]]:
+                    swap_partner = placed_nodes[pos]
+                    break
+
+            # Wire-length change of the edges touching the moved node(s).
+            # An edge between the two swapped nodes keeps its length.
+            old_r, old_c = rows[old_unit], cols[old_unit]
+            new_r, new_c = rows[new_unit], cols[new_unit]
+            delta = 0
+            for other in neighbours[node_id]:
+                if other == swap_partner:
+                    continue
+                unit = node_to_unit[other]
+                r, c = rows[unit], cols[unit]
+                delta += abs(new_r - r) + abs(new_c - c) - abs(old_r - r) - abs(old_c - c)
+            if swap_partner is not None:
+                for other in neighbours[swap_partner]:
+                    if other == node_id:
+                        continue
+                    unit = node_to_unit[other]
+                    r, c = rows[unit], cols[unit]
+                    delta += abs(old_r - r) + abs(old_c - c) - abs(new_r - r) - abs(new_c - c)
+
             accept = delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9))
             if accept:
-                placement.node_to_unit[node_id] = new_unit
+                node_to_unit[node_id] = new_unit
+                occupants[old_unit].remove(position[node_id])
                 if swap_partner is not None:
-                    placement.node_to_unit[swap_partner] = old_unit
-                current_cost += delta
+                    node_to_unit[swap_partner] = old_unit
+                    occupants[new_unit].remove(position[swap_partner])
+                    bisect.insort(occupants[old_unit], position[swap_partner])
+                bisect.insort(occupants.setdefault(new_unit, []), position[node_id])
             temperature *= self.cooling
         return placement
-
-    def _occupant(
-        self,
-        placement: Placement,
-        unit_id: int,
-        moving_node: int,
-        allowed: dict[int, list[int]],
-        old_unit: int,
-    ) -> int | None:
-        """A node on ``unit_id`` that may legally swap onto ``old_unit``."""
-        for node_id in placement.nodes_on_unit(unit_id):
-            if node_id != moving_node and old_unit in allowed.get(node_id, []):
-                return node_id
-        return None
-
-    def _move_delta(
-        self,
-        placement: Placement,
-        node_id: int,
-        old_unit: int,
-        new_unit: int,
-        swap_partner: int | None,
-    ) -> int:
-        affected = {node_id}
-        if swap_partner is not None:
-            affected.add(swap_partner)
-        before = self._local_cost(placement, affected)
-        placement.node_to_unit[node_id] = new_unit
-        if swap_partner is not None:
-            placement.node_to_unit[swap_partner] = old_unit
-        after = self._local_cost(placement, affected)
-        placement.node_to_unit[node_id] = old_unit
-        if swap_partner is not None:
-            placement.node_to_unit[swap_partner] = new_unit
-        return after - before
-
-    def _local_cost(self, placement: Placement, nodes: set[int]) -> int:
-        graph = placement.graph
-        total = 0
-        for edge in graph.edges():
-            if edge.src not in nodes and edge.dst not in nodes:
-                continue
-            src_unit = placement.node_to_unit.get(edge.src)
-            dst_unit = placement.node_to_unit.get(edge.dst)
-            if src_unit is None or dst_unit is None:
-                continue
-            total += placement.grid.distance(src_unit, dst_unit)
-        return total
 
 
 def place_graph(

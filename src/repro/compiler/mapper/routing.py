@@ -29,15 +29,17 @@ class RoutedMapping:
     edge_hops: dict[tuple[int, int, int], int] = field(default_factory=dict)
     edge_routes: dict[tuple[int, int, int], tuple[Link, ...]] = field(default_factory=dict)
     link_load: dict[Link, int] = field(default_factory=dict)
+    #: Hop count of the first routed edge per ``(src, dst)`` node pair.
+    pair_hops: dict[tuple[int, int], int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ queries
     def hops_for_edge(self, edge: Edge) -> int:
         return self.edge_hops.get((edge.src, edge.dst, edge.dst_port), 0)
 
     def hops_between_nodes(self, src: int, dst: int) -> int:
-        for (esrc, edst, _), hops in self.edge_hops.items():
-            if esrc == src and edst == dst:
-                return hops
+        hops = self.pair_hops.get((src, dst))
+        if hops is not None:
+            return hops
         placement = self.placement
         src_unit = placement.unit_of(src)
         dst_unit = placement.unit_of(dst)
@@ -81,6 +83,7 @@ def route_placement(placement: Placement, noc_config: NocConfig) -> RoutedMappin
             # Edges from unplaced sources (thread-ID injection) have no route.
             mapping.edge_hops[key] = 0
             mapping.edge_routes[key] = ()
+            mapping.pair_hops.setdefault((edge.src, edge.dst), 0)
             continue
         try:
             route = noc.route(src_unit, dst_unit)
@@ -90,6 +93,7 @@ def route_placement(placement: Placement, noc_config: NocConfig) -> RoutedMappin
             ) from exc
         mapping.edge_hops[key] = len(route)
         mapping.edge_routes[key] = tuple(route)
+        mapping.pair_hops.setdefault((edge.src, edge.dst), len(route))
         for link in route:
             mapping.link_load[link] = mapping.link_load.get(link, 0) + 1
     return mapping

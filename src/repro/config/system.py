@@ -25,6 +25,7 @@ two warp schedulers, 48 resident warps).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
@@ -49,6 +50,12 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _field_types(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
+    """Resolved field type hints and field names of a config dataclass."""
+    return get_type_hints(cls), frozenset(f.name for f in dataclasses.fields(cls))
+
+
 def _dataclass_from_dict(cls: type, data: Mapping[str, Any]) -> Any:
     """Reconstruct a (possibly nested) config dataclass from a plain dict.
 
@@ -61,8 +68,7 @@ def _dataclass_from_dict(cls: type, data: Mapping[str, Any]) -> Any:
         raise ConfigurationError(
             f"{cls.__name__}: expected a mapping, got {type(data).__name__}"
         )
-    hints = get_type_hints(cls)
-    field_names = {f.name for f in dataclasses.fields(cls)}
+    hints, field_names = _field_types(cls)
     unknown = set(data) - field_names
     if unknown:
         raise ConfigurationError(

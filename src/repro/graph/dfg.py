@@ -139,6 +139,16 @@ class DataflowGraph:
                     out.append((dst_id, port))
         return sorted(out)
 
+    def successor_map(self) -> dict[int, list[tuple[int, int]]]:
+        """``{node_id: successors(node_id)}`` for every node, in one edge pass."""
+        out: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
+        for dst_id, ports in self._inputs.items():
+            for port, src_id in ports.items():
+                out[src_id].append((dst_id, port))
+        for succ in out.values():
+            succ.sort()
+        return out
+
     def predecessors(self, node_id: int) -> list[int]:
         return sorted(set(self._inputs.get(node_id, {}).values()))
 

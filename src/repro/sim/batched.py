@@ -424,9 +424,8 @@ class BatchedSimulator:
             node.node_id: sorted(self.graph.inputs_of(node.node_id).items())
             for node in self._order
         }
-        self._successors = {
-            node.node_id: self.graph.successors(node.node_id) for node in self._order
-        }
+        successors = self.graph.successor_map()
+        self._successors = {node.node_id: successors[node.node_id] for node in self._order}
         self._edge_latency, self._edge_hops = edge_timing(compiled)
         self._order_pos = {node.node_id: i for i, node in enumerate(self._order)}
         # Memory issue points whose accesses the event-order prepass can

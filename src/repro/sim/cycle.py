@@ -242,6 +242,7 @@ class CycleSimulator:
 
     def _prepare(self) -> None:
         replicas = self.compiled.replicas
+        self._successors = self.graph.successor_map()
         for node in self.graph.nodes:
             state = _NodeState(
                 node=node,
@@ -255,7 +256,6 @@ class CycleSimulator:
                 for tid in self._thread_ids:
                     group = tid // int(window) if window else -1
                     state.barrier_expected[group] = state.barrier_expected.get(group, 0) + 1
-            self._successors[node.node_id] = self.graph.successors(node.node_id)
             if node.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT):
                 self._sink_nodes.append(node.node_id)
             if node.opcode is Opcode.OUTPUT:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config.system import SystemConfig, default_system_config
 from repro.harness.figures import DEFAULT_SUITE_PARAMS
 from repro.kernel.builder import KernelBuilder
 from repro.sim.launch import KernelLaunch
+
+# ``HYPOTHESIS_PROFILE=ci`` makes every property sweep draw the same
+# examples on every run, so a red CI run means a regression, not a new draw.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

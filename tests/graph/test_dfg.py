@@ -90,6 +90,9 @@ def test_successors_and_predecessors():
     add = g.nodes_with_opcode(Opcode.ADD)[0]
     assert (add.node_id, 0) in g.successors(a.node_id)
     assert a.node_id in g.predecessors(add.node_id)
+    g.replace_input(add, 1, a)  # ``a`` now drives both operands of ``add``
+    assert g.successors(a.node_id) == [(add.node_id, 0), (add.node_id, 1)]
+    assert g.successor_map() == {n.node_id: g.successors(n.node_id) for n in g.nodes}
 
 
 def test_topological_order_is_consistent():
