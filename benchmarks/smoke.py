@@ -1,12 +1,15 @@
 """Fail-fast smoke target for both simulation engines and the sharding layer.
 
 Runs the tier-1 test suite, then a 256-thread matmul on the event and
-batched engines (outputs bit-identical, operation counters equal), then a
-windowed reduce sharded across 4 cores against its single-core run (no
-fallback, outputs bit-identical, operation counters equal) — the cheap
-end-to-end signal that a regression in either engine, the dispatch
-between them, or the window-aligned multi-core partitioner is caught
-before the full benchmark suite runs.  Usage::
+batched engines (outputs bit-identical, operation counters equal), then
+the two event-only kernel shapes — an ``mt`` kernel (whole-block barrier
+plus scratchpad) and ``scan dmt`` (ELEVATOR recurrence) — against the
+functional interpreter (outputs bit-identical), then a windowed reduce
+sharded across 4 cores against its single-core run (no fallback, outputs
+bit-identical, operation counters equal) — the cheap end-to-end signal
+that a regression in either engine, the dispatch between them, or the
+window-aligned multi-core partitioner is caught before the full
+benchmark suite runs.  Usage::
 
     python benchmarks/smoke.py          # tests + engines + sharding
     python benchmarks/smoke.py --no-tests   # engine/sharding checks only
@@ -88,6 +91,50 @@ def run_engine_smoke() -> int:
     return 0
 
 
+#: Event-only kernels: the whole-block barrier + scratchpad shape of the
+#: ``mt`` baseline, and scan's cross-thread ELEVATOR recurrence.
+EVENT_ONLY_KERNELS = (
+    ("reduce", "mt", {"n": 128, "window": 32}),
+    ("scan", "dmt", {"n": 128}),
+)
+
+
+def run_event_only_smoke() -> int:
+    import numpy as np
+
+    from repro.compiler.pipeline import compile_kernel
+    from repro.sim import simulate
+    from repro.sim.functional import run_functional
+    from repro.workloads.registry import get_workload
+
+    for name, variant, params in EVENT_ONLY_KERNELS:
+        prepared = get_workload(name).prepare(params)
+        compiled = compile_kernel(prepared.launch(variant).graph)
+        start = time.perf_counter()
+        result = simulate(compiled, prepared.launch(variant))
+        elapsed = time.perf_counter() - start
+        if result.engine != "event":
+            log.error(f"FAIL: {name} {variant} ran on {result.engine}, expected event")
+            return 1
+        reference = run_functional(prepared.launch(variant))
+        for array_name in prepared.expected:
+            if not np.array_equal(result.array(array_name), reference.array(array_name)):
+                log.error(f"FAIL: {name} {variant} '{array_name}' differs from run_functional")
+                return 1
+        prepared.check_outputs({n: result.array(n) for n in prepared.expected})
+        log.info(f"  event    {name} {variant}: {elapsed:.2f}s, {result.cycles} cycles, "
+                 f"bit-identical to run_functional")
+        RESULTS.append(
+            {
+                "check": "event-only",
+                "kernel": f"{name}/{variant}",
+                "seconds": elapsed,
+                "cycles": result.cycles,
+            }
+        )
+    return 0
+
+
 def run_sharding_smoke() -> int:
     import numpy as np
 
@@ -153,6 +200,9 @@ def main(argv: list[str]) -> int:
             return rc
     log.info("== engine smoke (matmul, 256 threads, both engines) ==")
     rc = run_engine_smoke()
+    if rc == 0:
+        log.info("== event-only smoke (mt barrier + scratchpad, scan dmt recurrence) ==")
+        rc = run_event_only_smoke()
     if rc == 0:
         log.info("== sharding smoke (windowed reduce, 1 vs 4 cores) ==")
         rc = run_sharding_smoke()

@@ -97,7 +97,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE, active_tracer
 from repro.sim.analytic_cache import AnalyticMemoryModel
-from repro.sim.cycle import CycleResult, edge_timing, unit_latency
+from repro.sim.cycle import CycleResult, edge_timing, unit_latency, validate_thread_ids
 from repro.sim.launch import KernelLaunch
 from repro.sim.stats import ExecutionStats
 
@@ -307,11 +307,9 @@ class BatchedSimulator:
         if thread_ids is None:
             self._thread_ids = np.arange(self.num_threads, dtype=np.int64)
         else:
-            self._thread_ids = np.asarray(list(thread_ids), dtype=np.int64)
-            if self._thread_ids.size and (
-                self._thread_ids.min() < 0 or self._thread_ids.max() >= self.num_threads
-            ):
-                raise SimulationError("thread_ids outside the launch geometry")
+            self._thread_ids = np.asarray(
+                validate_thread_ids(thread_ids, self.num_threads), dtype=np.int64
+            )
 
         self.memory = memory if memory is not None else launch.build_memory_image()
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)

@@ -29,11 +29,13 @@ against the functional interpreter and the NumPy references.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from heapq import heappop as _heappop
+from heapq import heappush as _heappush
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -69,6 +71,7 @@ __all__ = [
     "resolve_engine",
     "run_cycle_accurate",
     "unit_latency",
+    "validate_thread_ids",
 ]
 
 
@@ -140,13 +143,59 @@ def unit_latency(config: SystemConfig, node: Node) -> int:
     return table[node.unit_class]
 
 
-@dataclass
+#: The ``ExecutionStats`` field counting each functional-unit class's
+#: operations; the other classes (memory, inter-thread, sinks) have none.
+_OP_COUNTERS = {
+    UnitClass.ALU: "alu_ops",
+    UnitClass.FPU: "fpu_ops",
+    UnitClass.SPECIAL: "special_ops",
+    UnitClass.CONTROL: "control_ops",
+    UnitClass.SPLIT_JOIN: "split_join_ops",
+}
+
+#: Thread-index source opcodes, in the order of ``(x, y, z, linear)``.
+_TID_OPCODES = (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_Z, Opcode.TID_LINEAR)
+
+
+def validate_thread_ids(thread_ids: Sequence[int], num_threads: int) -> list[int]:
+    """``thread_ids`` as plain ints, rejecting IDs no core can run.
+
+    Every ID must lie inside the launch geometry and appear once: a
+    repeated thread would be injected, fired and retired twice.
+    """
+    ids = [int(t) for t in thread_ids]
+    if ids and (min(ids) < 0 or max(ids) >= num_threads):
+        raise SimulationError("thread_ids outside the launch geometry")
+    seen: set[int] = set()
+    for tid in ids:
+        if tid in seen:
+            raise SimulationError(f"thread_ids repeats thread {tid}")
+        seen.add(tid)
+    return ids
+
+
+@dataclass(slots=True, eq=False)
 class _NodeState:
-    """Mutable per-node simulation state."""
+    """Mutable per-node simulation state plus the node's static tables.
+
+    ``ports``, ``fanout``, ``fanout_hops``, ``op_counter`` and ``fire``
+    depend only on the compiled graph; ``CycleSimulator._prepare`` fills
+    them once so a firing does table lookups instead of re-deriving them.
+    """
 
     node: Node
     arity: int
     latency: int
+    #: Operand ports in operand order.
+    ports: tuple[int, ...] = ()
+    #: ``(destination state, port, latency)`` per outgoing edge.
+    fanout: tuple[tuple[_NodeState, int, int], ...] = ()
+    #: Mapped NoC hops of one send over every outgoing edge.
+    fanout_hops: int = 0
+    #: ``ExecutionStats`` field that counts this node's firings, if any.
+    op_counter: str | None = None
+    #: Opcode handler, called as ``fire(state, tid, operands, issue_cycle)``.
+    fire: Callable[..., None] | None = None
     port_free_at: list[int] = field(default_factory=list)
     pending: dict[int, dict[int, Any]] = field(default_factory=dict)
     # eLDST-specific: forwarded values waiting for their consumer thread and
@@ -193,11 +242,7 @@ class CycleSimulator:
         if thread_ids is None:
             self._thread_ids = list(range(self.num_threads))
         else:
-            self._thread_ids = [int(t) for t in thread_ids]
-            if self._thread_ids and (
-                min(self._thread_ids) < 0 or max(self._thread_ids) >= self.num_threads
-            ):
-                raise SimulationError("thread_ids outside the launch geometry")
+            self._thread_ids = validate_thread_ids(thread_ids, self.num_threads)
             if len(self._thread_ids) != self.num_threads and self.graph.has_interthread():
                 problem = thread_subset_problem(
                     self.graph, self._thread_ids, self.num_threads
@@ -214,12 +259,15 @@ class CycleSimulator:
         self.stats = ExecutionStats(threads=len(self._thread_ids))
         self.outputs: dict[str, list[Any]] = {}
 
-        self._events: list[tuple[int, int, int, tuple]] = []
+        # Heap entries are flat ``(cycle, kind, seq, *payload)`` tuples; the
+        # unique ``seq`` settles ties, so payloads are never compared.
+        self._events: list[tuple] = []
         self._sequence = itertools.count()
         self._nodes: dict[int, _NodeState] = {}
-        self._successors: dict[int, list[tuple[int, int]]] = {}
-        self._edge_latency: dict[tuple[int, int], int] = {}
-        self._edge_hops: dict[tuple[int, int], int] = {}
+        # Source nodes that emit a token for every injected thread, in node
+        # order, each with its constant (CONST, ELEVATOR fallback) or its
+        # index into ``(x, y, z, linear)`` (thread-index sources).
+        self._injectors: list[tuple[_NodeState, Any]] = []
         self._sink_nodes: list[int] = []
         self._sink_done: dict[int, int] = {}
         self._retired = 0
@@ -237,32 +285,62 @@ class CycleSimulator:
             self._init_trace_lanes()
 
     # ------------------------------------------------------------------ setup
-    def _latency_of(self, node: Node) -> int:
-        return unit_latency(self.config, node)
-
     def _prepare(self) -> None:
         replicas = self.compiled.replicas
-        self._successors = self.graph.successor_map()
+        handlers = {
+            Opcode.LOAD: self._execute_load,
+            Opcode.STORE: self._execute_store,
+            Opcode.SCRATCH_LOAD: functools.partial(self._execute_scratch, is_store=False),
+            Opcode.SCRATCH_STORE: functools.partial(self._execute_scratch, is_store=True),
+            Opcode.ELEVATOR: self._execute_elevator,
+            Opcode.ELDST: self._execute_eldst,
+            Opcode.BARRIER: self._execute_barrier,
+            Opcode.OUTPUT: self._execute_output,
+        }
         for node in self.graph.nodes:
+            op = node.opcode
             state = _NodeState(
                 node=node,
                 arity=self.graph.arity_of(node.node_id),
-                latency=self._latency_of(node),
+                latency=unit_latency(self.config, node),
+                op_counter=_OP_COUNTERS.get(node.unit_class),
+                fire=self._execute_pure
+                if op in PURE_OPCODES
+                else handlers.get(op, self._execute_unsupported),
                 port_free_at=[0] * max(1, replicas),
             )
             self._nodes[node.node_id] = state
-            if node.opcode is Opcode.BARRIER:
+            if op is Opcode.CONST:
+                self._injectors.append((state, coerce(node.param("value"), node.dtype)))
+            elif op in _TID_OPCODES:
+                self._injectors.append((state, _TID_OPCODES.index(op)))
+            elif op is Opcode.ELEVATOR:
+                self._injectors.append((state, coerce(node.param("const"), node.dtype)))
+            if op is Opcode.BARRIER:
                 window = node.param("window")
                 for tid in self._thread_ids:
                     group = tid // int(window) if window else -1
                     state.barrier_expected[group] = state.barrier_expected.get(group, 0) + 1
-            if node.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT):
+            if op in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT):
                 self._sink_nodes.append(node.node_id)
-            if node.opcode is Opcode.OUTPUT:
+            if op is Opcode.OUTPUT:
                 self.outputs.setdefault(
                     str(node.param("name")), [None] * self.num_threads
                 )
-        self._edge_latency, self._edge_hops = edge_timing(self.compiled)
+        latency, hops = edge_timing(self.compiled)
+        ports: dict[int, list[int]] = {node_id: [] for node_id in self._nodes}
+        for src, successors in self.graph.successor_map().items():
+            state = self._nodes[src]
+            state.fanout = tuple(
+                (self._nodes[dst], port, latency[(src, dst)]) for dst, port in successors
+            )
+            # One token traverses the mapped route exactly once; hops come
+            # from the routed mapping, not from the clamped edge latency.
+            state.fanout_hops = sum(hops[(src, dst)] for dst, _ in successors)
+            for dst, port in successors:
+                ports[dst].append(port)
+        for node_id, node_ports in ports.items():
+            self._nodes[node_id].ports = tuple(sorted(node_ports))
         self._sink_done = {tid: 0 for tid in self._thread_ids}
 
     def _init_trace_lanes(self) -> None:
@@ -279,17 +357,18 @@ class CycleSimulator:
             tracer.set_lane_name(self._trace_pid, lane, f"PE {lane}")
 
     # ------------------------------------------------------------------ events
-    def _push(self, cycle: int, kind: int, payload: tuple) -> None:
-        heapq.heappush(self._events, (cycle, kind, next(self._sequence), payload))
-
-    def _send_to_successors(self, node_id: int, tid: int, value: Any, cycle: int) -> None:
-        for dst, port in self._successors[node_id]:
-            latency = self._edge_latency[(node_id, dst)]
-            self.stats.tokens_sent += 1
-            # One token traverses the mapped route exactly once; hops come
-            # from the routed mapping, not from the clamped edge latency.
-            self.stats.noc_hops += self._edge_hops[(node_id, dst)]
-            self._push(cycle + latency, _EV_TOKEN, (dst, port, tid, value))
+    def _send(self, state: _NodeState, tid: int, value: Any, cycle: int) -> None:
+        """Emit ``value`` from ``state``'s node to every consumer of ``tid``."""
+        fanout = state.fanout
+        if not fanout:
+            return
+        stats = self.stats
+        stats.tokens_sent += len(fanout)
+        stats.noc_hops += state.fanout_hops
+        events = self._events
+        sequence = self._sequence
+        for dst, port, latency in fanout:
+            _heappush(events, (cycle + latency, _EV_TOKEN, next(sequence), dst, port, tid, value))
 
     # ------------------------------------------------------------------- run
     def run(self) -> CycleResult:
@@ -298,18 +377,68 @@ class CycleSimulator:
         if total_sinks == 0:
             raise SimulationError("kernel has no store or output nodes; nothing to run")
 
-        while self._events:
-            cycle, kind, _, payload = heapq.heappop(self._events)
-            if cycle > self.max_cycles:
+        events = self._events
+        max_cycles = self.max_cycles
+        trace = self._trace
+        single_port = max(1, self.compiled.replicas) == 1
+        inserts = 0
+        while events:
+            event = _heappop(events)
+            cycle = event[0]
+            if cycle > max_cycles:
                 raise DeadlockError(
                     f"simulation of '{self.graph.name}' exceeded {self.max_cycles} cycles"
                 )
+            kind = event[1]
             if kind == _EV_INJECT:
-                self._inject_thread(payload[0], cycle)
-            elif kind == _EV_TOKEN:
-                self._token_arrival(payload[0], payload[1], payload[2], payload[3], cycle)
-            elif kind == _EV_FORWARD:
-                self._forward_ready(payload[0], payload[1], payload[2], cycle)
+                self._inject_thread(event[3], cycle)
+                continue
+            if kind == _EV_FORWARD:
+                self._forward_ready(event[3], event[4], event[5], cycle)
+                continue
+
+            # A token arrives: buffer it until the thread's operands match.
+            _, _, _, state, port, tid, value = event
+            inserts += 1
+            if trace is not None:
+                trace.instant(
+                    "token", "token", cycle, pid=self._trace_pid,
+                    tid=self._lane[state.node.node_id], args={"tid": tid, "port": port},
+                )
+            if state.arity == 1:
+                operands = [value]
+            else:
+                pending = state.pending
+                slot = pending.get(tid)
+                if slot is None:
+                    pending[tid] = {port: value}
+                    continue
+                if port in slot:
+                    raise SimulationError(
+                        f"duplicate operand {port} for thread {tid} at {state.node.label()}"
+                    )
+                slot[port] = value
+                if len(slot) < state.arity:
+                    continue
+                del pending[tid]
+                operands = [slot[p] for p in state.ports]
+
+            # Fire: claim an issue port (one op per cycle per replica).
+            if single_port:
+                free_at = state.port_free_at
+                issue = cycle if cycle > free_at[0] else free_at[0]
+                free_at[0] = issue + 1
+            else:
+                issue = self._issue_cycle(state, cycle)
+            state.executions += 1
+            if trace is not None:
+                node = state.node
+                trace.event(
+                    node.label(), "op", issue, max(1, state.latency),
+                    pid=self._trace_pid, tid=self._lane[node.node_id],
+                    args={"tid": tid, "cls": node.unit_class.name},
+                )
+            state.fire(state, tid, operands, issue)
 
         if self._retired != len(self._thread_ids):
             missing = [t for t, done in self._sink_done.items() if done < total_sinks]
@@ -318,6 +447,13 @@ class CycleSimulator:
                 f"retired (e.g. thread {missing[0]})"
             )
 
+        # Every firing was one token-buffer match; the per-class operation
+        # counters are folded from the per-node firing counts.
+        self.stats.token_buffer_inserts += inserts
+        for state in self._nodes.values():
+            self.stats.token_buffer_matches += state.executions
+            if state.op_counter is not None:
+                self.stats.bump(state.op_counter, state.executions)
         self.stats.cycles = self._completion_cycle
         # Provenance: cached counter rows must be able to tell which engine
         # (and how many cores — overwritten by the multi-core merge) made them.
@@ -334,8 +470,9 @@ class CycleSimulator:
     # --------------------------------------------------------------- injection
     def _schedule_injection(self) -> None:
         replicas = max(1, self.compiled.replicas)
+        events = self._events
         for position, tid in enumerate(self._thread_ids):
-            self._push(position // replicas, _EV_INJECT, (tid,))
+            _heappush(events, (position // replicas, _EV_INJECT, next(self._sequence), tid))
 
     def _inject_thread(self, tid: int, cycle: int) -> None:
         if self._trace is not None:
@@ -343,26 +480,11 @@ class CycleSimulator:
                 "inject", "inject", cycle, pid=self._trace_pid, tid=INJECT_LANE,
                 args={"tid": tid},
             )
-        for node_id, state in self._nodes.items():
+        thread_index = None
+        for state, source in self._injectors:
             node = state.node
             if node.opcode is Opcode.CONST:
-                self._send_to_successors(
-                    node_id, tid, coerce(node.param("value"), node.dtype), cycle
-                )
-            elif node.opcode in (
-                Opcode.TID_X,
-                Opcode.TID_Y,
-                Opcode.TID_Z,
-                Opcode.TID_LINEAR,
-            ):
-                x, y, z = self.geometry.unlinearize(tid)
-                value = {
-                    Opcode.TID_X: x,
-                    Opcode.TID_Y: y,
-                    Opcode.TID_Z: z,
-                    Opcode.TID_LINEAR: tid,
-                }[node.opcode]
-                self._send_to_successors(node_id, tid, value, cycle)
+                self._send(state, tid, source, cycle)
             elif node.opcode is Opcode.ELEVATOR:
                 # Threads without a valid producer receive the fallback
                 # constant, generated when their slot is injected (Fig. 4).
@@ -372,105 +494,42 @@ class CycleSimulator:
                     if self._trace is not None:
                         self._trace.instant(
                             f"{node.label()} const", "interthread", cycle,
-                            pid=self._trace_pid, tid=self._lane[node_id],
+                            pid=self._trace_pid, tid=self._lane[node.node_id],
                             args={"tid": tid},
                         )
-                    self._send_to_successors(
-                        node_id,
-                        tid,
-                        coerce(node.param("const"), node.dtype),
-                        cycle + state.latency,
-                    )
-
-    # ----------------------------------------------------------- token arrival
-    def _token_arrival(self, node_id: int, port: int, tid: int, value: Any, cycle: int) -> None:
-        state = self._nodes[node_id]
-        self.stats.token_buffer_inserts += 1
-        if self._trace is not None:
-            self._trace.instant(
-                "token", "token", cycle, pid=self._trace_pid,
-                tid=self._lane[node_id], args={"tid": tid, "port": port},
-            )
-        slot = state.pending.setdefault(tid, {})
-        if port in slot:
-            raise SimulationError(
-                f"duplicate operand {port} for thread {tid} at {state.node.label()}"
-            )
-        slot[port] = value
-        if len(slot) >= state.arity:
-            del state.pending[tid]
-            self.stats.token_buffer_matches += 1
-            operands = [slot[p] for p in sorted(slot)]
-            self._fire(state, tid, operands, cycle)
+                    self._send(state, tid, source, cycle + state.latency)
+            else:
+                if thread_index is None:
+                    thread_index = (*self.geometry.unlinearize(tid), tid)
+                self._send(state, tid, thread_index[source], cycle)
 
     def _issue_cycle(self, state: _NodeState, ready_cycle: int) -> int:
-        """Account for the node's issue port (one op per cycle per replica).
+        """Claim the earliest-free issue port of a replicated node.
 
-        Bookkeeping is kept in whole cycles so the issue cycle is exact;
-        the previous float bookkeeping truncated through ``int(start)``.
+        Ties go to the lowest port index; bookkeeping is in whole cycles,
+        so the issue cycle is exact.
         """
-        port_index = min(range(len(state.port_free_at)), key=state.port_free_at.__getitem__)
-        start = max(int(ready_cycle), state.port_free_at[port_index])
-        state.port_free_at[port_index] = start + 1
+        free_at = state.port_free_at
+        earliest = min(free_at)
+        port_index = free_at.index(earliest)
+        start = ready_cycle if ready_cycle > earliest else earliest
+        free_at[port_index] = start + 1
         return start
 
-    # -------------------------------------------------------------------- fire
-    def _fire(self, state: _NodeState, tid: int, operands: list[Any], cycle: int) -> None:
-        node = state.node
-        op = node.opcode
-        issue = self._issue_cycle(state, cycle)
-        state.executions += 1
-        self._count_unit_op(node)
-        if self._trace is not None:
-            self._trace.event(
-                node.label(), "op", issue, max(1, state.latency),
-                pid=self._trace_pid, tid=self._lane[node.node_id],
-                args={"tid": tid, "cls": node.unit_class.name},
-            )
+    # ---------------------------------------------------------------- handlers
+    def _execute_pure(self, state: _NodeState, tid: int, operands: list[Any], issue: int) -> None:
+        self._send(state, tid, evaluate_pure(state.node, operands), issue + state.latency)
 
-        if op in PURE_OPCODES:
-            value = evaluate_pure(node, operands)
-            self._send_to_successors(node.node_id, tid, value, issue + state.latency)
-            return
-        if op is Opcode.LOAD:
-            self._execute_load(state, tid, operands, issue)
-            return
-        if op is Opcode.STORE:
-            self._execute_store(state, tid, operands, issue)
-            return
-        if op is Opcode.SCRATCH_LOAD:
-            self._execute_scratch(state, tid, operands, issue, is_store=False)
-            return
-        if op is Opcode.SCRATCH_STORE:
-            self._execute_scratch(state, tid, operands, issue, is_store=True)
-            return
-        if op is Opcode.ELEVATOR:
-            self._execute_elevator(state, tid, operands, issue)
-            return
-        if op is Opcode.ELDST:
-            self._execute_eldst(state, tid, operands, issue)
-            return
-        if op is Opcode.BARRIER:
-            self._execute_barrier(state, tid, operands, issue)
-            return
-        if op is Opcode.OUTPUT:
-            self.outputs[str(node.param("name"))][tid] = operands[0]
-            self._sink_completed(tid, issue + 1)
-            return
-        raise SimulationError(f"cycle simulator cannot execute {op.value}")
+    def _execute_output(
+        self, state: _NodeState, tid: int, operands: list[Any], issue: int
+    ) -> None:
+        self.outputs[str(state.node.param("name"))][tid] = operands[0]
+        self._sink_completed(tid, issue + 1)
 
-    def _count_unit_op(self, node: Node) -> None:
-        cls = node.unit_class
-        if cls is UnitClass.ALU:
-            self.stats.alu_ops += 1
-        elif cls is UnitClass.FPU:
-            self.stats.fpu_ops += 1
-        elif cls is UnitClass.SPECIAL:
-            self.stats.special_ops += 1
-        elif cls is UnitClass.CONTROL:
-            self.stats.control_ops += 1
-        elif cls is UnitClass.SPLIT_JOIN:
-            self.stats.split_join_ops += 1
+    def _execute_unsupported(
+        self, state: _NodeState, tid: int, operands: list[Any], issue: int
+    ) -> None:
+        raise SimulationError(f"cycle simulator cannot execute {state.node.opcode.value}")
 
     # ------------------------------------------------------------------ memory
     def _execute_load(self, state: _NodeState, tid: int, operands: list[Any], issue: int) -> None:
@@ -486,7 +545,7 @@ class CycleSimulator:
                 f"load {array}", "mem", issue, result.complete_cycle - issue,
                 pid=self._trace_pid, tid=self._lane[node.node_id], args={"tid": tid},
             )
-        self._send_to_successors(node.node_id, tid, value, result.complete_cycle)
+        self._send(state, tid, value, result.complete_cycle)
 
     def _execute_store(self, state: _NodeState, tid: int, operands: list[Any], issue: int) -> None:
         node = state.node
@@ -504,7 +563,7 @@ class CycleSimulator:
                 f"store {array}", "mem", issue, result.complete_cycle - issue,
                 pid=self._trace_pid, tid=self._lane[node.node_id], args={"tid": tid},
             )
-        self._send_to_successors(node.node_id, tid, value, result.complete_cycle)
+        self._send(state, tid, value, result.complete_cycle)
         self._sink_completed(tid, result.complete_cycle)
 
     def _execute_scratch(
@@ -525,12 +584,12 @@ class CycleSimulator:
             value = operands[1]
             self.memory.store(array, index, value)
             self.stats.scratch_stores += 1
-            self._send_to_successors(node.node_id, tid, value, complete)
+            self._send(state, tid, value, complete)
             self._sink_completed(tid, complete)
         else:
             value = coerce(self.memory.load(array, index), node.dtype)
             self.stats.scratch_loads += 1
-            self._send_to_successors(node.node_id, tid, value, complete)
+            self._send(state, tid, value, complete)
 
     # ---------------------------------------------------------- inter-thread
     def _execute_elevator(
@@ -552,7 +611,7 @@ class CycleSimulator:
             self.lvc.write((node.node_id, dst), operands[0])
             self.lvc.read((node.node_id, dst))
         self.stats.elevator_retags += 1
-        self._send_to_successors(node.node_id, dst, operands[0], complete)
+        self._send(state, dst, operands[0], complete)
 
     def _execute_eldst(
         self, state: _NodeState, tid: int, operands: list[Any], issue: int
@@ -594,7 +653,7 @@ class CycleSimulator:
         elif node.param("external_buffer_nodes"):
             extra = int(node.param("external_buffer_nodes")) * self.config.latency.elevator
         complete = cycle + self.config.latency.ldst_issue + extra
-        self._send_to_successors(node.node_id, tid, value, complete)
+        self._send(state, tid, value, complete)
         # Loop the value back for the next consumer thread (Fig. 9).
         next_tid = tid + abs(int(node.param("delta")))
         if next_tid < self.num_threads:
@@ -602,15 +661,17 @@ class CycleSimulator:
                 node, next_tid, self.geometry.block_dim, self.num_threads
             )
             if src_of_next == tid:
-                self._push(complete, _EV_FORWARD, (node.node_id, next_tid, value))
+                _heappush(
+                    self._events,
+                    (complete, _EV_FORWARD, next(self._sequence), state, next_tid, value),
+                )
 
-    def _forward_ready(self, node_id: int, tid: int, value: Any, cycle: int) -> None:
-        state = self._nodes[node_id]
+    def _forward_ready(self, state: _NodeState, tid: int, value: Any, cycle: int) -> None:
         self.stats.eldst_forwards += 1
         if self._trace is not None:
             self._trace.instant(
                 "eldst_forward", "interthread", cycle,
-                pid=self._trace_pid, tid=self._lane[node_id], args={"tid": tid},
+                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
         waiting = state.waiting_consumers.pop(tid, None)
         if waiting is not None:
@@ -654,8 +715,8 @@ class CycleSimulator:
                 self.stats.barrier_wait_cycles += release - arrival
                 self.stats.lvc_accesses += 1
                 self.lvc.read((node.node_id, waiting_tid))
-                self._send_to_successors(
-                    node.node_id, waiting_tid, value, release + self.lvc.access_latency
+                self._send(
+                    state, waiting_tid, value, release + self.lvc.access_latency
                 )
             del state.barrier_arrived[group]
 
@@ -711,9 +772,11 @@ def build_simulator(
     state, while the batched engine folds it into its analytic DRAM
     queueing model.
 
-    ``"auto"`` consumes the static analyzer's engine verdict
-    (``RA040``/``RA041``, cached on the kernel) rather than re-probing the
-    graph; :func:`resolve_engine` remains the definition both agree on.
+    ``"auto"`` consumes the static analyzer's engine verdict, cached on
+    the kernel, rather than re-probing the graph: ``RA040`` (no
+    inter-thread nodes) builds the batched engine, ``RA044``
+    (window-batchable) the window-batched engine and ``RA041`` the event
+    engine.  :func:`resolve_engine` remains the definition both agree on.
     """
     if engine == "auto":
         from repro.analyze.manager import analyze_kernel

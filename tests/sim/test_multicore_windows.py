@@ -9,9 +9,11 @@ from repro.graph.interthread import subset_closed_under_window, thread_subset_pr
 from repro.harness.experiments import run_workload
 from repro.kernel.builder import KernelBuilder
 from repro.sim import simulate
+from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import plan_shards, run_multicore, shard_threads
+from repro.sim.window_batched import WindowBatchedSimulator
 from repro.workloads.registry import get_workload
 
 #: Counters that must be equal between a sharded and a single-core run.
@@ -244,6 +246,40 @@ def test_misaligned_thread_subset_is_rejected():
     compiled = compile_kernel(launch.graph)
     with pytest.raises(SimulationError):
         CycleSimulator(compiled, launch, thread_ids=range(12))  # cuts a window
+
+
+def _doubling_launch(n=64):
+    """An inter-thread-free kernel, runnable by the plain batched engine."""
+    b = KernelBuilder("doubling", n)
+    b.global_array("x", n)
+    b.global_array("out", n)
+    tid = b.thread_idx_x()
+    b.store("out", tid, b.load("x", tid) * 2.0)
+    return KernelLaunch(b.finish(), {"x": np.arange(1.0, n + 1.0)})
+
+
+@pytest.mark.parametrize(
+    "simulator,make_launch",
+    [
+        (CycleSimulator, lambda: _windowed_elevator_launch()[0]),
+        (BatchedSimulator, _doubling_launch),
+        (WindowBatchedSimulator, lambda: _windowed_elevator_launch()[0]),
+    ],
+    ids=["event", "batched", "window-batched"],
+)
+@pytest.mark.parametrize(
+    "thread_ids",
+    [[0, 0, 1], [5] + list(range(63))],
+    ids=["short", "launch-length"],
+)
+def test_repeated_thread_ids_are_rejected(simulator, make_launch, thread_ids):
+    """A repeated thread ID fails at construction and names the thread,
+    also when the list is as long as the launch (no subset check runs)."""
+    launch = make_launch()
+    compiled = compile_kernel(launch.graph)
+    repeated = thread_ids[0]
+    with pytest.raises(SimulationError, match=f"repeats thread {repeated}"):
+        simulator(compiled, launch, thread_ids=thread_ids)
 
 
 def test_thread_subset_problem_accepts_window_unions():
