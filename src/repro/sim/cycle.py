@@ -194,7 +194,9 @@ class _NodeState:
     fanout_hops: int = 0
     #: ``ExecutionStats`` field that counts this node's firings, if any.
     op_counter: str | None = None
-    #: Opcode handler, called as ``fire(state, tid, operands, issue_cycle)``.
+    #: Opcode handler, an unbound ``CycleSimulator`` method called as
+    #: ``fire(simulator, state, tid, operands, issue_cycle)``; unbound so
+    #: the states hold no reference back to their simulator.
     fire: Callable[..., None] | None = None
     port_free_at: list[int] = field(default_factory=list)
     pending: dict[int, dict[int, Any]] = field(default_factory=dict)
@@ -287,15 +289,16 @@ class CycleSimulator:
     # ------------------------------------------------------------------ setup
     def _prepare(self) -> None:
         replicas = self.compiled.replicas
+        cls = type(self)
         handlers = {
-            Opcode.LOAD: self._execute_load,
-            Opcode.STORE: self._execute_store,
-            Opcode.SCRATCH_LOAD: functools.partial(self._execute_scratch, is_store=False),
-            Opcode.SCRATCH_STORE: functools.partial(self._execute_scratch, is_store=True),
-            Opcode.ELEVATOR: self._execute_elevator,
-            Opcode.ELDST: self._execute_eldst,
-            Opcode.BARRIER: self._execute_barrier,
-            Opcode.OUTPUT: self._execute_output,
+            Opcode.LOAD: cls._execute_load,
+            Opcode.STORE: cls._execute_store,
+            Opcode.SCRATCH_LOAD: functools.partial(cls._execute_scratch, is_store=False),
+            Opcode.SCRATCH_STORE: functools.partial(cls._execute_scratch, is_store=True),
+            Opcode.ELEVATOR: cls._execute_elevator,
+            Opcode.ELDST: cls._execute_eldst,
+            Opcode.BARRIER: cls._execute_barrier,
+            Opcode.OUTPUT: cls._execute_output,
         }
         for node in self.graph.nodes:
             op = node.opcode
@@ -304,9 +307,9 @@ class CycleSimulator:
                 arity=self.graph.arity_of(node.node_id),
                 latency=unit_latency(self.config, node),
                 op_counter=_OP_COUNTERS.get(node.unit_class),
-                fire=self._execute_pure
+                fire=cls._execute_pure
                 if op in PURE_OPCODES
-                else handlers.get(op, self._execute_unsupported),
+                else handlers.get(op, cls._execute_unsupported),
                 port_free_at=[0] * max(1, replicas),
             )
             self._nodes[node.node_id] = state
@@ -438,7 +441,7 @@ class CycleSimulator:
                     pid=self._trace_pid, tid=self._lane[node.node_id],
                     args={"tid": tid, "cls": node.unit_class.name},
                 )
-            state.fire(state, tid, operands, issue)
+            state.fire(self, state, tid, operands, issue)
 
         if self._retired != len(self._thread_ids):
             missing = [t for t, done in self._sink_done.items() if done < total_sinks]
