@@ -30,7 +30,7 @@ from repro.sim import simulate
 from repro.workloads.registry import registry_kernels
 
 GOLDEN_PATH = Path(__file__).with_name("event_golden.json")
-CELLS = [(workload, variant) for workload, variant in registry_kernels()]
+CELLS = registry_kernels()
 
 
 def _measure(workload, variant) -> dict:
