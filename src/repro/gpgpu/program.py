@@ -42,6 +42,21 @@ class SimtProgram:
                 raise IsaError(f"undefined branch target '{instr.target}'")
         if not any(instr.op is Op.EXIT for instr in self.instructions):
             raise IsaError(f"program '{self.name}' has no EXIT instruction")
+        # Control must never run past the last instruction: every label lands
+        # on an instruction and the program ends in an unconditional transfer.
+        end = len(self.instructions)
+        for label, pc in self.labels.items():
+            if not 0 <= pc < end:
+                raise IsaError(
+                    f"label '{label}' of program '{self.name}' points at pc {pc}, "
+                    f"outside its {end} instructions"
+                )
+        last = self.instructions[-1]
+        if last.op not in (Op.EXIT, Op.BRA) or last.guard is not None:
+            raise IsaError(
+                f"program '{self.name}' ends in '{last!r}'; the last instruction must be "
+                "an unguarded exit or bra"
+            )
 
     @property
     def num_threads(self) -> int:

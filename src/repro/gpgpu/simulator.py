@@ -23,14 +23,14 @@ kernels are expressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.config.system import SystemConfig, default_system_config
-from repro.errors import GpgpuExecutionError
-from repro.gpgpu.isa import Imm, Instruction, Op, Operand, Pred, Reg, Special
+from repro.errors import GpgpuExecutionError, MemoryModelError
+from repro.gpgpu.isa import Imm, Instruction, Op, Pred, Reg, Special
 from repro.gpgpu.program import SimtProgram
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
@@ -58,18 +58,55 @@ class FermiResult:
         return merged
 
 
+class _Decoded(NamedTuple):
+    """The static facts of one instruction the scheduler and issue stage use.
+
+    Built once per run from the program, so the per-cycle scoreboard check
+    and the issue stage do tuple lookups instead of re-deriving them.
+    """
+
+    instr: Instruction
+    #: Index of the instruction's execution pipe (its latency class).
+    pipe: int
+    #: Cycles the instruction occupies its pipe (``FermiConfig.dispatch_cycles``).
+    dispatch: int
+    #: ``_Warp.ready`` slots the scoreboard waits on (sources + guard).
+    reads: tuple[int, ...]
+    #: Register-file reads per active lane (``Reg``/``Pred`` source operands).
+    reg_sources: int
+    #: ``(kind, payload)`` per source operand; see :meth:`FermiSimulator._operand`.
+    srcs: tuple[tuple[int, Any], ...]
+    #: Branch target pc, or ``-1``.
+    target: int
+
+
+# Source-operand kinds of ``_Decoded.srcs``.
+_REG, _PRED, _IMM, _SPECIAL = range(4)
+
+
 @dataclass
 class _Warp:
     """Mutable per-warp execution state."""
 
     warp_id: int
     lanes: np.ndarray  # linear thread IDs covered by this warp
+    #: ``lanes`` as a slice (warps cover contiguous thread IDs).
+    span: slice
+    #: All-lanes-active mask (read-only; used for unguarded instructions).
+    full_mask: np.ndarray
+    #: Per-lane value of every ``Special`` register (read-only).
+    specials: dict[Special, np.ndarray]
+    #: Scoreboard: the cycle each register, then each predicate, is ready.
+    ready: list[int]
     pc: int = 0
     done: bool = False
     at_barrier: bool = False
     next_free: int = 0
-    reg_ready: dict[int, int] = field(default_factory=dict)
-    pred_ready: dict[int, int] = field(default_factory=dict)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 class FermiSimulator:
@@ -100,22 +137,84 @@ class FermiSimulator:
         self.predicates = np.zeros(
             (max(1, program.num_predicates), self.num_threads), dtype=bool
         )
-        self._warps = self._build_warps()
-        self._coords = np.array(
-            [program.geometry.unlinearize(t) for t in range(self.num_threads)]
-        )
         # Execution-pipe occupancy: a warp instruction is dispatched over the
         # SM's execution units of its class (32 CUDA cores, 16 LD/ST units,
-        # 4 SFUs), which bounds per-class instruction throughput.
-        self._pipe_free: dict[str, int] = {}
+        # 4 SFUs), which bounds per-class instruction throughput.  One slot
+        # per latency class, indexed by ``_Decoded.pipe``.
+        self._pipes: list[str] = []
+        self._pipe_free: list[int] = []
+        self._decoded = [self._decode(instr) for instr in program.instructions]
+        self._warps = self._build_warps()
+        self._live = len(self._warps)
+        self._waiting = 0  # warps parked at the barrier
 
     # ------------------------------------------------------------------ setup
+    def _decode(self, instr: Instruction) -> _Decoded:
+        cls = instr.latency_class
+        if cls not in self._pipes:
+            self._pipes.append(cls)
+            self._pipe_free.append(0)
+        srcs = []
+        for operand in instr.srcs:
+            if isinstance(operand, Reg):
+                srcs.append((_REG, operand.index))
+            elif isinstance(operand, Pred):
+                srcs.append((_PRED, operand.index))
+            elif isinstance(operand, Imm):
+                srcs.append((_IMM, float(operand.value)))
+            elif isinstance(operand, Special):
+                srcs.append((_SPECIAL, operand))
+            else:
+                raise GpgpuExecutionError(f"unknown operand {operand!r}")
+        reads = instr.reads
+        return _Decoded(
+            instr=instr,
+            pipe=self._pipes.index(cls),
+            dispatch=self.fermi.dispatch_cycles(cls),
+            reads=tuple(self._ready_slot(operand) for operand in instr.reads),
+            reg_sources=sum(1 for s in instr.srcs if isinstance(s, (Reg, Pred))),
+            srcs=tuple(srcs),
+            target=self.program.labels[instr.target] if instr.op is Op.BRA else -1,
+        )
+
+    def _ready_slot(self, operand: Reg | Pred) -> int:
+        """Index of ``operand``'s entry in ``_Warp.ready``."""
+        if isinstance(operand, Reg):
+            return operand.index
+        return max(1, self.program.num_registers) + operand.index
+
     def _build_warps(self) -> list[_Warp]:
         warp_size = self.fermi.warp_size
+        coords = np.array(
+            [self.program.geometry.unlinearize(t) for t in range(self.num_threads)],
+            dtype=float,
+        ).reshape(-1, 3)
+        dims = self.program.geometry.block_dim + (1, 1)
+        slots = max(1, self.program.num_registers) + max(1, self.program.num_predicates)
         warps = []
         for start in range(0, self.num_threads, warp_size):
-            lanes = np.arange(start, min(start + warp_size, self.num_threads))
-            warps.append(_Warp(warp_id=len(warps), lanes=lanes))
+            stop = min(start + warp_size, self.num_threads)
+            lanes = np.arange(start, stop)
+            width = len(lanes)
+            specials = {
+                Special.TID_X: coords[start:stop, 0],
+                Special.TID_Y: coords[start:stop, 1],
+                Special.TID_Z: coords[start:stop, 2],
+                Special.TID_LINEAR: lanes.astype(float),
+                Special.NTID_X: np.full(width, float(dims[0])),
+                Special.NTID_Y: np.full(width, float(dims[1])),
+                Special.NTID_Z: np.full(width, float(dims[2])),
+            }
+            warps.append(
+                _Warp(
+                    warp_id=len(warps),
+                    lanes=lanes,
+                    span=slice(start, stop),
+                    full_mask=_read_only(np.ones(width, dtype=bool)),
+                    specials={k: _read_only(v.copy()) for k, v in specials.items()},
+                    ready=[0] * slots,
+                )
+            )
         if len(warps) > self.fermi.max_resident_warps:
             raise GpgpuExecutionError(
                 f"kernel needs {len(warps)} warps, the SM holds "
@@ -127,27 +226,40 @@ class FermiSimulator:
     def run(self) -> FermiResult:
         cycle = 0
         rr_start = 0
-        while not all(w.done for w in self._warps):
+        warps = self._warps
+        count = len(warps)
+        issue_limit = self.fermi.schedulers * self.fermi.issue_width_per_scheduler
+        decoded = self._decoded
+        pipe_free = self._pipe_free
+        while self._live:
             if cycle > self.max_cycles:
                 raise GpgpuExecutionError(
                     f"SIMT kernel '{self.program.name}' exceeded {self.max_cycles} cycles"
                 )
-            self._maybe_release_barrier(cycle)
+            if self._waiting and self._waiting == self._live:
+                self._release_barrier(cycle)
+            # Round-robin from ``rr_start``; each warp is visited once, so
+            # it issues at most one instruction per cycle.
             issued = 0
-            issued_warps: set[int] = set()
-            order = [
-                self._warps[(rr_start + i) % len(self._warps)]
-                for i in range(len(self._warps))
-            ]
-            for warp in order:
-                if issued >= self.fermi.schedulers * self.fermi.issue_width_per_scheduler:
-                    break
-                if warp.warp_id in issued_warps:
+            position = rr_start % count
+            for _ in range(count):
+                warp = warps[position]
+                position = position + 1 if position + 1 < count else 0
+                if warp.done or warp.at_barrier or warp.next_free > cycle:
                     continue
-                if self._eligible(warp, cycle):
-                    self._issue(warp, cycle)
+                d = decoded[warp.pc]
+                if pipe_free[d.pipe] > cycle:
+                    continue
+                # Scoreboard: every register the instruction reads is ready.
+                ready = warp.ready
+                for slot in d.reads:
+                    if ready[slot] > cycle:
+                        break
+                else:
+                    self._issue(warp, d, cycle)
                     issued += 1
-                    issued_warps.add(warp.warp_id)
+                    if issued >= issue_limit:
+                        break
             rr_start += 1
             if issued == 0:
                 cycle = self._next_interesting_cycle(cycle)
@@ -163,125 +275,105 @@ class FermiSimulator:
 
     def _next_interesting_cycle(self, cycle: int) -> int:
         """Skip idle cycles directly to the next scoreboard/barrier event."""
-        candidates = []
+        decoded = self._decoded
+        pipe_free = self._pipe_free
+        future = []
         for warp in self._warps:
             if warp.done or warp.at_barrier:
                 continue
-            candidates.append(warp.next_free)
-            instr = self.program.instructions[warp.pc]
-            candidates.append(self._pipe_free.get(instr.latency_class, 0))
-            for operand in instr.reads:
-                if isinstance(operand, Reg):
-                    candidates.append(warp.reg_ready.get(operand.index, 0))
-                elif isinstance(operand, Pred):
-                    candidates.append(warp.pred_ready.get(operand.index, 0))
-        future = [c for c in candidates if c > cycle]
+            d = decoded[warp.pc]
+            candidates = [warp.next_free, pipe_free[d.pipe]]
+            candidates += [warp.ready[slot] for slot in d.reads]
+            future += [c for c in candidates if c > cycle]
         if not future:
             return cycle + 1
         return min(future)
 
     # -------------------------------------------------------------- scheduling
-    def _eligible(self, warp: _Warp, cycle: int) -> bool:
-        if warp.done or warp.at_barrier or warp.next_free > cycle:
-            return False
-        instr = self.program.instructions[warp.pc]
-        if self._pipe_free.get(instr.latency_class, 0) > cycle:
-            return False
-        for operand in instr.reads:
-            if isinstance(operand, Reg) and warp.reg_ready.get(operand.index, 0) > cycle:
-                return False
-            if isinstance(operand, Pred) and warp.pred_ready.get(operand.index, 0) > cycle:
-                return False
-        return True
-
-    def _maybe_release_barrier(self, cycle: int) -> None:
-        active = [w for w in self._warps if not w.done]
-        if active and all(w.at_barrier for w in active):
-            for warp in active:
+    def _release_barrier(self, cycle: int) -> None:
+        """Every live warp is parked at the barrier: release them all."""
+        for warp in self._warps:
+            if not warp.done:
                 warp.at_barrier = False
                 warp.next_free = cycle + 1
+        self._waiting = 0
 
     # ------------------------------------------------------------------- issue
-    def _issue(self, warp: _Warp, cycle: int) -> None:
-        instr = self.program.instructions[warp.pc]
+    def _issue(self, warp: _Warp, d: _Decoded, cycle: int) -> None:
+        instr = d.instr
         warp.pc += 1
         warp.next_free = cycle + 1
-        dispatch = self.fermi.dispatch_cycles(instr.latency_class)
-        self._pipe_free[instr.latency_class] = cycle + dispatch
-        self.stats.instructions_issued += 1
+        self._pipe_free[d.pipe] = cycle + d.dispatch
+        stats = self.stats
+        stats.instructions_issued += 1
 
-        mask = self._guard_mask(warp, instr)
-        active_lanes = int(mask.sum())
-        self.stats.instructions_per_lane += active_lanes
-        self.stats.register_reads += active_lanes * sum(
-            1 for s in instr.srcs if isinstance(s, (Reg, Pred))
-        )
+        guard = instr.guard
+        if guard is None:
+            mask = warp.full_mask
+            active_lanes = len(mask)
+        else:
+            values = self.predicates[guard.index, warp.span]
+            mask = ~values if instr.guard_negated else values.copy()
+            active_lanes = int(np.count_nonzero(mask))
+        stats.instructions_per_lane += active_lanes
+        stats.register_reads += active_lanes * d.reg_sources
         if instr.dst is not None:
-            self.stats.register_writes += active_lanes
+            stats.register_writes += active_lanes
 
         op = instr.op
         if op is Op.EXIT:
             warp.done = True
+            self._live -= 1
             return
         if op is Op.BAR_SYNC:
             warp.at_barrier = True
-            self.stats.barrier_arrivals += len(warp.lanes)
+            self._waiting += 1
+            stats.barrier_arrivals += len(warp.lanes)
             return
         if op is Op.BRA:
-            self._execute_branch(warp, instr, mask)
+            self._execute_branch(warp, d, active_lanes)
             return
         if instr.is_memory:
-            self._execute_memory(warp, instr, mask, cycle)
+            self._execute_memory(warp, d, mask, cycle)
             return
-        self._execute_alu(warp, instr, mask, cycle, active_lanes)
+        self._execute_alu(warp, d, mask, cycle, active_lanes)
 
     # ---------------------------------------------------------------- operands
-    def _guard_mask(self, warp: _Warp, instr: Instruction) -> np.ndarray:
-        mask = np.ones(len(warp.lanes), dtype=bool)
-        if instr.guard is not None:
-            values = self.predicates[instr.guard.index, warp.lanes]
-            mask = ~values if instr.guard_negated else values.copy()
-        return mask
+    def _operand(self, warp: _Warp, source: tuple[int, Any]) -> np.ndarray:
+        """Per-lane values of one decoded source operand.
 
-    def _operand(self, warp: _Warp, operand: Operand) -> np.ndarray:
-        lanes = warp.lanes
-        if isinstance(operand, Reg):
-            return self.registers[operand.index, lanes]
-        if isinstance(operand, Pred):
-            return self.predicates[operand.index, lanes].astype(float)
-        if isinstance(operand, Imm):
-            return np.full(len(lanes), float(operand.value))
-        if isinstance(operand, Special):
-            dims = self.program.geometry.block_dim + (1, 1)
-            table = {
-                Special.TID_X: self._coords[lanes, 0],
-                Special.TID_Y: self._coords[lanes, 1],
-                Special.TID_Z: self._coords[lanes, 2],
-                Special.TID_LINEAR: lanes,
-                Special.NTID_X: np.full(len(lanes), dims[0]),
-                Special.NTID_Y: np.full(len(lanes), dims[1]),
-                Special.NTID_Z: np.full(len(lanes), dims[2]),
-            }
-            return np.asarray(table[operand], dtype=float)
-        raise GpgpuExecutionError(f"unknown operand {operand!r}")
+        Register reads are views into the register file and specials are
+        shared read-only arrays: callers build new arrays from them and
+        never write through them.
+        """
+        kind, payload = source
+        if kind == _REG:
+            return self.registers[payload, warp.span]
+        if kind == _PRED:
+            return self.predicates[payload, warp.span].astype(float)
+        if kind == _IMM:
+            return np.full(len(warp.lanes), payload)
+        return warp.specials[payload]
 
     def _writeback(
         self, warp: _Warp, dst: Reg | Pred, values: np.ndarray, mask: np.ndarray, ready: int
     ) -> None:
-        lanes = warp.lanes[mask]
-        if isinstance(dst, Reg):
-            self.registers[dst.index, lanes] = values[mask]
-            warp.reg_ready[dst.index] = ready
+        if mask is warp.full_mask:
+            lanes, values = warp.span, values
         else:
-            self.predicates[dst.index, lanes] = values[mask].astype(bool)
-            warp.pred_ready[dst.index] = ready
+            lanes, values = warp.lanes[mask], values[mask]
+        if isinstance(dst, Reg):
+            self.registers[dst.index, lanes] = values
+        else:
+            self.predicates[dst.index, lanes] = values.astype(bool)
+        warp.ready[self._ready_slot(dst)] = ready
 
     # --------------------------------------------------------------------- ALU
     def _execute_alu(
-        self, warp: _Warp, instr: Instruction, mask: np.ndarray, cycle: int, active: int
+        self, warp: _Warp, d: _Decoded, mask: np.ndarray, cycle: int, active: int
     ) -> None:
-        op = instr.op
-        srcs = [self._operand(warp, s) for s in instr.srcs]
+        instr = d.instr
+        srcs = [self._operand(warp, s) for s in d.srcs]
         if instr.latency_class == "sfu":
             latency = self.fermi.sfu_latency
             self.stats.special_ops += active
@@ -289,7 +381,7 @@ class FermiSimulator:
             latency = self.fermi.alu_latency
             self.stats.alu_ops += active
 
-        values = self._alu_result(op, srcs)
+        values = self._alu_result(instr.op, srcs)
         if instr.dst is not None:
             self._writeback(warp, instr.dst, values, mask, cycle + latency)
 
@@ -364,76 +456,71 @@ class FermiSimulator:
 
     # ------------------------------------------------------------------ memory
     def _execute_memory(
-        self, warp: _Warp, instr: Instruction, mask: np.ndarray, cycle: int
+        self, warp: _Warp, d: _Decoded, mask: np.ndarray, cycle: int
     ) -> None:
+        instr = d.instr
         op = instr.op
-        spec = self.program.arrays.get(instr.array)
-        indices = self._operand(warp, instr.srcs[0]).astype(np.int64)
-        lanes = warp.lanes
+        name = instr.array
+        spec = self.program.arrays.get(name)
+        is_store = op in (Op.ST_GLOBAL, Op.ST_SHARED)
+        full = mask is warp.full_mask
+        indices = self._operand(warp, d.srcs[0]).astype(np.int64)
+        active = indices if full else indices[mask]
+        # Check every active lane before indexing: NumPy would silently wrap
+        # a negative index, and a store must leave memory untouched.
+        bad = (active < 0) | (active >= spec.length)
+        if bad.any():
+            raise MemoryModelError(
+                f"{'store' if is_store else 'load'} out of bounds: "
+                f"{name}[{int(active[bad.argmax()])}] (length {spec.length})"
+            )
+        addresses = (spec.base_address + active * spec.elem_bytes).tolist()
 
         if op in (Op.LD_SHARED, Op.ST_SHARED):
-            addresses = [
-                spec.base_address + int(idx) * spec.elem_bytes
-                for idx, active in zip(indices, mask)
-                if active
-            ]
-            complete = self.hierarchy.scratch_access_group(
-                addresses, op is Op.ST_SHARED, cycle
-            )
-            if op is Op.ST_SHARED:
-                values = self._operand(warp, instr.srcs[1])
-                for idx, value, active in zip(indices, values, mask):
-                    if active:
-                        self.memory.store(instr.array, int(idx), float(value))
-                self.stats.scratch_stores += int(mask.sum())
-            else:
-                loaded = np.zeros(len(lanes))
-                for i, (idx, active) in enumerate(zip(indices, mask)):
-                    if active:
-                        loaded[i] = self.memory.load(instr.array, int(idx))
-                self.stats.scratch_loads += int(mask.sum())
-                self._writeback(warp, instr.dst, loaded, mask, complete)
-            return
-
-        # Global memory: coalesce the active lanes into line transactions.
-        addresses = [
-            spec.base_address + int(idx) * spec.elem_bytes if active else None
-            for idx, active in zip(indices, mask)
-        ]
-        access = AccessType.STORE if op is Op.ST_GLOBAL else AccessType.LOAD
-        complete, transactions = self.hierarchy.access_group(addresses, access, cycle)
-        self.stats.extra["global_transactions"] = (
-            self.stats.extra.get("global_transactions", 0) + transactions
-        )
-        if op is Op.ST_GLOBAL:
-            values = self._operand(warp, instr.srcs[1])
-            for idx, value, active in zip(indices, values, mask):
-                if active:
-                    self.memory.store(instr.array, int(idx), float(value))
-            self.stats.global_stores += int(mask.sum())
+            complete = self.hierarchy.scratch_access_group(addresses, is_store, cycle)
         else:
-            loaded = np.zeros(len(lanes))
-            for i, (idx, active) in enumerate(zip(indices, mask)):
-                if active:
-                    loaded[i] = self.memory.load(instr.array, int(idx))
-            self.stats.global_loads += int(mask.sum())
-            self._writeback(warp, instr.dst, loaded, mask, complete)
+            # Global memory: coalesce the active lanes into line transactions
+            # (``None`` marks an inactive lane).
+            if not full:
+                per_lane: list[int | None] = [None] * len(mask)
+                for lane, address in zip(np.flatnonzero(mask).tolist(), addresses):
+                    per_lane[lane] = address
+                addresses = per_lane
+            access = AccessType.STORE if is_store else AccessType.LOAD
+            complete, transactions = self.hierarchy.access_group(addresses, access, cycle)
+            self.stats.extra["global_transactions"] = (
+                self.stats.extra.get("global_transactions", 0) + transactions
+            )
+
+        backing = self.memory.array(name)
+        count = len(active)
+        if is_store:
+            values = self._operand(warp, d.srcs[1])
+            backing[active] = values if full else values[mask]
+            if op is Op.ST_SHARED:
+                self.stats.scratch_stores += count
+            else:
+                self.stats.global_stores += count
+            return
+        loaded = np.zeros(len(mask))
+        loaded[mask] = backing[active]
+        if op is Op.LD_SHARED:
+            self.stats.scratch_loads += count
+        else:
+            self.stats.global_loads += count
+        self._writeback(warp, instr.dst, loaded, mask, complete)
 
     # ----------------------------------------------------------------- control
-    def _execute_branch(self, warp: _Warp, instr: Instruction, mask: np.ndarray) -> None:
-        taken_mask = mask
-        if instr.guard is None:
-            taken = True
-        else:
-            values = taken_mask
-            if not (values.all() or (~values).all()):
-                raise GpgpuExecutionError(
-                    f"divergent branch at pc {warp.pc - 1} in '{self.program.name}'; "
-                    "baseline kernels must use predication for lane-divergent control"
-                )
-            taken = bool(values.all())
-        if taken:
-            warp.pc = self.program.labels[instr.target]
+    def _execute_branch(self, warp: _Warp, d: _Decoded, active: int) -> None:
+        """Branches are warp-uniform: every lane or none must take them."""
+        width = len(warp.lanes)
+        if 0 < active < width:
+            raise GpgpuExecutionError(
+                f"divergent branch at pc {warp.pc - 1} in '{self.program.name}'; "
+                "baseline kernels must use predication for lane-divergent control"
+            )
+        if active == width:
+            warp.pc = d.target
 
 
 def run_fermi(

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import GpgpuExecutionError, IsaError
-from repro.gpgpu.isa import Imm, Instruction, Op, Reg
-from repro.gpgpu.program import SimtProgramBuilder
-from repro.gpgpu.simulator import run_fermi
+from repro.errors import GpgpuExecutionError, IsaError, MemoryModelError
+from repro.gpgpu.isa import Imm, Instruction, Op, Pred, Reg
+from repro.gpgpu.program import SimtProgram, SimtProgramBuilder
+from repro.gpgpu.simulator import FermiSimulator, run_fermi
 
 
 # ---------------------------------------------------------------------- ISA
@@ -24,6 +24,32 @@ def test_program_requires_defined_labels_and_exit():
     b.branch("nowhere")
     with pytest.raises(IsaError):
         b.finish()
+
+
+def test_label_past_the_last_instruction_is_rejected():
+    # Branching to "end" would run past the program instead of exiting.
+    b = SimtProgramBuilder("fall", 32)
+    b.branch("end")
+    b.exit()
+    b.label("end")
+    with pytest.raises(IsaError, match="label 'end'"):
+        b.finish()
+
+
+@pytest.mark.parametrize(
+    "last",
+    [
+        Instruction(Op.MOV, dst=Reg(0), srcs=(Imm(1),)),
+        Instruction(Op.EXIT, guard=Pred(0)),
+        Instruction(Op.BRA, target="top", guard=Pred(0), guard_negated=True),
+    ],
+    ids=["mov", "guarded-exit", "guarded-bra"],
+)
+def test_program_must_end_in_an_unguarded_transfer(last):
+    b = SimtProgramBuilder("tail", 32)
+    instructions = [Instruction(Op.EXIT), last]
+    with pytest.raises(IsaError, match="last instruction"):
+        SimtProgram("tail", b.geometry, instructions, {"top": 0}, b.arrays, 1, 1)
 
 
 def test_listing_contains_labels_and_instructions():
@@ -134,3 +160,36 @@ def test_register_and_issue_statistics_scale_with_lanes():
     assert result.stats.instructions_per_lane == result.stats.instructions_issued * 32
     assert result.stats.register_writes > 0
     assert result.counters()["global_transactions"] >= 2
+
+
+@pytest.mark.parametrize("op", [Op.LD_GLOBAL, Op.ST_GLOBAL, Op.LD_SHARED, Op.ST_SHARED])
+@pytest.mark.parametrize("bad", ["minus_one", "length"])
+def test_out_of_bounds_lane_raises_and_leaves_memory_unchanged(op, bad):
+    # Only lane 5 is out of bounds; NumPy would wrap its -1 to the last element.
+    n = 32
+    b = SimtProgramBuilder("oob", n)
+    b.global_array("data", n)
+    b.global_array("out", n)
+    if op in (Op.LD_SHARED, Op.ST_SHARED):
+        b.shared_array("tile", n)
+        array = "tile"
+    else:
+        array = "data"
+    tid = b.tid_linear()
+    index = b.select(b.setp(Op.SETP_EQ, tid, Imm(5)), Imm(-1 if bad == "minus_one" else n), tid)
+    if op is Op.LD_GLOBAL:
+        b.st_global("out", tid, b.ld_global(array, index))
+    elif op is Op.LD_SHARED:
+        b.st_global("out", tid, b.ld_shared(array, index))
+    elif op is Op.ST_GLOBAL:
+        b.st_global(array, index, Imm(9.0))
+    else:
+        b.st_shared(array, index, Imm(9.0))
+    simulator = FermiSimulator(b.finish(), {"data": np.arange(float(n))})
+    before = simulator.memory.snapshot()
+    with pytest.raises(MemoryModelError, match=rf"{array}\[{-1 if bad == 'minus_one' else n}\]"):
+        simulator.run()
+    after = simulator.memory.snapshot()
+    assert sorted(after) == sorted(before)
+    for name in before:
+        np.testing.assert_array_equal(after[name], before[name], err_msg=name)
