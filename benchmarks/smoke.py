@@ -6,13 +6,15 @@ the two event-only kernel shapes — an ``mt`` kernel (whole-block barrier
 plus scratchpad) and ``scan dmt`` (ELEVATOR recurrence) — against the
 functional interpreter (outputs bit-identical), then a windowed reduce
 sharded across 4 cores against its single-core run (no fallback, outputs
-bit-identical, operation counters equal) — the cheap end-to-end signal
-that a regression in either engine, the dispatch between them, or the
-window-aligned multi-core partitioner is caught before the full
-benchmark suite runs.  Usage::
+bit-identical, operation counters equal), then the Fermi SM baseline on
+``reduce`` (barrier + shared memory) and ``matrixMul`` with outputs
+checked against the NumPy references — the cheap end-to-end signal that
+a regression in either engine, the dispatch between them, the
+window-aligned multi-core partitioner or the Fermi model is caught
+before the full benchmark suite runs.  Usage::
 
-    python benchmarks/smoke.py          # tests + engines + sharding
-    python benchmarks/smoke.py --no-tests   # engine/sharding checks only
+    python benchmarks/smoke.py          # tests + engines + sharding + Fermi
+    python benchmarks/smoke.py --no-tests   # engine/sharding/Fermi checks only
     python benchmarks/smoke.py --no-tests --json out.json
 """
 
@@ -186,6 +188,32 @@ def run_sharding_smoke() -> int:
     return 0
 
 
+#: Fermi baseline smoke kernels: a barrier + shared-memory reduction and a
+#: global-memory-bound matrix multiply.
+FERMI_KERNELS = ("reduce", "matrixMul")
+
+
+def run_fermi_smoke() -> int:
+    from repro.errors import WorkloadError
+    from repro.harness.experiments import run_workload
+    from repro.harness.figures import DEFAULT_SUITE_PARAMS
+
+    for name in FERMI_KERNELS:
+        start = time.perf_counter()
+        try:
+            result = run_workload(name, "fermi", DEFAULT_SUITE_PARAMS[name], check=True)
+        except WorkloadError as exc:
+            log.error(f"FAIL: {name} fermi outputs differ from the NumPy reference: {exc}")
+            return 1
+        elapsed = time.perf_counter() - start
+        log.info(f"  fermi    {name}: {elapsed:.2f}s, {result.cycles} cycles, "
+                 f"outputs match the NumPy reference")
+        RESULTS.append(
+            {"check": "fermi", "kernel": name, "seconds": elapsed, "cycles": result.cycles}
+        )
+    return 0
+
+
 def main(argv: list[str]) -> int:
     configure(verbosity=1, stream=sys.stdout)
     json_path = None
@@ -208,6 +236,9 @@ def main(argv: list[str]) -> int:
     if rc == 0:
         log.info("== sharding smoke (windowed reduce, 1 vs 4 cores) ==")
         rc = run_sharding_smoke()
+    if rc == 0:
+        log.info("== Fermi smoke (reduce, matrixMul vs NumPy references) ==")
+        rc = run_fermi_smoke()
     if json_path:
         sys.path.insert(0, REPO_ROOT)
         from benchmarks.common import write_json

@@ -29,11 +29,11 @@ from typing import Any, Mapping, NamedTuple
 import numpy as np
 
 from repro.config.system import SystemConfig, default_system_config
-from repro.errors import GpgpuExecutionError, MemoryModelError
+from repro.errors import GpgpuExecutionError
 from repro.gpgpu.isa import Imm, Instruction, Op, Pred, Reg, Special
 from repro.gpgpu.program import SimtProgram
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.image import MemoryImage
+from repro.memory.image import MemoryImage, out_of_bounds
 from repro.memory.request import AccessType
 from repro.sim.stats import ExecutionStats
 
@@ -470,10 +470,7 @@ class FermiSimulator:
         # a negative index, and a store must leave memory untouched.
         bad = (active < 0) | (active >= spec.length)
         if bad.any():
-            raise MemoryModelError(
-                f"{'store' if is_store else 'load'} out of bounds: "
-                f"{name}[{int(active[bad.argmax()])}] (length {spec.length})"
-            )
+            raise out_of_bounds("store" if is_store else "load", spec, int(active[bad.argmax()]))
         addresses = (spec.base_address + active * spec.elem_bytes).tolist()
 
         if op in (Op.LD_SHARED, Op.ST_SHARED):

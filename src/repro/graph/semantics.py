@@ -1,76 +1,52 @@
 """Operational semantics of dataflow opcodes.
 
-Both the functional interpreter and the cycle-level simulator evaluate
-node results through :func:`evaluate_pure`, so they cannot diverge on the
-meaning of an opcode.  Memory and inter-thread opcodes are *not* handled
-here — they interact with the memory hierarchy / token retagging machinery
-and are implemented by the simulators themselves.
+Every opcode's meaning is stated once, in the per-``(opcode, dtype)``
+function table :data:`PURE_FUNCTIONS`.  The functional interpreter and
+constant folding evaluate through :func:`evaluate_pure`; the event engine
+binds each node's entry once (:func:`pure_function`) and calls it per
+firing.  Either way they cannot diverge on the meaning of an opcode.
+Memory and inter-thread opcodes are *not* handled here — they interact
+with the memory hierarchy / token retagging machinery and are
+implemented by the simulators themselves.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.graph.node import Node
 from repro.graph.opcodes import DType, Opcode
 
-__all__ = ["evaluate_pure", "PURE_OPCODES", "coerce", "python_value"]
-
-#: Opcodes whose result depends only on their operand values.
-PURE_OPCODES = frozenset(
-    {
-        Opcode.ADD,
-        Opcode.SUB,
-        Opcode.MUL,
-        Opcode.DIV,
-        Opcode.MOD,
-        Opcode.MIN,
-        Opcode.MAX,
-        Opcode.ABS,
-        Opcode.NEG,
-        Opcode.FMA,
-        Opcode.SQRT,
-        Opcode.RSQRT,
-        Opcode.EXP,
-        Opcode.LOG,
-        Opcode.RCP,
-        Opcode.AND,
-        Opcode.OR,
-        Opcode.XOR,
-        Opcode.NOT,
-        Opcode.SHL,
-        Opcode.SHR,
-        Opcode.LT,
-        Opcode.LE,
-        Opcode.GT,
-        Opcode.GE,
-        Opcode.EQ,
-        Opcode.NE,
-        Opcode.LAND,
-        Opcode.LOR,
-        Opcode.LNOT,
-        Opcode.SELECT,
-        Opcode.SPLIT,
-        Opcode.JOIN,
-    }
-)
+__all__ = [
+    "evaluate_pure",
+    "PURE_FUNCTIONS",
+    "PURE_OPCODES",
+    "coerce",
+    "converter",
+    "pure_function",
+    "python_value",
+]
 
 _INT_MASK = 0xFFFFFFFF
+
+#: The Python type that represents each dtype's values.
+_CONVERTERS: dict[DType, type] = {DType.F32: float, DType.BOOL: bool, DType.I32: int}
 
 
 def _as_u32(value: int) -> int:
     return int(value) & _INT_MASK
 
 
+def converter(dtype: DType) -> type:
+    """The Python type (``float``/``int``/``bool``) values of ``dtype`` take."""
+    return _CONVERTERS[dtype]
+
+
 def coerce(value: float | int | bool, dtype: DType) -> float | int | bool:
     """Coerce ``value`` to the Python representation of ``dtype``."""
-    if dtype is DType.F32:
-        return float(value)
-    if dtype is DType.BOOL:
-        return bool(value)
-    return int(value)
+    return _CONVERTERS[dtype](value)
 
 
 def python_value(value: float | int | bool) -> float | int | bool:
@@ -80,111 +56,97 @@ def python_value(value: float | int | bool) -> float | int | bool:
     return value
 
 
-def _int_div(a: int, b: int) -> int:
+def _int_div(o: Sequence) -> int:
+    a, b = int(o[0]), int(o[1])
     if b == 0:
         raise SimulationError("integer division by zero in kernel graph")
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def _int_mod(a: int, b: int) -> int:
+def _int_mod(o: Sequence) -> int:
+    a, b = int(o[0]), int(o[1])
     if b == 0:
         raise SimulationError("integer modulo by zero in kernel graph")
-    return a - _int_div(a, b) * b
+    return a - _int_div(o) * b
 
 
-def evaluate_pure(node: Node, operands: Sequence[float | int | bool]):
-    """Evaluate a pure opcode on concrete operand values.
+def _float_div(o: Sequence) -> float:
+    a, b = o[0], o[1]
+    if b == 0:
+        return math.inf if a > 0 else (-math.inf if a < 0 else math.nan)
+    return float(a) / float(b)
 
-    Integer arithmetic uses C-style truncating division/modulo; bitwise
-    operations interpret operands as 32-bit values.  Comparisons produce
-    Python booleans.
-    """
-    op = node.opcode
-    dt = node.dtype
-    if op not in PURE_OPCODES:
-        raise SimulationError(f"{op.value} is not a pure opcode")
 
-    a = operands[0] if operands else None
-    b = operands[1] if len(operands) > 1 else None
-    c = operands[2] if len(operands) > 2 else None
+def _float_mod(o: Sequence) -> float:
+    a, b = float(o[0]), float(o[1])
+    # IEEE fmod is NaN for a zero divisor or an infinite dividend, where
+    # ``math.fmod`` would raise instead.
+    if b == 0 or math.isinf(a):
+        return math.nan
+    return math.fmod(a, b)
 
-    if op is Opcode.ADD:
-        return coerce(a + b, dt)
-    if op is Opcode.SUB:
-        return coerce(a - b, dt)
-    if op is Opcode.MUL:
-        return coerce(a * b, dt)
-    if op is Opcode.DIV:
-        if dt.is_float:
-            if b == 0:
-                return math.inf if a > 0 else (-math.inf if a < 0 else math.nan)
-            return float(a) / float(b)
-        return _int_div(int(a), int(b))
-    if op is Opcode.MOD:
-        if dt.is_float:
-            return math.fmod(float(a), float(b))
-        return _int_mod(int(a), int(b))
-    if op is Opcode.MIN:
-        return coerce(min(a, b), dt)
-    if op is Opcode.MAX:
-        return coerce(max(a, b), dt)
-    if op is Opcode.ABS:
-        return coerce(abs(a), dt)
-    if op is Opcode.NEG:
-        return coerce(-a, dt)
-    if op is Opcode.FMA:
-        return coerce(a * b + c, dt)
 
-    if op is Opcode.SQRT:
-        return float(math.sqrt(a)) if a >= 0 else math.nan
-    if op is Opcode.RSQRT:
-        return float(1.0 / math.sqrt(a)) if a > 0 else math.inf
-    if op is Opcode.EXP:
-        return float(math.exp(a))
-    if op is Opcode.LOG:
-        return float(math.log(a)) if a > 0 else -math.inf
-    if op is Opcode.RCP:
-        return float(1.0 / a) if a != 0 else math.inf
+#: How each pure opcode computes its result.  Every entry is called once
+#: per dtype with that dtype's converter ``c`` (``float``/``int``/``bool``)
+#: and returns the function of the operand sequence ``o`` that
+#: :data:`PURE_FUNCTIONS` holds for ``(opcode, dtype)``.  Integer arithmetic
+#: uses C-style truncating division/modulo; bitwise operations interpret
+#: operands as 32-bit values; comparisons produce Python booleans.
+_SEMANTICS: dict[Opcode, Callable[[type], Callable[[Sequence], Any]]] = {
+    Opcode.ADD: lambda c: lambda o: c(o[0] + o[1]),
+    Opcode.SUB: lambda c: lambda o: c(o[0] - o[1]),
+    Opcode.MUL: lambda c: lambda o: c(o[0] * o[1]),
+    Opcode.DIV: lambda c: _float_div if c is float else _int_div,
+    Opcode.MOD: lambda c: _float_mod if c is float else _int_mod,
+    Opcode.MIN: lambda c: lambda o: c(min(o[0], o[1])),
+    Opcode.MAX: lambda c: lambda o: c(max(o[0], o[1])),
+    Opcode.ABS: lambda c: lambda o: c(abs(o[0])),
+    Opcode.NEG: lambda c: lambda o: c(-o[0]),
+    Opcode.FMA: lambda c: lambda o: c(o[0] * o[1] + o[2]),
+    Opcode.SQRT: lambda c: lambda o: math.sqrt(o[0]) if o[0] >= 0 else math.nan,
+    Opcode.RSQRT: lambda c: lambda o: 1.0 / math.sqrt(o[0]) if o[0] > 0 else math.inf,
+    Opcode.EXP: lambda c: lambda o: math.exp(o[0]),
+    Opcode.LOG: lambda c: lambda o: math.log(o[0]) if o[0] > 0 else -math.inf,
+    Opcode.RCP: lambda c: lambda o: float(1.0 / o[0]) if o[0] != 0 else math.inf,
+    Opcode.AND: lambda c: lambda o: c(_as_u32(o[0]) & _as_u32(o[1])),
+    Opcode.OR: lambda c: lambda o: c(_as_u32(o[0]) | _as_u32(o[1])),
+    Opcode.XOR: lambda c: lambda o: c(_as_u32(o[0]) ^ _as_u32(o[1])),
+    Opcode.NOT: lambda c: lambda o: c(_as_u32(~_as_u32(o[0]))),
+    Opcode.SHL: lambda c: lambda o: c(_as_u32(_as_u32(o[0]) << (int(o[1]) & 31))),
+    Opcode.SHR: lambda c: lambda o: c(_as_u32(o[0]) >> (int(o[1]) & 31)),
+    Opcode.LT: lambda c: lambda o: o[0] < o[1],
+    Opcode.LE: lambda c: lambda o: o[0] <= o[1],
+    Opcode.GT: lambda c: lambda o: o[0] > o[1],
+    Opcode.GE: lambda c: lambda o: o[0] >= o[1],
+    Opcode.EQ: lambda c: lambda o: o[0] == o[1],
+    Opcode.NE: lambda c: lambda o: o[0] != o[1],
+    Opcode.LAND: lambda c: lambda o: bool(o[0]) and bool(o[1]),
+    Opcode.LOR: lambda c: lambda o: bool(o[0]) or bool(o[1]),
+    Opcode.LNOT: lambda c: lambda o: not bool(o[0]),
+    Opcode.SELECT: lambda c: lambda o: c(o[1] if bool(o[0]) else o[2]),
+    Opcode.SPLIT: lambda c: lambda o: o[0],
+    # JOIN forwards operand 0 but synchronises on both operands.
+    Opcode.JOIN: lambda c: lambda o: o[0],
+}
 
-    if op is Opcode.AND:
-        return coerce(_as_u32(a) & _as_u32(b), dt)
-    if op is Opcode.OR:
-        return coerce(_as_u32(a) | _as_u32(b), dt)
-    if op is Opcode.XOR:
-        return coerce(_as_u32(a) ^ _as_u32(b), dt)
-    if op is Opcode.NOT:
-        return coerce(_as_u32(~_as_u32(a)), dt)
-    if op is Opcode.SHL:
-        return coerce(_as_u32(_as_u32(a) << (int(b) & 31)), dt)
-    if op is Opcode.SHR:
-        return coerce(_as_u32(a) >> (int(b) & 31), dt)
+#: Opcodes whose result depends only on their operand values.
+PURE_OPCODES = frozenset(_SEMANTICS)
 
-    if op is Opcode.LT:
-        return a < b
-    if op is Opcode.LE:
-        return a <= b
-    if op is Opcode.GT:
-        return a > b
-    if op is Opcode.GE:
-        return a >= b
-    if op is Opcode.EQ:
-        return a == b
-    if op is Opcode.NE:
-        return a != b
-    if op is Opcode.LAND:
-        return bool(a) and bool(b)
-    if op is Opcode.LOR:
-        return bool(a) or bool(b)
-    if op is Opcode.LNOT:
-        return not bool(a)
+#: ``(opcode, dtype) -> f(operands)`` for every pure opcode and dtype.
+PURE_FUNCTIONS: dict[tuple[Opcode, DType], Callable[[Sequence], Any]] = {
+    (op, dt): make(conv) for op, make in _SEMANTICS.items() for dt, conv in _CONVERTERS.items()
+}
 
-    if op is Opcode.SELECT:
-        return coerce(b if bool(a) else c, dt)
-    if op is Opcode.SPLIT:
-        return a
-    if op is Opcode.JOIN:
-        # JOIN forwards operand 0 but synchronises on both operands.
-        return a
 
-    raise SimulationError(f"unhandled pure opcode {op.value}")  # pragma: no cover
+def pure_function(node: Node) -> Callable[[Sequence], Any]:
+    """``node``'s entry in :data:`PURE_FUNCTIONS`: its operand sequence -> result."""
+    try:
+        return PURE_FUNCTIONS[(node.opcode, node.dtype)]
+    except KeyError:
+        raise SimulationError(f"{node.opcode.value} is not a pure opcode") from None
+
+
+def evaluate_pure(node: Node, operands: Sequence[float | int | bool]) -> Any:
+    """Evaluate a pure opcode on concrete operand values."""
+    return pure_function(node)(operands)

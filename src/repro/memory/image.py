@@ -17,13 +17,18 @@ from repro.errors import MemoryModelError
 from repro.graph.opcodes import DType
 from repro.kernel.arrays import ArraySpec
 
-__all__ = ["MemoryImage"]
+__all__ = ["MemoryImage", "out_of_bounds"]
 
 _NUMPY_DTYPE = {
     DType.F32: np.float64,  # accumulate in double to avoid reference drift
     DType.I32: np.int64,
     DType.BOOL: np.bool_,
 }
+
+
+def out_of_bounds(kind: str, spec: ArraySpec, index: int) -> MemoryModelError:
+    """The error for a ``kind`` (load/store/address) access outside ``spec``."""
+    return MemoryModelError(f"{kind} out of bounds: {spec.name}[{index}] (length {spec.length})")
 
 
 class MemoryImage:
@@ -76,9 +81,7 @@ class MemoryImage:
         spec = self.spec(name)
         idx = int(index)
         if not spec.contains_index(idx):
-            raise MemoryModelError(
-                f"load out of bounds: {name}[{idx}] (length {spec.length})"
-            )
+            raise out_of_bounds("load", spec, idx)
         return self._data[name][idx].item()
 
     def store(self, name: str, index: int, value: float | int | bool) -> None:
@@ -86,9 +89,7 @@ class MemoryImage:
         spec = self.spec(name)
         idx = int(index)
         if not spec.contains_index(idx):
-            raise MemoryModelError(
-                f"store out of bounds: {name}[{idx}] (length {spec.length})"
-            )
+            raise out_of_bounds("store", spec, idx)
         self._data[name][idx] = value
 
     def address_of(self, name: str, index: int) -> int:
@@ -96,9 +97,7 @@ class MemoryImage:
         spec = self.spec(name)
         idx = int(index)
         if not spec.contains_index(idx):
-            raise MemoryModelError(
-                f"address out of bounds: {name}[{idx}] (length {spec.length})"
-            )
+            raise out_of_bounds("address", spec, idx)
         return spec.address_of(idx)
 
     def snapshot(self) -> dict[str, np.ndarray]:

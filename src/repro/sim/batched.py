@@ -182,7 +182,12 @@ def _eval_pure_vec(node: Node, operands: list[np.ndarray]) -> np.ndarray:
         return np.where((ai >= 0) == (bi >= 0), q, -q)
     if op is Opcode.MOD:
         if dt.is_float:
-            return np.fmod(a.astype(np.float64, copy=False), b.astype(np.float64, copy=False))
+            af = a.astype(np.float64, copy=False)
+            bf = b.astype(np.float64, copy=False)
+            with np.errstate(invalid="ignore"):
+                out = np.fmod(af, bf)
+            # The scalar semantics' NaN (not the FPU's sign-set default NaN).
+            return np.where((bf == 0) | np.isinf(af), math.nan, out)
         ai = a.astype(np.int64, copy=False)
         bi = b.astype(np.int64, copy=False)
         if np.any(bi == 0):
@@ -205,7 +210,8 @@ def _eval_pure_vec(node: Node, operands: list[np.ndarray]) -> np.ndarray:
     if op is Opcode.SQRT:
         af = a.astype(np.float64, copy=False)
         with np.errstate(invalid="ignore"):
-            return np.where(af >= 0, np.sqrt(np.abs(af)), math.nan)
+            # sqrt(-0.0) is -0.0, as in the scalar semantics.
+            return np.where(af >= 0, np.sqrt(np.where(af >= 0, af, 0.0)), math.nan)
     if op is Opcode.RSQRT:
         af = a.astype(np.float64, copy=False)
         with np.errstate(divide="ignore", invalid="ignore"):

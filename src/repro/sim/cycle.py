@@ -29,7 +29,6 @@ against the functional interpreter and the NumPy references.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -53,10 +52,11 @@ from repro.graph.interthread import (
 )
 from repro.graph.node import Node
 from repro.graph.opcodes import Opcode, UnitClass
-from repro.graph.semantics import PURE_OPCODES, coerce, evaluate_pure
+from repro.graph.semantics import PURE_OPCODES, coerce, converter, pure_function
+from repro.kernel.arrays import ArraySpec
 from repro.kernel.geometry import ThreadGeometry
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.image import MemoryImage
+from repro.memory.image import MemoryImage, out_of_bounds
 from repro.memory.request import AccessType
 from repro.obs.trace import INJECT_LANE, active_tracer
 from repro.sim.launch import KernelLaunch
@@ -156,6 +156,15 @@ _OP_COUNTERS = {
 #: Thread-index source opcodes, in the order of ``(x, y, z, linear)``.
 _TID_OPCODES = (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_Z, Opcode.TID_LINEAR)
 
+#: Opcodes that read or write a kernel array.
+_MEMORY_OPCODES = (
+    Opcode.LOAD,
+    Opcode.STORE,
+    Opcode.SCRATCH_LOAD,
+    Opcode.SCRATCH_STORE,
+    Opcode.ELDST,
+)
+
 
 def validate_thread_ids(thread_ids: Sequence[int], num_threads: int) -> list[int]:
     """``thread_ids`` as plain ints, rejecting IDs no core can run.
@@ -178,9 +187,10 @@ def validate_thread_ids(thread_ids: Sequence[int], num_threads: int) -> list[int
 class _NodeState:
     """Mutable per-node simulation state plus the node's static tables.
 
-    ``ports``, ``fanout``, ``fanout_hops``, ``op_counter`` and ``fire``
-    depend only on the compiled graph; ``CycleSimulator._prepare`` fills
-    them once so a firing does table lookups instead of re-deriving them.
+    ``ports``, ``fanout``, ``fanout_hops``, ``op_counter``, ``pure``,
+    ``fire`` and ``memory`` depend only on the compiled graph and its
+    memory image; ``CycleSimulator._prepare`` fills them once so a firing
+    does table lookups instead of re-deriving them.
     """
 
     node: Node
@@ -194,10 +204,16 @@ class _NodeState:
     fanout_hops: int = 0
     #: ``ExecutionStats`` field that counts this node's firings, if any.
     op_counter: str | None = None
-    #: Opcode handler, an unbound ``CycleSimulator`` method called as
-    #: ``fire(simulator, state, tid, operands, issue_cycle)``; unbound so
-    #: the states hold no reference back to their simulator.
+    #: Pure nodes: the node's ``semantics.PURE_FUNCTIONS`` entry, called
+    #: as ``pure(operands)``; the run loop fires these nodes inline.
+    pure: Callable[[Sequence[Any]], Any] | None = None
+    #: Every other node: its opcode handler, an unbound ``CycleSimulator``
+    #: method called as ``fire(simulator, state, tid, operands, issue_cycle)``;
+    #: unbound so the states hold no reference back to their simulator.
     fire: Callable[..., None] | None = None
+    #: Memory nodes: ``(array spec, backing array, access bytes, dtype
+    #: converter)`` of the array the node reads or writes.
+    memory: tuple[ArraySpec, np.ndarray, int, type] | None = None
     port_free_at: list[int] = field(default_factory=list)
     pending: dict[int, dict[int, Any]] = field(default_factory=dict)
     # eLDST-specific: forwarded values waiting for their consumer thread and
@@ -293,8 +309,8 @@ class CycleSimulator:
         handlers = {
             Opcode.LOAD: cls._execute_load,
             Opcode.STORE: cls._execute_store,
-            Opcode.SCRATCH_LOAD: functools.partial(cls._execute_scratch, is_store=False),
-            Opcode.SCRATCH_STORE: functools.partial(cls._execute_scratch, is_store=True),
+            Opcode.SCRATCH_LOAD: cls._execute_scratch,
+            Opcode.SCRATCH_STORE: cls._execute_scratch,
             Opcode.ELEVATOR: cls._execute_elevator,
             Opcode.ELDST: cls._execute_eldst,
             Opcode.BARRIER: cls._execute_barrier,
@@ -307,11 +323,20 @@ class CycleSimulator:
                 arity=self.graph.arity_of(node.node_id),
                 latency=unit_latency(self.config, node),
                 op_counter=_OP_COUNTERS.get(node.unit_class),
-                fire=cls._execute_pure
-                if op in PURE_OPCODES
-                else handlers.get(op, cls._execute_unsupported),
                 port_free_at=[0] * max(1, replicas),
             )
+            if op in PURE_OPCODES:
+                state.pure = pure_function(node)
+            else:
+                state.fire = handlers.get(op, cls._execute_unsupported)
+            if op in _MEMORY_OPCODES:
+                name = node.param("array")
+                state.memory = (
+                    self.memory.spec(name),
+                    self.memory.array(name),
+                    node.param("elem_bytes", 4),
+                    converter(node.dtype),
+                )
             self._nodes[node.node_id] = state
             if op is Opcode.CONST:
                 self._injectors.append((state, coerce(node.param("value"), node.dtype)))
@@ -381,6 +406,7 @@ class CycleSimulator:
             raise SimulationError("kernel has no store or output nodes; nothing to run")
 
         events = self._events
+        sequence = self._sequence
         max_cycles = self.max_cycles
         trace = self._trace
         single_port = max(1, self.compiled.replicas) == 1
@@ -441,7 +467,19 @@ class CycleSimulator:
                     pid=self._trace_pid, tid=self._lane[node.node_id],
                     args={"tid": tid, "cls": node.unit_class.name},
                 )
-            state.fire(self, state, tid, operands, issue)
+            pure = state.pure
+            if pure is None:
+                state.fire(self, state, tid, operands, issue)
+                continue
+            # A pure node fires inline: evaluate, then send the result to
+            # every consumer (its token and hop counts are folded below).
+            value = pure(operands)
+            ready = issue + state.latency
+            for dst, dst_port, latency in state.fanout:
+                _heappush(
+                    events,
+                    (ready + latency, _EV_TOKEN, next(sequence), dst, dst_port, tid, value),
+                )
 
         if self._retired != len(self._thread_ids):
             missing = [t for t, done in self._sink_done.items() if done < total_sinks]
@@ -451,12 +489,16 @@ class CycleSimulator:
             )
 
         # Every firing was one token-buffer match; the per-class operation
-        # counters are folded from the per-node firing counts.
+        # counters, and the tokens and hops of pure nodes (one send per
+        # firing), are folded from the per-node firing counts.
         self.stats.token_buffer_inserts += inserts
         for state in self._nodes.values():
             self.stats.token_buffer_matches += state.executions
             if state.op_counter is not None:
                 self.stats.bump(state.op_counter, state.executions)
+            if state.pure is not None:
+                self.stats.tokens_sent += state.executions * len(state.fanout)
+                self.stats.noc_hops += state.executions * state.fanout_hops
         self.stats.cycles = self._completion_cycle
         # Provenance: cached counter rows must be able to tell which engine
         # (and how many cores — overwritten by the multi-core merge) made them.
@@ -520,9 +562,6 @@ class CycleSimulator:
         return start
 
     # ---------------------------------------------------------------- handlers
-    def _execute_pure(self, state: _NodeState, tid: int, operands: list[Any], issue: int) -> None:
-        self._send(state, tid, evaluate_pure(state.node, operands), issue + state.latency)
-
     def _execute_output(
         self, state: _NodeState, tid: int, operands: list[Any], issue: int
     ) -> None:
@@ -535,62 +574,65 @@ class CycleSimulator:
         raise SimulationError(f"cycle simulator cannot execute {state.node.opcode.value}")
 
     # ------------------------------------------------------------------ memory
+    @staticmethod
+    def _address(spec: ArraySpec, index: int) -> int:
+        """Byte address of ``spec[index]``, bounds-checked like ``MemoryImage``."""
+        if not 0 <= index < spec.length:
+            raise out_of_bounds("address", spec, index)
+        return spec.base_address + index * spec.elem_bytes
+
     def _execute_load(self, state: _NodeState, tid: int, operands: list[Any], issue: int) -> None:
-        node = state.node
-        array = node.param("array")
+        spec, backing, size, convert = state.memory
         index = int(operands[0])
-        address = self.memory.address_of(array, index)
-        result = self.hierarchy.access(address, AccessType.LOAD, issue, node.param("elem_bytes", 4))
-        value = coerce(self.memory.load(array, index), node.dtype)
+        address = self._address(spec, index)
+        complete = self.hierarchy.access(address, AccessType.LOAD, issue, size).complete_cycle
+        value = convert(backing.item(index))
         self.stats.global_loads += 1
         if self._trace is not None:
             self._trace.event(
-                f"load {array}", "mem", issue, result.complete_cycle - issue,
-                pid=self._trace_pid, tid=self._lane[node.node_id], args={"tid": tid},
+                f"load {spec.name}", "mem", issue, complete - issue,
+                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
-        self._send(state, tid, value, result.complete_cycle)
+        self._send(state, tid, value, complete)
 
     def _execute_store(self, state: _NodeState, tid: int, operands: list[Any], issue: int) -> None:
-        node = state.node
-        array = node.param("array")
+        spec, backing, size, _ = state.memory
         index = int(operands[0])
         value = operands[1]
-        address = self.memory.address_of(array, index)
-        result = self.hierarchy.access(
-            address, AccessType.STORE, issue, node.param("elem_bytes", 4)
-        )
-        self.memory.store(array, index, value)
+        address = self._address(spec, index)
+        complete = self.hierarchy.access(address, AccessType.STORE, issue, size).complete_cycle
+        backing[index] = value
         self.stats.global_stores += 1
         if self._trace is not None:
             self._trace.event(
-                f"store {array}", "mem", issue, result.complete_cycle - issue,
-                pid=self._trace_pid, tid=self._lane[node.node_id], args={"tid": tid},
+                f"store {spec.name}", "mem", issue, complete - issue,
+                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
-        self._send(state, tid, value, result.complete_cycle)
-        self._sink_completed(tid, result.complete_cycle)
+        self._send(state, tid, value, complete)
+        self._sink_completed(tid, complete)
 
     def _execute_scratch(
-        self, state: _NodeState, tid: int, operands: list[Any], issue: int, is_store: bool
+        self, state: _NodeState, tid: int, operands: list[Any], issue: int
     ) -> None:
-        node = state.node
-        array = node.param("array")
+        spec, backing, _, convert = state.memory
+        is_store = state.node.opcode is Opcode.SCRATCH_STORE
         index = int(operands[0])
-        address = self.memory.address_of(array, index)
-        complete = self.hierarchy.scratch_access(address, is_store, issue)
+        address = self._address(spec, index)
+        complete = self.hierarchy.scratchpad.access(address, is_store, issue)
         if self._trace is not None:
             self._trace.event(
-                f"{'scratch store' if is_store else 'scratch load'} {array}",
+                f"{'scratch store' if is_store else 'scratch load'} {spec.name}",
                 "scratch", issue, complete - issue,
-                pid=self._trace_pid, tid=self._lane[node.node_id], args={"tid": tid},
+                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
         if is_store:
             value = operands[1]
-            self.memory.store(array, index, value)
+            backing[index] = value
             self.stats.scratch_stores += 1
             self._send(state, tid, value, complete)
             self._sink_completed(tid, complete)
         else:
-            value = coerce(self.memory.load(array, index), node.dtype)
+            value = convert(backing.item(index))
             self.stats.scratch_loads += 1
             self._send(state, tid, value, complete)
 
@@ -623,21 +665,19 @@ class CycleSimulator:
         predicate = bool(operands[1])
         src = eldst_source(node, tid, self.geometry.block_dim, self.num_threads)
         if predicate or src is None:
-            array = node.param("array")
+            spec, backing, size, convert = state.memory
             index = int(operands[0])
-            address = self.memory.address_of(array, index)
-            result = self.hierarchy.access(
-                address, AccessType.LOAD, issue, node.param("elem_bytes", 4)
-            )
-            value = coerce(self.memory.load(array, index), node.dtype)
+            address = self._address(spec, index)
+            complete = self.hierarchy.access(address, AccessType.LOAD, issue, size).complete_cycle
+            value = convert(backing.item(index))
             self.stats.global_loads += 1
             self.stats.eldst_memory_loads += 1
             if self._trace is not None:
                 self._trace.event(
-                    f"eldst load {array}", "mem", issue, result.complete_cycle - issue,
+                    f"eldst load {spec.name}", "mem", issue, complete - issue,
                     pid=self._trace_pid, tid=self._lane[node.node_id], args={"tid": tid},
                 )
-            self._complete_eldst(state, tid, value, result.complete_cycle)
+            self._complete_eldst(state, tid, value, complete)
             return
         ready = state.forwards_ready.pop(tid, None)
         if ready is not None:
