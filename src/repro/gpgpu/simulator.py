@@ -143,6 +143,8 @@ class FermiSimulator:
         # per latency class, indexed by ``_Decoded.pipe``.
         self._pipes: list[str] = []
         self._pipe_free: list[int] = []
+        # ``_Warp.ready`` holds the registers, then the predicates.
+        self._pred_base = max(1, program.num_registers)
         self._decoded = [self._decode(instr) for instr in program.instructions]
         self._warps = self._build_warps()
         self._live = len(self._warps)
@@ -166,7 +168,6 @@ class FermiSimulator:
                 srcs.append((_SPECIAL, operand))
             else:
                 raise GpgpuExecutionError(f"unknown operand {operand!r}")
-        reads = instr.reads
         return _Decoded(
             instr=instr,
             pipe=self._pipes.index(cls),
@@ -181,7 +182,7 @@ class FermiSimulator:
         """Index of ``operand``'s entry in ``_Warp.ready``."""
         if isinstance(operand, Reg):
             return operand.index
-        return max(1, self.program.num_registers) + operand.index
+        return self._pred_base + operand.index
 
     def _build_warps(self) -> list[_Warp]:
         warp_size = self.fermi.warp_size
@@ -190,7 +191,7 @@ class FermiSimulator:
             dtype=float,
         ).reshape(-1, 3)
         dims = self.program.geometry.block_dim + (1, 1)
-        slots = max(1, self.program.num_registers) + max(1, self.program.num_predicates)
+        slots = self._pred_base + max(1, self.program.num_predicates)
         warps = []
         for start in range(0, self.num_threads, warp_size):
             stop = min(start + warp_size, self.num_threads)
@@ -358,9 +359,8 @@ class FermiSimulator:
     def _writeback(
         self, warp: _Warp, dst: Reg | Pred, values: np.ndarray, mask: np.ndarray, ready: int
     ) -> None:
-        if mask is warp.full_mask:
-            lanes, values = warp.span, values
-        else:
+        lanes = warp.span
+        if mask is not warp.full_mask:
             lanes, values = warp.lanes[mask], values[mask]
         if isinstance(dst, Reg):
             self.registers[dst.index, lanes] = values
@@ -374,7 +374,7 @@ class FermiSimulator:
     ) -> None:
         instr = d.instr
         srcs = [self._operand(warp, s) for s in d.srcs]
-        if instr.latency_class == "sfu":
+        if self._pipes[d.pipe] == "sfu":
             latency = self.fermi.sfu_latency
             self.stats.special_ops += active
         else:
