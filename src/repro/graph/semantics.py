@@ -1,7 +1,7 @@
 """Operational semantics of dataflow opcodes.
 
 Every opcode's meaning is stated once, in the per-``(opcode, dtype)``
-function table :data:`PURE_FUNCTIONS`.  The functional interpreter and
+function table ``_PURE_FUNCTIONS``.  The functional interpreter and
 constant folding evaluate through :func:`evaluate_pure`; the event engine
 binds each node's entry once (:func:`pure_function`) and calls it per
 firing.  Either way they cannot diverge on the meaning of an opcode.
@@ -21,7 +21,6 @@ from repro.graph.opcodes import DType, Opcode
 
 __all__ = [
     "evaluate_pure",
-    "PURE_FUNCTIONS",
     "PURE_OPCODES",
     "coerce",
     "converter",
@@ -90,7 +89,7 @@ def _float_mod(o: Sequence) -> float:
 #: How each pure opcode computes its result.  Every entry is called once
 #: per dtype with that dtype's converter ``c`` (``float``/``int``/``bool``)
 #: and returns the function of the operand sequence ``o`` that
-#: :data:`PURE_FUNCTIONS` holds for ``(opcode, dtype)``.  Integer arithmetic
+#: ``_PURE_FUNCTIONS`` holds for ``(opcode, dtype)``.  Integer arithmetic
 #: uses C-style truncating division/modulo; bitwise operations interpret
 #: operands as 32-bit values; comparisons produce Python booleans.
 _SEMANTICS: dict[Opcode, Callable[[type], Callable[[Sequence], Any]]] = {
@@ -134,15 +133,15 @@ _SEMANTICS: dict[Opcode, Callable[[type], Callable[[Sequence], Any]]] = {
 PURE_OPCODES = frozenset(_SEMANTICS)
 
 #: ``(opcode, dtype) -> f(operands)`` for every pure opcode and dtype.
-PURE_FUNCTIONS: dict[tuple[Opcode, DType], Callable[[Sequence], Any]] = {
+_PURE_FUNCTIONS: dict[tuple[Opcode, DType], Callable[[Sequence], Any]] = {
     (op, dt): make(conv) for op, make in _SEMANTICS.items() for dt, conv in _CONVERTERS.items()
 }
 
 
 def pure_function(node: Node) -> Callable[[Sequence], Any]:
-    """``node``'s entry in :data:`PURE_FUNCTIONS`: its operand sequence -> result."""
+    """``node``'s semantics: the function from its operand sequence to its result."""
     try:
-        return PURE_FUNCTIONS[(node.opcode, node.dtype)]
+        return _PURE_FUNCTIONS[(node.opcode, node.dtype)]
     except KeyError:
         raise SimulationError(f"{node.opcode.value} is not a pure opcode") from None
 

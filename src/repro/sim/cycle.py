@@ -204,8 +204,8 @@ class _NodeState:
     fanout_hops: int = 0
     #: ``ExecutionStats`` field that counts this node's firings, if any.
     op_counter: str | None = None
-    #: Pure nodes: the node's ``semantics.PURE_FUNCTIONS`` entry, called
-    #: as ``pure(operands)``; the run loop fires these nodes inline.
+    #: Pure nodes: ``semantics.pure_function(node)``, called as
+    #: ``pure(operands)``; the run loop fires these nodes inline.
     pure: Callable[[Sequence[Any]], Any] | None = None
     #: Every other node: its opcode handler, an unbound ``CycleSimulator``
     #: method called as ``fire(simulator, state, tid, operands, issue_cycle)``;
