@@ -160,8 +160,8 @@ def run_sharding_smoke() -> int:
                   f"[{multi.stats.extra.get('shard_fallback_code')}]: "
                   f"{multi.stats.extra['shard_fallback_reason']}")
         return 1
-    if getattr(multi, "cores", 1) != 4:
-        log.error(f"FAIL: expected 4 active cores, got {getattr(multi, 'cores', 1)}")
+    if multi.cores != 4:
+        log.error(f"FAIL: expected 4 active cores, got {multi.cores}")
         return 1
     log.info(f"  sharded 256-thread reduce: {elapsed:.2f}s, "
              f"{single.cycles} cycles on 1 core, {multi.cycles} on 4")

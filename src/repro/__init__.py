@@ -38,16 +38,10 @@ from repro.harness import compare_architectures, run_suite, run_workload
 from repro.kernel import KernelBuilder, ThreadGeometry
 from repro.power import EnergyTable, cgra_energy, default_energy_table, fermi_energy
 from repro.sim import (
-    CycleResult,
     FunctionalResult,
     KernelLaunch,
-    MulticoreResult,
     SimulationResult,
-    run_batched,
-    run_cycle_accurate,
     run_functional,
-    run_multicore,
-    run_sharded,
     simulate,
 )
 from repro.workloads import all_workloads, get_workload, workload_names
@@ -59,7 +53,6 @@ __all__ = [
     "CompiledKernel",
     "CompilerOptions",
     "ConfigurationError",
-    "CycleResult",
     "DType",
     "DataflowGraph",
     "DeadlockError",
@@ -70,7 +63,6 @@ __all__ = [
     "KernelBuildError",
     "KernelBuilder",
     "KernelLaunch",
-    "MulticoreResult",
     "Opcode",
     "ReproError",
     "SimulationError",
@@ -87,11 +79,7 @@ __all__ = [
     "default_system_config",
     "fermi_energy",
     "get_workload",
-    "run_batched",
-    "run_cycle_accurate",
     "run_functional",
-    "run_multicore",
-    "run_sharded",
     "run_suite",
     "run_workload",
     "simulate",

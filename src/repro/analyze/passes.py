@@ -14,7 +14,7 @@ consume these predictions instead of re-deriving them:
   ``sim/multicore.py::plan_shards`` acts on;
 * :func:`engine_diagnostics` / :func:`pure_load_ancestors` — the
   batched-engine eligibility and replay-order stability facts
-  ``sim/cycle.py::build_simulator`` and ``sim/batched.py`` act on;
+  ``sim/api.py::resolve_engine`` and ``sim/batched.py`` act on;
 * :func:`critical_path_bound` — a static lower bound on single-core
   cycles from unit and routed-edge latencies.
 
@@ -520,7 +520,7 @@ def engine_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
 
     Exactly one of ``RA040`` (batched-eligible, no inter-thread nodes),
     ``RA044`` (window-batchable communicating kernel) or ``RA041``
-    (event-only) is emitted, mirroring ``resolve_engine("auto", graph)``;
+    (event-only) is emitted; ``repro.sim.resolve_engine`` dispatches on it;
     for either batched engine ``RA043``/``RA042`` states whether the
     analytic cache model keeps the event engine's replay order or
     degrades to per-node replay.  ``RA041`` kernels additionally carry

@@ -33,65 +33,49 @@ Four execution layers share one semantics:
   transmission windows): token traffic resolves as vector gathers and
   segmented reductions over window groups instead of heap events.
 
-Engine selection (``engine="auto"``) consumes the static analyzer's
-verdict — ``RA040`` inter-thread-free → batched, ``RA044``
-window-batchable → window-batched, ``RA041`` otherwise → event — so the
-static verdict IS the dispatch decision.  All engines produce
+Engine selection (:func:`resolve_engine`, the one place it is decided)
+consumes the static analyzer's verdict — ``RA040`` inter-thread-free →
+batched, ``RA044`` window-batchable → window-batched, ``RA041``
+otherwise → event — so the static verdict IS the dispatch decision.  All engines produce
 bit-identical outputs and identical operation counters.
 
-:mod:`repro.sim.multicore` scales beyond one core: a launch is sharded
-block-cyclically across ``SystemConfig.cores`` simulated cores (shard
-boundaries aligned to the transmission-window LCM), each core with a
-private memory hierarchy, and per-core stats combined with
-:meth:`ExecutionStats.merge`.  ``simulate(cores=...)`` drives this
-layer; kernels that admit no legal cut fall back to one core with the
-reason recorded in ``stats.extra``.
+:mod:`repro.sim.multicore` plans the multi-core cut: a launch is
+sharded block-cyclically across ``SystemConfig.cores`` simulated cores
+(shard boundaries aligned to the transmission-window LCM), each core
+with a private memory hierarchy, and per-core stats combined with
+:meth:`ExecutionStats.merge`.  ``simulate(cores=...)`` runs the shards
+through the same path as a single-core run; kernels that admit no legal
+cut fall back to one core with the reason recorded in ``stats.extra``.
 
-The legacy entry points ``run_cycle_accurate`` and ``run_sharded``
-remain as deprecated thin wrappers over the same dispatch cores.
+Every engine's ``run()`` and :func:`simulate` return the one timed
+result type, :class:`SimulationResult`; :func:`run_functional` is the
+untimed oracle.
 """
 
 from repro.sim.analytic_cache import AnalyticMemoryModel
-from repro.sim.api import SimulationResult, simulate
-from repro.sim.batched import BatchedSimulator, run_batched
-from repro.sim.cycle import (
-    ENGINES,
-    CycleResult,
-    CycleSimulator,
-    resolve_engine,
-    run_cycle_accurate,
-)
+from repro.sim.api import resolve_engine, simulate
+from repro.sim.batched import BatchedSimulator
+from repro.sim.cycle import ENGINES, CycleSimulator
 from repro.sim.functional import FunctionalResult, FunctionalSimulator, run_functional
 from repro.sim.launch import KernelLaunch
-from repro.sim.multicore import (
-    MulticoreResult,
-    run_multicore,
-    run_sharded,
-    shard_threads,
-)
+from repro.sim.multicore import shard_threads
+from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
-from repro.sim.window_batched import WindowBatchedSimulator, run_window_batched
+from repro.sim.window_batched import WindowBatchedSimulator
 
 __all__ = [
     "AnalyticMemoryModel",
     "BatchedSimulator",
-    "CycleResult",
     "CycleSimulator",
     "ENGINES",
     "ExecutionStats",
     "FunctionalResult",
     "FunctionalSimulator",
     "KernelLaunch",
-    "MulticoreResult",
     "SimulationResult",
     "WindowBatchedSimulator",
     "resolve_engine",
-    "run_batched",
-    "run_cycle_accurate",
     "run_functional",
-    "run_multicore",
-    "run_sharded",
-    "run_window_batched",
     "shard_threads",
     "simulate",
 ]

@@ -39,7 +39,7 @@ overlapped load/store phases; the fidelity benchmark measures the
 residual cycle error both cause.
 
 Counters are mirrored into the owning :class:`~repro.memory.hierarchy.
-MemoryHierarchy`'s per-level stats objects, so ``CycleResult.counters()``
+MemoryHierarchy`'s per-level stats objects, so ``SimulationResult.counters()``
 and the energy pipeline see the analytic classification exactly where
 the event engine's exact one would appear.
 

@@ -1,94 +1,64 @@
 """The one front door to the simulator stack: :func:`simulate`.
 
-Historically a caller had to pick between three entry points —
-``run_cycle_accurate`` (single core, engine plumbing),
-``run_sharded``/``run_multicore`` (multi-core partitioning) — and thread
-engine-forcing flags through each.  :func:`simulate` collapses them: it
-resolves the engine (``"auto"`` consumes the static analyzer's
-``RA040``/``RA041``/``RA044`` verdict), plans the multi-core cut, runs,
-and returns a :class:`SimulationResult` that records *what actually ran*
-— the resolved engine (never ``"auto"``) and the core count — next to
-the usual outputs, stats and memory image.
-
-The legacy entry points remain as thin deprecated wrappers returning
-the raw results.
+:func:`simulate` is the only timed run path.  It resolves the engine
+(:func:`resolve_engine`, the one place the engine is decided), plans the
+multi-core cut (:func:`repro.sim.multicore.plan_shards`), runs one
+simulator per shard — a single-core run is the one-shard case — and
+returns a :class:`SimulationResult` that records *what actually ran*:
+the resolved engine (never ``"auto"``) and the core count, next to the
+outputs, stats, memory image and per-core memory hierarchies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from typing import Any
-
-import numpy as np
 
 from repro.compiler.pipeline import CompiledKernel
 from repro.errors import SimulationError
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.image import MemoryImage
-from repro.obs.trace import active_mode
-from repro.sim.cycle import ENGINES, CycleResult, _run_single_core
+from repro.memory.shared_dram import SharedDRAM
+from repro.obs.trace import CORE_LANE, active_mode, active_tracer
+from repro.sim.batched import BatchedSimulator
+from repro.sim.cycle import ENGINES, CycleSimulator
 from repro.sim.launch import KernelLaunch
-from repro.sim.multicore import MulticoreResult, _run_sharded_impl
+from repro.sim.multicore import ShardPlan, plan_shards, shard_threads
+from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
+from repro.sim.window_batched import WindowBatchedSimulator
 
-__all__ = ["SimulationResult", "simulate"]
+__all__ = ["SimulationResult", "resolve_engine", "simulate"]
+
+_SIMULATORS = {
+    "event": CycleSimulator,
+    "batched": BatchedSimulator,
+    "window-batched": WindowBatchedSimulator,
+}
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """What one :func:`simulate` call produced, with resolved provenance.
+def resolve_engine(
+    compiled: CompiledKernel, engine: str = "auto", memory: MemoryHierarchy | None = None
+) -> str:
+    """The engine a :func:`simulate` request runs on.
 
-    ``engine`` is the engine that actually ran (``"event"``,
-    ``"batched"`` or ``"window-batched"`` — never ``"auto"``) and
-    ``cores`` the number of cores the launch ran on; both also live in
-    ``stats.extra`` so cached counter rows carry the same provenance.
-    ``raw`` is the underlying :class:`CycleResult` (single core) or
-    :class:`MulticoreResult` (sharded) for callers that need
-    engine-specific detail (per-core results, the shard plan, the
-    hierarchy object).
+    The static analyzer's verdict, cached on the kernel, names the
+    fastest engine able to execute the graph: ``RA040`` (no inter-thread
+    nodes) batched, ``RA044`` (window-batchable) window-batched and
+    ``RA041`` event.  ``"auto"`` resolves to that verdict, or to
+    ``"event"`` when the caller hands over a ``memory`` hierarchy (it
+    wants that hierarchy's exact, event-accurate counters).  A forced
+    engine is honoured when it is ``"event"`` or the verdict and degraded
+    to the verdict otherwise, so a sweep forcing ``"batched"`` over a
+    barrier kernel runs window-batched or event instead of failing.
     """
+    if engine not in ENGINES:
+        raise SimulationError(f"unknown engine '{engine}'; expected one of {ENGINES}")
+    if engine == "event" or (engine == "auto" and memory is not None):
+        return "event"
+    # Looked up at call time so instrumentation wrapping the analyzer sees it.
+    from repro.analyze.manager import analyze_kernel
 
-    raw: CycleResult | MulticoreResult
-    engine: str
-    cores: int
-
-    @property
-    def cycles(self) -> int:
-        return self.raw.cycles
-
-    @property
-    def stats(self) -> ExecutionStats:
-        return self.raw.stats
-
-    @property
-    def memory(self) -> MemoryImage:
-        return self.raw.memory
-
-    @property
-    def outputs(self) -> dict[str, list[Any]]:
-        return self.raw.outputs
-
-    @property
-    def hierarchy(self) -> MemoryHierarchy:
-        """The memory hierarchy of a single-core run.
-
-        Sharded runs have one hierarchy per core — read those from
-        ``raw.core_results``.
-        """
-        if isinstance(self.raw, CycleResult):
-            return self.raw.hierarchy
-        raise SimulationError(
-            "a sharded run has one hierarchy per core; read raw.core_results"
-        )
-
-    def array(self, name: str) -> np.ndarray:
-        return self.raw.array(name)
-
-    def output(self, name: str) -> list[Any]:
-        return self.raw.outputs[name]
-
-    def counters(self) -> dict[str, int | float]:
-        return self.raw.counters()
+    return analyze_kernel(compiled).engine
 
 
 def simulate(
@@ -109,16 +79,16 @@ def simulate(
     feed-forward communicating graphs) or ``"auto"`` (default), which
     picks the fastest engine able to execute the graph — the static
     analyzer's engine verdict.  A forced engine is degraded to a capable
-    one when the graph demands it (a benchmark sweep forcing
-    ``"batched"`` over a barrier kernel runs window-batched or event
-    instead of failing); the *resolved* engine is what
-    ``result.engine`` and ``stats.extra["engine"]`` report, and a
-    degraded run records the original request in
-    ``stats.extra["requested_engine"]``.
+    one when the graph demands it (:func:`resolve_engine`); the
+    *resolved* engine is what ``result.engine`` and
+    ``stats.extra["engine"]`` report, and a degraded run records the
+    original request in ``stats.extra["requested_engine"]``.
 
     ``cores`` (default ``SystemConfig.cores``) shards the launch
     block-cyclically across simulated cores when a window-aligned cut
-    exists, falling back to one core otherwise; ``block`` overrides the
+    exists, falling back to one core otherwise with the reason in
+    ``stats.extra["shard_fallback_reason"]`` and its analyzer code in
+    ``stats.extra["shard_fallback_code"]``; ``block`` overrides the
     shard block size.  Passing an explicit ``memory`` hierarchy pins the
     run to a single core on that hierarchy (and ``"auto"`` then resolves
     to the event engine, whose counters are exact on the caller's
@@ -129,29 +99,98 @@ def simulate(
     from the analytic cache model (exact on order-stable traces, close
     estimates otherwise).
     """
-    if engine not in ENGINES:
-        raise SimulationError(f"unknown engine '{engine}'; expected one of {ENGINES}")
+    resolved = resolve_engine(compiled, engine, memory)
     if memory is not None:
         if cores is not None and int(cores) != 1:
             raise SimulationError(
                 "an explicit memory hierarchy pins the run to a single core; "
                 "drop cores= or pass cores=1"
             )
-        raw: CycleResult | MulticoreResult = _run_single_core(
-            compiled, launch, hierarchy=memory, engine=engine, max_cycles=max_cycles
-        )
-    else:
-        raw = _run_sharded_impl(
+        cores = 1
+    plan = plan_shards(compiled, cores=cores, block=block)
+    config = compiled.config
+    # One shard with thread_ids=None runs the whole launch.
+    shards: list[Any] = [None]
+    shared = None
+    core_memory = config.memory
+    if plan.sharded:
+        shards = shard_threads(compiled.num_threads, plan.cores, plan.block)
+        shards = [shard for shard in shards if shard.size]
+        if config.shared_dram:
+            shared = SharedDRAM(config.memory.dram, line_bytes=config.memory.l2.line_bytes)
+            core_memory = config.memory.sliced(len(shards))
+    options = {} if resolved == "event" else {"dram_contention": len(shards) if shared else 1}
+    image = launch.build_memory_image()
+    tracer = active_tracer() if plan.sharded else None
+    runs: list[SimulationResult] = []
+    for core, shard in enumerate(shards):
+        if memory is None:
+            hierarchy = MemoryHierarchy(core_memory, dram=shared.port() if shared else None)
+        else:
+            hierarchy = memory
+        simulator = _SIMULATORS[resolved](
             compiled,
             launch,
-            engine=engine,
-            cores=cores,
-            block=block,
+            hierarchy=hierarchy,
             max_cycles=max_cycles,
+            thread_ids=shard,
+            memory=image,
+            trace_pid=core,
+            **options,
         )
+        if tracer is None:
+            runs.append(simulator.run())
+            continue
+        begin = tracer.clock()
+        run = simulator.run()
+        threads = {"threads": int(shard.size)}
+        tracer.wall_event(f"shard {core}", begin, args=threads)
+        tracer.set_lane_name(core, CORE_LANE, "core span")
+        span = float(run.cycles)
+        tracer.event(f"core {core}", "shard", 0.0, span, pid=core, tid=CORE_LANE, args=threads)
+        runs.append(run)
+
+    result = runs[0] if not plan.sharded else _merge(compiled, plan, shards, runs, shared)
+    extra = result.stats.extra
+    if engine not in ("auto", resolved):
+        extra["requested_engine"] = engine
+    if plan.fallback_reason is not None:
+        extra["shard_fallback_reason"] = plan.fallback_reason
+        extra["shard_fallback_code"] = plan.fallback_code
     # Trace provenance: records say whether (and how) a run was traced.
-    raw.stats.extra["trace"] = active_mode()
-    resolved = str(raw.stats.extra.get("engine", "event"))
+    extra["trace"] = active_mode()
+    return result
+
+
+def _merge(
+    compiled: CompiledKernel,
+    plan: ShardPlan,
+    shards: list[Any],
+    runs: list[SimulationResult],
+    shared: SharedDRAM | None,
+) -> SimulationResult:
+    """Combine per-core runs: stats merged, outputs gathered by thread."""
+    stats: ExecutionStats = reduce(ExecutionStats.merge, (run.stats for run in runs))
+    # The per-core "cores" entries summed to the active core count during the
+    # merge; overwrite explicitly so provenance never depends on merge order.
+    stats.extra["cores"] = len(runs)
+    stats.extra["sharded_cores"] = len(runs)
+    stats.extra["shard_block"] = plan.block
+    stats.extra["shard_window_lcm"] = plan.window_lcm
+    outputs: dict[str, list[Any]] = {}
+    for shard, run in zip(shards, runs):
+        for name, values in run.outputs.items():
+            slot = outputs.setdefault(name, [None] * compiled.num_threads)
+            for tid in shard.tolist():
+                slot[tid] = values[tid]
     return SimulationResult(
-        raw=raw, engine=resolved, cores=int(raw.stats.extra.get("cores", 1))
+        cycles=stats.cycles,
+        stats=stats,
+        memory=runs[0].memory,
+        outputs=outputs,
+        engine=runs[0].engine,
+        cores=len(runs),
+        hierarchies=tuple(run.hierarchy for run in runs),
+        plan=plan,
+        shared_dram=shared,
     )

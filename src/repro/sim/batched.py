@@ -59,7 +59,7 @@ cycle-identical to the one-access-at-a-time reference walk kept behind
 ``AnalyticMemoryModel(vectorised=False)``.
 
 The classification is mirrored into the hierarchy's counters, so the
-energy pipeline and ``CycleResult.counters()`` see the analytic model
+energy pipeline and ``SimulationResult.counters()`` see the analytic model
 exactly where the event engine's exact counters would appear.  Residual
 approximations (cache bank serialisation, MSHR entry limits, replay
 order under overlapped load/store phases) affect timing only and are
@@ -97,11 +97,12 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE, active_tracer
 from repro.sim.analytic_cache import AnalyticMemoryModel
-from repro.sim.cycle import CycleResult, edge_timing, unit_latency, validate_thread_ids
+from repro.sim.cycle import edge_timing, unit_latency, validate_thread_ids
 from repro.sim.launch import KernelLaunch
+from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
 
-__all__ = ["BatchedSimulator", "run_batched"]
+__all__ = ["BatchedSimulator"]
 
 _NP_DTYPE = {DType.F32: np.float64, DType.I32: np.int64, DType.BOOL: np.bool_}
 _U32_MASK = 0xFFFFFFFF
@@ -276,10 +277,13 @@ def _eval_pure_vec(node: Node, operands: list[np.ndarray]) -> np.ndarray:
 class BatchedSimulator:
     """Wave-batched vectorised model of one (d)MT-CGRA core.
 
-    Only graphs without inter-thread dependences are supported; use
-    :func:`repro.sim.cycle.run_cycle_accurate` with ``engine="auto"`` to
-    fall back to the event engine automatically.
+    Only graphs without inter-thread dependences are supported;
+    :func:`repro.sim.simulate` falls back to a capable engine
+    automatically.
     """
+
+    #: Engine name recorded in ``stats.extra["engine"]`` and the result.
+    engine = "batched"
 
     def __init__(
         self,
@@ -533,7 +537,7 @@ class BatchedSimulator:
         return keys
 
     # ------------------------------------------------------------------- run
-    def run(self) -> CycleResult:
+    def run(self) -> SimulationResult:
         if not self._sink_nodes:
             raise SimulationError("kernel has no store or output nodes; nothing to run")
         for node in self._order:
@@ -564,14 +568,16 @@ class BatchedSimulator:
         if misses:
             self.stats.bump("batched_line_misses", misses)
         self.stats.bump("batched_line_hits", hits)
-        self.stats.extra["engine"] = "batched"
+        self.stats.extra["engine"] = self.engine
         self.stats.extra.setdefault("cores", 1)
-        return CycleResult(
+        return SimulationResult(
             cycles=cycles,
             stats=self.stats,
             memory=self.memory,
             outputs=self.outputs,
-            hierarchy=self.hierarchy,
+            engine=self.engine,
+            cores=1,
+            hierarchies=(self.hierarchy,),
         )
 
     # ------------------------------------------------------------ wave driver
@@ -972,13 +978,3 @@ class BatchedSimulator:
                 stats.scratch_loads += n
             elif node.opcode is Opcode.SCRATCH_STORE:
                 stats.scratch_stores += n
-
-
-def run_batched(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    hierarchy: MemoryHierarchy | None = None,
-    max_cycles: int = 20_000_000,
-) -> CycleResult:
-    """Convenience wrapper mirroring :func:`run_cycle_accurate`."""
-    return BatchedSimulator(compiled, launch, hierarchy=hierarchy, max_cycles=max_cycles).run()

@@ -30,7 +30,6 @@ against the functional interpreter and the NumPy references.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
@@ -48,7 +47,6 @@ from repro.graph.interthread import (
     elevator_destination,
     elevator_source,
     thread_subset_problem,
-    window_batch_problem,
 )
 from repro.graph.node import Node
 from repro.graph.opcodes import Opcode, UnitClass
@@ -60,42 +58,16 @@ from repro.memory.image import MemoryImage, out_of_bounds
 from repro.memory.request import AccessType
 from repro.obs.trace import INJECT_LANE, active_tracer
 from repro.sim.launch import KernelLaunch
+from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
 
 __all__ = [
-    "CycleResult",
     "CycleSimulator",
     "ENGINES",
-    "build_simulator",
     "edge_timing",
-    "resolve_engine",
-    "run_cycle_accurate",
     "unit_latency",
     "validate_thread_ids",
 ]
-
-
-@dataclass
-class CycleResult:
-    """Outcome of a cycle-level run."""
-
-    cycles: int
-    stats: ExecutionStats
-    memory: MemoryImage
-    outputs: dict[str, list[Any]]
-    hierarchy: MemoryHierarchy
-
-    def array(self, name: str) -> np.ndarray:
-        return self.memory.array(name)
-
-    def output(self, name: str) -> list[Any]:
-        return self.outputs[name]
-
-    def counters(self) -> dict[str, int | float]:
-        """Execution counters merged with the memory-hierarchy counters."""
-        merged = dict(self.stats.as_dict())
-        merged.update(self.hierarchy.stats().flat())
-        return merged
 
 
 # Event kinds, ordered so simultaneous events process deterministically.
@@ -399,7 +371,7 @@ class CycleSimulator:
             _heappush(events, (cycle + latency, _EV_TOKEN, next(sequence), dst, port, tid, value))
 
     # ------------------------------------------------------------------- run
-    def run(self) -> CycleResult:
+    def run(self) -> SimulationResult:
         self._schedule_injection()
         total_sinks = len(self._sink_nodes)
         if total_sinks == 0:
@@ -504,12 +476,14 @@ class CycleSimulator:
         # (and how many cores — overwritten by the multi-core merge) made them.
         self.stats.extra["engine"] = "event"
         self.stats.extra.setdefault("cores", 1)
-        return CycleResult(
+        return SimulationResult(
             cycles=self._completion_cycle,
             stats=self.stats,
             memory=self.memory,
             outputs=self.outputs,
-            hierarchy=self.hierarchy,
+            engine="event",
+            cores=1,
+            hierarchies=(self.hierarchy,),
         )
 
     # --------------------------------------------------------------- injection
@@ -773,140 +747,3 @@ class CycleSimulator:
 
 #: Engines selectable through :func:`repro.sim.simulate`.
 ENGINES = ("auto", "event", "batched", "window-batched")
-
-
-def resolve_engine(engine: str, graph: DataflowGraph) -> str:
-    """Resolve ``"auto"`` to a concrete engine for ``graph``.
-
-    Graphs without inter-thread dependences (no ELEVATOR/ELDST/BARRIER
-    nodes) run on the wave-batched NumPy engine; communicating graphs
-    whose traffic is feed-forward and window-bounded
-    (:func:`repro.graph.interthread.window_batch_problem`) run on the
-    window-batched engine; everything else — inter-thread recurrences,
-    whole-block barriers — runs on the event-driven simulator, which
-    models token forwarding exactly.
-    """
-    if engine not in ENGINES:
-        raise SimulationError(f"unknown engine '{engine}'; expected one of {ENGINES}")
-    if engine != "auto":
-        return engine
-    if not graph.has_interthread():
-        return "batched"
-    return "window-batched" if window_batch_problem(graph) is None else "event"
-
-
-def build_simulator(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    engine: str = "auto",
-    hierarchy: MemoryHierarchy | None = None,
-    max_cycles: int = 20_000_000,
-    thread_ids: Sequence[int] | None = None,
-    memory: MemoryImage | None = None,
-    dram_contention: int = 1,
-    trace_pid: int = 0,
-):
-    """Construct the simulator for ``engine`` (the single dispatch site).
-
-    Used by :func:`run_cycle_accurate` and the multi-core sharding layer
-    so engine selection and construction live in one place.
-    ``dram_contention`` is the number of cores sharing the DRAM device; the
-    event engine models the contention exactly through the shared bank
-    state, while the batched engine folds it into its analytic DRAM
-    queueing model.
-
-    ``"auto"`` consumes the static analyzer's engine verdict, cached on
-    the kernel, rather than re-probing the graph: ``RA040`` (no
-    inter-thread nodes) builds the batched engine, ``RA044``
-    (window-batchable) the window-batched engine and ``RA041`` the event
-    engine.  :func:`resolve_engine` remains the definition both agree on.
-    """
-    if engine == "auto":
-        from repro.analyze.manager import analyze_kernel
-
-        resolved = analyze_kernel(compiled).engine
-    else:
-        resolved = resolve_engine(engine, compiled.graph)
-    if resolved in ("batched", "window-batched"):
-        if resolved == "window-batched":
-            from repro.sim.window_batched import WindowBatchedSimulator as sim_cls
-        else:
-            from repro.sim.batched import BatchedSimulator as sim_cls
-
-        return sim_cls(
-            compiled,
-            launch,
-            hierarchy=hierarchy,
-            max_cycles=max_cycles,
-            thread_ids=thread_ids,
-            memory=memory,
-            dram_contention=dram_contention,
-            trace_pid=trace_pid,
-        )
-    return CycleSimulator(
-        compiled,
-        launch,
-        hierarchy=hierarchy,
-        max_cycles=max_cycles,
-        thread_ids=thread_ids,
-        memory=memory,
-        trace_pid=trace_pid,
-    )
-
-
-def _run_single_core(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    hierarchy: MemoryHierarchy | None = None,
-    engine: str = "auto",
-    max_cycles: int = 20_000_000,
-) -> CycleResult:
-    """Single-core run; the engine-dispatch core behind :func:`repro.sim.simulate`.
-
-    ``engine`` selects the execution engine: ``"event"`` is the exact
-    event-driven model, ``"batched"`` the wave-batched NumPy engine for
-    inter-thread-free graphs, ``"window-batched"`` its extension to
-    feed-forward communicating graphs, and ``"auto"`` (the default)
-    picks the fastest engine that can execute the graph.  All engines
-    produce bit-identical outputs and identical operation counters; the
-    batched engines' cycle counts and memory-hierarchy counters come
-    from the capacity/conflict-aware analytic cache model
-    (:mod:`repro.sim.analytic_cache`) — equal to the event engine's on
-    order-stable traces, close estimates otherwise.  ``"auto"`` still
-    resolves to the event engine when a ``hierarchy`` is passed in
-    explicitly — a caller handing over a hierarchy wants its exact,
-    event-accurate counters.
-    """
-    if engine == "auto" and hierarchy is not None:
-        engine = "event"
-    return build_simulator(
-        compiled, launch, engine=engine, hierarchy=hierarchy, max_cycles=max_cycles
-    ).run()
-
-
-def run_cycle_accurate(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    hierarchy: MemoryHierarchy | None = None,
-    engine: str = "auto",
-    max_cycles: int = 20_000_000,
-) -> CycleResult:
-    """Deprecated: use :func:`repro.sim.simulate` instead.
-
-    Thin single-core wrapper kept for backwards compatibility; it
-    delegates to the same dispatch core as ``simulate()`` and returns
-    the legacy :class:`CycleResult`.
-    """
-    warnings.warn(
-        "run_cycle_accurate() is deprecated; use repro.sim.simulate() "
-        "(returns a SimulationResult with resolved engine/cores provenance)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_single_core(
-        compiled,
-        launch,
-        hierarchy=hierarchy,
-        engine=engine,
-        max_cycles=max_cycles,
-    )

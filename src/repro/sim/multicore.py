@@ -1,9 +1,10 @@
-"""Multi-core sharded execution of one kernel launch.
+"""Multi-core shard planning for one kernel launch.
 
-The paper evaluates one thread block on one core (Sec. 5.1); this module
-is the scaling layer on top of that model: a :class:`KernelLaunch` is
-sharded across ``SystemConfig.cores`` simulated cores with a block-cyclic
-thread partition.
+The paper evaluates one thread block on one core (Sec. 5.1); sharding is
+this repository's extension of that model: :func:`repro.sim.simulate`
+with ``cores=N`` deals a :class:`KernelLaunch` across ``N`` simulated
+cores with a block-cyclic thread partition, and single-core is the
+one-shard case of the same run path.  This module decides the cut.
 
 Sharding legality (window-aligned partitioning)
 -----------------------------------------------
@@ -17,8 +18,8 @@ LCM; graphs whose only inter-thread node is an un-windowed BARRIER shard
 with a per-shard barrier, which preserves every value as long as no data
 flows through the scratchpad.  Only when no legal cut exists — an
 unbounded window, a window spanning the whole block, or whole-block
-scratchpad synchronisation — does :func:`run_sharded` fall back to a
-single core, recording the reason in ``stats.extra["shard_fallback_reason"]``.
+scratchpad synchronisation — does the plan fall back to a single core;
+``simulate`` records the reason in ``stats.extra["shard_fallback_reason"]``.
 
 Memory model
 ------------
@@ -34,69 +35,15 @@ run concurrently — and volume counters the sum).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analyze.manager import analyze_kernel
 from repro.compiler.pipeline import CompiledKernel
 from repro.errors import SimulationError
-from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import window_batch_problem
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.image import MemoryImage
-from repro.memory.shared_dram import SharedDRAM
-from repro.obs.trace import CORE_LANE, active_tracer
-from repro.sim.cycle import CycleResult, _run_single_core, build_simulator
-from repro.sim.launch import KernelLaunch
-from repro.sim.stats import ExecutionStats
 
-__all__ = [
-    "MulticoreResult",
-    "ShardPlan",
-    "plan_shards",
-    "shard_threads",
-    "run_multicore",
-    "run_sharded",
-]
-
-
-@dataclass
-class MulticoreResult:
-    """Outcome of a sharded run; mirrors :class:`CycleResult`'s query API."""
-
-    cycles: int
-    stats: ExecutionStats
-    memory: MemoryImage
-    outputs: dict[str, list[Any]]
-    core_results: list[CycleResult] = field(default_factory=list)
-    shared_dram: SharedDRAM | None = None
-    plan: "ShardPlan | None" = None
-
-    @property
-    def cores(self) -> int:
-        return len(self.core_results)
-
-    def array(self, name: str) -> np.ndarray:
-        return self.memory.array(name)
-
-    def output(self, name: str) -> list[Any]:
-        return self.outputs[name]
-
-    def counters(self) -> dict[str, int | float]:
-        """Merged execution counters plus summed per-core hierarchy counters.
-
-        With a shared DRAM each core's hierarchy reports only its own port
-        traffic, so the per-core sum still counts every device access
-        exactly once.
-        """
-        merged: dict[str, int | float] = dict(self.stats.as_dict())
-        for result in self.core_results:
-            for key, value in result.hierarchy.stats().flat().items():
-                merged[key] = merged.get(key, 0) + value
-        return merged
+__all__ = ["ShardPlan", "plan_shards", "shard_threads"]
 
 
 @dataclass(frozen=True)
@@ -190,205 +137,3 @@ def shard_threads(num_threads: int, cores: int, block: int) -> list[np.ndarray]:
     tids = np.arange(num_threads, dtype=np.int64)
     owner = (tids // block) % cores
     return [tids[owner == core] for core in range(cores)]
-
-
-def _best_effort_engine(engine: str, graph: DataflowGraph) -> str:
-    """Degrade a forced ``engine`` to one that can execute ``graph``.
-
-    Suite-wide sweeps force one engine across every workload
-    (``--engine batched``); rather than fail on the first kernel the
-    engine cannot run, the request is honoured wherever legal and
-    degraded elsewhere: ``batched`` on a communicating graph becomes
-    ``window-batched`` when the traffic is feed-forward (else
-    ``event``), ``window-batched`` becomes ``batched`` on an
-    inter-thread-free graph and ``event`` on a graph it cannot batch.
-    The resolved engine is always recorded in
-    ``stats.extra["engine"]``, and a degraded run additionally records
-    the original request in ``stats.extra["requested_engine"]``, so
-    records never lie about what ran — or about what was asked for.
-    """
-    if engine == "batched" and graph.has_interthread():
-        return "window-batched" if window_batch_problem(graph) is None else "event"
-    if engine == "window-batched" and window_batch_problem(graph) is not None:
-        return "batched" if not graph.has_interthread() else "event"
-    return engine
-
-
-def run_multicore(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    cores: int | None = None,
-    engine: str = "auto",
-    block: int | None = None,
-    max_cycles: int = 20_000_000,
-) -> MulticoreResult:
-    """Shard ``launch`` across ``cores`` simulated cores and run them.
-
-    The cores are simulated sequentially but modelled as concurrent: each
-    gets a private L1 and L2 slice, its own injection stream, and a port
-    onto the shared DRAM device (``SystemConfig.shared_dram``), and the
-    merged ``cycles`` is the maximum over cores.  Communicating kernels
-    are accepted whenever :func:`plan_shards` finds a window-aligned cut;
-    otherwise a :class:`SimulationError` explains why (use
-    :func:`run_sharded` for the transparent single-core fallback).
-    """
-    config = compiled.config
-    cores = config.cores if cores is None else int(cores)
-    plan = plan_shards(compiled, cores=cores, block=block)
-    if cores > 1 and plan.fallback_reason is not None:
-        raise SimulationError(
-            f"cannot shard '{compiled.graph.name}' across {cores} cores: "
-            f"{plan.fallback_reason}"
-        )
-    requested = engine
-    engine = _best_effort_engine(engine, compiled.graph)
-
-    shards = shard_threads(compiled.num_threads, cores, plan.block)
-    active = sum(1 for shard in shards if shard.size)
-    shared = (
-        SharedDRAM(config.memory.dram, line_bytes=config.memory.l2.line_bytes)
-        if config.shared_dram and active > 1
-        else None
-    )
-    core_memory = (
-        config.memory.sliced(active) if config.shared_dram and active > 1 else config.memory
-    )
-
-    memory = launch.build_memory_image()
-    core_results: list[CycleResult] = []
-    stats: ExecutionStats | None = None
-    outputs: dict[str, list[Any]] = {}
-    tracer = active_tracer()
-    for shard in shards:
-        if shard.size == 0:
-            continue
-        core = len(core_results)
-        simulator = build_simulator(
-            compiled,
-            launch,
-            engine=engine,
-            hierarchy=MemoryHierarchy(
-                core_memory, dram=shared.port() if shared else None
-            ),
-            max_cycles=max_cycles,
-            thread_ids=shard,
-            memory=memory,
-            dram_contention=active if shared else 1,
-            trace_pid=core,
-        )
-        if tracer is None:
-            result = simulator.run()
-        else:
-            begin = tracer.clock()
-            result = simulator.run()
-            tracer.wall_event(
-                f"shard {core}", begin, args={"threads": int(shard.size)}
-            )
-            tracer.set_lane_name(core, CORE_LANE, "core span")
-            tracer.event(
-                f"core {core}", "shard", 0.0, float(result.cycles),
-                pid=core, tid=CORE_LANE, args={"threads": int(shard.size)},
-            )
-        core_results.append(result)
-        stats = result.stats if stats is None else stats.merge(result.stats)
-        for name, values in result.outputs.items():
-            slot = outputs.setdefault(name, [None] * compiled.num_threads)
-            for tid in shard.tolist():
-                slot[tid] = values[tid]
-    if stats is None:
-        raise SimulationError("launch has no threads to shard")
-    # The per-core "cores" entries summed to the active core count during the
-    # merge; overwrite explicitly so provenance never depends on merge order.
-    stats.extra["cores"] = len(core_results)
-    stats.extra["sharded_cores"] = len(core_results)
-    stats.extra["shard_block"] = plan.block
-    stats.extra["shard_window_lcm"] = plan.window_lcm
-    if requested not in ("auto", engine):
-        stats.extra["requested_engine"] = requested
-
-    return MulticoreResult(
-        cycles=stats.cycles,
-        stats=stats,
-        memory=memory,
-        outputs=outputs,
-        core_results=core_results,
-        shared_dram=shared,
-        plan=plan,
-    )
-
-
-def _run_sharded_impl(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    engine: str = "auto",
-    cores: int | None = None,
-    block: int | None = None,
-    max_cycles: int = 20_000_000,
-) -> CycleResult | MulticoreResult:
-    """Sharding core behind :func:`repro.sim.simulate`.
-
-    Kernels whose inter-thread communication fits inside bounded
-    transmission windows are sharded block-cyclically across ``cores``
-    (default ``SystemConfig.cores``) with shard boundaries aligned to the
-    LCM of the windows; kernels that admit no legal cut fall back to a
-    single core with the human-readable reason recorded in
-    ``stats.extra["shard_fallback_reason"]`` and the analyzer's stable
-    diagnostic code in ``stats.extra["shard_fallback_code"]``, so
-    benchmark sweeps can tell sharded runs from fallback runs.  The
-    ``engine`` request is best-effort in the same way
-    (:func:`_best_effort_engine`), so suite-wide sweeps (``--engine
-    batched``) run everything instead of failing on the first barrier.
-    """
-    cores = compiled.config.cores if cores is None else int(cores)
-    requested = engine
-    engine = _best_effort_engine(engine, compiled.graph)
-    plan = plan_shards(compiled, cores=cores, block=block)
-    if not plan.sharded:
-        result = _run_single_core(
-            compiled, launch, engine=engine, max_cycles=max_cycles
-        )
-        if requested not in ("auto", engine):
-            result.stats.extra["requested_engine"] = requested
-        if cores > 1 and plan.fallback_reason is not None:
-            result.stats.extra["shard_fallback_reason"] = plan.fallback_reason
-            result.stats.extra["shard_fallback_code"] = plan.fallback_code
-        return result
-    # Pass the original request through: run_multicore re-degrades it and
-    # records the requested vs resolved pair itself.
-    return run_multicore(
-        compiled,
-        launch,
-        cores=cores,
-        engine=requested,
-        block=plan.block,
-        max_cycles=max_cycles,
-    )
-
-
-def run_sharded(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    engine: str = "auto",
-    cores: int | None = None,
-    block: int | None = None,
-    max_cycles: int = 20_000_000,
-) -> CycleResult | MulticoreResult:
-    """Deprecated: use :func:`repro.sim.simulate` instead.
-
-    Kept for backwards compatibility; delegates to the same sharding
-    core as ``simulate()`` and returns the legacy raw result.
-    """
-    warnings.warn(
-        "run_sharded() is deprecated; use repro.sim.simulate() "
-        "(returns a SimulationResult with resolved engine/cores provenance)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_sharded_impl(
-        compiled,
-        launch,
-        engine=engine,
-        cores=cores,
-        block=block,
-        max_cycles=max_cycles,
-    )

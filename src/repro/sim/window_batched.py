@@ -63,10 +63,10 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE
 from repro.sim.batched import _NP_DTYPE, BatchedSimulator, _coerce_vec
-from repro.sim.cycle import CycleResult, unit_latency
+from repro.sim.cycle import unit_latency
 from repro.sim.launch import KernelLaunch
 
-__all__ = ["WindowBatchedSimulator", "run_window_batched"]
+__all__ = ["WindowBatchedSimulator"]
 
 
 class _InterthreadTable(NamedTuple):
@@ -92,6 +92,8 @@ class WindowBatchedSimulator(BatchedSimulator):
     verdict and ``engine="auto"`` dispatch, so eligibility is decided in
     exactly one place.
     """
+
+    engine = "window-batched"
 
     def __init__(
         self,
@@ -398,21 +400,3 @@ class WindowBatchedSimulator(BatchedSimulator):
             return super()._finish_prepassed(node, entry)
         issue, idx, load_complete, heads = entry
         return self._eldst_resolve(node, issue, idx, heads, load_complete)
-
-    # ------------------------------------------------------------------- run
-    def run(self) -> CycleResult:
-        result = super().run()
-        self.stats.extra["engine"] = "window-batched"
-        return result
-
-
-def run_window_batched(
-    compiled: CompiledKernel,
-    launch: KernelLaunch,
-    hierarchy: MemoryHierarchy | None = None,
-    max_cycles: int = 20_000_000,
-) -> CycleResult:
-    """Convenience wrapper mirroring :func:`repro.sim.batched.run_batched`."""
-    return WindowBatchedSimulator(
-        compiled, launch, hierarchy=hierarchy, max_cycles=max_cycles
-    ).run()

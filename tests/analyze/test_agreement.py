@@ -21,8 +21,10 @@ from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
 from repro.errors import DeadlockError
 from repro.kernel.builder import KernelBuilder
-from repro.sim import simulate
-from repro.sim.cycle import CycleSimulator, resolve_engine
+from repro.graph.interthread import window_batch_problem
+from repro.sim import resolve_engine, simulate
+from repro.sim.api import _SIMULATORS
+from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import plan_shards
 from repro.workloads.registry import all_workloads, registry_kernel_count
@@ -150,13 +152,18 @@ def test_static_verdicts_match_dynamic_dispatch(workload, variant, graph):
     compiled = compile_kernel(graph)
     result = analyze_kernel(compiled)
 
-    # Engine eligibility: the static verdict IS the auto dispatch.
-    assert result.engine == resolve_engine("auto", compiled.graph)
+    # Engine eligibility: the static verdict agrees with the graph
+    # predicates the engines check, and IS the auto dispatch.
+    if not compiled.graph.has_interthread():
+        assert result.engine == "batched"
+    elif window_batch_problem(compiled.graph) is None:
+        assert result.engine == "window-batched"
+    else:
+        assert result.engine == "event"
+    assert resolve_engine(compiled, "auto") == result.engine
     prepared = workload.prepare(workload.params_with_defaults(SMALL_PARAMS.get(workload.name)))
     launch = prepared.launch(variant)
-    from repro.sim.cycle import build_simulator
-
-    simulator = build_simulator(compiled, launch, engine="auto")
+    simulator = _SIMULATORS[resolve_engine(compiled, "auto")](compiled, launch)
     # Exact class mapping (WindowBatchedSimulator subclasses
     # BatchedSimulator, so a truthy isinstance check is not enough).
     expected_class = {

@@ -8,8 +8,8 @@ from repro.config.system import DramConfig, MemorySystemConfig, default_system_c
 from repro.kernel.builder import KernelBuilder
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.shared_dram import SharedDRAM
+from repro.sim import simulate
 from repro.sim.launch import KernelLaunch
-from repro.sim.multicore import run_multicore
 
 
 def test_port_stats_sum_to_device_stats():
@@ -78,10 +78,10 @@ def _stream_launch(n=64):
 def test_multicore_shared_dram_counts_traffic_once():
     launch = _stream_launch(n=64)
     compiled = compile_kernel(launch.graph)
-    multi = run_multicore(compiled, launch, cores=4, engine="event")
+    multi = simulate(compiled, launch, cores=4, engine="event")
     assert multi.shared_dram is not None
     counters = multi.counters()
-    per_port = sum(r.hierarchy.dram.stats.accesses for r in multi.core_results)
+    per_port = sum(h.dram.stats.accesses for h in multi.hierarchies)
     assert per_port == multi.shared_dram.stats.accesses
     assert counters["dram_reads"] + counters["dram_writes"] == per_port
 
@@ -91,17 +91,15 @@ def test_shared_dram_contention_slows_the_sharded_run():
     core; with private DRAM per core (shared_dram=False), they do not."""
     launch = _stream_launch(n=256)
     compiled_shared = compile_kernel(launch.graph)
-    multi = run_multicore(compiled_shared, _stream_launch(n=256), cores=4, engine="event")
-    queue = sum(r.hierarchy.dram.stats.queue_cycles for r in multi.core_results)
+    multi = simulate(compiled_shared, _stream_launch(n=256), cores=4, engine="event")
+    queue = sum(h.dram.stats.queue_cycles for h in multi.hierarchies)
     assert queue > 0
 
     config = replace(default_system_config(), cores=4, shared_dram=False).validate()
     compiled_private = compile_kernel(launch.graph, config)
-    private = run_multicore(
-        compiled_private, _stream_launch(n=256), cores=4, engine="event"
-    )
+    private = simulate(compiled_private, _stream_launch(n=256), cores=4, engine="event")
     assert private.shared_dram is None
-    private_queue = sum(r.hierarchy.dram.stats.queue_cycles for r in private.core_results)
+    private_queue = sum(h.dram.stats.queue_cycles for h in private.hierarchies)
     assert queue >= private_queue
     assert np.array_equal(multi.array("out"), private.array("out"))
 
@@ -109,18 +107,18 @@ def test_shared_dram_contention_slows_the_sharded_run():
 def test_batched_engine_mirrors_contention_into_its_estimate():
     launch = _stream_launch(n=256)
     compiled = compile_kernel(launch.graph)
-    single = run_multicore(compiled, _stream_launch(n=256), cores=1, engine="batched")
-    multi = run_multicore(compiled, _stream_launch(n=256), cores=4, engine="batched")
+    single = simulate(compiled, _stream_launch(n=256), cores=1, engine="batched")
+    multi = simulate(compiled, _stream_launch(n=256), cores=4, engine="batched")
     assert np.array_equal(single.array("out"), multi.array("out"))
-    multi_queue = sum(r.hierarchy.dram.stats.queue_cycles for r in multi.core_results)
-    single_queue = sum(r.hierarchy.dram.stats.queue_cycles for r in single.core_results)
+    multi_queue = sum(h.dram.stats.queue_cycles for h in multi.hierarchies)
+    single_queue = sum(h.dram.stats.queue_cycles for h in single.hierarchies)
     assert multi_queue > single_queue == 0
 
 
 def test_sliced_l2_is_wired_into_the_cores():
     launch = _stream_launch(n=64)
     compiled = compile_kernel(launch.graph)
-    multi = run_multicore(compiled, launch, cores=4, engine="event")
+    multi = simulate(compiled, launch, cores=4, engine="event")
     full = default_system_config().memory.l2.size_bytes
-    for result in multi.core_results:
-        assert result.hierarchy.l2.config.size_bytes == full // 4
+    for hierarchy in multi.hierarchies:
+        assert hierarchy.l2.config.size_bytes == full // 4

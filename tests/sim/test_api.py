@@ -1,4 +1,4 @@
-"""Tests for the :func:`repro.sim.simulate` facade and the legacy wrappers."""
+"""Tests for :func:`repro.sim.simulate`, the one timed run path."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,9 @@ from repro.compiler.pipeline import compile_kernel
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim import (
-    SimulationResult,
-    run_cycle_accurate,
-    run_sharded,
-    simulate,
-)
+from repro.sim import SimulationResult, simulate
 from repro.sim.launch import KernelLaunch
+from repro.workloads.registry import get_workload
 
 
 def _axpy_launch(n=24):
@@ -69,23 +65,44 @@ def test_simulate_sharded_result_has_no_single_hierarchy():
     assert result.cores == 2
     with pytest.raises(SimulationError, match="per core"):
         result.hierarchy
-    assert len(result.raw.core_results) == 2
+    assert len(result.hierarchies) == 2
+    assert result.plan is not None and result.plan.sharded
+    assert result.shared_dram is not None
 
 
-def test_run_cycle_accurate_is_deprecated_but_works():
+def test_single_core_result_carries_no_shard_provenance():
     launch = _axpy_launch()
     compiled = compile_kernel(launch.graph)
-    with pytest.warns(DeprecationWarning, match="simulate"):
-        result = run_cycle_accurate(compiled, launch)
-    expected = launch.inputs["x"] * 2.5 + launch.inputs["y"]
-    np.testing.assert_allclose(result.array("out"), expected)
+    result = simulate(compiled, launch)
+    assert result.plan is None and result.shared_dram is None
+    assert len(result.hierarchies) == 1
+    # One core: the counters are the stats plus that core's hierarchy.
+    assert result.counters() == {**result.stats.as_dict(), **result.hierarchy.stats().flat()}
 
 
-def test_run_sharded_is_deprecated_but_works():
-    launch = _axpy_launch(n=32)
+@pytest.mark.parametrize(
+    "name,variant,engine,resolved",
+    [
+        ("reduce", "mt", "batched", "event"),
+        ("scan", "dmt", "batched", "event"),
+        ("reduce", "dmt", "batched", "window-batched"),
+        ("reduce", "mt", "window-batched", "event"),
+        ("scan", "dmt", "window-batched", "event"),
+    ],
+)
+def test_forced_engine_with_memory_degrades_like_without(name, variant, engine, resolved):
+    """A forced engine degrades to a capable one whether or not the caller
+    passes a hierarchy, and the degraded run says what was asked for."""
+    workload = get_workload(name)
+    prepared = workload.prepare({"n": 64, "window": 16} if name == "reduce" else {"n": 64})
+    launch = prepared.launch(variant)
     compiled = compile_kernel(launch.graph)
-    with pytest.warns(DeprecationWarning, match="simulate"):
-        result = run_sharded(compiled, launch, cores=2)
-    expected = launch.inputs["x"] * 2.5 + launch.inputs["y"]
-    np.testing.assert_allclose(result.array("out"), expected)
-    assert result.stats.extra["cores"] == 2
+    hierarchy = MemoryHierarchy(compiled.config.memory)
+    result = simulate(compiled, launch, engine=engine, memory=hierarchy)
+    assert result.engine == resolved
+    assert result.stats.extra["requested_engine"] == engine
+    assert result.hierarchy is hierarchy
+    assert hierarchy.l1.stats.accesses > 0
+    prepared.check_outputs({k: result.array(k) for k in prepared.expected})
+    unpinned = simulate(compiled, prepared.launch(variant), engine=engine)
+    assert unpinned.engine == resolved

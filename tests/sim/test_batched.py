@@ -7,11 +7,10 @@ from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
-from repro.sim.batched import BatchedSimulator, run_batched
-from repro.sim import simulate
-from repro.sim.cycle import resolve_engine
+from repro.sim import resolve_engine, simulate
+from repro.sim.batched import BatchedSimulator
 from repro.sim.launch import KernelLaunch
-from repro.sim.multicore import run_multicore, shard_threads
+from repro.sim.multicore import shard_threads
 from repro.workloads.matmul import MatmulWorkload
 
 #: Counters the acceptance criteria require to be equal between engines.
@@ -56,10 +55,11 @@ def test_graph_interthread_detection(scan_launch):
 
 def test_auto_engine_picks_batched_for_interthread_free_graphs(scan_launch):
     launch, _ = scan_launch
-    assert resolve_engine("auto", launch.graph) == "event"
-    assert resolve_engine("auto", _axpy_launch().graph) == "batched"
+    scan = compile_kernel(launch.graph)
+    assert resolve_engine(scan, "auto") == "event"
+    assert resolve_engine(compile_kernel(_axpy_launch().graph), "auto") == "batched"
     with pytest.raises(SimulationError):
-        resolve_engine("warp", launch.graph)
+        resolve_engine(scan, "warp")
 
 
 def test_batched_engine_rejects_interthread_graphs(scan_launch):
@@ -72,7 +72,7 @@ def test_batched_engine_rejects_interthread_graphs(scan_launch):
 def test_batched_wave_groups_do_not_change_results():
     launch = _axpy_launch(n=64)
     compiled = compile_kernel(launch.graph)
-    whole = run_batched(compiled, launch)
+    whole = BatchedSimulator(compiled, launch).run()
     waved = BatchedSimulator(compiled, _axpy_launch(n=64), wave_group=7).run()
     assert np.array_equal(whole.array("out"), waved.array("out"))
     assert whole.stats.as_dict() == waved.stats.as_dict()
@@ -107,7 +107,7 @@ def test_multicore_matches_single_core():
     prepared = workload.prepare({"dim": 8})
     compiled = compile_kernel(prepared.launch("stream").graph)
     single = simulate(compiled, prepared.launch("stream"))
-    multi = run_multicore(compiled, prepared.launch("stream"), cores=4)
+    multi = simulate(compiled, prepared.launch("stream"), cores=4)
     assert multi.cores == 4
     assert np.array_equal(single.array("c"), multi.array("c"))
     prepared.check_outputs({"c": multi.array("c")})
@@ -121,18 +121,21 @@ def test_multicore_matches_single_core():
 def test_multicore_event_engine_agrees_with_batched():
     launch = _axpy_launch(n=32)
     compiled = compile_kernel(launch.graph)
-    event = run_multicore(compiled, _axpy_launch(n=32), cores=3, engine="event")
-    batched = run_multicore(compiled, _axpy_launch(n=32), cores=3, engine="batched")
+    event = simulate(compiled, _axpy_launch(n=32), cores=3, engine="event")
+    batched = simulate(compiled, _axpy_launch(n=32), cores=3, engine="batched")
+    assert event.cores == batched.cores == 3
     assert np.array_equal(event.array("out"), batched.array("out"))
     for counter in OP_COUNTERS:
         assert event.stats.as_dict()[counter] == batched.stats.as_dict()[counter]
 
 
 def test_multicore_rejects_interthread_graphs(scan_launch):
+    """No legal cut: the request runs on one core and records why."""
     launch, _ = scan_launch
     compiled = compile_kernel(launch.graph)
-    with pytest.raises(SimulationError):
-        run_multicore(compiled, launch, cores=2)
+    result = simulate(compiled, launch, cores=2)
+    assert result.cores == 1
+    assert result.stats.extra["shard_fallback_code"] == "RA030"
 
 
 def test_simulate_falls_back_to_single_core_for_interthread(scan_launch):
@@ -182,9 +185,9 @@ def test_simulate_forced_batched_downgrades_for_interthread(scan_launch):
 def test_multicore_counters_include_per_core_hierarchies():
     launch = _axpy_launch(n=32)
     compiled = compile_kernel(launch.graph)
-    multi = run_multicore(compiled, launch, cores=2, engine="event")
+    multi = simulate(compiled, launch, cores=2, engine="event")
     counters = multi.counters()
     # Two private hierarchies: each core pays its own compulsory misses.
     assert counters["l1_read_misses"] > 0
-    per_core = [r.hierarchy.stats().flat()["l1_read_misses"] for r in multi.core_results]
+    per_core = [h.stats().flat()["l1_read_misses"] for h in multi.hierarchies]
     assert counters["l1_read_misses"] == sum(per_core)

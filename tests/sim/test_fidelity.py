@@ -198,7 +198,7 @@ def test_dirty_writebacks_become_l2_stores_on_both_engines():
 
 
 # ---------------------------------------------- vectorised walk == sequential
-def _run_batched(launch_factory, config, vectorised):
+def _simulate_batched(launch_factory, config, vectorised):
     from repro.sim.batched import BatchedSimulator
 
     compiled = compile_kernel(launch_factory().graph, config)
@@ -219,8 +219,8 @@ def test_vectorised_walk_identical_to_sequential_walk(name, params, config_name)
         "thrash": capacity_config(size_bytes=512, ways=1),
     }[config_name]
     prepared, factory = stream_launch(name, params)
-    sequential = _run_batched(factory, config, vectorised=False)
-    vectorised = _run_batched(factory, config, vectorised=True)
+    sequential = _simulate_batched(factory, config, vectorised=False)
+    vectorised = _simulate_batched(factory, config, vectorised=True)
     assert vectorised.cycles == sequential.cycles
     assert vectorised.counters() == sequential.counters()
     output = next(iter(prepared.expected))

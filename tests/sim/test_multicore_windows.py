@@ -12,7 +12,7 @@ from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
-from repro.sim.multicore import plan_shards, run_multicore, shard_threads
+from repro.sim.multicore import plan_shards, shard_threads
 from repro.sim.window_batched import WindowBatchedSimulator
 from repro.workloads.registry import get_workload
 
@@ -134,7 +134,7 @@ def test_shard_threads_more_cores_than_threads():
 def test_multicore_skips_empty_shards():
     launch, data = _windowed_elevator_launch(n=16, window=8)
     compiled = compile_kernel(launch.graph)
-    result = run_multicore(compiled, launch, cores=8)
+    result = simulate(compiled, launch, cores=8)
     # Only two windows exist, so only two cores get work.
     assert result.cores == 2
     assert result.stats.threads == 16

@@ -11,10 +11,9 @@ import pytest
 from repro.compiler.pipeline import compile_kernel
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
-from repro.sim import simulate
-from repro.sim.cycle import resolve_engine
+from repro.sim import resolve_engine, simulate
 from repro.sim.launch import KernelLaunch
-from repro.sim.window_batched import WindowBatchedSimulator, run_window_batched
+from repro.sim.window_batched import WindowBatchedSimulator
 from repro.workloads.registry import get_workload
 
 #: Counters the acceptance criteria require to be equal between engines.
@@ -70,7 +69,7 @@ def test_window_batched_matches_event_bitwise(name, variant, params):
 
 def test_auto_engine_resolves_window_batched_for_feedforward_traffic():
     _, compiled, _ = _prepared("matrixMul", "dmt_win", {"dim": 4})
-    assert resolve_engine("auto", compiled.graph) == "window-batched"
+    assert resolve_engine(compiled, "auto") == "window-batched"
 
 
 def test_window_batched_rejects_interthread_recurrences(scan_launch):
@@ -99,7 +98,7 @@ def test_elevator_boundary_threads_fall_back_to_the_constant():
     launch = _shift_launch()
     compiled = compile_kernel(launch.graph)
     event = simulate(compiled, _shift_launch(), engine="event")
-    window = run_window_batched(compiled, _shift_launch())
+    window = WindowBatchedSimulator(compiled, _shift_launch()).run()
     assert np.array_equal(event.array("out"), window.array("out"))
     assert window.array("out")[0] == 99.0
     assert window.stats.extra["engine"] == "window-batched"

@@ -43,3 +43,14 @@ def test_dotted_reference_in_shell_block_is_checked(tmp_path):
     completed = _run(str(doc))
     assert completed.returncode == 1
     assert "repro.serve_nothing" in completed.stderr
+
+
+def test_inline_code_span_is_checked(tmp_path):
+    doc = tmp_path / "prose.md"
+    doc.write_text(
+        "Run with `repro.sim.build_simulator` or `repro.sim.simulate`.\n", encoding="utf-8"
+    )
+    completed = _run(str(doc))
+    assert completed.returncode == 1
+    assert "repro.sim.build_simulator" in completed.stderr
+    assert "repro.sim.simulate:" not in completed.stderr

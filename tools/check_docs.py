@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Docs lint: every ``repro.*`` symbol in a docs code block must import.
+"""Docs lint: every ``repro.*`` symbol in docs code must import.
 
-Scans the fenced code blocks of ``README.md`` and ``docs/*.md`` for
+Scans the fenced code blocks and the inline code spans of ``README.md``
+and ``docs/*.md`` for
 
 * ``import repro...`` / ``from repro... import name, ...`` statements,
 * dotted references such as ``repro.sim.simulate`` or
@@ -32,6 +33,7 @@ _FENCE = re.compile(r"^```")
 _IMPORT = re.compile(r"^\s*import\s+(repro[\w.]*)")
 _FROM_IMPORT = re.compile(r"^\s*from\s+(repro[\w.]*)\s+import\s+([\w ,]+)")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_INLINE = re.compile(r"`([^`\n]+)`")
 
 
 def code_blocks(text: str) -> list[str]:
@@ -49,6 +51,18 @@ def code_blocks(text: str) -> list[str]:
         if current is not None:
             current.append(line)
     return blocks
+
+
+def inline_spans(text: str) -> list[str]:
+    """Return the contents of every inline code span outside fenced blocks."""
+    spans: list[str] = []
+    fenced = False
+    for line in text.splitlines():
+        if _FENCE.match(line):
+            fenced = not fenced
+        elif not fenced:
+            spans.extend(_INLINE.findall(line))
+    return spans
 
 
 def references(block: str) -> set[str]:
@@ -102,7 +116,7 @@ def check_file(path: Path) -> list[str]:
     errors: list[str] = []
     text = path.read_text(encoding="utf-8")
     refs: set[str] = set()
-    for block in code_blocks(text):
+    for block in code_blocks(text) + inline_spans(text):
         refs |= references(block)
     label = path.relative_to(REPO) if path.is_relative_to(REPO) else path
     for reference in sorted(refs):
