@@ -12,6 +12,7 @@ from repro.compiler.pipeline import compile_kernel
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
 from repro.sim import resolve_engine, simulate
+from repro.sim.functional import run_functional
 from repro.sim.launch import KernelLaunch
 from repro.sim.window_batched import WindowBatchedSimulator
 from repro.workloads.registry import get_workload
@@ -27,18 +28,37 @@ def _prepared(name, variant, params):
     return prepared, compile_kernel(launch.graph), launch
 
 
-def _shift_launch(n=24):
-    """Feed-forward elevator chain: out[t] = x[t-1], thread 0 gets 99."""
+def _shift_input(n):
+    return np.arange(n) * 1.25 + 3.0
+
+
+def _shift_launch(n=24, distance=1, const=99.0, window=None):
+    """Feed-forward elevator chain: out[t] = x[t - distance]; threads whose
+    source lies before the block or their window get ``const``."""
     b = KernelBuilder("shift", n)
     b.global_array("x", n)
     b.global_array("out", n)
     tid = b.thread_idx_x()
     value = b.load("x", tid)
     b.tag_value("v", value)
-    recv = b.from_thread_or_const("v", -1, 99.0)
+    recv = b.from_thread_or_const("v", -distance, const, window=window)
     b.store("out", tid, recv)
     graph = b.finish()
-    return KernelLaunch(graph, {"x": np.arange(n) * 1.25 + 3.0})
+    return KernelLaunch(graph, {"x": _shift_input(n)})
+
+
+def _windowed_eldst_launch(n=32, window=8):
+    """eLDST chain with Δ=1: each window's head loads x[head]; the rest of
+    the window receive it through the loop-back path, never from memory."""
+    b = KernelBuilder("windowed_eldst", n)
+    b.global_array("x", n)
+    b.global_array("out", n)
+    tid = b.thread_idx_x()
+    lane = tid % window
+    value = b.from_thread_or_mem("x", tid - lane, lane.eq(0), src_offset=-1, window=window)
+    b.store("out", tid, value)
+    graph = b.finish()
+    return KernelLaunch(graph, {"x": np.arange(n) * 0.5 + 1.0})
 
 
 @pytest.mark.parametrize(
@@ -94,16 +114,46 @@ def test_forced_window_batched_degrades_to_capable_engine(scan_launch):
     assert stream.engine == "batched"  # no inter-thread traffic to window
 
 
-def test_elevator_boundary_threads_fall_back_to_the_constant():
-    launch = _shift_launch()
-    compiled = compile_kernel(launch.graph)
-    event = simulate(compiled, _shift_launch(), engine="event")
-    window = WindowBatchedSimulator(compiled, _shift_launch()).run()
-    assert np.array_equal(event.array("out"), window.array("out"))
-    assert window.array("out")[0] == 99.0
-    assert window.stats.extra["engine"] == "window-batched"
-    assert window.stats.elevator_constants == event.stats.elevator_constants == 1
-    assert window.stats.elevator_retags == launch.num_threads - 1
+@pytest.mark.parametrize(
+    "distance,window,const",
+    [(1, None, 99.0), (2, 8, 9.0)],
+    ids=["block-edge", "windowed-delta2"],
+)
+def test_elevator_boundary_threads_fall_back_to_the_constant(distance, window, const):
+    """The first ``distance`` threads of every window get the constant; all
+    others get their producer's value, on every engine."""
+    n = 24
+    compiled = compile_kernel(_shift_launch(n, distance, const, window).graph)
+    tid = np.arange(n)
+    heads = tid % (window or n) < distance
+    expected = np.where(heads, const, _shift_input(n)[tid - distance])
+    constants = distance * (n // (window or n))
+
+    event = simulate(compiled, _shift_launch(n, distance, const, window), engine="event")
+    batched = WindowBatchedSimulator(compiled, _shift_launch(n, distance, const, window)).run()
+    functional = run_functional(_shift_launch(n, distance, const, window))
+    assert batched.stats.extra["engine"] == "window-batched"
+    for result in (event, batched, functional):
+        assert np.array_equal(result.array("out"), expected)
+    for result in (event, batched):
+        assert result.stats.elevator_constants == constants
+        assert result.stats.elevator_retags == n - constants
+
+
+def test_windowed_eldst_loads_once_per_window():
+    """Only window heads touch memory; every other thread is forwarded the
+    head's value, which equals what a direct load would return."""
+    n, window = 32, 8
+    compiled = compile_kernel(_windowed_eldst_launch(n, window).graph)
+    x = _windowed_eldst_launch(n, window).inputs["x"]
+    tid = np.arange(n)
+    direct = x[tid - tid % window]
+    for engine in ("event", "window-batched"):
+        result = simulate(compiled, _windowed_eldst_launch(n, window), engine=engine)
+        assert result.engine == engine
+        assert np.array_equal(result.array("out"), direct), engine
+        assert result.stats.eldst_memory_loads == n // window, engine
+        assert result.stats.eldst_forwards == n - n // window, engine
 
 
 def test_window_batched_shards_across_cores():
