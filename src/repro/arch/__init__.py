@@ -1,22 +1,11 @@
-"""CGRA hardware models: tokens, units, elevator, eLDST, barrier, LVC, grid, NoC."""
+"""CGRA hardware models: the physical unit grid, the NoC and the Live Value Cache."""
 
-from repro.arch.barrier import BarrierStats, BarrierUnit
-from repro.arch.eldst import EldstStats, EldstUnit
-from repro.arch.elevator import ElevatorStats, ElevatorUnit
 from repro.arch.grid import COMPATIBLE_CLASSES, PhysicalGrid, PhysicalUnit
 from repro.arch.lvc import LiveValueCache, LiveValueCacheStats
 from repro.arch.noc import Link, Noc, NocStats
-from repro.arch.token import TaggedToken
-from repro.arch.token_buffer import TokenBuffer, TokenBufferStats
 
 __all__ = [
-    "BarrierStats",
-    "BarrierUnit",
     "COMPATIBLE_CLASSES",
-    "EldstStats",
-    "EldstUnit",
-    "ElevatorStats",
-    "ElevatorUnit",
     "LiveValueCache",
     "LiveValueCacheStats",
     "Link",
@@ -24,7 +13,4 @@ __all__ = [
     "NocStats",
     "PhysicalGrid",
     "PhysicalUnit",
-    "TaggedToken",
-    "TokenBuffer",
-    "TokenBufferStats",
 ]

@@ -5,7 +5,6 @@ from repro.graph.node import Edge, Node
 from repro.graph.opcodes import DType, OpInfo, Opcode, UnitClass, opcode_info
 from repro.graph.semantics import PURE_OPCODES, evaluate_pure
 from repro.graph.validate import validate_graph, validation_issues
-from repro.graph.visualize import to_dot, to_networkx
 
 __all__ = [
     "DataflowGraph",
@@ -20,6 +19,4 @@ __all__ = [
     "evaluate_pure",
     "validate_graph",
     "validation_issues",
-    "to_dot",
-    "to_networkx",
 ]

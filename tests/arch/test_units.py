@@ -1,105 +1,11 @@
-"""Tests for tokens, token buffers, barrier unit and the Live Value Cache."""
+"""Tests for the Live Value Cache."""
 
 import pytest
 
-from repro.arch.barrier import BarrierUnit
 from repro.arch.lvc import LiveValueCache
-from repro.arch.token import TaggedToken
-from repro.arch.token_buffer import TokenBuffer
 from repro.errors import SimulationError
 
 
-# ------------------------------------------------------------------- tokens
-def test_token_retag_preserves_value():
-    token = TaggedToken(tid=3, value=1.5, produced_at=7)
-    retagged = token.retag(8)
-    assert retagged.tid == 8
-    assert retagged.value == 1.5
-    assert retagged.produced_at == 7
-
-
-def test_token_rejects_negative_tid():
-    with pytest.raises(ValueError):
-        TaggedToken(tid=-1, value=0)
-
-
-# -------------------------------------------------------------- token buffer
-def test_token_buffer_matches_when_operands_complete():
-    buf = TokenBuffer(entries=4, arity=2)
-    assert buf.insert(0, 0, 1.0)
-    assert buf.ready_threads() == []
-    assert buf.insert(0, 1, 2.0)
-    assert buf.ready_threads() == [0]
-    assert buf.pop(0) == [1.0, 2.0]
-    assert buf.occupancy == 0
-
-
-def test_token_buffer_backpressure_when_full():
-    buf = TokenBuffer(entries=2, arity=1)
-    assert buf.insert(0, 0, 1)
-    assert buf.insert(1, 0, 1)
-    assert not buf.insert(2, 0, 1)  # full: third thread rejected
-    assert buf.stats.stalls_full == 1
-    assert buf.has_slot_for(0)
-    assert not buf.has_slot_for(2)
-
-
-def test_token_buffer_rejects_duplicate_operand():
-    buf = TokenBuffer(entries=2, arity=2)
-    buf.insert(0, 0, 1)
-    with pytest.raises(SimulationError):
-        buf.insert(0, 0, 2)
-
-
-def test_token_buffer_ready_bits_complete_a_thread():
-    buf = TokenBuffer(entries=2, arity=2)
-    buf.insert(0, 0, 5)
-    assert buf.mark_ready(0, 1)
-    assert buf.ready_threads() == [0]
-
-
-def test_token_buffer_mark_ready_respects_capacity():
-    """Acknowledge bits must not allocate slots beyond the entries bound."""
-    buf = TokenBuffer(entries=2, arity=2)
-    assert buf.insert(0, 0, 1)
-    assert buf.insert(1, 0, 2)
-    assert buf.is_full
-    # A new thread's acknowledge is backpressured exactly like insert().
-    assert not buf.mark_ready(2, 1)
-    assert buf.occupancy == 2
-    assert buf.stats.stalls_full == 1
-    # Threads that already own a slot can still be acknowledged.
-    assert buf.mark_ready(0, 1)
-    assert buf.ready_threads() == [0]
-
-
-def test_token_buffer_mark_ready_validates_port():
-    buf = TokenBuffer(entries=2, arity=2)
-    with pytest.raises(SimulationError):
-        buf.mark_ready(0, 5)
-
-
-# ------------------------------------------------------------------ barrier
-def test_barrier_releases_after_all_arrivals():
-    barrier = BarrierUnit(num_threads=4)
-    assert not barrier.arrive(0, cycle=10)
-    assert not barrier.arrive(1, cycle=12)
-    assert not barrier.arrive(2, cycle=11)
-    assert barrier.arrive(3, cycle=20)
-    assert barrier.release_cycle == 20
-    assert barrier.stats.wait_cycles == (20 - 10) + (20 - 12) + (20 - 11)
-
-
-def test_barrier_rejects_double_arrival_and_foreign_threads():
-    barrier = BarrierUnit(num_threads=2)
-    barrier.arrive(0, 0)
-    with pytest.raises(SimulationError):
-        barrier.arrive(0, 1)
-    with pytest.raises(SimulationError):
-        barrier.arrive(5, 0)
-
-
-# ---------------------------------------------------------------------- LVC
 def test_lvc_roundtrip_and_latency():
     lvc = LiveValueCache(capacity_values=2, access_latency=6)
     assert lvc.write("k", 1.0) == 6
