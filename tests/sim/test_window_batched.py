@@ -114,15 +114,9 @@ def test_forced_window_batched_degrades_to_capable_engine(scan_launch):
     assert stream.engine == "batched"  # no inter-thread traffic to window
 
 
-@pytest.mark.parametrize(
-    "distance,window,const",
-    [(1, None, 99.0), (2, 8, 9.0)],
-    ids=["block-edge", "windowed-delta2"],
-)
-def test_elevator_boundary_threads_fall_back_to_the_constant(distance, window, const):
+def _check_shift(distance, const, window, n=24):
     """The first ``distance`` threads of every window get the constant; all
     others get their producer's value, on every engine."""
-    n = 24
     compiled = compile_kernel(_shift_launch(n, distance, const, window).graph)
     tid = np.arange(n)
     heads = tid % (window or n) < distance
@@ -138,6 +132,14 @@ def test_elevator_boundary_threads_fall_back_to_the_constant(distance, window, c
     for result in (event, batched):
         assert result.stats.elevator_constants == constants
         assert result.stats.elevator_retags == n - constants
+
+
+def test_elevator_boundary_threads_fall_back_to_the_constant():
+    _check_shift(distance=1, const=99.0, window=None)
+
+
+def test_windowed_elevator_gives_every_window_head_the_constant():
+    _check_shift(distance=2, const=9.0, window=8)
 
 
 def test_windowed_eldst_loads_once_per_window():
