@@ -1,15 +1,18 @@
-"""Serve-layer cache gate: a warm request must be >= 50x faster than cold.
+"""Serve-layer cache gate: a warm hit costs no more than an empty round trip.
 
 Boots an embedded :class:`~repro.serve.client.LocalServer` on a throwaway
 store, issues the same ``POST /v1/simulate`` request (matrixMul, dmt)
-cold and then repeatedly warm over real HTTP, and asserts:
+cold and then repeatedly warm over real HTTP, interleaved with empty
+``GET /healthz`` round trips, and asserts:
 
 * the cold request is a ``miss`` that simulates, every warm repeat is a
   ``hit`` that performs **zero** simulations (the service's own
-  simulation counter must not move);
-* the best warm round trip is at least ``MIN_SPEEDUP``x (50x) faster
-  than the cold one — the difference between answering from the
-  content-addressed record store and re-running the simulator.
+  simulation counter must not move) and returns the cold run's record;
+* the best warm round trip is within ``MAX_SLACK_S`` (10 ms) of the best
+  ``/healthz`` round trip measured in the same run — the transport
+  floor.  A hit is a store lookup plus serialisation; the cheapest real
+  work a broken hit could redo, recompiling the kernel, costs ~26-32 ms
+  on a 2-vCPU VM (simulating ~33 ms), so it lands well outside the slack.
 
 Usage::
 
@@ -31,10 +34,11 @@ if __package__ in (None, ""):
 from benchmarks.common import add_json_option, write_json
 from repro.serve.client import LocalServer
 
-#: Warm HTTP round trips are a few milliseconds; a dim=16 matrixMul
-#: simulation is a couple of seconds — orders of magnitude of headroom
-#: over this floor, while still catching a broken memo path instantly.
-MIN_SPEEDUP = 50.0
+#: Allowed gap between the best warm hit and the best ``/healthz`` round
+#: trip.  Warm hits measure 1.5-2.5 ms against a ~1 ms floor, so 2 ms of
+#: slack would be too tight against that spread; a hit that recompiles
+#: the dim=16 kernel (~26-32 ms on a 2-vCPU VM) still overshoots 10 ms.
+MAX_SLACK_S = 0.010
 
 
 def _measure(dim: int, repeats: int) -> dict:
@@ -50,7 +54,12 @@ def _measure(dim: int, repeats: int) -> dict:
 
             simulations = server.service.metrics.counter("serve.simulations")
             warm_times = []
+            floor_times = []
             for _ in range(repeats):
+                started = time.perf_counter()
+                status, _ = server.request("GET", "/healthz")
+                floor_times.append(time.perf_counter() - started)
+                assert status == 200, status
                 started = time.perf_counter()
                 status, warm = server.request("POST", "/v1/simulate", body)
                 warm_times.append(time.perf_counter() - started)
@@ -60,6 +69,7 @@ def _measure(dim: int, repeats: int) -> dict:
             )
             assert warm["record"] == cold["record"], "hit must return the cold run's record"
             warm_s = min(warm_times)
+            floor_s = min(floor_times)
     finally:
         shutil.rmtree(store, ignore_errors=True)
     return {
@@ -67,6 +77,8 @@ def _measure(dim: int, repeats: int) -> dict:
         "cycles": cold["record"]["result"]["cycles"],
         "cold_s": cold_s,
         "warm_s": warm_s,
+        "floor_s": floor_s,
+        "slack_s": warm_s - floor_s,
         "speedup": cold_s / max(warm_s, 1e-9),
     }
 
@@ -78,15 +90,27 @@ def _print_table(row: dict) -> None:
     print("-" * len(header))
     print(f"{'cold':>8} {row['cold_s']:>10.3f} {'miss':>6}")
     print(f"{'warm':>8} {row['warm_s']:>10.4f} {'hit':>6}")
-    print(f"warm request is {row['speedup']:.0f}x faster (gate: >= {MIN_SPEEDUP:.0f}x)")
+    print(f"{'healthz':>8} {row['floor_s']:>10.4f} {'-':>6}")
+    print(
+        f"warm hit is {row['slack_s'] * 1e3:.2f} ms over the /healthz floor "
+        f"(gate: <= {MAX_SLACK_S * 1e3:.0f} ms); {row['speedup']:.0f}x faster than cold"
+    )
 
 
-def test_warm_request_is_50x_faster_than_cold():
+def _failures(row: dict) -> list[str]:
+    if row["slack_s"] <= MAX_SLACK_S:
+        return []
+    return [
+        f"warm hit {row['warm_s'] * 1e3:.2f} ms is {row['slack_s'] * 1e3:.2f} ms over the "
+        f"/healthz floor {row['floor_s'] * 1e3:.2f} ms (gate: <= {MAX_SLACK_S * 1e3:.0f} ms)"
+    ]
+
+
+def test_warm_hit_stays_within_slack_of_the_healthz_floor():
     row = _measure(dim=16, repeats=5)
     _print_table(row)
-    assert row["speedup"] >= MIN_SPEEDUP, (
-        f"warm/cold speedup {row['speedup']:.1f}x below the {MIN_SPEEDUP:.0f}x gate"
-    )
+    failures = _failures(row)
+    assert not failures, failures[0]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,11 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     row = _measure(dim=args.dim, repeats=args.repeats)
     _print_table(row)
-    failures = []
-    if row["speedup"] < MIN_SPEEDUP:
-        failures.append(
-            f"warm/cold speedup {row['speedup']:.1f}x below the {MIN_SPEEDUP:.0f}x gate"
-        )
+    failures = _failures(row)
     write_json(args.json, "serve_cache", [row], failures=failures)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
