@@ -146,10 +146,10 @@ def test_windowed_eldst_loads_once_per_window():
     """Only window heads touch memory; every other thread is forwarded the
     head's value, which equals what a direct load would return."""
     n, window = 32, 8
-    compiled = compile_kernel(_windowed_eldst_launch(n, window).graph)
-    x = _windowed_eldst_launch(n, window).inputs["x"]
+    launch = _windowed_eldst_launch(n, window)
+    compiled = compile_kernel(launch.graph)
     tid = np.arange(n)
-    direct = x[tid - tid % window]
+    direct = launch.inputs["x"][tid - tid % window]
     for engine in ("event", "window-batched"):
         result = simulate(compiled, _windowed_eldst_launch(n, window), engine=engine)
         assert result.engine == engine
