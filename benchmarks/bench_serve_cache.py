@@ -35,9 +35,9 @@ from benchmarks.common import add_json_option, write_json
 from repro.serve.client import LocalServer
 
 #: Allowed gap between the best warm hit and the best ``/healthz`` round
-#: trip.  Warm hits measure 1.5-2.5 ms against a ~1 ms floor, so 2 ms of
-#: slack would be too tight against that spread; a hit that recompiles
-#: the dim=16 kernel (~26-32 ms on a 2-vCPU VM) still overshoots 10 ms.
+#: trip.  On a 2-vCPU VM warm hits sit 1.1-1.4 ms over the floor, so 2 ms
+#: would leave too little margin for a noisy runner; a hit that recompiles
+#: the dim=16 kernel (~26-32 ms there) still overshoots 10 ms.
 MAX_SLACK_S = 0.010
 
 
