@@ -12,7 +12,7 @@ cold and then repeatedly warm over real HTTP, interleaved with empty
   ``/healthz`` round trip measured in the same run — the transport
   floor.  A hit is a store lookup plus serialisation; the cheapest real
   work a broken hit could redo, recompiling the kernel, costs ~26-32 ms
-  on a 2-vCPU VM (simulating ~33 ms), so it lands well outside the slack.
+  on a 2-vCPU VM (simulating it ~26-33 ms), so it lands outside the slack.
 
 Usage::
 
