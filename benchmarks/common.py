@@ -11,6 +11,11 @@ numbers are written as a machine-readable record so CI can merge them
 into one ``BENCH_ci.json`` artifact (``python benchmarks/common.py
 --merge BENCH_ci.json bench_*.json``) instead of throwing the
 trajectory away with the job log.
+
+:func:`run_against_hierarchy` is the batched engines' memory-model
+oracle, shared by the fidelity gate and ``tests/sim/test_fidelity.py``:
+it replays every ``access_batch`` call of a run through the event
+engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ import platform
 import sys
 from functools import lru_cache
 
-__all__ = ["add_json_option", "cached_suite", "merge_json", "write_json"]
+__all__ = [
+    "add_json_option",
+    "cached_suite",
+    "merge_json",
+    "replay_access_batch",
+    "run_against_hierarchy",
+    "write_json",
+]
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +84,65 @@ def write_json(
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def replay_access_batch(hierarchy, addresses, cycles, is_store):
+    """One ``AnalyticMemoryModel.access_batch`` call replayed through
+    ``hierarchy.l1`` one access at a time; returns its completion cycles."""
+    import numpy as np
+
+    from repro.memory.request import AccessType
+
+    writes = np.broadcast_to(np.asarray(is_store, dtype=bool), np.shape(addresses))
+    access = hierarchy.l1.access
+    return np.array(
+        [
+            access(int(address), AccessType.STORE if write else AccessType.LOAD, int(cycle))
+            for address, cycle, write in zip(
+                np.asarray(addresses).tolist(), np.asarray(cycles).tolist(), writes.tolist()
+            )
+        ],
+        dtype=np.float64,
+    )
+
+
+def run_against_hierarchy(simulator):
+    """Run a single-core batched-engine simulator against the event
+    engine's memory hierarchy.
+
+    Every ``access_batch`` call of the run is replayed through a fresh
+    ``MemoryHierarchy`` of the simulator's memory configuration.  Returns
+    ``(result, replayed_accesses, mismatches)``: ``mismatches`` names
+    each call whose completion cycles differ and each level (L1, L2,
+    DRAM) whose final counters differ.
+    """
+    import numpy as np
+
+    from repro.memory.hierarchy import MemoryHierarchy
+
+    oracle = MemoryHierarchy(simulator.hierarchy.config)
+    model = simulator._analytic
+    access_batch = model.access_batch
+    mismatches: list[str] = []
+    replayed = 0
+
+    def checked(addresses, cycles, is_store):
+        nonlocal replayed
+        complete = access_batch(addresses, cycles, is_store)
+        expected = replay_access_batch(oracle, addresses, cycles, is_store)
+        if not np.array_equal(complete, expected):
+            mismatches.append(f"access_batch call at access {replayed}: completions differ")
+        replayed += complete.size
+        return complete
+
+    model.access_batch = checked
+    result = simulator.run()
+    got, want = simulator.hierarchy.stats(), oracle.stats()
+    for level in ("l1", "l2", "dram"):
+        expected, measured = getattr(want, level), getattr(got, level)
+        if measured != expected:
+            mismatches.append(f"{level} counters: {expected} -> {measured}")
+    return result, replayed, mismatches
 
 
 def merge_json(out_path: str, in_paths: list[str]) -> dict:

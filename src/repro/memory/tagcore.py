@@ -1,10 +1,10 @@
 """Shared set-associative tag/set/victim core for both simulation engines.
 
-The event-driven engine (:class:`repro.memory.cache.SetAssociativeCache`)
-and the wave-batched engine's analytic cache model
-(:mod:`repro.sim.analytic_cache`) must classify the same line-address
-stream identically — the cross-engine fidelity contract is *exact* L1/L2
-miss-count equality on order-stable traces.  That only holds if both
+The event-driven engine's caches
+(:class:`repro.memory.cache.SetAssociativeCache`) and the batched
+engines' vectorised L1 (:mod:`repro.sim.analytic_cache`) must classify
+the same line-address stream identically — the cross-engine fidelity
+contract is *exact* L1/L2 miss-count equality on order-stable traces.  That only holds if both
 engines share one implementation of the address math and the LRU
 replacement decision, which is what this module provides:
 
@@ -27,11 +27,13 @@ replacement decision, which is what this module provides:
   (guaranteed hits under write-allocate).  Per access it reports the
   same hit/victim/victim-dirty decisions the scalar store makes.
 
-Timing, banks, MSHRs and statistics deliberately stay out of this module:
-the event engine keeps its cycle-stamped models in ``memory/cache.py``
-and the batched engine keeps its analytic ones in ``sim/analytic_cache.py``;
-both delegate the "which line, which set, hit or miss, which victim"
-questions here.
+Timing, banks, MSHRs and statistics deliberately stay out of this module.
+:class:`~repro.memory.cache.SetAssociativeCache` keeps its cycle-stamped
+models in ``memory/cache.py`` on top of :class:`LruTagStore`; it is the
+event engine's L1 and L2 and the batched engines' L2.  The batched
+engines' vectorised L1 (``sim/analytic_cache.py``) runs on
+:class:`LruTagArray`.  Both delegate the "which line, which set, hit or
+miss, which victim" questions here.
 """
 
 from __future__ import annotations

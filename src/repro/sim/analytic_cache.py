@@ -4,10 +4,11 @@ The wave-batched engine evaluates each static node once per wave over a
 NumPy vector of threads, so it cannot call the event engine's
 cycle-stamped :class:`~repro.memory.cache.SetAssociativeCache` one token
 at a time without giving up its speedup.  This module provides the
-analytic twin: the same L1 -> L2 -> DRAM classification — built on the
-shared :mod:`repro.memory.tagcore` tag/set/victim core, so both engines
-agree on every hit/miss decision for an identical line-address stream —
-replayed over a whole wave of accesses at once.
+batch form of the same L1 -> L2 -> DRAM walk: the L1 is classified a
+whole wave at a time on the shared :mod:`repro.memory.tagcore` core, so
+both engines agree on every hit/miss decision for an identical
+line-address stream, and the few accesses that reach L2 go through the
+hierarchy's own :class:`~repro.memory.cache.SetAssociativeCache`.
 
 What is modelled (mirroring ``MemoryHierarchy`` exactly):
 
@@ -38,114 +39,62 @@ hit/miss classification — and the event engine's interleaving of
 overlapped load/store phases; the fidelity benchmark measures the
 residual cycle error both cause.
 
-Counters are mirrored into the owning :class:`~repro.memory.hierarchy.
+Counters land in the owning :class:`~repro.memory.hierarchy.
 MemoryHierarchy`'s per-level stats objects, so ``SimulationResult.counters()``
-and the energy pipeline see the analytic classification exactly where
-the event engine's exact one would appear.
+and the energy pipeline see them exactly where the event engine's would
+appear.
 
-Two replay implementations
---------------------------
-The policy walk exists twice, counter- and cycle-identically:
+How the walk is split
+---------------------
+* **L1** is vectorised per batch: per-set LRU classification with one
+  :class:`~repro.memory.tagcore.LruTagArray` replay, bank-queue timing
+  from a closed-form per-bank recurrence, and MSHR-merge timing from a
+  per-line previous-fill gather.
+* **L2** is the hierarchy's ``l2``, the event engine's
+  :class:`~repro.memory.cache.SetAssociativeCache`.  Only the L1 accesses
+  that consult it — misses, dirty writebacks, write-throughs — walk it,
+  one at a time; on cache-friendly configurations they are a tiny
+  fraction of the stream.
+* **DRAM** is :meth:`AnalyticMemoryModel._dram_access`, the
+  :class:`~repro.memory.dram.DramModel` bank mapping plus the
+  multi-core contention term; the model points the L2's
+  ``next_level_access`` at it.
 
-* ``vectorised=True`` (the default) decomposes each batch per L1 set and
-  classifies it with one :class:`~repro.memory.tagcore.LruTagArray`
-  replay, computes bank-queue timing with a closed-form per-bank
-  recurrence, and resolves MSHR-merge timing with a per-line
-  previous-fill gather — only the accesses that reach L2 (misses,
-  writebacks, write-throughs) still walk the exact sequential model, and
-  on cache-friendly configurations those are a tiny fraction of the
-  stream.
-* ``vectorised=False`` is the original one-access-at-a-time Python walk,
-  kept as the reference implementation the vectorised kernel is tested
-  against (``tests/sim/test_fidelity.py``, ``tests/memory/test_tagcore.py``).
+Replaying a batched run's ``access_batch`` calls through a fresh
+:class:`~repro.memory.hierarchy.MemoryHierarchy` one access at a time
+gives the same completion cycles and counters
+(``tests/sim/test_fidelity.py``, ``benchmarks/bench_batched_fidelity.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.config.system import MemorySystemConfig
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.tagcore import LruTagArray, LruTagStore, group_spans
+from repro.memory.request import AccessType
+from repro.memory.tagcore import LruTagArray, group_spans
 from repro.obs.trace import active_tracer
 
 __all__ = ["AnalyticMemoryModel"]
 
 
-class _AnalyticLevel:
-    """One cache level: shared tag core + policy flags + counter sink."""
+class AnalyticMemoryModel:
+    """A vectorised L1 over the hierarchy's L2, replayed over batches."""
 
-    __slots__ = (
-        "tags",
-        "array",
-        "stats",
-        "hit_latency",
-        "write_back",
-        "write_allocate",
-        "mshr",
-        "mshr_entries",
-        "banks",
-        "line_bytes",
-        "bank_free",
-    )
-
-    def __init__(self, config, stats, vectorised: bool = False) -> None:
-        # The scalar store backs the sequential walk (always built: L2
-        # replays its small miss-derived stream through it even when L1
-        # classification is vectorised); the tag array holds the same
-        # state for the per-set vectorised replay.
-        self.tags = LruTagStore.from_config(config)
-        self.array = LruTagArray.from_config(config) if vectorised else None
-        self.stats = stats
-        self.hit_latency = float(config.hit_latency)
-        self.write_back = bool(config.write_back)
-        self.write_allocate = bool(config.write_allocate)
+    def __init__(self, hierarchy: MemoryHierarchy, dram_contention: int = 1) -> None:
+        config = hierarchy.config
+        self.hierarchy = hierarchy
+        self.l1_config = l1 = hierarchy.l1.config
+        self.l1_tags = LruTagArray.from_config(l1)
+        self.l1_stats = hierarchy.l1.stats
         # line address -> absolute cycle at which the outstanding fill lands.
-        self.mshr: dict[int, float] = {}
-        self.mshr_entries = int(config.mshr_entries)
+        self.l1_mshr: dict[int, float] = {}
         # Each bank accepts one access per cycle; with the replay ordered
         # like the event engine's processing, the queue build-up on
         # oversubscribed banks evolves the same way there and here.
-        self.banks = int(config.banks)
-        self.line_bytes = int(config.line_bytes)
-        self.bank_free: list[float] = [0.0] * self.banks
-
-    def prune_mshr(self, cycle: float) -> None:
-        """Drop landed fills (same size trigger as the event engine's MSHR).
-
-        Prunes in place: the batch walk holds a direct reference to the
-        mapping while it replays, so rebinding would strand its updates.
-        """
-        expired = [addr for addr, t in self.mshr.items() if t <= cycle]
-        for addr in expired:
-            del self.mshr[addr]
-
-    def bank_ready(self, line_addr: int, cycle: float) -> float:
-        bank = (line_addr // self.line_bytes) % self.banks
-        start = self.bank_free[bank]
-        if start < cycle:
-            start = cycle
-        else:
-            self.stats.bank_conflict_cycles += int(start - cycle)
-        self.bank_free[bank] = start + 1.0
-        return start
-
-
-class AnalyticMemoryModel:
-    """Two-level LRU hierarchy + DRAM replayed over batches of accesses."""
-
-    def __init__(
-        self,
-        config: MemorySystemConfig,
-        hierarchy: MemoryHierarchy,
-        dram_contention: int = 1,
-        vectorised: bool = True,
-    ) -> None:
-        self.config = config
-        self.hierarchy = hierarchy
-        self.vectorised = bool(vectorised)
-        self.l1 = _AnalyticLevel(config.l1, hierarchy.l1.stats, vectorised=self.vectorised)
-        self.l2 = _AnalyticLevel(config.l2, hierarchy.l2.stats)
+        self.l1_bank_free: list[float] = [0.0] * l1.banks
+        self.l2 = hierarchy.l2
+        self.l2.next_level_access = self._dram_access
         self.dram_stats = hierarchy.dram.stats
         dram = config.dram
         self.dram_latency = float(dram.access_latency)
@@ -177,78 +126,44 @@ class AnalyticMemoryModel:
             self.dram_stats.reads += 1
         return start + self.dram_latency
 
-    # ------------------------------------------------------------ cache levels
-    def _level_access(self, level, next_access, line_addr, is_write, cycle):
-        """One access to ``level``; misses and writebacks go to ``next_access``.
+    def _prune_l1_mshr(self, cycle: float) -> None:
+        """Drop landed fills (same size trigger as the event engine's MSHR).
 
-        The single copy of the policy walk (hit/merge/miss/fill/victim)
-        shared by both levels — the same structure as
-        :meth:`repro.memory.cache.SetAssociativeCache.access`, with the
-        next level injected as a ``(line_addr, is_write, cycle)`` callable.
+        Prunes in place: the batch walk holds a direct reference to the
+        mapping while it replays, so rebinding would strand its updates.
         """
-        # Re-align to this level's own line size (an L1 miss arrives
-        # L1-aligned; with l1.line_bytes < l2.line_bytes several L1 lines
-        # share one L2 line) — the event engine's cache does the same.
-        line_addr = level.tags.geometry.line_address(line_addr)
-        cycle = level.bank_ready(line_addr, cycle)
-        entry = level.tags.touch(line_addr)
-        if entry is not None:
-            outstanding = level.mshr.get(line_addr)
-            pending = outstanding is not None and outstanding > cycle
-            if pending:
-                level.stats.mshr_merges += 1
-            if is_write:
-                level.stats.write_hits += 1
-                if level.write_back:
-                    entry.dirty = True
-                    complete = cycle + level.hit_latency
-                    return max(complete, outstanding) if pending else complete
-                # write-through: forward the write to the next level
-                return max(
-                    cycle + level.hit_latency,
-                    next_access(line_addr, True, cycle),
-                )
-            level.stats.read_hits += 1
-            complete = cycle + level.hit_latency
-            return max(complete, outstanding) if pending else complete
+        expired = [addr for addr, t in self.l1_mshr.items() if t <= cycle]
+        for addr in expired:
+            del self.l1_mshr[addr]
 
-        if is_write:
-            level.stats.write_misses += 1
-            if not level.write_allocate:
-                return max(
-                    cycle + level.hit_latency,
-                    next_access(line_addr, True, cycle),
-                )
-        else:
-            level.stats.read_misses += 1
+    # ------------------------------------------------------------------ L1
+    def _l1_bank_times(self, lines: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+        """Per-bank service times for a whole batch, in closed form.
 
-        outstanding = level.mshr.get(line_addr)
-        if outstanding is not None and outstanding > cycle:
-            level.stats.mshr_merges += 1
-            fill = outstanding
-        else:
-            # Read-for-ownership: the fill *reads* the next level even for
-            # a store miss under write-allocate.
-            fill = max(
-                cycle + level.hit_latency,
-                next_access(line_addr, False, cycle),
-            )
-            level.mshr[line_addr] = fill
-            if len(level.mshr) > 4 * level.mshr_entries:
-                level.prune_mshr(cycle)
-        victim = level.tags.install(line_addr, is_write and level.write_allocate)
-        if victim is not None and victim.dirty:
-            level.stats.writebacks += 1
-            next_access(victim.line_addr, True, cycle)
-        return fill
+        Each bank accepts one access per cycle, so along one bank's
+        subsequence ``t_k = max(r_k, t_{k-1} + 1)`` — which unrolls to
+        ``t_k = k + max(bank_free, cummax(r_j - j))``, a running maximum
+        instead of a Python loop.  The carried ``bank_free`` state and the
+        per-access truncated conflict-cycle counter match the event
+        engine's one-access-at-a-time bank model exactly.
+        """
+        start = np.empty(lines.size, dtype=np.float64)
+        geometry = self.l1_tags.geometry
+        banks = self.l1_config.banks
+        order, starts, ends = group_spans(geometry.bank_index(lines, banks), upper_bound=banks)
+        sorted_banks = geometry.bank_index(lines[order[starts]], banks)
+        for bank, lo, hi in zip(sorted_banks.tolist(), starts.tolist(), ends.tolist()):
+            span = order[lo:hi]
+            offsets = np.arange(hi - lo, dtype=np.float64)
+            ready = cycles[span] - offsets
+            ready[0] = max(ready[0], self.l1_bank_free[bank])
+            np.maximum.accumulate(ready, out=ready)
+            ready += offsets
+            start[span] = ready
+            self.l1_bank_free[bank] = float(ready[-1]) + 1.0
+        self.l1_stats.bank_conflict_cycles += int(np.trunc(start - cycles).sum())
+        return start
 
-    def _l2_access(self, line_addr: int, is_write: bool, cycle: float) -> float:
-        return self._level_access(self.l2, self._dram_access, line_addr, is_write, cycle)
-
-    def _l1_access(self, line_addr: int, is_write: bool, cycle: float) -> float:
-        return self._level_access(self.l1, self._l2_access, line_addr, is_write, cycle)
-
-    # ------------------------------------------------------------------ batch
     def access_batch(
         self,
         addresses: np.ndarray,
@@ -264,68 +179,9 @@ class AnalyticMemoryModel:
         homogeneous batch or a per-access boolean vector for a mixed
         load/store stream.
 
-        With ``vectorised=True`` the whole L1 walk (bank queues, per-set
-        LRU classification, MSHR-merge timing) runs as NumPy passes and
-        only the L2-bound residue is walked sequentially; with
-        ``vectorised=False`` every access takes the reference Python walk.
-        Both paths produce identical counters and identical completion
-        cycles.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        cycles = np.asarray(cycles, dtype=np.float64)
-        if np.ndim(is_store) == 0:
-            writes = np.full(addresses.shape, bool(is_store))
-        else:
-            writes = np.asarray(is_store, dtype=bool)
-        if self.vectorised:
-            return self._access_batch_vectorised(addresses, cycles, writes)
-        geometry = self.l1.tags.geometry
-        lines = geometry.line_address(addresses).tolist()
-        out = np.empty(len(lines), dtype=np.float64)
-        l1_access = self._l1_access
-        for i, (line, cycle, write) in enumerate(
-            zip(lines, cycles.tolist(), writes.tolist())
-        ):
-            out[i] = l1_access(line, bool(write), cycle)
-        return out
-
-    # ------------------------------------------------------- vectorised walk
-    def _bank_times_vectorised(
-        self, level: _AnalyticLevel, lines: np.ndarray, cycles: np.ndarray
-    ) -> np.ndarray:
-        """Per-bank service times for a whole batch, in closed form.
-
-        Each bank accepts one access per cycle, so along one bank's
-        subsequence ``t_k = max(r_k, t_{k-1} + 1)`` — which unrolls to
-        ``t_k = k + max(bank_free, cummax(r_j - j))``, a running maximum
-        instead of a Python loop.  The carried ``bank_free`` state and the
-        per-access truncated conflict-cycle counter match the sequential
-        walk exactly.
-        """
-        start = np.empty(lines.size, dtype=np.float64)
-        geometry = level.tags.geometry
-        order, starts, ends = group_spans(
-            geometry.bank_index(lines, level.banks), upper_bound=level.banks
-        )
-        sorted_banks = geometry.bank_index(lines[order[starts]], level.banks)
-        for bank, lo, hi in zip(sorted_banks.tolist(), starts.tolist(), ends.tolist()):
-            span = order[lo:hi]
-            offsets = np.arange(hi - lo, dtype=np.float64)
-            ready = cycles[span] - offsets
-            ready[0] = max(ready[0], level.bank_free[bank])
-            np.maximum.accumulate(ready, out=ready)
-            ready += offsets
-            start[span] = ready
-            level.bank_free[bank] = float(ready[-1]) + 1.0
-        level.stats.bank_conflict_cycles += int(np.trunc(start - cycles).sum())
-        return start
-
-    def _access_batch_vectorised(
-        self, addresses: np.ndarray, cycles: np.ndarray, writes: np.ndarray
-    ) -> np.ndarray:
-        """The per-set vectorised L1 walk (see the module docstring).
-
-        Stages, each identical in effect to the sequential walk:
+        Stages, each identical in effect to
+        :meth:`~repro.memory.cache.SetAssociativeCache.access` called one
+        access at a time:
 
         1. bank-queue service times for every access (closed-form);
         2. per-set LRU hit/miss/victim classification
@@ -337,14 +193,19 @@ class AnalyticMemoryModel:
            most recent outstanding fill decides which hits merge into an
            MSHR entry and wait for it.
         """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        cycles = np.asarray(cycles, dtype=np.float64)
+        if np.ndim(is_store) == 0:
+            writes = np.full(addresses.shape, bool(is_store))
+        else:
+            writes = np.asarray(is_store, dtype=bool)
         n = addresses.size
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        level = self.l1
-        stats = level.stats
-        lines = level.array.geometry.line_address(addresses)
-        start = self._bank_times_vectorised(level, lines, cycles)
-        hit, victim_line, victim_dirty = level.array.replay(lines, writes)
+        stats = self.l1_stats
+        lines = self.l1_tags.geometry.line_address(addresses)
+        start = self._l1_bank_times(lines, cycles)
+        hit, victim_line, victim_dirty = self.l1_tags.replay(lines, writes)
 
         hits = int(np.count_nonzero(hit))
         write_count = int(np.count_nonzero(writes))
@@ -355,7 +216,8 @@ class AnalyticMemoryModel:
         stats.write_misses += write_count - write_hits
         stats.writebacks += int(np.count_nonzero(victim_dirty))
 
-        write_back, write_allocate = level.write_back, level.write_allocate
+        l1 = self.l1_config
+        write_back, write_allocate = l1.write_back, l1.write_allocate
         # Accesses that install a fill and thereby publish an MSHR entry.
         fills = ~hit if write_allocate else ~hit & ~writes
         # Accesses that consult the next level one at a time: every miss,
@@ -367,8 +229,8 @@ class AnalyticMemoryModel:
         # earlier fill of the same line (or the carried fill time).  The
         # grouping key is the dense line index, whose small range keeps
         # the partition on the radix-sort path.
-        mshr = level.mshr
-        line_keys = lines // level.line_bytes
+        mshr = self.l1_mshr
+        line_keys = lines // l1.line_bytes
         order, line_starts, line_ends = group_spans(
             line_keys, upper_bound=int(line_keys.max()) + 1
         )
@@ -387,17 +249,19 @@ class AnalyticMemoryModel:
         in_batch = previous_fill_idx >= np.repeat(line_starts, counts)
 
         # Stage 3: the L2-bound residue, walked sequentially in stream
-        # order with the exact policy of ``_level_access``.  ``complete``
-        # starts as the plain hit service time; the sequential walk
+        # order with the exact policy of ``SetAssociativeCache.access``.
+        # ``complete`` starts as the plain hit service time; the walk
         # overwrites every L2-bound access and the stage-4 merge pass
-        # lifts pending hits onto their outstanding fills.
-        hit_latency = level.hit_latency
+        # lifts pending hits onto their outstanding fills.  L2 takes an
+        # int cycle, so its counters stay integers.
+        hit_latency = float(l1.hit_latency)
         complete = start + hit_latency
         fill_time = np.full(n, -np.inf, dtype=np.float64)
         prune_positions: list[int] = []
         prune_cycles: list[float] = []
-        mshr_limit = 4 * level.mshr_entries
-        next_access = self._l2_access
+        mshr_limit = 4 * l1.mshr_entries
+        l2_access = self.l2.access
+        load, store = AccessType.LOAD, AccessType.STORE
         tracer = active_tracer()
         walk_begin = tracer.clock() if tracer is not None else 0.0
         residue = np.flatnonzero(slow).tolist()
@@ -407,21 +271,21 @@ class AnalyticMemoryModel:
             if hit[k] or (writes[k] and not write_allocate):
                 # Write-through write hit / no-allocate write miss: the
                 # write is forwarded, nothing is installed.
-                complete[k] = max(cycle + hit_latency, next_access(line, True, cycle))
+                complete[k] = max(cycle + hit_latency, l2_access(line, store, int(cycle)))
                 continue
             outstanding = mshr.get(line)
             if outstanding is not None and outstanding > cycle:
                 stats.mshr_merges += 1
                 fill = outstanding
             else:
-                fill = max(cycle + hit_latency, next_access(line, False, cycle))
+                fill = max(cycle + hit_latency, l2_access(line, load, int(cycle)))
                 mshr[line] = fill
                 if len(mshr) > mshr_limit:
-                    level.prune_mshr(cycle)
+                    self._prune_l1_mshr(cycle)
                     prune_positions.append(k)
                     prune_cycles.append(cycle)
             if victim_dirty[k]:
-                next_access(int(victim_line[k]), True, cycle)
+                l2_access(int(victim_line[k]), store, int(cycle))
             complete[k] = fill
             fill_time[k] = fill
         if tracer is not None:
@@ -437,7 +301,7 @@ class AnalyticMemoryModel:
         pending = hit & (previous_fill > start)
         if prune_positions and pending.any():
             # A prune between the fill and the hit may have dropped the
-            # landed entry; mirror the sequential walk's visibility.
+            # landed entry; mirror the one-at-a-time walk's visibility.
             previous_position = np.full(n, -1, dtype=np.int64)
             previous_position[order] = np.where(
                 in_batch, order[np.maximum(previous_fill_idx, 0)], -1

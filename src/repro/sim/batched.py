@@ -28,18 +28,20 @@ Per-thread completion times are computed analytically:
 
 Memory model (:mod:`repro.sim.analytic_cache`)
 ----------------------------------------------
-Global accesses run through a full set-associative LRU tag model of both
+Global accesses run through a full set-associative LRU model of both
 cache levels — compulsory, capacity *and* conflict misses, dirty
-writebacks, MSHR merges and DRAM bank queueing — built on the same
-:mod:`repro.memory.tagcore` tag/set/victim core the event engine's
-caches use.  Because LRU classification depends on the order in which
-the line-address stream reaches the cache, each wave's loads are
-replayed in the *event engine's* processing order: the order a token
-arrival fires a load is a thread-independent property of the graph (the
-arrival-cycle chain through its pure index computation, tie-broken by
-the heap's push sequence), so the engine precomputes one order key per
-load node and sorts the whole wave's load stream with ``np.lexsort``
-before running it through the tag model.  Stores are replayed after the
+writebacks, MSHR merges and DRAM bank queueing.  The L2 is the
+hierarchy's own :class:`~repro.memory.cache.SetAssociativeCache`, the
+event engine's cache, and the L1 classifies on the same
+:mod:`repro.memory.tagcore` tag/set/victim core.  Because LRU
+classification depends on the order in which the line-address stream
+reaches the cache, each wave's loads are replayed in the *event
+engine's* processing order: the order a token arrival fires a load is
+a thread-independent property of the graph (the arrival-cycle chain
+through its pure index computation, tie-broken by the heap's push
+sequence), so the engine precomputes one order key per load node and
+sorts the whole wave's load stream with ``np.lexsort`` before running
+it through the tag model.  Stores are replayed after the
 loads of their wave, in issue order — exact whenever the store phase
 drains after the load phase (it does on the streaming workloads at the
 fidelity-gate sizes) and a close approximation when the phases overlap.
@@ -50,17 +52,18 @@ other loads fall back to per-node replay order (classification stays
 capacity/conflict-aware; only the cross-engine ordering guarantee is
 lost).
 
-The tag walk itself is vectorised (``sim/analytic_cache.py``): per-set
-LRU classification via :class:`~repro.memory.tagcore.LruTagArray`,
+The L1 walk is vectorised (``sim/analytic_cache.py``): per-set LRU
+classification via :class:`~repro.memory.tagcore.LruTagArray`,
 closed-form per-bank queue timing and a per-line previous-fill gather
-for MSHR-merge timing, with only the L2-bound residue (misses,
-writebacks, write-throughs) walked sequentially — counter- and
-cycle-identical to the one-access-at-a-time reference walk kept behind
-``AnalyticMemoryModel(vectorised=False)``.
+for MSHR-merge timing.  Only the L2-bound residue (misses, writebacks,
+write-throughs) walks the L2 one access at a time.  Replayed through
+the event engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`
+one access at a time, the same stream completes on the same cycles
+and leaves the same counters.
 
-The classification is mirrored into the hierarchy's counters, so the
-energy pipeline and ``SimulationResult.counters()`` see the analytic model
-exactly where the event engine's exact counters would appear.  Residual
+The counters land in the hierarchy's stats objects, so the energy
+pipeline and ``SimulationResult.counters()`` see the batched model
+exactly where the event engine's counters would appear.  Residual
 approximations (cache bank serialisation, MSHR entry limits, replay
 order under overlapped load/store phases) affect timing only and are
 measured by ``benchmarks/bench_batched_fidelity.py``: L1/L2 miss counts
@@ -295,7 +298,6 @@ class BatchedSimulator:
         thread_ids: Sequence[int] | None = None,
         memory: MemoryImage | None = None,
         dram_contention: int = 1,
-        analytic_vectorised: bool = True,
         trace_pid: int = 0,
     ) -> None:
         if compiled.graph.metadata.get("num_threads") != launch.graph.metadata.get(
@@ -351,23 +353,16 @@ class BatchedSimulator:
         self._port_tail: dict[int, np.ndarray] = {
             node.node_id: np.full(self._ports, -np.inf) for node in self._order
         }
-        # Capacity/conflict-aware analytic cache model (L1 + L2 + DRAM),
-        # mirroring its classification into the hierarchy's counters.  When
+        # Memory model: a vectorised L1 over the hierarchy's own L2 (the
+        # event engine's cache, so a sharded core sees its L2 slice) and
+        # an analytic DRAM, counting into the hierarchy's stats.  When
         # ``dram_contention`` cores share the DRAM device, each access
         # additionally expects to queue behind one bank burst per contending
         # core (the analytic twin of the shared bank state the event engine
         # models exactly).
         if dram_contention < 1:
             raise SimulationError("dram_contention must be >= 1")
-        # ``analytic_vectorised=False`` selects the sequential reference
-        # walk; both walks are counter- and cycle-identical (pinned by
-        # tests/sim/test_fidelity.py), the vectorised one is just fast.
-        self._analytic = AnalyticMemoryModel(
-            self.config.memory,
-            self.hierarchy,
-            dram_contention=dram_contention,
-            vectorised=analytic_vectorised,
-        )
+        self._analytic = AnalyticMemoryModel(self.hierarchy, dram_contention=dram_contention)
         self._l1_baseline = (
             self.hierarchy.l1.stats.misses,
             self.hierarchy.l1.stats.hits,

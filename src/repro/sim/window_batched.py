@@ -105,7 +105,6 @@ class WindowBatchedSimulator(BatchedSimulator):
         thread_ids: Sequence[int] | None = None,
         memory: MemoryImage | None = None,
         dram_contention: int = 1,
-        analytic_vectorised: bool = True,
         trace_pid: int = 0,
     ) -> None:
         super().__init__(
@@ -117,7 +116,6 @@ class WindowBatchedSimulator(BatchedSimulator):
             thread_ids=thread_ids,
             memory=memory,
             dram_contention=dram_contention,
-            analytic_vectorised=analytic_vectorised,
             trace_pid=trace_pid,
         )
         if self._thread_ids.size != self.num_threads:

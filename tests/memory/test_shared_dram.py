@@ -10,6 +10,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.shared_dram import SharedDRAM
 from repro.sim import simulate
 from repro.sim.launch import KernelLaunch
+from repro.workloads.registry import get_workload
 
 
 def test_port_stats_sum_to_device_stats():
@@ -122,3 +123,28 @@ def test_sliced_l2_is_wired_into_the_cores():
     full = default_system_config().memory.l2.size_bytes
     for hierarchy in multi.hierarchies:
         assert hierarchy.l2.config.size_bytes == full // 4
+
+
+def test_sharded_batched_run_models_the_sliced_l2():
+    """A sharded batched core must see its ``1/cores`` L2 slice, not the
+    whole L2: on a convolution whose working set exceeds the slice, the
+    batched engine's L2 misses equal the event engine's."""
+    config = default_system_config()
+    memory = replace(
+        config.memory,
+        l1=replace(config.memory.l1, size_bytes=512, ways=1),
+        l2=replace(config.memory.l2, size_bytes=4096, ways=4),
+    )
+    config = replace(config, memory=memory).validate()
+    prepared = get_workload("convolution").prepare({"n": 1024})
+    compiled = compile_kernel(prepared.launch("stream").graph, config)
+
+    def l2_misses(engine):
+        result = simulate(compiled, prepared.launch("stream"), cores=4, engine=engine)
+        assert (result.engine, result.cores) == (engine, 4)
+        for hierarchy in result.hierarchies:
+            assert hierarchy.l2.config.size_bytes == 4096 // 4
+        counters = result.counters()
+        return counters["l2_read_misses"] + counters["l2_write_misses"]
+
+    assert l2_misses("batched") == l2_misses("event") == 352

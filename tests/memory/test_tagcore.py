@@ -1,12 +1,12 @@
 """The shared tag core: geometry math and LRU equivalence properties.
 
 The cross-engine fidelity contract rests on one fact: replaying a line
-address stream through :class:`~repro.memory.tagcore.LruTagStore` (what
-the batched engine's analytic model does one access at a time) or
-through the vectorised per-set :class:`~repro.memory.tagcore.LruTagArray`
-(what it does by default, a whole wave at once) classifies every access
-exactly like :class:`~repro.memory.cache.SetAssociativeCache` (what the
-event engine does).  The hypothesis sweeps below check all three on
+address stream through the vectorised per-set
+:class:`~repro.memory.tagcore.LruTagArray` (the batched engines' L1, a
+whole wave at once) or through :class:`~repro.memory.tagcore.LruTagStore`
+one access at a time classifies every access exactly like
+:class:`~repro.memory.cache.SetAssociativeCache` (the event engine's L1
+and L2, and the batched engines' L2).  The hypothesis sweeps below check all three on
 random mixed load/store traces over random geometries and write
 policies — hit/miss sequence, victim sequence and writeback counts —
 and are `slow`-marked like the other property sweeps.
@@ -75,7 +75,7 @@ def _reference_config(line_bytes, num_sets, ways, write_back, write_allocate):
 
 
 def _tagstore_replay(config: CacheConfig, trace):
-    """The sequential reference walk: LruTagStore + the write policy.
+    """The scalar tag-core walk: LruTagStore + the write policy.
 
     Returns the per-access hit, victim-line (``-1`` if none) and
     victim-dirty sequences, the same observables
@@ -177,8 +177,8 @@ def test_tagstore_matches_set_associative_cache(
 def test_tagarray_matches_tagstore_and_cache(
     line_bytes, num_sets, ways, write_back, write_allocate, trace, chunks
 ):
-    """The vectorised per-set kernel, the sequential walk and the event
-    engine's cache classify any random mixed load/store stream
+    """The vectorised per-set kernel, the scalar tag-core walk and the
+    event engine's cache classify any random mixed load/store stream
     identically: hit/miss sequence (all three), victim and victim-dirty
     sequences (both tag-core walks), and the writeback count the cache's
     stats record.  Splitting the replay into chunks must not change

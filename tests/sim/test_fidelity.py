@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from benchmarks.common import replay_access_batch, run_against_hierarchy
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
 from repro.kernel.builder import KernelBuilder
@@ -197,42 +198,36 @@ def test_dirty_writebacks_become_l2_stores_on_both_engines():
         assert batched.counters()[key] == event.counters()[key], key
 
 
-# ---------------------------------------------- vectorised walk == sequential
-def _simulate_batched(launch_factory, config, vectorised):
-    from repro.sim.batched import BatchedSimulator
-
-    compiled = compile_kernel(launch_factory().graph, config)
-    return BatchedSimulator(
-        compiled, launch_factory(), analytic_vectorised=vectorised
-    ).run()
-
-
+# ------------------------------------- vectorised walk == event hierarchy
 @pytest.mark.parametrize("name,params", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
 @pytest.mark.parametrize("config_name", ["default", "capacity", "thrash"])
 def test_vectorised_walk_identical_to_sequential_walk(name, params, config_name):
-    """The per-set vectorised tag walk is not an approximation: cycles
-    and every memory-hierarchy counter equal the sequential reference
-    walk on the fidelity workloads under every gated memory regime."""
+    """The per-set vectorised tag walk is not an approximation: every
+    ``access_batch`` call of a batched run, replayed one access at a time
+    through the event engine's ``MemoryHierarchy``, completes on the same
+    cycles and leaves the same L1/L2/DRAM counters, under every gated
+    memory regime."""
+    from repro.sim.batched import BatchedSimulator
+
     config = {
         "default": default_system_config(),
         "capacity": capacity_config(),
         "thrash": capacity_config(size_bytes=512, ways=1),
     }[config_name]
-    prepared, factory = stream_launch(name, params)
-    sequential = _simulate_batched(factory, config, vectorised=False)
-    vectorised = _simulate_batched(factory, config, vectorised=True)
-    assert vectorised.cycles == sequential.cycles
-    assert vectorised.counters() == sequential.counters()
-    output = next(iter(prepared.expected))
-    assert np.array_equal(vectorised.array(output), sequential.array(output))
+    _, factory = stream_launch(name, params)
+    compiled = compile_kernel(factory().graph, config)
+    _, replayed, mismatches = run_against_hierarchy(BatchedSimulator(compiled, factory()))
+    assert replayed > 0
+    assert not mismatches, "\n".join(mismatches)
 
 
 def test_vectorised_model_identical_on_random_mixed_streams():
     """Model-level differential: random mixed load/store streams with
     non-monotone integral issue cycles, replayed in several batches,
     produce identical completion cycles, counters and MSHR state on the
-    vectorised and sequential walks (thrash-heavy config, tiny MSHR so
-    prune events fire)."""
+    vectorised model and on the event engine's hierarchy walked one
+    access at a time (thrash-heavy config, tiny MSHR so prune events
+    fire)."""
     from dataclasses import replace as dc_replace
 
     from repro.memory.hierarchy import MemoryHierarchy
@@ -259,17 +254,8 @@ def test_vectorised_model_identical_on_random_mixed_streams():
         )
         l2 = dc_replace(base.l2, size_bytes=4096, ways=4, banks=2, hit_latency=8)
         config = dc_replace(base, l1=l1, l2=l2)
-        models = []
-        for vectorised in (False, True):
-            hierarchy = MemoryHierarchy(config)
-            models.append(
-                (
-                    AnalyticMemoryModel(
-                        config, hierarchy, dram_contention=2, vectorised=vectorised
-                    ),
-                    hierarchy,
-                )
-            )
+        model = AnalyticMemoryModel(MemoryHierarchy(config))
+        oracle = MemoryHierarchy(config)
         clock = 0.0
         for _ in range(4):
             n = int(rng.integers(50, 400))
@@ -279,10 +265,12 @@ def test_vectorised_model_identical_on_random_mixed_streams():
                 clock + np.cumsum(rng.integers(0, 3, n)) + rng.integers(0, 9, n)
             ).astype(np.float64)
             clock = float(cycles.max()) + 1
-            outs = [m.access_batch(addresses, cycles, writes) for m, _ in models]
-            assert np.array_equal(outs[0], outs[1])
-        assert models[0][1].stats().flat() == models[1][1].stats().flat()
-        assert models[0][0].l1.mshr == models[1][0].l1.mshr
+            assert np.array_equal(
+                model.access_batch(addresses, cycles, writes),
+                replay_access_batch(oracle, addresses, cycles, writes),
+            )
+        assert model.hierarchy.stats().flat() == oracle.stats().flat()
+        assert model.l1_mshr == oracle.l1._mshr
 
 
 # ------------------------------------------------------------- fallback mode
