@@ -46,7 +46,6 @@ from repro.config.system import SystemConfig, default_system_config
 from repro.graph.interthread import window_batch_problem
 from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
-from repro.sim.window_batched import WindowBatchedSimulator
 from repro.workloads.registry import all_workloads, available_variants
 
 #: Counters whose event/batched equality is the exact-fidelity contract.
@@ -152,7 +151,7 @@ def batchable_variants(params_by_workload) -> list[tuple[str, str, dict]]:
         prepared = workload.prepare(params)
         for variant in available_variants(workload):
             graph = prepared.launch(variant).graph
-            if graph.has_interthread() and window_batch_problem(graph) is not None:
+            if window_batch_problem(graph) is not None:
                 continue  # barrier/recurrence: event-engine only
             cases.append((workload.name, variant, params))
     return cases
@@ -171,10 +170,7 @@ def run_pair(name: str, variant: str, params: dict, config: SystemConfig) -> dic
     compiled = compile_kernel(prepared.launch(variant).graph, config)
     event = simulate(compiled, prepared.launch(variant), engine="event")
     batched = simulate(compiled, prepared.launch(variant))  # auto: batched engine
-    sim_cls = (
-        WindowBatchedSimulator if compiled.graph.has_interthread() else BatchedSimulator
-    )
-    checked_sim = sim_cls(compiled, prepared.launch(variant))
+    checked_sim = BatchedSimulator(compiled, prepared.launch(variant))
     ordered_trace = bool(checked_sim._ordered_loads)
     checked, replayed, mismatches = run_against_hierarchy(checked_sim)
     event_counters = event.counters()

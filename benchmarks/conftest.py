@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.cycle import ENGINES
+from repro.sim.api import ENGINES
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -380,11 +380,6 @@ class SystemConfig:
     #: above 1 enable the window-aligned multi-core sharding of
     #: :mod:`repro.sim.multicore`.
     cores: int = 1
-    #: Multi-core memory model: when True (the default) the cores share one
-    #: DRAM device whose bandwidth is contended across cores and each core
-    #: gets a private ``1/cores`` L2 slice; when False every core keeps the
-    #: legacy private L2 + private DRAM of the one-block-per-core model.
-    shared_dram: bool = True
 
     def validate(self) -> "SystemConfig":
         self.grid.validate()

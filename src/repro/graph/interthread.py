@@ -265,17 +265,14 @@ def thread_subset_problem(graph, thread_ids: Sequence[int], num_threads: int) ->
 
 
 def window_batch_problem(graph) -> Optional[str]:
-    """Why ``graph`` cannot run on the window-batched engine (``None`` = it can).
+    """Why ``graph`` cannot run on the batched engine (``None`` = it can).
 
-    This is the single statement of window-batchability, shared by the
-    static analyzer (``RA044``/``RA045``) and the engine's own
-    construction check so the verdict IS the dispatch decision.  A
-    communicating graph batches by window groups when its inter-thread
-    traffic is *feed-forward*:
+    This is the single statement of batchability, shared by the static
+    analyzer (``RA044``/``RA045``) and the engine's own construction
+    check so the verdict IS the dispatch decision.  A graph batches when
+    its inter-thread traffic is *feed-forward* (a graph without
+    inter-thread nodes trivially is):
 
-    * there is inter-thread traffic at all (otherwise the plain
-      wave-batched engine applies — this function is about the
-      communicating path);
     * no static cycle runs through an ELEVATOR's temporal edge
       (a recurrence such as the Fig. 6 prefix sum must be resolved
       token by token by the event engine);
@@ -289,8 +286,6 @@ def window_batch_problem(graph) -> Optional[str]:
     of the paper's matrixMul) batch just as well — only *recurrences*
     are out of reach.
     """
-    if not graph.has_interthread():
-        return "no inter-thread nodes (the plain wave-batched engine applies)"
     try:
         graph.topological_order(ignore_temporal=False)
     except GraphError:

@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, ExplorationError, ReproError, Workl
 from repro.explore.spec import CACHE_SCHEMA_VERSION, RunPoint, resolved_base_config
 from repro.graph.dfg import DataflowGraph
 from repro.harness.experiments import GRAPH_VARIANTS
-from repro.sim.cycle import ENGINES
+from repro.sim.api import ENGINES
 from repro.workloads.base import ARCHITECTURES
 from repro.workloads.registry import get_workload
 

@@ -9,7 +9,7 @@ plans the multi-core cut and returns a :class:`SimulationResult` whose
     result.engine                                   # "batched" | "window-batched" | "event"
     result.array("C"), result.cycles, result.counters()
 
-Four execution layers share one semantics:
+Three execution layers share one semantics:
 
 * :mod:`repro.sim.functional` — the untimed, demand-driven interpreter;
   the correctness oracle every other engine is tested against.
@@ -17,21 +17,21 @@ Four execution layers share one semantics:
   event per token per edge.  Exact, and the only engine that resolves
   inter-thread *recurrences* (cyclic ELEVATOR chains), the full cache/
   DRAM behaviour and token-buffer backpressure.
-* :mod:`repro.sim.batched` — the wave-batched NumPy engine for graphs
-  without inter-thread dependences: each static node is evaluated once
-  per injection wave over a vector of thread IDs, with completion times
-  computed analytically from edge latencies and issue-port contention,
-  and memory classified by the capacity/conflict-aware analytic cache
-  model of :mod:`repro.sim.analytic_cache` (set-associative LRU at both
-  levels on the shared :mod:`repro.memory.tagcore` core, replayed in
-  the event engine's access order and mirrored into the hierarchy
-  counters — exactly equal to the event engine's counters on
-  order-stable traces).
-* :mod:`repro.sim.window_batched` — the batched engine extended to
-  *feed-forward* communicating kernels (ELEVATOR/ELDST/BARRIER whose
-  consumer→producer maps are static and whose barriers carry bounded
-  transmission windows): token traffic resolves as vector gathers and
-  segmented reductions over window groups instead of heap events.
+* :mod:`repro.sim.batched` — the batched NumPy engine for graphs whose
+  inter-thread traffic is feed-forward (none at all, or ELEVATOR/ELDST/
+  BARRIER nodes whose consumer→producer maps are static and whose
+  barriers carry bounded transmission windows): each static node is
+  evaluated once over a vector of all the core's thread IDs, with
+  completion times computed analytically from edge latencies and
+  issue-port contention, token traffic resolved as vector gathers and
+  segmented reductions over window groups, and memory classified by the
+  capacity/conflict-aware analytic cache model of
+  :mod:`repro.sim.analytic_cache` (set-associative LRU on the shared
+  :mod:`repro.memory.tagcore` core, replayed in the event engine's
+  access order and mirrored into the hierarchy counters — exactly equal
+  to the event engine's counters on order-stable traces).  One class
+  serves both batched verdicts and reports ``"window-batched"`` on a
+  communicating graph, ``"batched"`` otherwise.
 
 Engine selection (:func:`resolve_engine`, the one place it is decided)
 consumes the static analyzer's verdict — ``RA040`` inter-thread-free →
@@ -53,15 +53,14 @@ untimed oracle.
 """
 
 from repro.sim.analytic_cache import AnalyticMemoryModel
-from repro.sim.api import resolve_engine, simulate
+from repro.sim.api import ENGINES, resolve_engine, simulate
 from repro.sim.batched import BatchedSimulator
-from repro.sim.cycle import ENGINES, CycleSimulator
+from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import FunctionalResult, FunctionalSimulator, run_functional
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import shard_threads
 from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
-from repro.sim.window_batched import WindowBatchedSimulator
 
 __all__ = [
     "AnalyticMemoryModel",
@@ -73,7 +72,6 @@ __all__ = [
     "FunctionalSimulator",
     "KernelLaunch",
     "SimulationResult",
-    "WindowBatchedSimulator",
     "resolve_engine",
     "run_functional",
     "shard_threads",

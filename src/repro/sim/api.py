@@ -20,20 +20,24 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.shared_dram import SharedDRAM
 from repro.obs.trace import CORE_LANE, active_mode, active_tracer
 from repro.sim.batched import BatchedSimulator
-from repro.sim.cycle import ENGINES, CycleSimulator
+from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import ShardPlan, plan_shards, shard_threads
 from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
-from repro.sim.window_batched import WindowBatchedSimulator
 
-__all__ = ["SimulationResult", "resolve_engine", "simulate"]
+__all__ = ["ENGINES", "SimulationResult", "resolve_engine", "simulate"]
 
+#: The simulator class behind each resolved engine name.  One batched class
+#: serves both batched verdicts; it names itself after the graph.
 _SIMULATORS = {
     "event": CycleSimulator,
     "batched": BatchedSimulator,
-    "window-batched": WindowBatchedSimulator,
+    "window-batched": BatchedSimulator,
 }
+
+#: Engines selectable through :func:`simulate`.
+ENGINES = ("auto", *_SIMULATORS)
 
 
 def resolve_engine(
@@ -74,9 +78,9 @@ def simulate(
     """Run ``launch`` and return a :class:`SimulationResult`.
 
     ``engine`` selects the execution engine: ``"event"`` (exact
-    event-driven), ``"batched"`` (wave-batched NumPy,
-    inter-thread-free graphs), ``"window-batched"`` (its extension to
-    feed-forward communicating graphs) or ``"auto"`` (default), which
+    event-driven), ``"batched"`` (batched NumPy, inter-thread-free
+    graphs), ``"window-batched"`` (the same engine on feed-forward
+    communicating graphs) or ``"auto"`` (default), which
     picks the fastest engine able to execute the graph — the static
     analyzer's engine verdict.  A forced engine is degraded to a capable
     one when the graph demands it (:func:`resolve_engine`); the
@@ -95,7 +99,7 @@ def simulate(
     hierarchy object).
 
     All engines produce bit-identical outputs and identical operation
-    counters; the batched engines' cycle counts and cache counters come
+    counters; the batched engine's cycle counts and cache counters come
     from the analytic cache model (exact on order-stable traces, close
     estimates otherwise).
     """
@@ -116,10 +120,9 @@ def simulate(
     if plan.sharded:
         shards = shard_threads(compiled.num_threads, plan.cores, plan.block)
         shards = [shard for shard in shards if shard.size]
-        if config.shared_dram:
-            shared = SharedDRAM(config.memory.dram, line_bytes=config.memory.l2.line_bytes)
-            core_memory = config.memory.sliced(len(shards))
-    options = {} if resolved == "event" else {"dram_contention": len(shards) if shared else 1}
+        shared = SharedDRAM(config.memory.dram, line_bytes=config.memory.l2.line_bytes)
+        core_memory = config.memory.sliced(len(shards))
+    options = {} if resolved == "event" else {"dram_contention": len(shards)}
     image = launch.build_memory_image()
     tracer = active_tracer() if plan.sharded else None
     runs: list[SimulationResult] = []

@@ -1,15 +1,18 @@
-"""Wave-batched NumPy execution engine for inter-thread-free kernels.
+"""Batched NumPy execution engine for the (d)MT-CGRA core.
 
 The event-driven :class:`~repro.sim.cycle.CycleSimulator` schedules one
 heap event per token per edge, which is exact but costs minutes per
 configuration on the Figure 11/12 problem sizes.  The dMT-CGRA execution
 model is thread-parallel — the same static graph is traversed by
-thousands of tagged threads — so for graphs *without* inter-thread
-dependences (no ELEVATOR/ELDST/BARRIER nodes, see
-:meth:`DataflowGraph.has_interthread`) every thread's walk through the
-graph is independent and each static node can be evaluated once per
-injection wave over a NumPy vector of thread IDs, the way the ESL-CGRA
-simulator steps whole-array state per cycle instead of per token.
+thousands of tagged threads — and inter-thread communication is a
+*static* consumer→producer map inside a transmission window (Sec. 3.2).
+So whenever that traffic is feed-forward
+(:func:`repro.graph.interthread.window_batch_problem` returns ``None``;
+a graph without ELEVATOR/ELDST/BARRIER nodes is the case with no maps)
+each static node can be evaluated once over a NumPy vector of all the
+core's thread IDs, the way the ESL-CGRA simulator steps whole-array
+state per cycle instead of per token.  The whole thread subset runs as
+one wave, so a forwarding chain or barrier group is never split.
 
 Per-thread completion times are computed analytically:
 
@@ -71,11 +74,42 @@ are exactly equal to the event engine's on the streaming workloads even
 under a thrashing 2-way 1 KiB L1, and cycle error stays within the
 fidelity gate's 10% bar on the capacity/associativity sweeps.
 
+Inter-thread communication
+--------------------------
+Each inter-thread node's consumer→producer map is a pure function of
+linear thread IDs (:func:`~repro.graph.interthread.elevator_source_vec`),
+so token resolution is a gather over per-thread vectors rather than an
+event exchange:
+
+* **ELEVATOR** — consumers with a valid source gather the producer's
+  value/issue directly (``value[src]``, ``issue[src] + elevator
+  latency``); consumers without one receive the fallback constant at
+  their injection cycle, exactly the event engine's ``_inject_thread``
+  path.
+* **ELDST** — the predicate (plus invalid-source threads) selects the
+  *loading heads*; only their indices touch the memory system.  The
+  forwarding chain ``head → head+Δ → …`` is a static pointer structure,
+  so values propagate by level (chain depth) with the event engine's
+  exact timing recurrence ``complete[t] = max(issue[t],
+  complete[src]) + L``.
+* **BARRIER** — windows partition the thread vector into groups; the
+  release cycle is a segmented maximum of the group's arrival cycles
+  plus the control latency.
+
+Thread subsets (multi-core shards) of a communicating graph are accepted
+under the same closure rule as the event engine
+(:func:`~repro.graph.interthread.thread_subset_problem`: a union of
+whole transmission windows).  The engine reports itself as
+``"window-batched"`` on a communicating graph and ``"batched"``
+otherwise — the analyzer's ``RA044``/``RA040`` verdict names.
+
 Outputs and memory contents are bit-identical to the event engine and
 all operation counters (``alu_ops``, ``fpu_ops``, ``global_loads``,
-``global_stores``, token/NoC counters, ...) are equal by construction;
-the cycle count and memory-hierarchy counters are analytic — exact on
-order-stable traces, estimates otherwise.
+``global_stores``, token/NoC counters, ``elevator_retags``,
+``eldst_forwards``, ``barrier_arrivals``, LVC/spill counters, ...) are
+equal by construction; the cycle count, ``barrier_wait_cycles`` and the
+memory-hierarchy counters are analytic — exact on order-stable traces,
+estimates otherwise.
 """
 
 from __future__ import annotations
@@ -92,6 +126,11 @@ from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, MemoryModelError, SimulationError
 from repro.graph.dfg import DataflowGraph
+from repro.graph.interthread import (
+    elevator_source_vec,
+    thread_subset_problem,
+    window_batch_problem,
+)
 from repro.graph.node import Node
 from repro.graph.opcodes import DType, Opcode, UnitClass
 from repro.graph.semantics import PURE_OPCODES, coerce
@@ -100,7 +139,12 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE, active_tracer
 from repro.sim.analytic_cache import AnalyticMemoryModel
-from repro.sim.cycle import edge_timing, unit_latency, validate_thread_ids
+from repro.sim.cycle import (
+    LVC_ACCESS_LATENCY,
+    edge_timing,
+    unit_latency,
+    validate_thread_ids,
+)
 from repro.sim.launch import KernelLaunch
 from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
@@ -109,7 +153,6 @@ __all__ = ["BatchedSimulator"]
 
 _NP_DTYPE = {DType.F32: np.float64, DType.I32: np.int64, DType.BOOL: np.bool_}
 _U32_MASK = 0xFFFFFFFF
-
 
 
 class _StaticTables(NamedTuple):
@@ -126,6 +169,20 @@ class _StaticTables(NamedTuple):
     prepass_nodes: "set[int] | None"
     ordered_loads: bool
     load_keys: dict
+
+
+class _InterthreadTable(NamedTuple):
+    """Static consumer→producer structure of one inter-thread node.
+
+    ``src_pos`` maps each row (position in the core's thread vector) to
+    the row of its producer, or ``-1`` when the thread has no valid
+    source; ``receives`` marks rows the event engine actually pushes a
+    forwarded value to (eLDST: ``consumer == source + |delta|``, the
+    Fig. 9 loop-back condition).
+    """
+
+    src_pos: np.ndarray
+    receives: np.ndarray
 
 
 def _coerce_vec(values: np.ndarray, dtype: DType) -> np.ndarray:
@@ -278,15 +335,15 @@ def _eval_pure_vec(node: Node, operands: list[np.ndarray]) -> np.ndarray:
 
 
 class BatchedSimulator:
-    """Wave-batched vectorised model of one (d)MT-CGRA core.
+    """Batched vectorised model of one (d)MT-CGRA core.
 
-    Only graphs without inter-thread dependences are supported;
-    :func:`repro.sim.simulate` falls back to a capable engine
+    Constructed for graphs where
+    :func:`repro.graph.interthread.window_batch_problem` returns ``None``
+    — the same predicate behind the analyzer's engine verdict and
+    ``engine="auto"`` dispatch, so eligibility is decided in exactly one
+    place; :func:`repro.sim.simulate` falls back to a capable engine
     automatically.
     """
-
-    #: Engine name recorded in ``stats.extra["engine"]`` and the result.
-    engine = "batched"
 
     def __init__(
         self,
@@ -294,7 +351,6 @@ class BatchedSimulator:
         launch: KernelLaunch,
         hierarchy: MemoryHierarchy | None = None,
         max_cycles: int = 20_000_000,
-        wave_group: int = 1 << 14,
         thread_ids: Sequence[int] | None = None,
         memory: MemoryImage | None = None,
         dram_contention: int = 1,
@@ -304,17 +360,21 @@ class BatchedSimulator:
             "num_threads"
         ):
             raise SimulationError("compiled kernel and launch disagree on thread count")
-        self._reject_unsupported(compiled)
-        if wave_group < 1:
-            raise SimulationError("wave_group must be positive")
+        problem = window_batch_problem(compiled.graph)
+        if problem is not None:
+            raise SimulationError(
+                f"'{compiled.graph.name}' cannot run on the batched engine: {problem}; "
+                "use engine='auto' to dispatch to a capable engine automatically"
+            )
         self.compiled = compiled
         self.config: SystemConfig = compiled.config
         self.graph: DataflowGraph = compiled.graph
+        #: Engine name recorded in ``stats.extra["engine"]`` and the result.
+        self.engine = "window-batched" if self.graph.has_interthread() else "batched"
         self.launch = launch
         self.geometry: ThreadGeometry = ThreadGeometry(compiled.block_dim)
         self.num_threads = self.geometry.num_threads
         self.max_cycles = max_cycles
-        self.wave_group = int(wave_group)
 
         if thread_ids is None:
             self._thread_ids = np.arange(self.num_threads, dtype=np.int64)
@@ -322,6 +382,15 @@ class BatchedSimulator:
             self._thread_ids = np.asarray(
                 validate_thread_ids(thread_ids, self.num_threads), dtype=np.int64
             )
+            if self._thread_ids.size != self.num_threads and self.graph.has_interthread():
+                problem = thread_subset_problem(
+                    self.graph, self._thread_ids.tolist(), self.num_threads
+                )
+                if problem is not None:
+                    raise SimulationError(
+                        f"cannot simulate this thread subset of '{self.graph.name}': "
+                        f"{problem}"
+                    )
 
         self.memory = memory if memory is not None else launch.build_memory_image()
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
@@ -348,10 +417,14 @@ class BatchedSimulator:
         self._prepass_nodes = static.prepass_nodes
         self._ordered_loads = static.ordered_loads
         self._load_keys = static.load_keys
-        # Issue-queue tail per node: the last issue cycle of each port
-        # stream, carried across wave groups.
-        self._port_tail: dict[int, np.ndarray] = {
-            node.node_id: np.full(self._ports, -np.inf) for node in self._order
+        # The ``p``-th thread of this core is injected at cycle ``p // replicas``.
+        self._inject = (
+            np.arange(self._thread_ids.size, dtype=np.int64) // self._ports
+        ).astype(np.float64)
+        self._it = {
+            node.node_id: self._build_interthread_table(node)
+            for node in self._order
+            if node.opcode in (Opcode.ELEVATOR, Opcode.ELDST)
         }
         # Memory model: a vectorised L1 over the hierarchy's own L2 (the
         # event engine's cache, so a sharded core sees its L2 slice) and
@@ -405,15 +478,6 @@ class BatchedSimulator:
             args={"count": int(issue.size), "cls": node.unit_class.name},
         )
 
-    def _reject_unsupported(self, compiled: CompiledKernel) -> None:
-        """Graph-eligibility check; the window-batched subclass relaxes it."""
-        if compiled.graph.has_interthread():
-            raise SimulationError(
-                "the batched engine requires an inter-thread-free graph "
-                "(no ELEVATOR/ELDST/BARRIER nodes); use engine='auto' "
-                "to dispatch communicating kernels automatically"
-            )
-
     def _build_static(self, compiled: CompiledKernel) -> _StaticTables:
         """Launch-independent tables, cached on the compiled kernel.
 
@@ -432,8 +496,7 @@ class BatchedSimulator:
         self._edge_latency, self._edge_hops = edge_timing(compiled)
         self._order_pos = {node.node_id: i for i, node in enumerate(self._order)}
         # Memory issue points whose accesses the event-order prepass can
-        # classify: plain LOADs plus (window-batched engine) the loading
-        # threads of eLDST nodes.
+        # classify: plain LOADs plus the loading threads of eLDST nodes.
         self._load_nodes = [
             n for n in self._order if n.opcode in (Opcode.LOAD, Opcode.ELDST)
         ]
@@ -456,6 +519,33 @@ class BatchedSimulator:
             ordered_loads=ordered_loads,
             load_keys=self._event_order_keys() if ordered_loads else {},
         )
+
+    def _build_interthread_table(self, node: Node) -> _InterthreadTable:
+        t = self._thread_ids
+        src = elevator_source_vec(
+            node, t, self.geometry.block_dim, self.num_threads
+        )
+        # Map global source TIDs to rows of this core's thread vector.
+        # Shards need not be contiguous, so go through a sorted view.
+        perm = np.argsort(t, kind="stable")
+        t_sorted = t[perm]
+        loc = np.searchsorted(t_sorted, np.where(src >= 0, src, 0))
+        loc = np.minimum(loc, t.size - 1)
+        found = (src >= 0) & (t_sorted[loc] == np.where(src >= 0, src, 0))
+        if bool((~found & (src >= 0)).any()):
+            # Closed subsets (checked in __init__) keep every source
+            # in-subset; a miss here would be an engine bug.
+            raise SimulationError(
+                f"{node.label()} communicates with a thread outside this "
+                "core's subset"
+            )
+        src_pos = np.where(found, perm[loc], np.int64(-1))
+        if node.opcode is Opcode.ELDST:
+            delta = abs(int(node.param("delta")))
+            receives = (src_pos >= 0) & (t == src + delta)
+        else:
+            receives = src_pos >= 0
+        return _InterthreadTable(src_pos=src_pos, receives=receives)
 
     # ------------------------------------------------------- event-order keys
     def _pure_load_ancestors(self) -> "set[int] | None":
@@ -539,16 +629,12 @@ class BatchedSimulator:
             if node.opcode is Opcode.OUTPUT:
                 self.outputs.setdefault(str(node.param("name")), [None] * self.num_threads)
 
-        for start in range(0, self._thread_ids.size, self.wave_group):
-            tids = self._thread_ids[start : start + self.wave_group]
-            if self._trace is None:
-                self._run_wave(tids, start)
-            else:
-                begin = self._trace.clock()
-                self._run_wave(tids, start)
-                self._trace.wall_event(
-                    f"wave@{start}", begin, args={"threads": int(tids.size)}
-                )
+        begin = self._trace.clock() if self._trace is not None else 0.0
+        self._run_wave()
+        if self._trace is not None:
+            self._trace.wall_event(
+                "wave@0", begin, args={"threads": int(self._thread_ids.size)}
+            )
 
         cycles = int(self._completion)
         if cycles > self.max_cycles:
@@ -576,17 +662,13 @@ class BatchedSimulator:
         )
 
     # ------------------------------------------------------------ wave driver
-    def _run_wave(self, tids: np.ndarray, offset: int) -> None:
-        """Evaluate every node once over the wave's thread-ID vector."""
+    def _run_wave(self) -> None:
+        """Evaluate every node once over the core's thread-ID vector."""
+        tids = self._thread_ids
+        inject = self._inject
         n = tids.size
         if n == 0:
             return
-        replicas = self._ports
-        inject = ((offset + np.arange(n, dtype=np.int64)) // replicas).astype(np.float64)
-        # Kept for node executors that need injection cycles directly
-        # (the window-batched engine's elevator fallback constants).
-        self._wave_inject = inject
-
         values: dict[int, np.ndarray] = {}
         avail: dict[int, np.ndarray] = {}
         uses = {nid: len(succ) for nid, succ in self._successors.items()}
@@ -607,17 +689,23 @@ class BatchedSimulator:
                     # Classified in the pre-pass; read the data here, at the
                     # access's topological position (stores earlier in the
                     # graph must land in the backing array first).
-                    values[nid], avail[nid] = self._finish_prepassed(
-                        node, load_results[nid]
-                    )
+                    issue, idx, complete, heads = load_results[nid]
+                    if node.opcode is Opcode.ELDST:
+                        values[nid], avail[nid] = self._eldst_resolve(
+                            node, issue, idx, heads, complete
+                        )
+                    else:
+                        backing = self.memory.array(str(node.param("array")))
+                        values[nid] = _coerce_vec(backing[idx], node.dtype)
+                        avail[nid] = complete
                     if self._trace is not None:
-                        self._trace_node(node, load_results[nid][0], avail[nid])
+                        self._trace_node(node, issue, avail[nid])
                 elif nid not in evaluated:
                     operands = [values[src] for _, src in inputs]
                     ready = inject
                     for _, src in inputs:
                         ready = np.maximum(ready, avail[src] + self._edge_latency[(src, nid)])
-                    issue = self._issue(nid, ready)
+                    issue = self._issue(ready)
                     values[nid], avail[nid] = self._execute(node, tids, operands, issue)
                     if self._trace is not None:
                         self._trace_node(node, issue, avail[nid])
@@ -665,10 +753,17 @@ class BatchedSimulator:
             ready = inject
             for _, src in inputs:
                 ready = np.maximum(ready, avail[src] + self._edge_latency[(src, nid)])
-            issue = self._issue(nid, ready)
-            entry = self._prepass_access(node, operands, issue)
-            if entry is not None:
-                pending.append(entry)
+            issue = self._issue(ready)
+            if node.opcode in (Opcode.LOAD, Opcode.ELDST):
+                # ``valid`` masks the threads that really touch memory:
+                # all of a LOAD's, only an eLDST's loading heads.
+                spec = self.memory.spec(str(node.param("array")))
+                if node.opcode is Opcode.ELDST:
+                    valid, idx = self._eldst_heads(node, operands)
+                else:
+                    valid, idx = None, self._checked_indices(node, operands[0], spec.length)
+                addresses = spec.base_address + idx * spec.elem_bytes
+                pending.append((node, issue, idx, addresses, valid))
             else:
                 values[nid], avail[nid] = self._execute(node, tids, operands, issue)
                 if tracer is not None:
@@ -693,9 +788,9 @@ class BatchedSimulator:
         # the surviving rows' relative order.
         depth = max(self._load_keys[node.node_id][0].size for node, *_ in pending)
         total = n * len(pending)
-        inject_ids = (inject - inject[0]).astype(np.int64)
+        inject_ids = inject.astype(np.int64)
         n_injects = int(inject_ids[-1]) + 1
-        shifts = 2.0 * (inject[0] + np.arange(n_injects, dtype=np.float64))
+        shifts = 2.0 * np.arange(n_injects, dtype=np.float64)
         pairs = len(pending) * n_injects
         pair_columns = np.full((depth, pairs), -1.0)
         pair_node = np.empty(pairs)
@@ -753,29 +848,6 @@ class BatchedSimulator:
                 valid,
             )
 
-    def _prepass_access(
-        self, node: Node, operands: list[np.ndarray], issue: np.ndarray
-    ):
-        """One prepass entry ``(node, issue, idx, addresses, valid)`` for a
-        memory issue point, or ``None`` to evaluate the node inline.
-        ``valid`` masks the threads that really touch memory (``None`` =
-        all; the window-batched engine masks eLDST to its loading
-        threads)."""
-        if node.opcode is not Opcode.LOAD:
-            return None
-        spec = self.memory.spec(str(node.param("array")))
-        idx = self._checked_indices(node, operands[0], spec.length)
-        addresses = spec.base_address + idx * spec.elem_bytes
-        return (node, issue, idx, addresses, None)
-
-    def _finish_prepassed(
-        self, node: Node, entry: tuple
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise a prepass-classified access at its topological slot."""
-        _, idx, complete, _ = entry
-        backing = self.memory.array(str(node.param("array")))
-        return _coerce_vec(backing[idx], node.dtype), complete
-
     def _source_value(self, node: Node, tids: np.ndarray, n: int) -> np.ndarray:
         op = node.opcode
         if op is Opcode.CONST:
@@ -791,7 +863,7 @@ class BatchedSimulator:
         return tids.copy()  # TID_LINEAR
 
     # ----------------------------------------------------------- issue ports
-    def _issue(self, nid: int, ready: np.ndarray) -> np.ndarray:
+    def _issue(self, ready: np.ndarray) -> np.ndarray:
         """Deterministic multi-server queue over the node's issue ports.
 
         Firings are serviced in ready order, assigned round-robin to the
@@ -810,16 +882,12 @@ class BatchedSimulator:
             order = np.argsort(ready, kind="stable")
             r = ready[order]
         issue_sorted = np.empty_like(r)
-        tail = self._port_tail[nid]
         for p in range(ports):
             seq = r[p::ports]
             if seq.size == 0:
                 continue
             idx = np.arange(seq.size, dtype=np.float64)
-            t = idx + np.maximum.accumulate(seq - idx)
-            t = np.maximum(t, tail[p] + 1.0 + idx)
-            issue_sorted[p::ports] = t
-            tail[p] = t[-1]
+            issue_sorted[p::ports] = idx + np.maximum.accumulate(seq - idx)
         if order is None:
             return issue_sorted
         issue = np.empty_like(r)
@@ -860,7 +928,208 @@ class BatchedSimulator:
             complete = issue + 1.0
             self._completion = max(self._completion, float(complete.max()))
             return operands[0], complete
+        if op is Opcode.ELEVATOR:
+            return self._execute_elevator_vec(node, operands, issue)
+        if op is Opcode.ELDST:
+            return self._execute_eldst_vec(node, operands, issue)
+        if op is Opcode.BARRIER:
+            return self._execute_barrier_vec(node, tids, operands, issue)
         raise SimulationError(f"batched engine cannot execute {op.value}")
+
+    # ---------------------------------------------------------- inter-thread
+    def _execute_elevator_vec(
+        self, node: Node, operands: list[np.ndarray], issue: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every producer fires (consuming its issue port); consumers with
+        a valid source gather its token, the rest get the fallback
+        constant at their injection cycle (``_inject_thread``)."""
+        table = self._it[node.node_id]
+        valid = table.src_pos >= 0
+        gather = np.where(valid, table.src_pos, 0)
+        n = issue.size
+        n_valid = int(valid.sum())
+        latency = float(unit_latency(self.config, node))
+        complete_valid = issue[gather] + latency
+        if node.param("spilled"):
+            # Producer writes the LVC, consumer reads it back.
+            complete_valid = complete_valid + 2.0 * LVC_ACCESS_LATENCY
+            self.stats.spilled_tokens += n_valid
+            self.stats.lvc_accesses += 2 * n_valid
+        const = coerce(node.param("const"), node.dtype)
+        value = np.where(valid, operands[0][gather], const)
+        avail = np.where(valid, complete_valid, self._inject + latency)
+        self.stats.elevator_retags += n_valid
+        self.stats.elevator_constants += n - n_valid
+        if self._trace is not None and n:
+            ts = float(issue.min())
+            self._trace.event(
+                f"{node.label()} retag", "interthread", ts, float(avail.max()) - ts,
+                pid=self._trace_pid, tid=self._lane[node.node_id],
+                args={"retags": n_valid, "constants": n - n_valid},
+            )
+        return value, avail
+
+    def _execute_eldst_vec(
+        self, node: Node, operands: list[np.ndarray], issue: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fallback path (replay order not event-stable): classify the
+        heads' loads here, in issue order, then resolve the chain."""
+        heads, idx = self._eldst_heads(node, operands)
+        spec = self.memory.spec(str(node.param("array")))
+        addresses = spec.base_address + idx * spec.elem_bytes
+        head_rows = np.flatnonzero(heads)
+        order = head_rows[
+            np.lexsort((np.arange(head_rows.size), issue[head_rows]))
+        ]
+        load_complete = np.full(issue.size, np.nan)
+        walk_begin = self._trace.clock() if self._trace is not None else 0.0
+        load_complete[order] = self._analytic.access_batch(
+            addresses[order], issue[order], is_store=False
+        )
+        if self._trace is not None:
+            self._trace.wall_event(
+                "tag walk", walk_begin, args={"accesses": int(order.size)}
+            )
+            if order.size:
+                ts = float(issue[order].min())
+                done = load_complete[order]
+                end = float(done[np.isfinite(done)].max()) if done.size else ts
+                self._trace.event(
+                    f"eldst loads {node.param('array')}", "mem", ts, end - ts,
+                    pid=self._trace_pid, tid=MEM_LANE,
+                    args={"count": int(order.size)},
+                )
+        return self._eldst_resolve(node, issue, idx, heads, load_complete)
+
+    def _eldst_heads(
+        self, node: Node, operands: list[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Loading-head mask and (bounds-checked, head-only) indices."""
+        table = self._it[node.node_id]
+        predicate = operands[1].astype(np.bool_, copy=False)
+        heads = predicate | (table.src_pos < 0)
+        spec = self.memory.spec(str(node.param("array")))
+        idx = _coerce_vec(operands[0], DType.I32)
+        # Only the heads' indices reach memory; the event engine never
+        # evaluates a forwarded thread's index, so neither may we.
+        idx = np.where(heads, idx, np.int64(0))
+        self._checked_indices(node, idx, spec.length)
+        return heads, idx
+
+    def _eldst_resolve(
+        self,
+        node: Node,
+        issue: np.ndarray,
+        idx: np.ndarray,
+        heads: np.ndarray,
+        load_complete: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Propagate values and timing down the static forwarding chains.
+
+        Timing follows the event engine exactly: a head completes at its
+        memory load's completion plus the eLDST completion latency ``L``
+        (issue latency plus spill/external-buffer extra); a forwarded
+        thread at ``complete[t] = max(issue[t], complete[src]) + L``.
+        """
+        table = self._it[node.node_id]
+        n = issue.size
+        lat = self.config.latency
+        extra = 0.0
+        if node.param("spilled"):
+            extra = 2.0 * LVC_ACCESS_LATENCY
+            self.stats.spilled_tokens += n
+            self.stats.lvc_accesses += 2 * n
+        elif node.param("external_buffer_nodes"):
+            extra = float(int(node.param("external_buffer_nodes")) * lat.elevator)
+        latency = float(lat.ldst_issue) + extra
+
+        waiting = ~heads & ~table.receives
+        if bool(waiting.any()):
+            tid = int(self._thread_ids[np.argmax(waiting)])
+            raise DeadlockError(
+                f"kernel '{self.graph.name}' deadlocked: thread {tid} waits "
+                f"forever for a value {node.label()} never forwards to it"
+            )
+
+        # Chain depth of every row (heads are depth 0: they depend on
+        # nobody for timing or data, whatever their position in the
+        # forwarding chain).
+        dep = np.where(heads, np.int64(-1), table.src_pos)
+        pos = np.zeros(n, dtype=np.int64)
+        cursor = dep.copy()
+        for _ in range(n + 1):
+            active = cursor >= 0
+            if not bool(active.any()):
+                break
+            pos[active] += 1
+            cursor[active] = dep[cursor[active]]
+        else:  # pragma: no cover - window_batch_problem rejects recurrences
+            raise DeadlockError(
+                f"{node.label()} forwarding chain does not terminate"
+            )
+
+        backing = self.memory.array(str(node.param("array")))
+        value = np.zeros(n, dtype=_NP_DTYPE[node.dtype])
+        complete = np.empty(n)
+        value[heads] = _coerce_vec(backing[idx[heads]], node.dtype)
+        complete[heads] = load_complete[heads] + latency
+
+        depth = int(pos.max(initial=0))
+        if depth > 0:
+            fwd_begin = self._trace.clock() if self._trace is not None else 0.0
+            rows_by_depth = np.argsort(pos, kind="stable")
+            bounds = np.cumsum(np.bincount(pos))[:-1]
+            for rows in np.split(rows_by_depth, bounds)[1:]:
+                src = dep[rows]
+                value[rows] = value[src]
+                complete[rows] = np.maximum(issue[rows], complete[src]) + latency
+            if self._trace is not None:
+                self._trace.wall_event(
+                    "forwarding levels", fwd_begin, args={"depth": depth}
+                )
+
+        n_heads = int(heads.sum())
+        n_forwards = int(table.receives.sum())
+        self.stats.global_loads += n_heads
+        self.stats.eldst_memory_loads += n_heads
+        self.stats.eldst_forwards += n_forwards
+        if self._trace is not None and n:
+            ts = float(issue.min())
+            self._trace.event(
+                f"{node.label()} forward", "interthread", ts, float(complete.max()) - ts,
+                pid=self._trace_pid, tid=self._lane[node.node_id],
+                args={"heads": n_heads, "forwards": n_forwards, "depth": depth},
+            )
+        return value, complete
+
+    def _execute_barrier_vec(
+        self, node: Node, tids: np.ndarray, operands: list[np.ndarray], issue: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Segmented-max release per transmission window group."""
+        window = int(node.param("window"))
+        groups = tids // window
+        unique, inverse = np.unique(groups, return_inverse=True)
+        release = np.full(unique.size, -np.inf)
+        np.maximum.at(release, inverse, issue)
+        release += float(self.config.latency.control)
+        per_thread = release[inverse]
+        n = issue.size
+        self.stats.barrier_arrivals += n
+        # One LVC write parking each value, one read releasing it.
+        self.stats.lvc_accesses += 2 * n
+        self.stats.barrier_wait_cycles += int(round(float((per_thread - issue).sum())))
+        if self._trace is not None and n:
+            first = np.full(unique.size, np.inf)
+            np.minimum.at(first, inverse, issue)
+            counts = np.bincount(inverse, minlength=unique.size)
+            for g in range(unique.size):
+                self._trace.event(
+                    "barrier_release", "interthread", float(first[g]),
+                    float(release[g] - first[g]),
+                    pid=self._trace_pid, tid=self._lane[node.node_id],
+                    args={"group": int(unique[g]), "count": int(counts[g])},
+                )
+        return operands[0], per_thread + float(LVC_ACCESS_LATENCY)
 
     def _checked_indices(self, node: Node, index: np.ndarray, length: int) -> np.ndarray:
         idx = _coerce_vec(index, DType.I32)
@@ -937,10 +1206,10 @@ class BatchedSimulator:
     def _accumulate_counters(self) -> None:
         """Token, NoC and functional-unit counters.
 
-        Every node fires exactly once per thread (there are no boundary
-        cases without inter-thread nodes), so each counter is a per-graph
-        constant times the thread count — by construction equal to what
-        the event engine accumulates one token at a time.
+        Every node fires exactly once per thread, so each counter is a
+        per-graph constant times the thread count — equal to what the
+        event engine accumulates one token at a time (the inter-thread
+        handlers count their own traffic).
         """
         n = int(self._thread_ids.size)
         stats = self.stats

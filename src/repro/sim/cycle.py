@@ -37,7 +37,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.arch.lvc import LiveValueCache
 from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, SimulationError
@@ -63,7 +62,7 @@ from repro.sim.stats import ExecutionStats
 
 __all__ = [
     "CycleSimulator",
-    "ENGINES",
+    "LVC_ACCESS_LATENCY",
     "edge_timing",
     "unit_latency",
     "validate_thread_ids",
@@ -94,6 +93,12 @@ def edge_timing(
         latency[(edge.src, edge.dst)] = max(1, noc.injection_latency + hops * noc.hop_latency)
         hops_of[(edge.src, edge.dst)] = hops
     return latency, hops_of
+
+
+#: Cycles of one Live Value Cache access.  The LVC parks live values that
+#: cannot stay in the fabric: spilled inter-thread transfers (Sec. 4.3)
+#: and values waiting at a barrier.  Both engines charge it per access.
+LVC_ACCESS_LATENCY = 6
 
 
 def unit_latency(config: SystemConfig, node: Node) -> int:
@@ -202,6 +207,9 @@ class _NodeState:
 class CycleSimulator:
     """Event-driven, cycle-level model of one (d)MT-CGRA core."""
 
+    #: Engine name recorded in ``stats.extra["engine"]`` and the result.
+    engine = "event"
+
     def __init__(
         self,
         compiled: CompiledKernel,
@@ -245,7 +253,6 @@ class CycleSimulator:
 
         self.memory = memory if memory is not None else launch.build_memory_image()
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
-        self.lvc = LiveValueCache()
         self.stats = ExecutionStats(threads=len(self._thread_ids))
         self.outputs: dict[str, list[Any]] = {}
 
@@ -474,14 +481,14 @@ class CycleSimulator:
         self.stats.cycles = self._completion_cycle
         # Provenance: cached counter rows must be able to tell which engine
         # (and how many cores — overwritten by the multi-core merge) made them.
-        self.stats.extra["engine"] = "event"
+        self.stats.extra["engine"] = self.engine
         self.stats.extra.setdefault("cores", 1)
         return SimulationResult(
             cycles=self._completion_cycle,
             stats=self.stats,
             memory=self.memory,
             outputs=self.outputs,
-            engine="event",
+            engine=self.engine,
             cores=1,
             hierarchies=(self.hierarchy,),
         )
@@ -626,9 +633,7 @@ class CycleSimulator:
             # fabric: one write by the producer, one read by the consumer.
             self.stats.spilled_tokens += 1
             self.stats.lvc_accesses += 2
-            complete += 2 * self.lvc.access_latency
-            self.lvc.write((node.node_id, dst), operands[0])
-            self.lvc.read((node.node_id, dst))
+            complete += 2 * LVC_ACCESS_LATENCY
         self.stats.elevator_retags += 1
         self._send(state, dst, operands[0], complete)
 
@@ -666,7 +671,7 @@ class CycleSimulator:
         if node.param("spilled"):
             self.stats.spilled_tokens += 1
             self.stats.lvc_accesses += 2
-            extra = 2 * self.lvc.access_latency
+            extra = 2 * LVC_ACCESS_LATENCY
         elif node.param("external_buffer_nodes"):
             extra = int(node.param("external_buffer_nodes")) * self.config.latency.elevator
         complete = cycle + self.config.latency.ldst_issue + extra
@@ -717,7 +722,6 @@ class CycleSimulator:
         self.stats.barrier_arrivals += 1
         # Parking the in-flight value costs one LVC write per thread.
         self.stats.lvc_accesses += 1
-        self.lvc.write((node.node_id, tid), operands[0])
         if len(arrived) == state.barrier_expected[group]:
             release = max(arrival for arrival, _ in arrived.values())
             release += self.config.latency.control
@@ -731,10 +735,7 @@ class CycleSimulator:
             for waiting_tid, (arrival, value) in arrived.items():
                 self.stats.barrier_wait_cycles += release - arrival
                 self.stats.lvc_accesses += 1
-                self.lvc.read((node.node_id, waiting_tid))
-                self._send(
-                    state, waiting_tid, value, release + self.lvc.access_latency
-                )
+                self._send(state, waiting_tid, value, release + LVC_ACCESS_LATENCY)
             del state.barrier_arrived[group]
 
     # -------------------------------------------------------------- retirement
@@ -743,7 +744,3 @@ class CycleSimulator:
         self._sink_done[tid] += 1
         if self._sink_done[tid] == len(self._sink_nodes):
             self._retired += 1
-
-
-#: Engines selectable through :func:`repro.sim.simulate`.
-ENGINES = ("auto", "event", "batched", "window-batched")

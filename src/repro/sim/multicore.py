@@ -26,11 +26,10 @@ Memory model
 Each core owns a private L1 and a ``1/cores`` slice of the L2
 (:meth:`MemorySystemConfig.sliced`), but all cores contend for one
 :class:`~repro.memory.shared_dram.SharedDRAM` device through per-core
-ports, so DRAM bandwidth no longer multiplies with the core count.  Set
-``SystemConfig.shared_dram=False`` to restore the legacy private-DRAM
-model.  Per-core :class:`~repro.sim.stats.ExecutionStats` are combined
-with :meth:`ExecutionStats.merge` (cycles take the maximum — the cores
-run concurrently — and volume counters the sum).
+ports, so DRAM bandwidth does not multiply with the core count.
+Per-core :class:`~repro.sim.stats.ExecutionStats` are combined with
+:meth:`ExecutionStats.merge` (cycles take the maximum — the cores run
+concurrently — and volume counters the sum).
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from repro.config.system import default_system_config
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
 from repro.sim import resolve_engine, simulate
-from repro.sim.batched import BatchedSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import shard_threads
 from repro.workloads.matmul import MatmulWorkload
@@ -60,22 +59,6 @@ def test_auto_engine_picks_batched_for_interthread_free_graphs(scan_launch):
     assert resolve_engine(compile_kernel(_axpy_launch().graph), "auto") == "batched"
     with pytest.raises(SimulationError):
         resolve_engine(scan, "warp")
-
-
-def test_batched_engine_rejects_interthread_graphs(scan_launch):
-    launch, _ = scan_launch
-    compiled = compile_kernel(launch.graph)
-    with pytest.raises(SimulationError):
-        BatchedSimulator(compiled, launch)
-
-
-def test_batched_wave_groups_do_not_change_results():
-    launch = _axpy_launch(n=64)
-    compiled = compile_kernel(launch.graph)
-    whole = BatchedSimulator(compiled, launch).run()
-    waved = BatchedSimulator(compiled, _axpy_launch(n=64), wave_group=7).run()
-    assert np.array_equal(whole.array("out"), waved.array("out"))
-    assert whole.stats.as_dict() == waved.stats.as_dict()
 
 
 def test_batched_outputs_match_event_outputs():

@@ -34,7 +34,7 @@ import pytest
 from repro.compiler.pipeline import compile_kernel
 from repro.harness.figures import DEFAULT_SUITE_PARAMS
 from repro.sim import simulate
-from repro.sim.cycle import ENGINES
+from repro.sim.api import ENGINES
 from repro.workloads.registry import registry_kernels
 
 PIN_PATH = Path(__file__).with_name("dispatch_pin.json")

@@ -13,7 +13,6 @@ from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import plan_shards, shard_threads
-from repro.sim.window_batched import WindowBatchedSimulator
 from repro.workloads.registry import get_workload
 
 #: Counters that must be equal between a sharded and a single-core run.
@@ -263,7 +262,7 @@ def _doubling_launch(n=64):
     [
         (CycleSimulator, lambda: _windowed_elevator_launch()[0]),
         (BatchedSimulator, _doubling_launch),
-        (WindowBatchedSimulator, lambda: _windowed_elevator_launch()[0]),
+        (BatchedSimulator, lambda: _windowed_elevator_launch()[0]),
     ],
     ids=["event", "batched", "window-batched"],
 )

@@ -1,6 +1,6 @@
-"""Tests for the window-batched engine: communicating kernels as vectors.
+"""Tests for the batched engine on communicating kernels (``window-batched``).
 
-The acceptance contract mirrors the batched engine's: bit-identical
+The acceptance contract mirrors the inter-thread-free case: bit-identical
 outputs and identical operation counters against the event engine, with
 the cycle count and cache counters produced by the analytic replay.
 """
@@ -13,8 +13,8 @@ from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
 from repro.sim import resolve_engine, simulate
 from repro.sim.functional import run_functional
+from repro.sim.batched import BatchedSimulator
 from repro.sim.launch import KernelLaunch
-from repro.sim.window_batched import WindowBatchedSimulator
 from repro.workloads.registry import get_workload
 
 #: Counters the acceptance criteria require to be equal between engines.
@@ -96,7 +96,25 @@ def test_window_batched_rejects_interthread_recurrences(scan_launch):
     launch, _ = scan_launch  # prefix sum: cyclic elevator chain
     compiled = compile_kernel(launch.graph)
     with pytest.raises(SimulationError, match="recurrence|cycle"):
-        WindowBatchedSimulator(compiled, launch)
+        BatchedSimulator(compiled, launch)
+
+
+def test_one_batched_class_names_itself_after_the_graph():
+    """The batched class runs communicating and inter-thread-free graphs
+    alike and reports the analyzer's verdict name for each."""
+    prepared, compiled, launch = _prepared("matrixMul", "dmt_win", {"dim": 4})
+    window = BatchedSimulator(compiled, launch).run()
+    assert window.engine == window.stats.extra["engine"] == "window-batched"
+    prepared.check_outputs({a: window.array(a) for a in prepared.expected})
+
+    stream_launch = prepared.launch("stream")
+    stream = BatchedSimulator(compile_kernel(stream_launch.graph), stream_launch).run()
+    assert stream.engine == stream.stats.extra["engine"] == "batched"
+    prepared.check_outputs({a: stream.array(a) for a in prepared.expected})
+
+    _, scan, scan_launch = _prepared("scan", "dmt", {"n": 32})
+    with pytest.raises(SimulationError, match="recurrence"):
+        BatchedSimulator(scan, scan_launch)
 
 
 def test_forced_window_batched_degrades_to_capable_engine(scan_launch):
@@ -124,7 +142,7 @@ def _check_shift(distance, const, window, n=24):
     constants = distance * (n // (window or n))
 
     event = simulate(compiled, _shift_launch(n, distance, const, window), engine="event")
-    batched = WindowBatchedSimulator(compiled, _shift_launch(n, distance, const, window)).run()
+    batched = BatchedSimulator(compiled, _shift_launch(n, distance, const, window)).run()
     functional = run_functional(_shift_launch(n, distance, const, window))
     assert batched.stats.extra["engine"] == "window-batched"
     for result in (event, batched, functional):
