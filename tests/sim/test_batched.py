@@ -8,6 +8,7 @@ from repro.config.system import default_system_config
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
 from repro.sim import resolve_engine, simulate
+from repro.sim.batched import BatchedSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import shard_threads
 from repro.workloads.matmul import MatmulWorkload
@@ -59,6 +60,13 @@ def test_auto_engine_picks_batched_for_interthread_free_graphs(scan_launch):
     assert resolve_engine(compile_kernel(_axpy_launch().graph), "auto") == "batched"
     with pytest.raises(SimulationError):
         resolve_engine(scan, "warp")
+
+
+def test_batched_engine_rejects_interthread_graphs(scan_launch):
+    launch, _ = scan_launch  # prefix sum: cyclic elevator chain
+    compiled = compile_kernel(launch.graph)
+    with pytest.raises(SimulationError):
+        BatchedSimulator(compiled, launch)
 
 
 def test_batched_outputs_match_event_outputs():
