@@ -52,7 +52,9 @@ __all__ = [
 #: whole cache without deleting files.
 #: v2: records carry ``result["outputs_digest"]`` (SHA-256 over the output
 #: arrays), which the serve layer's bit-identity contract relies on.
-CACHE_SCHEMA_VERSION = 2
+#: v3: sharded batched runs queue on the shared DRAM device, so their cycles
+#: changed while their config digests did not.
+CACHE_SCHEMA_VERSION = 3
 
 
 def apply_override(config_data: dict[str, Any], path: str, value: Any) -> None:

@@ -5,24 +5,21 @@ from repro.memory.coalescer import Transaction, coalesce, coalescing_efficiency
 from repro.memory.dram import DramModel, DramStats
 from repro.memory.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.memory.image import MemoryImage
-from repro.memory.request import AccessResult, AccessType, HitLevel, MemoryRequest
+from repro.memory.request import AccessType
 from repro.memory.scratchpad import Scratchpad, ScratchpadStats
 from repro.memory.shared_dram import SharedDRAM, SharedDramPort
 from repro.memory.tagcore import CacheGeometry, LruTagStore, TagEntry
 
 __all__ = [
-    "AccessResult",
     "AccessType",
     "CacheGeometry",
     "CacheStats",
     "DramModel",
     "DramStats",
     "HierarchyStats",
-    "HitLevel",
     "LruTagStore",
     "MemoryHierarchy",
     "MemoryImage",
-    "MemoryRequest",
     "Scratchpad",
     "ScratchpadStats",
     "SetAssociativeCache",

@@ -74,10 +74,6 @@ class DramModel:
             self.stats.reads += 1
         return start + self.config.access_latency
 
-    def busy_until(self) -> int:
-        """The cycle at which the last scheduled access frees its bank."""
-        return max(max(row) for row in self._bank_free_at)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DramModel(channels={self.config.channels}, "

@@ -21,7 +21,7 @@ from repro.errors import MemoryModelError
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.coalescer import coalesce
 from repro.memory.dram import DramModel
-from repro.memory.request import AccessResult, AccessType, HitLevel
+from repro.memory.request import AccessType
 from repro.memory.scratchpad import Scratchpad
 
 __all__ = ["MemoryHierarchy", "HierarchyStats"]
@@ -61,7 +61,7 @@ class MemoryHierarchy:
         """``dram`` may be a private :class:`DramModel` (the default) or a
         per-core :class:`~repro.memory.shared_dram.SharedDramPort` onto a
         device shared with the other cores; any object with the model's
-        ``access``/``stats``/``busy_until`` interface works."""
+        ``access``/``stats`` interface works."""
         config.validate()
         self.config = config
         self.dram = dram if dram is not None else DramModel(
@@ -87,27 +87,17 @@ class MemoryHierarchy:
     # ----------------------------------------------------------------- scalar
     def access(
         self, address: int, access: AccessType, cycle: int, size: int = 4
-    ) -> AccessResult:
-        """One scalar global-memory access through L1/L2/DRAM."""
+    ) -> int:
+        """One scalar global-memory access through L1/L2/DRAM; returns the
+        absolute completion cycle."""
         if size <= 0:
             raise MemoryModelError("access size must be positive")
-        before = (self.l1.stats.misses, self.l2.stats.misses)
-        complete = self.l1.access(address, access, cycle)
-        after = (self.l1.stats.misses, self.l2.stats.misses)
-        if after[0] == before[0]:
-            level = HitLevel.L1
-        elif after[1] == before[1]:
-            level = HitLevel.L2
-        else:
-            level = HitLevel.DRAM
-        return AccessResult(
-            complete_cycle=complete, hit_level=level, latency=complete - cycle
-        )
+        return self.l1.access(address, access, cycle)
 
-    def load(self, address: int, cycle: int, size: int = 4) -> AccessResult:
+    def load(self, address: int, cycle: int, size: int = 4) -> int:
         return self.access(address, AccessType.LOAD, cycle, size)
 
-    def store(self, address: int, cycle: int, size: int = 4) -> AccessResult:
+    def store(self, address: int, cycle: int, size: int = 4) -> int:
         return self.access(address, AccessType.STORE, cycle, size)
 
     # ------------------------------------------------------------ group access
@@ -127,8 +117,8 @@ class MemoryHierarchy:
             return cycle, 0
         complete = cycle
         for txn in transactions:
-            result = self.access(txn.line_address, access, cycle, size=txn.size)
-            complete = max(complete, result.complete_cycle)
+            txn_complete = self.access(txn.line_address, access, cycle, size=txn.size)
+            complete = max(complete, txn_complete)
         return complete, len(transactions)
 
     # ------------------------------------------------------------- scratchpad

@@ -1,17 +1,16 @@
-"""Memory request/response primitives shared by every timing model.
+"""The access kind shared by every memory timing model.
 
-The cycle-level CGRA simulator, the eLDST unit and the Fermi SIMT core all
-talk to the memory hierarchy through :class:`MemoryRequest` objects and
-receive :class:`AccessResult` objects back.  Keeping these tiny and
-immutable makes the memory models trivially reusable across architectures.
+The cycle-level CGRA simulator, the batched engine's cache model and the
+Fermi SIMT core all tell the memory hierarchy whether an access is a load
+or a store with :class:`AccessType`; the hierarchy answers with the
+absolute completion cycle.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-__all__ = ["AccessType", "MemoryRequest", "AccessResult", "HitLevel"]
+__all__ = ["AccessType"]
 
 
 class AccessType(enum.Enum):
@@ -19,65 +18,3 @@ class AccessType(enum.Enum):
 
     LOAD = "load"
     STORE = "store"
-
-
-class HitLevel(enum.Enum):
-    """The level of the hierarchy that satisfied an access."""
-
-    L1 = "l1"
-    L2 = "l2"
-    DRAM = "dram"
-    SCRATCHPAD = "scratchpad"
-
-
-@dataclass(frozen=True)
-class MemoryRequest:
-    """One memory access as seen by the hierarchy.
-
-    Attributes
-    ----------
-    address:
-        Byte address of the first byte touched.
-    size:
-        Number of bytes accessed (typically the element size, or a full
-        coalesced transaction of up to one cache line).
-    access:
-        LOAD or STORE.
-    issue_cycle:
-        The cycle at which the requesting unit presents the request.
-    requester:
-        Free-form tag used only for statistics/debugging (e.g. a node
-        label or ``"warp3"``).
-    """
-
-    address: int
-    size: int
-    access: AccessType
-    issue_cycle: int
-    requester: str = ""
-
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError("address must be non-negative")
-        if self.size <= 0:
-            raise ValueError("size must be positive")
-        if self.issue_cycle < 0:
-            raise ValueError("issue_cycle must be non-negative")
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Timing outcome of one memory access.
-
-    ``complete_cycle`` is the absolute cycle at which the data (for loads)
-    or the acknowledgement (for stores) is available to the requester;
-    ``latency`` is the same information relative to the issue cycle.
-    """
-
-    complete_cycle: int
-    hit_level: HitLevel
-    latency: int
-
-    def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")

@@ -18,7 +18,10 @@ simulated later sees the full bank schedule left behind by earlier cores,
 while the first core runs uncontended.  Total bank-busy time is conserved,
 which makes the aggregate cycle count behave like a bandwidth-saturated
 shared device (the effect the paper's evaluation depends on) even though
-per-core queueing is first-order rather than cycle-interleaved.
+per-core queueing is first-order rather than cycle-interleaved.  This holds
+for both engines alike: the event engine and the batched engine's L2 issue
+their DRAM accesses through the same ports onto the same device, so a
+sharded run queues the same way on either.
 """
 
 from __future__ import annotations
@@ -42,20 +45,13 @@ class SharedDRAM:
 
     @property
     def stats(self) -> DramStats:
-        """Aggregate counters over every port.
+        """Aggregate counters of the device.
 
-        Summed from the per-port stats rather than read off the device:
-        the event engine drives the device through ``port().access`` (the
-        two agree), but the batched engine mirrors its analytic line-model
-        classification straight into its port's counters without issuing
-        device accesses, and those must still show up here.
+        Both engines issue every DRAM access through a port onto the
+        device, so the device's counters are the sum of the per-port
+        counters.
         """
-        total = DramStats()
-        for port in self._ports:
-            total.reads += port.stats.reads
-            total.writes += port.stats.writes
-            total.queue_cycles += port.stats.queue_cycles
-        return total
+        return self.device.stats
 
     @property
     def ports(self) -> tuple["SharedDramPort", ...]:
@@ -67,9 +63,6 @@ class SharedDRAM:
         self._ports.append(port)
         return port
 
-    def busy_until(self) -> int:
-        return self.device.busy_until()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SharedDRAM(ports={len(self._ports)}, "
@@ -80,8 +73,8 @@ class SharedDRAM:
 class SharedDramPort:
     """One core's view of a :class:`SharedDRAM`.
 
-    Exposes the same interface as :class:`DramModel` (``access``, ``stats``,
-    ``busy_until``) so a :class:`~repro.memory.hierarchy.MemoryHierarchy`
+    Exposes the same interface as :class:`DramModel` (``access``, ``stats``)
+    so a :class:`~repro.memory.hierarchy.MemoryHierarchy`
     can use it as the level below its L2 slice.  Timing goes through the
     shared device — including the queueing caused by the other cores —
     while ``stats`` counts only this port's traffic.
@@ -110,9 +103,6 @@ class SharedDramPort:
         else:
             self.stats.reads += 1
         return complete
-
-    def busy_until(self) -> int:
-        return self._shared.busy_until()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SharedDramPort(accesses={self.stats.accesses})"

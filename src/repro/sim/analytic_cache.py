@@ -28,11 +28,7 @@ What is modelled (mirroring ``MemoryHierarchy`` exactly):
 * cache bank serialisation: each bank accepts one access per cycle, so
   an oversubscribed bank builds the same queue the event engine's
   cycle-stamped bank model builds (the replay order matches its
-  processing order);
-* DRAM bank/channel queueing with the same line-interleaved mapping as
-  :class:`~repro.memory.dram.DramModel`, plus the multi-core contention
-  term (``(cores - 1) * bank_busy_cycles`` expected queueing per access
-  when several cores share the device).
+  processing order).
 
 Not modelled: the MSHR entry limit — it affects timing only, never the
 hit/miss classification — and the event engine's interleaving of
@@ -55,10 +51,11 @@ How the walk is split
   that consult it — misses, dirty writebacks, write-throughs — walk it,
   one at a time; on cache-friendly configurations they are a tiny
   fraction of the stream.
-* **DRAM** is :meth:`AnalyticMemoryModel._dram_access`, the
-  :class:`~repro.memory.dram.DramModel` bank mapping plus the
-  multi-core contention term; the model points the L2's
-  ``next_level_access`` at it.
+* **DRAM** is whatever the L2 was built over: the hierarchy's private
+  :class:`~repro.memory.dram.DramModel` on one core, or a
+  :class:`~repro.memory.shared_dram.SharedDramPort` onto the one device
+  a sharded run's cores share, so both engines queue on the same bank
+  state.
 
 Replaying a batched run's ``access_batch`` calls through a fresh
 :class:`~repro.memory.hierarchy.MemoryHierarchy` one access at a time
@@ -81,8 +78,7 @@ __all__ = ["AnalyticMemoryModel"]
 class AnalyticMemoryModel:
     """A vectorised L1 over the hierarchy's L2, replayed over batches."""
 
-    def __init__(self, hierarchy: MemoryHierarchy, dram_contention: int = 1) -> None:
-        config = hierarchy.config
+    def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
         self.l1_config = l1 = hierarchy.l1.config
         self.l1_tags = LruTagArray.from_config(l1)
@@ -94,37 +90,6 @@ class AnalyticMemoryModel:
         # oversubscribed banks evolves the same way there and here.
         self.l1_bank_free: list[float] = [0.0] * l1.banks
         self.l2 = hierarchy.l2
-        self.l2.next_level_access = self._dram_access
-        self.dram_stats = hierarchy.dram.stats
-        dram = config.dram
-        self.dram_latency = float(dram.access_latency)
-        self.bank_busy = float(dram.bank_busy_cycles)
-        self.dram_channels = dram.channels
-        self.dram_banks = dram.banks_per_channel
-        self.dram_line_bytes = config.l2.line_bytes
-        # With ``dram_contention`` cores sharing the device, each access
-        # additionally expects to queue behind one bank burst per
-        # contending core (the analytic twin of the shared bank state the
-        # event engine models exactly).
-        self.contention_queue = (max(1, int(dram_contention)) - 1) * float(dram.bank_busy_cycles)
-        self._bank_free: dict[int, float] = {}
-
-    # ------------------------------------------------------------------- DRAM
-    def _dram_access(self, line_addr: int, is_write: bool, cycle: float) -> float:
-        line = line_addr // self.dram_line_bytes
-        channel = line % self.dram_channels
-        bank = (line // self.dram_channels) % self.dram_banks
-        slot = channel * self.dram_banks + bank
-        start = max(cycle, self._bank_free.get(slot, 0.0))
-        queued = (start - cycle) + self.contention_queue
-        start += self.contention_queue
-        self.dram_stats.queue_cycles += int(queued)
-        self._bank_free[slot] = start + self.bank_busy
-        if is_write:
-            self.dram_stats.writes += 1
-        else:
-            self.dram_stats.reads += 1
-        return start + self.dram_latency
 
     def _prune_l1_mshr(self, cycle: float) -> None:
         """Drop landed fills (same size trigger as the event engine's MSHR).

@@ -122,7 +122,6 @@ def simulate(
         shards = [shard for shard in shards if shard.size]
         shared = SharedDRAM(config.memory.dram, line_bytes=config.memory.l2.line_bytes)
         core_memory = config.memory.sliced(len(shards))
-    options = {} if resolved == "event" else {"dram_contention": len(shards)}
     image = launch.build_memory_image()
     tracer = active_tracer() if plan.sharded else None
     runs: list[SimulationResult] = []
@@ -139,7 +138,6 @@ def simulate(
             thread_ids=shard,
             memory=image,
             trace_pid=core,
-            **options,
         )
         if tracer is None:
             runs.append(simulator.run())

@@ -33,10 +33,11 @@ Memory model (:mod:`repro.sim.analytic_cache`)
 ----------------------------------------------
 Global accesses run through a full set-associative LRU model of both
 cache levels — compulsory, capacity *and* conflict misses, dirty
-writebacks, MSHR merges and DRAM bank queueing.  The L2 is the
-hierarchy's own :class:`~repro.memory.cache.SetAssociativeCache`, the
-event engine's cache, and the L1 classifies on the same
-:mod:`repro.memory.tagcore` tag/set/victim core.  Because LRU
+writebacks, MSHR merges and DRAM bank queueing.  The L2 and the DRAM
+are the hierarchy's own :class:`~repro.memory.cache.SetAssociativeCache`
+and DRAM device (a :class:`~repro.memory.shared_dram.SharedDramPort` on
+a sharded run), the event engine's models, and the L1 classifies on the
+same :mod:`repro.memory.tagcore` tag/set/victim core.  Because LRU
 classification depends on the order in which the line-address stream
 reaches the cache, each wave's loads are replayed in the *event
 engine's* processing order: the order a token arrival fires a load is
@@ -353,7 +354,6 @@ class BatchedSimulator:
         max_cycles: int = 20_000_000,
         thread_ids: Sequence[int] | None = None,
         memory: MemoryImage | None = None,
-        dram_contention: int = 1,
         trace_pid: int = 0,
     ) -> None:
         if compiled.graph.metadata.get("num_threads") != launch.graph.metadata.get(
@@ -426,16 +426,11 @@ class BatchedSimulator:
             for node in self._order
             if node.opcode in (Opcode.ELEVATOR, Opcode.ELDST)
         }
-        # Memory model: a vectorised L1 over the hierarchy's own L2 (the
-        # event engine's cache, so a sharded core sees its L2 slice) and
-        # an analytic DRAM, counting into the hierarchy's stats.  When
-        # ``dram_contention`` cores share the DRAM device, each access
-        # additionally expects to queue behind one bank burst per contending
-        # core (the analytic twin of the shared bank state the event engine
-        # models exactly).
-        if dram_contention < 1:
-            raise SimulationError("dram_contention must be >= 1")
-        self._analytic = AnalyticMemoryModel(self.hierarchy, dram_contention=dram_contention)
+        # Memory model: a vectorised L1 over the hierarchy's own L2 and
+        # DRAM (the event engine's cache and device, so a sharded core
+        # sees its L2 slice and queues on the shared DRAM banks),
+        # counting into the hierarchy's stats.
+        self._analytic = AnalyticMemoryModel(self.hierarchy)
         self._l1_baseline = (
             self.hierarchy.l1.stats.misses,
             self.hierarchy.l1.stats.hits,

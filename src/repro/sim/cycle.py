@@ -566,7 +566,7 @@ class CycleSimulator:
         spec, backing, size, convert = state.memory
         index = int(operands[0])
         address = self._address(spec, index)
-        complete = self.hierarchy.access(address, AccessType.LOAD, issue, size).complete_cycle
+        complete = self.hierarchy.access(address, AccessType.LOAD, issue, size)
         value = convert(backing.item(index))
         self.stats.global_loads += 1
         if self._trace is not None:
@@ -581,7 +581,7 @@ class CycleSimulator:
         index = int(operands[0])
         value = operands[1]
         address = self._address(spec, index)
-        complete = self.hierarchy.access(address, AccessType.STORE, issue, size).complete_cycle
+        complete = self.hierarchy.access(address, AccessType.STORE, issue, size)
         backing[index] = value
         self.stats.global_stores += 1
         if self._trace is not None:
@@ -647,7 +647,7 @@ class CycleSimulator:
             spec, backing, size, convert = state.memory
             index = int(operands[0])
             address = self._address(spec, index)
-            complete = self.hierarchy.access(address, AccessType.LOAD, issue, size).complete_cycle
+            complete = self.hierarchy.access(address, AccessType.LOAD, issue, size)
             value = convert(backing.item(index))
             self.stats.global_loads += 1
             self.stats.eldst_memory_loads += 1

@@ -6,7 +6,7 @@ from repro.config.system import DramConfig, MemorySystemConfig, ScratchpadConfig
 from repro.memory.coalescer import Transaction, coalesce, coalescing_efficiency
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.request import AccessType, HitLevel
+from repro.memory.request import AccessType
 from repro.memory.scratchpad import Scratchpad
 
 
@@ -62,12 +62,13 @@ def test_coalesce_rejects_bad_line_size():
 
 # ----------------------------------------------------------------- hierarchy
 def test_hierarchy_hit_levels_progress():
+    """A cold access goes to DRAM; a warm access to the same line hits L1."""
     h = MemoryHierarchy(MemorySystemConfig())
     cold = h.load(0, cycle=0)
-    assert cold.hit_level is HitLevel.DRAM
-    warm = h.load(4, cycle=cold.complete_cycle)
-    assert warm.hit_level is HitLevel.L1
-    assert warm.latency < cold.latency
+    assert (h.dram.stats.reads, h.l1.stats.read_hits) == (1, 0)
+    warm = h.load(4, cycle=cold)
+    assert (h.dram.stats.reads, h.l1.stats.read_hits) == (1, 1)
+    assert warm - cold < cold
 
 
 def test_hierarchy_group_access_counts_transactions():

@@ -110,6 +110,13 @@ def test_batched_engine_mirrors_contention_into_its_estimate():
     multi_queue = sum(h.dram.stats.queue_cycles for h in multi.hierarchies)
     single_queue = sum(h.dram.stats.queue_cycles for h in single.hierarchies)
     assert multi_queue > single_queue == 0
+    # The batched engine queues on the shared device itself, so it lands
+    # on the event engine's 4-core timing and queueing exactly.
+    event = simulate(compiled, _stream_launch(n=256), cores=4, engine="event")
+    assert multi.cycles == event.cycles == 481
+    event_queue = sum(h.dram.stats.queue_cycles for h in event.hierarchies)
+    assert multi_queue == event_queue == 384
+    assert multi.shared_dram.device.stats == multi.shared_dram.stats
 
 
 def test_sliced_l2_is_wired_into_the_cores():

@@ -1,19 +1,24 @@
 """Window-aligned multi-core sharding of communicating kernels."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
 from repro.errors import SimulationError
 from repro.graph.interthread import subset_closed_under_window, thread_subset_problem
 from repro.harness.experiments import run_workload
+from repro.harness.figures import DEFAULT_SUITE_PARAMS
 from repro.kernel.builder import KernelBuilder
 from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import plan_shards, shard_threads
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload, registry_kernels
 
 #: Counters that must be equal between a sharded and a single-core run.
 OP_COUNTERS = (
@@ -27,6 +32,16 @@ OP_COUNTERS = (
     "eldst_memory_loads",
     "tokens_sent",
     "noc_hops",
+)
+
+#: Memory counters a sharded batched run must share with the event engine.
+MEMORY_COUNTERS = (
+    "l1_read_misses",
+    "l1_write_misses",
+    "l2_read_misses",
+    "l2_write_misses",
+    "dram_reads",
+    "dram_writes",
 )
 
 
@@ -307,3 +322,51 @@ def test_harness_runs_windowed_variant_on_four_cores():
     assert result_win.counters["sharded_cores"] == 4
     assert "shard_fallback_reason" not in result_win.counters
     assert "shard_fallback_code" not in result_win.counters
+
+
+# ------------------------------------------------- sharded cross-engine pin
+def _sharded_batched_cells():
+    """Registry cells ``engine="auto"`` runs batched on four cores (the
+    dispatch pin records the resolution, so no cell is compiled to find
+    out)."""
+    dispatch = json.loads(Path(__file__).with_name("dispatch_pin.json").read_text())
+    cells = []
+    for workload, variant in registry_kernels():
+        pinned = dispatch[f"{workload.name}/{variant}"]["auto@cores=4"]
+        if pinned["engine"] in ("batched", "window-batched") and pinned["cores"] == 4:
+            cells.append((workload, variant))
+    return cells
+
+
+SHARDED_BATCHED_CELLS = _sharded_batched_cells()
+
+
+@pytest.mark.parametrize(
+    "workload,variant",
+    SHARDED_BATCHED_CELLS,
+    ids=[f"{w.name}/{v}" for w, v in SHARDED_BATCHED_CELLS],
+)
+def test_sharded_batched_run_matches_the_event_engine(workload, variant):
+    """Both engines queue on the one shared DRAM device, so a 4-core
+    batched run has the event engine's outputs, misses and DRAM traffic,
+    and its cycles wherever the analyzer marks the load replay order
+    stable (RA043)."""
+    prepared = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name))
+    launch = prepared.launch(variant)
+    compiled = compile_kernel(launch.graph)
+    batched = simulate(compiled, launch, engine="auto", cores=4)
+    event = simulate(compiled, launch, engine="event", cores=4)
+    assert batched.cores == event.cores == 4
+    for name in prepared.expected:
+        assert np.array_equal(batched.array(name), event.array(name)), name
+    want, got = event.counters(), batched.counters()
+    assert {key: got[key] for key in MEMORY_COUNTERS} == {
+        key: want[key] for key in MEMORY_COUNTERS
+    }
+    if "RA043" in analyze_kernel(compiled).codes():
+        assert batched.cycles == event.cycles
+
+
+def test_sharded_batched_cells_cover_both_batched_engines():
+    names = {f"{w.name}/{v}" for w, v in SHARDED_BATCHED_CELLS}
+    assert {"reduce/stream", "reduce/dmt", "matrixMul/dmt_win"} <= names
