@@ -8,7 +8,11 @@ bench shards it across 1/2/4/8 cores, checks the equivalence contract
 (no fallback, outputs bit-identical to the single-core run, equal
 operation counters) and measures the simulated-cycle speedup under the
 shared-DRAM memory model — the table quoted by ROADMAP.md's "Sharding
-communicating kernels" section.  Usage::
+communicating kernels" section.  Each core count also runs on the event
+engine, whose cycles are the oracle: a row whose ``auto`` cycles differ
+from ``event_cycles`` by more than ``MAX_EVENT_DRIFT`` fails, as does a
+core count that is slower than the one before it or 4 cores under 1.5x.
+Usage::
 
     pytest benchmarks/bench_multicore_scaling.py -s
     python benchmarks/bench_multicore_scaling.py
@@ -31,6 +35,8 @@ from repro.workloads.registry import get_workload
 
 WORKLOAD = ("reduce", {"n": 2048, "window": 64}, "partials")
 CORE_COUNTS = (1, 2, 4, 8)
+#: Largest relative cycle difference from the event engine on one row.
+MAX_EVENT_DRIFT = 0.01
 
 #: Counters that must be exactly equal between core counts.
 COMPARED_COUNTERS = (
@@ -75,34 +81,59 @@ def _measure() -> list[dict]:
                     f"{name}: {counter} differs on {cores} cores "
                     f"({counters[counter]} vs {base_counters[counter]})"
                 )
+        event = simulate(compiled, prepared.launch("dmt"), cores=cores, engine="event")
         rows.append(
             {
                 "cores": cores,
+                "engine": result.engine,
                 "cycles": result.cycles,
+                "event_cycles": event.cycles,
                 "speedup": baseline.cycles / result.cycles,
             }
         )
     return rows
 
 
+def _check(rows: list[dict]) -> list[str]:
+    """The gate's failures: event-engine drift and scaling."""
+    failures = []
+    for row in rows:
+        drift = abs(row["cycles"] - row["event_cycles"]) / row["event_cycles"]
+        if drift > MAX_EVENT_DRIFT:
+            failures.append(
+                f"{row['cores']} cores: {row['engine']} {row['cycles']} cycles vs event "
+                f"{row['event_cycles']} ({drift:.1%} > {MAX_EVENT_DRIFT:.0%})"
+            )
+    for prev, cur in zip(rows, rows[1:]):
+        if cur["cycles"] > prev["cycles"]:
+            failures.append(
+                f"{cur['cores']} cores slower than {prev['cores']} "
+                f"({cur['cycles']} > {prev['cycles']} cycles)"
+            )
+    four = next(row for row in rows if row["cores"] == 4)
+    if four["speedup"] < 1.5:
+        failures.append(f"4 cores give {four['speedup']:.2f}x, under 1.5x")
+    return failures
+
+
 def _print_table(rows: list[dict]) -> None:
     name, params, _ = WORKLOAD
     print(f"\n{name} dMT ({params}) under simulate(cores=...), shared DRAM:")
-    header = f"{'cores':>5} {'cycles':>8} {'speedup':>8}"
+    header = f"{'cores':>5} {'engine':>15} {'cycles':>8} {'event':>8} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for row in rows:
-        print(f"{row['cores']:>5} {row['cycles']:>8} {row['speedup']:>7.2f}x")
+        print(
+            f"{row['cores']:>5} {row['engine']:>15} {row['cycles']:>8} "
+            f"{row['event_cycles']:>8} {row['speedup']:>7.2f}x"
+        )
 
 
 def test_windowed_reduce_scales_across_cores():
     rows = _measure()
     _print_table(rows)
-    by_cores = {row["cores"]: row for row in rows}
-    # More cores must never be slower, and 4 cores must show real scaling.
-    for prev, cur in zip(CORE_COUNTS, CORE_COUNTS[1:]):
-        assert by_cores[cur]["cycles"] <= by_cores[prev]["cycles"]
-    assert by_cores[4]["speedup"] >= 1.5
+    failures = _check(rows)
+    assert not failures, "\n".join(failures)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,14 +142,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rows = _measure()
     _print_table(rows)
+    failures = _check(rows)
+    for failure in failures:
+        print(f"FAIL: {failure}")
     name, params, _ = WORKLOAD
     write_json(
         args.json,
         "multicore_scaling",
         rows,
-        extra={"workload": name, "params": params},
+        failures,
+        extra={"workload": name, "params": params, "max_event_drift": MAX_EVENT_DRIFT},
     )
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class SharedDRAM:
 
     def __init__(self, config: DramConfig, line_bytes: int = 128) -> None:
         self.device = DramModel(config, line_bytes=line_bytes)
-        self._ports: list["SharedDramPort"] = []
 
     @property
     def config(self) -> DramConfig:
@@ -53,21 +52,12 @@ class SharedDRAM:
         """
         return self.device.stats
 
-    @property
-    def ports(self) -> tuple["SharedDramPort", ...]:
-        return tuple(self._ports)
-
     def port(self) -> "SharedDramPort":
         """Open a new per-core port onto the shared device."""
-        port = SharedDramPort(self)
-        self._ports.append(port)
-        return port
+        return SharedDramPort(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SharedDRAM(ports={len(self._ports)}, "
-            f"accesses={self.device.stats.accesses})"
-        )
+        return f"SharedDRAM(accesses={self.device.stats.accesses})"
 
 
 class SharedDramPort:
