@@ -48,7 +48,7 @@ from repro.workloads.registry import get_workload
 MAX_OFF_OVERHEAD = 0.02
 
 #: Timing rounds; the gate takes the minimum per-round overhead ratio.
-ROUNDS = 3
+ROUNDS = 6
 
 MODES = ("baseline", "off", "ring", "full")
 

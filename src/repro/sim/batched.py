@@ -43,12 +43,14 @@ reaches the cache, each wave's loads are replayed in the *event
 engine's* processing order: the order a token arrival fires a load is
 a thread-independent property of the graph (the arrival-cycle chain
 through its pure index computation, tie-broken by the heap's push
-sequence), so the engine precomputes one order key per load node and
-sorts the whole wave's load stream with ``np.lexsort`` before running
-it through the tag model.  Stores are replayed after the
-loads of their wave, in issue order — exact whenever the store phase
-drains after the load phase (it does on the streaming workloads at the
-fidelity-gate sizes) and a close approximation when the phases overlap.
+sequence), so the engine precomputes one order key per load node,
+ranks the load nodes by it once per compiled kernel, and sorts the whole
+wave's load stream by one integer composite (first key component, node
+rank, thread position) before running it through the tag model.  Stores
+are replayed after the loads of their wave, in issue order — exact
+whenever the store phase drains after the load phase (it does on the
+streaming workloads at the fidelity-gate sizes) and a close
+approximation when the phases overlap.
 Store misses follow write-allocate read-for-ownership: an L1
 ``write_miss`` whose fill *reads* L2, exactly the counter mapping the
 event engine's hierarchy records.  Graphs whose load indices depend on
@@ -90,9 +92,10 @@ event exchange:
 * **ELDST** — the predicate (plus invalid-source threads) selects the
   *loading heads*; only their indices touch the memory system.  The
   forwarding chain ``head → head+Δ → …`` is a static pointer structure,
-  so values propagate by level (chain depth) with the event engine's
-  exact timing recurrence ``complete[t] = max(issue[t],
-  complete[src]) + L``.
+  so pointer doubling finds every row's head (whose value it gathers)
+  and evaluates the event engine's exact timing recurrence
+  ``complete[t] = max(issue[t], complete[src]) + L`` as a prefix maximum
+  in ``ceil(log2 depth)`` rounds.
 * **BARRIER** — windows partition the thread vector into groups; the
   release cycle is a segmented maximum of the group's arrival cycles
   plus the control latency.
@@ -170,6 +173,7 @@ class _StaticTables(NamedTuple):
     prepass_nodes: "set[int] | None"
     ordered_loads: bool
     load_keys: dict
+    load_rank: dict
 
 
 class _InterthreadTable(NamedTuple):
@@ -335,6 +339,84 @@ def _eval_pure_vec(node: Node, operands: list[np.ndarray]) -> np.ndarray:
     raise SimulationError(f"batched engine cannot evaluate {op.value}")
 
 
+def _load_ranks(
+    keys: dict[int, tuple[np.ndarray, np.ndarray]], order_pos: dict[int, int]
+) -> dict[int, int]:
+    """Thread-independent replay rank of every load node.
+
+    Two accesses whose first key components (``first + 2*inject``) are
+    equal compare by an order that does not depend on their threads:
+    every moment component shifts by the same ``2*inject``, and a token
+    moment (``2*cycle``, even) never ties an injection moment (odd), so
+    the first differing component of two such keys is either two moments
+    or two push indices — never a moment against a push index or the
+    padding.  Comparing the keys with moments taken relative to the first
+    component, tie-broken by node position, therefore ranks the load
+    nodes once per kernel.  The parity argument needs integer-valued
+    components.
+    """
+    if not keys:
+        return {}
+    nids = list(keys)
+    depth = max(components.size for components, _ in keys.values())
+    columns = np.full((depth, len(nids)), -1.0)
+    for col, nid in enumerate(nids):
+        components, moments = keys[nid]
+        assert bool((components == np.floor(components)).all()), (
+            f"node {nid}: event-order key components must be integer-valued"
+        )
+        columns[: components.size, col] = np.where(
+            moments, components - components[0], components
+        )
+    position = np.array([order_pos[nid] for nid in nids], dtype=np.int64)
+    ranked = np.lexsort((position, *columns[::-1]))
+    return {nids[i]: rank for rank, i in enumerate(ranked.tolist())}
+
+
+def _forward_chains(
+    src_pos: np.ndarray,
+    heads: np.ndarray,
+    head_complete: np.ndarray,
+    issue: np.ndarray,
+    latency: float,
+) -> "tuple[np.ndarray, np.ndarray, int] | None":
+    """Resolve eLDST forwarding forests by pointer doubling.
+
+    ``src_pos`` points every non-head row at the row it receives from;
+    the rows in ``heads`` load from memory, complete at
+    ``head_complete + L`` and root the trees.  Returns each row's head
+    row (the value is a gather from it), each row's completion cycle and
+    the deepest chain, or ``None`` when some chain never reaches a head.
+
+    Unrolling the event engine's recurrence ``complete[t] = max(issue[t],
+    complete[src]) + L`` down a chain ``head = c_0, …, c_p = t`` gives
+    ``complete[t] = p·L + max_k y_k`` with ``y_head = load + L`` and
+    ``y_k = issue_k + L - pos_k·L`` — exact, because every cycle is an
+    integer-valued float64.  Distances to the head (list ranking) and
+    the prefix maximum each take ``ceil(log2 depth)`` doubling rounds
+    instead of one round per chain level.
+    """
+    n = heads.size
+    jump = np.where(heads, np.arange(n, dtype=np.int64), src_pos)
+    pos = (~heads).astype(np.int64)
+    jumps = [jump]
+    for _ in range(n.bit_length() + 1):
+        if bool(heads[jump].all()):
+            break
+        pos += pos[jump]
+        jump = jump[jump]
+        jumps.append(jump)
+    else:
+        return None
+    depth = int(pos.max(initial=0))
+    y = np.where(heads, head_complete, issue) + latency - pos * latency
+    # Before the round with the 2^k-step jump, y[t] covers t's 2^k
+    # nearest chain rows; heads jump to themselves, so the max saturates.
+    for step in jumps:
+        y = np.maximum(y, y[step])
+    return jump, pos * latency + y, depth
+
+
 class BatchedSimulator:
     """Batched vectorised model of one (d)MT-CGRA core.
 
@@ -417,6 +499,7 @@ class BatchedSimulator:
         self._prepass_nodes = static.prepass_nodes
         self._ordered_loads = static.ordered_loads
         self._load_keys = static.load_keys
+        self._load_rank = static.load_rank
         # The ``p``-th thread of this core is injected at cycle ``p // replicas``.
         self._inject = (
             np.arange(self._thread_ids.size, dtype=np.int64) // self._ports
@@ -497,6 +580,7 @@ class BatchedSimulator:
         ]
         prepass_nodes = self._pure_load_ancestors()
         ordered_loads = prepass_nodes is not None
+        load_keys = self._event_order_keys() if ordered_loads else {}
         return _StaticTables(
             order=self._order,
             inputs=self._inputs,
@@ -512,7 +596,8 @@ class BatchedSimulator:
             load_nodes=self._load_nodes,
             prepass_nodes=prepass_nodes,
             ordered_loads=ordered_loads,
-            load_keys=self._event_order_keys() if ordered_loads else {},
+            load_keys=load_keys,
+            load_rank=_load_ranks(load_keys, self._order_pos),
         )
 
     def _build_interthread_table(self, node: Node) -> _InterthreadTable:
@@ -520,21 +605,31 @@ class BatchedSimulator:
         src = elevator_source_vec(
             node, t, self.geometry.block_dim, self.num_threads
         )
-        # Map global source TIDs to rows of this core's thread vector.
-        # Shards need not be contiguous, so go through a sorted view.
-        perm = np.argsort(t, kind="stable")
-        t_sorted = t[perm]
-        loc = np.searchsorted(t_sorted, np.where(src >= 0, src, 0))
-        loc = np.minimum(loc, t.size - 1)
-        found = (src >= 0) & (t_sorted[loc] == np.where(src >= 0, src, 0))
-        if bool((~found & (src >= 0)).any()):
+        # Map global source TIDs to rows of this core's thread vector: an
+        # offset when the vector is contiguous and increasing (every
+        # single-core run), a search in a sorted view otherwise (shards
+        # need not be contiguous, nor thread_ids sorted).
+        has_src = src >= 0
+        increasing = bool((t[1:] > t[:-1]).all())
+        if increasing and t.size and t[-1] - t[0] == t.size - 1:
+            loc = src - t[0]
+            found = has_src & (loc >= 0) & (loc < t.size)
+            rows = loc
+        else:
+            perm = None if increasing else np.argsort(t, kind="stable")
+            t_sorted = t if perm is None else t[perm]
+            safe = np.where(has_src, src, 0)
+            loc = np.minimum(np.searchsorted(t_sorted, safe), t.size - 1)
+            found = has_src & (t_sorted[loc] == safe)
+            rows = loc if perm is None else perm[loc]
+        if bool((~found & has_src).any()):
             # Closed subsets (checked in __init__) keep every source
             # in-subset; a miss here would be an engine bug.
             raise SimulationError(
                 f"{node.label()} communicates with a thread outside this "
                 "core's subset"
             )
-        src_pos = np.where(found, perm[loc], np.int64(-1))
+        src_pos = np.where(found, rows, np.int64(-1))
         if node.opcode is Opcode.ELDST:
             delta = abs(int(node.param("delta")))
             receives = (src_pos >= 0) & (t == src + delta)
@@ -769,56 +864,18 @@ class BatchedSimulator:
             tracer.wall_event("prepass", prepass_begin, args={"loads": len(pending)})
         if not pending:
             return
-        # The order key of an access is fully determined by its (load
-        # node, inject cycle) pair — the moment components shift by
-        # ``2 * inject`` and everything else is per-node constant — and
-        # a wave has only ``len(pending) * n_injects`` distinct pairs
-        # against ``len(pending) * n`` accesses (``replicas`` threads
-        # share each inject cycle).  So rank the distinct pairs with a
-        # small lexsort over their component matrix and sort the whole
-        # wave by one composite integer: pair rank, tie-broken by thread
-        # position exactly like the previous full-width per-access sort.
-        # ``valid`` masks (eLDST: only the loading threads touch memory)
-        # drop masked rows from the replayed stream without perturbing
-        # the surviving rows' relative order.
-        depth = max(self._load_keys[node.node_id][0].size for node, *_ in pending)
         total = n * len(pending)
-        inject_ids = inject.astype(np.int64)
-        n_injects = int(inject_ids[-1]) + 1
-        shifts = 2.0 * np.arange(n_injects, dtype=np.float64)
-        pairs = len(pending) * n_injects
-        pair_columns = np.full((depth, pairs), -1.0)
-        pair_node = np.empty(pairs)
         issue_all = np.empty(total)
         address_all = np.empty(total, dtype=np.int64)
         valid_all = np.ones(total, dtype=np.bool_)
         for block, (node, issue, _, addresses, valid) in enumerate(pending):
-            nid = node.node_id
-            rows = slice(block * n_injects, (block + 1) * n_injects)
-            components, moments = self._load_keys[nid]
-            for j in range(components.size):
-                if moments[j]:
-                    pair_columns[j, rows] = components[j] + shifts
-                else:
-                    pair_columns[j, rows] = components[j]
-            pair_node[rows] = float(self._order_pos[nid])
             issue_all[block * n : (block + 1) * n] = issue
             address_all[block * n : (block + 1) * n] = addresses
             if valid is not None:
                 valid_all[block * n : (block + 1) * n] = valid
-        pair_order = np.lexsort(tuple([pair_node] + list(pair_columns[::-1])))
-        pair_rank = np.empty(pairs, dtype=np.int64)
-        pair_rank[pair_order] = np.arange(pairs)
-        block_base = np.repeat(
-            np.arange(len(pending), dtype=np.int64) * n_injects, n
+        order = self._replay_order(
+            [node.node_id for node, *_ in pending], inject, valid_all
         )
-        composite = pair_rank[block_base + np.tile(inject_ids, len(pending))] * n
-        composite += np.tile(np.arange(n, dtype=np.int64), len(pending))
-        if bool(valid_all.all()):
-            order = np.argsort(composite)
-        else:
-            sel = np.flatnonzero(valid_all)
-            order = sel[np.argsort(composite[sel])]
         completions = np.full(total, np.nan)
         walk_begin = tracer.clock() if tracer is not None else 0.0
         completions[order] = self._analytic.access_batch(
@@ -842,6 +899,33 @@ class BatchedSimulator:
                 completions[block * n : (block + 1) * n],
                 valid,
             )
+
+    def _replay_order(
+        self, nids: list[int], inject: np.ndarray, valid: np.ndarray
+    ) -> np.ndarray:
+        """Event-order permutation of a wave's load stream.
+
+        The stream holds one block of ``inject.size`` accesses per load
+        node in ``nids``, in thread position order.  Accesses replay by
+        their first key component ``first + 2*inject``, then by the load
+        node's per-kernel rank (:func:`_load_ranks`), then by thread
+        position; one int64 composite carries all three.  Each block of
+        it increases with position, so the stable argsort merges
+        ``len(nids)`` sorted runs.  Rows outside ``valid`` (eLDST: only
+        the loading threads touch memory) drop out without perturbing
+        the surviving rows' relative order.
+        """
+        n = inject.size
+        first = np.array([self._load_keys[nid][0][0] for nid in nids], dtype=np.int64)
+        rank = np.array([self._load_rank[nid] for nid in nids], dtype=np.int64)
+        moment = first[:, None] + 2 * inject.astype(np.int64)
+        composite = (moment * len(self._load_rank) + rank[:, None]) * n
+        composite += np.arange(n, dtype=np.int64)
+        composite = composite.ravel()
+        if bool(valid.all()):
+            return np.argsort(composite, kind="stable")
+        sel = np.flatnonzero(valid)
+        return sel[np.argsort(composite[sel], kind="stable")]
 
     def _source_value(self, node: Node, tids: np.ndarray, n: int) -> np.ndarray:
         op = node.opcode
@@ -1019,12 +1103,14 @@ class BatchedSimulator:
         heads: np.ndarray,
         load_complete: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Propagate values and timing down the static forwarding chains.
+        """Resolve values and timing over the static forwarding chains.
 
         Timing follows the event engine exactly: a head completes at its
         memory load's completion plus the eLDST completion latency ``L``
         (issue latency plus spill/external-buffer extra); a forwarded
         thread at ``complete[t] = max(issue[t], complete[src]) + L``.
+        :func:`_forward_chains` evaluates that recurrence by pointer
+        doubling, and every row's value is a gather from its head's load.
         """
         table = self._it[node.node_id]
         n = issue.size
@@ -1046,42 +1132,23 @@ class BatchedSimulator:
                 f"forever for a value {node.label()} never forwards to it"
             )
 
-        # Chain depth of every row (heads are depth 0: they depend on
-        # nobody for timing or data, whatever their position in the
-        # forwarding chain).
-        dep = np.where(heads, np.int64(-1), table.src_pos)
-        pos = np.zeros(n, dtype=np.int64)
-        cursor = dep.copy()
-        for _ in range(n + 1):
-            active = cursor >= 0
-            if not bool(active.any()):
-                break
-            pos[active] += 1
-            cursor[active] = dep[cursor[active]]
-        else:  # pragma: no cover - window_batch_problem rejects recurrences
+        # Heads depend on nobody for timing or data, whatever their
+        # position in the forwarding chain.
+        fwd_begin = self._trace.clock() if self._trace is not None else 0.0
+        resolved = _forward_chains(
+            table.src_pos, heads, load_complete, issue, latency
+        )
+        if resolved is None:  # pragma: no cover - window_batch_problem rejects recurrences
             raise DeadlockError(
                 f"{node.label()} forwarding chain does not terminate"
             )
-
+        head, complete, depth = resolved
+        if depth > 0 and self._trace is not None:
+            self._trace.wall_event(
+                "forwarding levels", fwd_begin, args={"depth": depth}
+            )
         backing = self.memory.array(str(node.param("array")))
-        value = np.zeros(n, dtype=_NP_DTYPE[node.dtype])
-        complete = np.empty(n)
-        value[heads] = _coerce_vec(backing[idx[heads]], node.dtype)
-        complete[heads] = load_complete[heads] + latency
-
-        depth = int(pos.max(initial=0))
-        if depth > 0:
-            fwd_begin = self._trace.clock() if self._trace is not None else 0.0
-            rows_by_depth = np.argsort(pos, kind="stable")
-            bounds = np.cumsum(np.bincount(pos))[:-1]
-            for rows in np.split(rows_by_depth, bounds)[1:]:
-                src = dep[rows]
-                value[rows] = value[src]
-                complete[rows] = np.maximum(issue[rows], complete[src]) + latency
-            if self._trace is not None:
-                self._trace.wall_event(
-                    "forwarding levels", fwd_begin, args={"depth": depth}
-                )
+        value = _coerce_vec(backing[idx[head]], node.dtype)
 
         n_heads = int(heads.sum())
         n_forwards = int(table.receives.sum())

@@ -1,0 +1,235 @@
+"""The batched engine's replay order and eLDST forwarding against loop references.
+
+The engine sorts a wave's load stream by one int64 composite built from
+a per-kernel rank of its load nodes (``_load_ranks``), and resolves
+eLDST forwarding forests by pointer doubling (``_forward_chains``).
+Both replace code whose work grew with key depth or chain depth; the
+reference implementations kept here are that code:
+
+* ``_pair_column_order`` ranks every distinct (load node, inject cycle)
+  pair with a lexsort over its full event-order key matrix and sorts the
+  wave by pair rank, then thread position;
+* ``_level_loop`` walks every row's chain to find its depth, then
+  propagates values and the event engine's timing recurrence
+  ``complete[t] = max(issue[t], complete[src]) + L`` one level at a time.
+
+The new code must match them exactly: the same permutation on every
+registry cell whose loads replay in event order (single-core and on
+4-core shards, at one replica and at the kernel's own replica count),
+and the same values, completion cycles and depth on random forwarding
+forests.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analyze.passes import pure_load_ancestors
+from repro.compiler.pipeline import compile_kernel
+from repro.config.system import default_system_config
+from repro.harness.figures import DEFAULT_SUITE_PARAMS
+from repro.sim import simulate
+from repro.sim.api import resolve_engine
+from repro.sim.batched import BatchedSimulator, _forward_chains
+from repro.workloads.registry import registry_kernels
+
+# ----------------------------------------------------------------- replay order
+
+
+def _pair_column_order(
+    keys: dict, order_pos: dict, nids: list[int], inject: np.ndarray, valid: np.ndarray
+) -> np.ndarray:
+    """Reference replay permutation: lexsort of (node, inject) pair keys."""
+    n = inject.size
+    depth = max(keys[nid][0].size for nid in nids)
+    inject_ids = inject.astype(np.int64)
+    n_injects = int(inject_ids[-1]) + 1
+    shifts = 2.0 * np.arange(n_injects, dtype=np.float64)
+    pairs = len(nids) * n_injects
+    pair_columns = np.full((depth, pairs), -1.0)
+    pair_node = np.empty(pairs)
+    for block, nid in enumerate(nids):
+        rows = slice(block * n_injects, (block + 1) * n_injects)
+        components, moments = keys[nid]
+        for j in range(components.size):
+            if moments[j]:
+                pair_columns[j, rows] = components[j] + shifts
+            else:
+                pair_columns[j, rows] = components[j]
+        pair_node[rows] = float(order_pos[nid])
+    pair_order = np.lexsort(tuple([pair_node] + list(pair_columns[::-1])))
+    pair_rank = np.empty(pairs, dtype=np.int64)
+    pair_rank[pair_order] = np.arange(pairs)
+    block_base = np.repeat(np.arange(len(nids), dtype=np.int64) * n_injects, n)
+    composite = pair_rank[block_base + np.tile(inject_ids, len(nids))] * n
+    composite += np.tile(np.arange(n, dtype=np.int64), len(nids))
+    if bool(valid.all()):
+        return np.argsort(composite)
+    sel = np.flatnonzero(valid)
+    return sel[np.argsort(composite[sel])]
+
+
+def _ordered_cells():
+    """Registry cells ``engine="auto"`` runs batched with event-order replay."""
+    cells = []
+    for workload, variant in registry_kernels():
+        launch = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name)).launch(variant)
+        compiled = compile_kernel(launch.graph)
+        if resolve_engine(compiled) == "event":
+            continue
+        if pure_load_ancestors(compiled.graph) is not None:
+            cells.append(pytest.param(workload, variant, id=f"{workload.name}/{variant}"))
+    return cells
+
+
+ORDERED_CELLS = _ordered_cells()
+
+
+def test_ordered_cells_cover_both_batched_engines():
+    names = {param.id for param in ORDERED_CELLS}
+    assert "matrixMul/stream" in names and "matrixMul/dmt" in names
+    assert not any(name.startswith("spmv/") for name in names)  # RA042
+
+
+@pytest.mark.parametrize("workload,variant", ORDERED_CELLS)
+def test_replay_order_matches_pair_column_lexsort(workload, variant, monkeypatch):
+    calls = []
+    replay_order = BatchedSimulator._replay_order
+
+    def recording(self, nids, inject, valid):
+        order = replay_order(self, nids, inject, valid)
+        calls.append(
+            (order, _pair_column_order(self._load_keys, self._order_pos, nids, inject, valid))
+        )
+        return order
+
+    monkeypatch.setattr(BatchedSimulator, "_replay_order", recording)
+    default = default_system_config()
+    for config in (dataclasses.replace(default, max_graph_replicas=1), default):
+        launch = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name)).launch(variant)
+        compiled = compile_kernel(launch.graph, config)
+        for cores in (None, 4):
+            calls.clear()
+            result = simulate(compiled, launch, cores=cores)
+            assert result.engine in ("batched", "window-batched")
+            assert calls, "the wave never replayed its loads"
+            for order, expected in calls:
+                assert np.array_equal(order, expected)
+
+
+def test_registry_sweep_runs_more_than_one_replica():
+    """At least one ordered cell replicates, so the composite's shared
+    inject cycles (``replicas`` threads per cycle) are exercised."""
+    replicas = set()
+    for param in ORDERED_CELLS:
+        workload, variant = param.values
+        launch = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name)).launch(variant)
+        replicas.add(compile_kernel(launch.graph).replicas)
+    assert max(replicas) > 1
+
+
+# ----------------------------------------------------------- eLDST forwarding
+
+
+def _level_loop(
+    src_pos: np.ndarray,
+    heads: np.ndarray,
+    value: np.ndarray,
+    head_complete: np.ndarray,
+    issue: np.ndarray,
+    latency: float,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference forwarding: chain depth by walking, then level by level."""
+    n = heads.size
+    dep = np.where(heads, np.int64(-1), src_pos)
+    pos = np.zeros(n, dtype=np.int64)
+    cursor = dep.copy()
+    for _ in range(n + 1):
+        active = cursor >= 0
+        if not bool(active.any()):
+            break
+        pos[active] += 1
+        cursor[active] = dep[cursor[active]]
+    value = value.copy()
+    complete = np.empty(n)
+    complete[heads] = head_complete[heads] + latency
+    depth = int(pos.max(initial=0))
+    if depth > 0:
+        rows_by_depth = np.argsort(pos, kind="stable")
+        bounds = np.cumsum(np.bincount(pos))[:-1]
+        for rows in np.split(rows_by_depth, bounds)[1:]:
+            src = dep[rows]
+            value[rows] = value[src]
+            complete[rows] = np.maximum(issue[rows], complete[src]) + latency
+    return value, complete, depth
+
+
+@st.composite
+def forwarding_forests(draw):
+    """A core's rows of one eLDST node: a subset of whole windows of the
+    launch (non-contiguous, rows optionally shuffled), sources ``|δ|``
+    threads back inside the window, a random heads mask on top of the
+    rows without a source, and integer issue/load cycles."""
+    window = draw(st.integers(min_value=1, max_value=24))
+    delta = draw(st.integers(min_value=1, max_value=8))
+    n_windows = draw(st.integers(min_value=1, max_value=8))
+    kept = draw(
+        st.lists(st.integers(0, n_windows - 1), min_size=1, max_size=n_windows, unique=True)
+    )
+    tids = np.concatenate(
+        [np.arange(w * window, (w + 1) * window, dtype=np.int64) for w in sorted(kept)]
+    )
+    if draw(st.booleans()):
+        tids = tids[np.array(draw(st.permutations(range(tids.size))), dtype=np.int64)]
+    n = tids.size
+    row_of = {int(t): row for row, t in enumerate(tids)}
+    src = tids - delta
+    src_pos = np.array(
+        [
+            row_of[int(s)] if s >= 0 and s // window == t // window else -1
+            for s, t in zip(src, tids)
+        ],
+        dtype=np.int64,
+    )
+    predicate = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    heads = predicate | (src_pos < 0)
+    issue = np.array(
+        draw(st.lists(st.integers(0, 400), min_size=n, max_size=n)), dtype=np.float64
+    )
+    load = np.array(
+        draw(st.lists(st.integers(0, 600), min_size=n, max_size=n)), dtype=np.float64
+    )
+    head_complete = np.where(heads, issue + load, np.nan)
+    value = np.where(
+        heads, np.array(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))), 0
+    ).astype(np.int64)
+    latency = float(draw(st.integers(min_value=1, max_value=12)))
+    return src_pos, heads, value, head_complete, issue, latency
+
+
+@settings(deadline=None, max_examples=300)
+@given(forwarding_forests())
+def test_forward_chains_match_level_loop(forest):
+    src_pos, heads, value, head_complete, issue, latency = forest
+    expected_value, expected_complete, expected_depth = _level_loop(
+        src_pos, heads, value, head_complete, issue, latency
+    )
+    resolved = _forward_chains(src_pos, heads, head_complete, issue, latency)
+    assert resolved is not None
+    head, complete, depth = resolved
+    assert bool(heads[head].all())
+    assert np.array_equal(value[head], expected_value)
+    assert complete.tobytes() == expected_complete.tobytes()
+    assert depth == expected_depth
+
+
+def test_forward_chains_report_a_chain_without_head():
+    src_pos = np.array([1, 2, 0, -1], dtype=np.int64)
+    heads = np.array([False, False, False, True])
+    issue = np.zeros(4)
+    assert _forward_chains(src_pos, heads, np.zeros(4), issue, 1.0) is None
