@@ -2,7 +2,8 @@
 
 Runs every batchable workload variant of the registry — inter-thread-free
 graphs on the wave-batched engine, window-batchable communicating
-``dmt``/``dmt_win`` graphs on the window-batched engine — on both
+``dmt``/``dmt_win`` and scratchpad ``mt`` graphs on the window-batched
+engine — on both
 simulation engines and reports the per-counter relative error of the
 analytic cache model against the event engine's exact one, across three
 memory regimes:
@@ -23,7 +24,11 @@ Acceptance gates (also enforced by ``tests/sim/test_fidelity.py``):
 * the batched run's memory model is the event engine's: every
   ``access_batch`` call, replayed through a fresh ``MemoryHierarchy``
   one access at a time, completes on the same cycles and leaves the
-  same counters (``walk_identical``), over a non-empty replay.
+  same counters (``walk_identical``), over a non-empty replay;
+* the scratch replay is the event engine's scratchpad: every scratch
+  level's stream, replayed through ``Scratchpad.access`` one access at
+  a time, completes on the same cycles and leaves the same counters
+  (``scratch_identical``).
 
 Run ``pytest benchmarks/bench_batched_fidelity.py -s`` for the full
 table, or as a script (CI uses ``--quick`` in the fast lane)::
@@ -172,7 +177,8 @@ def run_pair(name: str, variant: str, params: dict, config: SystemConfig) -> dic
     batched = simulate(compiled, prepared.launch(variant))  # auto: batched engine
     checked_sim = BatchedSimulator(compiled, prepared.launch(variant))
     ordered_trace = bool(checked_sim._ordered_loads)
-    checked, replayed, mismatches = run_against_hierarchy(checked_sim)
+    replay = run_against_hierarchy(checked_sim)
+    checked = replay.result
     event_counters = event.counters()
     batched_counters = batched.counters()
 
@@ -182,7 +188,7 @@ def run_pair(name: str, variant: str, params: dict, config: SystemConfig) -> dic
         return {key: value for key, value in counters.items() if key != "trace"}
 
     walk_identical = (
-        not mismatches
+        not replay.mismatches
         and batched.cycles == checked.cycles
         and _without_trace(batched_counters) == _without_trace(checked.counters())
     )
@@ -206,7 +212,9 @@ def run_pair(name: str, variant: str, params: dict, config: SystemConfig) -> dic
             for key in MISS_COUNTERS
         ),
         "walk_identical": walk_identical,
-        "replayed_accesses": replayed,
+        "replayed_accesses": replay.replayed,
+        "scratch_identical": not replay.scratch_mismatches,
+        "replayed_scratch_accesses": replay.scratch_replayed,
         "event": {key: event_counters.get(key, 0) for key in REPORTED_COUNTERS},
         "batched": {key: batched_counters.get(key, 0) for key in REPORTED_COUNTERS},
     }
@@ -249,6 +257,11 @@ def check_rows(rows) -> list[str]:
             )
         if row["replayed_accesses"] == 0:
             failures.append(f"{label}: no access replayed through the hierarchy")
+        if not row["scratch_identical"]:
+            failures.append(
+                f"{label}: scratch replay diverges from the event engine's "
+                "scratchpad (completions or counters differ)"
+            )
     return failures
 
 
@@ -295,7 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     if not failures:
         gates = (
             "exact L1/L2 misses on order-stable rows, cycle error <= 10% "
-            "everywhere, vectorised walk == event hierarchy replay"
+            "everywhere, vectorised walk == event hierarchy replay, "
+            "scratch replay == event scratchpad"
         )
         print(f"\nall {len(rows)} rows pass ({gates})")
     write_json(

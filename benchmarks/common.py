@@ -15,7 +15,9 @@ trajectory away with the job log.
 :func:`run_against_hierarchy` is the batched engines' memory-model
 oracle, shared by the fidelity gate and ``tests/sim/test_fidelity.py``:
 it replays every ``access_batch`` call of a run through the event
-engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`.
+engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`, and every
+scratch-level replay through :meth:`Scratchpad.access
+<repro.memory.scratchpad.Scratchpad.access>` one access at a time.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ import os
 import platform
 import sys
 from functools import lru_cache
+from typing import Any, NamedTuple
 
 __all__ = [
     "add_json_option",
     "cached_suite",
     "merge_json",
+    "HierarchyReplay",
     "replay_access_batch",
+    "replay_scratch_batch",
     "run_against_hierarchy",
     "write_json",
 ]
@@ -106,15 +111,43 @@ def replay_access_batch(hierarchy, addresses, cycles, is_store):
     )
 
 
-def run_against_hierarchy(simulator):
+def replay_scratch_batch(scratchpad, addresses, is_write, cycles):
+    """One ``Scratchpad.access_batch`` call replayed through
+    ``scratchpad.access`` one access at a time; returns its completions."""
+    import numpy as np
+
+    writes = np.broadcast_to(np.asarray(is_write, dtype=bool), np.shape(addresses))
+    return np.array(
+        [
+            scratchpad.access(int(address), bool(write), int(cycle))
+            for address, write, cycle in zip(
+                np.asarray(addresses).tolist(), writes.tolist(), np.asarray(cycles).tolist()
+            )
+        ],
+        dtype=np.int64,
+    )
+
+
+class HierarchyReplay(NamedTuple):
+    """What :func:`run_against_hierarchy` replayed and where it diverged."""
+
+    result: Any
+    replayed: int
+    mismatches: list
+    scratch_replayed: int
+    scratch_mismatches: list
+
+
+def run_against_hierarchy(simulator) -> HierarchyReplay:
     """Run a single-core batched-engine simulator against the event
     engine's memory hierarchy.
 
     Every ``access_batch`` call of the run is replayed through a fresh
-    ``MemoryHierarchy`` of the simulator's memory configuration.  Returns
-    ``(result, replayed_accesses, mismatches)``: ``mismatches`` names
-    each call whose completion cycles differ and each level (L1, L2,
-    DRAM) whose final counters differ.
+    ``MemoryHierarchy`` of the simulator's memory configuration, and
+    every scratch level's ``Scratchpad.access_batch`` stream through
+    that hierarchy's scratchpad one ``access`` at a time.  The
+    mismatch lists name each call whose completion cycles differ and
+    each level (L1, L2, DRAM, scratchpad) whose final counters differ.
     """
     import numpy as np
 
@@ -123,8 +156,12 @@ def run_against_hierarchy(simulator):
     oracle = MemoryHierarchy(simulator.hierarchy.config)
     model = simulator._analytic
     access_batch = model.access_batch
+    scratchpad = simulator.hierarchy.scratchpad
+    scratch_batch = scratchpad.access_batch
     mismatches: list[str] = []
+    scratch_mismatches: list[str] = []
     replayed = 0
+    scratch_replayed = 0
 
     def checked(addresses, cycles, is_store):
         nonlocal replayed
@@ -135,14 +172,30 @@ def run_against_hierarchy(simulator):
         replayed += complete.size
         return complete
 
+    def checked_scratch(addresses, is_write, cycles):
+        nonlocal scratch_replayed
+        complete = scratch_batch(addresses, is_write, cycles)
+        expected = replay_scratch_batch(oracle.scratchpad, addresses, is_write, cycles)
+        if not np.array_equal(complete, expected):
+            scratch_mismatches.append(
+                f"scratch access_batch call at access {scratch_replayed}: completions differ"
+            )
+        scratch_replayed += complete.size
+        return complete
+
     model.access_batch = checked
+    scratchpad.access_batch = checked_scratch
     result = simulator.run()
     got, want = simulator.hierarchy.stats(), oracle.stats()
     for level in ("l1", "l2", "dram"):
         expected, measured = getattr(want, level), getattr(got, level)
         if measured != expected:
             mismatches.append(f"{level} counters: {expected} -> {measured}")
-    return result, replayed, mismatches
+    if got.scratchpad != want.scratchpad:
+        scratch_mismatches.append(
+            f"scratchpad counters: {want.scratchpad} -> {got.scratchpad}"
+        )
+    return HierarchyReplay(result, replayed, mismatches, scratch_replayed, scratch_mismatches)
 
 
 def merge_json(out_path: str, in_paths: list[str]) -> dict:

@@ -31,6 +31,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.node import Node
 from repro.graph.opcodes import Opcode
+from repro.graph.semantics import PURE_OPCODES
 
 __all__ = [
     "linearize",
@@ -44,6 +45,7 @@ __all__ = [
     "communication_windows",
     "subset_closed_under_window",
     "thread_subset_problem",
+    "scratch_levels",
     "window_batch_problem",
 ]
 
@@ -264,6 +266,109 @@ def thread_subset_problem(graph, thread_ids: Sequence[int], num_threads: int) ->
     return None
 
 
+#: Opcodes whose value is a pure function of the thread's own sources.
+_MEMORY_FREE_OPCODES = PURE_OPCODES | {
+    Opcode.CONST,
+    Opcode.TID_X,
+    Opcode.TID_Y,
+    Opcode.TID_Z,
+    Opcode.TID_LINEAR,
+}
+
+
+def scratch_levels(
+    graph, order: Sequence[Node]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Scratch-dependency levels of ``graph`` (``order`` is topological).
+
+    Returns ``(levels, above)``: a scratch node's level is one more than
+    the deepest scratch node among its ancestors, so level 1 holds the
+    scratch nodes no other scratch access feeds; ``above`` maps every
+    node to the deepest level among its strict ancestors (0 for none).
+    """
+    above: dict[int, int] = {}
+    levels: dict[int, int] = {}
+    for node in order:
+        nid = node.node_id
+        above[nid] = max(
+            (max(above[src], levels.get(src, 0)) for src in graph.inputs_of(nid).values()),
+            default=0,
+        )
+        if node.opcode in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
+            levels[nid] = above[nid] + 1
+    return levels, above
+
+
+def _scratch_level_problem(graph, order: Sequence[Node]) -> Optional[str]:
+    """Why ``graph``'s scratch levels may interleave in time (``None`` =
+    every level's accesses arrive before any access of the next level).
+
+    Level ``k`` is barrier-separated from level ``k-1`` when either
+
+    * every level-``k`` node has an ancestor whole-block BARRIER (no
+      ``window``, or one spanning the block) that every level-``k-1``
+      node feeds: no thread passes that barrier before the last
+      level-``k-1`` access; or
+    * level ``k-1`` is *barrier-released*: each of its nodes takes a
+      whole-block barrier's token as an operand — a barrier that every
+      level-``k-2`` node feeds — and its other operands touch no memory.
+      The release sends every thread's token on one cycle, so the whole
+      level arrives in that burst, before any level-``k`` access (which
+      waits for a level-``k-1`` access to complete).
+    """
+    levels, _ = scratch_levels(graph, order)
+    depth = max(levels.values(), default=0)
+    if depth < 2:
+        return None
+    by_level: dict[int, set[int]] = {}
+    for nid, level in levels.items():
+        by_level.setdefault(level, set()).add(nid)
+
+    num_threads = int(graph.metadata.get("num_threads", 0))
+
+    def whole_block_barrier(nid: int) -> bool:
+        node = graph.node(nid)
+        window = node.param("window")
+        return node.opcode is Opcode.BARRIER and (window is None or window >= num_threads)
+
+    feeds: dict[int, set[int]] = {}  # scratch ancestors (and self)
+    closes: dict[int, set[int]] = {}  # levels an ancestor barrier closes
+    memory_free: dict[int, bool] = {}  # computed from sources and pure ops
+    released: dict[int, set[int]] = {}  # scratch node -> levels its gate closes
+    for node in order:
+        nid = node.node_id
+        srcs = list(graph.inputs_of(nid).values())
+        feeds[nid] = set().union(*(feeds[src] for src in srcs))
+        closes[nid] = set().union(*(closes[src] for src in srcs))
+        memory_free[nid] = node.opcode in _MEMORY_FREE_OPCODES and all(
+            memory_free[src] for src in srcs
+        )
+        if whole_block_barrier(nid):
+            closes[nid] |= {
+                level for level, members in by_level.items() if members <= feeds[nid]
+            }
+        if nid in levels:
+            gates = [src for src in srcs if whole_block_barrier(src)]
+            others = [src for src in srcs if not whole_block_barrier(src)]
+            released[nid] = (
+                closes[gates[0]] | {0}
+                if len(gates) == 1 and all(memory_free[src] for src in others)
+                else set()
+            )
+            feeds[nid].add(nid)
+    for level in range(2, depth + 1):
+        if all(level - 2 in released[nid] for nid in by_level[level - 1]):
+            continue  # level - 1 arrives in one release burst
+        for nid in sorted(by_level[level]):
+            if level - 1 not in closes[nid]:
+                return (
+                    f"{graph.node(nid).label()} (scratch level {level}) may overlap "
+                    f"scratch level {level - 1} in time: no whole-block barrier "
+                    "separates them"
+                )
+    return None
+
+
 def window_batch_problem(graph) -> Optional[str]:
     """Why ``graph`` cannot run on the batched engine (``None`` = it can).
 
@@ -271,15 +376,19 @@ def window_batch_problem(graph) -> Optional[str]:
     analyzer (``RA044``/``RA045``) and the engine's own construction
     check so the verdict IS the dispatch decision.  A graph batches when
     its inter-thread traffic is *feed-forward* (a graph without
-    inter-thread nodes trivially is):
+    inter-thread nodes trivially is) and its scratchpad traffic replays
+    level by level:
 
     * no static cycle runs through an ELEVATOR's temporal edge
       (a recurrence such as the Fig. 6 prefix sum must be resolved
       token by token by the event engine);
-    * every BARRIER carries a bounded ``window`` — an un-windowed
-      barrier synchronises the whole block, so there is no group
-      smaller than the launch to batch over.
+    * scratch levels are barrier-separated
+      (:func:`_scratch_level_problem`): the engine serves each scratch
+      level's accesses as one merged stream in the event engine's
+      processing order, which is exact only when no two levels' accesses
+      interleave in time.
 
+    A whole-block BARRIER is one group over the whole thread subset, and
     ELEVATOR/ELDST chains need no bounded ``window`` of their own: their
     consumer→producer maps are static (:func:`elevator_source_vec`), so
     chains bounded by coordinate geometry (e.g. the row/column forwarding
@@ -287,7 +396,7 @@ def window_batch_problem(graph) -> Optional[str]:
     are out of reach.
     """
     try:
-        graph.topological_order(ignore_temporal=False)
+        order = graph.topological_order(ignore_temporal=False)
     except GraphError:
         return (
             "an inter-thread recurrence cycle requires token-by-token "
@@ -296,4 +405,4 @@ def window_batch_problem(graph) -> Optional[str]:
     for node in graph.nodes_with_opcode(Opcode.BARRIER):
         if node.param("window") is None:
             return f"{node.label()} synchronises the whole block (no bounded window)"
-    return None
+    return _scratch_level_problem(graph, order)

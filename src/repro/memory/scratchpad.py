@@ -6,6 +6,14 @@ MT-CGRA baseline for inter-thread communication.  The model charges a
 fixed access latency, serialises accesses that hit the same bank in the
 same cycle (bank conflicts) and counts every access so the power model can
 charge scratchpad energy.
+
+Each bank serves its accesses first come, first served:
+``start_k = max(issue_k, start_{k-1} + p)`` with conflict penalty ``p``.
+That recurrence unrolls to ``start_k = p·k + cummax(issue_j − p·j)``
+along one bank's subsequence (:func:`bank_queue`), so a whole access
+stream is served in closed form; :meth:`Scratchpad.access_batch` is the
+batched engine's scratch replay and equals calling
+:meth:`Scratchpad.access` once per access in stream order.
 """
 
 from __future__ import annotations
@@ -13,10 +21,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.config.system import ScratchpadConfig
 from repro.errors import MemoryModelError
 
-__all__ = ["ScratchpadStats", "Scratchpad"]
+__all__ = ["ScratchpadStats", "Scratchpad", "bank_queue"]
+
+
+def bank_queue(
+    banks: np.ndarray, issue: np.ndarray, free_at: np.ndarray, penalty: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start cycles of a FIFO-per-bank access stream, in closed form.
+
+    ``banks`` and ``issue`` (int64) list the stream in service order;
+    ``free_at`` holds each bank's first free cycle before the stream.
+    Along one bank's subsequence ``start_k = max(issue_k, start_{k-1} +
+    penalty)`` with ``start_{-1} + penalty = free_at[bank]``, which is
+    ``penalty·k + max(free_at, cummax(issue_j − penalty·j))``.  Returns
+    ``(start, last)``: the per-access start cycles (aligned with the
+    input) and the stream index of each bank's last access (``-1`` for an
+    untouched bank).
+    """
+    n = banks.size
+    order = np.argsort(banks, kind="stable")
+    sorted_banks = banks[order]
+    first = np.r_[True, sorted_banks[1:] != sorted_banks[:-1]]
+    head = np.flatnonzero(first)
+    segment = np.cumsum(first) - 1
+    k = np.arange(n, dtype=np.int64) - head[segment]
+    base = issue[order] - penalty * k
+    base[head] = np.maximum(base[head], free_at[sorted_banks[head]])
+    # One running maximum over all banks: lifting segment g by g·span
+    # keeps every earlier segment below it.
+    span = int(base.max() - base.min()) + 1
+    lift = segment * span
+    start_sorted = np.maximum.accumulate(base + lift) - lift + penalty * k
+    start = np.empty(n, dtype=np.int64)
+    start[order] = start_sorted
+    last = np.full(free_at.size, -1, dtype=np.int64)
+    last[sorted_banks] = order  # the last write per bank wins
+    return start, last
 
 
 @dataclass
@@ -68,6 +113,39 @@ class Scratchpad:
         else:
             self.stats.reads += 1
         return start + self.config.access_latency
+
+    def access_batch(
+        self, addresses: np.ndarray, is_write: "bool | np.ndarray", cycles: np.ndarray
+    ) -> np.ndarray:
+        """A stream of scalar accesses served in stream order.
+
+        Same effect as calling :meth:`access` once per element, in order
+        (completions, bank state and counters), computed by
+        :func:`bank_queue`.  ``is_write`` is a scalar or a per-access
+        boolean vector; returns the absolute completion cycles.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        cycles = np.asarray(cycles, dtype=np.int64)
+        if addresses.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if int(cycles.min()) < 0:
+            raise MemoryModelError("access cycle must be non-negative")
+        config = self.config
+        banks = (addresses // self.word_bytes) % config.banks
+        free_at = np.array(self._bank_free_at, dtype=np.int64)
+        start, last = bank_queue(banks, cycles, free_at, config.bank_conflict_penalty)
+        touched = np.flatnonzero(last >= 0)
+        for bank, free in zip(
+            touched.tolist(),
+            (start[last[touched]] + config.bank_conflict_penalty).tolist(),
+        ):
+            self._bank_free_at[bank] = free
+        stats = self.stats
+        stats.bank_conflicts += int(np.count_nonzero(start > cycles))
+        writes = int(np.count_nonzero(np.broadcast_to(is_write, addresses.shape)))
+        stats.writes += writes
+        stats.reads += addresses.size - writes
+        return start + config.access_latency
 
     def access_group(self, addresses: Sequence[int], is_write: bool, cycle: int) -> int:
         """A warp-wide access: one address per active lane, issued together.

@@ -132,6 +132,7 @@ from repro.errors import DeadlockError, MemoryModelError, SimulationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import (
     elevator_source_vec,
+    scratch_levels,
     thread_subset_problem,
     window_batch_problem,
 )
@@ -174,6 +175,11 @@ class _StaticTables(NamedTuple):
     ordered_loads: bool
     load_keys: dict
     load_rank: dict
+    wave_order: list
+    scratch_level_ends: frozenset
+    track_order: bool
+    push_offset: dict
+    injector_base: dict
 
 
 class _InterthreadTable(NamedTuple):
@@ -417,6 +423,151 @@ def _forward_chains(
     return jump, pos * latency + y, depth
 
 
+class _FireOrder:
+    """The event engine's processing order of every firing in one wave.
+
+    The event engine pops same-cycle events in push-sequence order, and
+    an event is pushed while its *pusher* is processed, so an event's
+    place in the processing order is the key ``(cycle, kind, pusher's
+    key, push index)``.  Tokens always land at least one cycle after
+    their pusher, so comparing two keys recurses only while the cycles
+    tie.  This table records, per node row and thread position, the
+    firing's processing cycle, the pusher event ``(row, position)`` and
+    push index of the token that completed its operands, and its rank
+    among the node's own firings; the injection events form one extra
+    row (event kind 2, ranked by position).  Barrier successors see
+    every released token pushed by the group's last arrival, in
+    barrier-arrival order; scratch levels replay in this order, and
+    issue ports serve firings in it.  (eLDST tokens count as sent by the
+    consumer's own firing, also when a forward event delivers them.)
+    """
+
+    def __init__(self, nodes: list, n: int, inject: np.ndarray) -> None:
+        self.row = {node.node_id: i for i, node in enumerate(nodes)}
+        self.inj = len(nodes)
+        rows = len(nodes) + 1
+        self.n = n
+        self.fire = np.zeros((rows, n), dtype=np.int64)
+        self.rank = np.zeros((rows, n), dtype=np.int64)
+        self.dec_row = np.zeros((rows, n), dtype=np.int64)
+        self.dec_pos = np.zeros((rows, n), dtype=np.int64)
+        self.dec_idx = np.zeros((rows, n), dtype=np.int64)
+        self.kind = np.zeros(rows, dtype=np.int64)
+        self.kind[self.inj] = 2
+        position = np.arange(n, dtype=np.int64)
+        self.fire[self.inj] = inject.astype(np.int64)
+        self.rank[self.inj] = position
+        self.position = position
+        self.zeros = np.zeros(n, dtype=np.int64)
+        #: ``row_ids[r]`` is a thread-length vector of row index ``r``.
+        self.row_ids = np.repeat(np.arange(rows, dtype=np.int64)[:, None], n, axis=1)
+        #: Per producer: the pusher event and base push index of its tokens.
+        self.emit: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def events_rank(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Dense processing-order ranks of the events ``(rows[i], pos[i])``."""
+        if rows.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if bool((rows == rows[0]).all()):
+            return self.rank[rows[0], pos]
+        primary = self.fire[rows, pos] * 4 + self.kind[rows]
+        order = np.lexsort((rows, primary))
+        p_sorted = primary[order]
+        r_sorted = rows[order]
+        new_group = np.r_[True, p_sorted[1:] != p_sorted[:-1]]
+        group = np.cumsum(new_group) - 1
+        new_row = new_group | np.r_[True, r_sorted[1:] != r_sorted[:-1]]
+        mixed_group = np.bincount(group, weights=new_row) > 1
+        secondary = self.rank[rows, pos]
+        tertiary = np.zeros(rows.size, dtype=np.int64)
+        mixed = np.flatnonzero(mixed_group[group])
+        if mixed.size:
+            # Same-cycle events of different nodes: compare their pushers.
+            rows_m, pos_m = rows[order[mixed]], pos[order[mixed]]
+            sel = order[mixed]
+            secondary[sel] = self.events_rank(
+                self.dec_row[rows_m, pos_m], self.dec_pos[rows_m, pos_m]
+            )
+            tertiary[sel] = self.dec_idx[rows_m, pos_m]
+        final = np.lexsort((tertiary, secondary, primary))
+        keys = np.stack((primary[final], secondary[final], tertiary[final]))
+        step = np.r_[False, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
+        dense = np.empty(rows.size, dtype=np.int64)
+        dense[final] = np.cumsum(step)
+        return dense
+
+    def fire_node(
+        self, nid: int, ready: np.ndarray, arrivals: "list[tuple[int, int, np.ndarray]]"
+    ) -> np.ndarray:
+        """Record node ``nid``'s firings; returns them in processing order.
+
+        ``arrivals`` lists ``(producer id, push offset, arrival cycle)`` per
+        input edge; the firing's deciding token is its latest-processed
+        operand token.
+        """
+        row = self.row[nid]
+        ready_i = ready.astype(np.int64)
+        dec_row, dec_pos, dec_idx = self.dec_row[row], self.dec_pos[row], self.dec_idx[row]
+        src, offset, arrival = arrivals[0]
+        erow, epos, ebase = self.emit[src]
+        dec_row[:] = erow
+        dec_pos[:] = epos
+        np.add(ebase, offset, out=dec_idx)
+        if len(arrivals) > 1:
+            chosen = arrival.astype(np.int64) == ready_i
+            for src, offset, arrival in arrivals[1:]:
+                hit = arrival.astype(np.int64) == ready_i
+                erow, epos, ebase = self.emit[src]
+                fresh = hit & ~chosen
+                dec_row[fresh] = erow[fresh]
+                dec_pos[fresh] = epos[fresh]
+                dec_idx[fresh] = ebase[fresh] + offset
+                again = hit & chosen
+                if bool(again.any()):
+                    self._settle_tie(np.flatnonzero(again), src, offset, row)
+                chosen |= hit
+        self.fire[row] = ready_i
+        pusher = self.events_rank(dec_row, dec_pos)
+        span = int(dec_idx.max()) + 1
+        if int(ready_i.max()) * self.n * span < 1 << 62:
+            key = (ready_i * self.n + pusher) * span + dec_idx
+            if bool((key[1:] > key[:-1]).all()):
+                order = self.position
+            else:
+                order = np.argsort(key)
+        else:  # pragma: no cover - cycle counts far past max_cycles
+            order = np.lexsort((dec_idx, pusher, ready_i))
+        self.rank[row, order] = self.position
+        return order
+
+    def _settle_tie(self, t: np.ndarray, src: int, offset: int, row: int) -> None:
+        """Threads ``t`` whose operand from ``src`` arrives on the same
+        cycle as the one chosen so far: the token whose (pusher, push
+        index) comes later completes the firing."""
+        erow, epos, ebase = self.emit[src]
+        dec_row, dec_pos, dec_idx = self.dec_row[row], self.dec_pos[row], self.dec_idx[row]
+        ranks = self.events_rank(
+            np.concatenate((dec_row[t], erow[t])), np.concatenate((dec_pos[t], epos[t]))
+        )
+        cur, new = ranks[: t.size], ranks[t.size :]
+        new_idx = ebase[t] + offset
+        later = t[(new > cur) | ((new == cur) & (new_idx > dec_idx[t]))]
+        dec_row[later] = erow[later]
+        dec_pos[later] = epos[later]
+        dec_idx[later] = ebase[later] + offset
+
+    def emit_inline(self, nid: int) -> None:
+        """A node that sends its own tokens while it fires."""
+        self.emit[nid] = (self.row_ids[self.row[nid]], self.position, self.zeros)
+
+    def emit_injected(self, nid: int, base: int) -> None:
+        """Tokens pushed by the thread's injection event (sources, and the
+        elevator fallback constant)."""
+        self.emit[nid] = (
+            self.row_ids[self.inj], self.position, np.full(self.n, base, dtype=np.int64)
+        )
+
+
 class BatchedSimulator:
     """Batched vectorised model of one (d)MT-CGRA core.
 
@@ -500,6 +651,14 @@ class BatchedSimulator:
         self._ordered_loads = static.ordered_loads
         self._load_keys = static.load_keys
         self._load_rank = static.load_rank
+        self._wave_order = static.wave_order
+        self._scratch_level_ends = static.scratch_level_ends
+        self._track_order = static.track_order
+        self._push_offset = static.push_offset
+        self._injector_base = static.injector_base
+        self._fo: _FireOrder | None = None
+        #: Latest arrival of the last replayed scratch level.
+        self._scratch_horizon = -math.inf
         # The ``p``-th thread of this core is injected at cycle ``p // replicas``.
         self._inject = (
             np.arange(self._thread_ids.size, dtype=np.int64) // self._ports
@@ -581,6 +740,7 @@ class BatchedSimulator:
         prepass_nodes = self._pure_load_ancestors()
         ordered_loads = prepass_nodes is not None
         load_keys = self._event_order_keys() if ordered_loads else {}
+        wave_order, level_ends = self._scratch_levels()
         return _StaticTables(
             order=self._order,
             inputs=self._inputs,
@@ -598,7 +758,53 @@ class BatchedSimulator:
             ordered_loads=ordered_loads,
             load_keys=load_keys,
             load_rank=_load_ranks(load_keys, self._order_pos),
+            wave_order=wave_order,
+            scratch_level_ends=level_ends,
+            track_order=bool(
+                self.graph.nodes_with_opcode(
+                    Opcode.BARRIER, Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE
+                )
+            ),
+            push_offset={
+                (src, dst, port): f
+                for src, succ in self._successors.items()
+                for f, (dst, port) in enumerate(succ)
+            },
+            injector_base=self._injector_bases(),
         )
+
+    def _injector_bases(self) -> dict[int, int]:
+        """Push-index base of each injected source's tokens.
+
+        The injection event sends every injector's tokens in graph node
+        order (``CycleSimulator._inject_thread``), one per fan-out edge.
+        """
+        stride = 1 + max((len(s) for s in self._successors.values()), default=0)
+        injectors = [
+            node.node_id
+            for node in self.graph.nodes
+            if node.opcode in _SOURCE_OPCODES or node.opcode is Opcode.ELEVATOR
+        ]
+        return {nid: i * stride for i, nid in enumerate(injectors)}
+
+    def _scratch_levels(self) -> tuple[list, frozenset]:
+        """Wave evaluation order and the last scratch node of each level.
+
+        A scratch node's level is one more than the deepest scratch node
+        among its ancestors.  Sorting the topological order by the deepest
+        scratch level *above* each node keeps it topological and puts
+        every level-``k`` scratch node before any consumer of one, so a
+        level's accesses are all issued before its merged stream replays.
+        """
+        level, depth = scratch_levels(self.graph, self._order)
+        wave_order = sorted(
+            self._order, key=lambda n: (depth[n.node_id], self._order_pos[n.node_id])
+        )
+        last: dict[int, int] = {}
+        for node in wave_order:
+            if node.node_id in level:
+                last[level[node.node_id]] = node.node_id
+        return wave_order, frozenset(last.values())
 
     def _build_interthread_table(self, node: Node) -> _InterthreadTable:
         t = self._thread_ids
@@ -764,15 +970,20 @@ class BatchedSimulator:
         uses = {nid: len(succ) for nid, succ in self._successors.items()}
         evaluated: set[int] = set()
         load_results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if self._track_order:
+            self._fo = _FireOrder(self._order, n, inject)
         if self._ordered_loads and self._load_nodes:
             self._classify_wave_loads(tids, inject, values, avail, evaluated, load_results)
 
-        for node in self._order:
+        scratch_level: list[tuple] = []
+        for node in self._wave_order:
             nid = node.node_id
             if node.opcode in _SOURCE_OPCODES:
                 if nid not in evaluated:
                     values[nid] = self._source_value(node, tids, n)
                     avail[nid] = inject
+                    if self._fo is not None:
+                        self._fo.emit_injected(nid, self._injector_base[nid])
             else:
                 inputs = self._inputs[nid]
                 if nid in load_results:
@@ -792,13 +1003,21 @@ class BatchedSimulator:
                         self._trace_node(node, issue, avail[nid])
                 elif nid not in evaluated:
                     operands = [values[src] for _, src in inputs]
-                    ready = inject
-                    for _, src in inputs:
-                        ready = np.maximum(ready, avail[src] + self._edge_latency[(src, nid)])
-                    issue = self._issue(ready)
-                    values[nid], avail[nid] = self._execute(node, tids, operands, issue)
-                    if self._trace is not None:
-                        self._trace_node(node, issue, avail[nid])
+                    ready, issue, order = self._ready_issue(node, avail)
+                    if node.opcode in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
+                        values[nid], access = self._access_scratch(
+                            node, operands, ready, issue
+                        )
+                        scratch_level.append(access)
+                        if nid in self._scratch_level_ends:
+                            self._replay_scratch_level(scratch_level, avail)
+                            scratch_level = []
+                    else:
+                        values[nid], avail[nid] = self._execute(
+                            node, tids, operands, issue, order
+                        )
+                        if self._trace is not None:
+                            self._trace_node(node, issue, avail[nid])
                 for _, src in inputs:
                     uses[src] -= 1
                     if uses[src] == 0:
@@ -836,14 +1055,13 @@ class BatchedSimulator:
             if node.opcode in _SOURCE_OPCODES:
                 values[nid] = self._source_value(node, tids, n)
                 avail[nid] = inject
+                if self._fo is not None:
+                    self._fo.emit_injected(nid, self._injector_base[nid])
                 evaluated.add(nid)
                 continue
             inputs = self._inputs[nid]
             operands = [values[src] for _, src in inputs]
-            ready = inject
-            for _, src in inputs:
-                ready = np.maximum(ready, avail[src] + self._edge_latency[(src, nid)])
-            issue = self._issue(ready)
+            _, issue, order = self._ready_issue(node, avail)
             if node.opcode in (Opcode.LOAD, Opcode.ELDST):
                 # ``valid`` masks the threads that really touch memory:
                 # all of a LOAD's, only an eLDST's loading heads.
@@ -855,7 +1073,7 @@ class BatchedSimulator:
                 addresses = spec.base_address + idx * spec.elem_bytes
                 pending.append((node, issue, idx, addresses, valid))
             else:
-                values[nid], avail[nid] = self._execute(node, tids, operands, issue)
+                values[nid], avail[nid] = self._execute(node, tids, operands, issue, order)
                 if tracer is not None:
                     self._trace_node(node, issue, avail[nid])
             evaluated.add(nid)
@@ -942,7 +1160,35 @@ class BatchedSimulator:
         return tids.copy()  # TID_LINEAR
 
     # ----------------------------------------------------------- issue ports
-    def _issue(self, ready: np.ndarray) -> np.ndarray:
+    def _ready_issue(
+        self, node: Node, avail: dict[int, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
+        """Operand-ready cycles, issue cycles and (when the wave tracks the
+        event order) the firings' processing order of one node."""
+        nid = node.node_id
+        ready = self._inject
+        for _, src in self._inputs[nid]:
+            ready = np.maximum(ready, avail[src] + self._edge_latency[(src, nid)])
+        fo = self._fo
+        if fo is None:
+            return ready, self._issue(ready), None
+        order = fo.fire_node(
+            nid,
+            ready,
+            [
+                (
+                    src,
+                    self._push_offset[(src, nid, port)],
+                    avail[src] + self._edge_latency[(src, nid)],
+                )
+                for port, src in self._inputs[nid]
+            ],
+        )
+        if node.opcode not in (Opcode.BARRIER, Opcode.ELEVATOR):
+            fo.emit_inline(nid)
+        return ready, self._issue(ready, order), order
+
+    def _issue(self, ready: np.ndarray, order: "np.ndarray | None" = None) -> np.ndarray:
         """Deterministic multi-server queue over the node's issue ports.
 
         Firings are serviced in ready order, assigned round-robin to the
@@ -954,7 +1200,9 @@ class BatchedSimulator:
         # Ready times of a pure chain are monotone in thread position
         # (inject order plus uniform latencies), so the sort is usually a
         # no-op; detect that with one cheap pass instead of an argsort.
-        if ready.size < 2 or bool((ready[1:] >= ready[:-1]).all()):
+        if order is not None:
+            r = ready[order]
+        elif ready.size < 2 or bool((ready[1:] >= ready[:-1]).all()):
             order = None
             r = ready
         else:
@@ -975,27 +1223,25 @@ class BatchedSimulator:
 
     # -------------------------------------------------------------- execution
     def _execute(
-        self, node: Node, tids: np.ndarray, operands: list[np.ndarray], issue: np.ndarray
+        self,
+        node: Node,
+        tids: np.ndarray,
+        operands: list[np.ndarray],
+        issue: np.ndarray,
+        order: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         op = node.opcode
         latency = unit_latency(self.config, node)
         if op in PURE_OPCODES:
             return _eval_pure_vec(node, operands), issue + latency
         if op is Opcode.LOAD:
-            value, complete = self._access_global(node, operands[0], issue, store_value=None)
+            value, complete = self._access_global(
+                node, operands[0], issue, store_value=None, order=order
+            )
             return value, complete
         if op is Opcode.STORE:
             value, complete = self._access_global(
-                node, operands[0], issue, store_value=operands[1]
-            )
-            self._completion = max(self._completion, float(complete.max()))
-            return value, complete
-        if op is Opcode.SCRATCH_LOAD:
-            value, complete = self._access_scratch(node, operands[0], issue, store_value=None)
-            return value, complete
-        if op is Opcode.SCRATCH_STORE:
-            value, complete = self._access_scratch(
-                node, operands[0], issue, store_value=operands[1]
+                node, operands[0], issue, store_value=operands[1], order=order
             )
             self._completion = max(self._completion, float(complete.max()))
             return value, complete
@@ -1039,6 +1285,16 @@ class BatchedSimulator:
         avail = np.where(valid, complete_valid, self._inject + latency)
         self.stats.elevator_retags += n_valid
         self.stats.elevator_constants += n - n_valid
+        if self._fo is not None:
+            # A retagged token is pushed by its producer's firing; the
+            # fallback constant by the consumer's injection event.
+            fo = self._fo
+            base = self._injector_base[node.node_id]
+            fo.emit[node.node_id] = (
+                np.where(valid, fo.row[node.node_id], fo.inj),
+                np.where(valid, gather, fo.position),
+                np.where(valid, 0, base),
+            )
         if self._trace is not None and n:
             ts = float(issue.min())
             self._trace.event(
@@ -1167,15 +1423,18 @@ class BatchedSimulator:
     def _execute_barrier_vec(
         self, node: Node, tids: np.ndarray, operands: list[np.ndarray], issue: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Segmented-max release per transmission window group."""
-        window = int(node.param("window"))
-        groups = tids // window
+        """Segmented-max release per transmission window group; a barrier
+        without a ``window`` is one group over the whole thread subset."""
+        window = node.param("window")
+        groups = tids // int(window) if window else np.zeros_like(tids)
         unique, inverse = np.unique(groups, return_inverse=True)
         release = np.full(unique.size, -np.inf)
         np.maximum.at(release, inverse, issue)
         release += float(self.config.latency.control)
         per_thread = release[inverse]
         n = issue.size
+        if self._fo is not None:
+            self._emit_barrier(node, inverse, unique.size)
         self.stats.barrier_arrivals += n
         # One LVC write parking each value, one read releasing it.
         self.stats.lvc_accesses += 2 * n
@@ -1192,6 +1451,26 @@ class BatchedSimulator:
                     args={"group": int(unique[g]), "count": int(counts[g])},
                 )
         return operands[0], per_thread + float(LVC_ACCESS_LATENCY)
+
+    def _emit_barrier(self, node: Node, inverse: np.ndarray, groups: int) -> None:
+        """A group's release is pushed by its last arrival, one send per
+        parked thread in arrival order."""
+        fo = self._fo
+        assert fo is not None
+        row = fo.row[node.node_id]
+        arrival = fo.rank[row]
+        by_arrival = np.lexsort((arrival, inverse))
+        counts = np.bincount(inverse, minlength=groups)
+        starts = np.cumsum(counts) - counts
+        in_group = np.empty(arrival.size, dtype=np.int64)
+        in_group[by_arrival] = np.arange(arrival.size) - np.repeat(starts, counts)
+        last = by_arrival[starts + counts - 1]
+        fanout = len(self._successors[node.node_id])
+        fo.emit[node.node_id] = (
+            np.full(arrival.size, row, dtype=np.int64),
+            last[inverse],
+            in_group * fanout,
+        )
 
     def _checked_indices(self, node: Node, index: np.ndarray, length: int) -> np.ndarray:
         idx = _coerce_vec(index, DType.I32)
@@ -1210,17 +1489,20 @@ class BatchedSimulator:
         index: np.ndarray,
         issue: np.ndarray,
         store_value: np.ndarray | None,
+        order: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stores (and loads in fallback mode): classify at the node's
-        topological position, replaying the node's accesses in issue order
-        (the order the event engine's heap services them when the phases
-        do not overlap)."""
+        topological position, replaying the node's accesses in the
+        firings' processing ``order`` when the wave tracks it, in issue
+        order otherwise (the order the event engine's heap services them
+        when the phases do not overlap)."""
         name = str(node.param("array"))
         spec = self.memory.spec(name)
         backing = self.memory.array(name)
         idx = self._checked_indices(node, index, spec.length)
         addresses = spec.base_address + idx * spec.elem_bytes
-        order = np.lexsort((np.arange(idx.size), issue))
+        if order is None:
+            order = np.lexsort((np.arange(idx.size), issue))
         complete = np.empty(issue.shape)
         complete[order] = self._analytic.access_batch(
             addresses[order], issue[order], is_store=store_value is not None
@@ -1238,31 +1520,77 @@ class BatchedSimulator:
         return store_value, complete
 
     def _access_scratch(
-        self,
-        node: Node,
-        index: np.ndarray,
-        issue: np.ndarray,
-        store_value: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, node: Node, operands: list[np.ndarray], ready: np.ndarray, issue: np.ndarray
+    ) -> tuple[np.ndarray, tuple]:
+        """Move a scratch node's data now; queue its accesses for replay.
+
+        Data moves at the node's wave position (barriers order every
+        store before the loads that read it); timing waits for the
+        node's level to replay (:meth:`_replay_scratch_level`).
+        """
         name = str(node.param("array"))
         spec = self.memory.spec(name)
         backing = self.memory.array(name)
-        idx = self._checked_indices(node, index, spec.length)
-        complete = issue + float(self.config.memory.scratchpad.access_latency)
-        if self._trace is not None and idx.size:
-            ts = float(issue.min())
-            self._trace.event(
-                f"{'scratch store' if store_value is not None else 'scratch load'} {name}",
-                "scratch", ts, float(complete.max()) - ts,
-                pid=self._trace_pid, tid=MEM_LANE, args={"count": int(idx.size)},
+        idx = self._checked_indices(node, operands[0], spec.length)
+        addresses = spec.base_address + idx * spec.elem_bytes
+        if node.opcode is Opcode.SCRATCH_STORE:
+            backing[idx] = operands[1]
+            value = operands[1]
+        else:
+            value = _coerce_vec(backing[idx], node.dtype)
+        return value, (node, ready, issue, addresses)
+
+    def _replay_scratch_level(
+        self, level: list[tuple], avail: dict[int, np.ndarray]
+    ) -> None:
+        """Serve one scratch level's merged access stream in event order.
+
+        The event engine calls ``Scratchpad.access`` when a scratch
+        node's last operand token arrives, so the stream is ordered by
+        the nodes' ``ready`` cycles, not their issue cycles; barriers keep
+        different levels' arrival ranges apart, so each level replays as
+        one stream with the bank state carried over from the last.
+        """
+        n = self._thread_ids.size
+        ready = np.concatenate([access[1] for access in level])
+        if float(ready.min()) <= self._scratch_horizon:
+            # window_batch_problem admits only barrier-separated levels.
+            raise SimulationError(
+                f"{level[0][0].label()}'s scratch level overlaps the previous "
+                "level in time; its replay would not follow the event order"
             )
-        scratch = self.hierarchy.scratchpad.stats
-        if store_value is None:
-            scratch.reads += idx.size
-            return _coerce_vec(backing[idx], node.dtype), complete
-        scratch.writes += idx.size
-        backing[idx] = store_value
-        return store_value, complete
+        self._scratch_horizon = float(ready.max())
+        issue = np.concatenate([access[2] for access in level])
+        addresses = np.concatenate([access[3] for access in level])
+        writes = np.repeat(
+            [access[0].opcode is Opcode.SCRATCH_STORE for access in level], n
+        )
+        fo = self._fo
+        assert fo is not None
+        rows = np.repeat(
+            np.array([fo.row[access[0].node_id] for access in level], dtype=np.int64), n
+        )
+        order = np.argsort(
+            fo.events_rank(rows, np.tile(fo.position, len(level))), kind="stable"
+        )
+        complete = np.empty(order.size)
+        complete[order] = self.hierarchy.scratchpad.access_batch(
+            addresses[order], writes[order], issue[order].astype(np.int64)
+        )
+        for block, (node, _, node_issue, _) in enumerate(level):
+            done = complete[block * n : (block + 1) * n]
+            avail[node.node_id] = done
+            is_store = node.opcode is Opcode.SCRATCH_STORE
+            if is_store:
+                self._completion = max(self._completion, float(done.max()))
+            if self._trace is not None:
+                ts = float(node_issue.min())
+                self._trace.event(
+                    f"{'scratch store' if is_store else 'scratch load'} {node.param('array')}",
+                    "scratch", ts, float(done.max()) - ts,
+                    pid=self._trace_pid, tid=MEM_LANE, args={"count": int(n)},
+                )
+                self._trace_node(node, node_issue, done)
 
     # ------------------------------------------------------------- counters
     def _accumulate_counters(self) -> None:

@@ -1,5 +1,6 @@
 """Tests for DRAM, scratchpad, coalescer and the assembled hierarchy."""
 
+import numpy as np
 import pytest
 
 from repro.config.system import DramConfig, MemorySystemConfig, ScratchpadConfig
@@ -44,6 +45,32 @@ def test_scratchpad_broadcast_counts_once():
     done = pad.access_group([0, 0, 0, 0], is_write=False, cycle=0)
     assert pad.stats.reads == 1
     assert done == 4
+
+
+def test_scratchpad_access_batch_equals_scalar_accesses():
+    """The closed-form bank queue is the scalar model: random streams with
+    non-monotone issue cycles, served in several batches, complete on the
+    same cycles and leave the same bank state and counters as one
+    ``access`` call per element."""
+    rng = np.random.default_rng(7)
+    for banks, penalty, latency in ((1, 1, 0), (4, 3, 24), (32, 1, 24), (32, 0, 4)):
+        config = ScratchpadConfig(
+            banks=banks, access_latency=latency, bank_conflict_penalty=penalty
+        )
+        batched, scalar = Scratchpad(config), Scratchpad(config)
+        for batch in range(4):
+            n = int(rng.integers(0, 300))
+            addresses = rng.integers(0, 1024, n) * 4
+            writes = rng.integers(0, 2, n).astype(bool)
+            cycles = rng.integers(0, 60, n) + 40 * batch
+            got = batched.access_batch(addresses, writes, cycles)
+            want = [
+                scalar.access(int(a), bool(w), int(c))
+                for a, w, c in zip(addresses, writes, cycles)
+            ]
+            assert got.tolist() == want
+        assert batched.stats == scalar.stats
+        assert batched._bank_free_at == scalar._bank_free_at
 
 
 # ----------------------------------------------------------------- coalescer

@@ -216,9 +216,9 @@ def test_vectorised_walk_identical_to_sequential_walk(name, params, config_name)
     }[config_name]
     _, factory = stream_launch(name, params)
     compiled = compile_kernel(factory().graph, config)
-    _, replayed, mismatches = run_against_hierarchy(BatchedSimulator(compiled, factory()))
-    assert replayed > 0
-    assert not mismatches, "\n".join(mismatches)
+    replay = run_against_hierarchy(BatchedSimulator(compiled, factory()))
+    assert replay.replayed > 0
+    assert not replay.mismatches, "\n".join(replay.mismatches)
 
 
 def test_vectorised_model_identical_on_random_mixed_streams():
@@ -310,3 +310,50 @@ def test_load_dependent_load_falls_back_but_stays_equivalent():
     for key in ("alu_ops", "global_loads", "global_stores", "tokens_sent"):
         assert batched_counters[key] == event_counters[key], key
     assert batched.counters()["l1_read_misses"] > 0
+
+
+# ------------------------------------------------------------ scratch replay
+def _tile_reverse_kernel(n: int, window: int):
+    """Store a tile, synchronise the block, read it back reversed; four
+    consecutive threads share a bank (``n`` = 128), so accesses queue."""
+    b = KernelBuilder("tile_reverse", n)
+    b.global_array("a", n)
+    b.global_array("out", n)
+    b.scratch_array("tile", n)
+    tid = b.thread_idx_x()
+    slot = (tid & 3) * (n // 4) + (tid >> 2)
+    bar = b.barrier(b.scratch_store("tile", slot, b.load("a", tid)), window=window)
+    b.store("out", slot, b.scratch_load("tile", (n - 1) - slot, order=bar))
+    graph = b.finish()
+    return graph, KernelLaunch(graph, {"a": np.arange(n, dtype=np.float64)})
+
+
+def test_scratch_replay_identical_to_event_scratchpad():
+    """A barrier-separated two-level scratch kernel runs batched with the
+    event engine's cycles and counters, and every scratch level's stream,
+    replayed through ``Scratchpad.access`` one access at a time, completes
+    on the same cycles and leaves the same counters."""
+    from repro.sim.batched import BatchedSimulator
+
+    n = 128
+    graph, launch = _tile_reverse_kernel(n, window=n)
+    compiled = compile_kernel(graph)
+    event = simulate(compiled, launch, engine="event")
+    batched = simulate(compiled, _tile_reverse_kernel(n, window=n)[1])
+    assert batched.engine == "window-batched"
+    assert batched.cycles == event.cycles
+    counters = batched.counters()
+    for key, value in event.counters().items():
+        if key != "engine":
+            assert counters[key] == value, key
+    assert counters["scratchpad_bank_conflicts"] > 0
+    replay = run_against_hierarchy(
+        BatchedSimulator(compiled, _tile_reverse_kernel(n, window=n)[1])
+    )
+    assert replay.scratch_replayed == 2 * n
+    assert not replay.scratch_mismatches, "\n".join(replay.scratch_mismatches)
+    tid = np.arange(n)
+    tile = np.empty(n)
+    tile[(tid & 3) * (n // 4) + (tid >> 2)] = tid
+    assert np.array_equal(replay.result.array("out"), tile[::-1])
+    assert np.array_equal(batched.array("out"), event.array("out"))
