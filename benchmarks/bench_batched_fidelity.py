@@ -28,7 +28,8 @@ Acceptance gates (also enforced by ``tests/sim/test_fidelity.py``):
 * the scratch replay is the event engine's scratchpad: every scratch
   level's stream, replayed through ``Scratchpad.access`` one access at
   a time, completes on the same cycles and leaves the same counters
-  (``scratch_identical``).
+  (``scratch_identical``), and at least one ``mt`` row replays a
+  non-empty scratch stream (``replayed_scratch_accesses``).
 
 Run ``pytest benchmarks/bench_batched_fidelity.py -s`` for the full
 table, or as a script (CI uses ``--quick`` in the fast lane)::
@@ -262,6 +263,11 @@ def check_rows(rows) -> list[str]:
                 f"{label}: scratch replay diverges from the event engine's "
                 "scratchpad (completions or counters differ)"
             )
+    if not any(
+        row["variant"] == "mt" and row["replayed_scratch_accesses"] > 0
+        for _, _, row in rows
+    ):
+        failures.append("no mt row replayed a scratch stream through the scratchpad")
     return failures
 
 

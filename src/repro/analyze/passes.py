@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.analyze.diagnostics import Diagnostic, Severity
 from repro.config.system import SystemConfig
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import communication_windows
+from repro.graph.interthread import communication_windows, window_batch_problem
 from repro.graph.node import Node
 from repro.graph.opcodes import Opcode
 from repro.graph.semantics import PURE_OPCODES
@@ -524,56 +524,60 @@ def engine_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
     for either batched engine ``RA043``/``RA042`` states whether the
     analytic cache model keeps the event engine's replay order or
     degrades to per-node replay.  ``RA041`` kernels additionally carry
-    ``RA045`` naming the reason the window-group path is out of reach.
+    ``RA045`` naming the reason the batched path is out of reach
+    (:func:`repro.graph.interthread.window_batch_problem`: a recurrence,
+    or scratch levels that may interleave in time).
     """
     out: list[Diagnostic] = []
     interthread = tuple(
         node.node_id
         for node in graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER)
     )
+    problem = window_batch_problem(graph)
+    if problem is not None:
+        # Scratch levels that may interleave keep even an inter-thread-free
+        # graph on the event engine.
+        gated = interthread or tuple(
+            node.node_id
+            for node in graph.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
+        )
+        kind = "inter-thread" if interthread else "scratchpad"
+        out.append(
+            Diagnostic(
+                code="RA041",
+                severity=Severity.INFO,
+                message=f"{len(gated)} {kind} node(s) require the event-driven engine",
+                nodes=gated,
+                labels=_labels(graph, gated),
+            )
+        )
+        out.append(
+            Diagnostic(
+                code="RA045",
+                severity=Severity.INFO,
+                message=f"not window-batchable: {problem}",
+                data={"problem": problem},
+            )
+        )
+        return out
     if interthread:
-        from repro.graph.interthread import window_batch_problem
-
-        problem = window_batch_problem(graph)
-        if problem is None:
-            windows, _ = communication_windows(graph)
-            lcm = math.lcm(*windows) if windows else None
-            out.append(
-                Diagnostic(
-                    code="RA044",
-                    severity=Severity.INFO,
-                    message=(
-                        f"{len(interthread)} inter-thread node(s) are "
-                        "feed-forward and window-bounded; eligible for the "
-                        "window-batched engine"
-                    ),
-                    nodes=interthread,
-                    labels=_labels(graph, interthread),
-                    data={"window_lcm": lcm},
-                )
+        windows, _ = communication_windows(graph)
+        out.append(
+            Diagnostic(
+                code="RA044",
+                severity=Severity.INFO,
+                message=(
+                    f"{len(interthread)} inter-thread node(s) are feed-forward "
+                    "and every scratch level is barrier-separated; eligible "
+                    "for the window-batched engine"
+                ),
+                nodes=interthread,
+                labels=_labels(graph, interthread),
+                # None when nothing is windowed (e.g. whole-block barriers).
+                data={"window_lcm": math.lcm(*windows) if windows else None},
             )
-            out.append(_replay_order_diagnostics(graph))
-        else:
-            out.append(
-                Diagnostic(
-                    code="RA041",
-                    severity=Severity.INFO,
-                    message=(
-                        f"{len(interthread)} inter-thread node(s) require the "
-                        "event-driven engine"
-                    ),
-                    nodes=interthread,
-                    labels=_labels(graph, interthread),
-                )
-            )
-            out.append(
-                Diagnostic(
-                    code="RA045",
-                    severity=Severity.INFO,
-                    message=f"not window-batchable: {problem}",
-                    data={"problem": problem},
-                )
-            )
+        )
+        out.append(_replay_order_diagnostics(graph))
         return out
     out.append(
         Diagnostic(

@@ -54,7 +54,9 @@ __all__ = [
 #: arrays), which the serve layer's bit-identity contract relies on.
 #: v3: sharded batched runs queue on the shared DRAM device, so their cycles
 #: changed while their config digests did not.
-CACHE_SCHEMA_VERSION = 3
+#: v4: scratchpad (``mt``) kernels run on the window-batched engine; their
+#: cycles are unchanged but cached records would still say ``engine: event``.
+CACHE_SCHEMA_VERSION = 4
 
 
 def apply_override(config_data: dict[str, Any], path: str, value: Any) -> None:

@@ -402,7 +402,4 @@ def window_batch_problem(graph) -> Optional[str]:
             "an inter-thread recurrence cycle requires token-by-token "
             "resolution"
         )
-    for node in graph.nodes_with_opcode(Opcode.BARRIER):
-        if node.param("window") is None:
-            return f"{node.label()} synchronises the whole block (no bounded window)"
     return _scratch_level_problem(graph, order)

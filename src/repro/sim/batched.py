@@ -6,7 +6,8 @@ configuration on the Figure 11/12 problem sizes.  The dMT-CGRA execution
 model is thread-parallel — the same static graph is traversed by
 thousands of tagged threads — and inter-thread communication is a
 *static* consumer→producer map inside a transmission window (Sec. 3.2).
-So whenever that traffic is feed-forward
+So whenever that traffic is feed-forward and the scratchpad traffic
+replays level by level
 (:func:`repro.graph.interthread.window_batch_problem` returns ``None``;
 a graph without ELEVATOR/ELDST/BARRIER nodes is the case with no maps)
 each static node can be evaluated once over a NumPy vector of all the
@@ -67,6 +68,22 @@ the event engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`
 one access at a time, the same stream completes on the same cycles
 and leaves the same counters.
 
+Scratchpad accesses replay the same way
+(``BatchedSimulator._replay_scratch_level``).  The event engine calls ``Scratchpad.access``
+when a scratch node's last operand token *arrives* — the issue-port
+queue pushes issue past arrival, so that is not issue order — and its
+heap breaks same-cycle ties by push sequence.  :class:`_FireOrder`
+tracks that order for every firing of a graph with barriers or scratch
+nodes: through pure nodes, injections and whole-block barrier releases,
+which push the released threads in barrier-arrival order.  Scratch
+nodes are grouped by scratch-dependency level; barriers keep the
+levels' arrival ranges apart (the static condition of
+:func:`~repro.graph.interthread.window_batch_problem`), so each level is
+one merged stream served by the closed-form per-bank FIFO of
+:meth:`~repro.memory.scratchpad.Scratchpad.access_batch`, with bank
+state carried from level to level — the event engine's completions and
+``scratchpad_bank_conflicts``, access for access.
+
 The counters land in the hierarchy's stats objects, so the energy
 pipeline and ``SimulationResult.counters()`` see the batched model
 exactly where the event engine's counters would appear.  Residual
@@ -96,7 +113,8 @@ event exchange:
   and evaluates the event engine's exact timing recurrence
   ``complete[t] = max(issue[t], complete[src]) + L`` as a prefix maximum
   in ``ceil(log2 depth)`` rounds.
-* **BARRIER** — windows partition the thread vector into groups; the
+* **BARRIER** — windows partition the thread vector into groups (a
+  barrier without a ``window`` is one group over the whole subset); the
   release cycle is a segmented maximum of the group's arrival cycles
   plus the control latency.
 

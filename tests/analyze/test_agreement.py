@@ -19,11 +19,13 @@ import pytest
 
 from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, SimulationError
 from repro.kernel.builder import KernelBuilder
 from repro.graph.interthread import window_batch_problem
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim import resolve_engine, simulate
 from repro.sim.api import _SIMULATORS
+from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import plan_shards
@@ -45,45 +47,47 @@ SMALL_PARAMS = {
 
 #: Pinned (engine, order_stable, shardable) verdict for every registry
 #: kernel.  The engine verdicts carry RA040 (batched), RA044
-#: (window-batched) or RA041+RA045 (event-only); order_stable=False
+#: (window-batched: feed-forward inter-thread traffic, barrier-separated
+#: scratch levels) or RA041+RA045 (event-only); order_stable=False
 #: carries RA042 (data-dependent load indices force per-node replay).
+#: The mt kernels' whole-block barriers keep them unshardable (RA031).
 #: A change here is an architectural change and must be deliberate.
 EXPECTED_VERDICTS = {
-    ("scan", "mt"): ("event", True, False),
+    ("scan", "mt"): ("window-batched", True, False),
     ("scan", "dmt"): ("event", True, False),
     ("scan", "stream"): ("batched", True, True),
-    ("matrixMul", "mt"): ("event", True, False),
+    ("matrixMul", "mt"): ("window-batched", True, False),
     ("matrixMul", "dmt"): ("window-batched", True, False),
     ("matrixMul", "dmt_win"): ("window-batched", True, True),
     ("matrixMul", "stream"): ("batched", True, True),
-    ("convolution", "mt"): ("event", True, False),
+    ("convolution", "mt"): ("window-batched", True, False),
     ("convolution", "dmt"): ("window-batched", True, False),
     ("convolution", "dmt_win"): ("window-batched", True, True),
     ("convolution", "stream"): ("batched", True, True),
-    ("reduce", "mt"): ("event", True, False),
+    ("reduce", "mt"): ("window-batched", True, False),
     ("reduce", "dmt"): ("window-batched", True, True),
     ("reduce", "dmt_win"): ("window-batched", True, True),
     ("reduce", "stream"): ("batched", True, True),
-    ("lud", "mt"): ("event", True, False),
+    ("lud", "mt"): ("window-batched", True, False),
     ("lud", "dmt"): ("window-batched", True, False),
     ("lud", "dmt_win"): ("window-batched", True, True),
     ("lud", "stream"): ("batched", True, True),
-    ("srad", "mt"): ("event", True, False),
+    ("srad", "mt"): ("window-batched", True, False),
     ("srad", "dmt"): ("window-batched", True, False),
     ("srad", "dmt_win"): ("window-batched", True, True),
     ("srad", "stream"): ("batched", True, True),
-    ("bpnn", "mt"): ("event", True, False),
+    ("bpnn", "mt"): ("window-batched", True, False),
     ("bpnn", "dmt"): ("window-batched", True, False),
     ("bpnn", "stream"): ("batched", True, True),
-    ("hotspot", "mt"): ("event", True, False),
+    ("hotspot", "mt"): ("window-batched", True, False),
     ("hotspot", "dmt"): ("window-batched", True, False),
     ("hotspot", "dmt_win"): ("window-batched", True, True),
     ("hotspot", "stream"): ("batched", True, True),
-    ("pathfinder", "mt"): ("event", True, False),
+    ("pathfinder", "mt"): ("window-batched", True, False),
     ("pathfinder", "dmt"): ("window-batched", True, False),
     ("pathfinder", "dmt_win"): ("window-batched", True, True),
     ("pathfinder", "stream"): ("batched", True, True),
-    ("spmv", "mt"): ("event", False, False),
+    ("spmv", "mt"): ("window-batched", False, False),
     ("spmv", "dmt"): ("window-batched", False, True),
     ("spmv", "dmt_win"): ("window-batched", False, True),
     ("spmv", "stream"): ("batched", False, True),
@@ -130,8 +134,8 @@ def test_registry_kernel_analyzes_clean(workload, variant, graph):
 def test_registry_verdicts_are_pinned(workload, variant, graph):
     """Every registry kernel's (engine, order_stable, shardable) verdict
     matches the pinned table, and the RA04x code set follows: RA042 for
-    the order-unstable spmv gather kernels, RA041+RA045 for scan's cyclic
-    recurrence and every whole-block-barrier mt kernel."""
+    the order-unstable spmv gather kernels (mt included), RA041+RA045 for
+    scan's cyclic recurrence, the one event-only registry kernel."""
     result = analyze_kernel(compile_kernel(graph))
     engine, order_stable, shardable = EXPECTED_VERDICTS[(workload.name, variant)]
     assert result.engine == engine
@@ -211,3 +215,43 @@ def test_deadlock_pass_flags_exactly_the_deadlocking_kernel():
     assert analyze_kernel(compiled).deadlock  # statically flagged...
     with pytest.raises(DeadlockError):  # ...and it really deadlocks
         CycleSimulator(compiled, KernelLaunch(graph, {}), max_cycles=50_000).run()
+
+
+def test_overlapping_scratch_levels_stay_on_the_event_engine():
+    """A scratch load ordered only by its own thread's store (no barrier)
+    has a level that interleaves with the store level in time: the event
+    engine's scratch stream alternates between the two levels, so no
+    level-by-level replay is exact.  The verdict keeps the kernel on the
+    event engine and RA045 names the unseparated level."""
+    n = 1024
+    b = KernelBuilder("scratch_overlap", n)
+    b.global_array("out", n)
+    b.scratch_array("s", n)
+    tid = b.thread_idx_x()
+    ack = b.scratch_store("s", tid, tid)
+    b.store("out", tid, b.scratch_load("s", tid, order=ack))
+    graph = b.finish()
+    compiled = compile_kernel(graph)
+
+    result = analyze_kernel(compiled)
+    assert result.engine == "event"
+    assert {"RA041", "RA045"} <= set(result.codes())
+    (reason,) = [d.message for d in result.diagnostics if d.code == "RA045"]
+    assert "scratch level 2" in reason and "may overlap scratch level 1" in reason
+    with pytest.raises(SimulationError, match="may overlap scratch level 1"):
+        BatchedSimulator(compiled, KernelLaunch(graph, {}))
+
+    hierarchy = MemoryHierarchy(compiled.config.memory)
+    writes: list[bool] = []
+    access = hierarchy.scratchpad.access
+
+    def logged(address, is_write, cycle):
+        writes.append(is_write)
+        return access(address, is_write, cycle)
+
+    hierarchy.scratchpad.access = logged
+    run = simulate(compiled, KernelLaunch(graph, {}), memory=hierarchy)
+    assert run.engine == "event"
+    # The levels really interleave: a store follows some load.
+    assert writes.index(False) < len(writes) - 1 - writes[::-1].index(True)
+    assert list(run.array("out")) == list(range(n))

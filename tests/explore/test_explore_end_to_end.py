@@ -18,19 +18,19 @@ def test_two_point_campaign_matches_direct_run_workload(tmp_path):
     spec = CampaignSpec(
         name="e2e",
         workloads=("matrixMul",),
-        variants=("dmt",),
+        variants=("dmt", "mt"),
         seeds=(3,),
         params={"matrixMul": {"dim": 4}},
         grid=(("token_buffer.entries", (8, 16)),),
     )
     result = run_campaign(spec, jobs=1, cache_dir=tmp_path)
-    assert result.total == 2 and not result.errors
+    assert result.total == 4 and not result.errors
 
     for outcome in result.outcomes:
         record = outcome.record["result"]
         direct = run_workload(
             "matrixMul",
-            "dmt",
+            outcome.point.variant,
             params={"dim": 4},
             seed=3,
             config=outcome.point.config(),
@@ -47,11 +47,12 @@ def test_two_point_campaign_matches_direct_run_workload(tmp_path):
 
     # Provenance satellite: cached rows record the *resolved* engine
     # (never "auto") and the core count.  matrixMul dmt is feed-forward
-    # communicating, so auto dispatch resolves to the window-batched
-    # engine.
-    counters = result.outcomes[0].record["result"]["counters"]
-    assert counters["engine"] == "window-batched"
-    assert counters["cores"] == 1
+    # communicating and mt's scratch levels are barrier-separated, so
+    # auto dispatch resolves both to the window-batched engine.
+    for outcome in result.outcomes:
+        counters = outcome.record["result"]["counters"]
+        assert counters["engine"] == "window-batched"
+        assert counters["cores"] == 1
 
 
 def test_campaign_report_renders_all_sections(tmp_path):

@@ -119,3 +119,19 @@ def test_untraced_run_matches_traced_counters():
     assert traced_counters.pop("trace") == "full"
     assert untraced_counters.pop("trace") == "off"
     assert traced_counters == untraced_counters
+
+
+@pytest.mark.parametrize("engine", ["auto", "event"])
+def test_scratch_events_sum_to_scratch_counters(engine):
+    """The mt timeline shows every scratchpad access exactly once: one
+    event per access on the event engine, one count-weighted event per
+    scratch node on the batched engine."""
+    tracer, result = _traced_run("mt", engine)
+    assert result.engine == ("window-batched" if engine == "auto" else "event")
+    scratch = sum(
+        int((event.get("args") or {}).get("count", 1))
+        for event in tracer.events()
+        if event.get("cat") == "scratch" and event["ph"] == "X" and event["pid"] != HOST_PID
+    )
+    counters = result.counters()
+    assert scratch == counters["scratch_loads"] + counters["scratch_stores"] > 0

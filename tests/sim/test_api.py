@@ -83,10 +83,8 @@ def test_single_core_result_carries_no_shard_provenance():
 @pytest.mark.parametrize(
     "name,variant,engine,resolved",
     [
-        ("reduce", "mt", "batched", "event"),
         ("scan", "dmt", "batched", "event"),
         ("reduce", "dmt", "batched", "window-batched"),
-        ("reduce", "mt", "window-batched", "event"),
         ("scan", "dmt", "window-batched", "event"),
     ],
 )

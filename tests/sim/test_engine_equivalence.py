@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
 from repro.graph.interthread import window_batch_problem
 from repro.sim import simulate
@@ -58,44 +59,45 @@ LARGE_PARAMS = {
 }
 
 #: The full expected engine matrix, spelled out cell by cell.  "event-only"
-#: marks kernels no batched engine can execute (whole-block barriers, or
-#: scan's cyclic recurrence).  Keep this in Table 3 + variant order.
+#: marks kernels no batched engine can execute (scan's cyclic recurrence;
+#: the scratchpad mt kernels batch since their scratch levels are
+#: barrier-separated).  Keep this in Table 3 + variant order.
 EXPECTED_MATRIX = {
-    ("scan", "mt"): "event-only",
+    ("scan", "mt"): "window-batched",
     ("scan", "dmt"): "event-only",
     ("scan", "stream"): "batched",
-    ("matrixMul", "mt"): "event-only",
+    ("matrixMul", "mt"): "window-batched",
     ("matrixMul", "dmt"): "window-batched",
     ("matrixMul", "dmt_win"): "window-batched",
     ("matrixMul", "stream"): "batched",
-    ("convolution", "mt"): "event-only",
+    ("convolution", "mt"): "window-batched",
     ("convolution", "dmt"): "window-batched",
     ("convolution", "dmt_win"): "window-batched",
     ("convolution", "stream"): "batched",
-    ("reduce", "mt"): "event-only",
+    ("reduce", "mt"): "window-batched",
     ("reduce", "dmt"): "window-batched",
     ("reduce", "dmt_win"): "window-batched",
     ("reduce", "stream"): "batched",
-    ("lud", "mt"): "event-only",
+    ("lud", "mt"): "window-batched",
     ("lud", "dmt"): "window-batched",
     ("lud", "dmt_win"): "window-batched",
     ("lud", "stream"): "batched",
-    ("srad", "mt"): "event-only",
+    ("srad", "mt"): "window-batched",
     ("srad", "dmt"): "window-batched",
     ("srad", "dmt_win"): "window-batched",
     ("srad", "stream"): "batched",
-    ("bpnn", "mt"): "event-only",
+    ("bpnn", "mt"): "window-batched",
     ("bpnn", "dmt"): "window-batched",
     ("bpnn", "stream"): "batched",
-    ("hotspot", "mt"): "event-only",
+    ("hotspot", "mt"): "window-batched",
     ("hotspot", "dmt"): "window-batched",
     ("hotspot", "dmt_win"): "window-batched",
     ("hotspot", "stream"): "batched",
-    ("pathfinder", "mt"): "event-only",
+    ("pathfinder", "mt"): "window-batched",
     ("pathfinder", "dmt"): "window-batched",
     ("pathfinder", "dmt_win"): "window-batched",
     ("pathfinder", "stream"): "batched",
-    ("spmv", "mt"): "event-only",
+    ("spmv", "mt"): "window-batched",
     ("spmv", "dmt"): "window-batched",
     ("spmv", "dmt_win"): "window-batched",
     ("spmv", "stream"): "batched",
@@ -178,8 +180,13 @@ def _assert_engines_equivalent(name, variant, params, engine):
         assert batched.outputs[output_name] == values, output_name
     event_counters = event.stats.as_dict()
     batched_counters = batched.stats.as_dict()
+    # Provenance differs by design; under RA042 (per-node load replay)
+    # barrier waits are timing estimates like the cycles themselves.
+    skip = {"cycles", "engine"}
+    if not analyze_kernel(compiled).order_stable:
+        skip.add("barrier_wait_cycles")
     for counter, value in event_counters.items():
-        if counter in ("cycles", "engine"):  # provenance differs by design
+        if counter in skip:
             continue
         assert batched_counters[counter] == value, counter
 
@@ -211,8 +218,7 @@ def test_engines_bit_identical_large(name, variant, params, engine):
 def test_event_only_cells_degrade_observably(name, variant, params):
     """Forcing the batched engine on an event-only kernel must run the
     event engine and record the original request next to the resolved
-    one (the forced-engine degradation satellite, pinned for scan and
-    every barrier kernel)."""
+    one (the forced-engine degradation satellite, pinned for scan)."""
     workload = next(w for w in all_workloads() if w.name == name)
     prepared = workload.prepare(params)
     compiled = compile_kernel(prepared.launch(variant).graph)

@@ -19,7 +19,6 @@ import pytest
 from benchmarks.common import run_against_hierarchy
 from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
-from repro.graph.opcodes import Opcode
 from repro.harness.figures import BENCHMARK_SUITE_PARAMS, DEFAULT_SUITE_PARAMS
 from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
@@ -36,20 +35,10 @@ CASES = [
 ]
 
 
-def _whole_block_windows(graph):
-    """Give every whole-block barrier a window spanning the block: the
-    same single group, in a form the batched engine accepts today."""
-    n = int(graph.metadata["num_threads"])
-    for node in graph.nodes_with_opcode(Opcode.BARRIER):
-        if node.param("window") is None:
-            node.params["window"] = n
-    return graph
-
-
 @pytest.mark.parametrize("workload,params", CASES)
 def test_mt_cell_batched_equals_event(workload, params):
     prepared = workload.prepare(workload.params_with_defaults(params.get(workload.name)))
-    compiled = compile_kernel(_whole_block_windows(prepared.launch("mt").graph))
+    compiled = compile_kernel(prepared.launch("mt").graph)
     event = simulate(compiled, prepared.launch("mt"), engine="event")
     batched = simulate(compiled, prepared.launch("mt"))
     assert batched.engine == "window-batched"
