@@ -17,14 +17,17 @@ counters.
 
 Measurement protocol: the batched engine is warmed once (NumPy buffer
 pools, the cached static analysis of the compiled kernel) and then timed
-as the best of two runs from a collected heap, *before* the event engine
-runs — a 20-second event simulation leaves enough allocator and GC
-debris to double the wall clock of whatever is measured right after it,
-and that debris is not the engine under test.  The protocol is
-deliberately asymmetric: cold-start effects are under 1% of a 20-second
-event run but ~30% of a 0.3-second batched run, so warmup/best-of only
-removes noise that distorts the short measurement while leaving the
-long one effectively untouched.
+from a collected heap, repeatedly, until its runs add up to
+``BATCHED_BUDGET_S`` of wall clock (at least two runs); the minimum is
+the measurement.  It runs *before* the event engine — a 20-second event
+simulation leaves enough allocator and GC debris to double the wall
+clock of whatever is measured right after it, and that debris is not
+the engine under test.  The protocol is deliberately asymmetric:
+cold-start effects and host jitter are under 1% of a 20-second event
+run but can be 30% or more of a 10-ms batched run, so the repeated
+minimum only removes noise that distorts the short measurement while
+leaving the long one effectively untouched.  A fixed budget (rather
+than a fixed count) gives the fastest rows the most samples.
 
 Run with ``pytest benchmarks/bench_engine_speedup.py -s`` to see the
 measured table (it is also what the "Choosing a simulation engine"
@@ -70,6 +73,9 @@ CASES = (
     ("matrixMul", "dmt_win", {"dim": 64}, "c", "window-batched", MIN_SPEEDUP_WINDOW),
     ("lud", "dmt_win", {"dim": 64}, "updated", "window-batched", MIN_SPEEDUP_WINDOW),
 )
+
+#: Wall-clock budget of the repeated batched timing runs, per row.
+BATCHED_BUDGET_S = 0.5
 
 #: Counters that must be exactly equal between the two engines.
 COMPARED_COUNTERS = ("alu_ops", "fpu_ops", "global_loads", "global_stores")
@@ -122,19 +128,25 @@ def _run_case(
     launch = prepared.launch(variant)
     compiled = compile_kernel(launch.graph)
 
-    # Warm-up, then best-of-two timed batched runs from a collected heap.
+    # Warm-up, then the minimum of timed batched runs from a collected
+    # heap, repeated until they add up to the wall-clock budget.
     batched = simulate(compiled, prepared.launch(variant))
     assert batched.engine == expected_engine, (
         f"{name}/{variant}: auto dispatch resolved to '{batched.engine}' "
         f"(expected '{expected_engine}')"
     )
     batched_seconds = math.inf
-    for _ in range(2):
+    spent = 0.0
+    runs = 0
+    while runs < 2 or spent < BATCHED_BUDGET_S:
         timed_launch = prepared.launch(variant)
         gc.collect()
         start = time.perf_counter()
         batched = simulate(compiled, timed_launch)
-        batched_seconds = min(batched_seconds, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        batched_seconds = min(batched_seconds, elapsed)
+        spent += elapsed
+        runs += 1
 
     event_launch = prepared.launch(variant)
     gc.collect()
@@ -161,6 +173,7 @@ def _run_case(
         "threads": launch.num_threads,
         "event_seconds": event_seconds,
         "batched_seconds": batched_seconds,
+        "batched_runs": runs,
         "speedup": event_seconds / batched_seconds,
         "min_speedup": bar,
     }
