@@ -18,6 +18,7 @@ batched engine's scratch replay and equals calling
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,14 +155,39 @@ class Scratchpad:
         the same bank are serialised (the classic shared-memory bank
         conflict), lanes touching the same *word* are broadcast and count
         as a single access.
+
+        Every unique word issues on ``cycle``, so along one bank the
+        :func:`bank_queue` recurrence is ``start_k = first + p·k`` with
+        ``first = max(cycle, bank_free)``: each bank is served in closed
+        form from its word count — the same completions, bank state and
+        counters as one :meth:`access` per word.  (A warp has at most 32
+        words; a NumPy :func:`bank_queue` call costs more than this loop.)
         """
-        if not addresses:
-            return cycle + self.config.access_latency
-        unique_words = sorted({int(a) // self.word_bytes for a in addresses})
-        complete = cycle
-        for word in unique_words:
-            complete = max(complete, self.access(word * self.word_bytes, is_write, cycle))
-        return complete
+        config = self.config
+        penalty = config.bank_conflict_penalty
+        word_bytes = self.word_bytes
+        per_bank = Counter(word % config.banks for word in {a // word_bytes for a in addresses})
+        free_at = self._bank_free_at
+        last_start = cycle
+        conflicts = 0
+        for bank, count in per_bank.items():
+            first = free_at[bank] if free_at[bank] > cycle else cycle
+            last = first + penalty * (count - 1)
+            if first > cycle:
+                conflicts += count
+            elif penalty > 0:
+                conflicts += count - 1
+            free_at[bank] = last + penalty
+            if last > last_start:
+                last_start = last
+        stats = self.stats
+        stats.bank_conflicts += conflicts
+        words = sum(per_bank.values())
+        if is_write:
+            stats.writes += words
+        else:
+            stats.reads += words
+        return last_start + config.access_latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Scratchpad(banks={self.config.banks}, accesses={self.stats.accesses})"

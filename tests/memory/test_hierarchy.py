@@ -73,6 +73,26 @@ def test_scratchpad_access_batch_equals_scalar_accesses():
         assert batched._bank_free_at == scalar._bank_free_at
 
 
+def test_scratchpad_access_group_equals_scalar_word_accesses():
+    """The per-bank closed form of a warp access is the scalar model: one
+    ``access`` per unique word, all on the warp's cycle."""
+    rng = np.random.default_rng(11)
+    for banks, penalty in ((32, 1), (4, 2), (8, 0)):
+        config = ScratchpadConfig(banks=banks, access_latency=24, bank_conflict_penalty=penalty)
+        grouped, scalar = Scratchpad(config), Scratchpad(config)
+        for step in range(200):
+            lanes = int(rng.integers(0, 33))
+            addresses = (rng.integers(0, 4 * banks, lanes) * 4).tolist()
+            write, cycle = bool(step % 3 == 0), 2 * step
+            words = sorted({a // 4 for a in addresses})
+            want = max(
+                [cycle + 24] + [scalar.access(w * 4, write, cycle) for w in words]
+            )
+            assert grouped.access_group(addresses, write, cycle) == want
+        assert grouped.stats == scalar.stats
+        assert grouped._bank_free_at == scalar._bank_free_at
+
+
 # ----------------------------------------------------------------- coalescer
 def test_coalesce_groups_by_line():
     txns = coalesce([0, 4, 8, 128, None], line_bytes=128)
