@@ -320,47 +320,54 @@ def _scratch_level_problem(graph, order: Sequence[Node]) -> Optional[str]:
     depth = max(levels.values(), default=0)
     if depth < 2:
         return None
-    by_level: dict[int, set[int]] = {}
+    # Sets as bit masks: scratch nodes by index, levels by number.
+    bit = {nid: 1 << i for i, nid in enumerate(levels)}
+    members = [0] * (depth + 1)
     for nid, level in levels.items():
-        by_level.setdefault(level, set()).add(nid)
-
+        members[level] |= bit[nid]
     num_threads = int(graph.metadata.get("num_threads", 0))
 
-    def whole_block_barrier(nid: int) -> bool:
-        node = graph.node(nid)
+    def whole_block_barrier(node: Node) -> bool:
         window = node.param("window")
         return node.opcode is Opcode.BARRIER and (window is None or window >= num_threads)
 
-    feeds: dict[int, set[int]] = {}  # scratch ancestors (and self)
-    closes: dict[int, set[int]] = {}  # levels an ancestor barrier closes
+    feeds: dict[int, int] = {}  # scratch ancestors (and self)
+    closes: dict[int, int] = {}  # levels an ancestor barrier closes
     memory_free: dict[int, bool] = {}  # computed from sources and pure ops
-    released: dict[int, set[int]] = {}  # scratch node -> levels its gate closes
+    released: dict[int, int] = {}  # scratch node -> levels its gate closes, plus 0
+    barriers: set[int] = set()
     for node in order:
         nid = node.node_id
         srcs = list(graph.inputs_of(nid).values())
-        feeds[nid] = set().union(*(feeds[src] for src in srcs))
-        closes[nid] = set().union(*(closes[src] for src in srcs))
+        feeds[nid] = closes[nid] = 0
+        for src in srcs:
+            feeds[nid] |= feeds[src]
+            closes[nid] |= closes[src]
         memory_free[nid] = node.opcode in _MEMORY_FREE_OPCODES and all(
             memory_free[src] for src in srcs
         )
-        if whole_block_barrier(nid):
-            closes[nid] |= {
-                level for level, members in by_level.items() if members <= feeds[nid]
-            }
+        if whole_block_barrier(node):
+            barriers.add(nid)
+            for level in range(1, depth + 1):
+                if members[level] & ~feeds[nid] == 0:
+                    closes[nid] |= 1 << level
         if nid in levels:
-            gates = [src for src in srcs if whole_block_barrier(src)]
-            others = [src for src in srcs if not whole_block_barrier(src)]
+            gates = [src for src in srcs if src in barriers]
             released[nid] = (
-                closes[gates[0]] | {0}
-                if len(gates) == 1 and all(memory_free[src] for src in others)
-                else set()
+                closes[gates[0]] | 1
+                if len(gates) == 1
+                and all(memory_free[src] for src in srcs if src not in barriers)
+                else 0
             )
-            feeds[nid].add(nid)
+            feeds[nid] |= bit[nid]
+    by_level: dict[int, list[int]] = {}
+    for nid, level in levels.items():
+        by_level.setdefault(level, []).append(nid)
     for level in range(2, depth + 1):
-        if all(level - 2 in released[nid] for nid in by_level[level - 1]):
+        if all(released[nid] >> (level - 2) & 1 for nid in by_level[level - 1]):
             continue  # level - 1 arrives in one release burst
         for nid in sorted(by_level[level]):
-            if level - 1 not in closes[nid]:
+            if not closes[nid] >> (level - 1) & 1:
                 return (
                     f"{graph.node(nid).label()} (scratch level {level}) may overlap "
                     f"scratch level {level - 1} in time: no whole-block barrier "
