@@ -2,9 +2,10 @@
 
 Runs the tier-1 test suite, then a 256-thread matmul on the event and
 batched engines (outputs bit-identical, operation counters equal), then
-the two event-only kernel shapes — an ``mt`` kernel (whole-block barrier
-plus scratchpad) and ``scan dmt`` (ELEVATOR recurrence) — against the
-functional interpreter (outputs bit-identical), then a windowed reduce
+an ``mt`` kernel (whole-block barrier plus scratchpad, window-batched)
+and ``scan dmt`` (ELEVATOR recurrence, event-only) on their ``auto``
+engines against the functional interpreter (outputs bit-identical),
+then a windowed reduce
 sharded across 4 cores against its single-core run (no fallback, outputs
 bit-identical, operation counters equal), then the Fermi SM baseline on
 ``reduce`` (barrier + shared memory) and ``matrixMul`` with outputs
@@ -93,17 +94,18 @@ def run_engine_smoke() -> int:
     return 0
 
 
-#: Event-only kernels: the whole-block barrier + scratchpad shape of the
-#: ``mt`` baseline (matrixMul's tile loads race its reads without the
+#: Kernel shapes checked against the functional interpreter on the engine
+#: ``auto`` must resolve to: the whole-block barrier + scratchpad shape of
+#: the ``mt`` baseline (matrixMul's tile loads race its reads without the
 #: barrier, so a barrier that releases early changes the outputs), and
 #: scan's cross-thread ELEVATOR recurrence.
-EVENT_ONLY_KERNELS = (
-    ("matrixMul", "mt", {"dim": 12}),
-    ("scan", "dmt", {"n": 128}),
+FUNCTIONAL_KERNELS = (
+    ("matrixMul", "mt", {"dim": 12}, "window-batched"),
+    ("scan", "dmt", {"n": 128}, "event"),
 )
 
 
-def run_event_only_smoke() -> int:
+def run_functional_smoke() -> int:
     import numpy as np
 
     from repro.compiler.pipeline import compile_kernel
@@ -111,14 +113,14 @@ def run_event_only_smoke() -> int:
     from repro.sim.functional import run_functional
     from repro.workloads.registry import get_workload
 
-    for name, variant, params in EVENT_ONLY_KERNELS:
+    for name, variant, params, engine in FUNCTIONAL_KERNELS:
         prepared = get_workload(name).prepare(params)
         compiled = compile_kernel(prepared.launch(variant).graph)
         start = time.perf_counter()
         result = simulate(compiled, prepared.launch(variant))
         elapsed = time.perf_counter() - start
-        if result.engine != "event":
-            log.error(f"FAIL: {name} {variant} ran on {result.engine}, expected event")
+        if result.engine != engine:
+            log.error(f"FAIL: {name} {variant} ran on {result.engine}, expected {engine}")
             return 1
         reference = run_functional(prepared.launch(variant))
         for array_name in prepared.expected:
@@ -126,11 +128,12 @@ def run_event_only_smoke() -> int:
                 log.error(f"FAIL: {name} {variant} '{array_name}' differs from run_functional")
                 return 1
         prepared.check_outputs({n: result.array(n) for n in prepared.expected})
-        log.info(f"  event    {name} {variant}: {elapsed:.2f}s, {result.cycles} cycles, "
+        log.info(f"  {engine:<14} {name} {variant}: {elapsed:.2f}s, {result.cycles} cycles, "
                  f"bit-identical to run_functional")
         RESULTS.append(
             {
-                "check": "event-only",
+                "check": "functional",
+                "engine": engine,
                 "kernel": f"{name}/{variant}",
                 "seconds": elapsed,
                 "cycles": result.cycles,
@@ -231,8 +234,8 @@ def main(argv: list[str]) -> int:
     log.info("== engine smoke (matmul, 256 threads, both engines) ==")
     rc = run_engine_smoke()
     if rc == 0:
-        log.info("== event-only smoke (mt barrier + scratchpad, scan dmt recurrence) ==")
-        rc = run_event_only_smoke()
+        log.info("== functional smoke (mt barrier + scratchpad, scan dmt recurrence) ==")
+        rc = run_functional_smoke()
     if rc == 0:
         log.info("== sharding smoke (windowed reduce, 1 vs 4 cores) ==")
         rc = run_sharding_smoke()
