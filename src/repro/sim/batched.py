@@ -758,7 +758,16 @@ class BatchedSimulator:
         prepass_nodes = self._pure_load_ancestors()
         ordered_loads = prepass_nodes is not None
         load_keys = self._event_order_keys() if ordered_loads else {}
-        wave_order, level_ends = self._scratch_levels()
+        # Only barriers and scratch nodes need the event engine's firing
+        # order (and scratch levels); other graphs keep none of its tables.
+        track_order = bool(
+            self.graph.nodes_with_opcode(
+                Opcode.BARRIER, Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE
+            )
+        )
+        wave_order, level_ends = (
+            self._scratch_levels() if track_order else (self._order, frozenset())
+        )
         return _StaticTables(
             order=self._order,
             inputs=self._inputs,
@@ -778,17 +787,15 @@ class BatchedSimulator:
             load_rank=_load_ranks(load_keys, self._order_pos),
             wave_order=wave_order,
             scratch_level_ends=level_ends,
-            track_order=bool(
-                self.graph.nodes_with_opcode(
-                    Opcode.BARRIER, Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE
-                )
-            ),
+            track_order=track_order,
             push_offset={
                 (src, dst, port): f
                 for src, succ in self._successors.items()
                 for f, (dst, port) in enumerate(succ)
-            },
-            injector_base=self._injector_bases(),
+            }
+            if track_order
+            else {},
+            injector_base=self._injector_bases() if track_order else {},
         )
 
     def _injector_bases(self) -> dict[int, int]:
