@@ -1191,23 +1191,20 @@ class BatchedSimulator:
         """Operand-ready cycles, issue cycles and (when the wave tracks the
         event order) the firings' processing order of one node."""
         nid = node.node_id
+        arrivals = [
+            (port, src, avail[src] + self._edge_latency[(src, nid)])
+            for port, src in self._inputs[nid]
+        ]
         ready = self._inject
-        for _, src in self._inputs[nid]:
-            ready = np.maximum(ready, avail[src] + self._edge_latency[(src, nid)])
+        for _, _, arrival in arrivals:
+            ready = np.maximum(ready, arrival)
         fo = self._fo
         if fo is None:
             return ready, self._issue(ready), None
         order = fo.fire_node(
             nid,
             ready,
-            [
-                (
-                    src,
-                    self._push_offset[(src, nid, port)],
-                    avail[src] + self._edge_latency[(src, nid)],
-                )
-                for port, src in self._inputs[nid]
-            ],
+            [(src, self._push_offset[(src, nid, port)], arr) for port, src, arr in arrivals],
         )
         if node.opcode not in (Opcode.BARRIER, Opcode.ELEVATOR):
             fo.emit_inline(nid)
@@ -1216,8 +1213,10 @@ class BatchedSimulator:
     def _issue(self, ready: np.ndarray, order: "np.ndarray | None" = None) -> np.ndarray:
         """Deterministic multi-server queue over the node's issue ports.
 
-        Firings are serviced in ready order, assigned round-robin to the
-        ``replicas`` ports; each port retires one operation per cycle.
+        Firings are serviced in ``order`` (the event engine's processing
+        order, on waves that track it) or else in ready order, assigned
+        round-robin to the ``replicas`` ports; each port retires one
+        operation per cycle.
         ``t_k = max(r_k, t_{k-ports} + 1)`` has the closed form
         ``t_i = i + cummax(r_i - i)`` along each port stream.
         """
