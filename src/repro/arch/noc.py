@@ -13,7 +13,6 @@ all threads follow that route.  The model provides
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.arch.grid import PhysicalGrid
 from repro.config.system import NocConfig
@@ -85,9 +84,6 @@ class Noc:
             row += step
         return links
 
-    def hop_count(self, src_unit: int, dst_unit: int) -> int:
-        return self.grid.distance(src_unit, dst_unit)
-
     # ------------------------------------------------------------------ traffic
     def send(self, src_unit: int, dst_unit: int, cycle: int) -> int:
         """Send one token along the static route starting at ``cycle``.
@@ -114,21 +110,6 @@ class Noc:
                 return cycle + self.config.hop_latency
             self.stats.contention_cycles += 1
             cycle += 1
-
-    def transfer_latency(self, src_unit: int, dst_unit: int) -> int:
-        """Contention-free latency of a token between two tiles."""
-        return (
-            self.config.injection_latency
-            + self.hop_count(src_unit, dst_unit) * self.config.hop_latency
-        )
-
-    def estimate_route_hops(self, placements: Sequence[tuple[int, int]]) -> int:
-        """Total hop count over a set of (src_unit, dst_unit) pairs."""
-        return sum(self.hop_count(src, dst) for src, dst in placements)
-
-    def reset_traffic(self) -> None:
-        """Forget per-cycle link usage (between simulation runs)."""
-        self._link_use.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Noc(tokens={self.stats.tokens_sent}, mean_hops={self.stats.mean_hops:.2f})"

@@ -76,16 +76,6 @@ class Placement:
             total += self.grid.distance(src_unit, dst_unit)
         return total
 
-    def max_edge_distance(self) -> int:
-        longest = 0
-        for edge in self.graph.edges():
-            src_unit = self.node_to_unit.get(edge.src)
-            dst_unit = self.node_to_unit.get(edge.dst)
-            if src_unit is None or dst_unit is None:
-                continue
-            longest = max(longest, self.grid.distance(src_unit, dst_unit))
-        return longest
-
 
 class GreedyPlacer:
     """Topological-order greedy seed placement."""

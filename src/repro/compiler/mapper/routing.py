@@ -16,7 +16,6 @@ from repro.arch.noc import Link, Noc
 from repro.compiler.mapper.placement import Placement
 from repro.config.system import NocConfig
 from repro.errors import RoutingError
-from repro.graph.node import Edge
 
 __all__ = ["RoutedMapping", "route_placement"]
 
@@ -33,9 +32,6 @@ class RoutedMapping:
     pair_hops: dict[tuple[int, int], int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ queries
-    def hops_for_edge(self, edge: Edge) -> int:
-        return self.edge_hops.get((edge.src, edge.dst, edge.dst_port), 0)
-
     def hops_between_nodes(self, src: int, dst: int) -> int:
         hops = self.pair_hops.get((src, dst))
         if hops is not None:
@@ -54,9 +50,6 @@ class RoutedMapping:
     @property
     def mean_hops(self) -> float:
         return self.total_hops / len(self.edge_hops) if self.edge_hops else 0.0
-
-    def hottest_link_load(self) -> int:
-        return max(self.link_load.values(), default=0)
 
     def unit_of(self, node_id: int) -> int | None:
         return self.placement.unit_of(node_id)

@@ -79,9 +79,6 @@ class CompiledKernel:
     def eldst_nodes(self) -> list:
         return self.graph.nodes_with_opcode(Opcode.ELDST)
 
-    def uses_inter_thread_communication(self) -> bool:
-        return bool(self.elevator_nodes() or self.eldst_nodes())
-
     def uses_barriers(self) -> bool:
         return bool(self.graph.nodes_with_opcode(Opcode.BARRIER))
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from repro.errors import IsaError
 from repro.graph.opcodes import DType
-from repro.gpgpu.isa import Imm, Instruction, Op, Operand, Pred, Reg, Special
+from repro.gpgpu.isa import Instruction, Op, Operand, Pred, Reg, Special
 from repro.kernel.arrays import ArraySpec, ArrayTable, MemorySpace
 from repro.kernel.geometry import ThreadGeometry
 
@@ -61,12 +61,6 @@ class SimtProgram:
     @property
     def num_threads(self) -> int:
         return self.geometry.num_threads
-
-    def static_size(self) -> int:
-        return len(self.instructions)
-
-    def shared_bytes(self) -> int:
-        return self.arrays.total_shared_bytes()
 
     def listing(self) -> str:
         """Human-readable assembly listing."""
@@ -269,9 +263,6 @@ class SimtProgramBuilder:
 
     def tid_linear(self) -> Reg:
         return self.mov(Special.TID_LINEAR)
-
-    def imm(self, value: float | int | bool) -> Imm:
-        return Imm(value)
 
     # ------------------------------------------------------------------- build
     def finish(self) -> SimtProgram:

@@ -50,10 +50,6 @@ class Node:
         return info.unit_class
 
     @property
-    def is_source(self) -> bool:
-        return opcode_info(self.opcode).min_arity == 0
-
-    @property
     def is_sink(self) -> bool:
         return not opcode_info(self.opcode).has_output
 
@@ -66,11 +62,6 @@ class Node:
             Opcode.SCRATCH_STORE,
             Opcode.ELDST,
         )
-
-    @property
-    def is_temporal(self) -> bool:
-        """True for nodes whose *input* edges cross thread instances."""
-        return self.opcode in (Opcode.ELEVATOR, Opcode.ELDST)
 
     def param(self, key: str, default: Any = None) -> Any:
         return self.params.get(key, default)

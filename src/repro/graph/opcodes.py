@@ -27,10 +27,6 @@ class DType(enum.Enum):
     def is_float(self) -> bool:
         return self is DType.F32
 
-    @property
-    def is_integer(self) -> bool:
-        return self is DType.I32
-
 
 class UnitClass(enum.Enum):
     """Physical functional-unit classes of the CGRA grid (Fig. 7a)."""

@@ -110,9 +110,6 @@ class ArrayTable:
     def names(self) -> list[str]:
         return list(self._arrays)
 
-    def global_arrays(self) -> list[ArraySpec]:
-        return [a for a in self._arrays.values() if a.space == MemorySpace.GLOBAL]
-
     def shared_arrays(self) -> list[ArraySpec]:
         return [a for a in self._arrays.values() if a.space == MemorySpace.SHARED]
 

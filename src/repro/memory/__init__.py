@@ -8,7 +8,7 @@ from repro.memory.image import MemoryImage
 from repro.memory.request import AccessType
 from repro.memory.scratchpad import Scratchpad, ScratchpadStats
 from repro.memory.shared_dram import SharedDRAM, SharedDramPort
-from repro.memory.tagcore import CacheGeometry, LruTagStore, TagEntry
+from repro.memory.tagcore import CacheGeometry
 
 __all__ = [
     "AccessType",
@@ -17,7 +17,6 @@ __all__ = [
     "DramModel",
     "DramStats",
     "HierarchyStats",
-    "LruTagStore",
     "MemoryHierarchy",
     "MemoryImage",
     "Scratchpad",
@@ -25,7 +24,6 @@ __all__ = [
     "SetAssociativeCache",
     "SharedDRAM",
     "SharedDramPort",
-    "TagEntry",
     "Transaction",
     "coalesce",
     "coalescing_efficiency",

@@ -5,11 +5,16 @@ It answers "at which cycle does this access complete, and which level
 serviced it" while recording the statistics the power model needs
 (hits/misses/writebacks per level).
 
-The tag/set/victim bookkeeping itself lives in
-:mod:`repro.memory.tagcore` and is shared with the batched engine's
-analytic cache model, so both engines classify an identical line-address
-stream identically; this module adds the event-engine specifics on top —
-cycle-stamped bank contention, MSHR merge timing, and the write policies.
+The line/set/bank address math is :class:`repro.memory.tagcore.CacheGeometry`,
+shared with the batched engines' vectorised L1
+(:class:`repro.memory.tagcore.LruTagArray`), so both engines classify an
+identical line-address stream identically.  Each set's tag state is an
+insertion-ordered ``dict`` of line address -> dirty bit, least recently
+used first: a hit re-inserts the line at the back, and the victim of a
+full set is the first key.  Entries carry the full line address, so a
+victim's writeback goes to the victim's actual address.  On top of the
+tags sit the event-engine specifics — cycle-stamped bank contention,
+MSHR merge timing, and the write policies.
 
 Two policies from the paper are supported:
 
@@ -25,7 +30,7 @@ from typing import Callable, Optional
 from repro.config.system import CacheConfig
 from repro.errors import MemoryModelError
 from repro.memory.request import AccessType
-from repro.memory.tagcore import LruTagStore
+from repro.memory.tagcore import CacheGeometry
 
 __all__ = ["CacheStats", "SetAssociativeCache"]
 
@@ -53,10 +58,6 @@ class CacheStats:
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -92,21 +93,17 @@ class SetAssociativeCache:
         self.config = config
         self.next_level_access = next_level_access
         self.stats = CacheStats()
-        self.tags = LruTagStore.from_config(config)
+        self.geometry = CacheGeometry.from_config(config)
+        # Per set: line address -> dirty bit, least recently used first.
+        self._sets: list[dict[int, bool]] = [{} for _ in range(config.num_sets)]
         self._bank_free_at: list[int] = [0] * config.banks
         # Outstanding misses: line address -> cycle at which the fill completes.
         self._mshr: dict[int, int] = {}
 
     # ------------------------------------------------------------------ helpers
-    def line_address(self, address: int) -> int:
-        return self.tags.geometry.line_address(address)
-
-    def _bank_index(self, line_addr: int) -> int:
-        return (line_addr // self.config.line_bytes) % self.config.banks
-
     def _bank_ready(self, line_addr: int, cycle: int) -> int:
         """Account for bank contention; return the cycle the bank accepts us."""
-        bank = self._bank_index(line_addr)
+        bank = self.geometry.bank_index(line_addr, self.config.banks)
         start = max(cycle, self._bank_free_at[bank])
         self.stats.bank_conflict_cycles += start - cycle
         self._bank_free_at[bank] = start + 1
@@ -117,12 +114,13 @@ class SetAssociativeCache:
         """Perform one access; return the absolute completion cycle."""
         if cycle < 0:
             raise MemoryModelError("access cycle must be non-negative")
-        line_addr = self.line_address(address)
+        line_addr = self.geometry.line_address(address)
         start = self._bank_ready(line_addr, cycle)
-        entry = self.tags.touch(line_addr)
+        cset = self._sets[self.geometry.set_index(line_addr)]
         is_write = access is AccessType.STORE
 
-        if entry is not None:
+        if line_addr in cset:
+            cset[line_addr] = cset.pop(line_addr)  # move to most recently used
             # A "hit" on a line whose fill is still outstanding merges into the
             # MSHR entry and completes when the fill returns.
             outstanding = self._mshr.get(line_addr)
@@ -132,7 +130,7 @@ class SetAssociativeCache:
             if is_write:
                 self.stats.write_hits += 1
                 if self.config.write_back:
-                    entry.dirty = True
+                    cset[line_addr] = True
                     complete = start + self.config.hit_latency
                     return max(complete, outstanding) if pending_fill else complete
                 # write-through: forward the write below
@@ -177,15 +175,21 @@ class SetAssociativeCache:
             if len(self._mshr) > 4 * self.config.mshr_entries:
                 self._prune_mshr(start)
 
-        self._fill(line_addr, dirty=is_write and self.config.write_allocate, cycle=start)
+        self._fill(cset, line_addr, dirty=is_write and self.config.write_allocate, cycle=start)
         return fill_complete
 
-    def _fill(self, line_addr: int, dirty: bool, cycle: int) -> None:
-        victim = self.tags.install(line_addr, dirty)
-        if victim is not None and victim.dirty:
+    def _fill(self, cset: dict[int, bool], line_addr: int, dirty: bool, cycle: int) -> None:
+        """Install ``line_addr`` as most recently used, evicting the LRU line
+        of a full set (a dirty victim is written back to the next level)."""
+        victim_dirty = False
+        if len(cset) >= self.geometry.ways:
+            victim = next(iter(cset))
+            victim_dirty = cset.pop(victim)
+        cset[line_addr] = dirty
+        if victim_dirty:
             self.stats.writebacks += 1
             if self.next_level_access is not None:
-                self.next_level_access(victim.line_addr, True, cycle)
+                self.next_level_access(victim, True, cycle)
 
     def _prune_mshr(self, cycle: int) -> None:
         self._mshr = {addr: t for addr, t in self._mshr.items() if t > cycle}
@@ -193,11 +197,14 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------ queries
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is currently resident."""
-        return self.tags.contains(address)
+        line_addr = self.geometry.line_address(address)
+        return line_addr in self._sets[self.geometry.set_index(line_addr)]
 
     def flush(self) -> int:
         """Invalidate every line; return the number of dirty lines written back."""
-        dirty = self.tags.flush()
+        dirty = sum(sum(cset.values()) for cset in self._sets)
+        for cset in self._sets:
+            cset.clear()
         self.stats.writebacks += dirty
         self._mshr.clear()
         return dirty

@@ -23,10 +23,6 @@ class Transaction:
     size: int
     lanes: tuple[int, ...]
 
-    @property
-    def num_lanes(self) -> int:
-        return len(self.lanes)
-
 
 def coalesce(addresses: Sequence[int | None], line_bytes: int = 128) -> list[Transaction]:
     """Group per-lane byte addresses into line transactions.

@@ -122,10 +122,6 @@ class MemoryHierarchy:
         return complete, len(transactions)
 
     # ------------------------------------------------------------- scratchpad
-    def scratch_access(self, address: int, is_write: bool, cycle: int) -> int:
-        """One scalar scratchpad (shared-memory) access."""
-        return self.scratchpad.access(address, is_write, cycle)
-
     def scratch_access_group(
         self, addresses: Sequence[int], is_write: bool, cycle: int
     ) -> int:

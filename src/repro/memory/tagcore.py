@@ -1,44 +1,39 @@
-"""Shared set-associative tag/set/victim core for both simulation engines.
+"""Shared set-associative address math and the batched engines' LRU tag array.
 
 The event-driven engine's caches
 (:class:`repro.memory.cache.SetAssociativeCache`) and the batched
 engines' vectorised L1 (:mod:`repro.sim.analytic_cache`) must classify
 the same line-address stream identically — the cross-engine fidelity
-contract is *exact* L1/L2 miss-count equality on order-stable traces.  That only holds if both
-engines share one implementation of the address math and the LRU
-replacement decision, which is what this module provides:
+contract is *exact* L1/L2 miss-count equality on order-stable traces.
+That only holds if both engines share one implementation of the address
+math and make the same LRU replacement decision:
 
-* :class:`CacheGeometry` — line/set/tag address arithmetic written with
+* :class:`CacheGeometry` — line/set/bank address arithmetic written with
   plain arithmetic operators so the same methods work on Python ints
   (event engine, one access at a time) and on NumPy arrays (batched
   engine, one wave of accesses at a time);
-* :class:`LruTagStore` — the tag array of one cache level with LRU
-  replacement.  Entries carry the full line address (not just the tag),
-  so a victim's writeback goes to the victim's *actual* address — the
-  previous tag-only reconstruction dropped the set bits and aimed every
-  writeback at set 0.
-* :class:`LruTagArray` — the vectorised twin of :class:`LruTagStore`:
-  the same per-set MRU-ordered tag state held as ``(num_sets, ways)``
+* :class:`LruTagArray` — the vectorised twin of the scalar cache's tag
+  state: the same per-set MRU-ordered lines held as ``(num_sets, ways)``
   NumPy arrays, replayed over a whole replay-ordered line-address stream
   at once.  Each set's LRU state is independent, so the stream is
   decomposed per set (:func:`group_spans`) and walked in synchronous
   rounds — round ``r`` advances the ``r``-th access of *every* set with
   one vector operation — after collapsing consecutive same-line runs
   (guaranteed hits under write-allocate).  Per access it reports the
-  same hit/victim/victim-dirty decisions the scalar store makes.
+  same hit/victim/victim-dirty decisions the scalar cache makes.
 
 Timing, banks, MSHRs and statistics deliberately stay out of this module.
-:class:`~repro.memory.cache.SetAssociativeCache` keeps its cycle-stamped
-models in ``memory/cache.py`` on top of :class:`LruTagStore`; it is the
+:class:`~repro.memory.cache.SetAssociativeCache` keeps its own per-set
+LRU tags and its cycle-stamped models in ``memory/cache.py``; it is the
 event engine's L1 and L2 and the batched engines' L2.  The batched
 engines' vectorised L1 (``sim/analytic_cache.py``) runs on
-:class:`LruTagArray`.  Both delegate the "which line, which set, hit or
-miss, which victim" questions here.
+:class:`LruTagArray`.  The equivalence of the two LRU walks is pinned by
+the hypothesis sweeps in ``tests/memory/test_tagcore.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +42,6 @@ from repro.config.system import CacheConfig
 __all__ = [
     "CacheGeometry",
     "LruTagArray",
-    "LruTagStore",
-    "TagEntry",
     "TagReplay",
     "group_spans",
 ]
@@ -101,17 +94,9 @@ class CacheGeometry:
         """First byte address of the line holding ``address``."""
         return address - (address % self.line_bytes)
 
-    def line_index(self, address):
-        """Global line number (line address / line size)."""
-        return address // self.line_bytes
-
     def set_index(self, line_addr):
         """Which set a line address maps to."""
         return (line_addr // self.line_bytes) % self.num_sets
-
-    def tag_of(self, line_addr):
-        """The tag stored for a line address."""
-        return line_addr // (self.line_bytes * self.num_sets)
 
     def bank_index(self, line_addr, banks: int):
         """Which of ``banks`` line-interleaved banks services a line address."""
@@ -122,89 +107,6 @@ class CacheGeometry:
             f"CacheGeometry(line_bytes={self.line_bytes}, "
             f"num_sets={self.num_sets}, ways={self.ways})"
         )
-
-
-class TagEntry:
-    """One resident line: its full line address and its dirty bit."""
-
-    __slots__ = ("line_addr", "dirty")
-
-    def __init__(self, line_addr: int, dirty: bool) -> None:
-        self.line_addr = line_addr
-        self.dirty = dirty
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TagEntry(line_addr={self.line_addr:#x}, dirty={self.dirty})"
-
-
-class LruTagStore:
-    """Tag array of one set-associative LRU cache level.
-
-    Each set is an MRU-ordered list of :class:`TagEntry` (least recently
-    used first), which makes the LRU victim choice the list head and a
-    "touch" a move-to-back — exactly the ordering the event engine's
-    access-counter bookkeeping produced, without the counter.
-    """
-
-    __slots__ = ("geometry", "_sets")
-
-    def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
-        self._sets: list[list[TagEntry]] = [[] for _ in range(geometry.num_sets)]
-
-    @classmethod
-    def from_config(cls, config: CacheConfig) -> "LruTagStore":
-        return cls(CacheGeometry.from_config(config))
-
-    # ------------------------------------------------------------------ access
-    def probe(self, line_addr: int) -> Optional[TagEntry]:
-        """Return the resident entry for ``line_addr`` without touching LRU."""
-        for entry in self._sets[self.geometry.set_index(line_addr)]:
-            if entry.line_addr == line_addr:
-                return entry
-        return None
-
-    def touch(self, line_addr: int) -> Optional[TagEntry]:
-        """Mark ``line_addr`` most recently used; return its entry (or None)."""
-        cset = self._sets[self.geometry.set_index(line_addr)]
-        for position, entry in enumerate(cset):
-            if entry.line_addr == line_addr:
-                if position != len(cset) - 1:
-                    del cset[position]
-                    cset.append(entry)
-                return entry
-        return None
-
-    def install(self, line_addr: int, dirty: bool) -> Optional[TagEntry]:
-        """Fill ``line_addr`` as MRU; return the evicted entry if the set
-        was full (the caller decides what a dirty eviction costs)."""
-        cset = self._sets[self.geometry.set_index(line_addr)]
-        victim = None
-        if len(cset) >= self.geometry.ways:
-            victim = cset.pop(0)
-        cset.append(TagEntry(line_addr, dirty))
-        return victim
-
-    # ----------------------------------------------------------------- queries
-    def contains(self, address: int) -> bool:
-        return self.probe(self.geometry.line_address(address)) is not None
-
-    def entries(self) -> Iterator[TagEntry]:
-        for cset in self._sets:
-            yield from cset
-
-    def resident_lines(self) -> int:
-        return sum(len(cset) for cset in self._sets)
-
-    def flush(self) -> int:
-        """Drop every line; return how many were dirty."""
-        dirty = sum(1 for entry in self.entries() if entry.dirty)
-        for cset in self._sets:
-            cset.clear()
-        return dirty
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LruTagStore({self.geometry!r}, resident={self.resident_lines()})"
 
 
 class TagReplay(NamedTuple):
@@ -220,20 +122,20 @@ class TagReplay(NamedTuple):
 
 
 class LruTagArray:
-    """Vectorised per-set twin of :class:`LruTagStore`.
+    """Vectorised per-set twin of the scalar cache's LRU tag state.
 
     State is ``(num_sets, ways)`` arrays ordered MRU-first per row;
     invalid ways hold line ``-1`` and stay contiguous at the LRU end, so
     an install is always "shift right, insert at column 0" and the
     victim of a full set is always column ``ways - 1`` — exactly the
-    move-to-back list discipline of the scalar store, transposed.
+    move-to-back discipline of the scalar cache's per-set tags, transposed.
 
-    Unlike :class:`LruTagStore`, the write policy lives *here*: whether
-    a write miss installs (write-allocate) and whether a write hit dirties
-    the line (write-back) changes which accesses update LRU state, so the
-    replay cannot be policy-agnostic.  The scalar walk applies the same
-    policy outside the store; the equivalence is pinned by the hypothesis
-    sweep in ``tests/memory/test_tagcore.py``.
+    The write policy lives here too: whether a write miss installs
+    (write-allocate) and whether a write hit dirties the line (write-back)
+    changes which accesses update LRU state, so the replay cannot be
+    policy-agnostic.  The equivalence with
+    :class:`~repro.memory.cache.SetAssociativeCache` is pinned by the
+    hypothesis sweep in ``tests/memory/test_tagcore.py``.
     """
 
     __slots__ = ("geometry", "write_back", "write_allocate", "_lines", "_dirty")

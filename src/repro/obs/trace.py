@@ -192,15 +192,6 @@ class ChromeTracer:
         now = self.clock()
         self._append((name, "host", "X", start_us, max(0.0, now - start_us), HOST_PID, 0, args))
 
-    @contextmanager
-    def wall_span(self, name: str, args: dict[str, Any] | None = None) -> Iterator[None]:
-        """Wall-clock span on the host process lane (engine phases)."""
-        start = self.clock()
-        try:
-            yield
-        finally:
-            self.wall_event(name, start, args)
-
     # ------------------------------------------------------------- metadata
     def set_process_name(self, pid: int, name: str) -> None:
         self._names[(pid, None)] = name

@@ -36,10 +36,6 @@ class EnergyBreakdown:
     def total_uj(self) -> float:
         return self.total_pj * 1e-6
 
-    @property
-    def dynamic_pj(self) -> float:
-        return self.total_pj - self.components.get("leakage", 0.0)
-
     def fraction(self, name: str) -> float:
         total = self.total_pj
         return self.components.get(name, 0.0) / total if total else 0.0

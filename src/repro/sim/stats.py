@@ -84,20 +84,6 @@ class ExecutionStats:
     def compute_ops(self) -> int:
         return self.alu_ops + self.fpu_ops + self.special_ops
 
-    @property
-    def memory_accesses(self) -> int:
-        return (
-            self.global_loads
-            + self.global_stores
-            + self.scratch_loads
-            + self.scratch_stores
-        )
-
-    @property
-    def ops_per_cycle(self) -> float:
-        total = self.compute_ops + self.control_ops + self.split_join_ops
-        return total / self.cycles if self.cycles else 0.0
-
     def as_dict(self) -> dict[str, int | float]:
         out: dict[str, int | float] = {
             name: getattr(self, name)

@@ -215,10 +215,6 @@ class Workload(abc.ABC):
             workload=self, params=full, inputs=inputs, expected=expected, seed=seed
         )
 
-    def output_names(self, params: Mapping[str, Any] | None = None) -> tuple[str, ...]:
-        prepared = self.prepare(params)
-        return tuple(prepared.expected)
-
     def table3_row(self) -> dict[str, str]:
         """The row of Table 3 describing this workload."""
         return {

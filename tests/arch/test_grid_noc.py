@@ -48,7 +48,8 @@ def test_noc_xy_route_length_equals_manhattan_distance():
     noc = Noc(grid, NocConfig())
     route = noc.route(0, 25)
     assert len(route) == grid.distance(0, 25)
-    assert noc.transfer_latency(0, 25) == 1 + len(route)
+    # An uncontended token pays the injection latency plus one cycle per hop.
+    assert noc.send(0, 25, cycle=0) == 1 + len(route)
 
 
 def test_noc_link_contention_delays_tokens():

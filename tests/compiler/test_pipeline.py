@@ -15,7 +15,7 @@ def test_compile_does_not_mutate_the_input_graph():
 
 def test_compiled_kernel_reports_interthread_usage():
     compiled = compile_kernel(ScanWorkload().build_dmt({"n": 32}))
-    assert compiled.uses_inter_thread_communication()
+    assert compiled.elevator_nodes()
     assert not compiled.uses_barriers()
     assert compiled.replicas >= 1
     assert "elevator" in compiled.report()
@@ -24,7 +24,7 @@ def test_compiled_kernel_reports_interthread_usage():
 def test_mt_variant_reports_barriers():
     compiled = compile_kernel(ScanWorkload().build_mt({"n": 32}))
     assert compiled.uses_barriers()
-    assert not compiled.uses_inter_thread_communication()
+    assert not compiled.elevator_nodes() and not compiled.eldst_nodes()
 
 
 def test_mapping_can_be_disabled():

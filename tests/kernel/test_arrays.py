@@ -28,7 +28,7 @@ def test_shared_and_global_spaces_are_separate():
     assert g.space == MemorySpace.GLOBAL
     assert s.space == MemorySpace.SHARED
     assert table.total_shared_bytes() == 32
-    assert [a.name for a in table.global_arrays()] == ["g"]
+    assert [a.name for a in table.shared_arrays()] == ["s"]
 
 
 def test_duplicate_name_rejected():

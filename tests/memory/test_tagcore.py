@@ -3,13 +3,16 @@
 The cross-engine fidelity contract rests on one fact: replaying a line
 address stream through the vectorised per-set
 :class:`~repro.memory.tagcore.LruTagArray` (the batched engines' L1, a
-whole wave at once) or through :class:`~repro.memory.tagcore.LruTagStore`
-one access at a time classifies every access exactly like
-:class:`~repro.memory.cache.SetAssociativeCache` (the event engine's L1
-and L2, and the batched engines' L2).  The hypothesis sweeps below check all three on
-random mixed load/store traces over random geometries and write
-policies — hit/miss sequence, victim sequence and writeback counts —
-and are `slow`-marked like the other property sweeps.
+whole wave at once) classifies every access exactly like
+:class:`~repro.memory.cache.SetAssociativeCache` one access at a time
+(the event engine's L1 and L2, and the batched engines' L2).  The
+hypothesis sweeps below check the two on random mixed load/store traces
+over random geometries and write policies — hit/miss sequence, victim
+and victim-dirty sequences, writeback counts and residency — and are
+`slow`-marked like the other property sweeps.  The cache's victims are
+observed from outside: a recording ``next_level_access`` sees every
+dirty writeback, and ``contains`` before and after each access names
+the line that left the set.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 from repro.config.system import CacheConfig
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.request import AccessType
-from repro.memory.tagcore import CacheGeometry, LruTagArray, LruTagStore, group_spans
+from repro.memory.tagcore import CacheGeometry, LruTagArray, group_spans
 
 
 # ------------------------------------------------------------------ geometry
@@ -31,33 +34,47 @@ def test_geometry_scalar_and_vector_agree():
     addresses = np.array([0, 1, 127, 128, 513, 4096, 65535], dtype=np.int64)
     lines = geometry.line_address(addresses)
     sets = geometry.set_index(lines)
-    tags = geometry.tag_of(lines)
+    banks = geometry.bank_index(lines, 3)
     for i, address in enumerate(addresses.tolist()):
         line = geometry.line_address(address)
         assert lines[i] == line
         assert sets[i] == geometry.set_index(line)
-        assert tags[i] == geometry.tag_of(line)
+        assert banks[i] == geometry.bank_index(line, 3)
         assert line % 128 == 0
         assert 0 <= sets[i] < 4
 
 
+def _recording_cache(config: CacheConfig):
+    """A cache whose next level records every ``(line, is_write)`` it is sent."""
+    calls: list[tuple[int, bool]] = []
+
+    def next_level(line_addr: int, is_write: bool, cycle: int) -> int:
+        calls.append((line_addr, is_write))
+        return cycle
+
+    return SetAssociativeCache(config, next_level_access=next_level), calls
+
+
 def test_lru_victim_is_least_recently_used():
-    store = LruTagStore(CacheGeometry(line_bytes=64, num_sets=1, ways=2))
-    assert store.install(0, dirty=False) is None
-    assert store.install(64, dirty=True) is None
-    store.touch(0)  # line 0 becomes MRU; line 64 is now the LRU victim
-    victim = store.install(128, dirty=False)
-    assert victim is not None and victim.line_addr == 64 and victim.dirty
+    cache, calls = _recording_cache(_reference_config(64, 1, 2, True, True))
+    cache.access(0, AccessType.LOAD, 0)
+    cache.access(64, AccessType.STORE, 1)
+    cache.access(0, AccessType.LOAD, 2)  # line 0 becomes MRU; line 64 is now the LRU victim
+    cache.access(128, AccessType.LOAD, 3)
+    assert cache.contains(0) and cache.contains(128) and not cache.contains(64)
+    assert calls[-1] == (64, True)  # the dirty victim is written back to its own line
 
 
 def test_flush_counts_dirty_lines():
-    store = LruTagStore(CacheGeometry(line_bytes=64, num_sets=2, ways=2))
-    store.install(0, dirty=True)
-    store.install(64, dirty=False)
-    store.install(128, dirty=True)
-    assert store.resident_lines() == 3
-    assert store.flush() == 2
-    assert store.resident_lines() == 0
+    cache = SetAssociativeCache(_reference_config(64, 2, 2, True, True))
+    for cycle, (address, access) in enumerate(
+        [(0, AccessType.STORE), (64, AccessType.LOAD), (128, AccessType.STORE)]
+    ):
+        cache.access(address, access, cycle)
+    assert all(cache.contains(address) for address in (0, 64, 128))
+    assert cache.flush() == 2
+    assert cache.stats.writebacks == 2
+    assert not any(cache.contains(address) for address in (0, 64, 128))
 
 
 # ------------------------------------------------------- LRU equivalence sweep
@@ -74,33 +91,34 @@ def _reference_config(line_bytes, num_sets, ways, write_back, write_allocate):
     )
 
 
-def _tagstore_replay(config: CacheConfig, trace):
-    """The scalar tag-core walk: LruTagStore + the write policy.
+def _cache_replay(config: CacheConfig, trace):
+    """The event engine's classification, observed from outside the cache.
 
     Returns the per-access hit, victim-line (``-1`` if none) and
     victim-dirty sequences, the same observables
-    :meth:`LruTagArray.replay` reports.
+    :meth:`LruTagArray.replay` reports.  Hits come from the stats delta;
+    the victim is the line of the accessed set that ``contains`` saw
+    resident before the access and not after; it is dirty when the next
+    level receives a write of another line than the accessed one.
     """
-    store = LruTagStore.from_config(config)
+    cache, calls = _recording_cache(config)
+    geometry = cache.geometry
+    seen: dict[int, set[int]] = {}  # set index -> every line that touched it
     hits, victims, victim_dirty = [], [], []
-    for address, is_write in trace:
-        line_addr = store.geometry.line_address(address)
-        entry = store.touch(line_addr)
-        if entry is not None:
-            hits.append(True)
-            victims.append(-1)
-            victim_dirty.append(False)
-            if is_write and config.write_back:
-                entry.dirty = True
-            continue
-        hits.append(False)
-        if is_write and not config.write_allocate:
-            victims.append(-1)
-            victim_dirty.append(False)
-            continue  # write-no-allocate: the line is not filled
-        victim = store.install(line_addr, dirty=is_write and config.write_allocate)
-        victims.append(-1 if victim is None else victim.line_addr)
-        victim_dirty.append(victim is not None and victim.dirty)
+    for cycle, (address, is_write) in enumerate(trace):
+        line_addr = geometry.line_address(address)
+        candidates = seen.setdefault(geometry.set_index(line_addr), set())
+        resident = [line for line in sorted(candidates) if cache.contains(line)]
+        hits_before, calls_before = cache.stats.hits, len(calls)
+        cache.access(address, AccessType.STORE if is_write else AccessType.LOAD, cycle)
+        candidates.add(line_addr)
+        evicted = [line for line in resident if not cache.contains(line)]
+        written_back = [line for line, write in calls[calls_before:] if write and line != line_addr]
+        assert len(evicted) <= 1 and written_back in ([], evicted)
+        hits.append(cache.stats.hits != hits_before)
+        victims.append(evicted[0] if evicted else -1)
+        victim_dirty.append(bool(written_back))
+    assert cache.stats.writebacks == sum(victim_dirty)
     return hits, victims, victim_dirty
 
 
@@ -123,42 +141,6 @@ def _tagarray_replay(config: CacheConfig, trace, chunks=()):
     return hits.tolist(), victims.tolist(), victim_dirty.tolist()
 
 
-def _cache_replay(config: CacheConfig, trace) -> list[bool]:
-    """The event-engine classification, observed through the stats deltas."""
-    cache = SetAssociativeCache(config)
-    hits = []
-    for cycle, (address, is_write) in enumerate(trace):
-        before = cache.stats.hits
-        cache.access(address, AccessType.STORE if is_write else AccessType.LOAD, cycle)
-        hits.append(cache.stats.hits != before)
-    return hits
-
-
-@pytest.mark.slow
-@settings(deadline=None, max_examples=60)
-@given(
-    st.sampled_from([16, 32, 64, 128]),
-    st.integers(1, 16),
-    st.integers(1, 8),
-    st.booleans(),
-    st.booleans(),
-    st.lists(
-        st.tuples(st.integers(0, 1 << 14), st.booleans()),
-        min_size=1,
-        max_size=200,
-    ),
-)
-def test_tagstore_matches_set_associative_cache(
-    line_bytes, num_sets, ways, write_back, write_allocate, trace
-):
-    """Identical hit/miss sequences on random traces, geometries and
-    write policies — the property the exact cross-engine miss-count
-    equality rests on."""
-    config = _reference_config(line_bytes, num_sets, ways, write_back, write_allocate)
-    hits, _, _ = _tagstore_replay(config, trace)
-    assert hits == _cache_replay(config, trace)
-
-
 @pytest.mark.slow
 @settings(deadline=None, max_examples=60)
 @given(
@@ -174,39 +156,29 @@ def test_tagstore_matches_set_associative_cache(
     ),
     st.lists(st.integers(0, 200), max_size=3),
 )
-def test_tagarray_matches_tagstore_and_cache(
+def test_tagarray_matches_set_associative_cache(
     line_bytes, num_sets, ways, write_back, write_allocate, trace, chunks
 ):
-    """The vectorised per-set kernel, the scalar tag-core walk and the
-    event engine's cache classify any random mixed load/store stream
-    identically: hit/miss sequence (all three), victim and victim-dirty
-    sequences (both tag-core walks), and the writeback count the cache's
-    stats record.  Splitting the replay into chunks must not change
-    anything — state carries across batches."""
+    """The vectorised per-set kernel and the event engine's cache
+    classify any random mixed load/store stream identically: hit/miss,
+    victim and victim-dirty sequences, and the writeback count the
+    cache's stats record — the property the exact cross-engine
+    miss-count equality rests on.  Splitting the replay into chunks must
+    not change anything — state carries across batches."""
     config = _reference_config(line_bytes, num_sets, ways, write_back, write_allocate)
-    hits, victims, victim_dirty = _tagstore_replay(config, trace)
-    array_hits, array_victims, array_dirty = _tagarray_replay(config, trace, chunks)
-    assert array_hits == hits
-    assert array_victims == victims
-    assert array_dirty == victim_dirty
-    assert array_hits == _cache_replay(config, trace)
-    cache = SetAssociativeCache(config)
-    for cycle, (address, is_write) in enumerate(trace):
-        cache.access(address, AccessType.STORE if is_write else AccessType.LOAD, cycle)
-    assert cache.stats.writebacks == sum(victim_dirty)
+    assert _tagarray_replay(config, trace, chunks) == _cache_replay(config, trace)
 
 
-def test_tagarray_three_way_agreement_on_thrashing_trace():
-    """Fast-lane pin of the 3-way equivalence on a deterministic
+def test_tagarray_two_way_agreement_on_thrashing_trace():
+    """Fast-lane pin of the two-way equivalence on a deterministic
     direct-mapped thrashing trace with mixed loads and stores."""
     config = _reference_config(64, 2, 1, True, True)
     rng = np.random.default_rng(3)
     trace = [
         (int(rng.integers(0, 1024)), bool(rng.integers(0, 2))) for _ in range(300)
     ]
-    hits, victims, victim_dirty = _tagstore_replay(config, trace)
+    hits, victims, victim_dirty = _cache_replay(config, trace)
     assert _tagarray_replay(config, trace, chunks=(97, 201)) == (hits, victims, victim_dirty)
-    assert hits == _cache_replay(config, trace)
     assert any(victim_dirty) and not all(hits)
 
 
@@ -232,16 +204,15 @@ def test_group_spans_partitions_stably():
     st.integers(1, 4),
     st.lists(st.integers(0, 1 << 12), min_size=1, max_size=100),
 )
-def test_tagstore_contains_matches_cache_residency(line_bytes, num_sets, ways, addresses):
+def test_tagarray_contains_matches_cache_residency(line_bytes, num_sets, ways, addresses):
     """After any load-only trace, both models agree on which addresses
     are resident (not just on the hit/miss sequence)."""
     config = _reference_config(line_bytes, num_sets, ways, True, True)
     cache = SetAssociativeCache(config)
-    store = LruTagStore.from_config(config)
+    array = LruTagArray.from_config(config)
     for cycle, address in enumerate(addresses):
         cache.access(address, AccessType.LOAD, cycle)
-        line_addr = store.geometry.line_address(address)
-        if store.touch(line_addr) is None:
-            store.install(line_addr, dirty=False)
+    lines = array.geometry.line_address(np.array(addresses, dtype=np.int64))
+    array.replay(lines, np.zeros(lines.size, dtype=bool))
     for address in addresses:
-        assert cache.contains(address) == store.contains(address)
+        assert cache.contains(address) == array.contains(address)

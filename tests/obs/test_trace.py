@@ -79,8 +79,7 @@ def test_ring_buffer_rejects_non_positive_limit():
 
 def test_wall_span_lands_on_host_pid():
     tracer = ChromeTracer()
-    with tracer.wall_span("tag walk", args={"accesses": 12}):
-        pass
+    tracer.wall_event("tag walk", tracer.clock(), args={"accesses": 12})
     begin = tracer.clock()
     tracer.wall_event("residue walk", begin, args={"accesses": 0})
     events = tracer.events()

@@ -21,9 +21,6 @@ def test_stats_bump_known_and_extra_counters():
 def test_stats_derived_properties():
     stats = ExecutionStats(cycles=100, alu_ops=50, fpu_ops=30, control_ops=20)
     assert stats.compute_ops == 80
-    assert stats.ops_per_cycle == pytest.approx(1.0)
-    stats2 = ExecutionStats()
-    assert stats2.ops_per_cycle == 0.0
 
 
 def test_stats_merge_sums_counters_and_maxes_cycles():
