@@ -180,18 +180,21 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
         successors[edge.src].append(edge.dst)
         weighted.append((edge.src, edge.dst, weight))
 
+    components = _strongly_connected_components(node_ids, successors)
+    component_of = {nid: index for index, component in enumerate(components) for nid in component}
+    # One pass buckets every edge whose ends share a component; a
+    # singleton's only such edge is a self-loop.
+    inner_edges: dict[int, list[tuple[int, int, int]]] = {}
+    for src, dst, weight in weighted:
+        if component_of[src] == component_of[dst]:
+            inner_edges.setdefault(component_of[src], []).append((src, dst, weight))
+
     out: list[Diagnostic] = []
-    for component in _strongly_connected_components(node_ids, successors):
-        members = set(component)
-        if len(component) < 2 and not any(
-            src == dst and src in members for src, dst, _ in weighted
-        ):
+    for index, component in enumerate(components):
+        inner = inner_edges.get(index, [])
+        if len(component) < 2 and not inner:
             continue
-        inner = [
-            (src, dst, weight)
-            for src, dst, weight in weighted
-            if src in members and dst in members
-        ]
+        members = set(component)
         elevators = sorted(
             nid for nid in members if graph.node(nid).opcode is Opcode.ELEVATOR
         )

@@ -70,6 +70,21 @@ def test_capacity_one_token_buffer_flags_ra012():
     assert not result.deadlock  # ...but it is not a predicted deadlock
 
 
+def test_self_loop_elevator_is_a_recurrence():
+    """A one-node SCC counts as a cycle only through its self-loop edge."""
+    n = 4
+    b = KernelBuilder("self_loop", n)
+    b.global_array("out", n)
+    tid = b.thread_idx_x()
+    prev = b.from_thread_or_const("v", -1, 0.0)
+    b.tag_value("v", prev)
+    b.store("out", tid, prev)
+    config = replace(default_system_config(), token_buffer=TokenBufferConfig(entries=1))
+    result = analyze_kernel(compile_kernel(b.finish(), config))
+    assert result["RA012"].data["demand"] == 2
+    assert not result.deadlock
+
+
 def test_barrier_in_cycle_flags_ra011():
     n = 4
     b = KernelBuilder("barrier_cycle", n)
