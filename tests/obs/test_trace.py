@@ -78,14 +78,14 @@ def test_ring_buffer_rejects_non_positive_limit():
 
 
 def test_wall_span_lands_on_host_pid():
+    """A wall-clock span recorded through ``wall_event`` sits on the host lane."""
     tracer = ChromeTracer()
-    tracer.wall_event("tag walk", tracer.clock(), args={"accesses": 12})
     begin = tracer.clock()
     tracer.wall_event("residue walk", begin, args={"accesses": 0})
-    events = tracer.events()
-    assert [e["name"] for e in events] == ["tag walk", "residue walk"]
-    assert all(e["pid"] == HOST_PID and e["cat"] == "host" for e in events)
-    assert all(e["dur"] >= 0.0 for e in events)
+    (event,) = tracer.events()
+    assert event["name"] == "residue walk"
+    assert event["pid"] == HOST_PID and event["cat"] == "host"
+    assert event["dur"] >= 0.0
 
 
 def test_tracing_nests_and_restores():

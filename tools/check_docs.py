@@ -17,7 +17,7 @@ Usage::
     PYTHONPATH=src python tools/check_docs.py [files...]
 
 With no arguments it checks ``README.md`` and every ``docs/*.md`` under
-the repository root.  Exit status is the number of broken references.
+the repository root.  Exit status is 1 when any reference is broken, else 0.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     for error in errors:
         print(f"ERROR {error}", file=sys.stderr)
     print(f"check_docs: {checked} file(s), {len(errors)} broken repro.* reference(s)")
-    return len(errors)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

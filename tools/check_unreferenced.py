@@ -18,15 +18,13 @@ The tool uses only the standard library and never imports ``repro``.
 
 Usage::
 
-    python tools/check_unreferenced.py [--root DIR]
+    python tools/check_unreferenced.py
 
-``--root`` points the scan at another tree with the same layout (used
-by the tests).  Exit status is the number of unreferenced definitions.
+Exit status is 1 when any definition is unreferenced, else 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
 import sys
@@ -117,21 +115,17 @@ def unreferenced(root: Path) -> list[Definition]:
     return dead
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=REPO, help="tree to scan")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
-    dead = unreferenced(root)
+def main() -> int:
+    dead = unreferenced(REPO)
     for definition in dead:
-        label = definition.path.relative_to(root)
+        label = definition.path.relative_to(REPO)
         print(
             f"ERROR {label}:{definition.first_line}: {definition.qualname} "
             "is defined but never referenced",
             file=sys.stderr,
         )
     print(f"check_unreferenced: {len(dead)} unreferenced public definition(s)")
-    return len(dead)
+    return 1 if dead else 0
 
 
 if __name__ == "__main__":
