@@ -176,13 +176,16 @@ def _run_case(
         "batched_runs": runs,
         "speedup": event_seconds / batched_seconds,
         "min_speedup": bar,
+        "event_cycles": event.cycles,
+        "batched_cycles": batched.cycles,
     }
 
 
 def _print_table(rows: list[dict]) -> None:
     header = (
         f"{'workload':<14} {'variant':<8} {'engine':<15} {'threads':>8} "
-        f"{'event [s]':>10} {'batched [s]':>12} {'speedup':>8}"
+        f"{'event [s]':>10} {'batched [s]':>12} {'speedup':>8} "
+        f"{'event cyc':>10} {'batched cyc':>12}"
     )
     print("\n" + header)
     print("-" * len(header))
@@ -190,7 +193,8 @@ def _print_table(rows: list[dict]) -> None:
         print(
             f"{row['workload']:<14} {row['variant']:<8} {row['engine']:<15} "
             f"{row['threads']:>8} {row['event_seconds']:>10.2f} "
-            f"{row['batched_seconds']:>12.3f} {row['speedup']:>7.1f}x"
+            f"{row['batched_seconds']:>12.3f} {row['speedup']:>7.1f}x "
+            f"{row['event_cycles']:>10} {row['batched_cycles']:>12}"
         )
 
 

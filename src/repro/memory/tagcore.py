@@ -20,7 +20,9 @@ math and make the same LRU replacement decision:
   rounds — round ``r`` advances the ``r``-th access of *every* set with
   one vector operation — after collapsing consecutive same-line runs
   (guaranteed hits under write-allocate).  Per access it reports the
-  same hit/victim/victim-dirty decisions the scalar cache makes.
+  same hit/victim/victim-dirty decisions the scalar cache makes, and it
+  hands back the set partition and its runs for callers that work per
+  run.
 
 Timing, banks, MSHRs and statistics deliberately stay out of this module.
 :class:`~repro.memory.cache.SetAssociativeCache` keeps its own per-set
@@ -114,11 +116,20 @@ class TagReplay(NamedTuple):
 
     ``victim_line`` is ``-1`` where an access evicted nothing; where it
     did, ``victim_dirty`` says whether the eviction owes a writeback.
+
+    The replay's set partition comes back with it.  ``order`` permutes
+    the stream so each set's accesses are contiguous, in stream order
+    within the set.  ``run_starts`` indexes that set-grouped stream: the
+    positions where a run of consecutive same-line accesses of one set
+    begins.  Only a run's first access can miss or evict; under
+    write-no-allocate every run is a single access.
     """
 
     hit: np.ndarray
     victim_line: np.ndarray
     victim_dirty: np.ndarray
+    order: np.ndarray
+    run_starts: np.ndarray
 
 
 class LruTagArray:
@@ -170,7 +181,8 @@ class LruTagArray:
         compressed per-set streams advance in synchronous rounds: one
         vector step touches the next pending run of every set at once.
         State persists across calls, so replaying a stream in chunks is
-        identical to replaying it whole.
+        identical to replaying it whole.  The set partition and its run
+        starts come back with the classification (:class:`TagReplay`).
         """
         lines = np.asarray(line_addrs, dtype=np.int64)
         writes = np.asarray(is_write, dtype=bool)
@@ -179,7 +191,8 @@ class LruTagArray:
         victim_line = np.full(n, -1, dtype=np.int64)
         victim_dirty = np.zeros(n, dtype=bool)
         if n == 0:
-            return TagReplay(hit, victim_line, victim_dirty)
+            empty = np.empty(0, dtype=np.int64)
+            return TagReplay(hit, victim_line, victim_dirty, empty, empty.copy())
 
         order, set_starts_g, _ = group_spans(
             self.geometry.set_index(lines), upper_bound=self.geometry.num_sets
@@ -263,7 +276,7 @@ class LruTagArray:
         first_orig = order[run_starts]
         victim_line[first_orig] = r_vline
         victim_dirty[first_orig] = r_vdirty
-        return TagReplay(hit, victim_line, victim_dirty)
+        return TagReplay(hit, victim_line, victim_dirty, order, run_starts)
 
     # ----------------------------------------------------------------- queries
     def contains(self, address: int) -> bool:

@@ -44,8 +44,8 @@ How the walk is split
 ---------------------
 * **L1** is vectorised per batch: per-set LRU classification with one
   :class:`~repro.memory.tagcore.LruTagArray` replay, bank-queue timing
-  from a closed-form per-bank recurrence, and MSHR-merge timing from a
-  per-line previous-fill gather.
+  from a closed-form per-bank recurrence, and MSHR-merge timing from the
+  latest fill of each same-line run, found on the replay's set partition.
 * **L2** is the hierarchy's ``l2``, the event engine's
   :class:`~repro.memory.cache.SetAssociativeCache`.  Only the L1 accesses
   that consult it — misses, dirty writebacks, write-throughs — walk it,
@@ -154,9 +154,10 @@ class AnalyticMemoryModel:
         3. a sequential walk over only the accesses that consult L2 —
            fills (with exact MSHR-merge and prune bookkeeping), dirty
            victim writebacks and forwarded write-throughs;
-        4. hit completion times, vectorised: a per-line gather of the
-           most recent outstanding fill decides which hits merge into an
-           MSHR entry and wait for it.
+        4. hit completion times, vectorised per same-line run of the
+           replay's set partition: the latest fill of the run's line at
+           or before the run (or the carried MSHR entry) decides which of
+           its hits merge into an MSHR entry and wait for it.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         cycles = np.asarray(cycles, dtype=np.float64)
@@ -170,7 +171,7 @@ class AnalyticMemoryModel:
         stats = self.l1_stats
         lines = self.l1_tags.geometry.line_address(addresses)
         start = self._l1_bank_times(lines, cycles)
-        hit, victim_line, victim_dirty = self.l1_tags.replay(lines, writes)
+        hit, victim_line, victim_dirty, order, run_starts = self.l1_tags.replay(lines, writes)
 
         hits = int(np.count_nonzero(hit))
         write_count = int(np.count_nonzero(writes))
@@ -189,29 +190,26 @@ class AnalyticMemoryModel:
         # plus write hits when the level is write-through.
         slow = ~hit if write_back else ~hit | writes
 
-        # Stage-4 gather structure, built *before* stage 3 mutates the
-        # MSHR map: for each access, the batch position of the latest
-        # earlier fill of the same line (or the carried fill time).  The
-        # grouping key is the dense line index, whose small range keeps
-        # the partition on the radix-sort path.
+        # Stage-4 structure, built *before* stage 3 mutates the MSHR map.
+        # A line maps to one set, so the replay's set partition already
+        # holds each line's accesses in stream order, cut into same-line
+        # runs; only a run's first access can fill.  Group the runs (not
+        # the accesses) by line and find, per run, the latest fill at or
+        # before it: a segmented running maximum over run positions.
+        # Lines with no such fill take their carried MSHR entry.
         mshr = self.l1_mshr
-        line_keys = lines // l1.line_bytes
-        order, line_starts, line_ends = group_spans(
-            line_keys, upper_bound=int(line_keys.max()) + 1
-        )
-        grouped_lines = lines[order]
-        counts = line_ends - line_starts
-        carried = np.fromiter(
-            (mshr.get(int(line), -np.inf) for line in grouped_lines[line_starts].tolist()),
-            dtype=np.float64,
-            count=line_starts.size,
-        )
-        fill_positions = np.where(fills[order], np.arange(n), -1)
-        np.maximum.accumulate(fill_positions, out=fill_positions)
-        previous_fill_idx = np.empty(n, dtype=np.int64)
-        previous_fill_idx[0] = -1
-        previous_fill_idx[1:] = fill_positions[:-1]
-        in_batch = previous_fill_idx >= np.repeat(line_starts, counts)
+        run_pos = order[run_starts]
+        run_lines = lines[run_pos]
+        by_line, line_starts, line_ends = group_spans(run_lines)
+        segment = np.repeat(np.arange(line_starts.size), line_ends - line_starts)
+        fill_at = np.where(fills[run_pos[by_line]], np.arange(by_line.size), -1)
+        np.maximum.accumulate(fill_at, out=fill_at)
+        in_batch = fill_at >= line_starts[segment]
+        fill_pos = run_pos[by_line[np.maximum(fill_at, 0)]]
+        carried = np.full(line_starts.size, -np.inf)
+        if mshr:
+            heads = run_lines[by_line[line_starts]].tolist()
+            carried[:] = [mshr.get(line, -np.inf) for line in heads]
 
         # Stage 3: the L2-bound residue, walked sequentially in stream
         # order with the exact policy of ``SetAssociativeCache.access``.
@@ -259,30 +257,32 @@ class AnalyticMemoryModel:
             )
 
         # Stage 4: hit completions.  A hit on a line whose fill is still
-        # outstanding merges and completes no earlier than the fill.
-        gathered = fill_time[order][np.maximum(previous_fill_idx, 0)]
-        previous_fill = np.empty(n, dtype=np.float64)
-        previous_fill[order] = np.where(in_batch, gathered, np.repeat(carried, counts))
-        pending = hit & (previous_fill > start)
-        if prune_positions and pending.any():
+        # outstanding merges and completes no earlier than the fill.  A
+        # run's first access is a miss, which never merges, or a hit, for
+        # which the fill at or before its run is the latest earlier one.
+        run_fill = np.empty(by_line.size, dtype=np.float64)
+        run_fill[by_line] = np.where(in_batch, fill_time[fill_pos], carried[segment])
+        grouped_fill = np.repeat(run_fill, np.diff(np.r_[run_starts, n]))
+        at_grouped = np.flatnonzero(grouped_fill > start[order])
+        at_grouped = at_grouped[hit[order[at_grouped]]]
+        chosen = order[at_grouped]
+        previous_fill = grouped_fill[at_grouped]
+        if prune_positions and chosen.size:
             # A prune between the fill and the hit may have dropped the
             # landed entry; mirror the one-at-a-time walk's visibility.
-            previous_position = np.full(n, -1, dtype=np.int64)
-            previous_position[order] = np.where(
-                in_batch, order[np.maximum(previous_fill_idx, 0)], -1
-            )
-            chosen = np.flatnonzero(pending)
+            run_source = np.empty(by_line.size, dtype=np.int64)
+            run_source[by_line] = np.where(in_batch, fill_pos, -1)
+            run_of = np.searchsorted(run_starts, at_grouped, side="right") - 1
+            previous_position = run_source[run_of]
             at = np.asarray(prune_positions, dtype=np.int64)[None, :]
             when = np.asarray(prune_cycles, dtype=np.float64)[None, :]
-            in_window = (at > previous_position[chosen][:, None]) & (
-                at < chosen[:, None]
-            )
-            dropped = np.any(
-                in_window & (when >= previous_fill[chosen][:, None]), axis=1
-            )
-            pending[chosen[dropped]] = False
-        stats.mshr_merges += int(np.count_nonzero(pending))
-        fast = hit if write_back else hit & ~writes
-        merging = pending & fast
-        complete[merging] = np.maximum(complete[merging], previous_fill[merging])
+            in_window = (at > previous_position[:, None]) & (at < chosen[:, None])
+            dropped = np.any(in_window & (when >= previous_fill[:, None]), axis=1)
+            chosen = chosen[~dropped]
+            previous_fill = previous_fill[~dropped]
+        stats.mshr_merges += int(chosen.size)
+        if not write_back:
+            fast = ~writes[chosen]
+            chosen, previous_fill = chosen[fast], previous_fill[fast]
+        complete[chosen] = np.maximum(complete[chosen], previous_fill)
         return complete

@@ -61,8 +61,8 @@ lost).
 
 The L1 walk is vectorised (``sim/analytic_cache.py``): per-set LRU
 classification via :class:`~repro.memory.tagcore.LruTagArray`,
-closed-form per-bank queue timing and a per-line previous-fill gather
-for MSHR-merge timing.  Only the L2-bound residue (misses, writebacks,
+closed-form per-bank queue timing and MSHR-merge timing from the latest
+fill of each same-line run of the replay's set partition.  Only the L2-bound residue (misses, writebacks,
 write-throughs) walks the L2 one access at a time.  Replayed through
 the event engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`
 one access at a time, the same stream completes on the same cycles

@@ -122,6 +122,25 @@ def _cache_replay(config: CacheConfig, trace):
     return hits, victims, victim_dirty
 
 
+def _assert_set_partition(array: LruTagArray, lines: np.ndarray, result) -> None:
+    """``order`` groups the stream by set in stream order, ``run_starts``
+    cuts it into same-line runs, and only a run's first access misses or
+    evicts (every access is its own run under write-no-allocate)."""
+    order, run_starts = result.order, result.run_starts
+    assert sorted(order.tolist()) == list(range(lines.size))
+    keys = array.geometry.set_index(lines[order]) * (lines.size + 1) + order
+    assert np.all(np.diff(keys) > 0)
+    grouped = lines[order]
+    run_first = np.zeros(lines.size, dtype=bool)
+    run_first[run_starts] = True
+    if array.write_allocate:
+        assert np.all(grouped[~run_first] == grouped[np.flatnonzero(~run_first) - 1])
+    else:
+        assert run_first.all()
+    assert result.hit[order][~run_first].all()
+    assert np.all(result.victim_line[order][~run_first] == -1)
+
+
 def _tagarray_replay(config: CacheConfig, trace, chunks=()):
     """The vectorised per-set kernel, optionally replayed in chunks."""
     array = LruTagArray.from_config(config)
@@ -135,6 +154,7 @@ def _tagarray_replay(config: CacheConfig, trace, chunks=()):
     bounds = [0, *sorted(int(c) % (n + 1) for c in chunks), n]
     for lo, hi in zip(bounds, bounds[1:]):
         result = array.replay(lines[lo:hi], writes[lo:hi])
+        _assert_set_partition(array, lines[lo:hi], result)
         hits[lo:hi] = result.hit
         victims[lo:hi] = result.victim_line
         victim_dirty[lo:hi] = result.victim_dirty

@@ -15,12 +15,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchmarks.common import replay_access_batch, run_against_hierarchy
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
 from repro.kernel.builder import KernelBuilder
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim import simulate
+from repro.sim.analytic_cache import AnalyticMemoryModel
 from repro.sim.launch import KernelLaunch
 from repro.workloads.registry import get_workload
 
@@ -221,6 +225,30 @@ def test_vectorised_walk_identical_to_sequential_walk(name, params, config_name)
     assert not replay.mismatches, "\n".join(replay.mismatches)
 
 
+def _mixed_stream_config(**l1_fields):
+    """A memory config with a small L1 shaped by ``l1_fields`` over a
+    small L2, so fills, evictions and writebacks happen every batch."""
+    base = default_system_config().memory
+    l1 = replace(base.l1, line_bytes=64, hit_latency=4, **l1_fields)
+    l2 = replace(base.l2, size_bytes=4096, ways=4, banks=2, hit_latency=8)
+    return replace(base, l1=l1, l2=l2)
+
+
+def _assert_model_matches_hierarchy(config, batches):
+    """Each ``(addresses, cycles, writes)`` batch, fed to the vectorised
+    model and walked one access at a time through a fresh hierarchy,
+    completes on the same cycles; counters and MSHR state agree after."""
+    model = AnalyticMemoryModel(MemoryHierarchy(config))
+    oracle = MemoryHierarchy(config)
+    for addresses, cycles, writes in batches:
+        assert np.array_equal(
+            model.access_batch(addresses, cycles, writes),
+            replay_access_batch(oracle, addresses, cycles, writes),
+        )
+    assert model.hierarchy.stats().flat() == oracle.stats().flat()
+    assert model.l1_mshr == oracle.l1._mshr
+
+
 def test_vectorised_model_identical_on_random_mixed_streams():
     """Model-level differential: random mixed load/store streams with
     non-monotone integral issue cycles, replayed in several batches,
@@ -228,34 +256,22 @@ def test_vectorised_model_identical_on_random_mixed_streams():
     vectorised model and on the event engine's hierarchy walked one
     access at a time (thrash-heavy config, tiny MSHR so prune events
     fire)."""
-    from dataclasses import replace as dc_replace
-
-    from repro.memory.hierarchy import MemoryHierarchy
-    from repro.sim.analytic_cache import AnalyticMemoryModel
-
     rng = np.random.default_rng(1234)
-    base = default_system_config().memory
     for write_back, write_allocate, mshr_entries in (
         (True, True, 1),
         (True, True, 32),
         (False, False, 2),
         (True, False, 1),
     ):
-        l1 = dc_replace(
-            base.l1,
+        config = _mixed_stream_config(
             size_bytes=512,
-            line_bytes=64,
             ways=2,
             banks=2,
-            hit_latency=4,
             write_back=write_back,
             write_allocate=write_allocate,
             mshr_entries=mshr_entries,
         )
-        l2 = dc_replace(base.l2, size_bytes=4096, ways=4, banks=2, hit_latency=8)
-        config = dc_replace(base, l1=l1, l2=l2)
-        model = AnalyticMemoryModel(MemoryHierarchy(config))
-        oracle = MemoryHierarchy(config)
+        batches = []
         clock = 0.0
         for _ in range(4):
             n = int(rng.integers(50, 400))
@@ -265,12 +281,64 @@ def test_vectorised_model_identical_on_random_mixed_streams():
                 clock + np.cumsum(rng.integers(0, 3, n)) + rng.integers(0, 9, n)
             ).astype(np.float64)
             clock = float(cycles.max()) + 1
-            assert np.array_equal(
-                model.access_batch(addresses, cycles, writes),
-                replay_access_batch(oracle, addresses, cycles, writes),
-            )
-        assert model.hierarchy.stats().flat() == oracle.stats().flat()
-        assert model.l1_mshr == oracle.l1._mshr
+            batches.append((addresses, cycles, writes))
+        _assert_model_matches_hierarchy(config, batches)
+
+
+@st.composite
+def _hot_line_batches(draw):
+    """Batches over a pool of hot lines: the drawn shape sets the pool
+    size, the longest same-line run and the run count, and a drawn seed
+    lays out the stream.  Small pools on small L1s give long runs and
+    lines filled twice in one batch; large pools with short runs give
+    the many distinct fills that make the MSHR prune."""
+    pool_size = draw(st.integers(1, 64))
+    max_run = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(128, size=pool_size, replace=False)
+    batches = []
+    clock = 0
+    for _ in range(draw(st.integers(1, 4))):
+        runs = draw(st.integers(1, 200))
+        lengths = rng.integers(1, max_run + 1, runs)
+        lines = np.repeat(rng.choice(pool, runs), lengths)
+        n = lines.size
+        addresses = lines * 64 + rng.integers(0, 64, n)
+        writes = rng.integers(0, 2, n).astype(bool)
+        cycles = clock + np.cumsum(rng.integers(0, 3, n)) + rng.integers(0, 9, n)
+        clock = int(cycles.max()) + int(rng.integers(1, 400))
+        batches.append((addresses, cycles.astype(np.float64), writes))
+    return batches
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3, 4, 5]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 2, 32]),
+    _hot_line_batches(),
+)
+def test_vectorised_model_identical_across_geometries(
+    num_sets, ways, banks, write_back, write_allocate, mshr_entries, batches
+):
+    """The same differential over L1 shapes the fixed cases miss: 1-8
+    sets, 1-4 ways, bank counts that need not divide the set count, every
+    write-policy pair and MSHR sizes that prune every few fills, on
+    hot-line streams where same-line runs are long and a line can be
+    filled twice in one batch."""
+    config = _mixed_stream_config(
+        size_bytes=num_sets * ways * 64,
+        ways=ways,
+        banks=banks,
+        write_back=write_back,
+        write_allocate=write_allocate,
+        mshr_entries=mshr_entries,
+    )
+    _assert_model_matches_hierarchy(config, batches)
 
 
 # ------------------------------------------------------------- fallback mode
