@@ -62,8 +62,9 @@ lost).
 The L1 walk is vectorised (``sim/analytic_cache.py``): per-set LRU
 classification via :class:`~repro.memory.tagcore.LruTagArray`,
 closed-form per-bank queue timing and MSHR-merge timing from the latest
-fill of each same-line run of the replay's set partition.  Only the L2-bound residue (misses, writebacks,
-write-throughs) walks the L2 one access at a time.  Replayed through
+fill of each same-line run of the replay's set partition.  Only the
+L2-bound residue (misses, writebacks, write-throughs) walks the L2 one
+access at a time.  Replayed through
 the event engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`
 one access at a time, the same stream completes on the same cycles
 and leaves the same counters.
@@ -99,7 +100,8 @@ Inter-thread communication
 Each inter-thread node's consumer→producer map is a pure function of
 linear thread IDs (:func:`~repro.graph.interthread.elevator_source_vec`),
 so token resolution is a gather over per-thread vectors rather than an
-event exchange:
+event exchange.  Nodes with equal map parameters share one table per
+simulator (:func:`_map_key`):
 
 * **ELEVATOR** — consumers with a valid source gather the producer's
   value/issue directly (``value[src]``, ``issue[src] + elevator
@@ -112,7 +114,10 @@ event exchange:
   so pointer doubling finds every row's head (whose value it gathers)
   and evaluates the event engine's exact timing recurrence
   ``complete[t] = max(issue[t], complete[src]) + L`` as a prefix maximum
-  in ``ceil(log2 depth)`` rounds.
+  in ``ceil(log2 depth)`` rounds.  The ranking depends only on the map
+  and the predicate, so it runs once per (map, predicate producer) per
+  simulator; each node runs only its own prefix-maximum rounds and
+  value gather.
 * **BARRIER** — windows partition the thread vector into groups (a
   barrier without a ``window`` is one group over the whole subset); the
   release cycle is a segmented maximum of the group's arrival cycles
@@ -201,17 +206,49 @@ class _StaticTables(NamedTuple):
 
 
 class _InterthreadTable(NamedTuple):
-    """Static consumer→producer structure of one inter-thread node.
+    """Static consumer→producer structure of one communication map.
 
-    ``src_pos`` maps each row (position in the core's thread vector) to
-    the row of its producer, or ``-1`` when the thread has no valid
-    source; ``receives`` marks rows the event engine actually pushes a
-    forwarded value to (eLDST: ``consumer == source + |delta|``, the
-    Fig. 9 loop-back condition).
+    Every inter-thread node whose :func:`_map_key` is equal shares one
+    table per simulator.  ``src_pos`` maps each row (position in the
+    core's thread vector) to the row of its producer, or ``-1`` when the
+    thread has no valid source; ``receives`` marks rows the event engine
+    actually pushes a forwarded value to (eLDST: ``consumer == source +
+    |delta|``, the Fig. 9 loop-back condition), and ``forwards`` counts
+    them.
     """
 
     src_pos: np.ndarray
     receives: np.ndarray
+    forwards: int
+
+
+class _ForwardRanking(NamedTuple):
+    """List ranking of one eLDST forwarding forest (:func:`_rank_forest`).
+
+    ``head`` is each row's head row (its value is a gather from it),
+    ``pos`` the row's distance to that head, ``jumps`` the pointer of
+    every doubling round and ``depth`` the deepest chain.
+    """
+
+    head: np.ndarray
+    pos: np.ndarray
+    jumps: tuple
+    depth: int
+
+
+def _map_key(node: Node) -> tuple:
+    """What a node's :class:`_InterthreadTable` depends on, besides the
+    core's thread vector and the block shape: the parameters
+    :func:`~repro.graph.interthread.elevator_source_vec` and the eLDST
+    receive rule read.  Spill and external-buffer parameters change
+    latency only."""
+    offset = node.param("src_offset")
+    return (
+        node.opcode,
+        node.param("delta"),
+        None if offset is None else tuple(offset),
+        node.param("window"),
+    )
 
 
 def _coerce_vec(values: np.ndarray, dtype: DType) -> np.ndarray:
@@ -397,28 +434,16 @@ def _load_ranks(
     return {nids[i]: rank for rank, i in enumerate(ranked.tolist())}
 
 
-def _forward_chains(
-    src_pos: np.ndarray,
-    heads: np.ndarray,
-    head_complete: np.ndarray,
-    issue: np.ndarray,
-    latency: float,
-) -> "tuple[np.ndarray, np.ndarray, int] | None":
-    """Resolve eLDST forwarding forests by pointer doubling.
+def _rank_forest(src_pos: np.ndarray, heads: np.ndarray) -> "_ForwardRanking | None":
+    """Rank an eLDST forwarding forest by pointer doubling.
 
     ``src_pos`` points every non-head row at the row it receives from;
-    the rows in ``heads`` load from memory, complete at
-    ``head_complete + L`` and root the trees.  Returns each row's head
-    row (the value is a gather from it), each row's completion cycle and
-    the deepest chain, or ``None`` when some chain never reaches a head.
-
-    Unrolling the event engine's recurrence ``complete[t] = max(issue[t],
-    complete[src]) + L`` down a chain ``head = c_0, …, c_p = t`` gives
-    ``complete[t] = p·L + max_k y_k`` with ``y_head = load + L`` and
-    ``y_k = issue_k + L - pos_k·L`` — exact, because every cycle is an
-    integer-valued float64.  Distances to the head (list ranking) and
-    the prefix maximum each take ``ceil(log2 depth)`` doubling rounds
-    instead of one round per chain level.
+    the rows in ``heads`` load from memory and root the trees.  Returns
+    each row's head and distance to it (list ranking in ``ceil(log2
+    depth)`` rounds) with the jump list :func:`_resolve_forest` reuses,
+    or ``None`` when some chain never reaches a head.  The result
+    depends only on the map and the heads, so every node with the same
+    map and predicate shares it.
     """
     n = heads.size
     jump = np.where(heads, np.arange(n, dtype=np.int64), src_pos)
@@ -432,13 +457,33 @@ def _forward_chains(
         jumps.append(jump)
     else:
         return None
-    depth = int(pos.max(initial=0))
-    y = np.where(heads, head_complete, issue) + latency - pos * latency
+    return _ForwardRanking(jump, pos, tuple(jumps), int(pos.max(initial=0)))
+
+
+def _resolve_forest(
+    ranking: _ForwardRanking,
+    heads: np.ndarray,
+    head_complete: np.ndarray,
+    issue: np.ndarray,
+    latency: float,
+) -> np.ndarray:
+    """Each row's completion cycle over a ranked forwarding forest.
+
+    Heads complete at ``head_complete + L``.  Unrolling the event
+    engine's recurrence ``complete[t] = max(issue[t], complete[src]) +
+    L`` down a chain ``head = c_0, …, c_p = t`` gives ``complete[t] =
+    p·L + max_k y_k`` with ``y_head = load + L`` and ``y_k = issue_k + L
+    - pos_k·L`` — exact, because every cycle is an integer-valued
+    float64.  The prefix maximum runs over the ranking's stored jumps,
+    ``ceil(log2 depth)`` rounds instead of one per chain level.
+    """
+    offset = ranking.pos * latency
+    y = np.where(heads, head_complete, issue) + latency - offset
     # Before the round with the 2^k-step jump, y[t] covers t's 2^k
     # nearest chain rows; heads jump to themselves, so the max saturates.
-    for step in jumps:
+    for step in ranking.jumps:
         y = np.maximum(y, y[step])
-    return jump, pos * latency + y, depth
+    return offset + y
 
 
 class _FireOrder:
@@ -611,12 +656,20 @@ class BatchedSimulator:
             "num_threads"
         ):
             raise SimulationError("compiled kernel and launch disagree on thread count")
-        problem = window_batch_problem(compiled.graph)
-        if problem is not None:
-            raise SimulationError(
-                f"'{compiled.graph.name}' cannot run on the batched engine: {problem}; "
-                "use engine='auto' to dispatch to a capable engine automatically"
-            )
+        # The graph-structural tables and event-order keys depend only on
+        # the compiled kernel, so they are computed once and cached on it:
+        # repeated simulations of the same kernel (benchmark loops, wave
+        # after wave of explore campaigns) skip the static analysis, and
+        # the eligibility check that guards them.
+        static = compiled.__dict__.get("_batched_static")
+        if static is None:
+            problem = window_batch_problem(compiled.graph)
+            if problem is not None:
+                raise SimulationError(
+                    f"'{compiled.graph.name}' cannot run on the batched engine: "
+                    f"{problem}; use engine='auto' to dispatch to a capable engine "
+                    "automatically"
+                )
         self.compiled = compiled
         self.config: SystemConfig = compiled.config
         self.graph: DataflowGraph = compiled.graph
@@ -649,11 +702,6 @@ class BatchedSimulator:
         self.outputs: dict[str, list[Any]] = {}
 
         self._ports = max(1, compiled.replicas)
-        # The graph-structural tables and event-order keys depend only on
-        # the compiled kernel, so they are computed once and cached on it:
-        # repeated simulations of the same kernel (benchmark loops, wave
-        # after wave of explore campaigns) skip the static analysis.
-        static = compiled.__dict__.get("_batched_static")
         if static is None:
             static = self._build_static(compiled)
             compiled.__dict__["_batched_static"] = static
@@ -681,11 +729,18 @@ class BatchedSimulator:
         self._inject = (
             np.arange(self._thread_ids.size, dtype=np.int64) // self._ports
         ).astype(np.float64)
-        self._it = {
-            node.node_id: self._build_interthread_table(node)
-            for node in self._order
-            if node.opcode in (Opcode.ELEVATOR, Opcode.ELDST)
-        }
+        # One table per distinct communication map, shared by every node
+        # with that map; one forwarding ranking per (map, predicate),
+        # filled as the wave resolves its eLDST nodes.
+        tables: dict[tuple, _InterthreadTable] = {}
+        self._it: dict[int, _InterthreadTable] = {}
+        for node in self._order:
+            if node.opcode in (Opcode.ELEVATOR, Opcode.ELDST):
+                key = _map_key(node)
+                if key not in tables:
+                    tables[key] = self._build_interthread_table(node)
+                self._it[node.node_id] = tables[key]
+        self._rankings: dict[tuple, _ForwardRanking] = {}
         # Memory model: a vectorised L1 over the hierarchy's own L2 and
         # DRAM (the event engine's cache and device, so a sharded core
         # sees its L2 slice and queues on the shared DRAM banks),
@@ -866,7 +921,9 @@ class BatchedSimulator:
             receives = (src_pos >= 0) & (t == src + delta)
         else:
             receives = src_pos >= 0
-        return _InterthreadTable(src_pos=src_pos, receives=receives)
+        return _InterthreadTable(
+            src_pos=src_pos, receives=receives, forwards=int(receives.sum())
+        )
 
     # ------------------------------------------------------- event-order keys
     def _pure_load_ancestors(self) -> "set[int] | None":
@@ -1296,7 +1353,7 @@ class BatchedSimulator:
         valid = table.src_pos >= 0
         gather = np.where(valid, table.src_pos, 0)
         n = issue.size
-        n_valid = int(valid.sum())
+        n_valid = table.forwards
         latency = float(unit_latency(self.config, node))
         complete_valid = issue[gather] + latency
         if node.param("spilled"):
@@ -1389,8 +1446,10 @@ class BatchedSimulator:
         memory load's completion plus the eLDST completion latency ``L``
         (issue latency plus spill/external-buffer extra); a forwarded
         thread at ``complete[t] = max(issue[t], complete[src]) + L``.
-        :func:`_forward_chains` evaluates that recurrence by pointer
-        doubling, and every row's value is a gather from its head's load.
+        The forest is ranked once per (map, predicate) and shared
+        (:meth:`_forward_ranking`); :func:`_resolve_forest` evaluates
+        that recurrence over it, and every row's value is a gather from
+        its head's load.
         """
         table = self._it[node.node_id]
         n = issue.size
@@ -1404,25 +1463,12 @@ class BatchedSimulator:
             extra = float(int(node.param("external_buffer_nodes")) * lat.elevator)
         latency = float(lat.ldst_issue) + extra
 
-        waiting = ~heads & ~table.receives
-        if bool(waiting.any()):
-            tid = int(self._thread_ids[np.argmax(waiting)])
-            raise DeadlockError(
-                f"kernel '{self.graph.name}' deadlocked: thread {tid} waits "
-                f"forever for a value {node.label()} never forwards to it"
-            )
-
         # Heads depend on nobody for timing or data, whatever their
         # position in the forwarding chain.
         fwd_begin = self._trace.clock() if self._trace is not None else 0.0
-        resolved = _forward_chains(
-            table.src_pos, heads, load_complete, issue, latency
-        )
-        if resolved is None:  # pragma: no cover - window_batch_problem rejects recurrences
-            raise DeadlockError(
-                f"{node.label()} forwarding chain does not terminate"
-            )
-        head, complete, depth = resolved
+        ranking = self._forward_ranking(node, heads)
+        complete = _resolve_forest(ranking, heads, load_complete, issue, latency)
+        head, depth = ranking.head, ranking.depth
         if depth > 0 and self._trace is not None:
             self._trace.wall_event(
                 "forwarding levels", fwd_begin, args={"depth": depth}
@@ -1431,7 +1477,7 @@ class BatchedSimulator:
         value = _coerce_vec(backing[idx[head]], node.dtype)
 
         n_heads = int(heads.sum())
-        n_forwards = int(table.receives.sum())
+        n_forwards = table.forwards
         self.stats.global_loads += n_heads
         self.stats.eldst_memory_loads += n_heads
         self.stats.eldst_forwards += n_forwards
@@ -1443,6 +1489,34 @@ class BatchedSimulator:
                 args={"heads": n_heads, "forwards": n_forwards, "depth": depth},
             )
         return value, complete
+
+    def _forward_ranking(self, node: Node, heads: np.ndarray) -> _ForwardRanking:
+        """The ranked forwarding forest of ``node``, shared by every eLDST
+        node with the same map and predicate producer.
+
+        ``heads`` (predicate plus rows without a source) is a function of
+        exactly those two, so the ranking, and the deadlock check on the
+        non-head rows the event engine would never push to, run once
+        per pair and simulator.
+        """
+        nid = node.node_id
+        key = (_map_key(node), self._inputs[nid][1][1])
+        ranking = self._rankings.get(key)
+        if ranking is not None:
+            return ranking
+        table = self._it[nid]
+        waiting = ~heads & ~table.receives
+        if bool(waiting.any()):
+            tid = int(self._thread_ids[np.argmax(waiting)])
+            raise DeadlockError(
+                f"kernel '{self.graph.name}' deadlocked: thread {tid} waits "
+                f"forever for a value {node.label()} never forwards to it"
+            )
+        ranking = _rank_forest(table.src_pos, heads)
+        if ranking is None:  # pragma: no cover - window_batch_problem rejects recurrences
+            raise DeadlockError(f"{node.label()} forwarding chain does not terminate")
+        self._rankings[key] = ranking
+        return ranking
 
     def _execute_barrier_vec(
         self, node: Node, tids: np.ndarray, operands: list[np.ndarray], issue: np.ndarray

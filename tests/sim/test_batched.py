@@ -65,8 +65,12 @@ def test_auto_engine_picks_batched_for_interthread_free_graphs(scan_launch):
 def test_batched_engine_rejects_interthread_graphs(scan_launch):
     launch, _ = scan_launch  # prefix sum: cyclic elevator chain
     compiled = compile_kernel(launch.graph)
-    with pytest.raises(SimulationError):
-        BatchedSimulator(compiled, launch)
+    # The check runs only while the static tables are uncached, and a
+    # rejected graph never caches them: every construction must raise.
+    for _ in range(2):
+        with pytest.raises(SimulationError, match="cannot run on the batched engine"):
+            BatchedSimulator(compiled, launch)
+    assert "_batched_static" not in compiled.__dict__
 
 
 def test_batched_outputs_match_event_outputs():

@@ -2,9 +2,11 @@
 
 The engine sorts a wave's load stream by one int64 composite built from
 a per-kernel rank of its load nodes (``_load_ranks``), and resolves
-eLDST forwarding forests by pointer doubling (``_forward_chains``).
-Both replace code whose work grew with key depth or chain depth; the
-reference implementations kept here are that code:
+eLDST forwarding forests by pointer doubling: ``_rank_forest`` finds
+every row's head and distance once per (communication map, predicate)
+and ``_resolve_forest`` runs each node's prefix-maximum rounds over the
+stored jumps.  Both replace code whose work grew with key depth or
+chain depth; the reference implementations kept here are that code:
 
 * ``_pair_column_order`` ranks every distinct (load node, inject cycle)
   pair with a lexsort over its full event-order key matrix and sorts the
@@ -17,7 +19,10 @@ The new code must match them exactly: the same permutation on every
 registry cell whose loads replay in event order (single-core and on
 4-core shards, at one replica and at the kernel's own replica count),
 and the same values, completion cycles and depth on random forwarding
-forests.
+forests, each ranked once and resolved against several timing draws.
+The tables and rankings one simulator shares between nodes must equal
+the ones built for each node alone, on every registry cell with
+inter-thread nodes.
 """
 
 from __future__ import annotations
@@ -32,11 +37,14 @@ from hypothesis import strategies as st
 from repro.analyze.passes import pure_load_ancestors
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
+from repro.graph.opcodes import Opcode
 from repro.harness.figures import DEFAULT_SUITE_PARAMS
+from repro.kernel.builder import KernelBuilder
 from repro.sim import simulate
 from repro.sim.api import resolve_engine
-from repro.sim.batched import BatchedSimulator, _forward_chains
-from repro.workloads.registry import registry_kernels
+from repro.sim.batched import BatchedSimulator, _rank_forest, _resolve_forest
+from repro.sim.launch import KernelLaunch
+from repro.workloads.registry import get_workload, registry_kernels
 
 # ----------------------------------------------------------------- replay order
 
@@ -171,10 +179,12 @@ def _level_loop(
 
 @st.composite
 def forwarding_forests(draw):
-    """A core's rows of one eLDST node: a subset of whole windows of the
-    launch (non-contiguous, rows optionally shuffled), sources ``|δ|``
-    threads back inside the window, a random heads mask on top of the
-    rows without a source, and integer issue/load cycles."""
+    """A core's rows of one eLDST map and predicate: a subset of whole
+    windows of the launch (non-contiguous, rows optionally shuffled),
+    sources ``|δ|`` threads back inside the window and a random heads
+    mask on top of the rows without a source; then several independent
+    draws of integer issue/load cycles, head values and latency, as the
+    nodes sharing that ranking would see."""
     window = draw(st.integers(min_value=1, max_value=24))
     delta = draw(st.integers(min_value=1, max_value=8))
     n_windows = draw(st.integers(min_value=1, max_value=8))
@@ -198,38 +208,163 @@ def forwarding_forests(draw):
     )
     predicate = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     heads = predicate | (src_pos < 0)
-    issue = np.array(
-        draw(st.lists(st.integers(0, 400), min_size=n, max_size=n)), dtype=np.float64
-    )
-    load = np.array(
-        draw(st.lists(st.integers(0, 600), min_size=n, max_size=n)), dtype=np.float64
-    )
-    head_complete = np.where(heads, issue + load, np.nan)
-    value = np.where(
-        heads, np.array(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))), 0
-    ).astype(np.int64)
-    latency = float(draw(st.integers(min_value=1, max_value=12)))
-    return src_pos, heads, value, head_complete, issue, latency
+    timings = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        issue = np.array(
+            draw(st.lists(st.integers(0, 400), min_size=n, max_size=n)), dtype=np.float64
+        )
+        load = np.array(
+            draw(st.lists(st.integers(0, 600), min_size=n, max_size=n)), dtype=np.float64
+        )
+        head_complete = np.where(heads, issue + load, np.nan)
+        value = np.where(
+            heads, np.array(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))), 0
+        ).astype(np.int64)
+        latency = float(draw(st.integers(min_value=1, max_value=12)))
+        timings.append((value, head_complete, issue, latency))
+    return src_pos, heads, timings
 
 
 @settings(deadline=None, max_examples=300)
 @given(forwarding_forests())
 def test_forward_chains_match_level_loop(forest):
-    src_pos, heads, value, head_complete, issue, latency = forest
-    expected_value, expected_complete, expected_depth = _level_loop(
-        src_pos, heads, value, head_complete, issue, latency
-    )
-    resolved = _forward_chains(src_pos, heads, head_complete, issue, latency)
-    assert resolved is not None
-    head, complete, depth = resolved
-    assert bool(heads[head].all())
-    assert np.array_equal(value[head], expected_value)
-    assert complete.tobytes() == expected_complete.tobytes()
-    assert depth == expected_depth
+    src_pos, heads, timings = forest
+    ranking = _rank_forest(src_pos, heads)
+    assert ranking is not None
+    assert bool(heads[ranking.head].all())
+    pos, jumps = ranking.pos.copy(), [jump.copy() for jump in ranking.jumps]
+    for value, head_complete, issue, latency in timings:
+        expected_value, expected_complete, expected_depth = _level_loop(
+            src_pos, heads, value, head_complete, issue, latency
+        )
+        complete = _resolve_forest(ranking, heads, head_complete, issue, latency)
+        assert np.array_equal(value[ranking.head], expected_value)
+        assert complete.tobytes() == expected_complete.tobytes()
+        assert ranking.depth == expected_depth
+    # Resolving must leave the shared ranking as it found it.
+    assert np.array_equal(ranking.pos, pos)
+    assert all(np.array_equal(a, b) for a, b in zip(ranking.jumps, jumps, strict=True))
 
 
 def test_forward_chains_report_a_chain_without_head():
     src_pos = np.array([1, 2, 0, -1], dtype=np.int64)
     heads = np.array([False, False, False, True])
-    issue = np.zeros(4)
-    assert _forward_chains(src_pos, heads, np.zeros(4), issue, 1.0) is None
+    assert _rank_forest(src_pos, heads) is None
+
+
+# ---------------------------------------------------- shared tables and rankings
+
+
+def _interthread_cells():
+    """Registry cells with ELEVATOR or ELDST nodes that run batched."""
+    cells = []
+    for workload, variant in registry_kernels():
+        launch = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name)).launch(variant)
+        compiled = compile_kernel(launch.graph)
+        if not compiled.graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST):
+            continue
+        if resolve_engine(compiled) != "event":
+            cells.append(pytest.param(workload, variant, id=f"{workload.name}/{variant}"))
+    return cells
+
+
+INTERTHREAD_CELLS = _interthread_cells()
+
+
+def _assert_same_ranking(shared, alone) -> None:
+    assert alone is not None, "the shared heads do not root this node's own map"
+    assert np.array_equal(shared.head, alone.head)
+    assert np.array_equal(shared.pos, alone.pos)
+    assert len(shared.jumps) == len(alone.jumps)
+    assert all(np.array_equal(a, b) for a, b in zip(shared.jumps, alone.jumps))
+    assert shared.depth == alone.depth
+
+
+def _colliding_maps_launch() -> KernelLaunch:
+    """Inter-thread nodes whose maps differ only in ``window`` or only in
+    ``src_offset`` (equal linear delta), all on one predicate: a key
+    that drops either parameter would hand them one table."""
+    b = KernelBuilder("colliding_maps", (4, 8))
+    n = 32
+    b.global_array("x", n)
+    b.global_array("out", n)
+    tid = b.thread_idx_linear()
+    head = b.thread_idx_x().eq(0)
+    loaded = [
+        b.from_thread_or_mem("x", tid, head, src_offset=(-1, 0), window=8),
+        b.from_thread_or_mem("x", tid, head, src_offset=(3, -1), window=8),
+        b.from_thread_or_mem("x", tid, head, src_offset=(-1, 0), window=2),
+    ]
+    total = loaded[0] + loaded[1] + loaded[2]
+    for offset, window in (((1, 0), 8), ((-3, 1), 8), ((1, 0), 2)):
+        total = total + b.from_thread_or_const(loaded[0], offset, 0.0, window=window)
+    b.store("out", tid, total)
+    return KernelLaunch(b.finish(), {"x": np.arange(n) * 0.5})
+
+
+def _assert_tables_match_per_node(compiled, launch, monkeypatch) -> list:
+    """Simulate single-core and on 4 cores; every shared table and
+    ranking must equal the one built for its node alone.  Returns the
+    simulators of the last run."""
+    simulators = []
+    rankings = []
+    run = BatchedSimulator.run
+    forward_ranking = BatchedSimulator._forward_ranking
+
+    def recording_run(self):
+        simulators.append(self)
+        return run(self)
+
+    def checking_ranking(self, node, heads):
+        shared = forward_ranking(self, node, heads)
+        alone = self._build_interthread_table(node)
+        _assert_same_ranking(shared, _rank_forest(alone.src_pos, heads))
+        rankings.append(node.node_id)
+        return shared
+
+    monkeypatch.setattr(BatchedSimulator, "run", recording_run)
+    monkeypatch.setattr(BatchedSimulator, "_forward_ranking", checking_ranking)
+    eldst = compiled.graph.nodes_with_opcode(Opcode.ELDST)
+    for cores in (None, 4):
+        simulators.clear()
+        rankings.clear()
+        result = simulate(compiled, launch, cores=cores)
+        assert result.engine == "window-batched"
+        assert simulators, "no batched core ran"
+        for sim in simulators:
+            assert sim._it, "the simulator built no inter-thread table"
+            for nid, shared in sim._it.items():
+                alone = sim._build_interthread_table(compiled.graph.node(nid))
+                assert np.array_equal(shared.src_pos, alone.src_pos)
+                assert np.array_equal(shared.receives, alone.receives)
+                assert shared.forwards == alone.forwards
+        assert len(rankings) == len(eldst) * len(simulators)
+    return simulators
+
+
+def test_interthread_cells_cover_the_communicating_kernels():
+    names = {param.id for param in INTERTHREAD_CELLS}
+    assert {"matrixMul/dmt", "matrixMul/dmt_win", "lud/dmt_win", "reduce/dmt"} <= names
+
+
+@pytest.mark.parametrize("workload,variant", INTERTHREAD_CELLS)
+def test_shared_tables_equal_per_node_tables(workload, variant, monkeypatch):
+    launch = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name)).launch(variant)
+    _assert_tables_match_per_node(compile_kernel(launch.graph), launch, monkeypatch)
+
+
+def test_matmul_dmt_shares_two_maps_and_two_rankings(monkeypatch):
+    workload = get_workload("matrixMul")
+    launch = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name)).launch("dmt")
+    compiled = compile_kernel(launch.graph)
+    assert len(compiled.graph.nodes_with_opcode(Opcode.ELDST)) > 2
+    for sim in _assert_tables_match_per_node(compiled, launch, monkeypatch):
+        assert len({id(table) for table in sim._it.values()}) == 2
+        assert len(sim._rankings) == 2
+
+
+def test_maps_differing_in_window_or_offset_get_their_own_tables(monkeypatch):
+    launch = _colliding_maps_launch()
+    compiled = compile_kernel(launch.graph)
+    for sim in _assert_tables_match_per_node(compiled, launch, monkeypatch):
+        assert len({id(table) for table in sim._it.values()}) == 6
