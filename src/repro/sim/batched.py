@@ -48,16 +48,21 @@ sequence), so the engine precomputes one order key per load node,
 ranks the load nodes by it once per compiled kernel, and sorts the whole
 wave's load stream by one integer composite (first key component, node
 rank, thread position) before running it through the tag model.  Stores
-are replayed after the loads of their wave, in issue order — exact
-whenever the store phase drains after the load phase (it does on the
-streaming workloads at the fidelity-gate sizes) and a close
-approximation when the phases overlap.
+are replayed after the loads of their wave, each at its node's
+topological position — exact whenever the store phase drains after the
+load phase (it does on the streaming workloads at the fidelity-gate
+sizes) and a close approximation when the phases overlap.
 Store misses follow write-allocate read-for-ownership: an L1
 ``write_miss`` whose fill *reads* L2, exactly the counter mapping the
 event engine's hierarchy records.  Graphs whose load indices depend on
-other loads fall back to per-node replay order (classification stays
-capacity/conflict-aware; only the cross-engine ordering guarantee is
-lost).
+other loads (RA042) fall back to per-node replay: every LOAD, and every
+eLDST's loading heads, walks at its node's position like a store
+(classification stays capacity/conflict-aware; only the cross-engine
+ordering guarantee is lost).  A per-node walk replays its rows in the
+:class:`_FireOrder` processing order when the wave tracks one, in stable
+issue order otherwise.  Every L1 walk — the prepass's merged load
+stream and each per-node walk — goes through ``BatchedSimulator._walk``,
+one host ``tag walk`` span and one count-weighted ``mem`` event.
 
 The L1 walk is vectorised (``sim/analytic_cache.py``): per-set LRU
 classification via :class:`~repro.memory.tagcore.LruTagArray`,
@@ -723,6 +728,8 @@ class BatchedSimulator:
         self._push_offset = static.push_offset
         self._injector_base = static.injector_base
         self._fo: _FireOrder | None = None
+        #: Scratch accesses queued until their level replays.
+        self._scratch_level: list[tuple] = []
         #: Latest arrival of the last replayed scratch level.
         self._scratch_horizon = -math.inf
         # The ``p``-th thread of this core is injected at cycle ``p // replicas``.
@@ -1042,91 +1049,82 @@ class BatchedSimulator:
     # ------------------------------------------------------------ wave driver
     def _run_wave(self) -> None:
         """Evaluate every node once over the core's thread-ID vector."""
-        tids = self._thread_ids
-        inject = self._inject
-        n = tids.size
-        if n == 0:
+        if self._thread_ids.size == 0:
             return
         values: dict[int, np.ndarray] = {}
         avail: dict[int, np.ndarray] = {}
         uses = {nid: len(succ) for nid, succ in self._successors.items()}
-        evaluated: set[int] = set()
-        load_results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if self._track_order:
-            self._fo = _FireOrder(self._order, n, inject)
-        if self._ordered_loads and self._load_nodes:
-            self._classify_wave_loads(tids, inject, values, avail, evaluated, load_results)
-
-        scratch_level: list[tuple] = []
+            self._fo = _FireOrder(self._order, self._thread_ids.size, self._inject)
+        walked = (
+            self._classify_wave_loads(values, avail)
+            if self._ordered_loads and self._load_nodes
+            else {}
+        )
         for node in self._wave_order:
             nid = node.node_id
-            if node.opcode in _SOURCE_OPCODES:
-                if nid not in evaluated:
-                    values[nid] = self._source_value(node, tids, n)
-                    avail[nid] = inject
-                    if self._fo is not None:
-                        self._fo.emit_injected(nid, self._injector_base[nid])
-            else:
-                inputs = self._inputs[nid]
-                if nid in load_results:
-                    # Classified in the pre-pass; read the data here, at the
-                    # access's topological position (stores earlier in the
-                    # graph must land in the backing array first).
-                    issue, idx, complete, heads = load_results[nid]
-                    if node.opcode is Opcode.ELDST:
-                        values[nid], avail[nid] = self._eldst_resolve(
-                            node, issue, idx, heads, complete
-                        )
-                    else:
-                        backing = self.memory.array(str(node.param("array")))
-                        values[nid] = _coerce_vec(backing[idx], node.dtype)
-                        avail[nid] = complete
-                    if self._trace is not None:
-                        self._trace_node(node, issue, avail[nid])
-                elif nid not in evaluated:
-                    operands = [values[src] for _, src in inputs]
-                    ready, issue, order = self._ready_issue(node, avail)
-                    if node.opcode in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
-                        values[nid], access = self._access_scratch(
-                            node, operands, ready, issue
-                        )
-                        scratch_level.append(access)
-                        if nid in self._scratch_level_ends:
-                            self._replay_scratch_level(scratch_level, avail)
-                            scratch_level = []
-                    else:
-                        values[nid], avail[nid] = self._execute(
-                            node, tids, operands, issue, order
-                        )
-                        if self._trace is not None:
-                            self._trace_node(node, issue, avail[nid])
-                for _, src in inputs:
-                    uses[src] -= 1
-                    if uses[src] == 0:
-                        del values[src]
+            if nid in walked:
+                # Classified in the pre-pass; read the data here, at the
+                # access's topological position (stores earlier in the
+                # graph must land in the backing array first).
+                issue, idx, heads, complete = walked[nid]
+                values[nid], avail[nid] = self._global_result(
+                    node, issue, idx, heads, complete
+                )
+                if self._trace is not None:
+                    self._trace_node(node, issue, avail[nid])
+            elif nid not in avail:  # not evaluated by the pre-pass
+                self._step(node, values, avail)
+            for _, src in self._inputs[nid]:
+                uses[src] -= 1
+                if uses[src] == 0:
+                    del values[src]
             if uses[nid] == 0:
                 values.pop(nid, None)
 
-    def _classify_wave_loads(
-        self,
-        tids: np.ndarray,
-        inject: np.ndarray,
-        values: dict[int, np.ndarray],
-        avail: dict[int, np.ndarray],
-        evaluated: set[int],
-        load_results: dict[int, tuple[np.ndarray, np.ndarray]],
+    def _step(
+        self, node: Node, values: dict[int, np.ndarray], avail: dict[int, np.ndarray]
     ) -> None:
+        """Fire ``node`` over the whole wave.
+
+        A source injects its values; any other node issues through its
+        ports and executes, except that a scratch node queues its
+        accesses until its level replays (:meth:`_replay_scratch_level`).
+        """
+        nid = node.node_id
+        if node.opcode in _SOURCE_OPCODES:
+            values[nid] = self._source_value(node)
+            avail[nid] = self._inject
+            if self._fo is not None:
+                self._fo.emit_injected(nid, self._injector_base[nid])
+            return
+        operands = [values[src] for _, src in self._inputs[nid]]
+        ready, issue, order = self._ready_issue(node, avail)
+        if node.opcode in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
+            values[nid], access = self._access_scratch(node, operands, ready, issue)
+            self._scratch_level.append(access)
+            if nid in self._scratch_level_ends:
+                self._replay_scratch_level(self._scratch_level, avail)
+                self._scratch_level = []
+            return
+        values[nid], avail[nid] = self._execute(node, operands, issue, order)
+        if self._trace is not None:
+            self._trace_node(node, issue, avail[nid])
+
+    def _classify_wave_loads(
+        self, values: dict[int, np.ndarray], avail: dict[int, np.ndarray]
+    ) -> dict[int, tuple]:
         """Pre-pass: classify the wave's whole load stream in event order.
 
-        Evaluates the pure index sub-DAG (each node exactly once — the
-        main sweep reuses these values and never re-applies the issue
-        queues), gathers every load's issue cycles and line addresses,
-        sorts the combined stream with the precomputed event-order keys
-        and replays it through the analytic cache model.  Load *data* is
-        deliberately not read here; the main sweep reads it at the load's
-        topological position.
+        Evaluates the pure index sub-DAG through :meth:`_step` (each node
+        exactly once — the main sweep reuses these values and never
+        re-applies the issue queues), gathers every load's issue cycles
+        and line addresses, sorts the combined stream with the
+        precomputed event-order keys and walks it (:meth:`_walk`).  Load
+        *data* is deliberately not read here; the main sweep reads it at
+        the load's topological position.  Returns each load node's issue
+        cycles, indices, loading-head mask and completions.
         """
-        n = tids.size
         tracer = self._trace
         prepass_begin = tracer.clock() if tracer is not None else 0.0
         pending: list[tuple] = []
@@ -1134,71 +1132,29 @@ class BatchedSimulator:
             nid = node.node_id
             if nid not in self._prepass_nodes:
                 continue
-            if node.opcode in _SOURCE_OPCODES:
-                values[nid] = self._source_value(node, tids, n)
-                avail[nid] = inject
-                if self._fo is not None:
-                    self._fo.emit_injected(nid, self._injector_base[nid])
-                evaluated.add(nid)
-                continue
-            inputs = self._inputs[nid]
-            operands = [values[src] for _, src in inputs]
-            _, issue, order = self._ready_issue(node, avail)
             if node.opcode in (Opcode.LOAD, Opcode.ELDST):
-                # ``valid`` masks the threads that really touch memory:
-                # all of a LOAD's, only an eLDST's loading heads.
-                spec = self.memory.spec(str(node.param("array")))
-                if node.opcode is Opcode.ELDST:
-                    valid, idx = self._eldst_heads(node, operands)
-                else:
-                    valid, idx = None, self._checked_indices(node, operands[0], spec.length)
-                addresses = spec.base_address + idx * spec.elem_bytes
-                pending.append((node, issue, idx, addresses, valid))
+                operands = [values[src] for _, src in self._inputs[nid]]
+                _, issue, _ = self._ready_issue(node, avail)
+                pending.append((node, issue, *self._global_stream(node, operands)))
             else:
-                values[nid], avail[nid] = self._execute(node, tids, operands, issue, order)
-                if tracer is not None:
-                    self._trace_node(node, issue, avail[nid])
-            evaluated.add(nid)
+                self._step(node, values, avail)
 
         if tracer is not None:
             tracer.wall_event("prepass", prepass_begin, args={"loads": len(pending)})
         if not pending:
-            return
-        total = n * len(pending)
-        issue_all = np.empty(total)
-        address_all = np.empty(total, dtype=np.int64)
-        valid_all = np.ones(total, dtype=np.bool_)
-        for block, (node, issue, _, addresses, valid) in enumerate(pending):
-            issue_all[block * n : (block + 1) * n] = issue
-            address_all[block * n : (block + 1) * n] = addresses
-            if valid is not None:
-                valid_all[block * n : (block + 1) * n] = valid
-        order = self._replay_order(
-            [node.node_id for node, *_ in pending], inject, valid_all
+            return {}
+        n = self._thread_ids.size
+        nodes, issues, heads, indices, addresses = zip(*pending)
+        issue = np.concatenate(issues)
+        valid = np.concatenate([np.ones(n, dtype=np.bool_) if h is None else h for h in heads])
+        order = self._replay_order([node.node_id for node in nodes], self._inject, valid)
+        complete = self._walk(
+            "wave loads", np.concatenate(addresses), issue, order, is_store=False
         )
-        completions = np.full(total, np.nan)
-        walk_begin = tracer.clock() if tracer is not None else 0.0
-        completions[order] = self._analytic.access_batch(
-            address_all[order], issue_all[order], is_store=False
-        )
-        if tracer is not None:
-            tracer.wall_event("tag walk", walk_begin, args={"accesses": int(order.size)})
-            if order.size:
-                ts = float(issue_all[order].min())
-                done = completions[order]
-                end = float(done[np.isfinite(done)].max()) if done.size else ts
-                tracer.event(
-                    "wave loads", "mem", ts, end - ts,
-                    pid=self._trace_pid, tid=MEM_LANE,
-                    args={"count": int(order.size)},
-                )
-        for block, (node, issue, idx, _, valid) in enumerate(pending):
-            load_results[node.node_id] = (
-                issue,
-                idx,
-                completions[block * n : (block + 1) * n],
-                valid,
-            )
+        return {
+            node.node_id: (issues[b], indices[b], heads[b], complete[b * n : (b + 1) * n])
+            for b, node in enumerate(nodes)
+        }
 
     def _replay_order(
         self, nids: list[int], inject: np.ndarray, valid: np.ndarray
@@ -1227,11 +1183,12 @@ class BatchedSimulator:
         sel = np.flatnonzero(valid)
         return sel[np.argsort(composite[sel], kind="stable")]
 
-    def _source_value(self, node: Node, tids: np.ndarray, n: int) -> np.ndarray:
+    def _source_value(self, node: Node) -> np.ndarray:
         op = node.opcode
+        tids = self._thread_ids
         if op is Opcode.CONST:
             scalar = coerce(node.param("value"), node.dtype)
-            return np.full(n, scalar, dtype=_NP_DTYPE[node.dtype])
+            return np.full(tids.size, scalar, dtype=_NP_DTYPE[node.dtype])
         dx, dy, _ = (self.geometry.block_dim + (1, 1, 1))[:3]
         if op is Opcode.TID_X:
             return tids % dx
@@ -1306,40 +1263,32 @@ class BatchedSimulator:
     def _execute(
         self,
         node: Node,
-        tids: np.ndarray,
         operands: list[np.ndarray],
         issue: np.ndarray,
-        order: "np.ndarray | None" = None,
+        order: "np.ndarray | None",
     ) -> tuple[np.ndarray, np.ndarray]:
         op = node.opcode
         latency = unit_latency(self.config, node)
         if op in PURE_OPCODES:
             return _eval_pure_vec(node, operands), issue + latency
-        if op is Opcode.LOAD:
-            value, complete = self._access_global(
-                node, operands[0], issue, store_value=None, order=order
-            )
-            return value, complete
+        if op in (Opcode.LOAD, Opcode.ELDST):
+            return self._access_global(node, operands, issue, order)
         if op is Opcode.STORE:
-            value, complete = self._access_global(
-                node, operands[0], issue, store_value=operands[1], order=order
-            )
+            value, complete = self._access_global(node, operands, issue, order)
             self._completion = max(self._completion, float(complete.max()))
             return value, complete
         if op is Opcode.OUTPUT:
             name = str(node.param("name"))
             slot = self.outputs[name]
-            for tid, value in zip(tids.tolist(), operands[0].tolist()):
+            for tid, value in zip(self._thread_ids.tolist(), operands[0].tolist()):
                 slot[tid] = value
             complete = issue + 1.0
             self._completion = max(self._completion, float(complete.max()))
             return operands[0], complete
         if op is Opcode.ELEVATOR:
             return self._execute_elevator_vec(node, operands, issue)
-        if op is Opcode.ELDST:
-            return self._execute_eldst_vec(node, operands, issue)
         if op is Opcode.BARRIER:
-            return self._execute_barrier_vec(node, tids, operands, issue)
+            return self._execute_barrier_vec(node, operands, issue)
         raise SimulationError(f"batched engine cannot execute {op.value}")
 
     # ---------------------------------------------------------- inter-thread
@@ -1384,53 +1333,6 @@ class BatchedSimulator:
                 args={"retags": n_valid, "constants": n - n_valid},
             )
         return value, avail
-
-    def _execute_eldst_vec(
-        self, node: Node, operands: list[np.ndarray], issue: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fallback path (replay order not event-stable): classify the
-        heads' loads here, in issue order, then resolve the chain."""
-        heads, idx = self._eldst_heads(node, operands)
-        spec = self.memory.spec(str(node.param("array")))
-        addresses = spec.base_address + idx * spec.elem_bytes
-        head_rows = np.flatnonzero(heads)
-        order = head_rows[
-            np.lexsort((np.arange(head_rows.size), issue[head_rows]))
-        ]
-        load_complete = np.full(issue.size, np.nan)
-        walk_begin = self._trace.clock() if self._trace is not None else 0.0
-        load_complete[order] = self._analytic.access_batch(
-            addresses[order], issue[order], is_store=False
-        )
-        if self._trace is not None:
-            self._trace.wall_event(
-                "tag walk", walk_begin, args={"accesses": int(order.size)}
-            )
-            if order.size:
-                ts = float(issue[order].min())
-                done = load_complete[order]
-                end = float(done[np.isfinite(done)].max()) if done.size else ts
-                self._trace.event(
-                    f"eldst loads {node.param('array')}", "mem", ts, end - ts,
-                    pid=self._trace_pid, tid=MEM_LANE,
-                    args={"count": int(order.size)},
-                )
-        return self._eldst_resolve(node, issue, idx, heads, load_complete)
-
-    def _eldst_heads(
-        self, node: Node, operands: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Loading-head mask and (bounds-checked, head-only) indices."""
-        table = self._it[node.node_id]
-        predicate = operands[1].astype(np.bool_, copy=False)
-        heads = predicate | (table.src_pos < 0)
-        spec = self.memory.spec(str(node.param("array")))
-        idx = _coerce_vec(operands[0], DType.I32)
-        # Only the heads' indices reach memory; the event engine never
-        # evaluates a forwarded thread's index, so neither may we.
-        idx = np.where(heads, idx, np.int64(0))
-        self._checked_indices(node, idx, spec.length)
-        return heads, idx
 
     def _eldst_resolve(
         self,
@@ -1519,10 +1421,11 @@ class BatchedSimulator:
         return ranking
 
     def _execute_barrier_vec(
-        self, node: Node, tids: np.ndarray, operands: list[np.ndarray], issue: np.ndarray
+        self, node: Node, operands: list[np.ndarray], issue: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Segmented-max release per transmission window group; a barrier
         without a ``window`` is one group over the whole thread subset."""
+        tids = self._thread_ids
         window = node.param("window")
         groups = tids // int(window) if window else np.zeros_like(tids)
         unique, inverse = np.unique(groups, return_inverse=True)
@@ -1581,37 +1484,97 @@ class BatchedSimulator:
             )
         return idx
 
+    def _global_stream(
+        self, node: Node, operands: list[np.ndarray]
+    ) -> tuple["np.ndarray | None", np.ndarray, np.ndarray]:
+        """Accessing rows, bounds-checked indices and byte addresses of a
+        LOAD, STORE or eLDST.
+
+        The row mask is ``None`` (every row) except on an eLDST, whose
+        loading heads (predicate, plus rows without a source) alone
+        touch memory.  A forwarded thread's index is zeroed: the event
+        engine never evaluates it, so neither may we.
+        """
+        spec = self.memory.spec(str(node.param("array")))
+        heads, index = None, operands[0]
+        if node.opcode is Opcode.ELDST:
+            predicate = operands[1].astype(np.bool_, copy=False)
+            heads = predicate | (self._it[node.node_id].src_pos < 0)
+            index = np.where(heads, _coerce_vec(index, DType.I32), np.int64(0))
+        idx = self._checked_indices(node, index, spec.length)
+        return heads, idx, spec.base_address + idx * spec.elem_bytes
+
     def _access_global(
         self,
         node: Node,
-        index: np.ndarray,
+        operands: list[np.ndarray],
         issue: np.ndarray,
-        store_value: np.ndarray | None,
-        order: "np.ndarray | None" = None,
+        order: "np.ndarray | None",
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stores (and loads in fallback mode): classify at the node's
-        topological position, replaying the node's accesses in the
-        firings' processing ``order`` when the wave tracks it, in issue
-        order otherwise (the order the event engine's heap services them
-        when the phases do not overlap)."""
-        name = str(node.param("array"))
-        spec = self.memory.spec(name)
-        backing = self.memory.array(name)
-        idx = self._checked_indices(node, index, spec.length)
-        addresses = spec.base_address + idx * spec.elem_bytes
+        """Walk a global memory node at its topological position.
+
+        Every STORE walks here, and so does every LOAD and eLDST of a
+        graph whose load indices depend on memory (RA042).  The accessing
+        rows replay in the firings' processing ``order`` when the wave
+        tracks it, in stable issue order otherwise (the order the event
+        engine's heap services them when the phases do not overlap).
+        """
+        heads, idx, addresses = self._global_stream(node, operands)
         if order is None:
-            order = np.lexsort((np.arange(idx.size), issue))
-        complete = np.empty(issue.shape)
-        complete[order] = self._analytic.access_batch(
-            addresses[order], issue[order], is_store=store_value is not None
+            order = np.argsort(issue, kind="stable")
+        if heads is not None:
+            order = order[heads[order]]
+        is_store = node.opcode is Opcode.STORE
+        label = f"{node.opcode.value} {node.param('array')}"
+        complete = self._walk(label, addresses, issue, order, is_store)
+        return self._global_result(
+            node, issue, idx, heads, complete, operands[1] if is_store else None
         )
-        if self._trace is not None and idx.size:
-            ts = float(issue.min())
-            self._trace.event(
-                f"{'store' if store_value is not None else 'load'} {name}", "mem",
-                ts, float(complete.max()) - ts,
-                pid=self._trace_pid, tid=MEM_LANE, args={"count": int(idx.size)},
-            )
+
+    def _walk(
+        self,
+        label: str,
+        addresses: np.ndarray,
+        issue: np.ndarray,
+        order: np.ndarray,
+        is_store: bool,
+    ) -> np.ndarray:
+        """Replay the rows ``order`` selects, in that order, through the L1.
+
+        Returns every row's completion cycle, NaN in the rows that touch
+        no memory.  This is the engine's only L1 walk: it is one host
+        ``tag walk`` span and one count-weighted ``mem`` event.
+        """
+        tracer = self._trace
+        begin = tracer.clock() if tracer is not None else 0.0
+        complete = np.full(issue.shape, np.nan)
+        complete[order] = self._analytic.access_batch(
+            addresses[order], issue[order], is_store=is_store
+        )
+        if tracer is not None:
+            tracer.wall_event("tag walk", begin, args={"accesses": int(order.size)})
+            if order.size:
+                ts = float(issue[order].min())
+                tracer.event(
+                    label, "mem", ts, float(complete[order].max()) - ts,
+                    pid=self._trace_pid, tid=MEM_LANE,
+                    args={"count": int(order.size)},
+                )
+        return complete
+
+    def _global_result(
+        self,
+        node: Node,
+        issue: np.ndarray,
+        idx: np.ndarray,
+        heads: "np.ndarray | None",
+        complete: np.ndarray,
+        store_value: "np.ndarray | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Move a walked node's data; returns its values and completions."""
+        if node.opcode is Opcode.ELDST:
+            return self._eldst_resolve(node, issue, idx, heads, complete)
+        backing = self.memory.array(str(node.param("array")))
         if store_value is None:
             return _coerce_vec(backing[idx], node.dtype), complete
         backing[idx] = store_value

@@ -28,8 +28,11 @@ CLASS_COUNTERS = {
 }
 
 
-def _traced_run(variant: str, engine: str = "auto", dim: int = 8):
-    prepared = get_workload("matrixMul").prepare({"dim": dim})
+def _traced_run(
+    variant: str, engine: str = "auto", dim: int = 8, workload: str = "matrixMul"
+):
+    params = {"dim": dim} if workload == "matrixMul" else None
+    prepared = get_workload(workload).prepare(params)
     launch = prepared.launch(variant)
     compiled = compile_kernel(launch.graph)
     tracer = ChromeTracer()
@@ -135,3 +138,21 @@ def test_scratch_events_sum_to_scratch_counters(engine):
     )
     counters = result.counters()
     assert scratch == counters["scratch_loads"] + counters["scratch_stores"] > 0
+
+
+@pytest.mark.parametrize(
+    ("workload", "variant"),
+    [("matrixMul", "stream"), ("matrixMul", "dmt"), ("spmv", "stream")],
+)
+def test_tag_walk_spans_cover_every_l1_access(workload, variant):
+    """Every L1 access the batched engines classify is walked inside a
+    host ``tag walk`` span: loads, stores and the per-node walks of a
+    graph whose load indices depend on memory (spmv, RA042)."""
+    tracer, result = _traced_run(variant, workload=workload)
+    assert result.engine in ("batched", "window-batched")
+    walked = sum(
+        int(event["args"]["accesses"])
+        for event in tracer.events()
+        if event["pid"] == HOST_PID and event["name"] == "tag walk"
+    )
+    assert walked == _l1_accesses(result.counters()) > 0
