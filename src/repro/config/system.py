@@ -146,13 +146,10 @@ class TokenBufferConfig:
     """
 
     entries: int = 16
-    max_in_flight_threads: int = 64
 
     def validate(self) -> None:
         if self.entries <= 0:
             raise ConfigurationError("token buffer must have at least one entry")
-        if self.max_in_flight_threads <= 0:
-            raise ConfigurationError("max_in_flight_threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,6 @@ class DramConfig:
     channels: int = 6
     banks_per_channel: int = 16
     access_latency: int = 220
-    burst_bytes: int = 128
     bank_busy_cycles: int = 8
 
     def validate(self) -> None:
@@ -293,7 +289,11 @@ class MemorySystemConfig:
 
 @dataclass(frozen=True)
 class FermiSmConfig:
-    """Fermi-like streaming multiprocessor baseline (one GTX480 SM)."""
+    """Fermi-like streaming multiprocessor baseline (one GTX480 SM).
+
+    Integer and FP instructions share ``alu_latency``; shared memory
+    takes :attr:`ScratchpadConfig.access_latency`.
+    """
 
     warp_size: int = 32
     max_resident_warps: int = 48
@@ -302,11 +302,8 @@ class FermiSmConfig:
     cuda_cores: int = 32
     sfu_units: int = 4
     ldst_units: int = 16
-    registers_per_thread: int = 32
     alu_latency: int = 10
-    fpu_latency: int = 10
     sfu_latency: int = 20
-    shared_mem_latency: int = 24
     l1_write_through: bool = True
 
     def validate(self) -> None:

@@ -1,8 +1,10 @@
 """Tests for the Table 2 system configuration."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +140,39 @@ def test_fermi_dispatch_cycles():
     assert fermi.dispatch_cycles("memory") == 2
     assert fermi.dispatch_cycles("sfu") == 8
     assert fermi.dispatch_cycles("control") == 1
+
+
+def _read_attributes(tree: ast.AST) -> set[str]:
+    """Attribute names ``tree`` reads, outside ``validate`` methods."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "validate":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_config_field_is_read_somewhere():
+    """A config field no code reads only changes the cache key: an
+    explore sweep over it reruns identical simulations under new
+    digests.  Every field of a config dataclass must be read as an
+    attribute somewhere in ``src/repro`` outside a ``validate`` method."""
+    package = Path(__file__).resolve().parents[1] / "src" / "repro"
+    config_tree = ast.parse((package / "config" / "system.py").read_text())
+    fields = {
+        f"{cls.name}.{stmt.target.id}"
+        for cls in config_tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name.endswith("Config")
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    assert len(fields) > 40
+    read: set[str] = set()
+    for path in package.rglob("*.py"):
+        read |= _read_attributes(ast.parse(path.read_text()))
+    unread = sorted(name for name in fields if name.split(".")[1] not in read)
+    assert unread == [], f"config fields no code reads: {unread}"
