@@ -24,22 +24,7 @@ import sys
 from typing import Any
 
 from repro.analyze.manager import AnalysisResult, analyze_kernel
-from repro.errors import ReproError
-
-GRAPH_VARIANTS = ("mt", "dmt", "dmt_win", "stream")
-
-
-def _build_graph(workload: Any, variant: str) -> Any:
-    params = workload.default_params()
-    if variant == "mt":
-        return workload.build_mt(params)
-    if variant == "dmt":
-        return workload.build_dmt(params)
-    if variant == "dmt_win":
-        return workload.build_dmt_windowed(params)
-    if variant == "stream":
-        return workload.build_stream(params)
-    raise ReproError(f"unknown variant '{variant}'; expected one of {GRAPH_VARIANTS}")
+from repro.workloads.base import GRAPH_VARIANTS
 
 
 def _row(name: str, variant: str, result: AnalysisResult) -> dict[str, Any]:
@@ -113,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     rows: list[dict[str, Any]] = []
     failures: list[str] = []
     for workload, variant in targets:
-        graph = _build_graph(workload, variant)
+        graph = workload.build_graph(variant, workload.default_params())
         result = analyze_kernel(compile_kernel(graph))
         rows.append(_row(workload.name, variant, result))
         for diagnostic in result.errors() + result.warnings():

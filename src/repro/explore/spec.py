@@ -33,9 +33,8 @@ from typing import Any, Mapping, Sequence
 
 from repro.config.system import SystemConfig, canonical_config_json, default_system_config
 from repro.errors import ExplorationError, WorkloadError
-from repro.harness.experiments import GRAPH_VARIANTS
 from repro.sim.api import ENGINES
-from repro.workloads.base import ARCHITECTURES
+from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS
 from repro.workloads.registry import get_workload, workload_names
 
 __all__ = [

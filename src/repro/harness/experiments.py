@@ -26,11 +26,10 @@ from repro.obs.metrics import timer
 from repro.power.model import EnergyBreakdown, cgra_energy, fermi_energy
 from repro.power.tables import EnergyTable
 from repro.sim import simulate
-from repro.workloads.base import ARCHITECTURES, PreparedWorkload, Workload
+from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS, PreparedWorkload, Workload
 from repro.workloads.registry import get_workload, paper_workloads
 
 __all__ = [
-    "GRAPH_VARIANTS",
     "RunResult",
     "outputs_digest",
     "run_workload",
@@ -38,13 +37,6 @@ __all__ = [
     "compare_architectures",
     "run_suite",
 ]
-
-#: Dataflow-graph variants runnable on the CGRA simulators in addition to
-#: the paper's three architectures: ``dmt_win`` is the window-bounded dMT
-#: kernel (legal for multi-core sharding) and ``stream`` the
-#: inter-thread-free kernel (legal for the batched engine).
-GRAPH_VARIANTS = ("mt", "dmt", "dmt_win", "stream")
-
 
 @dataclass
 class RunResult:

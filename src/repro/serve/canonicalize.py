@@ -37,9 +37,8 @@ from repro.config.system import SystemConfig, config_digest
 from repro.errors import ConfigurationError, ExplorationError, ReproError, WorkloadError
 from repro.explore.spec import CACHE_SCHEMA_VERSION, RunPoint, resolved_base_config
 from repro.graph.dfg import DataflowGraph
-from repro.harness.experiments import GRAPH_VARIANTS
 from repro.sim.api import ENGINES
-from repro.workloads.base import ARCHITECTURES
+from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS
 from repro.workloads.registry import get_workload
 
 __all__ = [
@@ -262,14 +261,6 @@ def build_graph(workload_name: str, variant: str, params: Mapping[str, Any]) -> 
     workload = get_workload(workload_name)
     resolved = workload.params_with_defaults(dict(params))
     try:
-        if variant == "mt":
-            return workload.build_mt(resolved)
-        if variant == "dmt":
-            return workload.build_dmt(resolved)
-        if variant == "dmt_win":
-            return workload.build_dmt_windowed(resolved)
-        if variant == "stream":
-            return workload.build_stream(resolved)
+        return workload.build_graph(variant, resolved)
     except WorkloadError as exc:
         raise ServeError(str(exc)) from exc
-    raise ServeError(f"variant '{variant}' has no CGRA kernel graph")

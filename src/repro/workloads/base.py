@@ -30,10 +30,16 @@ from repro.graph.opcodes import Opcode
 from repro.gpgpu.program import SimtProgram
 from repro.sim.launch import KernelLaunch
 
-__all__ = ["ARCHITECTURES", "Workload", "PreparedWorkload"]
+__all__ = ["ARCHITECTURES", "GRAPH_VARIANTS", "Workload", "PreparedWorkload"]
 
 #: Architecture identifiers used throughout the harness and the benches.
 ARCHITECTURES = ("fermi", "mt", "dmt")
+
+#: Dataflow-graph variants runnable on the CGRA simulators
+#: (:meth:`Workload.build_graph`): the paper's ``mt`` and ``dmt``, the
+#: window-bounded ``dmt_win`` (legal for multi-core sharding) and the
+#: inter-thread-free ``stream`` (legal for the batched engine).
+GRAPH_VARIANTS = ("mt", "dmt", "dmt_win", "stream")
 
 
 @dataclass
@@ -50,18 +56,7 @@ class PreparedWorkload:
 
     def launch(self, architecture: str) -> KernelLaunch:
         """Build the dataflow launch for ``mt``, ``dmt``, ``dmt_win`` or ``stream``."""
-        if architecture == "mt":
-            graph = self.workload.build_mt(self.params)
-        elif architecture == "dmt":
-            graph = self.workload.build_dmt(self.params)
-        elif architecture == "dmt_win":
-            graph = self.workload.build_dmt_windowed(self.params)
-        elif architecture == "stream":
-            graph = self.workload.build_stream(self.params)
-        else:
-            raise WorkloadError(
-                f"architecture '{architecture}' does not run a dataflow graph"
-            )
+        graph = self.workload.build_graph(architecture, self.params)
         usable = {k: v for k, v in self.inputs.items() if k in graph.metadata["arrays"]}
         return KernelLaunch(graph, usable)
 
@@ -135,6 +130,21 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def build_fermi(self, params: Mapping[str, Any]) -> SimtProgram:
         """Fermi baseline SIMT program (shared memory + barrier)."""
+
+    def build_graph(self, variant: str, params: Mapping[str, Any]) -> DataflowGraph:
+        """The dataflow graph of one of :data:`GRAPH_VARIANTS`."""
+        builders = {
+            "mt": self.build_mt,
+            "dmt": self.build_dmt,
+            "dmt_win": self.build_dmt_windowed,
+            "stream": self.build_stream,
+        }
+        if variant not in builders:
+            raise WorkloadError(
+                f"variant '{variant}' does not run a dataflow graph; "
+                f"expected one of {GRAPH_VARIANTS}"
+            )
+        return builders[variant](params)
 
     def build_stream(self, params: Mapping[str, Any]) -> DataflowGraph:
         """Inter-thread-free ("streaming") kernel graph, if the workload has one.
