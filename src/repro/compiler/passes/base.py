@@ -60,9 +60,8 @@ class Pass(abc.ABC):
 class PassManager:
     """Runs a sequence of passes, validating the graph between passes."""
 
-    def __init__(self, passes: Sequence[Pass], validate_between: bool = True) -> None:
+    def __init__(self, passes: Sequence[Pass]) -> None:
         self.passes = list(passes)
-        self.validate_between = validate_between
         self.results: list[PassResult] = []
 
     def run(self, graph: DataflowGraph, config: SystemConfig) -> list[PassResult]:
@@ -77,14 +76,6 @@ class PassManager:
                     f"pass {compiler_pass.name} failed on graph '{graph.name}': {exc}"
                 ) from exc
             self.results.append(result)
-            if self.validate_between and result.changed:
+            if result.changed:
                 validate_graph(graph)
         return self.results
-
-    def summary(self) -> str:
-        lines = []
-        for result in self.results:
-            status = "changed" if result.changed else "no-op"
-            metrics = ", ".join(f"{k}={v}" for k, v in sorted(result.metrics.items()))
-            lines.append(f"{result.pass_name}: {status}" + (f" ({metrics})" if metrics else ""))
-        return "\n".join(lines)

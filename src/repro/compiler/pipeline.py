@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.arch.grid import PhysicalGrid
 from repro.compiler.mapper.placement import Placement, place_graph
@@ -35,7 +34,6 @@ __all__ = ["CompiledKernel", "CompilerOptions", "default_pass_pipeline", "compil
 class CompilerOptions:
     """Knobs of the compilation pipeline."""
 
-    optimize: bool = True
     map_to_grid: bool = True
     anneal_iterations: int = 1500
     seed: int = 0xC6A4
@@ -108,23 +106,21 @@ class CompiledKernel:
         return "\n".join(lines)
 
 
-def default_pass_pipeline(optimize: bool = True) -> list[Pass]:
+def default_pass_pipeline() -> list[Pass]:
     """The standard pass order used by :func:`compile_kernel`."""
-    passes: list[Pass] = []
-    if optimize:
-        passes.append(ConstantFoldPass())
-        passes.append(DeadCodeEliminationPass())
-    passes.append(CascadeElevatorsPass())
-    passes.append(EldstBufferPass())
-    passes.append(ReplicatePass())
-    return passes
+    return [
+        ConstantFoldPass(),
+        DeadCodeEliminationPass(),
+        CascadeElevatorsPass(),
+        EldstBufferPass(),
+        ReplicatePass(),
+    ]
 
 
 def compile_kernel(
     graph: DataflowGraph,
     config: SystemConfig | None = None,
     options: CompilerOptions | None = None,
-    extra_passes: Sequence[Pass] = (),
 ) -> CompiledKernel:
     """Compile a kernel graph for the configured dMT-CGRA system.
 
@@ -135,9 +131,7 @@ def compile_kernel(
     working = graph.copy()
     validate_graph(working)
 
-    passes = default_pass_pipeline(options.optimize) + list(extra_passes)
-    manager = PassManager(passes)
-    results = manager.run(working, config)
+    results = PassManager(default_pass_pipeline()).run(working, config)
 
     mapping: RoutedMapping | None = None
     if options.map_to_grid:

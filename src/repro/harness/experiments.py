@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis.comparison import ArchitectureComparison, ComparisonTable
 from repro.analyze.manager import analyze_kernel
-from repro.compiler.pipeline import CompiledKernel, CompilerOptions, compile_kernel
+from repro.compiler.pipeline import CompiledKernel, compile_kernel
 from repro.config.system import SystemConfig, default_system_config
 from repro.errors import WorkloadError
 from repro.gpgpu.simulator import run_fermi
@@ -134,7 +134,6 @@ def run_workload(
     config: SystemConfig | None = None,
     energy_table: EnergyTable | None = None,
     check: bool = True,
-    compiler_options: CompilerOptions | None = None,
     engine: str = "auto",
     cores: int | None = None,
 ) -> RunResult:
@@ -175,7 +174,7 @@ def run_workload(
     else:
         launch = prepared.launch(architecture)
         with timer("compile") as span:
-            compiled = compile_kernel(launch.graph, config, compiler_options)
+            compiled = compile_kernel(launch.graph, config)
         phases["compile"] = span.seconds
         with timer("simulate") as span:
             result = simulate(compiled, launch, engine=engine, cores=cores)

@@ -137,5 +137,6 @@ def test_pass_manager_runs_and_validates():
     graph = _simple_kernel()
     manager = PassManager([ConstantFoldPass(), DeadCodeEliminationPass(), ReplicatePass()])
     results = manager.run(graph, _config())
-    assert len(results) == 3
-    assert "replicate" in manager.summary()
+    assert [result.pass_name for result in results] == ["constant-fold", "dead-code-elimination", "replicate"]
+    assert results == manager.results
+    assert results[-1].metrics["replicas"] == graph.metadata["replicas"]
