@@ -177,7 +177,7 @@ def run_pair(name: str, variant: str, params: dict, config: SystemConfig) -> dic
     event = simulate(compiled, prepared.launch(variant), engine="event")
     batched = simulate(compiled, prepared.launch(variant))  # auto: batched engine
     checked_sim = BatchedSimulator(compiled, prepared.launch(variant))
-    ordered_trace = bool(checked_sim._ordered_loads)
+    ordered_trace = bool(checked_sim._static.ordered_loads)
     replay = run_against_hierarchy(checked_sim)
     checked = replay.result
     event_counters = event.counters()

@@ -15,6 +15,25 @@ core's thread IDs, the way the ESL-CGRA simulator steps whole-array
 state per cycle instead of per token.  The whole thread subset runs as
 one wave, so a forwarding chain or barrier group is never split.
 
+Two sweeps: values, then timing
+-------------------------------
+Every value a wave moves — an elevator retag, an eLDST forward, a
+barrier release — is a function of thread IDs and memory contents, never
+of cycles; only the timing depends on the order in which accesses reach
+the memory system.  So a wave runs as two sweeps over the graph:
+
+* the **value pass** (``BatchedSimulator._value_pass``) moves every
+  node's data in wave order: sources, pure ops, the elevator gather,
+  barrier pass-through, outputs, and memory nodes, each reading or
+  writing its array at its wave position (a store earlier in the graph
+  lands before a later load reads).  It makes no memory-model call and
+  returns each memory node's *stream*: the accessing-row mask, the byte
+  addresses and, for an eLDST, the forwarding ranking;
+* the **timing sweep** (``BatchedSimulator._time``) issues every node
+  through its ports and walks only those streams: the event-ordered load
+  prepass first, then every other node in wave order, with the
+  forwarding prefix maxima, barrier maxima and scratch bank queues.
+
 Per-thread completion times are computed analytically:
 
 * a thread injected as the ``p``-th thread of this core becomes live at
@@ -116,13 +135,13 @@ simulator (:func:`_map_key`):
 * **ELDST** — the predicate (plus invalid-source threads) selects the
   *loading heads*; only their indices touch the memory system.  The
   forwarding chain ``head → head+Δ → …`` is a static pointer structure,
-  so pointer doubling finds every row's head (whose value it gathers)
-  and evaluates the event engine's exact timing recurrence
-  ``complete[t] = max(issue[t], complete[src]) + L`` as a prefix maximum
-  in ``ceil(log2 depth)`` rounds.  The ranking depends only on the map
-  and the predicate, so it runs once per (map, predicate producer) per
-  simulator; each node runs only its own prefix-maximum rounds and
-  value gather.
+  so pointer doubling finds every row's head (whose value the value
+  pass gathers) and the timing sweep evaluates the event engine's exact
+  recurrence ``complete[t] = max(issue[t], complete[src]) + L`` as a
+  prefix maximum in ``ceil(log2 depth)`` rounds.  The ranking depends
+  only on the map and the predicate, so it runs once per (map,
+  predicate producer) per simulator; each node runs only its own
+  prefix-maximum rounds and value gather.
 * **BARRIER** — windows partition the thread vector into groups (a
   barrier without a ``window`` is one group over the whole subset); the
   release cycle is a segmented maximum of the group's arrival cycles
@@ -153,19 +172,15 @@ import numpy as np
 
 # SOURCE_OPCODES is shared with the analyzer's replay-order pass so the
 # static RA042/RA043 verdict and the engine's prepass decision agree.
+from repro.analyze.manager import analyze_kernel
 from repro.analyze.passes import SOURCE_OPCODES as _SOURCE_OPCODES
 from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, MemoryModelError, SimulationError
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import (
-    elevator_source_vec,
-    scratch_levels,
-    thread_subset_problem,
-    window_batch_problem,
-)
+from repro.graph.interthread import elevator_source_vec, scratch_levels
 from repro.graph.node import Node
-from repro.graph.opcodes import DType, Opcode, UnitClass
+from repro.graph.opcodes import DType, Opcode
 from repro.graph.semantics import PURE_OPCODES, coerce
 from repro.kernel.geometry import ThreadGeometry
 from repro.memory.hierarchy import MemoryHierarchy
@@ -173,10 +188,13 @@ from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE, active_tracer
 from repro.sim.analytic_cache import AnalyticMemoryModel
 from repro.sim.cycle import (
+    _MEMORY_OPCODES,
+    _OP_COUNTERS,
     LVC_ACCESS_LATENCY,
+    core_thread_ids,
     edge_timing,
+    trace_lanes,
     unit_latency,
-    validate_thread_ids,
 )
 from repro.sim.launch import KernelLaunch
 from repro.sim.result import SimulationResult
@@ -189,7 +207,8 @@ _U32_MASK = 0xFFFFFFFF
 
 
 class _StaticTables(NamedTuple):
-    """Launch-independent analysis of one compiled kernel, cached on it."""
+    """Launch-independent analysis of one compiled kernel, cached on it
+    (:func:`_static_tables`)."""
 
     order: list
     inputs: dict
@@ -198,8 +217,9 @@ class _StaticTables(NamedTuple):
     edge_hops: dict
     sink_nodes: list
     order_pos: dict
-    load_nodes: list
-    prepass_nodes: "set[int] | None"
+    #: The analyzer's prepass nodes (every load and its pure ancestors),
+    #: or ``None`` when some load index depends on memory (RA042).
+    prepass_nodes: "frozenset[int] | None"
     ordered_loads: bool
     load_keys: dict
     load_rank: dict
@@ -208,6 +228,19 @@ class _StaticTables(NamedTuple):
     track_order: bool
     push_offset: dict
     injector_base: dict
+
+
+class _Stream(NamedTuple):
+    """One memory node's accesses, as the value pass leaves them.
+
+    ``rows`` masks the rows that touch memory (``None``: every row; an
+    eLDST's loading heads otherwise), ``addresses`` holds every row's
+    byte address, and ``ranking`` is an eLDST's forwarding forest.
+    """
+
+    rows: "np.ndarray | None"
+    addresses: np.ndarray
+    ranking: "_ForwardRanking | None"
 
 
 class _InterthreadTable(NamedTuple):
@@ -636,14 +669,191 @@ class _FireOrder:
         )
 
 
+def _static_tables(compiled: CompiledKernel) -> _StaticTables:
+    """Launch-independent tables of ``compiled``; the caller caches them.
+
+    Eligibility and the replay-order decision are the analyzer's
+    verdicts (:func:`repro.analyze.analyze_kernel`, cached on the
+    kernel), so the engine and ``engine="auto"`` dispatch agree by
+    construction.  Raises :class:`SimulationError` for a graph the
+    batched engine cannot run.
+    """
+    graph = compiled.graph
+    analysis = analyze_kernel(compiled)
+    if analysis.engine == "event":
+        raise SimulationError(
+            f"'{graph.name}' cannot run on the batched engine: "
+            f"{analysis['RA045'].data['problem']}; use engine='auto' to dispatch "
+            "to a capable engine automatically"
+        )
+    order = graph.topological_order(ignore_temporal=False)
+    inputs = {node.node_id: sorted(graph.inputs_of(node.node_id).items()) for node in order}
+    successor_map = graph.successor_map()
+    successors = {node.node_id: successor_map[node.node_id] for node in order}
+    edge_latency, edge_hops = edge_timing(compiled)
+    order_pos = {node.node_id: i for i, node in enumerate(order)}
+    prepass = analysis.prepass_nodes
+    load_keys = (
+        {}
+        if prepass is None
+        else _event_order_keys(compiled, order, inputs, successors, edge_latency)
+    )
+    # Only barriers and scratch nodes need the event engine's firing
+    # order (and scratch levels); other graphs keep none of its tables.
+    track_order = bool(
+        graph.nodes_with_opcode(Opcode.BARRIER, Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
+    )
+    wave_order, level_ends = (
+        _scratch_levels(graph, order, order_pos) if track_order else (order, frozenset())
+    )
+    return _StaticTables(
+        order=order,
+        inputs=inputs,
+        successors=successors,
+        edge_latency=edge_latency,
+        edge_hops=edge_hops,
+        sink_nodes=[
+            n.node_id
+            for n in order
+            if n.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT)
+        ],
+        order_pos=order_pos,
+        prepass_nodes=prepass,
+        ordered_loads=prepass is not None,
+        load_keys=load_keys,
+        load_rank=_load_ranks(load_keys, order_pos),
+        wave_order=wave_order,
+        scratch_level_ends=level_ends,
+        track_order=track_order,
+        push_offset={
+            (src, dst, port): f
+            for src, succ in successors.items()
+            for f, (dst, port) in enumerate(succ)
+        }
+        if track_order
+        else {},
+        injector_base=_injector_bases(graph, successors) if track_order else {},
+    )
+
+
+def _injector_bases(graph: DataflowGraph, successors: dict) -> dict[int, int]:
+    """Push-index base of each injected source's tokens.
+
+    The injection event sends every injector's tokens in graph node
+    order (``CycleSimulator._inject_thread``), one per fan-out edge.
+    """
+    stride = 1 + max((len(s) for s in successors.values()), default=0)
+    injectors = [
+        node.node_id
+        for node in graph.nodes
+        if node.opcode in _SOURCE_OPCODES or node.opcode is Opcode.ELEVATOR
+    ]
+    return {nid: i * stride for i, nid in enumerate(injectors)}
+
+
+def _scratch_levels(
+    graph: DataflowGraph, order: list, order_pos: dict
+) -> tuple[list, frozenset]:
+    """Wave evaluation order and the last scratch node of each level.
+
+    A scratch node's level is one more than the deepest scratch node
+    among its ancestors.  Sorting the topological order by the deepest
+    scratch level *above* each node keeps it topological and puts
+    every level-``k`` scratch node before any consumer of one, so a
+    level's accesses are all issued before its merged stream replays.
+    """
+    level, depth = scratch_levels(graph, order)
+    wave_order = sorted(order, key=lambda n: (depth[n.node_id], order_pos[n.node_id]))
+    last: dict[int, int] = {}
+    for node in wave_order:
+        if node.node_id in level:
+            last[level[node.node_id]] = node.node_id
+    return wave_order, frozenset(last.values())
+
+
+def _event_order_keys(
+    compiled: CompiledKernel,
+    order: list,
+    inputs: dict,
+    successors: dict,
+    edge_latency: dict,
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per-load-node key vectors reproducing the event engine's order.
+
+    The event engine classifies a load at the heap-processing moment
+    of its index token's arrival.  For a pure index chain that moment
+    is ``d + inject(t)`` with a thread-independent ``d``, and
+    same-cycle arrivals process in push-sequence order — recursively,
+    the chain of the deciding producer's own fire moments, tie-broken
+    by its push index within that fire, bottoming out at the
+    injection event (which pops *after* same-cycle token events).
+
+    Each node therefore gets a component vector: fire moments encoded
+    as ``2*cycle + kind`` (token fire = 0, injection = 1) that shift
+    by ``2*inject(t)`` per thread, interleaved with shift-free
+    push-index components.  Sorting all of a wave's load accesses by
+    these vectors (then node position, then thread position)
+    reproduces the event engine's access order exactly.
+    """
+    graph = compiled.graph
+    arrival: dict[int, float] = {}
+    chains: dict[int, list[tuple[float, bool]]] = {}
+    keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for position, node in enumerate(order):
+        nid = node.node_id
+        if node.opcode in _SOURCE_OPCODES:
+            arrival[nid] = 0.0
+            chains[nid] = [(1.0, True), (float(position), False)]
+            continue
+        node_inputs = inputs[nid]
+        if not node_inputs or any(src not in chains for _, src in node_inputs):
+            continue  # downstream of a memory access: thread-varying
+        best: "tuple[float, list[tuple[float, bool]], int] | None" = None
+        arr = 0.0
+        for port, src in node_inputs:
+            moment = (
+                arrival[src]
+                + unit_latency(compiled.config, graph.node(src))
+                + edge_latency[(src, nid)]
+            )
+            arr = max(arr, moment)
+            push_index = next(
+                i
+                for i, (dst, dst_port) in enumerate(successors[src])
+                if dst == nid and dst_port == port
+            )
+            candidate = (moment, chains[src], push_index)
+            if best is None or candidate > best:
+                best = candidate
+        chain = [(2.0 * arr, True)] + best[1] + [(float(best[2]), False)]
+        if node.opcode in (Opcode.LOAD, Opcode.ELDST):
+            components = np.array([value for value, _ in chain])
+            moments = np.array([is_moment for _, is_moment in chain])
+            keys[nid] = (components, moments)
+        elif node.opcode in PURE_OPCODES:
+            arrival[nid] = arr
+            chains[nid] = chain
+    return keys
+
+
+def _retire(nid: int, inputs: list, live: dict[int, np.ndarray], uses: dict[int, int]) -> None:
+    """Drop the vectors in ``live`` that no node after ``nid`` reads."""
+    for _, src in inputs:
+        uses[src] -= 1
+        if uses[src] == 0:
+            del live[src]
+    if uses[nid] == 0:
+        live.pop(nid, None)
+
+
 class BatchedSimulator:
     """Batched vectorised model of one (d)MT-CGRA core.
 
-    Constructed for graphs where
-    :func:`repro.graph.interthread.window_batch_problem` returns ``None``
-    — the same predicate behind the analyzer's engine verdict and
-    ``engine="auto"`` dispatch, so eligibility is decided in exactly one
-    place; :func:`repro.sim.simulate` falls back to a capable engine
+    Constructed for graphs the analyzer's engine verdict sends to a
+    batched engine (:func:`repro.graph.interthread.window_batch_problem`
+    returns ``None``) — the verdict ``engine="auto"`` dispatches on, so
+    eligibility is decided in exactly one place;
+    :func:`repro.sim.simulate` falls back to a capable engine
     automatically.
     """
 
@@ -665,16 +875,13 @@ class BatchedSimulator:
         # the compiled kernel, so they are computed once and cached on it:
         # repeated simulations of the same kernel (benchmark loops, wave
         # after wave of explore campaigns) skip the static analysis, and
-        # the eligibility check that guards them.
+        # the eligibility check that guards them.  A rejected graph
+        # caches nothing, so every construction raises.
         static = compiled.__dict__.get("_batched_static")
         if static is None:
-            problem = window_batch_problem(compiled.graph)
-            if problem is not None:
-                raise SimulationError(
-                    f"'{compiled.graph.name}' cannot run on the batched engine: "
-                    f"{problem}; use engine='auto' to dispatch to a capable engine "
-                    "automatically"
-                )
+            static = _static_tables(compiled)
+            compiled.__dict__["_batched_static"] = static
+        self._static = static
         self.compiled = compiled
         self.config: SystemConfig = compiled.config
         self.graph: DataflowGraph = compiled.graph
@@ -684,49 +891,25 @@ class BatchedSimulator:
         self.geometry: ThreadGeometry = ThreadGeometry(compiled.block_dim)
         self.num_threads = self.geometry.num_threads
         self.max_cycles = max_cycles
-
-        if thread_ids is None:
-            self._thread_ids = np.arange(self.num_threads, dtype=np.int64)
-        else:
-            self._thread_ids = np.asarray(
-                validate_thread_ids(thread_ids, self.num_threads), dtype=np.int64
+        # ``np.arange`` spares the whole-launch case a list of every ID.
+        self._thread_ids = (
+            np.arange(self.num_threads, dtype=np.int64)
+            if thread_ids is None
+            else np.asarray(
+                core_thread_ids(self.graph, thread_ids, self.num_threads), dtype=np.int64
             )
-            if self._thread_ids.size != self.num_threads and self.graph.has_interthread():
-                problem = thread_subset_problem(
-                    self.graph, self._thread_ids.tolist(), self.num_threads
-                )
-                if problem is not None:
-                    raise SimulationError(
-                        f"cannot simulate this thread subset of '{self.graph.name}': "
-                        f"{problem}"
-                    )
+        )
 
         self.memory = memory if memory is not None else launch.build_memory_image()
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
         self.stats = ExecutionStats(threads=int(self._thread_ids.size))
-        self.outputs: dict[str, list[Any]] = {}
+        self.outputs: dict[str, list[Any]] = {
+            str(node.param("name")): [None] * self.num_threads
+            for node in static.order
+            if node.opcode is Opcode.OUTPUT
+        }
 
         self._ports = max(1, compiled.replicas)
-        if static is None:
-            static = self._build_static(compiled)
-            compiled.__dict__["_batched_static"] = static
-        self._order = static.order
-        self._inputs = static.inputs
-        self._successors = static.successors
-        self._edge_latency = static.edge_latency
-        self._edge_hops = static.edge_hops
-        self._sink_nodes = static.sink_nodes
-        self._order_pos = static.order_pos
-        self._load_nodes = static.load_nodes
-        self._prepass_nodes = static.prepass_nodes
-        self._ordered_loads = static.ordered_loads
-        self._load_keys = static.load_keys
-        self._load_rank = static.load_rank
-        self._wave_order = static.wave_order
-        self._scratch_level_ends = static.scratch_level_ends
-        self._track_order = static.track_order
-        self._push_offset = static.push_offset
-        self._injector_base = static.injector_base
         self._fo: _FireOrder | None = None
         #: Scratch accesses queued until their level replays.
         self._scratch_level: list[tuple] = []
@@ -738,10 +921,10 @@ class BatchedSimulator:
         ).astype(np.float64)
         # One table per distinct communication map, shared by every node
         # with that map; one forwarding ranking per (map, predicate),
-        # filled as the wave resolves its eLDST nodes.
+        # filled as the value pass moves its eLDST nodes' data.
         tables: dict[tuple, _InterthreadTable] = {}
         self._it: dict[int, _InterthreadTable] = {}
-        for node in self._order:
+        for node in static.order:
             if node.opcode in (Opcode.ELEVATOR, Opcode.ELDST):
                 key = _map_key(node)
                 if key not in tables:
@@ -760,22 +943,9 @@ class BatchedSimulator:
         self._completion = 0.0
         self._trace = active_tracer()
         self._trace_pid = int(trace_pid)
-        self._lane: dict[int, int] = {}
-        if self._trace is not None:
-            self._init_trace_lanes()
-
-    def _init_trace_lanes(self) -> None:
-        """Name this core's trace process and map nodes to their PE lanes."""
-        tracer = self._trace
-        assert tracer is not None
-        placement = (
-            self.compiled.mapping.placement.node_to_unit if self.compiled.mapping else {}
+        self._lane: dict[int, int] = (
+            {} if self._trace is None else trace_lanes(self._trace, compiled, self._trace_pid)
         )
-        tracer.set_process_name(self._trace_pid, f"core {self._trace_pid}")
-        for node in self._order:
-            lane = int(placement.get(node.node_id, node.node_id))
-            self._lane[node.node_id] = lane
-            tracer.set_lane_name(self._trace_pid, lane, f"PE {lane}")
 
     def _trace_node(self, node: Node, issue: np.ndarray, complete: np.ndarray) -> None:
         """One count-weighted op event spanning the node's wave activity."""
@@ -794,104 +964,6 @@ class BatchedSimulator:
             tid=self._lane[node.node_id],
             args={"count": int(issue.size), "cls": node.unit_class.name},
         )
-
-    def _build_static(self, compiled: CompiledKernel) -> _StaticTables:
-        """Launch-independent tables, cached on the compiled kernel.
-
-        The graph-walk helpers (``_pure_load_ancestors``,
-        ``_event_order_keys``) read the structural tables through
-        ``self``, so those are assigned here as they are built; the
-        caller re-assigns every field from the returned record by name.
-        """
-        self._order = self.graph.topological_order(ignore_temporal=False)
-        self._inputs = {
-            node.node_id: sorted(self.graph.inputs_of(node.node_id).items())
-            for node in self._order
-        }
-        successors = self.graph.successor_map()
-        self._successors = {node.node_id: successors[node.node_id] for node in self._order}
-        self._edge_latency, self._edge_hops = edge_timing(compiled)
-        self._order_pos = {node.node_id: i for i, node in enumerate(self._order)}
-        # Memory issue points whose accesses the event-order prepass can
-        # classify: plain LOADs plus the loading threads of eLDST nodes.
-        self._load_nodes = [
-            n for n in self._order if n.opcode in (Opcode.LOAD, Opcode.ELDST)
-        ]
-        prepass_nodes = self._pure_load_ancestors()
-        ordered_loads = prepass_nodes is not None
-        load_keys = self._event_order_keys() if ordered_loads else {}
-        # Only barriers and scratch nodes need the event engine's firing
-        # order (and scratch levels); other graphs keep none of its tables.
-        track_order = bool(
-            self.graph.nodes_with_opcode(
-                Opcode.BARRIER, Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE
-            )
-        )
-        wave_order, level_ends = (
-            self._scratch_levels() if track_order else (self._order, frozenset())
-        )
-        return _StaticTables(
-            order=self._order,
-            inputs=self._inputs,
-            successors=self._successors,
-            edge_latency=self._edge_latency,
-            edge_hops=self._edge_hops,
-            sink_nodes=[
-                n.node_id
-                for n in self._order
-                if n.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT)
-            ],
-            order_pos=self._order_pos,
-            load_nodes=self._load_nodes,
-            prepass_nodes=prepass_nodes,
-            ordered_loads=ordered_loads,
-            load_keys=load_keys,
-            load_rank=_load_ranks(load_keys, self._order_pos),
-            wave_order=wave_order,
-            scratch_level_ends=level_ends,
-            track_order=track_order,
-            push_offset={
-                (src, dst, port): f
-                for src, succ in self._successors.items()
-                for f, (dst, port) in enumerate(succ)
-            }
-            if track_order
-            else {},
-            injector_base=self._injector_bases() if track_order else {},
-        )
-
-    def _injector_bases(self) -> dict[int, int]:
-        """Push-index base of each injected source's tokens.
-
-        The injection event sends every injector's tokens in graph node
-        order (``CycleSimulator._inject_thread``), one per fan-out edge.
-        """
-        stride = 1 + max((len(s) for s in self._successors.values()), default=0)
-        injectors = [
-            node.node_id
-            for node in self.graph.nodes
-            if node.opcode in _SOURCE_OPCODES or node.opcode is Opcode.ELEVATOR
-        ]
-        return {nid: i * stride for i, nid in enumerate(injectors)}
-
-    def _scratch_levels(self) -> tuple[list, frozenset]:
-        """Wave evaluation order and the last scratch node of each level.
-
-        A scratch node's level is one more than the deepest scratch node
-        among its ancestors.  Sorting the topological order by the deepest
-        scratch level *above* each node keeps it topological and puts
-        every level-``k`` scratch node before any consumer of one, so a
-        level's accesses are all issued before its merged stream replays.
-        """
-        level, depth = scratch_levels(self.graph, self._order)
-        wave_order = sorted(
-            self._order, key=lambda n: (depth[n.node_id], self._order_pos[n.node_id])
-        )
-        last: dict[int, int] = {}
-        for node in wave_order:
-            if node.node_id in level:
-                last[level[node.node_id]] = node.node_id
-        return wave_order, frozenset(last.values())
 
     def _build_interthread_table(self, node: Node) -> _InterthreadTable:
         t = self._thread_ids
@@ -932,90 +1004,13 @@ class BatchedSimulator:
             src_pos=src_pos, receives=receives, forwards=int(receives.sum())
         )
 
-    # ------------------------------------------------------- event-order keys
-    def _pure_load_ancestors(self) -> "set[int] | None":
-        """Nodes to pre-evaluate so every load's issue cycle is known early.
-
-        Delegates to the static analyzer's replay-order pass
-        (:func:`repro.analyze.passes.pure_load_ancestors`) so the
-        ``RA042``/``RA043`` verdict and the engine's dynamic decision
-        agree by construction: the union of every LOAD node and its
-        transitive ancestors when those ancestors are all pure/source
-        nodes, or ``None`` when some load index depends on another memory
-        access — the engine then falls back to per-node replay order.
-        """
-        from repro.analyze.passes import pure_load_ancestors
-
-        return pure_load_ancestors(self.graph)
-
-    def _event_order_keys(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per-load-node key vectors reproducing the event engine's order.
-
-        The event engine classifies a load at the heap-processing moment
-        of its index token's arrival.  For a pure index chain that moment
-        is ``d + inject(t)`` with a thread-independent ``d``, and
-        same-cycle arrivals process in push-sequence order — recursively,
-        the chain of the deciding producer's own fire moments, tie-broken
-        by its push index within that fire, bottoming out at the
-        injection event (which pops *after* same-cycle token events).
-
-        Each node therefore gets a component vector: fire moments encoded
-        as ``2*cycle + kind`` (token fire = 0, injection = 1) that shift
-        by ``2*inject(t)`` per thread, interleaved with shift-free
-        push-index components.  Sorting all of a wave's load accesses by
-        these vectors (then node position, then thread position)
-        reproduces the event engine's access order exactly.
-        """
-        arrival: dict[int, float] = {}
-        chains: dict[int, list[tuple[float, bool]]] = {}
-        keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for node in self._order:
-            nid = node.node_id
-            if node.opcode in _SOURCE_OPCODES:
-                arrival[nid] = 0.0
-                chains[nid] = [(1.0, True), (float(self._order_pos[nid]), False)]
-                continue
-            inputs = self._inputs[nid]
-            if not inputs or any(src not in chains for _, src in inputs):
-                continue  # downstream of a memory access: thread-varying
-            best: "tuple[float, list[tuple[float, bool]], int] | None" = None
-            arr = 0.0
-            for port, src in inputs:
-                src_node = self.graph.node(src)
-                moment = (
-                    arrival[src]
-                    + unit_latency(self.config, src_node)
-                    + self._edge_latency[(src, nid)]
-                )
-                arr = max(arr, moment)
-                push_index = next(
-                    i
-                    for i, (dst, dst_port) in enumerate(self._successors[src])
-                    if dst == nid and dst_port == port
-                )
-                candidate = (moment, chains[src], push_index)
-                if best is None or candidate > best:
-                    best = candidate
-            chain = [(2.0 * arr, True)] + best[1] + [(float(best[2]), False)]
-            if node.opcode in (Opcode.LOAD, Opcode.ELDST):
-                components = np.array([value for value, _ in chain])
-                moments = np.array([is_moment for _, is_moment in chain])
-                keys[nid] = (components, moments)
-            elif node.opcode in PURE_OPCODES:
-                arrival[nid] = arr
-                chains[nid] = chain
-        return keys
-
     # ------------------------------------------------------------------- run
     def run(self) -> SimulationResult:
-        if not self._sink_nodes:
+        if not self._static.sink_nodes:
             raise SimulationError("kernel has no store or output nodes; nothing to run")
-        for node in self._order:
-            if node.opcode is Opcode.OUTPUT:
-                self.outputs.setdefault(str(node.param("name")), [None] * self.num_threads)
-
         begin = self._trace.clock() if self._trace is not None else 0.0
-        self._run_wave()
+        if self._thread_ids.size:
+            self._time(self._value_pass())
         if self._trace is not None:
             self._trace.wall_event(
                 "wave@0", begin, args={"threads": int(self._thread_ids.size)}
@@ -1046,115 +1041,195 @@ class BatchedSimulator:
             hierarchies=(self.hierarchy,),
         )
 
-    # ------------------------------------------------------------ wave driver
-    def _run_wave(self) -> None:
-        """Evaluate every node once over the core's thread-ID vector."""
-        if self._thread_ids.size == 0:
-            return
+    # ------------------------------------------------------------ value pass
+    def _value_pass(self) -> dict[int, _Stream]:
+        """Move every node's data over the whole wave, in wave order.
+
+        No value depends on a cycle, so this pass needs no timing and
+        makes no memory-model call.  Returns each memory node's access
+        stream for the timing sweep (:meth:`_time`).
+        """
+        static = self._static
         values: dict[int, np.ndarray] = {}
-        avail: dict[int, np.ndarray] = {}
-        uses = {nid: len(succ) for nid, succ in self._successors.items()}
-        if self._track_order:
-            self._fo = _FireOrder(self._order, self._thread_ids.size, self._inject)
-        walked = (
-            self._classify_wave_loads(values, avail)
-            if self._ordered_loads and self._load_nodes
-            else {}
-        )
-        for node in self._wave_order:
+        uses = {nid: len(succ) for nid, succ in static.successors.items()}
+        streams: dict[int, _Stream] = {}
+        for node in static.wave_order:
             nid = node.node_id
-            if nid in walked:
-                # Classified in the pre-pass; read the data here, at the
-                # access's topological position (stores earlier in the
-                # graph must land in the backing array first).
-                issue, idx, heads, complete = walked[nid]
-                values[nid], avail[nid] = self._global_result(
-                    node, issue, idx, heads, complete
-                )
-                if self._trace is not None:
-                    self._trace_node(node, issue, avail[nid])
-            elif nid not in avail:  # not evaluated by the pre-pass
-                self._step(node, values, avail)
-            for _, src in self._inputs[nid]:
-                uses[src] -= 1
-                if uses[src] == 0:
-                    del values[src]
-            if uses[nid] == 0:
-                values.pop(nid, None)
+            op = node.opcode
+            operands = [values[src] for _, src in static.inputs[nid]]
+            if op in _SOURCE_OPCODES:
+                value = self._source_value(node)
+            elif op in PURE_OPCODES:
+                value = _eval_pure_vec(node, operands)
+            elif op in _MEMORY_OPCODES:
+                value, streams[nid] = self._move_data(node, operands)
+            elif op is Opcode.ELEVATOR:
+                # Consumers with a valid source gather its token, the
+                # rest get the fallback constant.
+                src_pos = self._it[nid].src_pos
+                valid = src_pos >= 0
+                const = coerce(node.param("const"), node.dtype)
+                value = np.where(valid, operands[0][np.where(valid, src_pos, 0)], const)
+            elif op is Opcode.BARRIER:
+                value = operands[0]
+            elif op is Opcode.OUTPUT:
+                value = operands[0]
+                slot = self.outputs[str(node.param("name"))]
+                for tid, item in zip(self._thread_ids.tolist(), value.tolist()):
+                    slot[tid] = item
+            else:
+                raise SimulationError(f"batched engine cannot execute {op.value}")
+            values[nid] = value
+            _retire(nid, static.inputs[nid], values, uses)
+        return streams
 
-    def _step(
-        self, node: Node, values: dict[int, np.ndarray], avail: dict[int, np.ndarray]
-    ) -> None:
-        """Fire ``node`` over the whole wave.
+    def _source_value(self, node: Node) -> np.ndarray:
+        op = node.opcode
+        tids = self._thread_ids
+        if op is Opcode.CONST:
+            scalar = coerce(node.param("value"), node.dtype)
+            return np.full(tids.size, scalar, dtype=_NP_DTYPE[node.dtype])
+        dx, dy, _ = (self.geometry.block_dim + (1, 1, 1))[:3]
+        if op is Opcode.TID_X:
+            return tids % dx
+        if op is Opcode.TID_Y:
+            return (tids // dx) % dy
+        if op is Opcode.TID_Z:
+            return tids // (dx * dy)
+        return tids.copy()  # TID_LINEAR
 
-        A source injects its values; any other node issues through its
-        ports and executes, except that a scratch node queues its
-        accesses until its level replays (:meth:`_replay_scratch_level`).
+    def _move_data(self, node: Node, operands: list[np.ndarray]) -> tuple[np.ndarray, _Stream]:
+        """Read or write a memory node's array; returns its values and stream.
+
+        Only an eLDST's loading heads (predicate, plus rows without a
+        source) touch memory; every other row's value is a gather from
+        its head's load over the forwarding forest
+        (:meth:`_forward_ranking`).  A forwarded thread's index is
+        zeroed: the event engine never evaluates it, so neither may we.
+        """
+        name = str(node.param("array"))
+        spec = self.memory.spec(name)
+        backing = self.memory.array(name)
+        rows, index = None, operands[0]
+        if node.opcode is Opcode.ELDST:
+            predicate = operands[1].astype(np.bool_, copy=False)
+            rows = predicate | (self._it[node.node_id].src_pos < 0)
+            index = np.where(rows, _coerce_vec(index, DType.I32), np.int64(0))
+        idx = self._checked_indices(node, index, spec.length)
+        ranking = None if rows is None else self._forward_ranking(node, rows)
+        stream = _Stream(rows, spec.base_address + idx * spec.elem_bytes, ranking)
+        if node.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE):
+            backing[idx] = operands[1]
+            return operands[1], stream
+        if ranking is not None:
+            idx = idx[ranking.head]
+        return _coerce_vec(backing[idx], node.dtype), stream
+
+    def _checked_indices(self, node: Node, index: np.ndarray, length: int) -> np.ndarray:
+        idx = _coerce_vec(index, DType.I32)
+        bad = (idx < 0) | (idx >= length)
+        if np.any(bad):
+            offender = int(idx[np.argmax(bad)])
+            raise MemoryModelError(
+                f"{'store' if node.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE) else 'load'} "
+                f"out of bounds: {node.param('array')}[{offender}] (length {length})"
+            )
+        return idx
+
+    def _forward_ranking(self, node: Node, heads: np.ndarray) -> _ForwardRanking:
+        """The ranked forwarding forest of ``node``, shared by every eLDST
+        node with the same map and predicate producer.
+
+        ``heads`` (predicate plus rows without a source) is a function of
+        exactly those two, so the ranking, and the deadlock check on the
+        non-head rows the event engine would never push to, run once
+        per pair and simulator.
         """
         nid = node.node_id
-        if node.opcode in _SOURCE_OPCODES:
-            values[nid] = self._source_value(node)
-            avail[nid] = self._inject
-            if self._fo is not None:
-                self._fo.emit_injected(nid, self._injector_base[nid])
-            return
-        operands = [values[src] for _, src in self._inputs[nid]]
-        ready, issue, order = self._ready_issue(node, avail)
-        if node.opcode in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
-            values[nid], access = self._access_scratch(node, operands, ready, issue)
-            self._scratch_level.append(access)
-            if nid in self._scratch_level_ends:
-                self._replay_scratch_level(self._scratch_level, avail)
-                self._scratch_level = []
-            return
-        values[nid], avail[nid] = self._execute(node, operands, issue, order)
-        if self._trace is not None:
-            self._trace_node(node, issue, avail[nid])
+        key = (_map_key(node), self._static.inputs[nid][1][1])
+        ranking = self._rankings.get(key)
+        if ranking is not None:
+            return ranking
+        table = self._it[nid]
+        waiting = ~heads & ~table.receives
+        if bool(waiting.any()):
+            tid = int(self._thread_ids[np.argmax(waiting)])
+            raise DeadlockError(
+                f"kernel '{self.graph.name}' deadlocked: thread {tid} waits "
+                f"forever for a value {node.label()} never forwards to it"
+            )
+        ranking = _rank_forest(table.src_pos, heads)
+        if ranking is None:  # pragma: no cover - window_batch_problem rejects recurrences
+            raise DeadlockError(f"{node.label()} forwarding chain does not terminate")
+        self._rankings[key] = ranking
+        return ranking
 
-    def _classify_wave_loads(
-        self, values: dict[int, np.ndarray], avail: dict[int, np.ndarray]
-    ) -> dict[int, tuple]:
-        """Pre-pass: classify the wave's whole load stream in event order.
+    # ---------------------------------------------------------- timing sweep
+    def _time(self, streams: dict[int, _Stream]) -> None:
+        """Issue every node over the wave and walk the value pass's streams.
 
-        Evaluates the pure index sub-DAG through :meth:`_step` (each node
-        exactly once — the main sweep reuses these values and never
-        re-applies the issue queues), gathers every load's issue cycles
-        and line addresses, sorts the combined stream with the
-        precomputed event-order keys and walks it (:meth:`_walk`).  Load
-        *data* is deliberately not read here; the main sweep reads it at
-        the load's topological position.  Returns each load node's issue
-        cycles, indices, loading-head mask and completions.
+        The loads of an order-stable graph walk first, as one stream in
+        the event engine's order (:meth:`_time_wave_loads`); every other
+        node then issues in wave order (:meth:`_time_node`).
         """
+        static = self._static
+        avail: dict[int, np.ndarray] = {}
+        uses = {nid: len(succ) for nid, succ in static.successors.items()}
+        if static.track_order:
+            self._fo = _FireOrder(static.order, self._thread_ids.size, self._inject)
+        prepass = static.prepass_nodes or frozenset()
+        if prepass:
+            self._time_wave_loads(streams, avail, uses)
+        for node in static.wave_order:
+            nid = node.node_id
+            if nid not in prepass:
+                self._time_node(node, streams, avail)
+                _retire(nid, static.inputs[nid], avail, uses)
+
+    def _time_wave_loads(
+        self, streams: dict[int, _Stream], avail: dict[int, np.ndarray], uses: dict[int, int]
+    ) -> None:
+        """Pre-pass: walk the wave's whole load stream in event order.
+
+        Issues the pure index sub-DAG (each node exactly once; the main
+        sweep skips it) and every load, sorts the combined stream with
+        the precomputed event-order keys and walks it (:meth:`_walk`)
+        before any store walks.
+        """
+        static = self._static
         tracer = self._trace
         prepass_begin = tracer.clock() if tracer is not None else 0.0
-        pending: list[tuple] = []
-        for node in self._order:
+        loads: list[tuple[Node, np.ndarray]] = []
+        for node in static.order:
             nid = node.node_id
-            if nid not in self._prepass_nodes:
+            if nid not in static.prepass_nodes:
                 continue
             if node.opcode in (Opcode.LOAD, Opcode.ELDST):
-                operands = [values[src] for _, src in self._inputs[nid]]
-                _, issue, _ = self._ready_issue(node, avail)
-                pending.append((node, issue, *self._global_stream(node, operands)))
+                loads.append((node, self._ready_issue(node, avail)[1]))
             else:
-                self._step(node, values, avail)
-
+                self._time_node(node, streams, avail)
+            _retire(nid, static.inputs[nid], avail, uses)
         if tracer is not None:
-            tracer.wall_event("prepass", prepass_begin, args={"loads": len(pending)})
-        if not pending:
-            return {}
+            tracer.wall_event("prepass", prepass_begin, args={"loads": len(loads)})
+
         n = self._thread_ids.size
-        nodes, issues, heads, indices, addresses = zip(*pending)
-        issue = np.concatenate(issues)
-        valid = np.concatenate([np.ones(n, dtype=np.bool_) if h is None else h for h in heads])
-        order = self._replay_order([node.node_id for node in nodes], self._inject, valid)
+        nids = [node.node_id for node, _ in loads]
+        rows = [streams[nid].rows for nid in nids]
+        valid = np.concatenate([np.ones(n, dtype=np.bool_) if r is None else r for r in rows])
         complete = self._walk(
-            "wave loads", np.concatenate(addresses), issue, order, is_store=False
+            "wave loads",
+            np.concatenate([streams[nid].addresses for nid in nids]),
+            np.concatenate([issue for _, issue in loads]),
+            self._replay_order(nids, self._inject, valid),
+            is_store=False,
         )
-        return {
-            node.node_id: (issues[b], indices[b], heads[b], complete[b * n : (b + 1) * n])
-            for b, node in enumerate(nodes)
-        }
+        for b, (node, issue) in enumerate(loads):
+            done = complete[b * n : (b + 1) * n]
+            if node.opcode is Opcode.ELDST:
+                done = self._time_eldst(node, issue, streams[node.node_id], done)
+            avail[node.node_id] = done
+            if tracer is not None:
+                self._trace_node(node, issue, done)
 
     def _replay_order(
         self, nids: list[int], inject: np.ndarray, valid: np.ndarray
@@ -1172,10 +1247,11 @@ class BatchedSimulator:
         the surviving rows' relative order.
         """
         n = inject.size
-        first = np.array([self._load_keys[nid][0][0] for nid in nids], dtype=np.int64)
-        rank = np.array([self._load_rank[nid] for nid in nids], dtype=np.int64)
+        load_keys, load_rank = self._static.load_keys, self._static.load_rank
+        first = np.array([load_keys[nid][0][0] for nid in nids], dtype=np.int64)
+        rank = np.array([load_rank[nid] for nid in nids], dtype=np.int64)
         moment = first[:, None] + 2 * inject.astype(np.int64)
-        composite = (moment * len(self._load_rank) + rank[:, None]) * n
+        composite = (moment * len(load_rank) + rank[:, None]) * n
         composite += np.arange(n, dtype=np.int64)
         composite = composite.ravel()
         if bool(valid.all()):
@@ -1183,20 +1259,44 @@ class BatchedSimulator:
         sel = np.flatnonzero(valid)
         return sel[np.argsort(composite[sel], kind="stable")]
 
-    def _source_value(self, node: Node) -> np.ndarray:
+    def _time_node(
+        self, node: Node, streams: dict[int, _Stream], avail: dict[int, np.ndarray]
+    ) -> None:
+        """Issue ``node`` over the whole wave and record its completions.
+
+        A source is available at injection; any other node issues through
+        its ports, except that a scratch node queues its accesses until
+        its level replays (:meth:`_replay_scratch_level`).
+        """
+        nid = node.node_id
         op = node.opcode
-        tids = self._thread_ids
-        if op is Opcode.CONST:
-            scalar = coerce(node.param("value"), node.dtype)
-            return np.full(tids.size, scalar, dtype=_NP_DTYPE[node.dtype])
-        dx, dy, _ = (self.geometry.block_dim + (1, 1, 1))[:3]
-        if op is Opcode.TID_X:
-            return tids % dx
-        if op is Opcode.TID_Y:
-            return (tids // dx) % dy
-        if op is Opcode.TID_Z:
-            return tids // (dx * dy)
-        return tids.copy()  # TID_LINEAR
+        if op in _SOURCE_OPCODES:
+            avail[nid] = self._inject
+            if self._fo is not None:
+                self._fo.emit_injected(nid, self._static.injector_base[nid])
+            return
+        ready, issue, order = self._ready_issue(node, avail)
+        if op in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
+            self._scratch_level.append((node, ready, issue, streams[nid].addresses))
+            if nid in self._static.scratch_level_ends:
+                self._replay_scratch_level(self._scratch_level, avail)
+                self._scratch_level = []
+            return
+        if op in PURE_OPCODES:
+            complete = issue + unit_latency(self.config, node)
+        elif op in (Opcode.LOAD, Opcode.STORE, Opcode.ELDST):
+            complete = self._time_global(node, streams[nid], issue, order)
+        elif op is Opcode.ELEVATOR:
+            complete = self._time_elevator(node, issue)
+        elif op is Opcode.BARRIER:
+            complete = self._time_barrier(node, issue)
+        else:  # OUTPUT
+            complete = issue + 1.0
+        if op in (Opcode.STORE, Opcode.OUTPUT):
+            self._completion = max(self._completion, float(complete.max()))
+        avail[nid] = complete
+        if self._trace is not None:
+            self._trace_node(node, issue, complete)
 
     # ----------------------------------------------------------- issue ports
     def _ready_issue(
@@ -1205,9 +1305,10 @@ class BatchedSimulator:
         """Operand-ready cycles, issue cycles and (when the wave tracks the
         event order) the firings' processing order of one node."""
         nid = node.node_id
+        edge_latency = self._static.edge_latency
         arrivals = [
-            (port, src, avail[src] + self._edge_latency[(src, nid)])
-            for port, src in self._inputs[nid]
+            (port, src, avail[src] + edge_latency[(src, nid)])
+            for port, src in self._static.inputs[nid]
         ]
         ready = self._inject
         for _, _, arrival in arrivals:
@@ -1215,10 +1316,11 @@ class BatchedSimulator:
         fo = self._fo
         if fo is None:
             return ready, self._issue(ready), None
+        push_offset = self._static.push_offset
         order = fo.fire_node(
             nid,
             ready,
-            [(src, self._push_offset[(src, nid, port)], arr) for port, src, arr in arrivals],
+            [(src, push_offset[(src, nid, port)], arr) for port, src, arr in arrivals],
         )
         if node.opcode not in (Opcode.BARRIER, Opcode.ELEVATOR):
             fo.emit_inline(nid)
@@ -1259,45 +1361,11 @@ class BatchedSimulator:
         issue[order] = issue_sorted
         return issue
 
-    # -------------------------------------------------------------- execution
-    def _execute(
-        self,
-        node: Node,
-        operands: list[np.ndarray],
-        issue: np.ndarray,
-        order: "np.ndarray | None",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        op = node.opcode
-        latency = unit_latency(self.config, node)
-        if op in PURE_OPCODES:
-            return _eval_pure_vec(node, operands), issue + latency
-        if op in (Opcode.LOAD, Opcode.ELDST):
-            return self._access_global(node, operands, issue, order)
-        if op is Opcode.STORE:
-            value, complete = self._access_global(node, operands, issue, order)
-            self._completion = max(self._completion, float(complete.max()))
-            return value, complete
-        if op is Opcode.OUTPUT:
-            name = str(node.param("name"))
-            slot = self.outputs[name]
-            for tid, value in zip(self._thread_ids.tolist(), operands[0].tolist()):
-                slot[tid] = value
-            complete = issue + 1.0
-            self._completion = max(self._completion, float(complete.max()))
-            return operands[0], complete
-        if op is Opcode.ELEVATOR:
-            return self._execute_elevator_vec(node, operands, issue)
-        if op is Opcode.BARRIER:
-            return self._execute_barrier_vec(node, operands, issue)
-        raise SimulationError(f"batched engine cannot execute {op.value}")
-
     # ---------------------------------------------------------- inter-thread
-    def _execute_elevator_vec(
-        self, node: Node, operands: list[np.ndarray], issue: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _time_elevator(self, node: Node, issue: np.ndarray) -> np.ndarray:
         """Every producer fires (consuming its issue port); consumers with
-        a valid source gather its token, the rest get the fallback
-        constant at their injection cycle (``_inject_thread``)."""
+        a valid source receive its token, the rest the fallback constant
+        at their injection cycle (``_inject_thread``)."""
         table = self._it[node.node_id]
         valid = table.src_pos >= 0
         gather = np.where(valid, table.src_pos, 0)
@@ -1310,8 +1378,6 @@ class BatchedSimulator:
             complete_valid = complete_valid + 2.0 * LVC_ACCESS_LATENCY
             self.stats.spilled_tokens += n_valid
             self.stats.lvc_accesses += 2 * n_valid
-        const = coerce(node.param("const"), node.dtype)
-        value = np.where(valid, operands[0][gather], const)
         avail = np.where(valid, complete_valid, self._inject + latency)
         self.stats.elevator_retags += n_valid
         self.stats.elevator_constants += n - n_valid
@@ -1319,7 +1385,7 @@ class BatchedSimulator:
             # A retagged token is pushed by its producer's firing; the
             # fallback constant by the consumer's injection event.
             fo = self._fo
-            base = self._injector_base[node.node_id]
+            base = self._static.injector_base[node.node_id]
             fo.emit[node.node_id] = (
                 np.where(valid, fo.row[node.node_id], fo.inj),
                 np.where(valid, gather, fo.position),
@@ -1332,28 +1398,20 @@ class BatchedSimulator:
                 pid=self._trace_pid, tid=self._lane[node.node_id],
                 args={"retags": n_valid, "constants": n - n_valid},
             )
-        return value, avail
+        return avail
 
-    def _eldst_resolve(
-        self,
-        node: Node,
-        issue: np.ndarray,
-        idx: np.ndarray,
-        heads: np.ndarray,
-        load_complete: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve values and timing over the static forwarding chains.
+    def _time_eldst(
+        self, node: Node, issue: np.ndarray, stream: _Stream, load_complete: np.ndarray
+    ) -> np.ndarray:
+        """Completion cycles over the static forwarding chains.
 
         Timing follows the event engine exactly: a head completes at its
         memory load's completion plus the eLDST completion latency ``L``
         (issue latency plus spill/external-buffer extra); a forwarded
         thread at ``complete[t] = max(issue[t], complete[src]) + L``.
-        The forest is ranked once per (map, predicate) and shared
-        (:meth:`_forward_ranking`); :func:`_resolve_forest` evaluates
-        that recurrence over it, and every row's value is a gather from
-        its head's load.
+        :func:`_resolve_forest` evaluates that recurrence over the
+        ranking the value pass built.
         """
-        table = self._it[node.node_id]
         n = issue.size
         lat = self.config.latency
         extra = 0.0
@@ -1365,21 +1423,18 @@ class BatchedSimulator:
             extra = float(int(node.param("external_buffer_nodes")) * lat.elevator)
         latency = float(lat.ldst_issue) + extra
 
-        # Heads depend on nobody for timing or data, whatever their
-        # position in the forwarding chain.
+        # Heads depend on nobody for timing, whatever their position in
+        # the forwarding chain.
+        heads, depth = stream.rows, stream.ranking.depth
         fwd_begin = self._trace.clock() if self._trace is not None else 0.0
-        ranking = self._forward_ranking(node, heads)
-        complete = _resolve_forest(ranking, heads, load_complete, issue, latency)
-        head, depth = ranking.head, ranking.depth
+        complete = _resolve_forest(stream.ranking, heads, load_complete, issue, latency)
         if depth > 0 and self._trace is not None:
             self._trace.wall_event(
                 "forwarding levels", fwd_begin, args={"depth": depth}
             )
-        backing = self.memory.array(str(node.param("array")))
-        value = _coerce_vec(backing[idx[head]], node.dtype)
 
         n_heads = int(heads.sum())
-        n_forwards = table.forwards
+        n_forwards = self._it[node.node_id].forwards
         self.stats.global_loads += n_heads
         self.stats.eldst_memory_loads += n_heads
         self.stats.eldst_forwards += n_forwards
@@ -1390,39 +1445,9 @@ class BatchedSimulator:
                 pid=self._trace_pid, tid=self._lane[node.node_id],
                 args={"heads": n_heads, "forwards": n_forwards, "depth": depth},
             )
-        return value, complete
+        return complete
 
-    def _forward_ranking(self, node: Node, heads: np.ndarray) -> _ForwardRanking:
-        """The ranked forwarding forest of ``node``, shared by every eLDST
-        node with the same map and predicate producer.
-
-        ``heads`` (predicate plus rows without a source) is a function of
-        exactly those two, so the ranking, and the deadlock check on the
-        non-head rows the event engine would never push to, run once
-        per pair and simulator.
-        """
-        nid = node.node_id
-        key = (_map_key(node), self._inputs[nid][1][1])
-        ranking = self._rankings.get(key)
-        if ranking is not None:
-            return ranking
-        table = self._it[nid]
-        waiting = ~heads & ~table.receives
-        if bool(waiting.any()):
-            tid = int(self._thread_ids[np.argmax(waiting)])
-            raise DeadlockError(
-                f"kernel '{self.graph.name}' deadlocked: thread {tid} waits "
-                f"forever for a value {node.label()} never forwards to it"
-            )
-        ranking = _rank_forest(table.src_pos, heads)
-        if ranking is None:  # pragma: no cover - window_batch_problem rejects recurrences
-            raise DeadlockError(f"{node.label()} forwarding chain does not terminate")
-        self._rankings[key] = ranking
-        return ranking
-
-    def _execute_barrier_vec(
-        self, node: Node, operands: list[np.ndarray], issue: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _time_barrier(self, node: Node, issue: np.ndarray) -> np.ndarray:
         """Segmented-max release per transmission window group; a barrier
         without a ``window`` is one group over the whole thread subset."""
         tids = self._thread_ids
@@ -1451,7 +1476,7 @@ class BatchedSimulator:
                     pid=self._trace_pid, tid=self._lane[node.node_id],
                     args={"group": int(unique[g]), "count": int(counts[g])},
                 )
-        return operands[0], per_thread + float(LVC_ACCESS_LATENCY)
+        return per_thread + float(LVC_ACCESS_LATENCY)
 
     def _emit_barrier(self, node: Node, inverse: np.ndarray, groups: int) -> None:
         """A group's release is pushed by its last arrival, one send per
@@ -1466,52 +1491,22 @@ class BatchedSimulator:
         in_group = np.empty(arrival.size, dtype=np.int64)
         in_group[by_arrival] = np.arange(arrival.size) - np.repeat(starts, counts)
         last = by_arrival[starts + counts - 1]
-        fanout = len(self._successors[node.node_id])
+        fanout = len(self._static.successors[node.node_id])
         fo.emit[node.node_id] = (
             np.full(arrival.size, row, dtype=np.int64),
             last[inverse],
             in_group * fanout,
         )
 
-    def _checked_indices(self, node: Node, index: np.ndarray, length: int) -> np.ndarray:
-        idx = _coerce_vec(index, DType.I32)
-        bad = (idx < 0) | (idx >= length)
-        if np.any(bad):
-            offender = int(idx[np.argmax(bad)])
-            raise MemoryModelError(
-                f"{'store' if node.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE) else 'load'} "
-                f"out of bounds: {node.param('array')}[{offender}] (length {length})"
-            )
-        return idx
-
-    def _global_stream(
-        self, node: Node, operands: list[np.ndarray]
-    ) -> tuple["np.ndarray | None", np.ndarray, np.ndarray]:
-        """Accessing rows, bounds-checked indices and byte addresses of a
-        LOAD, STORE or eLDST.
-
-        The row mask is ``None`` (every row) except on an eLDST, whose
-        loading heads (predicate, plus rows without a source) alone
-        touch memory.  A forwarded thread's index is zeroed: the event
-        engine never evaluates it, so neither may we.
-        """
-        spec = self.memory.spec(str(node.param("array")))
-        heads, index = None, operands[0]
-        if node.opcode is Opcode.ELDST:
-            predicate = operands[1].astype(np.bool_, copy=False)
-            heads = predicate | (self._it[node.node_id].src_pos < 0)
-            index = np.where(heads, _coerce_vec(index, DType.I32), np.int64(0))
-        idx = self._checked_indices(node, index, spec.length)
-        return heads, idx, spec.base_address + idx * spec.elem_bytes
-
-    def _access_global(
+    # ---------------------------------------------------------------- memory
+    def _time_global(
         self,
         node: Node,
-        operands: list[np.ndarray],
+        stream: _Stream,
         issue: np.ndarray,
         order: "np.ndarray | None",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Walk a global memory node at its topological position.
+    ) -> np.ndarray:
+        """Walk a global memory node at its wave position.
 
         Every STORE walks here, and so does every LOAD and eLDST of a
         graph whose load indices depend on memory (RA042).  The accessing
@@ -1519,17 +1514,16 @@ class BatchedSimulator:
         tracks it, in stable issue order otherwise (the order the event
         engine's heap services them when the phases do not overlap).
         """
-        heads, idx, addresses = self._global_stream(node, operands)
         if order is None:
             order = np.argsort(issue, kind="stable")
-        if heads is not None:
-            order = order[heads[order]]
+        if stream.rows is not None:
+            order = order[stream.rows[order]]
         is_store = node.opcode is Opcode.STORE
         label = f"{node.opcode.value} {node.param('array')}"
-        complete = self._walk(label, addresses, issue, order, is_store)
-        return self._global_result(
-            node, issue, idx, heads, complete, operands[1] if is_store else None
-        )
+        complete = self._walk(label, stream.addresses, issue, order, is_store)
+        if node.opcode is Opcode.ELDST:
+            return self._time_eldst(node, issue, stream, complete)
+        return complete
 
     def _walk(
         self,
@@ -1561,45 +1555,6 @@ class BatchedSimulator:
                     args={"count": int(order.size)},
                 )
         return complete
-
-    def _global_result(
-        self,
-        node: Node,
-        issue: np.ndarray,
-        idx: np.ndarray,
-        heads: "np.ndarray | None",
-        complete: np.ndarray,
-        store_value: "np.ndarray | None" = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Move a walked node's data; returns its values and completions."""
-        if node.opcode is Opcode.ELDST:
-            return self._eldst_resolve(node, issue, idx, heads, complete)
-        backing = self.memory.array(str(node.param("array")))
-        if store_value is None:
-            return _coerce_vec(backing[idx], node.dtype), complete
-        backing[idx] = store_value
-        return store_value, complete
-
-    def _access_scratch(
-        self, node: Node, operands: list[np.ndarray], ready: np.ndarray, issue: np.ndarray
-    ) -> tuple[np.ndarray, tuple]:
-        """Move a scratch node's data now; queue its accesses for replay.
-
-        Data moves at the node's wave position (barriers order every
-        store before the loads that read it); timing waits for the
-        node's level to replay (:meth:`_replay_scratch_level`).
-        """
-        name = str(node.param("array"))
-        spec = self.memory.spec(name)
-        backing = self.memory.array(name)
-        idx = self._checked_indices(node, operands[0], spec.length)
-        addresses = spec.base_address + idx * spec.elem_bytes
-        if node.opcode is Opcode.SCRATCH_STORE:
-            backing[idx] = operands[1]
-            value = operands[1]
-        else:
-            value = _coerce_vec(backing[idx], node.dtype)
-        return value, (node, ready, issue, addresses)
 
     def _replay_scratch_level(
         self, level: list[tuple], avail: dict[int, np.ndarray]
@@ -1664,27 +1619,20 @@ class BatchedSimulator:
         """
         n = int(self._thread_ids.size)
         stats = self.stats
-        for node in self._order:
+        static = self._static
+        for node in static.order:
             nid = node.node_id
-            succ = self._successors[nid]
+            succ = static.successors[nid]
             stats.tokens_sent += len(succ) * n
             for dst, _ in succ:
-                stats.noc_hops += self._edge_hops[(nid, dst)] * n
+                stats.noc_hops += static.edge_hops[(nid, dst)] * n
             if node.opcode in _SOURCE_OPCODES:
                 continue
-            stats.token_buffer_inserts += len(self._inputs[nid]) * n
+            stats.token_buffer_inserts += len(static.inputs[nid]) * n
             stats.token_buffer_matches += n
-            cls = node.unit_class
-            if cls is UnitClass.ALU:
-                stats.alu_ops += n
-            elif cls is UnitClass.FPU:
-                stats.fpu_ops += n
-            elif cls is UnitClass.SPECIAL:
-                stats.special_ops += n
-            elif cls is UnitClass.CONTROL:
-                stats.control_ops += n
-            elif cls is UnitClass.SPLIT_JOIN:
-                stats.split_join_ops += n
+            counter = _OP_COUNTERS.get(node.unit_class)
+            if counter is not None:
+                stats.bump(counter, n)
             if node.opcode is Opcode.LOAD:
                 stats.global_loads += n
             elif node.opcode is Opcode.STORE:

@@ -63,9 +63,10 @@ from repro.sim.stats import ExecutionStats
 __all__ = [
     "CycleSimulator",
     "LVC_ACCESS_LATENCY",
+    "core_thread_ids",
     "edge_timing",
+    "trace_lanes",
     "unit_latency",
-    "validate_thread_ids",
 ]
 
 
@@ -143,12 +144,21 @@ _MEMORY_OPCODES = (
 )
 
 
-def validate_thread_ids(thread_ids: Sequence[int], num_threads: int) -> list[int]:
-    """``thread_ids`` as plain ints, rejecting IDs no core can run.
+def core_thread_ids(
+    graph: DataflowGraph, thread_ids: "Sequence[int] | None", num_threads: int
+) -> list[int]:
+    """The thread IDs one core runs, as plain ints; ``None`` means all.
 
     Every ID must lie inside the launch geometry and appear once: a
     repeated thread would be injected, fired and retired twice.
+    Inter-thread communication cannot cross cores, so a subset of a
+    communicating graph must be closed under its communication: a union
+    of whole transmission windows (ELEVATOR/ELDST and windowed BARRIER
+    nodes), with un-windowed barriers degrading to per-subset barriers
+    only for scratchpad-free graphs.
     """
+    if thread_ids is None:
+        return list(range(num_threads))
     ids = [int(t) for t in thread_ids]
     if ids and (min(ids) < 0 or max(ids) >= num_threads):
         raise SimulationError("thread_ids outside the launch geometry")
@@ -157,7 +167,26 @@ def validate_thread_ids(thread_ids: Sequence[int], num_threads: int) -> list[int
         if tid in seen:
             raise SimulationError(f"thread_ids repeats thread {tid}")
         seen.add(tid)
+    if len(ids) != num_threads and graph.has_interthread():
+        problem = thread_subset_problem(graph, ids, num_threads)
+        if problem is not None:
+            raise SimulationError(
+                f"cannot simulate this thread subset of '{graph.name}': {problem}"
+            )
     return ids
+
+
+def trace_lanes(tracer: Any, compiled: CompiledKernel, pid: int) -> dict[int, int]:
+    """Name core ``pid``'s trace process and one lane per node, after the
+    physical PE hosting it; returns each node's lane."""
+    placement = compiled.mapping.placement.node_to_unit if compiled.mapping else {}
+    tracer.set_process_name(pid, f"core {pid}")
+    lanes: dict[int, int] = {}
+    for node in compiled.graph.nodes:
+        lane = int(placement.get(node.node_id, node.node_id))
+        lanes[node.node_id] = lane
+        tracer.set_lane_name(pid, lane, f"PE {lane}")
+    return lanes
 
 
 @dataclass(slots=True, eq=False)
@@ -232,24 +261,7 @@ class CycleSimulator:
         self.num_threads = self.geometry.num_threads
         self.max_cycles = max_cycles
         # The subset of threads this core executes (multi-core sharding).
-        # Inter-thread communication cannot cross cores, so a subset is only
-        # legal when it is closed under the graph's communication: a union
-        # of whole transmission windows (ELEVATOR/ELDST and windowed
-        # BARRIER nodes), with un-windowed barriers degrading to per-subset
-        # barriers only for scratchpad-free graphs.
-        if thread_ids is None:
-            self._thread_ids = list(range(self.num_threads))
-        else:
-            self._thread_ids = validate_thread_ids(thread_ids, self.num_threads)
-            if len(self._thread_ids) != self.num_threads and self.graph.has_interthread():
-                problem = thread_subset_problem(
-                    self.graph, self._thread_ids, self.num_threads
-                )
-                if problem is not None:
-                    raise SimulationError(
-                        f"cannot simulate this thread subset of '{self.graph.name}': "
-                        f"{problem}"
-                    )
+        self._thread_ids = core_thread_ids(self.graph, thread_ids, self.num_threads)
 
         self.memory = memory if memory is not None else launch.build_memory_image()
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
@@ -279,7 +291,7 @@ class CycleSimulator:
 
         self._prepare()
         if self._trace is not None:
-            self._init_trace_lanes()
+            self._lane = trace_lanes(self._trace, self.compiled, self._trace_pid)
 
     # ------------------------------------------------------------------ setup
     def _prepare(self) -> None:
@@ -349,19 +361,6 @@ class CycleSimulator:
         for node_id, node_ports in ports.items():
             self._nodes[node_id].ports = tuple(sorted(node_ports))
         self._sink_done = {tid: 0 for tid in self._thread_ids}
-
-    def _init_trace_lanes(self) -> None:
-        """One trace lane per node, named after its hosting physical PE."""
-        tracer = self._trace
-        assert tracer is not None
-        placement = (
-            self.compiled.mapping.placement.node_to_unit if self.compiled.mapping else {}
-        )
-        tracer.set_process_name(self._trace_pid, f"core {self._trace_pid}")
-        for node in self.graph.nodes:
-            lane = int(placement.get(node.node_id, node.node_id))
-            self._lane[node.node_id] = lane
-            tracer.set_lane_name(self._trace_pid, lane, f"PE {lane}")
 
     # ------------------------------------------------------------------ events
     def _send(self, state: _NodeState, tid: int, value: Any, cycle: int) -> None:

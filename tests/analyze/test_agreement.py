@@ -181,7 +181,7 @@ def test_static_verdicts_match_dynamic_dispatch(workload, variant, graph):
 
     # Replay-order stability: the batched engines' prepass decision.
     if result.engine in ("batched", "window-batched"):
-        assert simulator._ordered_loads == result.order_stable
+        assert simulator._static.ordered_loads == result.order_stable
 
     # Shardability: verdict and code match the planner's actual decision.
     plan = plan_shards(compiled, cores=4)

@@ -111,9 +111,9 @@ def test_replay_order_matches_pair_column_lexsort(workload, variant, monkeypatch
 
     def recording(self, nids, inject, valid):
         order = replay_order(self, nids, inject, valid)
-        calls.append(
-            (order, _pair_column_order(self._load_keys, self._order_pos, nids, inject, valid))
-        )
+        static = self._static
+        expected = _pair_column_order(static.load_keys, static.order_pos, nids, inject, valid)
+        calls.append((order, expected))
         return order
 
     monkeypatch.setattr(BatchedSimulator, "_replay_order", recording)

@@ -370,7 +370,7 @@ def test_load_dependent_load_falls_back_but_stays_equivalent():
 
     compiled = compile_kernel(build().graph, capacity_config())
     simulator = BatchedSimulator(compiled, build())
-    assert not simulator._ordered_loads
+    assert not simulator._static.ordered_loads
     event = simulate(compiled, build(), engine="event")
     batched = simulator.run()
     assert np.array_equal(event.array("out"), batched.array("out"))
