@@ -20,7 +20,7 @@ Typical use::
     result.engine, result.cycles, result.array("out")
 """
 
-from repro.compiler import CompiledKernel, CompilerOptions, compile_kernel
+from repro.compiler import CompiledKernel, compile_kernel
 from repro.config import SystemConfig, default_system_config
 from repro.errors import (
     CompilationError,
@@ -51,7 +51,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CompilationError",
     "CompiledKernel",
-    "CompilerOptions",
     "ConfigurationError",
     "DType",
     "DataflowGraph",

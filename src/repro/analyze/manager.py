@@ -1,8 +1,8 @@
-"""Pass manager: run the analyzer's passes and cache the verdicts.
+"""Run the analyzer's passes once per compiled kernel and keep the verdicts.
 
 :func:`analyze_kernel` is the single entry point.  It runs the ordered
-passes (structure, deadlock, scratch-race, shardability, engine,
-critical path) over a compiled kernel and returns an
+passes (deadlock, scratch-race, shardability, engine, critical path)
+over a compiled kernel and returns an
 :class:`AnalysisResult` whose *verdict* fields are what the dynamic
 layers consume:
 
@@ -13,15 +13,17 @@ layers consume:
 * ``result.min_cycles`` — the static critical-path lower bound the
   harness reports next to measured cycles.
 
-Results are cached on the compiled kernel (``_analysis`` slot, the same
-idiom as the batched engine's ``_batched_static``), keyed by a cheap
-graph signature plus the configuration digest so a mutated graph or a
-swapped config re-analyzes.
+The structure checks are not re-run here: ``compile_kernel`` validates
+the graph on entry and after every pass that changed it, and a
+:class:`~repro.compiler.pipeline.CompiledKernel` comes only from there.
+It is frozen, so the first result is stored on it (``_analysis`` slot,
+the same idiom as the batched engine's ``_batched_static``) and every
+later call returns that object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.analyze.diagnostics import Diagnostic, Severity
@@ -33,9 +35,6 @@ from repro.analyze.passes import (
     scratch_race_diagnostics,
     shard_diagnostics,
 )
-from repro.analyze.structure import structure_diagnostics
-from repro.config.system import config_digest
-from repro.graph.dfg import DataflowGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.compiler.pipeline import CompiledKernel
@@ -74,7 +73,6 @@ class AnalysisResult:
     deadlock: bool
     shard: ShardVerdict
     min_cycles: int
-    signature: tuple[Any, ...] = field(repr=False, default=())
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.ERROR]
@@ -110,28 +108,21 @@ class AnalysisResult:
         }
 
 
-def _graph_signature(graph: DataflowGraph) -> tuple[Any, ...]:
-    edges = tuple(sorted((e.src, e.dst, e.dst_port) for e in graph.edges()))
-    nodes = tuple(sorted(n.node_id for n in graph.nodes))
-    return (nodes, edges, int(graph.metadata.get("num_threads", 0)))
-
-
 def analyze_kernel(compiled: "CompiledKernel") -> AnalysisResult:
-    """Run all passes over ``compiled``, with caching on the kernel."""
-    signature = (_graph_signature(compiled.graph), config_digest(compiled.config))
+    """Run all passes over ``compiled`` on the first call; return that result after."""
     cached = compiled.__dict__.get("_analysis")
-    if cached is not None and cached.signature == signature:
+    if cached is not None:
         return cached
 
     graph = compiled.graph
+    prepass = pure_load_ancestors(graph)
     diagnostics: list[Diagnostic] = []
-    diagnostics.extend(structure_diagnostics(graph))
     deadlock_diags = deadlock_diagnostics(graph, compiled.config)
     diagnostics.extend(deadlock_diags)
     diagnostics.extend(scratch_race_diagnostics(graph))
     shard_diags = shard_diagnostics(graph)
     diagnostics.extend(shard_diags)
-    engine_diags = engine_diagnostics(graph)
+    engine_diags = engine_diagnostics(graph, prepass)
     diagnostics.extend(engine_diags)
     min_cycles, cp_diag = critical_path_bound(compiled)
     diagnostics.append(cp_diag)
@@ -144,7 +135,6 @@ def analyze_kernel(compiled: "CompiledKernel") -> AnalysisResult:
         engine = "window-batched"
     else:
         engine = "batched"
-    prepass = pure_load_ancestors(graph)
     result = AnalysisResult(
         diagnostics=tuple(diagnostics),
         engine=engine,
@@ -153,7 +143,6 @@ def analyze_kernel(compiled: "CompiledKernel") -> AnalysisResult:
         deadlock=any(d.code in ("RA010", "RA011") for d in deadlock_diags),
         shard=shard,
         min_cycles=min_cycles,
-        signature=signature,
     )
     compiled.__dict__["_analysis"] = result
     return result

@@ -34,7 +34,7 @@ from repro.config.system import SystemConfig
 from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import communication_windows, window_batch_problem
 from repro.graph.node import Node
-from repro.graph.opcodes import Opcode
+from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, SOURCE_OPCODES, Opcode
 from repro.graph.semantics import PURE_OPCODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -48,23 +48,6 @@ __all__ = [
     "scratch_race_diagnostics",
     "shard_diagnostics",
 ]
-
-#: Injected source opcodes (thread-uniform timing, no operands).
-SOURCE_OPCODES = (
-    Opcode.CONST,
-    Opcode.TID_X,
-    Opcode.TID_Y,
-    Opcode.TID_Z,
-    Opcode.TID_LINEAR,
-)
-
-_MEMORY_OPCODES = (
-    Opcode.LOAD,
-    Opcode.STORE,
-    Opcode.SCRATCH_LOAD,
-    Opcode.SCRATCH_STORE,
-    Opcode.ELDST,
-)
 
 
 def _labels(graph: DataflowGraph, node_ids: Iterable[int]) -> tuple[str, ...]:
@@ -462,8 +445,9 @@ def pure_load_ancestors(graph: DataflowGraph) -> set[int] | None:
     classified, so the whole wave's access stream can be replayed in the
     event engine's order.  Returns ``None`` when some access operand
     depends on another memory access — the engines then fall back to
-    per-node replay order.  ``sim/batched.py`` imports this function, so
-    the static verdict and the dynamic behaviour agree by construction.
+    per-node replay order.  The batched engine reads the result through
+    ``analyze_kernel(compiled).prepass_nodes``, so the static verdict and
+    the dynamic behaviour agree by construction.
     (Inter-thread-free graphs have no ELDST nodes, so for them this is
     exactly the original load-only condition.)
     """
@@ -488,9 +472,8 @@ def pure_load_ancestors(graph: DataflowGraph) -> set[int] | None:
     return prepass | visited
 
 
-def _replay_order_diagnostics(graph: DataflowGraph) -> Diagnostic:
+def _replay_order_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> Diagnostic:
     """The RA042/RA043 replay-order verdict for a batchable kernel."""
-    prepass = pure_load_ancestors(graph)
     if prepass is None:
         impure = tuple(
             access.node_id
@@ -518,8 +501,10 @@ def _replay_order_diagnostics(graph: DataflowGraph) -> Diagnostic:
     )
 
 
-def engine_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
+def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[Diagnostic]:
     """Classify the kernel for engine dispatch (all INFO).
+
+    ``prepass`` is :func:`pure_load_ancestors` of ``graph``.
 
     Exactly one of ``RA040`` (batched-eligible, no inter-thread nodes),
     ``RA044`` (window-batchable communicating kernel) or ``RA041``
@@ -580,7 +565,7 @@ def engine_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
                 data={"window_lcm": math.lcm(*windows) if windows else None},
             )
         )
-        out.append(_replay_order_diagnostics(graph))
+        out.append(_replay_order_diagnostics(graph, prepass))
         return out
     out.append(
         Diagnostic(
@@ -589,7 +574,7 @@ def engine_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
             message="no inter-thread nodes; eligible for the wave-batched engine",
         )
     )
-    out.append(_replay_order_diagnostics(graph))
+    out.append(_replay_order_diagnostics(graph, prepass))
     return out
 
 
@@ -601,7 +586,7 @@ def _index_touches_memory(graph: DataflowGraph, load: Node) -> bool:
         if nid in seen:
             continue
         seen.add(nid)
-        if graph.node(nid).opcode in _MEMORY_OPCODES:
+        if graph.node(nid).opcode in MEMORY_OPCODES:
             return True
         stack.extend(graph.inputs_of(nid).values())
     return False
@@ -630,14 +615,12 @@ def critical_path_bound(compiled: "CompiledKernel") -> tuple[int, Diagnostic]:
     config = compiled.config
 
     def node_latency(node: Node) -> int:
-        if node.opcode in _MEMORY_OPCODES:
+        if node.opcode in MEMORY_OPCODES:
             return 1  # hierarchy access latency is >= 1 cycle; exact value varies
         return unit_latency(config, node)
 
     # A thread retires when its effect nodes complete (the engines' sink
-    # set: STORE/SCRATCH_STORE/OUTPUT) — not on Node.is_sink, since a
-    # STORE still produces an ack token.
-    effect_opcodes = (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT)
+    # set) — not on Node.is_sink, since a STORE still produces an ack token.
     completion: dict[int, int] = {}
     longest_sink_path = 0
     for node in graph.topological_order(ignore_temporal=True):
@@ -648,7 +631,7 @@ def critical_path_bound(compiled: "CompiledKernel") -> tuple[int, Diagnostic]:
                     ready, completion[src] + edge_latency[(src, node.node_id)]
                 )
         completion[node.node_id] = ready + node_latency(node)
-        if node.opcode in effect_opcodes:
+        if node.opcode in EFFECT_OPCODES:
             longest_sink_path = max(longest_sink_path, completion[node.node_id])
 
     replicas = max(1, compiled.replicas)

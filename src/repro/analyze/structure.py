@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.analyze.diagnostics import Diagnostic, Severity
 from repro.graph.dfg import DataflowGraph
 from repro.graph.node import Node
-from repro.graph.opcodes import DType, Opcode, opcode_info
+from repro.graph.opcodes import EFFECT_OPCODES, DType, Opcode, opcode_info
 
 __all__ = ["structure_diagnostics"]
 
@@ -141,10 +141,7 @@ def structure_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
         out.append(_error("RA005", str(exc)))
 
     # A kernel must observably do something.
-    has_effect = any(
-        n.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT)
-        for n in graph.nodes
-    )
+    has_effect = any(n.opcode in EFFECT_OPCODES for n in graph.nodes)
     if graph.nodes and not has_effect:
         out.append(
             _error(

@@ -147,9 +147,6 @@ class PhysicalGrid:
         """Number of physical units per class."""
         return {cls: len(units) for cls, units in self._by_class.items()}
 
-    def capacity_for(self, node_class: UnitClass) -> int:
-        return len(self.units_compatible_with(node_class))
-
     def distance(self, unit_a: int, unit_b: int) -> int:
         return self.unit(unit_a).distance_to(self.unit(unit_b))
 

@@ -1,15 +1,5 @@
 """The dMT-CGRA compiler: passes, mapper and the compilation pipeline."""
 
-from repro.compiler.pipeline import (
-    CompiledKernel,
-    CompilerOptions,
-    compile_kernel,
-    default_pass_pipeline,
-)
+from repro.compiler.pipeline import CompiledKernel, compile_kernel
 
-__all__ = [
-    "CompiledKernel",
-    "CompilerOptions",
-    "compile_kernel",
-    "default_pass_pipeline",
-]
+__all__ = ["CompiledKernel", "compile_kernel"]

@@ -256,7 +256,7 @@ class AnnealingRefiner:
 def place_graph(
     graph: DataflowGraph,
     grid: PhysicalGrid,
-    anneal_iterations: int = 2000,
+    anneal_iterations: int = 1500,
     seed: int = 0xC6A4,
 ) -> Placement:
     """Greedy seed followed by annealing refinement."""

@@ -1,6 +1,6 @@
 """Compiler passes: legalisation and optimisation of kernel dataflow graphs."""
 
-from repro.compiler.passes.base import Pass, PassManager, PassResult
+from repro.compiler.passes.base import Pass, PassResult
 from repro.compiler.passes.cascade import CascadeElevatorsPass, cascade_plan, split_delta
 from repro.compiler.passes.constant_fold import ConstantFoldPass
 from repro.compiler.passes.dce import DeadCodeEliminationPass
@@ -13,7 +13,6 @@ __all__ = [
     "DeadCodeEliminationPass",
     "EldstBufferPass",
     "Pass",
-    "PassManager",
     "PassResult",
     "ReplicatePass",
     "cascade_plan",

@@ -1,24 +1,22 @@
 """Compiler pass infrastructure.
 
 A pass transforms a :class:`~repro.graph.dfg.DataflowGraph` in place and
-reports what it did through a :class:`PassResult`.  The
-:class:`PassManager` runs a pipeline of passes, re-validating the graph
-after each transforming pass so that a broken pass is caught at the point
-it breaks the graph, not three passes later.
+reports what it did through a :class:`PassResult`.
+:func:`~repro.compiler.pipeline.compile_kernel` runs the five passes in
+order and re-validates the graph after each one that changed it, so a
+broken pass is caught at the point it breaks the graph, not three passes
+later.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.config.system import SystemConfig
-from repro.errors import CompilationError
 from repro.graph.dfg import DataflowGraph
-from repro.graph.validate import validate_graph
 
-__all__ = ["PassResult", "Pass", "PassManager"]
+__all__ = ["PassResult", "Pass"]
 
 
 @dataclass
@@ -55,27 +53,3 @@ class Pass(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
-
-
-class PassManager:
-    """Runs a sequence of passes, validating the graph between passes."""
-
-    def __init__(self, passes: Sequence[Pass]) -> None:
-        self.passes = list(passes)
-        self.results: list[PassResult] = []
-
-    def run(self, graph: DataflowGraph, config: SystemConfig) -> list[PassResult]:
-        self.results = []
-        for compiler_pass in self.passes:
-            try:
-                result = compiler_pass.run(graph, config)
-            except CompilationError:
-                raise
-            except Exception as exc:  # pragma: no cover - defensive
-                raise CompilationError(
-                    f"pass {compiler_pass.name} failed on graph '{graph.name}': {exc}"
-                ) from exc
-            self.results.append(result)
-            if result.changed:
-                validate_graph(graph)
-        return self.results

@@ -14,7 +14,7 @@ unit demand fit the grid inventory, capped by ``max_graph_replicas``.
 
 from __future__ import annotations
 
-from repro.arch.grid import PhysicalGrid
+from repro.arch.grid import COMPATIBLE_CLASSES
 from repro.compiler.passes.base import Pass, PassResult
 from repro.config.system import SystemConfig
 from repro.graph.dfg import DataflowGraph
@@ -25,20 +25,23 @@ __all__ = ["ReplicatePass", "max_replicas"]
 
 def max_replicas(graph: DataflowGraph, config: SystemConfig) -> int:
     """Largest replica count whose combined unit demand fits the grid."""
-    grid = PhysicalGrid(config.grid)
-    demand = graph.unit_demand()
+    grid = config.grid
+    units = {
+        UnitClass.ALU: grid.num_alu,
+        UnitClass.FPU: grid.num_fpu,
+        UnitClass.SPECIAL: grid.num_special,
+        UnitClass.LDST: grid.num_ldst,
+        UnitClass.CONTROL: grid.num_control,
+        UnitClass.SPLIT_JOIN: grid.num_split_join,
+    }
     best = config.max_graph_replicas
-    for unit_class, needed in demand.items():
-        if unit_class in (UnitClass.SOURCE, UnitClass.SINK, UnitClass.BARRIER):
+    for unit_class, needed in graph.unit_demand().items():
+        if unit_class in (UnitClass.SINK, UnitClass.BARRIER):
             continue
-        if needed == 0:
-            continue
-        capacity = grid.capacity_for(unit_class)
-        if capacity == 0:
-            return 1
-        best = min(best, capacity // needed) if capacity >= needed else 1
+        capacity = sum(units[cls] for cls in COMPATIBLE_CLASSES[unit_class])
         if capacity < needed:
             return 1
+        best = min(best, capacity // needed)
     return max(1, best)
 
 

@@ -10,12 +10,12 @@ The output, a :class:`CompiledKernel`, is what both simulators consume.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.grid import PhysicalGrid
-from repro.compiler.mapper.placement import Placement, place_graph
+from repro.compiler.mapper.placement import place_graph
 from repro.compiler.mapper.routing import RoutedMapping, route_placement
-from repro.compiler.passes.base import Pass, PassManager, PassResult
+from repro.compiler.passes.base import PassResult
 from repro.compiler.passes.cascade import CascadeElevatorsPass
 from repro.compiler.passes.constant_fold import ConstantFoldPass
 from repro.compiler.passes.dce import DeadCodeEliminationPass
@@ -27,32 +27,17 @@ from repro.graph.dfg import DataflowGraph
 from repro.graph.opcodes import Opcode
 from repro.graph.validate import validate_graph
 
-__all__ = ["CompiledKernel", "CompilerOptions", "default_pass_pipeline", "compile_kernel"]
+__all__ = ["CompiledKernel", "compile_kernel"]
 
 
 @dataclass(frozen=True)
-class CompilerOptions:
-    """Knobs of the compilation pipeline."""
-
-    map_to_grid: bool = True
-    anneal_iterations: int = 1500
-    seed: int = 0xC6A4
-    #: Static-analyzer strictness: ``"warn"`` (default) runs the analyzer
-    #: after compilation, caches the result on the kernel and surfaces
-    #: error-severity findings as Python warnings; ``"strict"`` raises
-    #: :class:`~repro.errors.CompilationError` on any error or warning
-    #: diagnostic; ``"off"`` skips analysis entirely.
-    analyze: str = "warn"
-
-
-@dataclass
 class CompiledKernel:
     """A kernel ready for simulation."""
 
     graph: DataflowGraph
     config: SystemConfig
-    pass_results: list[PassResult] = field(default_factory=list)
-    mapping: RoutedMapping | None = None
+    pass_results: tuple[PassResult, ...]
+    mapping: RoutedMapping
 
     # ------------------------------------------------------------------ queries
     @property
@@ -84,8 +69,6 @@ class CompiledKernel:
         return [n for n in self.graph.nodes if n.param("spilled")]
 
     def edge_hops(self, src: int, dst: int) -> int:
-        if self.mapping is None:
-            return 0
         return self.mapping.hops_between_nodes(src, dst)
 
     def report(self) -> str:
@@ -97,8 +80,7 @@ class CompiledKernel:
         lines.append(f"  elevator nodes      : {len(self.elevator_nodes())}")
         lines.append(f"  eLDST nodes         : {len(self.eldst_nodes())}")
         lines.append(f"  spilled transfers   : {len(self.spilled_nodes())}")
-        if self.mapping is not None:
-            lines.append(f"  mapping             : {self.mapping.summary()}")
+        lines.append(f"  mapping             : {self.mapping.summary()}")
         for result in self.pass_results:
             if result.metrics:
                 metrics = ", ".join(f"{k}={v}" for k, v in sorted(result.metrics.items()))
@@ -106,66 +88,54 @@ class CompiledKernel:
         return "\n".join(lines)
 
 
-def default_pass_pipeline() -> list[Pass]:
-    """The standard pass order used by :func:`compile_kernel`."""
-    return [
+def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> CompiledKernel:
+    """Compile a kernel graph for the configured dMT-CGRA system.
+
+    Validates the graph, runs the five passes (re-validating after each
+    one that changed the graph), places and routes it on one grid layout,
+    and analyzes the result once; each error-severity finding becomes a
+    :class:`UserWarning`.  The input graph is not modified; compilation
+    operates on a copy.
+    """
+    config = config or default_system_config()
+    working = graph.copy()
+    validate_graph(working)
+
+    results: list[PassResult] = []
+    for compiler_pass in (
         ConstantFoldPass(),
         DeadCodeEliminationPass(),
         CascadeElevatorsPass(),
         EldstBufferPass(),
         ReplicatePass(),
-    ]
+    ):
+        try:
+            result = compiler_pass.run(working, config)
+        except CompilationError:
+            raise
+        except Exception as exc:  # pragma: no cover - defensive
+            raise CompilationError(
+                f"pass {compiler_pass.name} failed on graph '{working.name}': {exc}"
+            ) from exc
+        results.append(result)
+        if result.changed:
+            validate_graph(working)
 
-
-def compile_kernel(
-    graph: DataflowGraph,
-    config: SystemConfig | None = None,
-    options: CompilerOptions | None = None,
-) -> CompiledKernel:
-    """Compile a kernel graph for the configured dMT-CGRA system.
-
-    The input graph is not modified; compilation operates on a copy.
-    """
-    config = config or default_system_config()
-    options = options or CompilerOptions()
-    working = graph.copy()
-    validate_graph(working)
-
-    results = PassManager(default_pass_pipeline()).run(working, config)
-
-    mapping: RoutedMapping | None = None
-    if options.map_to_grid:
-        grid = PhysicalGrid(config.grid)
-        placement: Placement = place_graph(
-            working, grid, anneal_iterations=options.anneal_iterations, seed=options.seed
-        )
-        mapping = route_placement(placement, config.noc)
-
+    placement = place_graph(working, PhysicalGrid(config.grid))
     compiled = CompiledKernel(
-        graph=working, config=config, pass_results=results, mapping=mapping
+        graph=working,
+        config=config,
+        pass_results=tuple(results),
+        mapping=route_placement(placement, config.noc),
     )
 
-    if options.analyze not in ("off", "warn", "strict"):
-        raise CompilationError(
-            f"unknown analyze mode '{options.analyze}'; expected 'off', 'warn' or 'strict'"
-        )
-    if options.analyze != "off":
-        # Deferred import: the analyzer's critical-path pass reaches into
-        # the sim layer, which itself imports this module.
-        from repro.analyze.manager import analyze_kernel
+    # Deferred import: the analyzer's critical-path pass reaches into the
+    # sim layer, which itself imports this module.
+    from repro.analyze.manager import analyze_kernel
 
-        analysis = analyze_kernel(compiled)
-        if options.analyze == "strict" and not analysis.ok:
-            findings = "\n  - ".join(
-                d.format() for d in analysis.errors() + analysis.warnings()
-            )
-            raise CompilationError(
-                f"kernel '{compiled.name}' failed strict static analysis:\n"
-                f"  - {findings}"
-            )
-        for diagnostic in analysis.errors():
-            warnings.warn(
-                f"static analysis of kernel '{compiled.name}': {diagnostic.format()}",
-                stacklevel=2,
-            )
+    for diagnostic in analyze_kernel(compiled).errors():
+        warnings.warn(
+            f"static analysis of kernel '{compiled.name}': {diagnostic.format()}",
+            stacklevel=2,
+        )
     return compiled

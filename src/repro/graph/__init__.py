@@ -4,7 +4,7 @@ from repro.graph.dfg import DataflowGraph
 from repro.graph.node import Edge, Node
 from repro.graph.opcodes import DType, OpInfo, Opcode, UnitClass, opcode_info
 from repro.graph.semantics import PURE_OPCODES, evaluate_pure
-from repro.graph.validate import validate_graph, validation_issues
+from repro.graph.validate import validate_graph
 
 __all__ = [
     "DataflowGraph",
@@ -18,5 +18,4 @@ __all__ = [
     "PURE_OPCODES",
     "evaluate_pure",
     "validate_graph",
-    "validation_issues",
 ]

@@ -13,7 +13,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["DType", "UnitClass", "Opcode", "OpInfo", "OPCODE_INFO", "opcode_info"]
+__all__ = [
+    "DType",
+    "EFFECT_OPCODES",
+    "MEMORY_OPCODES",
+    "OPCODE_INFO",
+    "OpInfo",
+    "Opcode",
+    "SOURCE_OPCODES",
+    "UnitClass",
+    "opcode_info",
+]
 
 
 class DType(enum.Enum):
@@ -200,6 +210,17 @@ OPCODE_INFO: dict[Opcode, OpInfo] = {
     **_INTER_THREAD,
     **_STRUCTURAL,
 }
+
+#: Injected source opcodes (thread-uniform timing, no operands).
+SOURCE_OPCODES: tuple[Opcode, ...] = tuple(_SOURCES)
+
+#: Opcodes that read or write a kernel array or the scratchpad.
+MEMORY_OPCODES: tuple[Opcode, ...] = (*_MEMORY, Opcode.ELDST)
+
+#: Opcodes whose completion is a thread's visible effect: the set every
+#: engine retires a thread on (a STORE still produces an ack token, so
+#: this is not ``has_output``).
+EFFECT_OPCODES: tuple[Opcode, ...] = (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT)
 
 
 def opcode_info(opcode: Opcode) -> OpInfo:

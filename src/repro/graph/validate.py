@@ -1,6 +1,7 @@
 """Structural validation of kernel dataflow graphs.
 
-Validation is run by the compiler pipeline before mapping; it rejects
+``compile_kernel`` runs validation on its input and after every pass
+that changed the graph; it rejects
 graphs that cannot be configured onto the CGRA: missing operands,
 non-temporal cycles, malformed elevator/eLDST parameters, sinks driving
 consumers and similar structural mistakes.
@@ -8,10 +9,8 @@ consumers and similar structural mistakes.
 The checks themselves live in the analyzer's structure pass
 (:mod:`repro.analyze.structure`), which reports each problem as a
 :class:`~repro.analyze.diagnostics.Diagnostic` with a stable ``RA00x``
-code and node provenance.  This module keeps the historical string-based
-surface: :func:`validation_issues` returns the diagnostics' messages
-verbatim, and :func:`validate_graph` raises with the same wording it
-always has.
+code and node provenance; :func:`validate_graph` raises with their
+messages.
 """
 
 from __future__ import annotations
@@ -25,12 +24,7 @@ from repro.graph.dfg import DataflowGraph
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analyze.diagnostics import Diagnostic
 
-__all__ = ["structure_diagnostics", "validate_graph", "validation_issues"]
-
-
-def validation_issues(graph: DataflowGraph) -> list[str]:
-    """Return a list of human-readable validation problems (empty if valid)."""
-    return [diagnostic.message for diagnostic in structure_diagnostics(graph)]
+__all__ = ["structure_diagnostics", "validate_graph"]
 
 
 def validate_graph(graph: DataflowGraph) -> None:

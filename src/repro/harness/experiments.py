@@ -192,9 +192,7 @@ def run_workload(
                 counters,
                 config,
                 energy_table,
-                configured_units=len(compiled.mapping.placement.node_to_unit)
-                if compiled.mapping
-                else None,
+                configured_units=len(compiled.mapping.placement.node_to_unit),
             )
             outputs = _outputs_from_memory(prepared, result.memory)
         phases["report"] = span.seconds

@@ -170,17 +170,14 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-# SOURCE_OPCODES is shared with the analyzer's replay-order pass so the
-# static RA042/RA043 verdict and the engine's prepass decision agree.
 from repro.analyze.manager import analyze_kernel
-from repro.analyze.passes import SOURCE_OPCODES as _SOURCE_OPCODES
 from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, MemoryModelError, SimulationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import elevator_source_vec, scratch_levels
 from repro.graph.node import Node
-from repro.graph.opcodes import DType, Opcode
+from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, SOURCE_OPCODES, DType, Opcode
 from repro.graph.semantics import PURE_OPCODES, coerce
 from repro.kernel.geometry import ThreadGeometry
 from repro.memory.hierarchy import MemoryHierarchy
@@ -188,7 +185,6 @@ from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE, active_tracer
 from repro.sim.analytic_cache import AnalyticMemoryModel
 from repro.sim.cycle import (
-    _MEMORY_OPCODES,
     _OP_COUNTERS,
     LVC_ACCESS_LATENCY,
     core_thread_ids,
@@ -712,11 +708,7 @@ def _static_tables(compiled: CompiledKernel) -> _StaticTables:
         successors=successors,
         edge_latency=edge_latency,
         edge_hops=edge_hops,
-        sink_nodes=[
-            n.node_id
-            for n in order
-            if n.opcode in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT)
-        ],
+        sink_nodes=[n.node_id for n in order if n.opcode in EFFECT_OPCODES],
         order_pos=order_pos,
         prepass_nodes=prepass,
         ordered_loads=prepass is not None,
@@ -746,7 +738,7 @@ def _injector_bases(graph: DataflowGraph, successors: dict) -> dict[int, int]:
     injectors = [
         node.node_id
         for node in graph.nodes
-        if node.opcode in _SOURCE_OPCODES or node.opcode is Opcode.ELEVATOR
+        if node.opcode in SOURCE_OPCODES or node.opcode is Opcode.ELEVATOR
     ]
     return {nid: i * stride for i, nid in enumerate(injectors)}
 
@@ -801,7 +793,7 @@ def _event_order_keys(
     keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for position, node in enumerate(order):
         nid = node.node_id
-        if node.opcode in _SOURCE_OPCODES:
+        if node.opcode in SOURCE_OPCODES:
             arrival[nid] = 0.0
             chains[nid] = [(1.0, True), (float(position), False)]
             continue
@@ -1057,11 +1049,11 @@ class BatchedSimulator:
             nid = node.node_id
             op = node.opcode
             operands = [values[src] for _, src in static.inputs[nid]]
-            if op in _SOURCE_OPCODES:
+            if op in SOURCE_OPCODES:
                 value = self._source_value(node)
             elif op in PURE_OPCODES:
                 value = _eval_pure_vec(node, operands)
-            elif op in _MEMORY_OPCODES:
+            elif op in MEMORY_OPCODES:
                 value, streams[nid] = self._move_data(node, operands)
             elif op is Opcode.ELEVATOR:
                 # Consumers with a valid source gather its token, the
@@ -1270,7 +1262,7 @@ class BatchedSimulator:
         """
         nid = node.node_id
         op = node.opcode
-        if op in _SOURCE_OPCODES:
+        if op in SOURCE_OPCODES:
             avail[nid] = self._inject
             if self._fo is not None:
                 self._fo.emit_injected(nid, self._static.injector_base[nid])
@@ -1626,7 +1618,7 @@ class BatchedSimulator:
             stats.tokens_sent += len(succ) * n
             for dst, _ in succ:
                 stats.noc_hops += static.edge_hops[(nid, dst)] * n
-            if node.opcode in _SOURCE_OPCODES:
+            if node.opcode in SOURCE_OPCODES:
                 continue
             stats.token_buffer_inserts += len(static.inputs[nid]) * n
             stats.token_buffer_matches += n

@@ -48,7 +48,7 @@ from repro.graph.interthread import (
     thread_subset_problem,
 )
 from repro.graph.node import Node
-from repro.graph.opcodes import Opcode, UnitClass
+from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, Opcode, UnitClass
 from repro.graph.semantics import PURE_OPCODES, coerce, converter, pure_function
 from repro.kernel.arrays import ArraySpec
 from repro.kernel.geometry import ThreadGeometry
@@ -134,15 +134,6 @@ _OP_COUNTERS = {
 #: Thread-index source opcodes, in the order of ``(x, y, z, linear)``.
 _TID_OPCODES = (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_Z, Opcode.TID_LINEAR)
 
-#: Opcodes that read or write a kernel array.
-_MEMORY_OPCODES = (
-    Opcode.LOAD,
-    Opcode.STORE,
-    Opcode.SCRATCH_LOAD,
-    Opcode.SCRATCH_STORE,
-    Opcode.ELDST,
-)
-
 
 def core_thread_ids(
     graph: DataflowGraph, thread_ids: "Sequence[int] | None", num_threads: int
@@ -179,7 +170,7 @@ def core_thread_ids(
 def trace_lanes(tracer: Any, compiled: CompiledKernel, pid: int) -> dict[int, int]:
     """Name core ``pid``'s trace process and one lane per node, after the
     physical PE hosting it; returns each node's lane."""
-    placement = compiled.mapping.placement.node_to_unit if compiled.mapping else {}
+    placement = compiled.mapping.placement.node_to_unit
     tracer.set_process_name(pid, f"core {pid}")
     lanes: dict[int, int] = {}
     for node in compiled.graph.nodes:
@@ -320,7 +311,7 @@ class CycleSimulator:
                 state.pure = pure_function(node)
             else:
                 state.fire = handlers.get(op, cls._execute_unsupported)
-            if op in _MEMORY_OPCODES:
+            if op in MEMORY_OPCODES:
                 name = node.param("array")
                 state.memory = (
                     self.memory.spec(name),
@@ -340,7 +331,7 @@ class CycleSimulator:
                 for tid in self._thread_ids:
                     group = tid // int(window) if window else -1
                     state.barrier_expected[group] = state.barrier_expected.get(group, 0) + 1
-            if op in (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT):
+            if op in EFFECT_OPCODES:
                 self._sink_nodes.append(node.node_id)
             if op is Opcode.OUTPUT:
                 self.outputs.setdefault(

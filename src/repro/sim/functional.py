@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import DeadlockError, SimulationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import eldst_source, elevator_source
-from repro.graph.opcodes import Opcode
+from repro.graph.opcodes import EFFECT_OPCODES, Opcode
 from repro.graph.semantics import PURE_OPCODES, coerce, evaluate_pure
 from repro.kernel.geometry import ThreadGeometry
 from repro.memory.image import MemoryImage
@@ -50,9 +50,6 @@ class FunctionalResult:
         return self.outputs[name]
 
 
-_SINK_OPCODES = (Opcode.STORE, Opcode.SCRATCH_STORE, Opcode.OUTPUT)
-
-
 class FunctionalSimulator:
     """Demand-driven evaluator of one kernel launch."""
 
@@ -71,7 +68,7 @@ class FunctionalSimulator:
 
     # ------------------------------------------------------------------ driver
     def run(self) -> FunctionalResult:
-        sinks = [n for n in self.graph.nodes if n.opcode in _SINK_OPCODES]
+        sinks = [n for n in self.graph.nodes if n.opcode in EFFECT_OPCODES]
         for node in self.graph.nodes:
             if node.opcode is Opcode.OUTPUT:
                 self.outputs.setdefault(

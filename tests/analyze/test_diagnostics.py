@@ -6,7 +6,7 @@ from repro.analyze import CODES, Diagnostic, Severity, structure_diagnostics
 from repro.errors import GraphValidationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.opcodes import Opcode
-from repro.graph.validate import validate_graph, validation_issues
+from repro.graph.validate import validate_graph
 
 
 def test_unknown_code_is_rejected():
@@ -55,10 +55,12 @@ def _no_effect_graph() -> DataflowGraph:
     return g
 
 
-def test_structure_pass_matches_validation_issues():
+def test_validate_graph_raises_the_structure_messages():
     g = _no_effect_graph()
     diagnostics = structure_diagnostics(g)
-    assert [d.message for d in diagnostics] == validation_issues(g)
+    with pytest.raises(GraphValidationError) as excinfo:
+        validate_graph(g)
+    assert all(d.message in str(excinfo.value) for d in diagnostics)
     assert [d.code for d in diagnostics] == ["RA006"]
     assert all(d.severity is Severity.ERROR for d in diagnostics)
 

@@ -1,5 +1,6 @@
 """Tests for placement and routing."""
 
+import inspect
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from repro.arch.grid import PhysicalGrid
 from repro.compiler.mapper.placement import AnnealingRefiner, GreedyPlacer, Placement, place_graph
 from repro.compiler.mapper.routing import route_placement
-from repro.compiler.pipeline import CompilerOptions, compile_kernel
+from repro.compiler.pipeline import compile_kernel
 from repro.config.system import CgraGridConfig, NocConfig
 from repro.graph.opcodes import UnitClass
 from repro.harness.figures import DEFAULT_SUITE_PARAMS
@@ -181,24 +182,15 @@ class _ReferenceRefiner(AnnealingRefiner):
         return total
 
 
-_GRAPH_BUILDERS = {
-    "mt": "build_mt",
-    "dmt": "build_dmt",
-    "dmt_win": "build_dmt_windowed",
-    "stream": "build_stream",
-}
-
-
 def _compiled_graph(workload, variant, params):
     """The post-pass graph ``compile_kernel`` hands to the placer."""
-    graph = getattr(workload, _GRAPH_BUILDERS[variant])(workload.params_with_defaults(params))
-    options = CompilerOptions(map_to_grid=False, analyze="off")
-    return compile_kernel(graph, options=options).graph
+    graph = workload.build_graph(variant, workload.params_with_defaults(params))
+    return compile_kernel(graph).graph
 
 
 def _assert_same_placement(graph, seed):
     grid = PhysicalGrid(CgraGridConfig())
-    iterations = CompilerOptions().anneal_iterations
+    iterations = inspect.signature(place_graph).parameters["anneal_iterations"].default
     fast = AnnealingRefiner(iterations=iterations, seed=seed).refine(
         GreedyPlacer(grid).place(graph)
     )

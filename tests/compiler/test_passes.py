@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.compiler.passes.base import PassManager
 from repro.compiler.passes.cascade import CascadeElevatorsPass, cascade_plan, split_delta
 from repro.compiler.passes.constant_fold import ConstantFoldPass
 from repro.compiler.passes.dce import DeadCodeEliminationPass
 from repro.compiler.passes.eldst_buffer import EldstBufferPass, external_buffer_nodes
 from repro.compiler.passes.replicate import ReplicatePass, max_replicas
+from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
 from repro.errors import CompilationError
 from repro.graph.opcodes import Opcode
@@ -132,11 +132,15 @@ def test_replicate_pass_records_metadata():
     assert graph.metadata["replicas"] == result.metrics["replicas"]
 
 
-# -------------------------------------------------------------- pass manager
-def test_pass_manager_runs_and_validates():
-    graph = _simple_kernel()
-    manager = PassManager([ConstantFoldPass(), DeadCodeEliminationPass(), ReplicatePass()])
-    results = manager.run(graph, _config())
-    assert [result.pass_name for result in results] == ["constant-fold", "dead-code-elimination", "replicate"]
-    assert results == manager.results
-    assert results[-1].metrics["replicas"] == graph.metadata["replicas"]
+# ---------------------------------------------------------------- pass order
+def test_compile_runs_the_passes_in_order():
+    compiled = compile_kernel(_simple_kernel(), _config())
+    results = compiled.pass_results
+    assert [result.pass_name for result in results] == [
+        "constant-fold",
+        "dead-code-elimination",
+        "cascade-elevators",
+        "eldst-external-buffer",
+        "replicate",
+    ]
+    assert results[-1].metrics["replicas"] == compiled.replicas

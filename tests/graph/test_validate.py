@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.analyze.structure import structure_diagnostics
 from repro.errors import GraphValidationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.opcodes import DType, Opcode
-from repro.graph.validate import validate_graph, validation_issues
+from repro.graph.validate import validate_graph
+
+
+def _messages(graph):
+    return [diagnostic.message for diagnostic in structure_diagnostics(graph)]
 
 
 def _valid_graph():
@@ -36,7 +41,7 @@ def test_missing_operand_detected():
     g2.add_edge(a, bad, 0)
     g2.add_edge(a, st, 0)
     g2.add_edge(bad, st, 1)
-    issues = validation_issues(g2)
+    issues = _messages(g2)
     assert any("operands" in issue for issue in issues)
     assert add is not None
 
@@ -47,7 +52,7 @@ def test_const_without_value_detected():
     st = g.add_node(Opcode.STORE, params={"array": "o"})
     g.add_edge(c, st, 0)
     g.add_edge(c, st, 1)
-    assert any("value" in i for i in validation_issues(g))
+    assert any("value" in i for i in _messages(g))
 
 
 def test_elevator_without_delta_detected():
@@ -58,13 +63,13 @@ def test_elevator_without_delta_detected():
     g.add_edge(c, e, 0)
     g.add_edge(c, st, 0)
     g.add_edge(e, st, 1)
-    assert any("delta" in i for i in validation_issues(g))
+    assert any("delta" in i for i in _messages(g))
 
 
 def test_graph_without_side_effects_detected():
     g = DataflowGraph()
     g.add_node(Opcode.CONST, params={"value": 1})
-    assert any("no STORE or OUTPUT" in i for i in validation_issues(g))
+    assert any("no STORE or OUTPUT" in i for i in _messages(g))
 
 
 def test_comparison_must_be_bool():
@@ -76,7 +81,7 @@ def test_comparison_must_be_bool():
     g.add_edge(a, lt, 1)
     g.add_edge(a, st, 0)
     g.add_edge(lt, st, 1)
-    assert any("BOOL" in i for i in validation_issues(g))
+    assert any("BOOL" in i for i in _messages(g))
 
 
 def test_validate_raises_with_all_issues():
