@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from repro.analysis import build_cdf
-from repro.harness import compare_architectures
-from repro.workloads import ConvolutionWorkload
+from repro.harness import run_workload
+from repro.workloads import ARCHITECTURES, ConvolutionWorkload
 
 
 def main() -> None:
@@ -36,13 +36,13 @@ def main() -> None:
     params = workload.params_with_defaults({"n": n})
 
     print(f"1D 3-tap convolution over {n} elements (kernel = [0.25, 0.5, 0.25])\n")
-    results = compare_architectures(workload, params=params)
+    results = {name: run_workload(workload, name, params=params) for name in ARCHITECTURES}
 
     print(
         f"{'architecture':<12} {'cycles':>8} {'DRAM accesses':>14} "
         f"{'barrier waits':>14} {'energy [uJ]':>12}"
     )
-    for name in ("fermi", "mt", "dmt"):
+    for name in ARCHITECTURES:
         result = results[name]
         dram = result.counters["dram_reads"] + result.counters["dram_writes"]
         print(

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import sys
 
-from repro.harness import compare_architectures
+from repro.harness import run_workload
+from repro.workloads import ARCHITECTURES
 
 
 def main() -> None:
     dim = int(sys.argv[1]) if len(sys.argv) > 1 else 16
     print(f"dense {dim}x{dim} matrix multiplication, one thread per output element\n")
 
-    results = compare_architectures("matrixMul", params={"dim": dim})
+    results = {name: run_workload("matrixMul", name, params={"dim": dim}) for name in ARCHITECTURES}
 
     header = (
         f"{'architecture':<12} {'cycles':>8} {'global loads':>13} "
@@ -37,7 +38,7 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
-    for name in ("fermi", "mt", "dmt"):
+    for name in ARCHITECTURES:
         result = results[name]
         scratch = result.counters["scratch_loads"] + result.counters["scratch_stores"]
         print(

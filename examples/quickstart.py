@@ -77,7 +77,7 @@ def main() -> None:
     # resolved engine is the exact event-driven one.
     result = simulate(compiled, launch)
     assert np.allclose(result.array("prefix"), np.cumsum(data))
-    energy = cgra_energy(result.counters(), config)
+    energy = cgra_energy(result.counters(), compiled)
     print()
     print(f"cycle-level simulation : {result.cycles} cycles ({result.engine} engine)")
     print(f"tokens retagged        : {result.stats.elevator_retags}")

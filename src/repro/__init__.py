@@ -34,7 +34,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.graph import DataflowGraph, DType, Opcode, UnitClass
-from repro.harness import compare_architectures, run_suite, run_workload
+from repro.harness import run_suite, run_workload
 from repro.kernel import KernelBuilder, ThreadGeometry
 from repro.power import EnergyTable, cgra_energy, default_energy_table, fermi_energy
 from repro.sim import (
@@ -72,7 +72,6 @@ __all__ = [
     "WorkloadError",
     "all_workloads",
     "cgra_energy",
-    "compare_architectures",
     "compile_kernel",
     "default_energy_table",
     "default_system_config",

@@ -71,7 +71,6 @@ from repro.explore.spec import (
     CampaignSpec,
     RunPoint,
     apply_override,
-    load_spec,
 )
 
 __all__ = [
@@ -86,7 +85,6 @@ __all__ = [
     "best_per_workload",
     "campaign_status",
     "execute_point",
-    "load_spec",
     "pareto_front",
     "render_campaign_report",
     "run_campaign",

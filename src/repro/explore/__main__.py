@@ -9,7 +9,7 @@ from repro.errors import ExplorationError
 from repro.explore.analysis import render_campaign_report
 from repro.explore.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.explore.runner import campaign_status, run_campaign
-from repro.explore.spec import load_spec
+from repro.explore.spec import CampaignSpec
 from repro.obs.log import configure
 
 
@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     # output stays pipeable exactly like the previous print-based CLI).
     configure(verbosity=0 if getattr(args, "quiet", False) else 1, stream=sys.stdout)
     try:
-        spec = load_spec(args.spec)
+        spec = CampaignSpec.from_file(args.spec)
         if args.command == "run":
             result = run_campaign(
                 spec,

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.config.system import config_digest
+from repro.config.system import SystemConfig, config_digest
 from repro.errors import ExplorationError
 from repro.explore.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.explore.spec import CampaignSpec, RunPoint
-from repro.harness.experiments import run_workload_record
+from repro.harness import experiments
 from repro.obs.log import get_logger
 
 __all__ = ["CampaignResult", "PointOutcome", "execute_point", "run_campaign"]
@@ -39,15 +39,9 @@ __all__ = ["CampaignResult", "PointOutcome", "execute_point", "run_campaign"]
 log = get_logger("explore")
 
 
-def execute_point(payload: dict[str, Any]) -> dict[str, Any]:
-    """Simulate one point from its plain-data payload (worker entry point).
-
-    Top-level and pure so it pickles into worker processes.  Failures are
-    captured into the returned record — a worker never lets an exception
-    escape for an individual point.
-    """
-    started = time.perf_counter()
-    point_meta = {
+def _point_meta(payload: dict[str, Any]) -> dict[str, Any]:
+    """The ``"point"`` part of a record: what was run, minus the config."""
+    return {
         "workload": payload["workload"],
         "variant": payload["variant"],
         "engine": payload["engine"],
@@ -56,15 +50,28 @@ def execute_point(payload: dict[str, Any]) -> dict[str, Any]:
         "overrides": dict(payload.get("overrides", {})),
         "config_digest": config_digest(payload["config"]),
     }
+
+
+def execute_point(payload: dict[str, Any]) -> dict[str, Any]:
+    """Simulate one point from its plain-data payload (worker entry point).
+
+    Top-level and pure so it pickles into worker processes, and returns
+    :meth:`~repro.harness.experiments.RunResult.to_record` output, so no
+    graph, memory image or NumPy view crosses the pickle boundary.
+    Failures are captured into the returned record — a worker never lets
+    an exception escape for an individual point.
+    """
+    started = time.perf_counter()
+    point_meta = _point_meta(payload)
     try:
-        result = run_workload_record(
+        result = experiments.run_workload(
             payload["workload"],
             payload["variant"],
             params=payload.get("params") or None,
             seed=int(payload["seed"]),
-            config=payload["config"],
+            config=SystemConfig.from_dict(payload["config"]),
             engine=payload["engine"],
-        )
+        ).to_record()
         status: dict[str, Any] = {"status": "ok", "result": result}
     except Exception as exc:  # noqa: BLE001 - per-point capture is the contract
         status = {
@@ -227,17 +234,8 @@ def run_campaign(
                     # do NOT cache it — unlike an in-simulation error this
                     # is transient infrastructure trouble, and a cached
                     # copy would never be retried.
-                    point = pending[key]
                     record = {
-                        "point": {
-                            "workload": point.workload,
-                            "variant": point.variant,
-                            "engine": point.engine,
-                            "seed": point.seed,
-                            "params": dict(point.params),
-                            "overrides": dict(point.overrides),
-                            "config_digest": config_digest(point.config_dict()),
-                        },
+                        "point": _point_meta(pending[key].payload()),
                         "status": "error",
                         "result": None,
                         "error": f"{type(exc).__name__}: {exc}",

@@ -42,7 +42,6 @@ __all__ = [
     "CampaignSpec",
     "RunPoint",
     "apply_override",
-    "load_spec",
     "resolved_base_config",
 ]
 
@@ -400,8 +399,3 @@ def resolved_base_config(partial: Mapping[str, Any] | None) -> SystemConfig:
     data = default_system_config().to_dict()
     _deep_merge(data, dict(partial or {}))
     return SystemConfig.from_dict(data)
-
-
-def load_spec(path: str | Path) -> CampaignSpec:
-    """Read and validate a campaign spec from a JSON file."""
-    return CampaignSpec.from_file(path)

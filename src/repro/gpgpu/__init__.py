@@ -2,10 +2,9 @@
 
 from repro.gpgpu.isa import Imm, Instruction, Op, Pred, Reg, Special
 from repro.gpgpu.program import SimtProgram, SimtProgramBuilder
-from repro.gpgpu.simulator import FermiResult, FermiSimulator, run_fermi
+from repro.gpgpu.simulator import FermiSimulator, run_fermi
 
 __all__ = [
-    "FermiResult",
     "FermiSimulator",
     "Imm",
     "Instruction",

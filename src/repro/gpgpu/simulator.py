@@ -35,27 +35,10 @@ from repro.gpgpu.program import SimtProgram
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage, out_of_bounds
 from repro.memory.request import AccessType
+from repro.sim.result import SimulationResult
 from repro.sim.stats import ExecutionStats
 
-__all__ = ["FermiResult", "FermiSimulator", "run_fermi"]
-
-
-@dataclass
-class FermiResult:
-    """Outcome of one SIMT kernel execution."""
-
-    cycles: int
-    stats: ExecutionStats
-    memory: MemoryImage
-    hierarchy: MemoryHierarchy
-
-    def array(self, name: str) -> np.ndarray:
-        return self.memory.array(name)
-
-    def counters(self) -> dict[str, int | float]:
-        merged = dict(self.stats.as_dict())
-        merged.update(self.hierarchy.stats().flat())
-        return merged
+__all__ = ["FermiSimulator", "run_fermi"]
 
 
 class _Decoded(NamedTuple):
@@ -224,7 +207,7 @@ class FermiSimulator:
         return warps
 
     # ------------------------------------------------------------------ driver
-    def run(self) -> FermiResult:
+    def run(self) -> SimulationResult:
         cycle = 0
         rr_start = 0
         warps = self._warps
@@ -270,8 +253,14 @@ class FermiSimulator:
         self.stats.cycles = cycle
         self.stats.extra["engine"] = "fermi"
         self.stats.extra.setdefault("cores", 1)
-        return FermiResult(
-            cycles=cycle, stats=self.stats, memory=self.memory, hierarchy=self.hierarchy
+        return SimulationResult(
+            cycles=cycle,
+            stats=self.stats,
+            memory=self.memory,
+            outputs={},
+            engine="fermi",
+            cores=1,
+            hierarchies=(self.hierarchy,),
         )
 
     def _next_interesting_cycle(self, cycle: int) -> int:
@@ -524,6 +513,6 @@ def run_fermi(
     program: SimtProgram,
     inputs: Mapping[str, np.ndarray] | None = None,
     config: SystemConfig | None = None,
-) -> FermiResult:
+) -> SimulationResult:
     """Convenience wrapper: run ``program`` on the Fermi baseline model."""
     return FermiSimulator(program, inputs=inputs, config=config).run()

@@ -2,7 +2,6 @@
 
 from repro.harness.experiments import (
     RunResult,
-    compare_architectures,
     outputs_digest,
     run_suite,
     run_workload,
@@ -23,7 +22,6 @@ __all__ = [
     "DEFAULT_SUITE_PARAMS",
     "FigureResult",
     "RunResult",
-    "compare_architectures",
     "figure5",
     "figure11",
     "figure12",

@@ -33,8 +33,6 @@ __all__ = [
     "RunResult",
     "outputs_digest",
     "run_workload",
-    "run_workload_record",
-    "compare_architectures",
     "run_suite",
 ]
 
@@ -188,12 +186,7 @@ def run_workload(
         counters["static_min_cycles"] = analysis.min_cycles
         diagnostics = [d.to_dict() for d in analysis.diagnostics]
         with timer("report") as span:
-            energy = cgra_energy(
-                counters,
-                config,
-                energy_table,
-                configured_units=len(compiled.mapping.placement.node_to_unit),
-            )
+            energy = cgra_energy(counters, compiled, energy_table)
             outputs = _outputs_from_memory(prepared, result.memory)
         phases["report"] = span.seconds
         cycles = result.cycles
@@ -219,65 +212,6 @@ def run_workload(
     )
 
 
-def run_workload_record(
-    workload: str,
-    architecture: str,
-    params: Mapping[str, Any] | None = None,
-    seed: int = 0,
-    config: Mapping[str, Any] | SystemConfig | None = None,
-    engine: str = "auto",
-    check: bool = True,
-) -> dict[str, Any]:
-    """Pure, picklable form of :func:`run_workload` for worker processes.
-
-    Accepts only plain data (the configuration may be a ``to_dict``
-    mapping) and returns :meth:`RunResult.to_record` output, so it can be
-    shipped through a :class:`~concurrent.futures.ProcessPoolExecutor`
-    without dragging graphs, memory images or NumPy views across the
-    pickle boundary.
-    """
-    if config is not None and not isinstance(config, SystemConfig):
-        config = SystemConfig.from_dict(config)
-    result = run_workload(
-        workload,
-        architecture,
-        params=params,
-        seed=seed,
-        config=config,
-        engine=engine,
-        check=check,
-    )
-    return result.to_record()
-
-
-def compare_architectures(
-    workload: Workload | str,
-    params: Mapping[str, Any] | None = None,
-    seed: int = 0,
-    config: SystemConfig | None = None,
-    energy_table: EnergyTable | None = None,
-    architectures: Sequence[str] = ARCHITECTURES,
-    check: bool = True,
-    engine: str = "auto",
-    cores: int | None = None,
-) -> dict[str, RunResult]:
-    """Run one workload on every requested architecture."""
-    return {
-        architecture: run_workload(
-            workload,
-            architecture,
-            params=params,
-            seed=seed,
-            config=config,
-            energy_table=energy_table,
-            check=check,
-            engine=engine,
-            cores=cores,
-        )
-        for architecture in architectures
-    }
-
-
 def run_suite(
     workloads: Sequence[Workload | str] | None = None,
     params: Mapping[str, Mapping[str, Any]] | None = None,
@@ -293,16 +227,20 @@ def run_suite(
     selected = [_resolve(w) for w in (workloads or paper_workloads())]
     for workload in selected:
         overrides = (params or {}).get(workload.name)
-        results = compare_architectures(
-            workload,
-            params=overrides,
-            seed=seed,
-            config=config,
-            energy_table=energy_table,
-            check=check,
-            engine=engine,
-            cores=cores,
-        )
+        results = {
+            architecture: run_workload(
+                workload,
+                architecture,
+                params=overrides,
+                seed=seed,
+                config=config,
+                energy_table=energy_table,
+                check=check,
+                engine=engine,
+                cores=cores,
+            )
+            for architecture in ARCHITECTURES
+        }
         table.add(
             ArchitectureComparison(
                 workload=workload.name,

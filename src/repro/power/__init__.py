@@ -1,11 +1,6 @@
 """Energy model: per-event tables and per-architecture accounting."""
 
-from repro.power.model import (
-    EnergyBreakdown,
-    cgra_energy,
-    energy_from_counters,
-    fermi_energy,
-)
+from repro.power.model import EnergyBreakdown, cgra_energy, fermi_energy
 from repro.power.tables import EnergyTable, default_energy_table
 
 __all__ = [
@@ -13,6 +8,5 @@ __all__ = [
     "EnergyTable",
     "cgra_energy",
     "default_energy_table",
-    "energy_from_counters",
     "fermi_energy",
 ]

@@ -10,12 +10,15 @@ baseline (Fig. 12) is then simply ``E_fermi / E_arch``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.config.system import SystemConfig, default_system_config
 from repro.power.tables import EnergyTable, default_energy_table
 
-__all__ = ["EnergyBreakdown", "cgra_energy", "fermi_energy", "energy_from_counters"]
+if TYPE_CHECKING:
+    from repro.compiler.pipeline import CompiledKernel
+
+__all__ = ["EnergyBreakdown", "cgra_energy", "fermi_energy"]
 
 
 @dataclass
@@ -80,12 +83,16 @@ def _leakage(cycles: int, clock_ghz: float, static_watts: float) -> float:
 
 def cgra_energy(
     counters: Mapping[str, int | float],
-    config: SystemConfig | None = None,
+    compiled: CompiledKernel,
     table: EnergyTable | None = None,
-    configured_units: int | None = None,
 ) -> EnergyBreakdown:
-    """Energy of one MT-CGRA / dMT-CGRA execution from its counters."""
-    config = config or default_system_config()
+    """Energy of one MT-CGRA / dMT-CGRA execution of ``compiled``.
+
+    Dynamic energy comes from the counters; configuration energy is
+    charged for the units the kernel's placement occupies, and leakage at
+    the clock of the configuration it was compiled for.
+    """
+    config = compiled.config
     table = table or default_energy_table()
     breakdown = EnergyBreakdown()
 
@@ -110,8 +117,8 @@ def cgra_energy(
         + counters.get("eldst_forwards", 0) * table.eldst_bypass,
     )
     breakdown.add("lvc", counters.get("lvc_accesses", 0) * table.lvc_access)
-    units = configured_units if configured_units is not None else config.grid.total_units
-    breakdown.add("configuration", units * table.configuration_per_unit)
+    configured_units = len(compiled.mapping.placement.node_to_unit)
+    breakdown.add("configuration", configured_units * table.configuration_per_unit)
     _memory_energy(counters, table, breakdown)
     breakdown.add(
         "leakage",
@@ -149,16 +156,3 @@ def fermi_energy(
     )
     return breakdown
 
-
-def energy_from_counters(
-    architecture: str,
-    counters: Mapping[str, int | float],
-    config: SystemConfig | None = None,
-    table: EnergyTable | None = None,
-) -> EnergyBreakdown:
-    """Dispatch on the architecture name used by the harness."""
-    if architecture in ("fermi", "gpgpu"):
-        return fermi_energy(counters, config, table)
-    if architecture in ("mt-cgra", "dmt-cgra", "mt", "dmt"):
-        return cgra_energy(counters, config, table)
-    raise ValueError(f"unknown architecture '{architecture}'")

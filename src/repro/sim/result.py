@@ -1,4 +1,4 @@
-"""The one timed result type every engine and :func:`repro.sim.simulate` return."""
+"""The one timed result type of every engine, CGRA and Fermi alike."""
 
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ class SimulationResult:
     """What one timed run produced, with resolved provenance.
 
     ``engine`` is the engine that actually ran (``"event"``,
-    ``"batched"`` or ``"window-batched"`` — never ``"auto"``) and
+    ``"batched"`` or ``"window-batched"`` — never ``"auto"`` — or
+    ``"fermi"`` for the SIMT baseline, whose ``outputs`` are empty) and
     ``cores`` the number of cores the launch ran on; both also live in
     ``stats.extra`` so cached counter rows carry the same provenance.
     ``hierarchies`` holds one memory hierarchy per core.  A sharded run

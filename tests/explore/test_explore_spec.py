@@ -6,7 +6,7 @@ import pytest
 
 from repro.config.system import default_system_config
 from repro.errors import ExplorationError
-from repro.explore.spec import CampaignSpec, RunPoint, apply_override, load_spec
+from repro.explore.spec import CampaignSpec, RunPoint, apply_override
 
 
 def test_grid_axes_cross_and_zip_axes_lockstep():
@@ -128,14 +128,14 @@ def test_spec_round_trips_through_json_file(tmp_path):
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
-    spec = load_spec(path)
+    spec = CampaignSpec.from_file(path)
     assert spec.name == "file-spec"
     assert len(spec.expand()) == 4
     with pytest.raises(ExplorationError):
-        load_spec(tmp_path / "missing.json")
+        CampaignSpec.from_file(tmp_path / "missing.json")
     (tmp_path / "broken.json").write_text("{not json")
     with pytest.raises(ExplorationError):
-        load_spec(tmp_path / "broken.json")
+        CampaignSpec.from_file(tmp_path / "broken.json")
 
 
 def test_key_hashes_resolved_workload_defaults(monkeypatch):

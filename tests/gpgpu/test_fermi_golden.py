@@ -5,7 +5,7 @@ The Fermi baseline is the denominator of both paper headline ratios
 programs, so nothing cross-checks its cycles or counters.  This test
 pins, for every paper workload at ``DEFAULT_SUITE_PARAMS`` and
 ``BENCHMARK_SUITE_PARAMS``, the cycle count, the full
-``FermiResult.counters()`` dict and a digest of every array in the
+``run_fermi(...).counters()`` dict and a digest of every array in the
 final memory image against ``fermi_golden.json``.  Any change to the
 model's timing, accounting or results shows up here as the list of
 differing keys.

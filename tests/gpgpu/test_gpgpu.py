@@ -7,6 +7,7 @@ from repro.errors import GpgpuExecutionError, IsaError, MemoryModelError
 from repro.gpgpu.isa import Imm, Instruction, Op, Pred, Reg
 from repro.gpgpu.program import SimtProgram, SimtProgramBuilder
 from repro.gpgpu.simulator import FermiSimulator, run_fermi
+from repro.sim import SimulationResult
 
 
 # ---------------------------------------------------------------------- ISA
@@ -95,6 +96,20 @@ def test_predicated_store_masks_lanes():
     out = result.array("out")
     np.testing.assert_allclose(out[::2], 7.0)
     np.testing.assert_allclose(out[1::2], 0.0)
+
+
+def test_run_fermi_returns_the_shared_result_type():
+    b = SimtProgramBuilder("copy", 32)
+    b.global_array("out", 32)
+    tid = b.tid_linear()
+    b.st_global("out", tid, tid)
+    result = run_fermi(b.finish())
+    assert isinstance(result, SimulationResult)
+    assert (result.engine, result.cores, result.outputs) == ("fermi", 1, {})
+    assert result.hierarchies == (result.hierarchy,)
+    counters = result.counters()
+    assert counters["cycles"] == result.cycles and counters["engine"] == "fermi"
+    assert counters["l1_write_misses"] + counters["l1_write_hits"] > 0
 
 
 def test_shared_memory_and_barrier_exchange():

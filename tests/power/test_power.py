@@ -2,8 +2,21 @@
 
 import pytest
 
-from repro.power.model import EnergyBreakdown, cgra_energy, energy_from_counters, fermi_energy
+from repro.compiler.pipeline import compile_kernel
+from repro.harness.experiments import run_workload
+from repro.power.model import EnergyBreakdown, cgra_energy, fermi_energy
 from repro.power.tables import default_energy_table
+from repro.sim import simulate
+from repro.workloads.registry import get_workload
+
+SCAN = {"n": 64}
+
+
+@pytest.fixture(scope="module")
+def scan_dmt():
+    """The scan ``dmt`` launch and its compiled kernel (a small recurrence)."""
+    launch = get_workload("scan").prepare(SCAN, seed=0).launch("dmt")
+    return launch, compile_kernel(launch.graph)
 
 
 def test_breakdown_accumulates_components():
@@ -16,7 +29,7 @@ def test_breakdown_accumulates_components():
     assert breakdown.as_dict()["total_pj"] == 100.0
 
 
-def test_cgra_energy_charges_interthread_events():
+def test_cgra_energy_charges_interthread_events(scan_dmt):
     counters = {
         "cycles": 1000,
         "alu_ops": 100,
@@ -29,7 +42,7 @@ def test_cgra_energy_charges_interthread_events():
         "l1_read_hits": 50,
         "dram_reads": 5,
     }
-    breakdown = cgra_energy(counters)
+    breakdown = cgra_energy(counters, scan_dmt[1])
     assert breakdown.components["inter_thread"] > 0
     assert breakdown.components["noc"] > 0
     assert breakdown.components["leakage"] > 0
@@ -50,12 +63,20 @@ def test_fermi_energy_is_dominated_by_front_end_for_compute_kernels():
     assert front_end > breakdown.components["alu"]
 
 
-def test_energy_dispatch_by_architecture_name():
-    counters = {"cycles": 10}
-    assert energy_from_counters("fermi", counters).total_pj > 0
-    assert energy_from_counters("dmt", counters).total_pj > 0
-    with pytest.raises(ValueError):
-        energy_from_counters("riscv", counters)
+def test_cgra_energy_charges_configuration_for_the_placed_units_only(scan_dmt):
+    compiled = scan_dmt[1]
+    placed = len(compiled.mapping.placement.node_to_unit)
+    assert placed < compiled.config.grid.total_units
+    configuration = cgra_energy({}, compiled).components["configuration"]
+    assert configuration == placed * default_energy_table().configuration_per_unit
+
+
+def test_cgra_energy_of_a_direct_simulation_equals_run_workload(scan_dmt):
+    """One energy path: the same kernel costs the same from either entry point."""
+    launch, compiled = scan_dmt
+    direct = cgra_energy(simulate(compiled, launch).counters(), compiled)
+    harness = run_workload("scan", "dmt", params=SCAN, seed=0).energy
+    assert direct.components == harness.components
 
 
 def test_scaled_table_preserves_static_power():
@@ -65,7 +86,7 @@ def test_scaled_table_preserves_static_power():
     assert scaled.static_power_fermi == table.static_power_fermi
 
 
-def test_identical_counters_give_cgra_an_edge_over_fermi():
+def test_identical_counters_give_cgra_an_edge_over_fermi(scan_dmt):
     """The same work costs more on the von Neumann front-end than on the fabric."""
     counters = {
         "cycles": 1000,
@@ -78,7 +99,7 @@ def test_identical_counters_give_cgra_an_edge_over_fermi():
         "token_buffer_matches": 10000,
         "noc_hops": 20000,
     }
-    cgra, fermi = cgra_energy(counters), fermi_energy(counters)
+    cgra, fermi = cgra_energy(counters, scan_dmt[1]), fermi_energy(counters)
     cgra_dynamic = cgra.total_pj - cgra.components.get("leakage", 0.0)
     fermi_dynamic = fermi.total_pj - fermi.components.get("leakage", 0.0)
     assert cgra_dynamic < fermi_dynamic

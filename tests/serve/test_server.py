@@ -16,7 +16,7 @@ import pytest
 
 from repro.explore.runner import run_campaign
 from repro.explore.spec import CampaignSpec
-from repro.harness.experiments import run_workload_record
+from repro.harness.experiments import run_workload
 from repro.serve.client import LocalServer
 
 BODY = {"workload": "matrixMul", "variant": "dmt", "params": {"dim": 8}}
@@ -43,7 +43,7 @@ def test_served_response_is_bit_identical_to_direct_run(server):
     assert status == 200 and payload["status"] == "ok"
     served = payload["record"]["result"]
 
-    direct = run_workload_record("matrixMul", "dmt", params={"dim": 8}, seed=0, engine="auto")
+    direct = run_workload("matrixMul", "dmt", params={"dim": 8}, seed=0, engine="auto").to_record()
     assert served["counters"] == direct["counters"]
     assert served["outputs_digest"] == direct["outputs_digest"]
     assert served["cycles"] == direct["cycles"]
