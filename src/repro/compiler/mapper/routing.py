@@ -1,21 +1,18 @@
 """Static NoC routing of a placed dataflow graph.
 
-Every dataflow edge of a placed graph is assigned its XY route at compile
-time (the MT-CGRA interconnect is statically configured, Sec. 4).  The
-result — a :class:`RoutedMapping` — carries the per-edge hop counts the
-cycle-level simulator uses for token transfer latency and the link-load
-histogram used to spot hot links.
+Every dataflow edge of a placed graph follows a fixed dimension-ordered
+(XY) route configured at compile time (the MT-CGRA interconnect is
+statically configured, Sec. 4).  An XY route between two tiles is as long
+as their Manhattan distance, so the result — a :class:`RoutedMapping` —
+carries the per-edge hop counts the engines use for token transfer
+latency and NoC energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.grid import PhysicalGrid
-from repro.arch.noc import Link, Noc
 from repro.compiler.mapper.placement import Placement
-from repro.config.system import NocConfig
-from repro.errors import RoutingError
 
 __all__ = ["RoutedMapping", "route_placement"]
 
@@ -26,8 +23,6 @@ class RoutedMapping:
 
     placement: Placement
     edge_hops: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    edge_routes: dict[tuple[int, int, int], tuple[Link, ...]] = field(default_factory=dict)
-    link_load: dict[Link, int] = field(default_factory=dict)
     #: Hop count of the first routed edge per ``(src, dst)`` node pair.
     pair_hops: dict[tuple[int, int], int] = field(default_factory=dict)
 
@@ -63,30 +58,15 @@ class RoutedMapping:
         )
 
 
-def route_placement(placement: Placement, noc_config: NocConfig) -> RoutedMapping:
-    """Compute the static XY route of every placed edge."""
-    grid: PhysicalGrid = placement.grid
-    noc = Noc(grid, noc_config)
+def route_placement(placement: Placement) -> RoutedMapping:
+    """Count the hops of the static XY route of every placed edge."""
+    grid = placement.grid
     mapping = RoutedMapping(placement=placement)
     for edge in placement.graph.edges():
         src_unit = placement.unit_of(edge.src)
         dst_unit = placement.unit_of(edge.dst)
-        key = (edge.src, edge.dst, edge.dst_port)
-        if src_unit is None or dst_unit is None:
-            # Edges from unplaced sources (thread-ID injection) have no route.
-            mapping.edge_hops[key] = 0
-            mapping.edge_routes[key] = ()
-            mapping.pair_hops.setdefault((edge.src, edge.dst), 0)
-            continue
-        try:
-            route = noc.route(src_unit, dst_unit)
-        except RoutingError as exc:  # pragma: no cover - defensive
-            raise RoutingError(
-                f"failed to route edge {edge.src}->{edge.dst}: {exc}"
-            ) from exc
-        mapping.edge_hops[key] = len(route)
-        mapping.edge_routes[key] = tuple(route)
-        mapping.pair_hops.setdefault((edge.src, edge.dst), len(route))
-        for link in route:
-            mapping.link_load[link] = mapping.link_load.get(link, 0) + 1
+        # Edges from unplaced sources (thread-ID injection) have no route.
+        hops = 0 if src_unit is None or dst_unit is None else grid.distance(src_unit, dst_unit)
+        mapping.edge_hops[(edge.src, edge.dst, edge.dst_port)] = hops
+        mapping.pair_hops.setdefault((edge.src, edge.dst), hops)
     return mapping

@@ -126,7 +126,7 @@ def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> 
         graph=working,
         config=config,
         pass_results=tuple(results),
-        mapping=route_placement(placement, config.noc),
+        mapping=route_placement(placement),
     )
 
     # Deferred import: the analyzer's critical-path pass reaches into the

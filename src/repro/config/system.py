@@ -157,14 +157,11 @@ class NocConfig:
     """Statically routed network-on-chip parameters."""
 
     hop_latency: int = 1
-    link_bandwidth_tokens: int = 2
     injection_latency: int = 1
 
     def validate(self) -> None:
         if self.hop_latency < 0:
             raise ConfigurationError("hop_latency must be non-negative")
-        if self.link_bandwidth_tokens <= 0:
-            raise ConfigurationError("link_bandwidth_tokens must be positive")
 
 
 @dataclass(frozen=True)

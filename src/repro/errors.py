@@ -14,7 +14,6 @@ __all__ = [
     "KernelBuildError",
     "CompilationError",
     "MappingError",
-    "RoutingError",
     "SimulationError",
     "DeadlockError",
     "MemoryModelError",
@@ -52,10 +51,6 @@ class CompilationError(ReproError):
 
 class MappingError(CompilationError):
     """The mapper could not place the graph onto the CGRA grid."""
-
-
-class RoutingError(CompilationError):
-    """The mapper could not route a placed graph on the NoC."""
 
 
 class SimulationError(ReproError):

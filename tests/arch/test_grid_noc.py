@@ -1,12 +1,10 @@
-"""Tests for the physical grid and the NoC model."""
-
-import pytest
+"""Tests for the physical grid and the static NoC routes across it."""
 
 from repro.arch.grid import PhysicalGrid
-from repro.arch.noc import Link, Noc
-from repro.config.system import CgraGridConfig, NocConfig
-from repro.errors import RoutingError
+from repro.compiler.pipeline import compile_kernel
+from repro.config.system import CgraGridConfig
 from repro.graph.opcodes import UnitClass
+from repro.workloads.registry import get_workload
 
 
 def test_grid_matches_table2_inventory():
@@ -44,23 +42,17 @@ def test_manhattan_distance():
 
 
 def test_noc_xy_route_length_equals_manhattan_distance():
-    grid = PhysicalGrid(CgraGridConfig())
-    noc = Noc(grid, NocConfig())
-    route = noc.route(0, 25)
-    assert len(route) == grid.distance(0, 25)
-    # An uncontended token pays the injection latency plus one cycle per hop.
-    assert noc.send(0, 25, cycle=0) == 1 + len(route)
-
-
-def test_noc_link_contention_delays_tokens():
-    grid = PhysicalGrid(CgraGridConfig())
-    noc = Noc(grid, NocConfig(link_bandwidth_tokens=1))
-    first = noc.send(0, 1, cycle=0)
-    second = noc.send(0, 1, cycle=0)
-    assert second > first
-    assert noc.stats.contention_cycles >= 1
-
-
-def test_link_must_connect_adjacent_tiles():
-    with pytest.raises(RoutingError):
-        Link(0, 0, 2, 0)
+    """Every routed edge is charged the XY hop count between its tiles."""
+    launch = get_workload("matrixMul").prepare({"dim": 8}, seed=0).launch("dmt")
+    mapping = compile_kernel(launch.graph).mapping
+    placement = mapping.placement
+    routed = 0
+    for (src, dst, _port), hops in mapping.edge_hops.items():
+        src_unit, dst_unit = placement.unit_of(src), placement.unit_of(dst)
+        if src_unit is None or dst_unit is None:
+            assert hops == 0
+            continue
+        a, b = placement.grid.unit(src_unit), placement.grid.unit(dst_unit)
+        assert hops == abs(a.row - b.row) + abs(a.col - b.col)
+        routed += 1
+    assert routed and mapping.total_hops > 0

@@ -10,7 +10,7 @@ from repro.arch.grid import PhysicalGrid
 from repro.compiler.mapper.placement import AnnealingRefiner, GreedyPlacer, Placement, place_graph
 from repro.compiler.mapper.routing import route_placement
 from repro.compiler.pipeline import compile_kernel
-from repro.config.system import CgraGridConfig, NocConfig
+from repro.config.system import CgraGridConfig
 from repro.graph.opcodes import UnitClass
 from repro.harness.figures import DEFAULT_SUITE_PARAMS
 from repro.workloads.convolution import ConvolutionWorkload
@@ -56,7 +56,7 @@ def test_routing_produces_hops_for_every_placed_edge():
     graph = _graph()
     grid = PhysicalGrid(CgraGridConfig())
     placement = place_graph(graph, grid, anneal_iterations=200)
-    mapping = route_placement(placement, NocConfig())
+    mapping = route_placement(placement)
     assert len(mapping.edge_hops) == graph.num_edges()
     assert mapping.total_hops >= 0
     assert mapping.mean_hops >= 0.0

@@ -121,7 +121,7 @@ def test_component_validation_errors():
     with pytest.raises(ConfigurationError):
         TokenBufferConfig(entries=0).validate()
     with pytest.raises(ConfigurationError):
-        NocConfig(link_bandwidth_tokens=0).validate()
+        NocConfig(hop_latency=-1).validate()
     with pytest.raises(ConfigurationError):
         DramConfig(channels=0).validate()
     with pytest.raises(ConfigurationError):
