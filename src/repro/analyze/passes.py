@@ -247,16 +247,68 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
 
 
 # ----------------------------------------------------------- scratch-race pass
-def _reachable(successors: dict[int, list[int]], start: int) -> set[int]:
-    seen: set[int] = set()
-    stack = list(successors.get(start, []))
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
+def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
+    """Per node, the OR of ``bit`` over the nodes reachable in one or more edges.
+
+    ``bit`` maps each scratch node to its own bit.  One iterative Tarjan pass
+    closes each strongly connected component after every component it
+    reaches, so a component's set is the union over its outgoing edges of
+    the target's bit and set — plus its own scratch bits when it holds a
+    cycle.  Every edge is visited twice, whatever the number of scratch
+    nodes.
+    """
+    successors: dict[int, list[int]] = {n.node_id: [] for n in graph.nodes}
+    for edge in graph.edges():
+        successors[edge.src].append(edge.dst)
+    reach: dict[int, int] = {}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    for root in successors:
+        if root in index:
             continue
-        seen.add(nid)
-        stack.extend(successors.get(nid, []))
-    return seen
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            nid, pending = work[-1]
+            for succ in pending:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(successors[succ])))
+                    break
+                if succ in on_stack:
+                    low[nid] = min(low[nid], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[nid])
+                if low[nid] != index[nid]:
+                    continue
+                component = [stack.pop()]
+                while component[-1] != nid:
+                    component.append(stack.pop())
+                on_stack.difference_update(component)
+                members = set(component)
+                cyclic = len(component) > 1
+                bits = 0
+                for member in component:
+                    for succ in successors[member]:
+                        if succ in members:
+                            cyclic = True
+                        else:
+                            bits |= bit.get(succ, 0) | reach[succ]
+                if cyclic:
+                    for member in component:
+                        bits |= bit.get(member, 0)
+                for member in component:
+                    reach[member] = bits
+    return reach
 
 
 def scratch_race_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
@@ -273,19 +325,15 @@ def scratch_race_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
     scratch_nodes = graph.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
     if not scratch_nodes:
         return []
-    successors: dict[int, list[int]] = {n.node_id: [] for n in graph.nodes}
-    for edge in graph.edges():
-        successors[edge.src].append(edge.dst)
-    reach: dict[int, set[int]] = {
-        node.node_id: _reachable(successors, node.node_id) for node in scratch_nodes
-    }
+    bit = {node.node_id: 1 << i for i, node in enumerate(scratch_nodes)}
+    reach = _scratch_reach(graph, bit)
 
     by_array: dict[str, list[Node]] = {}
     for node in scratch_nodes:
         by_array.setdefault(str(node.param("array")), []).append(node)
 
     def ordered(a: int, b: int) -> bool:
-        return b in reach[a] or a in reach[b]
+        return bool(reach[a] & bit[b] or reach[b] & bit[a])
 
     out: list[Diagnostic] = []
     for array, nodes in sorted(by_array.items()):

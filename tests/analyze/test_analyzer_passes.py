@@ -1,10 +1,13 @@
 """Pathological kernels hit exact RA0xx codes; clean kernels stay clean."""
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.analyze import analyze_kernel
+from repro.analyze.passes import scratch_race_diagnostics
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import TokenBufferConfig, default_system_config
 from repro.kernel.builder import KernelBuilder
@@ -135,6 +138,61 @@ def test_barrier_ordered_scratch_traffic_is_clean():
     result = analyze_kernel(compile_kernel(b.finish()))
     assert "RA020" not in result.codes()
     assert "RA021" not in result.codes()
+
+
+def _staged_chain(stages: int):
+    """``stages`` store -> barrier -> load stages, each through its own array.
+
+    Every load feeds the next stage's store, so every scratch access
+    reaches every later one.  One array per stage keeps the number of
+    same-array pairs the pass must judge linear in ``stages``, so the only
+    super-linear cost left to catch is the reachability walk.
+    """
+    n = 8
+    b = KernelBuilder(f"chain{stages}", n)
+    b.global_array("out", n)
+    tid = b.thread_idx_x()
+    value = tid
+    for stage in range(stages):
+        b.scratch_array(f"s{stage}", n)
+        bar = b.barrier(b.scratch_store(f"s{stage}", tid, value))
+        value = b.scratch_load(f"s{stage}", tid, order=bar)
+    b.store("out", tid, value)
+    return b.finish()
+
+
+def _traced_lines(fn, *args) -> int:
+    """Lines of ``repro`` code executed by ``fn(*args)`` (a host-independent cost)."""
+    root = str(Path(scratch_race_diagnostics.__code__.co_filename).parents[1])
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(root) else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_scratch_race_pass_is_linear_in_a_staged_chain():
+    """Doubling the chain at most about doubles the pass's work.
+
+    A walk from every scratch node visits the rest of the chain once per
+    node, which quadruples the count per doubling.
+    """
+    cost = [_traced_lines(scratch_race_diagnostics, _staged_chain(s)) for s in (16, 32, 64)]
+    assert not scratch_race_diagnostics(_staged_chain(4))
+    assert cost[1] <= 2.1 * cost[0] and cost[2] <= 2.1 * cost[1], cost
 
 
 def test_unbounded_elevator_flags_ra030():
