@@ -25,7 +25,6 @@ __all__ = [
     "coerce",
     "converter",
     "pure_function",
-    "python_value",
 ]
 
 _INT_MASK = 0xFFFFFFFF
@@ -46,13 +45,6 @@ def converter(dtype: DType) -> type:
 def coerce(value: float | int | bool, dtype: DType) -> float | int | bool:
     """Coerce ``value`` to the Python representation of ``dtype``."""
     return _CONVERTERS[dtype](value)
-
-
-def python_value(value: float | int | bool) -> float | int | bool:
-    """Normalise numpy scalars to plain Python values."""
-    if hasattr(value, "item"):
-        return value.item()
-    return value
 
 
 def _int_div(o: Sequence) -> int:

@@ -22,13 +22,12 @@ tracing-off overhead at <= 2% on the engine-speedup rows.
 from repro.obs.log import configure, get_logger
 from repro.obs.metrics import REGISTRY, MetricsRegistry, timer
 from repro.obs.profile import node_profile, render_heatmap, render_node_profile, total_activity
-from repro.obs.trace import ChromeTracer, Tracer, active_mode, active_tracer, tracing
+from repro.obs.trace import ChromeTracer, active_mode, active_tracer, tracing
 
 __all__ = [
     "ChromeTracer",
     "MetricsRegistry",
     "REGISTRY",
-    "Tracer",
     "active_mode",
     "active_tracer",
     "configure",

@@ -52,7 +52,7 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Iterator, Protocol
+from typing import Any, Iterator
 
 __all__ = [
     "HOST_PID",
@@ -60,7 +60,6 @@ __all__ = [
     "MEM_LANE",
     "CORE_LANE",
     "ChromeTracer",
-    "Tracer",
     "active_mode",
     "active_tracer",
     "tracing",
@@ -78,46 +77,6 @@ _LANE_NAMES = {INJECT_LANE: "inject", MEM_LANE: "memory", CORE_LANE: "core"}
 #: Cap on the number of change points emitted per derived counter track;
 #: beyond it the sweep is thinned evenly so exports stay viewer-friendly.
 _MAX_COUNTER_POINTS = 20_000
-
-
-class Tracer(Protocol):
-    """The hook surface the engines emit into.
-
-    :class:`ChromeTracer` is the recording implementation; "off" is not a
-    no-op object but the absence of a tracer (``active_tracer() is
-    None``), which the engines test with one branch per hook site.
-    """
-
-    def event(
-        self,
-        name: str,
-        cat: str,
-        ts: float,
-        dur: float = 0.0,
-        pid: int = 0,
-        tid: int = 0,
-        args: dict[str, Any] | None = None,
-    ) -> None: ...
-
-    def instant(
-        self,
-        name: str,
-        cat: str,
-        ts: float,
-        pid: int = 0,
-        tid: int = 0,
-        args: dict[str, Any] | None = None,
-    ) -> None: ...
-
-    def clock(self) -> float: ...
-
-    def wall_event(
-        self, name: str, start_us: float, args: dict[str, Any] | None = None
-    ) -> None: ...
-
-    def set_process_name(self, pid: int, name: str) -> None: ...
-
-    def set_lane_name(self, pid: int, tid: int, name: str) -> None: ...
 
 
 class ChromeTracer:

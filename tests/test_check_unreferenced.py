@@ -63,3 +63,18 @@ def test_allowlisted_member_passes(tmp_path):
         f"from repro.widgets import {owner}\n",
     )
     assert _dead(root) == []
+
+
+def test_name_only_listed_in_all_and_reexported_is_caught(tmp_path):
+    root = _tree(
+        tmp_path,
+        '__all__ = ["Widget", "listed_only"]\n\n\n'
+        "class Widget:\n    pass\n\n\n"
+        "def listed_only():\n    return 1\n",
+        "from repro.widgets import Widget\n",
+    )
+    (root / "src" / "repro" / "__init__.py").write_text(
+        'from repro.widgets import Widget, listed_only\n\n__all__ = ["Widget", "listed_only"]\n',
+        encoding="utf-8",
+    )
+    assert _dead(root) == ["listed_only"]

@@ -6,9 +6,12 @@ public definitions: module-level functions and classes, and the methods,
 properties and nested classes of every class (names without a leading
 underscore).  A definition passes when its name occurs as an identifier
 anywhere in the scanned tree *outside its own definition* — a call, an
-attribute access, an import, a string key, a docs mention.  A name that
-occurs nowhere else is API that no code path, test, benchmark, example
-or document reaches, and fails the lint.
+attribute access, an import, a string key, a docs mention.  Two kinds of
+mention only list a name and do not count: an entry of an ``__all__``
+list, and a ``from ... import`` in a ``src/repro`` package
+``__init__.py`` (a re-export).  A name that occurs nowhere else is API
+that no code path, test, benchmark, example or document reaches, and
+fails the lint.
 
 The scan covers the ``*.py`` and ``*.md`` files of ``src/ tests/
 benchmarks/ perfbench/ tools/ examples/ docs/`` and ``README.md``.  This
@@ -97,16 +100,41 @@ def scanned_files(root: Path) -> list[Path]:
     return files
 
 
+def _listing_lines(path: Path, text: str, package: Path) -> set[int]:
+    """Line numbers of the statements in ``path`` that only list names.
+
+    Those are ``__all__`` assignments anywhere, and ``from ... import``
+    re-exports in a package ``__init__.py`` under ``package``.
+    """
+    if path.suffix != ".py":
+        return set()
+    reexports = path.name == "__init__.py" and package in path.parents
+    found: set[int] = set()
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            listing = any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+        else:
+            listing = reexports and isinstance(node, ast.ImportFrom)
+        if listing:
+            found.update(range(node.lineno, (node.end_lineno or node.lineno) + 1))
+    return found
+
+
 def unreferenced(root: Path) -> list[Definition]:
     """Every public definition under ``root/src/repro`` used nowhere else."""
+    package = root / "src" / "repro"
     lines: dict[Path, list[str]] = {}
     counts: Counter[str] = Counter()
     for path in scanned_files(root):
         text = path.read_text(encoding="utf-8", errors="replace")
         lines[path] = text.splitlines()
-        counts.update(_IDENT.findall(text))
+        skip = _listing_lines(path, text, package)
+        for number, line in enumerate(lines[path], 1):
+            if number not in skip:
+                counts.update(_IDENT.findall(line))
     dead: list[Definition] = []
-    for path in sorted((root / "src" / "repro").rglob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for definition in definitions(path):
             own_span = lines[path][definition.first_line - 1 : definition.last_line]
             own = sum(_IDENT.findall(line).count(definition.name) for line in own_span)
