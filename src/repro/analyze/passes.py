@@ -264,13 +264,11 @@ def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
-    on_stack: set[int] = set()
     for root in successors:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
         work = [(root, iter(successors[root]))]
         while work:
             nid, pending = work[-1]
@@ -278,10 +276,9 @@ def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
                 if succ not in index:
                     index[succ] = low[succ] = len(index)
                     stack.append(succ)
-                    on_stack.add(succ)
                     work.append((succ, iter(successors[succ])))
                     break
-                if succ in on_stack:
+                if succ not in reach:  # still on the stack
                     low[nid] = min(low[nid], index[succ])
             else:
                 work.pop()
@@ -293,7 +290,6 @@ def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
                 component = [stack.pop()]
                 while component[-1] != nid:
                     component.append(stack.pop())
-                on_stack.difference_update(component)
                 members = set(component)
                 cyclic = len(component) > 1
                 bits = 0
