@@ -46,6 +46,10 @@ __all__ = ["Placement", "GreedyPlacer", "AnnealingRefiner", "place_graph"]
 #: Node classes that are not placed on the grid (handled by the streamer/sinks).
 UNPLACED_CLASSES = frozenset({UnitClass.SOURCE})
 
+#: :func:`place_graph`'s annealing iteration count and seed.
+ANNEAL_ITERATIONS = 1500
+ANNEAL_SEED = 0xC6A4
+
 
 @dataclass
 class Placement:
@@ -256,8 +260,8 @@ class AnnealingRefiner:
 def place_graph(
     graph: DataflowGraph,
     grid: PhysicalGrid,
-    anneal_iterations: int = 1500,
-    seed: int = 0xC6A4,
+    anneal_iterations: int = ANNEAL_ITERATIONS,
+    seed: int = ANNEAL_SEED,
 ) -> Placement:
     """Greedy seed followed by annealing refinement."""
     seed_placement = GreedyPlacer(grid).place(graph)

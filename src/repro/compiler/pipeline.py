@@ -9,11 +9,17 @@ The output, a :class:`CompiledKernel`, is what both simulators consume.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.arch.grid import PhysicalGrid
-from repro.compiler.mapper.placement import place_graph
+from repro.compiler.mapper.placement import (
+    ANNEAL_ITERATIONS,
+    ANNEAL_SEED,
+    Placement,
+    place_graph,
+)
 from repro.compiler.mapper.routing import RoutedMapping, route_placement
 from repro.compiler.passes.base import PassResult
 from repro.compiler.passes.cascade import CascadeElevatorsPass
@@ -27,7 +33,7 @@ from repro.graph.dfg import DataflowGraph
 from repro.graph.opcodes import Opcode
 from repro.graph.validate import validate_graph
 
-__all__ = ["CompiledKernel", "compile_kernel"]
+__all__ = ["CompiledKernel", "compile_kernel", "placement_memo"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,42 @@ class CompiledKernel:
         return "\n".join(lines)
 
 
+@dataclass(unsafe_hash=True)
+class _PlacementInput:
+    """Everything :func:`place_graph` reads, compared and hashed by ``key``.
+
+    The key holds the grid config, the annealer's iteration count and
+    seed, the nodes in insertion order as ``(node_id, opcode, dtype)``
+    (unit classes and temporal edges derive from these) and the edges in
+    ``graph.edges()`` order as ``(src, dst)`` (Kahn's order and the
+    annealer's node order follow it).  ``graph`` and ``grid`` carry a
+    miss to the search and are dropped once it has run, so the memo keeps
+    keys and assignments only.
+    """
+
+    key: tuple
+    graph: DataflowGraph | None = field(compare=False)
+    grid: PhysicalGrid | None = field(compare=False)
+
+    @classmethod
+    def of(cls, graph: DataflowGraph, grid: PhysicalGrid) -> "_PlacementInput":
+        nodes = tuple((n.node_id, n.opcode, n.dtype) for n in graph.nodes)
+        edges = tuple((e.src, e.dst) for e in graph.edges())
+        return cls((grid.config, ANNEAL_ITERATIONS, ANNEAL_SEED, nodes, edges), graph, grid)
+
+
+@functools.lru_cache(maxsize=64)
+def placement_memo(request: _PlacementInput) -> tuple[tuple[int, int], ...]:
+    """The ``node_to_unit`` items :func:`place_graph` gives ``request``.
+
+    Process-local and thread-safe; ``cache_info()`` feeds ``GET
+    /v1/stats`` and ``cache_clear()`` forces the next compile to search.
+    """
+    placement = place_graph(request.graph, request.grid, ANNEAL_ITERATIONS, ANNEAL_SEED)
+    request.graph = request.grid = None
+    return tuple(placement.node_to_unit.items())
+
+
 def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> CompiledKernel:
     """Compile a kernel graph for the configured dMT-CGRA system.
 
@@ -95,7 +137,8 @@ def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> 
     one that changed the graph), places and routes it on one grid layout,
     and analyzes the result once; each error-severity finding becomes a
     :class:`UserWarning`.  The input graph is not modified; compilation
-    operates on a copy.
+    operates on a copy.  The placement search runs once per placement
+    input (:data:`placement_memo`); a repeat reuses its assignment.
     """
     config = config or default_system_config()
     working = graph.copy()
@@ -121,7 +164,8 @@ def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> 
         if result.changed:
             validate_graph(working)
 
-    placement = place_graph(working, PhysicalGrid(config.grid))
+    grid = PhysicalGrid(config.grid)
+    placement = Placement(working, grid, dict(placement_memo(_PlacementInput.of(working, grid))))
     compiled = CompiledKernel(
         graph=working,
         config=config,

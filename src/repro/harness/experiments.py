@@ -159,7 +159,7 @@ def run_workload(
     if architecture == "fermi":
         program = prepared.fermi_program()
         with timer("simulate") as span:
-            result = run_fermi(program, prepared.fermi_inputs(), config=config)
+            result = run_fermi(program, prepared.fermi_inputs(program), config=config)
         phases["simulate"] = span.seconds
         with timer("report") as span:
             counters = result.counters()

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.analyze.manager import analyze_kernel
-from repro.compiler.pipeline import compile_kernel
+from repro.compiler.pipeline import compile_kernel, placement_memo
 from repro.config.system import SystemConfig
 from repro.errors import ExplorationError
 from repro.explore.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -372,11 +372,18 @@ class SimulationService:
         """``GET /v1/stats`` — counters, hit ratios and phase timers."""
         self.metrics.inc("serve.requests.stats")
         metrics = self.metrics
+        placements = placement_memo.cache_info()
         return 200, {
             "uptime_s": time.monotonic() - self._started_at,
             "workers": self.workers,
             "store": {"path": str(self.store.path), "records": len(self.store)},
             "kernel_lru": self.kernels.stats(),
+            "placements": {
+                "hits": placements.hits,
+                "misses": placements.misses,
+                "size": placements.currsize,
+                "capacity": placements.maxsize,
+            },
             "cache": {
                 "lookups": metrics.counter("serve.lookups"),
                 "hits": metrics.counter("serve.cache.hits"),

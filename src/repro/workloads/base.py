@@ -63,8 +63,8 @@ class PreparedWorkload:
     def fermi_program(self) -> SimtProgram:
         return self.workload.build_fermi(self.params)
 
-    def fermi_inputs(self) -> dict[str, np.ndarray]:
-        program = self.fermi_program()
+    def fermi_inputs(self, program: SimtProgram) -> dict[str, np.ndarray]:
+        """The inputs ``program`` (this workload's Fermi build) reads."""
         return {k: v for k, v in self.inputs.items() if k in program.arrays}
 
     def check_outputs(

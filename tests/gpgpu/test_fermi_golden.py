@@ -36,7 +36,8 @@ CELLS = [(workload, size) for workload in paper_workloads() for size in SIZES]
 
 def _measure(workload, size) -> dict:
     prepared = workload.prepare(SIZES[size].get(workload.name))
-    result = run_fermi(prepared.fermi_program(), prepared.fermi_inputs())
+    program = prepared.fermi_program()
+    result = run_fermi(program, prepared.fermi_inputs(program))
     return {
         "cycles": result.cycles,
         "counters": result.counters(),

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.compiler.pipeline import placement_memo
 from repro.explore.runner import run_campaign
 from repro.explore.spec import CampaignSpec
 from repro.harness.experiments import run_workload
@@ -203,6 +204,22 @@ def test_stats_reports_counters_and_hit_ratio(server):
     assert stats["store"]["records"] >= 1
     assert stats["inflight"] == 0
     assert stats["kernel_lru"]["size"] >= 1
+
+
+def test_core_count_sweep_places_the_kernel_once(server):
+    placement_memo.cache_clear()
+    body = {**BODY, "seed": 11}  # fresh keys, guaranteed cold
+    _, two = server.request("POST", "/v1/simulate", {**body, "config": {"cores": 2}})
+    _, four = server.request("POST", "/v1/simulate", {**body, "config": {"cores": 4}})
+    assert two["cache"] == four["cache"] == "miss"
+    assert two["record"]["result"]["outputs_digest"] == four["record"]["result"]["outputs_digest"]
+
+    status, stats = server.request("GET", "/v1/stats")
+    assert status == 200
+    placements = stats["placements"]
+    assert (placements["misses"], placements["hits"]) == (1, 1)
+    assert placements["size"] == 1
+    assert placements["capacity"] >= 1
 
 
 def test_http_error_paths(server):

@@ -98,7 +98,7 @@ def test_dataflow_variants_match_reference_on_cycle_simulator(name, variant):
 def test_fermi_variant_matches_reference(name):
     prepared = _prepared(name)
     program = prepared.fermi_program()
-    result = run_fermi(program, prepared.fermi_inputs())
+    result = run_fermi(program, prepared.fermi_inputs(program))
     prepared.check_outputs({k: result.array(k) for k in prepared.expected})
 
 
