@@ -1,7 +1,9 @@
 """Fail-fast smoke target for both simulation engines and the sharding layer.
 
-Runs the tier-1 test suite, then a 256-thread matmul on the event and
-batched engines (outputs bit-identical, operation counters equal), then
+Runs the tier-1 test suite, then a 256-thread matmul (``stream`` and the
+eLDST-forwarding ``dmt``) on the event engine and on its ``auto`` engine
+(batched, window-batched; outputs bit-identical, operation counters
+equal), then
 an ``mt`` kernel (whole-block barrier plus scratchpad, window-batched)
 and ``scan dmt`` (ELEVATOR recurrence, event-only) on their ``auto``
 engines against the functional interpreter (outputs bit-identical),
@@ -49,6 +51,15 @@ def run_tests() -> int:
     )
 
 
+#: matrixMul variants run on the event engine and on the engine ``auto``
+#: resolves to, with the counters that must match: the plain streaming
+#: kernel, and the 2-D eLDST row/column forwarding of ``dmt``.
+ENGINE_KERNELS = (
+    ("stream", "batched", COMPARED_COUNTERS),
+    ("dmt", "window-batched", COMPARED_COUNTERS + ("eldst_forwards", "eldst_memory_loads")),
+)
+
+
 def run_engine_smoke() -> int:
     import numpy as np
 
@@ -58,39 +69,45 @@ def run_engine_smoke() -> int:
 
     workload = get_workload("matrixMul")
     prepared = workload.prepare({"dim": 16})  # 16x16 block = 256 threads
-    compiled = compile_kernel(prepared.launch("stream").graph)
+    for variant, batched_engine, counters in ENGINE_KERNELS:
+        compiled = compile_kernel(prepared.launch(variant).graph)
+        results = {}
+        for engine in ("event", "auto"):
+            start = time.perf_counter()
+            result = simulate(compiled, prepared.launch(variant), engine=engine)
+            elapsed = time.perf_counter() - start
+            log.info(f"  {result.engine:<14} 256-thread matmul {variant}: {elapsed:.2f}s, "
+                     f"{result.cycles} cycles")
+            RESULTS.append(
+                {
+                    "check": "engine",
+                    "engine": result.engine,
+                    "kernel": f"matrixMul/{variant}",
+                    "seconds": elapsed,
+                    "cycles": result.cycles,
+                }
+            )
+            results[engine] = result
 
-    results = {}
-    for engine in ("event", "batched"):
-        start = time.perf_counter()
-        results[engine] = simulate(
-            compiled, prepared.launch("stream"), engine=engine
-        )
-        elapsed = time.perf_counter() - start
-        log.info(f"  {engine:<8} 256-thread matmul: {elapsed:.2f}s, "
-                 f"{results[engine].cycles} cycles")
-        RESULTS.append(
-            {
-                "check": "engine",
-                "engine": engine,
-                "seconds": elapsed,
-                "cycles": results[engine].cycles,
-            }
-        )
-
-    event, batched = results["event"], results["batched"]
-    if not np.array_equal(event.array("c"), batched.array("c")):
-        log.error("FAIL: engines disagree on matmul outputs")
-        return 1
-    prepared.check_outputs({"c": batched.array("c")})
-    event_counters = event.stats.as_dict()
-    batched_counters = batched.stats.as_dict()
-    for counter in COMPARED_COUNTERS:
-        if event_counters[counter] != batched_counters[counter]:
-            log.error(f"FAIL: {counter} differs between engines "
-                      f"(event={event_counters[counter]}, batched={batched_counters[counter]})")
+        event, batched = results["event"], results["auto"]
+        if batched.engine != batched_engine:
+            log.error(f"FAIL: matmul {variant} ran on {batched.engine}, "
+                      f"expected {batched_engine}")
             return 1
-    log.info("  engines agree: outputs bit-identical, op counters equal")
+        if not np.array_equal(event.array("c"), batched.array("c")):
+            log.error(f"FAIL: engines disagree on matmul {variant} outputs")
+            return 1
+        prepared.check_outputs({"c": batched.array("c")})
+        event_counters = event.stats.as_dict()
+        batched_counters = batched.stats.as_dict()
+        for counter in counters:
+            if event_counters[counter] != batched_counters[counter]:
+                log.error(f"FAIL: matmul {variant} {counter} differs between engines "
+                          f"(event={event_counters[counter]}, "
+                          f"{batched.engine}={batched_counters[counter]})")
+                return 1
+        log.info(f"  engines agree on matmul {variant}: outputs bit-identical, "
+                 f"op counters equal")
     return 0
 
 
@@ -231,7 +248,7 @@ def main(argv: list[str]) -> int:
         rc = run_tests()
         if rc:
             return rc
-    log.info("== engine smoke (matmul, 256 threads, both engines) ==")
+    log.info("== engine smoke (matmul stream + dmt, 256 threads, event vs auto) ==")
     rc = run_engine_smoke()
     if rc == 0:
         log.info("== functional smoke (mt barrier + scratchpad, scan dmt recurrence) ==")

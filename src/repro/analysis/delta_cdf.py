@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import eldst_source, elevator_source
+from repro.graph.interthread import producer_map
 from repro.graph.opcodes import Opcode
 
 __all__ = ["DeltaSample", "TransmissionCdf", "collect_delta_samples", "build_cdf"]
@@ -66,15 +68,9 @@ class TransmissionCdf:
         return max((s.distance for s in self.samples), default=0)
 
 
-def _dynamic_tokens(graph: DataflowGraph, node, source_fn) -> int:
+def _dynamic_tokens(graph: DataflowGraph, node) -> int:
     """Number of threads whose producer exists for this communication node."""
-    block_dim = tuple(graph.metadata["block_dim"])
-    num_threads = int(graph.metadata["num_threads"])
-    return sum(
-        1
-        for tid in range(num_threads)
-        if source_fn(node, tid, block_dim, num_threads) is not None
-    )
+    return int(np.count_nonzero(producer_map(node, graph.metadata["block_dim"]) >= 0))
 
 
 def collect_delta_samples(graphs: Iterable[DataflowGraph]) -> list[DeltaSample]:
@@ -83,7 +79,7 @@ def collect_delta_samples(graphs: Iterable[DataflowGraph]) -> list[DeltaSample]:
     for graph in graphs:
         for node in graph.nodes_with_opcode(Opcode.ELEVATOR):
             distance = abs(int(node.param("cascade_total_delta", node.param("delta"))))
-            tokens = _dynamic_tokens(graph, node, elevator_source)
+            tokens = _dynamic_tokens(graph, node)
             samples.append(
                 DeltaSample(
                     kernel=graph.name,
@@ -94,7 +90,7 @@ def collect_delta_samples(graphs: Iterable[DataflowGraph]) -> list[DeltaSample]:
             )
         for node in graph.nodes_with_opcode(Opcode.ELDST):
             distance = abs(int(node.param("delta")))
-            tokens = _dynamic_tokens(graph, node, eldst_source)
+            tokens = _dynamic_tokens(graph, node)
             samples.append(
                 DeltaSample(
                     kernel=graph.name,

@@ -69,6 +69,8 @@ class DataflowGraph:
                 f"operand {dst_port} of {self._nodes[dst_id].label()} is already driven"
             )
         info = opcode_info(self._nodes[dst_id].opcode)
+        if dst_port < 0:
+            raise GraphError(f"operand port must be non-negative, got {dst_port}")
         if dst_port >= info.max_arity:
             raise GraphError(
                 f"{self._nodes[dst_id].label()} accepts at most {info.max_arity} operands"

@@ -1,8 +1,8 @@
 """Shared semantics of inter-thread communication nodes.
 
-Both the functional interpreter and the cycle-level simulator must agree
-on *which* thread a value travels from/to; this module is the single
-source of truth for that question.
+The functional interpreter and both simulation engines must agree on
+*which* thread a value travels from/to; :func:`producer_map` is the
+single statement of that map, and every engine reads it as a table.
 
 Conventions
 -----------
@@ -37,11 +37,8 @@ __all__ = [
     "linearize",
     "unlinearize",
     "linear_offset",
-    "same_window",
-    "elevator_source",
-    "elevator_source_vec",
-    "elevator_destination",
-    "eldst_source",
+    "map_key",
+    "producer_map",
     "communication_windows",
     "subset_closed_under_window",
     "thread_subset_problem",
@@ -84,78 +81,41 @@ def linear_offset(offset: Sequence[int] | int, block_dim: Sequence[int]) -> int:
     return o[0] + o[1] * dx + o[2] * dx * dy
 
 
-def same_window(tid_a: int, tid_b: int, window: Optional[int]) -> bool:
-    """True if both linear TIDs fall in the same transmission window."""
-    if window is None:
-        return True
-    return (tid_a // window) == (tid_b // window)
+def map_key(node: Node) -> tuple:
+    """The identity of ``node``'s consumer→producer map.
 
-
-def _coord_source(
-    consumer: int, src_offset: Sequence[int], block_dim: Sequence[int]
-) -> Optional[int]:
-    dims = _normalize_dims(block_dim)
-    coord = unlinearize(consumer, block_dim)
-    off = tuple(int(v) for v in src_offset) + (0,) * (3 - len(tuple(src_offset)))
-    src = tuple(c + o for c, o in zip(coord, off))
-    if any(s < 0 or s >= d for s, d in zip(src, dims)):
-        return None
-    return linearize(src, block_dim)
-
-
-def elevator_source(
-    node: Node, consumer_tid: int, block_dim: Sequence[int], num_threads: int
-) -> Optional[int]:
-    """Return the producer TID for ``consumer_tid``, or None for the fallback constant."""
-    window = node.param("window")
-    src_offset = node.param("src_offset")
-    if src_offset is not None:
-        src = _coord_source(consumer_tid, src_offset, block_dim)
-    else:
-        src = consumer_tid - int(node.param("delta"))
-    if src is None or src < 0 or src >= num_threads:
-        return None
-    if not same_window(src, consumer_tid, window):
-        return None
-    return src
-
-
-def elevator_destination(
-    node: Node, producer_tid: int, block_dim: Sequence[int], num_threads: int
-) -> Optional[int]:
-    """Return the consumer TID that receives producer ``producer_tid``'s token."""
-    window = node.param("window")
-    src_offset = node.param("src_offset")
-    if src_offset is not None:
-        dst = _coord_source(producer_tid, [-v for v in src_offset], block_dim)
-    else:
-        dst = producer_tid + int(node.param("delta"))
-    if dst is None or dst < 0 or dst >= num_threads:
-        return None
-    if not same_window(producer_tid, dst, window):
-        return None
-    return dst
-
-
-def elevator_source_vec(
-    node: Node,
-    tids: "np.ndarray",
-    block_dim: Sequence[int],
-    num_threads: int,
-) -> "np.ndarray":
-    """Vectorised :func:`elevator_source`: producer TID per consumer, -1 for none.
-
-    The window-batched engine resolves a whole thread vector's
-    communication in one gather, so the consumer→producer map must be
-    computed as array arithmetic; this is the exact NumPy twin of the
-    scalar function above (coordinate bounds, window check, launch
-    bounds), pinned element-for-element by the engine's tests.
+    Two ELEVATOR/ELDST nodes with equal keys connect every pair of
+    threads alike, so an engine builds one table per key and every node
+    sharing the map shares it; spill and external-buffer parameters
+    change latency only.  The opcode is part of the key because an
+    eLDST table also marks the forwarding rule's receivers
+    (``consumer == producer + |delta|``), an ELEVATOR table does not.
     """
-    consumers = np.asarray(tids, dtype=np.int64)
+    offset = node.param("src_offset")
+    return (
+        node.opcode,
+        node.param("delta"),
+        None if offset is None else tuple(offset),
+        node.param("window"),
+    )
+
+
+def producer_map(node: Node, block_dim: Sequence[int]) -> np.ndarray:
+    """Producer TID of every launch thread through ``node``, -1 for none.
+
+    Entry ``c`` is the thread whose value consumer thread ``c`` receives:
+    ``c - delta``, or the thread ``src_offset`` away per coordinate when
+    the node has one.  A producer outside the block (per dimension for a
+    coordinate offset) or in another transmission window gives -1: the
+    ELEVATOR consumer then takes the fallback constant, the eLDST
+    consumer issues its own memory load.  This is the only statement of
+    the map; every engine reads it as a table.
+    """
+    dx, dy, dz = _normalize_dims(block_dim)
+    consumers = np.arange(dx * dy * dz, dtype=np.int64)
     window = node.param("window")
     src_offset = node.param("src_offset")
     if src_offset is not None:
-        dx, dy, dz = _normalize_dims(block_dim)
         off = tuple(int(v) for v in src_offset) + (0,) * (3 - len(tuple(src_offset)))
         sx = consumers % dx + off[0]
         sy = (consumers // dx) % dy + off[1]
@@ -166,25 +126,11 @@ def elevator_source_vec(
         src = sx + sy * dx + sz * dx * dy
     else:
         src = consumers - int(node.param("delta"))
-        valid = np.ones(consumers.shape, dtype=np.bool_)
-    valid &= (src >= 0) & (src < int(num_threads))
+        valid = (src >= 0) & (src < consumers.size)
     if window is not None:
         w = int(window)
         valid &= (src // w) == (consumers // w)
     return np.where(valid, src, np.int64(-1))
-
-
-def eldst_source(
-    node: Node, consumer_tid: int, block_dim: Sequence[int], num_threads: int
-) -> Optional[int]:
-    """Return the TID whose loaded value is forwarded to ``consumer_tid``.
-
-    ``None`` means the thread must fall back to issuing its own memory load
-    (this matches the paper's requirement that the predicate selects the
-    loading threads; a forwarding thread with an out-of-window source would
-    otherwise deadlock).
-    """
-    return elevator_source(node, consumer_tid, block_dim, num_threads)
 
 
 def subset_closed_under_window(
@@ -194,14 +140,14 @@ def subset_closed_under_window(
 
     Communication through a node with transmission window ``w`` never
     crosses a boundary between consecutive groups of ``w`` linear TIDs
-    (:func:`same_window`), so a thread subset that contains every window
+    (:func:`producer_map`), so a thread subset that contains every window
     it touches is closed under that node's communication — the legality
     condition for simulating the subset on its own core.
     """
     present = {int(t) for t in thread_ids}
     for group_start in {(tid // window) * window for tid in present}:
         # Threads in range(group_start, group_start + window) are exactly
-        # the ones same_window() groups with group_start.
+        # the ones sharing group_start's transmission window.
         for other in range(group_start, min(group_start + window, num_threads)):
             if other not in present:
                 return False
@@ -397,7 +343,7 @@ def window_batch_problem(graph) -> Optional[str]:
 
     A whole-block BARRIER is one group over the whole thread subset, and
     ELEVATOR/ELDST chains need no bounded ``window`` of their own: their
-    consumer→producer maps are static (:func:`elevator_source_vec`), so
+    consumer→producer maps are static (:func:`producer_map`), so
     chains bounded by coordinate geometry (e.g. the row/column forwarding
     of the paper's matrixMul) batch just as well — only *recurrences*
     are out of reach.

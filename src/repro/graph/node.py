@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.graph.opcodes import DType, Opcode, UnitClass, opcode_info
 
@@ -77,14 +77,13 @@ class Node:
         )
 
 
-@dataclass(frozen=True)
-class Edge:
-    """A directed dataflow edge: ``src`` output feeds ``dst`` operand ``dst_port``."""
+class Edge(NamedTuple):
+    """A directed dataflow edge: ``src`` output feeds ``dst`` operand ``dst_port``.
+
+    ``DataflowGraph.add_edge`` validates the port; edges are rebuilt on
+    every graph walk, so the tuple carries no check of its own.
+    """
 
     src: int
     dst: int
     dst_port: int
-
-    def __post_init__(self) -> None:
-        if self.dst_port < 0:
-            raise ValueError("dst_port must be non-negative")

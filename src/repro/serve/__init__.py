@@ -11,9 +11,9 @@ of O(recompile + resimulate):
   bodies into the same SHA-256 digests :mod:`repro.explore` caches by,
   so server, campaign runner and offline tools share one key space.
 * **Memoisation** (:mod:`repro.serve.cache`,
-  :class:`~repro.explore.cache.ResultCache`): an in-process LRU of live
-  :class:`~repro.compiler.pipeline.CompiledKernel` objects answers
-  repeat compiles; the explore subsystem's persistent JSONL store
+  :class:`~repro.explore.cache.ResultCache`): an in-process LRU of
+  compile responses (kernel summary, analysis, report) answers repeat
+  compiles; the explore subsystem's persistent JSONL store
   answers repeat simulations — and single-flight deduplication collapses
   N concurrent identical requests into one worker-pool simulation.
 * **Characterization tables** aggregate a kernel's cached records into

@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel-lru",
         type=int,
         default=64,
-        help="compiled kernels kept live in memory (default: %(default)s)",
+        help="compile responses kept in memory (default: %(default)s)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress request logging")
     return parser

@@ -6,8 +6,8 @@ Three layers make repeat traffic O(lookup):
    content-addressed JSONL :class:`~repro.explore.cache.ResultCache`,
    shared verbatim (same directory, same schema), so campaigns pre-warm
    the server and served traffic back-fills campaigns;
-2. the **in-process kernel LRU** (:class:`KernelLRU`) holding live
-   :class:`~repro.compiler.pipeline.CompiledKernel` objects keyed by
+2. the **in-process kernel LRU** (:class:`KernelLRU`) holding the
+   ``/v1/compile`` payload of each compiled kernel, keyed by
    ``kernel digest + config digest`` — compilation is pure w.r.t. those
    identities, so a bounded map of the hottest kernels answers repeat
    ``/v1/compile`` traffic without touching the compiler;
@@ -27,7 +27,7 @@ __all__ = ["KernelLRU", "SingleFlight"]
 
 
 class KernelLRU:
-    """Bounded least-recently-used map (used for compiled kernels).
+    """Bounded least-recently-used map (used for compile payloads).
 
     Not thread-safe by design: the server only touches it from the event
     loop.  ``hits``/``misses`` feed ``GET /v1/stats``.

@@ -62,15 +62,34 @@ log = get_logger("serve")
 
 def _compile_point(
     workload: str, variant: str, params: Mapping[str, Any], config: SystemConfig
-):
-    """Worker-side compile: build the graph, compile, analyze (blocking)."""
+) -> dict[str, Any]:
+    """Worker-side compile: build the graph, compile, analyze (blocking).
+
+    Returns the ``POST /v1/compile`` payload; the compiled kernel itself
+    is dropped here, since no response reads it.
+    """
     graph = build_graph(workload, variant, params)
     with warnings.catch_warnings():
         # Analyzer warnings become diagnostics in the response body; the
         # server process's stderr is not the place for them.
         warnings.simplefilter("ignore")
         compiled = compile_kernel(graph, config)
-    return compiled, analyze_kernel(compiled)
+    analysis = analyze_kernel(compiled)
+    return {
+        "analysis": analysis.to_dict(),
+        "kernel": {
+            "name": compiled.name,
+            "replicas": compiled.replicas,
+            "num_threads": compiled.num_threads,
+            "nodes": len(compiled.graph),
+            "edges": compiled.graph.num_edges(),
+            "elevator_nodes": len(compiled.elevator_nodes()),
+            "eldst_nodes": len(compiled.eldst_nodes()),
+            "spilled_nodes": len(compiled.spilled_nodes()),
+            "uses_barriers": compiled.uses_barriers(),
+        },
+        "report": compiled.report(),
+    }
 
 
 class SimulationService:
@@ -112,9 +131,9 @@ class SimulationService:
             else:
                 self._sim_pool = ProcessPoolExecutor(max_workers=self.workers)
         if self._compile_pool is None:
-            # Compiles are short and their product (a live CompiledKernel
-            # for the LRU) must stay in-process, so they always run on
-            # threads regardless of the simulation pool flavour.
+            # Compiles are short and their payload goes straight into the
+            # in-process LRU, so they always run on threads regardless of
+            # the simulation pool flavour.
             self._compile_pool = ThreadPoolExecutor(
                 max_workers=2, thread_name_prefix="serve-compile"
             )
@@ -181,17 +200,17 @@ class SimulationService:
         self.metrics.inc("serve.requests.compile")
         with self.metrics.timer("serve.phase.canonicalize"):
             canonical = canonicalize_compile(body)
-        entry = self.kernels.get(canonical.key)
+        payload = self.kernels.get(canonical.key)
         cache = "hit"
-        if entry is None:
+        if payload is None:
 
-            async def factory() -> tuple[Any, dict[str, Any]]:
+            async def factory() -> dict[str, Any]:
                 self.metrics.inc("serve.compiles")
                 assert self._compile_pool is not None, "service not started"
                 loop = asyncio.get_running_loop()
                 point = canonical.point
                 with self.metrics.timer("serve.phase.compile"):
-                    compiled, analysis = await loop.run_in_executor(
+                    payload = await loop.run_in_executor(
                         self._compile_pool,
                         _compile_point,
                         point.workload,
@@ -199,31 +218,11 @@ class SimulationService:
                         dict(point.params),
                         point.config(),
                     )
-                summary = {
-                    "name": compiled.name,
-                    "replicas": compiled.replicas,
-                    "num_threads": compiled.num_threads,
-                    "nodes": len(compiled.graph),
-                    "edges": compiled.graph.num_edges(),
-                    "elevator_nodes": len(compiled.elevator_nodes()),
-                    "eldst_nodes": len(compiled.eldst_nodes()),
-                    "spilled_nodes": len(compiled.spilled_nodes()),
-                    "uses_barriers": compiled.uses_barriers(),
-                }
-                entry = (
-                    compiled,
-                    {
-                        "analysis": analysis.to_dict(),
-                        "kernel": summary,
-                        "report": compiled.report(),
-                    },
-                )
-                self.kernels.put(canonical.key, entry)
-                return entry
+                self.kernels.put(canonical.key, payload)
+                return payload
 
-            entry, coalesced = await self.flights.run("compile:" + canonical.key, factory)
+            payload, coalesced = await self.flights.run("compile:" + canonical.key, factory)
             cache = "coalesced" if coalesced else "miss"
-        _, payload = entry
         return 200, {
             "kernel_digest": canonical.kernel_digest,
             "config_digest": canonical.config_digest,

@@ -122,10 +122,10 @@ fidelity gate's 10% bar on the capacity/associativity sweeps.
 Inter-thread communication
 --------------------------
 Each inter-thread node's consumer→producer map is a pure function of
-linear thread IDs (:func:`~repro.graph.interthread.elevator_source_vec`),
+linear thread IDs (:func:`~repro.graph.interthread.producer_map`),
 so token resolution is a gather over per-thread vectors rather than an
 event exchange.  Nodes with equal map parameters share one table per
-simulator (:func:`_map_key`):
+simulator (:func:`~repro.graph.interthread.map_key`):
 
 * **ELEVATOR** — consumers with a valid source gather the producer's
   value/issue directly (``value[src]``, ``issue[src] + elevator
@@ -175,7 +175,7 @@ from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, MemoryModelError, SimulationError
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import elevator_source_vec, scratch_levels
+from repro.graph.interthread import map_key, producer_map, scratch_levels
 from repro.graph.node import Node
 from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, SOURCE_OPCODES, DType, Opcode
 from repro.graph.semantics import PURE_OPCODES, coerce
@@ -242,7 +242,8 @@ class _Stream(NamedTuple):
 class _InterthreadTable(NamedTuple):
     """Static consumer→producer structure of one communication map.
 
-    Every inter-thread node whose :func:`_map_key` is equal shares one
+    Every inter-thread node whose
+    :func:`~repro.graph.interthread.map_key` is equal shares one
     table per simulator.  ``src_pos`` maps each row (position in the
     core's thread vector) to the row of its producer, or ``-1`` when the
     thread has no valid source; ``receives`` marks rows the event engine
@@ -268,21 +269,6 @@ class _ForwardRanking(NamedTuple):
     pos: np.ndarray
     jumps: tuple
     depth: int
-
-
-def _map_key(node: Node) -> tuple:
-    """What a node's :class:`_InterthreadTable` depends on, besides the
-    core's thread vector and the block shape: the parameters
-    :func:`~repro.graph.interthread.elevator_source_vec` and the eLDST
-    receive rule read.  Spill and external-buffer parameters change
-    latency only."""
-    offset = node.param("src_offset")
-    return (
-        node.opcode,
-        node.param("delta"),
-        None if offset is None else tuple(offset),
-        node.param("window"),
-    )
 
 
 def _coerce_vec(values: np.ndarray, dtype: DType) -> np.ndarray:
@@ -918,7 +904,7 @@ class BatchedSimulator:
         self._it: dict[int, _InterthreadTable] = {}
         for node in static.order:
             if node.opcode in (Opcode.ELEVATOR, Opcode.ELDST):
-                key = _map_key(node)
+                key = map_key(node)
                 if key not in tables:
                     tables[key] = self._build_interthread_table(node)
                 self._it[node.node_id] = tables[key]
@@ -959,9 +945,7 @@ class BatchedSimulator:
 
     def _build_interthread_table(self, node: Node) -> _InterthreadTable:
         t = self._thread_ids
-        src = elevator_source_vec(
-            node, t, self.geometry.block_dim, self.num_threads
-        )
+        src = producer_map(node, self.geometry.block_dim)[t]
         # Map global source TIDs to rows of this core's thread vector: an
         # offset when the vector is contiguous and increasing (every
         # single-core run), a search in a sorted view otherwise (shards
@@ -1138,7 +1122,7 @@ class BatchedSimulator:
         per pair and simulator.
         """
         nid = node.node_id
-        key = (_map_key(node), self._static.inputs[nid][1][1])
+        key = (map_key(node), self._static.inputs[nid][1][1])
         ranking = self._rankings.get(key)
         if ranking is not None:
             return ranking

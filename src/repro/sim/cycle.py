@@ -41,12 +41,7 @@ from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, SimulationError
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import (
-    eldst_source,
-    elevator_destination,
-    elevator_source,
-    thread_subset_problem,
-)
+from repro.graph.interthread import map_key, producer_map, thread_subset_problem
 from repro.graph.node import Node
 from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, Opcode, UnitClass
 from repro.graph.semantics import PURE_OPCODES, coerce, converter, pure_function
@@ -167,6 +162,15 @@ def core_thread_ids(
     return ids
 
 
+def _map_tables(node: Node, block_dim: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``node``'s producer of every launch thread and the inverse map, -1 for none."""
+    sources = producer_map(node, block_dim)
+    destinations = np.full(sources.size, -1, dtype=np.int64)
+    consumers = np.flatnonzero(sources >= 0)
+    destinations[sources[consumers]] = consumers
+    return sources.tolist(), destinations.tolist()
+
+
 def trace_lanes(tracer: Any, compiled: CompiledKernel, pid: int) -> dict[int, int]:
     """Name core ``pid``'s trace process and one lane per node, after the
     physical PE hosting it; returns each node's lane."""
@@ -185,9 +189,10 @@ class _NodeState:
     """Mutable per-node simulation state plus the node's static tables.
 
     ``ports``, ``fanout``, ``fanout_hops``, ``op_counter``, ``pure``,
-    ``fire`` and ``memory`` depend only on the compiled graph and its
-    memory image; ``CycleSimulator._prepare`` fills them once so a firing
-    does table lookups instead of re-deriving them.
+    ``fire``, ``memory``, ``sources`` and ``destinations`` depend only on
+    the compiled graph and its memory image; ``CycleSimulator._prepare``
+    fills them once so a firing does table lookups instead of re-deriving
+    them.
     """
 
     node: Node
@@ -211,6 +216,11 @@ class _NodeState:
     #: Memory nodes: ``(array spec, backing array, access bytes, dtype
     #: converter)`` of the array the node reads or writes.
     memory: tuple[ArraySpec, np.ndarray, int, type] | None = None
+    #: ELEVATOR/ELDST nodes: the producer TID of every launch thread
+    #: (``interthread.producer_map``, -1 for none) and its inverse, the
+    #: consumer of every producer; shared by every node with the same map.
+    sources: list[int] | None = None
+    destinations: list[int] | None = None
     port_free_at: list[int] = field(default_factory=list)
     pending: dict[int, dict[int, Any]] = field(default_factory=dict)
     # eLDST-specific: forwarded values waiting for their consumer thread and
@@ -298,6 +308,7 @@ class CycleSimulator:
             Opcode.BARRIER: cls._execute_barrier,
             Opcode.OUTPUT: cls._execute_output,
         }
+        maps: dict[tuple, tuple[list[int], list[int]]] = {}
         for node in self.graph.nodes:
             op = node.opcode
             state = _NodeState(
@@ -319,6 +330,11 @@ class CycleSimulator:
                     node.param("elem_bytes", 4),
                     converter(node.dtype),
                 )
+            if op in (Opcode.ELEVATOR, Opcode.ELDST):
+                key = map_key(node)
+                if key not in maps:
+                    maps[key] = _map_tables(node, self.geometry.block_dim)
+                state.sources, state.destinations = maps[key]
             self._nodes[node.node_id] = state
             if op is Opcode.CONST:
                 self._injectors.append((state, coerce(node.param("value"), node.dtype)))
@@ -504,8 +520,7 @@ class CycleSimulator:
             elif node.opcode is Opcode.ELEVATOR:
                 # Threads without a valid producer receive the fallback
                 # constant, generated when their slot is injected (Fig. 4).
-                src = elevator_source(node, tid, self.geometry.block_dim, self.num_threads)
-                if src is None:
+                if state.sources[tid] < 0:
                     self.stats.elevator_constants += 1
                     if self._trace is not None:
                         self._trace.instant(
@@ -612,10 +627,8 @@ class CycleSimulator:
         self, state: _NodeState, producer_tid: int, operands: list[Any], issue: int
     ) -> None:
         node = state.node
-        dst = elevator_destination(
-            node, producer_tid, self.geometry.block_dim, self.num_threads
-        )
-        if dst is None:
+        dst = state.destinations[producer_tid]
+        if dst < 0:
             return  # the producer's token has no consumer; it is dropped
         complete = issue + state.latency
         if node.param("spilled"):
@@ -632,8 +645,7 @@ class CycleSimulator:
     ) -> None:
         node = state.node
         predicate = bool(operands[1])
-        src = eldst_source(node, tid, self.geometry.block_dim, self.num_threads)
-        if predicate or src is None:
+        if predicate or state.sources[tid] < 0:
             spec, backing, size, convert = state.memory
             index = int(operands[0])
             address = self._address(spec, index)
@@ -666,17 +678,14 @@ class CycleSimulator:
             extra = int(node.param("external_buffer_nodes")) * self.config.latency.elevator
         complete = cycle + self.config.latency.ldst_issue + extra
         self._send(state, tid, value, complete)
-        # Loop the value back for the next consumer thread (Fig. 9).
+        # Loop the value back for the next consumer thread (Fig. 9): the
+        # thread |delta| on, if this thread is its producer.
         next_tid = tid + abs(int(node.param("delta")))
-        if next_tid < self.num_threads:
-            src_of_next = eldst_source(
-                node, next_tid, self.geometry.block_dim, self.num_threads
+        if state.destinations[tid] == next_tid:
+            _heappush(
+                self._events,
+                (complete, _EV_FORWARD, next(self._sequence), state, next_tid, value),
             )
-            if src_of_next == tid:
-                _heappush(
-                    self._events,
-                    (complete, _EV_FORWARD, next(self._sequence), state, next_tid, value),
-                )
 
     def _forward_ready(self, state: _NodeState, tid: int, value: Any, cycle: int) -> None:
         self.stats.eldst_forwards += 1

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import DeadlockError, SimulationError
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import eldst_source, elevator_source
+from repro.graph.interthread import map_key, producer_map
 from repro.graph.opcodes import EFFECT_OPCODES, Opcode
 from repro.graph.semantics import PURE_OPCODES, coerce, evaluate_pure
 from repro.kernel.geometry import ThreadGeometry
@@ -65,6 +65,15 @@ class FunctionalSimulator:
         self._inputs_cache: dict[int, dict[int, int]] = {
             node.node_id: self.graph.inputs_of(node.node_id) for node in self.graph.nodes
         }
+        # Producer TID of every thread per ELEVATOR/ELDST node (-1: none),
+        # one list per distinct map.
+        maps: dict[tuple, list[int]] = {}
+        self._sources: dict[int, list[int]] = {}
+        for node in self.graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST):
+            key = map_key(node)
+            if key not in maps:
+                maps[key] = producer_map(node, self.geometry.block_dim).tolist()
+            self._sources[node.node_id] = maps[key]
 
     # ------------------------------------------------------------------ driver
     def run(self) -> FunctionalResult:
@@ -134,8 +143,8 @@ class FunctionalSimulator:
         inputs = self._inputs_cache[node_id]
 
         if node.opcode is Opcode.ELEVATOR:
-            src_tid = elevator_source(node, tid, self.geometry.block_dim, self.num_threads)
-            if src_tid is not None:
+            src_tid = self._sources[node_id][tid]
+            if src_tid >= 0:
                 deps.append((inputs[0], src_tid))
         elif node.opcode is Opcode.ELDST:
             deps.append((inputs[1], tid))  # predicate
@@ -146,10 +155,8 @@ class FunctionalSimulator:
                 if bool(self._values[pred_key]):
                     deps.append((inputs[0], tid))  # index for the real load
                 else:
-                    src_tid = eldst_source(
-                        node, tid, self.geometry.block_dim, self.num_threads
-                    )
-                    if src_tid is None:
+                    src_tid = self._sources[node_id][tid]
+                    if src_tid < 0:
                         deps.append((inputs[0], tid))  # fallback: load anyway
                     else:
                         deps.append((node_id, src_tid))  # forwarded value
@@ -200,8 +207,8 @@ class FunctionalSimulator:
             return self._values[(inputs[0], tid)]
 
         if op is Opcode.ELEVATOR:
-            src_tid = elevator_source(node, tid, self.geometry.block_dim, self.num_threads)
-            if src_tid is None:
+            src_tid = self._sources[node_id][tid]
+            if src_tid < 0:
                 return coerce(node.param("const"), node.dtype)
             return self._values[(inputs[0], src_tid)]
 
@@ -210,8 +217,8 @@ class FunctionalSimulator:
             if predicate:
                 index = self._values[(inputs[0], tid)]
                 return coerce(self.memory.load(node.param("array"), index), node.dtype)
-            src_tid = eldst_source(node, tid, self.geometry.block_dim, self.num_threads)
-            if src_tid is None:
+            src_tid = self._sources[node_id][tid]
+            if src_tid < 0:
                 index = self._values[(inputs[0], tid)]
                 return coerce(self.memory.load(node.param("array"), index), node.dtype)
             return self._values[(node_id, src_tid)]

@@ -9,7 +9,7 @@ one-shard case of the same run path.  This module decides the cut.
 Sharding legality (window-aligned partitioning)
 -----------------------------------------------
 Inter-thread communication never crosses a transmission-window boundary
-(Sec. 3.2, :func:`repro.graph.interthread.same_window`), so a kernel that
+(Sec. 3.2, :func:`repro.graph.interthread.producer_map`), so a kernel that
 communicates between threads *can* be sharded as long as every shard is a
 union of whole windows.  :func:`plan_shards` inspects every
 ELEVATOR/ELDST (and windowed BARRIER) node, takes the LCM of their

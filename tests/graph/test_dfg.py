@@ -67,6 +67,17 @@ def test_port_beyond_arity_rejected():
         g.add_edge(a, neg, 5)
 
 
+def test_negative_port_rejected_before_any_mutation():
+    g = _small_graph()
+    add = g.nodes_with_opcode(Opcode.ADD)[0]
+    out = g.nodes_with_opcode(Opcode.OUTPUT)[0]
+    before = g.inputs_of(out.node_id)
+    with pytest.raises(GraphError):
+        g.add_edge(add, out, -1)
+    assert g.num_edges() == 3
+    assert g.inputs_of(out.node_id) == before
+
+
 def test_remove_node_drops_edges():
     g = _small_graph()
     add = g.nodes_with_opcode(Opcode.ADD)[0]

@@ -4,15 +4,14 @@ import pytest
 
 from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import (
-    eldst_source,
-    elevator_destination,
-    elevator_source,
     linear_offset,
     linearize,
-    same_window,
+    map_key,
+    producer_map,
     unlinearize,
 )
 from repro.graph.opcodes import Opcode
+from repro.sim.cycle import _map_tables
 
 
 def _elevator(delta, const=0.0, window=None, src_offset=None):
@@ -36,54 +35,62 @@ def test_linear_offset_multidimensional():
     assert linear_offset(-3, (8,)) == -3
 
 
-def test_same_window():
-    assert same_window(0, 15, 16)
-    assert not same_window(15, 16, 16)
-    assert same_window(5, 500, None)
-
-
 def test_elevator_source_simple_delta():
     node = _elevator(delta=1)
-    assert elevator_source(node, 5, (16,), 16) == 4
-    assert elevator_source(node, 0, (16,), 16) is None
+    src = producer_map(node, (16,))
+    assert src[5] == 4
+    assert src[0] == -1
 
 
 def test_elevator_source_negative_delta():
     node = _elevator(delta=-1)  # consumer c receives from c + 1
-    assert elevator_source(node, 5, (16,), 16) == 6
-    assert elevator_source(node, 15, (16,), 16) is None
+    src = producer_map(node, (16,))
+    assert src[5] == 6
+    assert src[15] == -1
 
 
 def test_elevator_destination_mirrors_source():
+    # The event engine's destination table is the scatter of the map.
     node = _elevator(delta=3)
     num = 32
+    sources, destinations = _map_tables(node, (num,))
     for producer in range(num):
-        dst = elevator_destination(node, producer, (num,), num)
-        if dst is not None:
-            assert elevator_source(node, dst, (num,), num) == producer
+        dst = destinations[producer]
+        if dst >= 0:
+            assert sources[dst] == producer
+    assert destinations[num - 3 :] == [-1, -1, -1]
 
 
 def test_window_bounds_communication():
     node = _elevator(delta=1, window=8)
-    assert elevator_source(node, 8, (32,), 32) is None  # first thread of group 2
-    assert elevator_source(node, 9, (32,), 32) == 8
+    src = producer_map(node, (32,))
+    assert src[8] == -1  # first thread of group 2
+    assert src[9] == 8
 
 
 def test_multidimensional_offset_boundaries():
     node = _elevator(delta=-4, src_offset=(0, -1))
-    block = (4, 4)
+    src = producer_map(node, (4, 4))
     # thread (x=2, y=0) has no northern neighbour
-    assert elevator_source(node, 2, block, 16) is None
+    assert src[2] == -1
     # thread (x=2, y=1) receives from (2, 0) = tid 2
-    assert elevator_source(node, 6, block, 16) == 2
+    assert src[6] == 2
 
 
 def test_eldst_source_matches_elevator_semantics():
     node_params = {"delta": 4, "const": 0, "window": None, "array": "a"}
     g = DataflowGraph()
     node = g.add_node(Opcode.ELDST, params=node_params)
-    assert eldst_source(node, 7, (16,), 16) == 3
-    assert eldst_source(node, 2, (16,), 16) is None
+    src = producer_map(node, (16,))
+    assert src[7] == 3
+    assert src[2] == -1
+    assert src.tolist() == producer_map(_elevator(delta=4), (16,)).tolist()
+
+
+def test_map_key_names_the_map():
+    assert map_key(_elevator(delta=2, const=1.0)) == map_key(_elevator(delta=2, const=5.0))
+    assert map_key(_elevator(delta=2)) != map_key(_elevator(delta=2, window=8))
+    assert map_key(_elevator(delta=4, src_offset=(0, -1))) != map_key(_elevator(delta=4))
 
 
 def test_invalid_block_dim_rejected():

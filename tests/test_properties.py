@@ -8,17 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import (
-    elevator_destination,
-    elevator_source,
-    linearize,
-    unlinearize,
-)
+from repro.graph.interthread import linearize, producer_map, unlinearize
 from repro.compiler.pipeline import compile_kernel
 from repro.graph.opcodes import Opcode
 from repro.kernel.builder import KernelBuilder
 from repro.memory.coalescer import coalesce
 from repro.sim import simulate
+from repro.sim.cycle import _map_tables
 from repro.sim.functional import run_functional
 from repro.sim.launch import KernelLaunch
 from repro.workloads.registry import all_workloads
@@ -43,21 +39,60 @@ def test_linearize_unlinearize_roundtrip(block_dim, tid):
     assert linearize(unlinearize(tid, block_dim), block_dim) == tid
 
 
+def _reference_producers(block_dim, delta, src_offset, window):
+    """Brute-force consumer→producer map: enumerate the block's coordinates
+    and windows instead of computing them by division."""
+    dims = tuple(block_dim) + (1,) * (3 - len(block_dim))
+    coords = [(x, y, z) for z in range(dims[2]) for y in range(dims[1]) for x in range(dims[0])]
+    tid_of = {coord: tid for tid, coord in enumerate(coords)}
+    n = len(coords)
+    group = {}
+    if window is not None:
+        for index, start in enumerate(range(0, n, window)):
+            for tid in range(start, min(start + window, n)):
+                group[tid] = index
+    producers = []
+    for consumer, coord in enumerate(coords):
+        if src_offset is None:
+            producer = consumer - delta if consumer - delta in range(n) else -1
+        else:
+            off = tuple(src_offset) + (0,) * (3 - len(src_offset))
+            producer = tid_of.get(tuple(c + o for c, o in zip(coord, off)), -1)
+        if producer >= 0 and window is not None and group[producer] != group[consumer]:
+            producer = -1
+        producers.append(producer)
+    return producers
+
+
+@st.composite
+def interthread_maps(draw):
+    """A block shape with a linear delta or a per-dimension coordinate offset."""
+    block_dim = draw(block_dims)
+    if draw(st.booleans()):
+        return block_dim, draw(st.integers(-40, 40)), None
+    rank = len(block_dim)
+    return block_dim, 0, draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+
+
+@settings(deadline=None, max_examples=200)
 @given(
-    st.integers(1, 512),
-    st.integers(-40, 40).filter(lambda d: d != 0),
+    interthread_maps(),
+    st.sampled_from([Opcode.ELEVATOR, Opcode.ELDST]),
     st.one_of(st.none(), st.integers(1, 64)),
-    st.integers(0, 511),
 )
-def test_elevator_source_destination_are_inverse(num_threads, delta, window, producer):
-    producer = producer % num_threads
-    node = DataflowGraph().add_node(
-        Opcode.ELEVATOR, params={"delta": delta, "const": 0.0, "window": window}
-    )
-    dst = elevator_destination(node, producer, (num_threads,), num_threads)
-    if dst is not None:
-        assert 0 <= dst < num_threads
-        assert elevator_source(node, dst, (num_threads,), num_threads) == producer
+def test_producer_map_matches_coordinate_reference(shape, opcode, window):
+    block_dim, delta, src_offset = shape
+    params = {"delta": delta, "const": 0.0, "window": window, "array": "a"}
+    if src_offset is not None:
+        params["src_offset"] = src_offset
+    node = DataflowGraph().add_node(opcode, params=params)
+    reference = _reference_producers(block_dim, delta, src_offset, window)
+    assert producer_map(node, block_dim).tolist() == reference
+    # The event engine's destination table is the map's exact inverse.
+    sources, destinations = _map_tables(node, block_dim)
+    assert sources == reference
+    links = {(producer, consumer) for consumer, producer in enumerate(sources) if producer >= 0}
+    assert {(p, c) for p, c in enumerate(destinations) if c >= 0} == links
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(0, 1 << 20)), min_size=1, max_size=64))
