@@ -15,14 +15,15 @@ imports only graph *sub*modules, and the sim layer only lazily.
 """
 
 from repro.analyze.diagnostics import CODES, Diagnostic, Severity
-from repro.analyze.manager import AnalysisResult, ShardVerdict, analyze_kernel
+from repro.analyze.manager import AnalysisResult, analyze_kernel
 from repro.analyze.passes import (
+    ShardPlan,
     critical_path_bound,
     deadlock_diagnostics,
     engine_diagnostics,
     pure_load_ancestors,
     scratch_race_diagnostics,
-    shard_diagnostics,
+    shard_plan,
 )
 from repro.analyze.structure import structure_diagnostics
 
@@ -31,13 +32,13 @@ __all__ = [
     "CODES",
     "Diagnostic",
     "Severity",
-    "ShardVerdict",
+    "ShardPlan",
     "analyze_kernel",
     "critical_path_bound",
     "deadlock_diagnostics",
     "engine_diagnostics",
     "pure_load_ancestors",
     "scratch_race_diagnostics",
-    "shard_diagnostics",
+    "shard_plan",
     "structure_diagnostics",
 ]

@@ -9,7 +9,8 @@ layers consume:
 * ``result.engine`` — what ``engine="auto"`` dispatch resolves to;
 * ``result.order_stable`` / ``result.prepass_nodes`` — the batched
   engine's replay-order decision;
-* ``result.shard`` — the window-LCM facts ``plan_shards`` acts on;
+* ``result.shard`` — the one-core :class:`ShardPlan` ``plan_shards``
+  applies a launch's core count to;
 * ``result.min_cycles`` — the static critical-path lower bound the
   harness reports next to measured cycles.
 
@@ -28,38 +29,19 @@ from typing import TYPE_CHECKING, Any
 
 from repro.analyze.diagnostics import Diagnostic, Severity
 from repro.analyze.passes import (
+    ShardPlan,
     critical_path_bound,
     deadlock_diagnostics,
     engine_diagnostics,
     pure_load_ancestors,
     scratch_race_diagnostics,
-    shard_diagnostics,
+    shard_plan,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.compiler.pipeline import CompiledKernel
 
-__all__ = ["AnalysisResult", "ShardVerdict", "analyze_kernel"]
-
-
-@dataclass(frozen=True)
-class ShardVerdict:
-    """The shardability pass's verdict in the shape ``plan_shards`` wants.
-
-    ``fallback_code`` is ``None`` exactly when a window-aligned
-    multi-core cut is legal (``RA034``); otherwise it names the blocking
-    diagnostic (``RA030``/``RA031``/``RA032``) and ``fallback_reason``
-    carries the matching human text.
-    """
-
-    windows: tuple[int, ...]
-    window_lcm: int
-    fallback_code: str | None
-    fallback_reason: str | None
-
-    @property
-    def shardable(self) -> bool:
-        return self.fallback_code is None
+__all__ = ["AnalysisResult", "analyze_kernel"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +53,7 @@ class AnalysisResult:
     order_stable: bool
     prepass_nodes: frozenset[int] | None
     deadlock: bool
-    shard: ShardVerdict
+    shard: ShardPlan
     min_cycles: int
 
     def errors(self) -> list[Diagnostic]:
@@ -120,14 +102,13 @@ def analyze_kernel(compiled: "CompiledKernel") -> AnalysisResult:
     deadlock_diags = deadlock_diagnostics(graph, compiled.config)
     diagnostics.extend(deadlock_diags)
     diagnostics.extend(scratch_race_diagnostics(graph))
-    shard_diags = shard_diagnostics(graph)
-    diagnostics.extend(shard_diags)
+    shard, shard_diag = shard_plan(graph)
+    diagnostics.append(shard_diag)
     engine_diags = engine_diagnostics(graph, prepass)
     diagnostics.extend(engine_diags)
     min_cycles, cp_diag = critical_path_bound(compiled)
     diagnostics.append(cp_diag)
 
-    shard = _shard_verdict(shard_diags)
     codes = {d.code for d in engine_diags}
     if "RA041" in codes:
         engine = "event"
@@ -147,20 +128,3 @@ def analyze_kernel(compiled: "CompiledKernel") -> AnalysisResult:
     compiled.__dict__["_analysis"] = result
     return result
 
-
-def _shard_verdict(shard_diags: list[Diagnostic]) -> ShardVerdict:
-    verdict = shard_diags[0]  # the pass emits exactly one RA03x diagnostic
-    data = verdict.data
-    if verdict.code == "RA034":
-        return ShardVerdict(
-            windows=tuple(data.get("windows", ())),
-            window_lcm=int(data["window_lcm"]),
-            fallback_code=None,
-            fallback_reason=None,
-        )
-    return ShardVerdict(
-        windows=(),
-        window_lcm=int(data.get("window_lcm", 1)),
-        fallback_code=verdict.code,
-        fallback_reason=verdict.message,
-    )

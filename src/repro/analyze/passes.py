@@ -10,8 +10,8 @@ consume these predictions instead of re-deriving them:
   :class:`~repro.errors.DeadlockError` at run time;
 * :func:`scratch_race_diagnostics` — scratchpad write/write and
   write/read pairs not ordered by a dependence path or barrier;
-* :func:`shard_diagnostics` — the window-LCM legality facts
-  ``sim/multicore.py::plan_shards`` acts on;
+* :func:`shard_plan` — the window-aligned multi-core cut (or why none
+  exists) that ``sim/multicore.py::plan_shards`` applies a core count to;
 * :func:`engine_diagnostics` / :func:`pure_load_ancestors` — the
   batched-engine eligibility and replay-order stability facts
   ``sim/api.py::resolve_engine`` and ``sim/batched.py`` act on;
@@ -27,6 +27,7 @@ mid-initialisation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analyze.diagnostics import Diagnostic, Severity
@@ -46,7 +47,8 @@ __all__ = [
     "engine_diagnostics",
     "pure_load_ancestors",
     "scratch_race_diagnostics",
-    "shard_diagnostics",
+    "ShardPlan",
+    "shard_plan",
 ]
 
 
@@ -379,59 +381,81 @@ def scratch_race_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
 
 
 # ----------------------------------------------------------- shardability pass
-def shard_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
-    """Emit the window-LCM shard-legality facts ``plan_shards`` acts on.
+@dataclass(frozen=True)
+class ShardPlan:
+    """How (or why not) one compiled kernel shards across cores.
 
-    All findings are INFO: not being shardable is a property, not a
-    defect (the launch transparently runs on one core).  Exactly one of
-    ``RA030``/``RA031``/``RA032``/``RA033``/``RA034`` states the default
-    plan's verdict; the fallback message texts match ``plan_shards`` so
-    ``stats.extra["shard_fallback_reason"]`` stays human-readable.
+    :func:`shard_plan` decides the cut once per kernel.  ``block`` is the
+    block-cyclic shard block: the replica count rounded up to
+    ``window_lcm``, so every shard is a union of whole transmission
+    windows.  ``fallback_code``/``fallback_reason`` name the
+    ``RA030``-``RA033`` finding when no legal multi-core cut exists.
+    The analyzer's plan has one core; ``sim/multicore.py::plan_shards``
+    applies a launch's core count to it.
+    """
+
+    block: int
+    window_lcm: int
+    fallback_code: str | None = None
+    fallback_reason: str | None = None
+    cores: int = 1
+
+    @property
+    def shardable(self) -> bool:
+        return self.fallback_code is None
+
+    @property
+    def sharded(self) -> bool:
+        return self.cores > 1
+
+
+def shard_plan(graph: DataflowGraph) -> tuple[ShardPlan, Diagnostic]:
+    """The kernel's :class:`ShardPlan` and the one diagnostic stating it.
+
+    The finding is INFO: not being shardable is a property, not a defect
+    (the launch transparently runs on one core).  Exactly one of
+    ``RA030``/``RA031``/``RA032``/``RA033``/``RA034`` states the verdict;
+    a fallback's message is the plan's ``fallback_reason``, which
+    ``simulate`` records in ``stats.extra["shard_fallback_reason"]``.
     """
     num_threads = int(graph.metadata.get("num_threads", 0))
-    replicas = int(graph.metadata.get("replicas", 1))
+    base_block = max(1, int(graph.metadata.get("replicas", 1)))
     windows, reason = communication_windows(graph)
-    out: list[Diagnostic] = []
+
+    def fallback(block: int, lcm: int, diagnostic: Diagnostic) -> tuple[ShardPlan, Diagnostic]:
+        plan = ShardPlan(block, lcm, diagnostic.code, diagnostic.message)
+        return plan, diagnostic
+
     if reason is not None:
         if "transmission window" in reason:
-            offenders = tuple(
-                node.node_id
-                for node in graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST)
-                if node.param("window") is None
-            )
-            out.append(
-                Diagnostic(
-                    code="RA030",
-                    severity=Severity.INFO,
-                    message=reason,
-                    nodes=offenders,
-                    labels=_labels(graph, offenders),
-                    hint="give every ELEVATOR/ELDST a bounded window= to enable sharding",
-                )
-            )
+            code, opcodes = "RA030", (Opcode.ELEVATOR, Opcode.ELDST)
+            hint = "give every ELEVATOR/ELDST a bounded window= to enable sharding"
         else:
-            offenders = tuple(
-                node.node_id
-                for node in graph.nodes_with_opcode(Opcode.BARRIER)
-                if node.param("window") is None
-            )
-            out.append(
-                Diagnostic(
-                    code="RA031",
-                    severity=Severity.INFO,
-                    message=reason,
-                    nodes=offenders,
-                    labels=_labels(graph, offenders),
-                    hint="window the barrier so scratch traffic stays inside a shard",
-                )
-            )
-        return out
+            code, opcodes = "RA031", (Opcode.BARRIER,)
+            hint = "window the barrier so scratch traffic stays inside a shard"
+        offenders = tuple(
+            node.node_id
+            for node in graph.nodes_with_opcode(*opcodes)
+            if node.param("window") is None
+        )
+        return fallback(
+            base_block,
+            1,
+            Diagnostic(
+                code=code,
+                severity=Severity.INFO,
+                message=reason,
+                nodes=offenders,
+                labels=_labels(graph, offenders),
+                hint=hint,
+            ),
+        )
 
-    lcm = 1
-    for window in windows:
-        lcm = math.lcm(lcm, window)
+    lcm = math.lcm(1, *windows)
     if windows and lcm >= num_threads:
-        out.append(
+        return fallback(
+            base_block,
+            lcm,
             Diagnostic(
                 code="RA032",
                 severity=Severity.INFO,
@@ -440,13 +464,13 @@ def shard_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
                     f"(LCM {lcm} >= {num_threads} threads)"
                 ),
                 data={"window_lcm": lcm, "num_threads": num_threads},
-            )
+            ),
         )
-        return out
-    base_block = max(1, replicas)
     aligned = -(-base_block // lcm) * lcm
     if aligned >= num_threads:
-        out.append(
+        return fallback(
+            aligned,
+            lcm,
             Diagnostic(
                 code="RA033",
                 severity=Severity.INFO,
@@ -455,27 +479,23 @@ def shard_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
                     f"({num_threads} threads)"
                 ),
                 data={"block": aligned, "window_lcm": lcm, "num_threads": num_threads},
-            )
-        )
-        return out
-    out.append(
-        Diagnostic(
-            code="RA034",
-            severity=Severity.INFO,
-            message=(
-                f"window-aligned cut is legal: block "
-                f"ceil({base_block}/{lcm})*{lcm} = {aligned} divides the "
-                f"{num_threads}-thread block into whole windows (LCM {lcm})"
             ),
-            data={
-                "block": aligned,
-                "window_lcm": lcm,
-                "windows": sorted(set(windows)),
-                "num_threads": num_threads,
-            },
         )
+    return ShardPlan(aligned, lcm), Diagnostic(
+        code="RA034",
+        severity=Severity.INFO,
+        message=(
+            f"window-aligned cut is legal: block "
+            f"ceil({base_block}/{lcm})*{lcm} = {aligned} divides the "
+            f"{num_threads}-thread block into whole windows (LCM {lcm})"
+        ),
+        data={
+            "block": aligned,
+            "window_lcm": lcm,
+            "windows": sorted(set(windows)),
+            "num_threads": num_threads,
+        },
     )
-    return out
 
 
 # ---------------------------------------------- engine / replay-order pass

@@ -56,13 +56,27 @@ def _field_types(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
     return get_type_hints(cls), frozenset(f.name for f in dataclasses.fields(cls))
 
 
+def _fits(value: Any, hint: type) -> bool:
+    """Whether ``value`` may fill a leaf field declared as ``hint``.
+
+    A ``bool`` is not an ``int`` (JSON ``true`` is no core count), and an
+    ``int`` may fill a ``float``.
+    """
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _dataclass_from_dict(cls: type, data: Mapping[str, Any]) -> Any:
     """Reconstruct a (possibly nested) config dataclass from a plain dict.
 
     The inverse of :func:`dataclasses.asdict`: every field whose declared
-    type is itself one of the config dataclasses is rebuilt recursively.
-    Unknown keys are rejected so a digest is never computed over silently
-    dropped configuration.
+    type is itself one of the config dataclasses is rebuilt recursively,
+    and every other value must fit its field's type (:func:`_fits`).
+    Unknown keys and wrong-typed values are rejected so a digest is never
+    computed over silently dropped or mistyped configuration.
     """
     if not isinstance(data, Mapping):
         raise ConfigurationError(
@@ -79,8 +93,13 @@ def _dataclass_from_dict(cls: type, data: Mapping[str, Any]) -> Any:
         hint = hints.get(name)
         if dataclasses.is_dataclass(hint):
             kwargs[name] = _dataclass_from_dict(hint, value)
-        else:
+        elif _fits(value, hint):
             kwargs[name] = value
+        else:
+            raise ConfigurationError(
+                f"{cls.__name__}.{name}: expected {hint.__name__}, "
+                f"got {type(value).__name__} {value!r}"
+            )
     try:
         return cls(**kwargs)
     except TypeError as exc:  # e.g. a required field is missing

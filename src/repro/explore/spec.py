@@ -100,7 +100,10 @@ class RunPoint:
 
     def config_dict(self) -> dict[str, Any]:
         """The point's full configuration as a validated plain dict."""
-        return json.loads(_resolved_config_json(self.base_config, self.overrides))
+        # ``1``, ``1.0`` and ``True`` are equal keys to the memo, but only
+        # some of them fit a given config field, so the types are keyed too.
+        typed = tuple((path, type(value), value) for path, value in self.overrides)
+        return json.loads(_resolved_config_json(self.base_config, typed))
 
     def config(self) -> SystemConfig:
         return SystemConfig.from_dict(self.config_dict())
@@ -152,7 +155,7 @@ class RunPoint:
 
 @lru_cache(maxsize=4096)
 def _resolved_config_json(
-    base: "SystemConfig | None", overrides: tuple[tuple[str, Any], ...]
+    base: "SystemConfig | None", overrides: tuple[tuple[str, type, Any], ...]
 ) -> str:
     """Canonical JSON of (base merged with overrides), validated, memoised.
 
@@ -164,7 +167,7 @@ def _resolved_config_json(
     """
     resolved = base if base is not None else default_system_config()
     data = resolved.to_dict()
-    for path, value in overrides:
+    for path, _, value in overrides:
         apply_override(data, path, value)
     return canonical_config_json(SystemConfig.from_dict(data).to_dict())
 

@@ -35,7 +35,7 @@ from repro.gpgpu.program import SimtProgram
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage, out_of_bounds
 from repro.memory.request import AccessType
-from repro.sim.result import SimulationResult
+from repro.sim.result import MAX_CYCLES, SimulationResult
 from repro.sim.stats import ExecutionStats
 
 __all__ = ["FermiSimulator", "run_fermi"]
@@ -100,12 +100,10 @@ class FermiSimulator:
         program: SimtProgram,
         inputs: Mapping[str, np.ndarray] | None = None,
         config: SystemConfig | None = None,
-        max_cycles: int = 20_000_000,
     ) -> None:
         self.program = program
         self.config = config or default_system_config()
         self.fermi = self.config.fermi
-        self.max_cycles = max_cycles
 
         self.num_threads = program.num_threads
         self.memory = MemoryImage(program.arrays)
@@ -216,9 +214,9 @@ class FermiSimulator:
         decoded = self._decoded
         pipe_free = self._pipe_free
         while self._live:
-            if cycle > self.max_cycles:
+            if cycle > MAX_CYCLES:
                 raise GpgpuExecutionError(
-                    f"SIMT kernel '{self.program.name}' exceeded {self.max_cycles} cycles"
+                    f"SIMT kernel '{self.program.name}' exceeded {MAX_CYCLES} cycles"
                 )
             if self._waiting and self._waiting == self._live:
                 self._release_barrier(cycle)

@@ -40,8 +40,6 @@ __all__ = [
     "map_key",
     "producer_map",
     "communication_windows",
-    "subset_closed_under_window",
-    "thread_subset_problem",
     "scratch_levels",
     "window_batch_problem",
 ]
@@ -133,40 +131,20 @@ def producer_map(node: Node, block_dim: Sequence[int]) -> np.ndarray:
     return np.where(valid, src, np.int64(-1))
 
 
-def subset_closed_under_window(
-    thread_ids: Sequence[int], window: int, num_threads: int
-) -> bool:
-    """True if ``thread_ids`` is a union of whole transmission windows.
-
-    Communication through a node with transmission window ``w`` never
-    crosses a boundary between consecutive groups of ``w`` linear TIDs
-    (:func:`producer_map`), so a thread subset that contains every window
-    it touches is closed under that node's communication — the legality
-    condition for simulating the subset on its own core.
-    """
-    present = {int(t) for t in thread_ids}
-    for group_start in {(tid // window) * window for tid in present}:
-        # Threads in range(group_start, group_start + window) are exactly
-        # the ones sharing group_start's transmission window.
-        for other in range(group_start, min(group_start + window, num_threads)):
-            if other not in present:
-                return False
-    return True
-
-
 def communication_windows(graph) -> tuple[list[int], Optional[str]]:
     """The transmission windows bounding ``graph``'s inter-thread traffic.
 
-    This is the single statement of the shard/subset legality rule, shared
-    by the multi-core partition planner (``sim/multicore.py::plan_shards``)
-    and the simulator-side subset check (:func:`thread_subset_problem`):
+    This is the single statement of the shard legality rule; the
+    analyzer's shardability pass (``analyze/passes.py::shard_plan``)
+    applies it once per kernel and every multi-core run executes that
+    plan:
 
     * every ELEVATOR/ELDST node must carry a bounded ``window``;
     * a BARRIER contributes its ``window`` if it has one; an un-windowed
-      BARRIER degrades to a per-subset barrier, which preserves every
+      BARRIER degrades to a per-shard barrier, which preserves every
       value only if the graph moves no data through the scratchpad
       (scratch traffic ordered by a whole-block barrier may cross a
-      subset boundary).
+      shard boundary).
 
     Returns ``(windows, None)`` when cuts aligned to the windows are
     legal, or ``([], reason)`` when no cut is.
@@ -190,26 +168,6 @@ def communication_windows(graph) -> tuple[list[int], Optional[str]]:
                 "the whole block"
             )
     return windows, None
-
-
-def thread_subset_problem(graph, thread_ids: Sequence[int], num_threads: int) -> Optional[str]:
-    """Why ``thread_ids`` cannot be simulated as a stand-alone subset.
-
-    Returns ``None`` when every inter-thread node of ``graph`` keeps its
-    communication inside the subset: the graph's windows must be bounded
-    (:func:`communication_windows`) and the subset closed under each of
-    them.
-    """
-    windows, reason = communication_windows(graph)
-    if reason is not None:
-        return reason
-    for window in sorted(set(windows)):
-        if not subset_closed_under_window(thread_ids, window, num_threads):
-            return (
-                f"thread subset is not aligned to a transmission window "
-                f"of {window}"
-            )
-    return None
 
 
 #: Opcodes whose value is a pure function of the thread's own sources.

@@ -24,7 +24,6 @@ from repro.errors import WorkloadError
 from repro.gpgpu.simulator import run_fermi
 from repro.obs.metrics import timer
 from repro.power.model import EnergyBreakdown, cgra_energy, fermi_energy
-from repro.power.tables import EnergyTable
 from repro.sim import simulate
 from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS, PreparedWorkload, Workload
 from repro.workloads.registry import get_workload, paper_workloads
@@ -130,7 +129,6 @@ def run_workload(
     params: Mapping[str, Any] | None = None,
     seed: int = 0,
     config: SystemConfig | None = None,
-    energy_table: EnergyTable | None = None,
     check: bool = True,
     engine: str = "auto",
     cores: int | None = None,
@@ -163,7 +161,7 @@ def run_workload(
         phases["simulate"] = span.seconds
         with timer("report") as span:
             counters = result.counters()
-            energy = fermi_energy(counters, config, energy_table)
+            energy = fermi_energy(counters, config)
             outputs = _outputs_from_memory(prepared, result.memory)
         phases["report"] = span.seconds
         compiled = None
@@ -186,7 +184,7 @@ def run_workload(
         counters["static_min_cycles"] = analysis.min_cycles
         diagnostics = [d.to_dict() for d in analysis.diagnostics]
         with timer("report") as span:
-            energy = cgra_energy(counters, compiled, energy_table)
+            energy = cgra_energy(counters, compiled)
             outputs = _outputs_from_memory(prepared, result.memory)
         phases["report"] = span.seconds
         cycles = result.cycles
@@ -217,7 +215,6 @@ def run_suite(
     params: Mapping[str, Mapping[str, Any]] | None = None,
     seed: int = 0,
     config: SystemConfig | None = None,
-    energy_table: EnergyTable | None = None,
     check: bool = True,
     engine: str = "auto",
     cores: int | None = None,
@@ -234,7 +231,6 @@ def run_suite(
                 params=overrides,
                 seed=seed,
                 config=config,
-                energy_table=energy_table,
                 check=check,
                 engine=engine,
                 cores=cores,

@@ -29,7 +29,6 @@ from repro.analysis.report import (
 )
 from repro.config.system import SystemConfig, default_system_config
 from repro.harness.experiments import run_suite
-from repro.power.tables import EnergyTable
 from repro.workloads.base import Workload
 from repro.workloads.registry import paper_workloads
 from repro.workloads.registry import table3 as table3_rows
@@ -126,26 +125,23 @@ def figure5(
 def _suite(
     params: Mapping[str, Mapping[str, Any]] | None,
     config: SystemConfig | None,
-    energy_table: EnergyTable | None,
     workloads: Sequence[Workload] | None,
 ) -> ComparisonTable:
     return run_suite(
         workloads=workloads,
         params=params if params is not None else DEFAULT_SUITE_PARAMS,
         config=config,
-        energy_table=energy_table,
     )
 
 
 def figure11(
     params: Mapping[str, Mapping[str, Any]] | None = None,
     config: SystemConfig | None = None,
-    energy_table: EnergyTable | None = None,
     workloads: Sequence[Workload] | None = None,
     table: ComparisonTable | None = None,
 ) -> FigureResult:
     """Figure 11: speedup of MT-CGRA and dMT-CGRA over the Fermi SM."""
-    table = table or _suite(params, config, energy_table, workloads)
+    table = table or _suite(params, config, workloads)
     data = {
         "speedup_mt": table.speedups("mt"),
         "speedup_dmt": table.speedups("dmt"),
@@ -159,12 +155,11 @@ def figure11(
 def figure12(
     params: Mapping[str, Mapping[str, Any]] | None = None,
     config: SystemConfig | None = None,
-    energy_table: EnergyTable | None = None,
     workloads: Sequence[Workload] | None = None,
     table: ComparisonTable | None = None,
 ) -> FigureResult:
     """Figure 12: energy efficiency of MT-CGRA and dMT-CGRA over the Fermi SM."""
-    table = table or _suite(params, config, energy_table, workloads)
+    table = table or _suite(params, config, workloads)
     data = {
         "efficiency_mt": table.energy_efficiencies("mt"),
         "efficiency_dmt": table.energy_efficiencies("dmt"),

@@ -72,8 +72,6 @@ def simulate(
     engine: str = "auto",
     cores: int | None = None,
     memory: MemoryHierarchy | None = None,
-    block: int | None = None,
-    max_cycles: int = 20_000_000,
 ) -> SimulationResult:
     """Run ``launch`` and return a :class:`SimulationResult`.
 
@@ -92,11 +90,11 @@ def simulate(
     block-cyclically across simulated cores when a window-aligned cut
     exists, falling back to one core otherwise with the reason in
     ``stats.extra["shard_fallback_reason"]`` and its analyzer code in
-    ``stats.extra["shard_fallback_code"]``; ``block`` overrides the
-    shard block size.  Passing an explicit ``memory`` hierarchy pins the
-    run to a single core on that hierarchy (and ``"auto"`` then resolves
-    to the event engine, whose counters are exact on the caller's
-    hierarchy object).
+    ``stats.extra["shard_fallback_code"]``; the cut is the analyzer's
+    (:func:`repro.sim.multicore.plan_shards`).  Passing an explicit
+    ``memory`` hierarchy pins the run to a single core on that hierarchy
+    (and ``"auto"`` then resolves to the event engine, whose counters are
+    exact on the caller's hierarchy object).
 
     All engines produce bit-identical outputs and identical operation
     counters; the batched engine's cycle counts and cache counters come
@@ -111,47 +109,38 @@ def simulate(
                 "drop cores= or pass cores=1"
             )
         cores = 1
-    plan = plan_shards(compiled, cores=cores, block=block)
+    plan = plan_shards(compiled, cores)
     config = compiled.config
-    # One shard with thread_ids=None runs the whole launch.
-    shards: list[Any] = [None]
     shared = None
     core_memory = config.memory
     if plan.sharded:
-        shards = shard_threads(compiled.num_threads, plan.cores, plan.block)
-        shards = [shard for shard in shards if shard.size]
         shared = SharedDRAM(config.memory.dram, line_bytes=config.memory.l2.line_bytes)
-        core_memory = config.memory.sliced(len(shards))
+        core_memory = config.memory.sliced(plan.cores)
     image = launch.build_memory_image()
     tracer = active_tracer() if plan.sharded else None
     runs: list[SimulationResult] = []
-    for core, shard in enumerate(shards):
+    for core in range(plan.cores):
         if memory is None:
             hierarchy = MemoryHierarchy(core_memory, dram=shared.port() if shared else None)
         else:
             hierarchy = memory
+        # Each engine derives core ``core``'s shard from the same plan.
         simulator = _SIMULATORS[resolved](
-            compiled,
-            launch,
-            hierarchy=hierarchy,
-            max_cycles=max_cycles,
-            thread_ids=shard,
-            memory=image,
-            trace_pid=core,
+            compiled, launch, hierarchy=hierarchy, memory=image, cores=plan.cores, core=core
         )
         if tracer is None:
             runs.append(simulator.run())
             continue
         begin = tracer.clock()
         run = simulator.run()
-        threads = {"threads": int(shard.size)}
+        threads = {"threads": run.stats.threads}
         tracer.wall_event(f"shard {core}", begin, args=threads)
         tracer.set_lane_name(core, CORE_LANE, "core span")
         span = float(run.cycles)
         tracer.event(f"core {core}", "shard", 0.0, span, pid=core, tid=CORE_LANE, args=threads)
         runs.append(run)
 
-    result = runs[0] if not plan.sharded else _merge(compiled, plan, shards, runs, shared)
+    result = runs[0] if not plan.sharded else _merge(compiled, plan, runs, shared)
     extra = result.stats.extra
     if engine not in ("auto", resolved):
         extra["requested_engine"] = engine
@@ -166,7 +155,6 @@ def simulate(
 def _merge(
     compiled: CompiledKernel,
     plan: ShardPlan,
-    shards: list[Any],
     runs: list[SimulationResult],
     shared: SharedDRAM | None,
 ) -> SimulationResult:
@@ -179,6 +167,7 @@ def _merge(
     stats.extra["shard_block"] = plan.block
     stats.extra["shard_window_lcm"] = plan.window_lcm
     outputs: dict[str, list[Any]] = {}
+    shards = shard_threads(compiled.num_threads, plan.cores, plan.block)
     for shard, run in zip(shards, runs):
         for name, values in run.outputs.items():
             slot = outputs.setdefault(name, [None] * compiled.num_threads)

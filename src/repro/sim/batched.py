@@ -147,10 +147,9 @@ simulator (:func:`~repro.graph.interthread.map_key`):
   release cycle is a segmented maximum of the group's arrival cycles
   plus the control latency.
 
-Thread subsets (multi-core shards) of a communicating graph are accepted
-under the same closure rule as the event engine
-(:func:`~repro.graph.interthread.thread_subset_problem`: a union of
-whole transmission windows).  The engine reports itself as
+On a multi-core run each core executes its shard of the analyzer's plan
+(:func:`~repro.sim.multicore.core_threads`, the same shards the event
+engine runs), a union of whole transmission windows.  The engine reports itself as
 ``"window-batched"`` on a communicating graph and ``"batched"``
 otherwise — the analyzer's ``RA044``/``RA040`` verdict names.
 
@@ -166,7 +165,7 @@ estimates otherwise.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -187,13 +186,13 @@ from repro.sim.analytic_cache import AnalyticMemoryModel
 from repro.sim.cycle import (
     _OP_COUNTERS,
     LVC_ACCESS_LATENCY,
-    core_thread_ids,
     edge_timing,
     trace_lanes,
     unit_latency,
 )
 from repro.sim.launch import KernelLaunch
-from repro.sim.result import SimulationResult
+from repro.sim.multicore import core_threads
+from repro.sim.result import MAX_CYCLES, SimulationResult
 from repro.sim.stats import ExecutionStats
 
 __all__ = ["BatchedSimulator"]
@@ -618,7 +617,7 @@ class _FireOrder:
                 order = self.position
             else:
                 order = np.argsort(key)
-        else:  # pragma: no cover - cycle counts far past max_cycles
+        else:  # pragma: no cover - cycle counts far past MAX_CYCLES
             order = np.lexsort((dec_idx, pusher, ready_i))
         self.rank[row, order] = self.position
         return order
@@ -840,10 +839,9 @@ class BatchedSimulator:
         compiled: CompiledKernel,
         launch: KernelLaunch,
         hierarchy: MemoryHierarchy | None = None,
-        max_cycles: int = 20_000_000,
-        thread_ids: Sequence[int] | None = None,
         memory: MemoryImage | None = None,
-        trace_pid: int = 0,
+        cores: int = 1,
+        core: int = 0,
     ) -> None:
         if compiled.graph.metadata.get("num_threads") != launch.graph.metadata.get(
             "num_threads"
@@ -868,19 +866,12 @@ class BatchedSimulator:
         self.launch = launch
         self.geometry: ThreadGeometry = ThreadGeometry(compiled.block_dim)
         self.num_threads = self.geometry.num_threads
-        self.max_cycles = max_cycles
-        # ``np.arange`` spares the whole-launch case a list of every ID.
-        self._thread_ids = (
-            np.arange(self.num_threads, dtype=np.int64)
-            if thread_ids is None
-            else np.asarray(
-                core_thread_ids(self.graph, thread_ids, self.num_threads), dtype=np.int64
-            )
-        )
+        # The threads this core executes: its shard of the analyzer's plan.
+        self._threads = core_threads(compiled, cores, core)
 
         self.memory = memory if memory is not None else launch.build_memory_image()
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
-        self.stats = ExecutionStats(threads=int(self._thread_ids.size))
+        self.stats = ExecutionStats(threads=int(self._threads.size))
         self.outputs: dict[str, list[Any]] = {
             str(node.param("name")): [None] * self.num_threads
             for node in static.order
@@ -895,7 +886,7 @@ class BatchedSimulator:
         self._scratch_horizon = -math.inf
         # The ``p``-th thread of this core is injected at cycle ``p // replicas``.
         self._inject = (
-            np.arange(self._thread_ids.size, dtype=np.int64) // self._ports
+            np.arange(self._threads.size, dtype=np.int64) // self._ports
         ).astype(np.float64)
         # One table per distinct communication map, shared by every node
         # with that map; one forwarding ranking per (map, predicate),
@@ -920,9 +911,9 @@ class BatchedSimulator:
         )
         self._completion = 0.0
         self._trace = active_tracer()
-        self._trace_pid = int(trace_pid)
+        self._core = core
         self._lane: dict[int, int] = (
-            {} if self._trace is None else trace_lanes(self._trace, compiled, self._trace_pid)
+            {} if self._trace is None else trace_lanes(self._trace, compiled, self._core)
         )
 
     def _trace_node(self, node: Node, issue: np.ndarray, complete: np.ndarray) -> None:
@@ -938,37 +929,31 @@ class BatchedSimulator:
             "op",
             ts,
             end - ts,
-            pid=self._trace_pid,
+            pid=self._core,
             tid=self._lane[node.node_id],
             args={"count": int(issue.size), "cls": node.unit_class.name},
         )
 
     def _build_interthread_table(self, node: Node) -> _InterthreadTable:
-        t = self._thread_ids
+        t = self._threads
         src = producer_map(node, self.geometry.block_dim)[t]
-        # Map global source TIDs to rows of this core's thread vector: an
-        # offset when the vector is contiguous and increasing (every
-        # single-core run), a search in a sorted view otherwise (shards
-        # need not be contiguous, nor thread_ids sorted).
+        # Map global source TIDs to rows of this core's sorted thread
+        # vector: an offset when it is contiguous (every single-core run),
+        # a binary search otherwise (a block-cyclic shard).
         has_src = src >= 0
-        increasing = bool((t[1:] > t[:-1]).all())
-        if increasing and t.size and t[-1] - t[0] == t.size - 1:
-            loc = src - t[0]
-            found = has_src & (loc >= 0) & (loc < t.size)
-            rows = loc
+        if t.size and t[-1] - t[0] == t.size - 1:
+            rows = src - t[0]
+            found = has_src & (rows >= 0) & (rows < t.size)
         else:
-            perm = None if increasing else np.argsort(t, kind="stable")
-            t_sorted = t if perm is None else t[perm]
             safe = np.where(has_src, src, 0)
-            loc = np.minimum(np.searchsorted(t_sorted, safe), t.size - 1)
-            found = has_src & (t_sorted[loc] == safe)
-            rows = loc if perm is None else perm[loc]
+            rows = np.minimum(np.searchsorted(t, safe), t.size - 1)
+            found = has_src & (t[rows] == safe)
         if bool((~found & has_src).any()):
-            # Closed subsets (checked in __init__) keep every source
-            # in-subset; a miss here would be an engine bug.
+            # A shard of the plan is a union of whole windows, so every
+            # source is in-shard; a miss here would be an engine bug.
             raise SimulationError(
                 f"{node.label()} communicates with a thread outside this "
-                "core's subset"
+                "core's shard"
             )
         src_pos = np.where(found, rows, np.int64(-1))
         if node.opcode is Opcode.ELDST:
@@ -985,17 +970,17 @@ class BatchedSimulator:
         if not self._static.sink_nodes:
             raise SimulationError("kernel has no store or output nodes; nothing to run")
         begin = self._trace.clock() if self._trace is not None else 0.0
-        if self._thread_ids.size:
+        if self._threads.size:
             self._time(self._value_pass())
         if self._trace is not None:
             self._trace.wall_event(
-                "wave@0", begin, args={"threads": int(self._thread_ids.size)}
+                "wave@0", begin, args={"threads": int(self._threads.size)}
             )
 
         cycles = int(self._completion)
-        if cycles > self.max_cycles:
+        if cycles > MAX_CYCLES:
             raise DeadlockError(
-                f"simulation of '{self.graph.name}' exceeded {self.max_cycles} cycles"
+                f"simulation of '{self.graph.name}' exceeded {MAX_CYCLES} cycles"
             )
         self._accumulate_counters()
         self.stats.cycles = cycles
@@ -1051,7 +1036,7 @@ class BatchedSimulator:
             elif op is Opcode.OUTPUT:
                 value = operands[0]
                 slot = self.outputs[str(node.param("name"))]
-                for tid, item in zip(self._thread_ids.tolist(), value.tolist()):
+                for tid, item in zip(self._threads.tolist(), value.tolist()):
                     slot[tid] = item
             else:
                 raise SimulationError(f"batched engine cannot execute {op.value}")
@@ -1061,7 +1046,7 @@ class BatchedSimulator:
 
     def _source_value(self, node: Node) -> np.ndarray:
         op = node.opcode
-        tids = self._thread_ids
+        tids = self._threads
         if op is Opcode.CONST:
             scalar = coerce(node.param("value"), node.dtype)
             return np.full(tids.size, scalar, dtype=_NP_DTYPE[node.dtype])
@@ -1129,7 +1114,7 @@ class BatchedSimulator:
         table = self._it[nid]
         waiting = ~heads & ~table.receives
         if bool(waiting.any()):
-            tid = int(self._thread_ids[np.argmax(waiting)])
+            tid = int(self._threads[np.argmax(waiting)])
             raise DeadlockError(
                 f"kernel '{self.graph.name}' deadlocked: thread {tid} waits "
                 f"forever for a value {node.label()} never forwards to it"
@@ -1152,7 +1137,7 @@ class BatchedSimulator:
         avail: dict[int, np.ndarray] = {}
         uses = {nid: len(succ) for nid, succ in static.successors.items()}
         if static.track_order:
-            self._fo = _FireOrder(static.order, self._thread_ids.size, self._inject)
+            self._fo = _FireOrder(static.order, self._threads.size, self._inject)
         prepass = static.prepass_nodes or frozenset()
         if prepass:
             self._time_wave_loads(streams, avail, uses)
@@ -1188,7 +1173,7 @@ class BatchedSimulator:
         if tracer is not None:
             tracer.wall_event("prepass", prepass_begin, args={"loads": len(loads)})
 
-        n = self._thread_ids.size
+        n = self._threads.size
         nids = [node.node_id for node, _ in loads]
         rows = [streams[nid].rows for nid in nids]
         valid = np.concatenate([np.ones(n, dtype=np.bool_) if r is None else r for r in rows])
@@ -1371,7 +1356,7 @@ class BatchedSimulator:
             ts = float(issue.min())
             self._trace.event(
                 f"{node.label()} retag", "interthread", ts, float(avail.max()) - ts,
-                pid=self._trace_pid, tid=self._lane[node.node_id],
+                pid=self._core, tid=self._lane[node.node_id],
                 args={"retags": n_valid, "constants": n - n_valid},
             )
         return avail
@@ -1418,7 +1403,7 @@ class BatchedSimulator:
             ts = float(issue.min())
             self._trace.event(
                 f"{node.label()} forward", "interthread", ts, float(complete.max()) - ts,
-                pid=self._trace_pid, tid=self._lane[node.node_id],
+                pid=self._core, tid=self._lane[node.node_id],
                 args={"heads": n_heads, "forwards": n_forwards, "depth": depth},
             )
         return complete
@@ -1426,7 +1411,7 @@ class BatchedSimulator:
     def _time_barrier(self, node: Node, issue: np.ndarray) -> np.ndarray:
         """Segmented-max release per transmission window group; a barrier
         without a ``window`` is one group over the whole thread subset."""
-        tids = self._thread_ids
+        tids = self._threads
         window = node.param("window")
         groups = tids // int(window) if window else np.zeros_like(tids)
         unique, inverse = np.unique(groups, return_inverse=True)
@@ -1449,7 +1434,7 @@ class BatchedSimulator:
                 self._trace.event(
                     "barrier_release", "interthread", float(first[g]),
                     float(release[g] - first[g]),
-                    pid=self._trace_pid, tid=self._lane[node.node_id],
+                    pid=self._core, tid=self._lane[node.node_id],
                     args={"group": int(unique[g]), "count": int(counts[g])},
                 )
         return per_thread + float(LVC_ACCESS_LATENCY)
@@ -1527,7 +1512,7 @@ class BatchedSimulator:
                 ts = float(issue[order].min())
                 tracer.event(
                     label, "mem", ts, float(complete[order].max()) - ts,
-                    pid=self._trace_pid, tid=MEM_LANE,
+                    pid=self._core, tid=MEM_LANE,
                     args={"count": int(order.size)},
                 )
         return complete
@@ -1543,7 +1528,7 @@ class BatchedSimulator:
         different levels' arrival ranges apart, so each level replays as
         one stream with the bank state carried over from the last.
         """
-        n = self._thread_ids.size
+        n = self._threads.size
         ready = np.concatenate([access[1] for access in level])
         if float(ready.min()) <= self._scratch_horizon:
             # window_batch_problem admits only barrier-separated levels.
@@ -1580,7 +1565,7 @@ class BatchedSimulator:
                 self._trace.event(
                     f"{'scratch store' if is_store else 'scratch load'} {node.param('array')}",
                     "scratch", ts, float(done.max()) - ts,
-                    pid=self._trace_pid, tid=MEM_LANE, args={"count": int(n)},
+                    pid=self._core, tid=MEM_LANE, args={"count": int(n)},
                 )
                 self._trace_node(node, node_issue, done)
 
@@ -1593,7 +1578,7 @@ class BatchedSimulator:
         event engine accumulates one token at a time (the inter-thread
         handlers count their own traffic).
         """
-        n = int(self._thread_ids.size)
+        n = int(self._threads.size)
         stats = self.stats
         static = self._static
         for node in static.order:

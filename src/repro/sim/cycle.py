@@ -41,7 +41,7 @@ from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, SimulationError
 from repro.graph.dfg import DataflowGraph
-from repro.graph.interthread import map_key, producer_map, thread_subset_problem
+from repro.graph.interthread import map_key, producer_map
 from repro.graph.node import Node
 from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, Opcode, UnitClass
 from repro.graph.semantics import PURE_OPCODES, coerce, converter, pure_function
@@ -52,13 +52,13 @@ from repro.memory.image import MemoryImage, out_of_bounds
 from repro.memory.request import AccessType
 from repro.obs.trace import INJECT_LANE, active_tracer
 from repro.sim.launch import KernelLaunch
-from repro.sim.result import SimulationResult
+from repro.sim.multicore import core_threads
+from repro.sim.result import MAX_CYCLES, SimulationResult
 from repro.sim.stats import ExecutionStats
 
 __all__ = [
     "CycleSimulator",
     "LVC_ACCESS_LATENCY",
-    "core_thread_ids",
     "edge_timing",
     "trace_lanes",
     "unit_latency",
@@ -128,38 +128,6 @@ _OP_COUNTERS = {
 
 #: Thread-index source opcodes, in the order of ``(x, y, z, linear)``.
 _TID_OPCODES = (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_Z, Opcode.TID_LINEAR)
-
-
-def core_thread_ids(
-    graph: DataflowGraph, thread_ids: "Sequence[int] | None", num_threads: int
-) -> list[int]:
-    """The thread IDs one core runs, as plain ints; ``None`` means all.
-
-    Every ID must lie inside the launch geometry and appear once: a
-    repeated thread would be injected, fired and retired twice.
-    Inter-thread communication cannot cross cores, so a subset of a
-    communicating graph must be closed under its communication: a union
-    of whole transmission windows (ELEVATOR/ELDST and windowed BARRIER
-    nodes), with un-windowed barriers degrading to per-subset barriers
-    only for scratchpad-free graphs.
-    """
-    if thread_ids is None:
-        return list(range(num_threads))
-    ids = [int(t) for t in thread_ids]
-    if ids and (min(ids) < 0 or max(ids) >= num_threads):
-        raise SimulationError("thread_ids outside the launch geometry")
-    seen: set[int] = set()
-    for tid in ids:
-        if tid in seen:
-            raise SimulationError(f"thread_ids repeats thread {tid}")
-        seen.add(tid)
-    if len(ids) != num_threads and graph.has_interthread():
-        problem = thread_subset_problem(graph, ids, num_threads)
-        if problem is not None:
-            raise SimulationError(
-                f"cannot simulate this thread subset of '{graph.name}': {problem}"
-            )
-    return ids
 
 
 def _map_tables(node: Node, block_dim: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -245,10 +213,9 @@ class CycleSimulator:
         compiled: CompiledKernel,
         launch: KernelLaunch,
         hierarchy: MemoryHierarchy | None = None,
-        max_cycles: int = 20_000_000,
-        thread_ids: "Sequence[int] | None" = None,
         memory: MemoryImage | None = None,
-        trace_pid: int = 0,
+        cores: int = 1,
+        core: int = 0,
     ) -> None:
         if compiled.graph.metadata.get("num_threads") != launch.graph.metadata.get(
             "num_threads"
@@ -260,13 +227,12 @@ class CycleSimulator:
         self.launch = launch
         self.geometry: ThreadGeometry = ThreadGeometry(compiled.block_dim)
         self.num_threads = self.geometry.num_threads
-        self.max_cycles = max_cycles
-        # The subset of threads this core executes (multi-core sharding).
-        self._thread_ids = core_thread_ids(self.graph, thread_ids, self.num_threads)
+        # The threads this core executes: its shard of the analyzer's plan.
+        self._threads = core_threads(compiled, cores, core).tolist()
 
         self.memory = memory if memory is not None else launch.build_memory_image()
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
-        self.stats = ExecutionStats(threads=len(self._thread_ids))
+        self.stats = ExecutionStats(threads=len(self._threads))
         self.outputs: dict[str, list[Any]] = {}
 
         # Heap entries are flat ``(cycle, kind, seq, *payload)`` tuples; the
@@ -287,12 +253,12 @@ class CycleSimulator:
         # path guards its hook with one `is not None` branch, so tracing
         # off costs a pointer comparison per event and nothing else.
         self._trace = active_tracer()
-        self._trace_pid = int(trace_pid)
+        self._core = core
         self._lane: dict[int, int] = {}
 
         self._prepare()
         if self._trace is not None:
-            self._lane = trace_lanes(self._trace, self.compiled, self._trace_pid)
+            self._lane = trace_lanes(self._trace, self.compiled, self._core)
 
     # ------------------------------------------------------------------ setup
     def _prepare(self) -> None:
@@ -344,7 +310,7 @@ class CycleSimulator:
                 self._injectors.append((state, coerce(node.param("const"), node.dtype)))
             if op is Opcode.BARRIER:
                 window = node.param("window")
-                for tid in self._thread_ids:
+                for tid in self._threads:
                     group = tid // int(window) if window else -1
                     state.barrier_expected[group] = state.barrier_expected.get(group, 0) + 1
             if op in EFFECT_OPCODES:
@@ -367,7 +333,7 @@ class CycleSimulator:
                 ports[dst].append(port)
         for node_id, node_ports in ports.items():
             self._nodes[node_id].ports = tuple(sorted(node_ports))
-        self._sink_done = {tid: 0 for tid in self._thread_ids}
+        self._sink_done = {tid: 0 for tid in self._threads}
 
     # ------------------------------------------------------------------ events
     def _send(self, state: _NodeState, tid: int, value: Any, cycle: int) -> None:
@@ -392,16 +358,15 @@ class CycleSimulator:
 
         events = self._events
         sequence = self._sequence
-        max_cycles = self.max_cycles
         trace = self._trace
         single_port = max(1, self.compiled.replicas) == 1
         inserts = 0
         while events:
             event = _heappop(events)
             cycle = event[0]
-            if cycle > max_cycles:
+            if cycle > MAX_CYCLES:
                 raise DeadlockError(
-                    f"simulation of '{self.graph.name}' exceeded {self.max_cycles} cycles"
+                    f"simulation of '{self.graph.name}' exceeded {MAX_CYCLES} cycles"
                 )
             kind = event[1]
             if kind == _EV_INJECT:
@@ -416,7 +381,7 @@ class CycleSimulator:
             inserts += 1
             if trace is not None:
                 trace.instant(
-                    "token", "token", cycle, pid=self._trace_pid,
+                    "token", "token", cycle, pid=self._core,
                     tid=self._lane[state.node.node_id], args={"tid": tid, "port": port},
                 )
             if state.arity == 1:
@@ -449,7 +414,7 @@ class CycleSimulator:
                 node = state.node
                 trace.event(
                     node.label(), "op", issue, max(1, state.latency),
-                    pid=self._trace_pid, tid=self._lane[node.node_id],
+                    pid=self._core, tid=self._lane[node.node_id],
                     args={"tid": tid, "cls": node.unit_class.name},
                 )
             pure = state.pure
@@ -466,7 +431,7 @@ class CycleSimulator:
                     (ready + latency, _EV_TOKEN, next(sequence), dst, dst_port, tid, value),
                 )
 
-        if self._retired != len(self._thread_ids):
+        if self._retired != len(self._threads):
             missing = [t for t, done in self._sink_done.items() if done < total_sinks]
             raise DeadlockError(
                 f"kernel '{self.graph.name}' deadlocked: {len(missing)} thread(s) never "
@@ -503,13 +468,13 @@ class CycleSimulator:
     def _schedule_injection(self) -> None:
         replicas = max(1, self.compiled.replicas)
         events = self._events
-        for position, tid in enumerate(self._thread_ids):
+        for position, tid in enumerate(self._threads):
             _heappush(events, (position // replicas, _EV_INJECT, next(self._sequence), tid))
 
     def _inject_thread(self, tid: int, cycle: int) -> None:
         if self._trace is not None:
             self._trace.instant(
-                "inject", "inject", cycle, pid=self._trace_pid, tid=INJECT_LANE,
+                "inject", "inject", cycle, pid=self._core, tid=INJECT_LANE,
                 args={"tid": tid},
             )
         thread_index = None
@@ -525,7 +490,7 @@ class CycleSimulator:
                     if self._trace is not None:
                         self._trace.instant(
                             f"{node.label()} const", "interthread", cycle,
-                            pid=self._trace_pid, tid=self._lane[node.node_id],
+                            pid=self._core, tid=self._lane[node.node_id],
                             args={"tid": tid},
                         )
                     self._send(state, tid, source, cycle + state.latency)
@@ -577,7 +542,7 @@ class CycleSimulator:
         if self._trace is not None:
             self._trace.event(
                 f"load {spec.name}", "mem", issue, complete - issue,
-                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
+                pid=self._core, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
         self._send(state, tid, value, complete)
 
@@ -592,7 +557,7 @@ class CycleSimulator:
         if self._trace is not None:
             self._trace.event(
                 f"store {spec.name}", "mem", issue, complete - issue,
-                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
+                pid=self._core, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
         self._send(state, tid, value, complete)
         self._sink_completed(tid, complete)
@@ -609,7 +574,7 @@ class CycleSimulator:
             self._trace.event(
                 f"{'scratch store' if is_store else 'scratch load'} {spec.name}",
                 "scratch", issue, complete - issue,
-                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
+                pid=self._core, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
         if is_store:
             value = operands[1]
@@ -656,7 +621,7 @@ class CycleSimulator:
             if self._trace is not None:
                 self._trace.event(
                     f"eldst load {spec.name}", "mem", issue, complete - issue,
-                    pid=self._trace_pid, tid=self._lane[node.node_id], args={"tid": tid},
+                    pid=self._core, tid=self._lane[node.node_id], args={"tid": tid},
                 )
             self._complete_eldst(state, tid, value, complete)
             return
@@ -692,7 +657,7 @@ class CycleSimulator:
         if self._trace is not None:
             self._trace.instant(
                 "eldst_forward", "interthread", cycle,
-                pid=self._trace_pid, tid=self._lane[state.node.node_id], args={"tid": tid},
+                pid=self._core, tid=self._lane[state.node.node_id], args={"tid": tid},
             )
         waiting = state.waiting_consumers.pop(tid, None)
         if waiting is not None:
@@ -728,7 +693,7 @@ class CycleSimulator:
                 first = min(arrival for arrival, _ in arrived.values())
                 self._trace.event(
                     "barrier_release", "interthread", first, release - first,
-                    pid=self._trace_pid, tid=self._lane[node.node_id],
+                    pid=self._core, tid=self._lane[node.node_id],
                     args={"group": group, "count": len(arrived)},
                 )
             for waiting_tid, (arrival, value) in arrived.items():

@@ -11,15 +11,20 @@ Sharding legality (window-aligned partitioning)
 Inter-thread communication never crosses a transmission-window boundary
 (Sec. 3.2, :func:`repro.graph.interthread.producer_map`), so a kernel that
 communicates between threads *can* be sharded as long as every shard is a
-union of whole windows.  :func:`plan_shards` inspects every
-ELEVATOR/ELDST (and windowed BARRIER) node, takes the LCM of their
-windows, and aligns the block-cyclic shard block to a multiple of that
-LCM; graphs whose only inter-thread node is an un-windowed BARRIER shard
-with a per-shard barrier, which preserves every value as long as no data
-flows through the scratchpad.  Only when no legal cut exists — an
-unbounded window, a window spanning the whole block, or whole-block
-scratchpad synchronisation — does the plan fall back to a single core;
+union of whole windows.  The analyzer's shardability pass
+(:func:`repro.analyze.passes.shard_plan`) decides the cut once per
+kernel: it takes the LCM of every ELEVATOR/ELDST (and windowed BARRIER)
+window and rounds the replica count up to it, which gives the
+block-cyclic shard block; graphs whose only inter-thread node is an
+un-windowed BARRIER shard with a per-shard barrier, which preserves every
+value as long as no data flows through the scratchpad.  Only when no
+legal cut exists — an unbounded window, a window spanning the whole
+block, whole-block scratchpad synchronisation, or a block that leaves a
+second core no work — does the plan fall back to a single core;
 ``simulate`` records the reason in ``stats.extra["shard_fallback_reason"]``.
+:func:`plan_shards` applies a launch's core count to that plan, and each
+engine runs the shard :func:`core_threads` derives from it, so no
+engine ever sees a thread subset the plan did not produce.
 
 Memory model
 ------------
@@ -34,89 +39,53 @@ concurrently — and volume counters the sum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from repro.analyze.manager import analyze_kernel
+from repro.analyze.passes import ShardPlan
 from repro.compiler.pipeline import CompiledKernel
 from repro.errors import SimulationError
 
-__all__ = ["ShardPlan", "plan_shards", "shard_threads"]
+__all__ = ["ShardPlan", "core_threads", "plan_shards", "shard_threads"]
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """How (or why not) one compiled kernel shards across cores.
+def plan_shards(compiled: CompiledKernel, cores: int | None = None) -> ShardPlan:
+    """The analyzer's shard plan for ``compiled`` on ``cores`` cores.
 
-    ``block`` is the block-cyclic shard block size, always a multiple of
-    ``window_lcm`` so every shard is a union of whole transmission
-    windows; ``fallback_reason`` is set when the graph admits no legal
-    multi-core cut and the launch must run on a single core.
+    ``cores`` defaults to ``SystemConfig.cores``.  A one-core run needs
+    no plan; otherwise the analyzer's plan (cached on the kernel) is
+    returned as is when it is a fallback, and with its core count set
+    when a window-aligned cut exists.  The count is capped at the number
+    of shard blocks, so every core of a sharded plan gets work.
     """
-
-    cores: int
-    block: int
-    window_lcm: int
-    fallback_reason: str | None = None
-    #: Stable analyzer diagnostic code naming the fallback class
-    #: (``RA030``/``RA031``/``RA032``/``RA033``); ``None`` when sharded.
-    fallback_code: str | None = None
-
-    @property
-    def sharded(self) -> bool:
-        return self.cores > 1 and self.fallback_reason is None
-
-
-def _fallback(block: int, reason: str, code: str) -> ShardPlan:
-    return ShardPlan(
-        cores=1, block=block, window_lcm=1, fallback_reason=reason, fallback_code=code
-    )
-
-
-def plan_shards(
-    compiled: CompiledKernel, cores: int | None = None, block: int | None = None
-) -> ShardPlan:
-    """Pick a window-aligned block-cyclic partition for ``compiled``.
-
-    The shard boundary legality rule is ``boundary ≡ 0 (mod LCM of all
-    transmission windows)``: every ELEVATOR/ELDST node must carry a
-    bounded ``window`` and every shard block is padded up to a multiple
-    of the windows' least common multiple.  BARRIER nodes contribute
-    their ``window`` if they have one; an un-windowed barrier is legal
-    per-shard only when the graph moves no data through the scratchpad.
-
-    The legality facts come from the static analyzer's shardability
-    verdict (cached on the kernel); only the block-size arithmetic, which
-    depends on the caller's ``block``, is evaluated here.
-    """
-    config = compiled.config
-    cores = config.cores if cores is None else int(cores)
+    cores = compiled.config.cores if cores is None else int(cores)
     if cores < 1:
         raise SimulationError("cores must be >= 1")
-    base_block = max(1, compiled.replicas) if block is None else int(block)
-    if base_block < 1:
-        raise SimulationError("shard block size must be >= 1")
     if cores == 1:
-        return ShardPlan(cores=1, block=base_block, window_lcm=1)
+        return ShardPlan(block=max(1, compiled.replicas), window_lcm=1)
+    plan = analyze_kernel(compiled).shard
+    if not plan.shardable:
+        return plan
+    blocks = -(-compiled.num_threads // plan.block)
+    return replace(plan, cores=min(cores, blocks))
 
-    num_threads = compiled.num_threads
-    verdict = analyze_kernel(compiled).shard
-    if verdict.fallback_code in ("RA030", "RA031", "RA032"):
-        # Block-size independent: no legal cut exists for any block.
-        assert verdict.fallback_reason is not None
-        return _fallback(base_block, verdict.fallback_reason, verdict.fallback_code)
 
-    lcm = verdict.window_lcm
-    aligned = -(-base_block // lcm) * lcm
-    if aligned >= num_threads:
-        return _fallback(
-            aligned,
-            f"shard block of {aligned} leaves no work for a second core "
-            f"({num_threads} threads)",
-            "RA033",
+def core_threads(compiled: CompiledKernel, cores: int, core: int) -> np.ndarray:
+    """The sorted linear thread IDs core ``core`` runs on ``cores`` cores.
+
+    The shard comes from :func:`plan_shards`, so on a fallback plan core
+    0 runs the whole launch; a core index outside the plan raises
+    :class:`SimulationError`.
+    """
+    plan = plan_shards(compiled, cores)
+    if not 0 <= core < plan.cores:
+        raise SimulationError(
+            f"core {core} is outside the {plan.cores}-core shard plan of "
+            f"'{compiled.graph.name}'"
         )
-    return ShardPlan(cores=cores, block=aligned, window_lcm=lcm)
+    return shard_threads(compiled.num_threads, plan.cores, plan.block)[core]
 
 
 def shard_threads(num_threads: int, cores: int, block: int) -> list[np.ndarray]:

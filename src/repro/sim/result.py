@@ -16,7 +16,11 @@ from repro.sim.stats import ExecutionStats
 if TYPE_CHECKING:
     from repro.sim.multicore import ShardPlan
 
-__all__ = ["SimulationResult"]
+__all__ = ["MAX_CYCLES", "SimulationResult"]
+
+#: Cycle budget of every timed engine: a run that passes it raises (a
+#: kernel that never retires its threads would otherwise loop forever).
+MAX_CYCLES = 20_000_000
 
 
 @dataclass(frozen=True)

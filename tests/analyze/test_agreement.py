@@ -214,7 +214,7 @@ def test_deadlock_pass_flags_exactly_the_deadlocking_kernel():
     compiled = compile_kernel(graph)
     assert analyze_kernel(compiled).deadlock  # statically flagged...
     with pytest.raises(DeadlockError):  # ...and it really deadlocks
-        CycleSimulator(compiled, KernelLaunch(graph, {}), max_cycles=50_000).run()
+        CycleSimulator(compiled, KernelLaunch(graph, {})).run()
 
 
 def test_overlapping_scratch_levels_stay_on_the_event_engine():

@@ -1,10 +1,15 @@
 """Request canonicalization: digest stability, resolution, rejection."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.system import default_system_config
 from repro.explore.spec import CampaignSpec
 from repro.serve.canonicalize import (
+    CanonicalRequest,
     ServeError,
     canonical_from_point,
     canonicalize_compile,
@@ -114,6 +119,33 @@ def test_bad_simulate_bodies_raise_serve_error_400(body, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize("canonicalize", [canonicalize_simulate, canonicalize_compile])
+@pytest.mark.parametrize(
+    "config",
+    [{"grid": {"rows": "x"}}, {"cores": None}, {"cores": True}],
+    ids=["str-rows", "null-cores", "bool-cores"],
+)
+def test_wrong_typed_config_values_raise_serve_error_400(canonicalize, config):
+    with pytest.raises(ServeError) as excinfo:
+        canonicalize({"workload": "matrixMul", "config": config})
+    assert excinfo.value.status == 400
+    assert "expected" in str(excinfo.value)
+
+
+def test_wrong_typed_override_raises_serve_error_400():
+    with pytest.raises(ServeError) as excinfo:
+        canonicalize_simulate({"workload": "matrixMul", "overrides": {"cores": "x"}})
+    assert excinfo.value.status == 400
+    assert "cores" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("alias", [True, 1.0], ids=["bool", "float"])
+def test_override_type_is_checked_after_an_equal_value_was_memoised(alias):
+    canonicalize_simulate({"workload": "matrixMul", "overrides": {"cores": 1}})
+    with pytest.raises(ServeError, match="expected int"):
+        canonicalize_simulate({"workload": "matrixMul", "overrides": {"cores": alias}})
+
+
 def test_compile_rejects_fermi_and_simulate_only_keys():
     with pytest.raises(ServeError) as excinfo:
         canonicalize_compile({"workload": "matrixMul", "variant": "fermi"})
@@ -130,3 +162,85 @@ def test_compile_key_is_stable_and_config_sensitive():
     )
     assert a.key == b.key  # dim=16 is the default
     assert a.key != c.key
+
+
+# ------------------------------------------------------------- body fuzzing
+#: Valid bodies whose every key, config leaf and override the fuzz replaces.
+VALID_BODIES = {
+    canonicalize_simulate: {
+        "workload": "matrixMul",
+        "variant": "dmt",
+        "engine": "auto",
+        "seed": 0,
+        "params": {"dim": 8},
+        "config": {
+            "cores": 2,
+            "core_clock_ghz": 1.4,
+            "grid": {"rows": 10},
+            "memory": {"l1": {"write_back": True}},
+        },
+        "overrides": {"cores": 4, "token_buffer.entries": 8},
+    },
+    canonicalize_compile: {
+        "workload": "matrixMul",
+        "variant": "dmt",
+        "params": {"dim": 8},
+        "config": {"cores": 2, "core_clock_ghz": 1.4, "grid": {"rows": 10}},
+    },
+}
+
+
+def _slots(body, prefix=()):
+    """Paths of every top-level key and every leaf under ``config``/``overrides``."""
+    for key, value in body.items():
+        path = (*prefix, key)
+        yield path
+        if isinstance(value, dict) and (prefix or key in ("config", "overrides")):
+            yield from _slots(value, path)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def fuzzed_bodies(draw):
+    canonicalize = draw(st.sampled_from(list(VALID_BODIES)))
+    body = copy.deepcopy(VALID_BODIES[canonicalize])
+    paths = draw(st.lists(st.sampled_from(list(_slots(body))), min_size=1, max_size=3))
+    for path in paths:
+        node = body
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or path[-1] not in node:
+            continue  # an earlier replacement removed this slot's parent
+        old = node[path[-1]]
+        node[path[-1]] = draw(json_values.filter(lambda new: type(new) is not type(old)))
+    return canonicalize, body
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=300)
+@given(fuzzed_bodies())
+def test_fuzzed_bodies_canonicalize_or_raise_serve_error_4xx(case):
+    """Any value of another JSON type in any slot of a valid body yields a
+    canonical request or a 4xx ``ServeError``, never another exception."""
+    canonicalize, body = case
+    try:
+        request = canonicalize(body)
+    except ServeError as exc:
+        assert 400 <= exc.status < 500
+    else:
+        assert isinstance(request, CanonicalRequest)

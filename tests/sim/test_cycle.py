@@ -95,7 +95,7 @@ def test_deadlock_detection_reports_unretired_threads():
     graph = b.finish()
     compiled = compile_kernel(graph)
     with pytest.raises(DeadlockError):
-        CycleSimulator(compiled, KernelLaunch(graph, {}), max_cycles=50_000).run()
+        CycleSimulator(compiled, KernelLaunch(graph, {})).run()
 
 
 def test_noc_hops_match_mapped_route_lengths():

@@ -1,15 +1,21 @@
 """Window-aligned multi-core sharding of communicating kernels."""
 
+import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.batched
+import repro.sim.cycle
 from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
+from repro.config.system import default_system_config
 from repro.errors import SimulationError
-from repro.graph.interthread import subset_closed_under_window, thread_subset_problem
 from repro.harness.experiments import run_workload
 from repro.harness.figures import DEFAULT_SUITE_PARAMS
 from repro.kernel.builder import KernelBuilder
@@ -17,7 +23,7 @@ from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
-from repro.sim.multicore import plan_shards, shard_threads
+from repro.sim.multicore import core_threads, plan_shards, shard_threads
 from repro.workloads.registry import get_workload, registry_kernels
 
 #: Counters that must be equal between a sharded and a single-core run.
@@ -108,15 +114,26 @@ def test_plan_aligns_block_to_window_lcm():
     assert plan.block % 12 == 0
 
 
-def test_plan_rounds_requested_block_up_to_the_window():
-    """A window larger than the requested block forces the block up."""
+def _whole_windows(shard, window, num_threads):
+    """Brute force: every window of the launch lies wholly in or out of ``shard``."""
+    present = set(shard.tolist())
+    for start in range(0, num_threads, window):
+        group = set(range(start, min(start + window, num_threads)))
+        if group & present and not group <= present:
+            return False
+    return True
+
+
+def test_plan_rounds_default_block_up_to_the_window():
+    """A window larger than the replica count forces the block up."""
     launch, _ = _windowed_elevator_launch(n=64, window=16)
     compiled = compile_kernel(launch.graph)
-    plan = plan_shards(compiled, cores=2, block=3)
+    assert compiled.replicas < 16
+    plan = plan_shards(compiled, cores=2)
     assert plan.sharded
     assert plan.block == 16
     for shard in shard_threads(64, 2, plan.block):
-        assert subset_closed_under_window(shard, 16, 64)
+        assert _whole_windows(shard, 16, 64)
 
 
 def test_plan_falls_back_when_window_spans_the_block():
@@ -254,52 +271,24 @@ def test_scratch_coupled_barrier_falls_back():
     prepared.check_outputs({"partials": result.array("partials")})
 
 
-# -------------------------------------------------------------- subset rules
-def test_misaligned_thread_subset_is_rejected():
-    launch, _ = _windowed_elevator_launch(n=64, window=8)
+# ---------------------------------------------------------------- core index
+@pytest.mark.parametrize("simulator", [CycleSimulator, BatchedSimulator], ids=["event", "batched"])
+@pytest.mark.parametrize("cores,core", [(4, -1), (4, 4), (8, 2)], ids=["negative", "past", "empty"])
+def test_core_outside_the_plan_is_rejected(simulator, cores, core):
+    """A core index the shard plan has no shard for fails at construction;
+    eight cores over two windows is a two-core plan."""
+    launch, _ = _windowed_elevator_launch(n=16, window=8)
     compiled = compile_kernel(launch.graph)
-    with pytest.raises(SimulationError):
-        CycleSimulator(compiled, launch, thread_ids=range(12))  # cuts a window
+    with pytest.raises(SimulationError, match=f"core {core} is outside"):
+        simulator(compiled, launch, cores=cores, core=core)
 
 
-def _doubling_launch(n=64):
-    """An inter-thread-free kernel, runnable by the plain batched engine."""
-    b = KernelBuilder("doubling", n)
-    b.global_array("x", n)
-    b.global_array("out", n)
-    tid = b.thread_idx_x()
-    b.store("out", tid, b.load("x", tid) * 2.0)
-    return KernelLaunch(b.finish(), {"x": np.arange(1.0, n + 1.0)})
-
-
-@pytest.mark.parametrize(
-    "simulator,make_launch",
-    [
-        (CycleSimulator, lambda: _windowed_elevator_launch()[0]),
-        (BatchedSimulator, _doubling_launch),
-        (BatchedSimulator, lambda: _windowed_elevator_launch()[0]),
-    ],
-    ids=["event", "batched", "window-batched"],
-)
-@pytest.mark.parametrize(
-    "thread_ids",
-    [[0, 0, 1], [5] + list(range(63))],
-    ids=["short", "launch-length"],
-)
-def test_repeated_thread_ids_are_rejected(simulator, make_launch, thread_ids):
-    """A repeated thread ID fails at construction and names the thread,
-    also when the list is as long as the launch (no subset check runs)."""
-    launch = make_launch()
+def test_fallback_plan_runs_the_launch_on_core_zero(scan_launch):
+    launch, _ = scan_launch
     compiled = compile_kernel(launch.graph)
-    repeated = thread_ids[0]
-    with pytest.raises(SimulationError, match=f"repeats thread {repeated}"):
-        simulator(compiled, launch, thread_ids=thread_ids)
-
-
-def test_thread_subset_problem_accepts_window_unions():
-    launch, _ = _windowed_elevator_launch(n=64, window=8)
-    assert thread_subset_problem(launch.graph, list(range(8, 24)), 64) is None
-    assert thread_subset_problem(launch.graph, list(range(4, 12)), 64) is not None
+    assert core_threads(compiled, 4, 0).tolist() == list(range(compiled.num_threads))
+    with pytest.raises(SimulationError, match="outside the 1-core shard plan"):
+        core_threads(compiled, 4, 1)
 
 
 def test_simulate_records_fallback_reason(scan_launch):
@@ -370,3 +359,81 @@ def test_sharded_batched_run_matches_the_event_engine(workload, variant):
 def test_sharded_batched_cells_cover_both_batched_engines():
     names = {f"{w.name}/{v}" for w, v in SHARDED_BATCHED_CELLS}
     assert {"reduce/stream", "reduce/dmt", "matrixMul/dmt_win"} <= names
+
+
+# ------------------------------------------------------- sharding property
+def _shard_property_launch(n, distance, elevator_window, barrier, barrier_window):
+    """An ELEVATOR neighbour sum, optionally behind a (windowed) BARRIER."""
+    b = KernelBuilder("shard_property", n)
+    b.global_array("x", n)
+    b.global_array("out", n)
+    tid = b.thread_idx_x()
+    value = b.load("x", tid)
+    b.tag_value("v", value)
+    moved = value + b.from_thread_or_const("v", distance, 0.5, window=elevator_window)
+    if barrier:
+        moved = b.barrier(moved, window=barrier_window)
+    b.store("out", tid, moved * 2.0)
+    return KernelLaunch(b.finish(), {"x": np.arange(1.0, n + 1.0)})
+
+
+def _recording(real, ran):
+    def record(compiled, cores, core):
+        threads = real(compiled, cores, core)
+        ran.append(threads)
+        return threads
+
+    return record
+
+
+#: A bounded window, or (one draw in thirteen) none at all.
+windows = st.sampled_from([*range(1, 13), None])
+
+
+@pytest.mark.slow
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(8, 96),
+    distance=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    elevator_window=windows,
+    barrier=st.booleans(),
+    barrier_window=windows,
+    replicas=st.integers(1, 8),
+    cores=st.sampled_from([2, 3, 4]),
+    engine=st.sampled_from(["auto", "event"]),
+)
+def test_every_shard_is_a_union_of_whole_windows(
+    n, distance, elevator_window, barrier, barrier_window, replicas, cores, engine
+):
+    """Each engine runs exactly the shards of the analyzer's plan: every
+    thread once, every shard a union of whole windows of every
+    communicating node, and the sharded run equal to the single-core run
+    in outputs and op counters."""
+    launch = _shard_property_launch(n, distance, elevator_window, barrier, barrier_window)
+    config = dataclasses.replace(default_system_config(), max_graph_replicas=replicas)
+    compiled = compile_kernel(launch.graph, config.validate())
+    single = simulate(compiled, launch, engine=engine, cores=1)
+    ran: list[np.ndarray] = []
+    with mock.patch.object(
+        repro.sim.cycle, "core_threads", _recording(repro.sim.cycle.core_threads, ran)
+    ), mock.patch.object(
+        repro.sim.batched, "core_threads", _recording(repro.sim.batched.core_threads, ran)
+    ):
+        multi = simulate(compiled, launch, engine=engine, cores=cores)
+
+    assert len(ran) == multi.cores <= cores
+    assert (multi.cores > 1) != ("shard_fallback_code" in multi.stats.extra)
+    assert sorted(np.concatenate(ran).tolist()) == list(range(n))
+    bounded = [elevator_window] if elevator_window else []
+    if barrier and barrier_window:
+        bounded.append(barrier_window)
+    for shard in ran:
+        for window in bounded:
+            assert _whole_windows(shard, window, n), (window, shard.tolist())
+
+    assert multi.engine == single.engine
+    assert np.array_equal(single.array("out"), multi.array("out"))
+    single_counters = single.stats.as_dict()
+    multi_counters = multi.stats.as_dict()
+    for counter in (*OP_COUNTERS, "barrier_arrivals"):
+        assert multi_counters[counter] == single_counters[counter], counter

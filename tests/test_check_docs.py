@@ -35,6 +35,24 @@ def test_broken_reference_is_caught(tmp_path):
     assert "simulate_faster_please" in completed.stderr
 
 
+def test_stale_call_keyword_is_caught(tmp_path):
+    doc = tmp_path / "stale.md"
+    doc.write_text(
+        "```python\n"
+        "import repro.sim as sim\n"
+        "from repro import simulate\n"
+        "result = simulate(compiled, launch, engine='auto', block=None)\n"
+        "sim.simulate(compiled, launch, cores=2)\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    completed = _run(str(doc))
+    assert completed.returncode == 1
+    assert "repro.simulate: no parameter 'block'" in completed.stderr
+    assert "engine" not in completed.stderr
+    assert "cores" not in completed.stderr
+
+
 def test_dotted_reference_in_shell_block_is_checked(tmp_path):
     doc = tmp_path / "cli.md"
     doc.write_text(

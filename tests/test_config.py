@@ -82,6 +82,36 @@ def test_from_dict_rejects_unknown_keys_and_invalid_values():
         SystemConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("grid", "rows"), "x"),
+        (("cores",), None),
+        (("cores",), True),
+        (("cores",), 2.0),
+        (("memory", "l1", "write_back"), 1),
+        (("core_clock_ghz",), "fast"),
+        (("token_buffer", "entries"), [8]),
+    ],
+    ids=["str-int", "null-int", "bool-int", "float-int", "int-bool", "str-float", "list-int"],
+)
+def test_from_dict_rejects_wrong_typed_leaves(path, value):
+    data = default_system_config().to_dict()
+    *parents, leaf = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    with pytest.raises(ConfigurationError, match=leaf):
+        SystemConfig.from_dict(data)
+
+
+def test_from_dict_lets_an_int_fill_a_float():
+    data = default_system_config().to_dict()
+    data["core_clock_ghz"] = 2
+    assert SystemConfig.from_dict(data).core_clock_ghz == 2
+
+
 def test_config_digest_is_stable_across_processes():
     config = default_system_config()
     assert config_digest(config) == config_digest(config.to_dict()) == config.digest()

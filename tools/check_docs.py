@@ -9,8 +9,12 @@ and ``docs/*.md`` for
   ``python -m repro.serve``,
 
 and verifies each one resolves: modules import cleanly and attribute
-chains exist on the imported module.  Documentation that names a symbol
-which has been renamed or removed fails CI instead of silently rotting.
+chains exist on the imported module.  Each fenced ``python`` block is
+also parsed with :mod:`ast`: every keyword of a call to a callable
+imported from ``repro`` must be a parameter of its signature, unless the
+callable takes ``**kwargs``.  Documentation that names a symbol or a
+keyword which has been renamed or removed fails CI instead of silently
+rotting.
 
 Usage::
 
@@ -22,7 +26,9 @@ the repository root.  Exit status is 1 when any reference is broken, else 0.
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -30,6 +36,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 _FENCE = re.compile(r"^```")
+_PYTHON_FENCE = re.compile(r"^```(?:python|py)\s*$")
 _IMPORT = re.compile(r"^\s*import\s+(repro[\w.]*)")
 _FROM_IMPORT = re.compile(r"^\s*from\s+(repro[\w.]*)\s+import\s+([\w ,]+)")
 _DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
@@ -49,6 +56,22 @@ def code_blocks(text: str) -> list[str]:
                 current = None
             continue
         if current is not None:
+            current.append(line)
+    return blocks
+
+
+def python_blocks(text: str) -> list[str]:
+    """Return the contents of every fenced code block tagged ``python``."""
+    blocks: list[str] = []
+    current: list[str] | None = None
+    fenced = False
+    for line in text.splitlines():
+        if _FENCE.match(line):
+            if fenced and current is not None:
+                blocks.append("\n".join(current))
+            current = [] if not fenced and _PYTHON_FENCE.match(line) else None
+            fenced = not fenced
+        elif current is not None:
             current.append(line)
     return blocks
 
@@ -87,6 +110,11 @@ def references(block: str) -> set[str]:
 
 def resolve(reference: str) -> str | None:
     """Return an error string if ``reference`` does not resolve, else None."""
+    return lookup(reference)[1]
+
+
+def lookup(reference: str) -> tuple[object, str | None]:
+    """The object ``reference`` names, or ``(None, error string)``."""
     parts = reference.split(".")
     module = None
     module_name = ""
@@ -100,16 +128,65 @@ def resolve(reference: str) -> str | None:
         except ImportError:
             continue
         except Exception as exc:  # noqa: BLE001 - import-time crash is a finding
-            return f"importing '{candidate}' raised {type(exc).__name__}: {exc}"
+            return None, f"importing '{candidate}' raised {type(exc).__name__}: {exc}"
     if module is None:
-        return f"no importable prefix of '{reference}'"
+        return None, f"no importable prefix of '{reference}'"
     obj = module
     for attr in parts[len(module_name.split(".")):]:
         try:
             obj = getattr(obj, attr)
         except AttributeError:
-            return f"'{module_name}' has no attribute path '{reference}'"
+            return None, f"'{module_name}' has no attribute path '{reference}'"
+    return obj, None
+
+
+def _dotted(node: ast.expr) -> list[str] | None:
+    """``a.b.c`` as ``["a", "b", "c"]``; None for any other expression."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else [*base, node.attr]
     return None
+
+
+def keyword_problems(block: str) -> list[str]:
+    """Call keywords in one Python block that the called ``repro`` callable lacks."""
+    try:
+        tree = ast.parse(block)
+    except SyntaxError as exc:
+        return [f"python block does not parse: {exc}"]
+    bound: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("repro"):
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = alias.name if alias.asname else name
+    problems: list[str] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.keywords:
+            continue
+        chain = _dotted(node.func)
+        if chain is None or chain[0] not in bound:
+            continue
+        reference = ".".join([bound[chain[0]], *chain[1:]])
+        target, error = lookup(reference)
+        if error is not None:
+            continue  # reported as a broken reference
+        try:
+            parameters = inspect.signature(target).parameters
+        except (TypeError, ValueError):
+            continue
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg is not None and keyword.arg not in parameters:
+                problems.append(f"{reference}: no parameter '{keyword.arg}'")
+    return problems
 
 
 def check_file(path: Path) -> list[str]:
@@ -123,6 +200,8 @@ def check_file(path: Path) -> list[str]:
         problem = resolve(reference)
         if problem is not None:
             errors.append(f"{label}: {reference}: {problem}")
+    for block in python_blocks(text):
+        errors.extend(f"{label}: {problem}" for problem in keyword_problems(block))
     return errors
 
 
