@@ -19,12 +19,25 @@ the CGRA against:
 Branches must be warp-uniform (the nine evaluated kernels use predication
 for lane-divergent behaviour), which matches how the hand-written baseline
 kernels are expressed.
+
+A run is two passes, the functional/performance split of GPGPU-Sim.  The
+**value pass** runs the block one barrier phase at a time: each step
+executes the lowest pc any running warp holds, over the lanes of every
+warp at that pc, as one NumPy operation on the register file.  It records
+each warp's dynamic pc sequence and, per memory instruction, only what
+the timing needs (the coalesced line addresses of a global access, the
+distinct-word count per bank of a shared one), and it sums every counter
+that does not depend on the interleaving.  Values cannot depend on the
+interleaving either: two warps touching one word in one barrier phase,
+at least one of them storing, is a race and raises.  The **timing pass**
+replays those per-warp streams through the round-robin schedulers, the
+scoreboard, the execution pipes, the cache hierarchy and the scratchpad
+banks, with no lane arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,6 +45,8 @@ from repro.config.system import SystemConfig, default_system_config
 from repro.errors import GpgpuExecutionError
 from repro.gpgpu.isa import Imm, Instruction, Op, Pred, Reg, Special
 from repro.gpgpu.program import SimtProgram
+from repro.graph.interthread import unlinearize
+from repro.kernel.arrays import ArraySpec
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage, out_of_bounds
 from repro.memory.request import AccessType
@@ -40,56 +55,113 @@ from repro.sim.stats import ExecutionStats
 
 __all__ = ["FermiSimulator", "run_fermi"]
 
+# What an instruction does, as far as either pass cares.
+_ALU, _LD_GLOBAL, _ST_GLOBAL, _LD_SHARED, _ST_SHARED, _BRA, _BAR, _EXIT = range(8)
+_KIND = {
+    Op.LD_GLOBAL: _LD_GLOBAL,
+    Op.ST_GLOBAL: _ST_GLOBAL,
+    Op.LD_SHARED: _LD_SHARED,
+    Op.ST_SHARED: _ST_SHARED,
+    Op.BRA: _BRA,
+    Op.BAR_SYNC: _BAR,
+    Op.EXIT: _EXIT,
+}
+# Source-operand kinds of ``_Decoded.srcs``.
+_REG, _PRED, _IMM, _SPECIAL = range(4)
+#: "Never": the ready cycle of a warp that is done or parked at a barrier.
+_NEVER = float("inf")
+
+
+def _int_op(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable:
+    return lambda a, b, c: fn(a.astype(np.int64), b.astype(np.int64)).astype(float)
+
+
+def _divide(a: np.ndarray, b: np.ndarray, c: Any) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b != 0, a / np.where(b == 0, 1, b), np.inf)
+
+
+#: Lane arithmetic of every ALU/SFU opcode, over sources ``a``, ``b``, ``c``.
+_ALU_OPS: dict[Op, Callable[[Any, Any, Any], np.ndarray]] = {
+    Op.MOV: lambda a, b, c: a.copy(),
+    Op.ADD: lambda a, b, c: a + b,
+    Op.SUB: lambda a, b, c: a - b,
+    Op.MUL: lambda a, b, c: a * b,
+    Op.DIV: _divide,
+    Op.MOD: lambda a, b, c: np.where(b != 0, np.fmod(a, np.where(b == 0, 1, b)), 0.0),
+    Op.MIN: lambda a, b, c: np.minimum(a, b),
+    Op.MAX: lambda a, b, c: np.maximum(a, b),
+    Op.FMA: lambda a, b, c: a * b + c,
+    Op.MAD: lambda a, b, c: a * b + c,
+    Op.NEG: lambda a, b, c: -a,
+    Op.ABS: lambda a, b, c: np.abs(a),
+    Op.AND: _int_op(np.bitwise_and),
+    Op.OR: _int_op(np.bitwise_or),
+    Op.XOR: _int_op(np.bitwise_xor),
+    Op.SHL: _int_op(np.left_shift),
+    Op.SHR: _int_op(np.right_shift),
+    Op.SQRT: lambda a, b, c: np.sqrt(np.maximum(a, 0.0)),
+    Op.RSQRT: lambda a, b, c: 1.0 / np.sqrt(np.maximum(a, 1e-30)),
+    Op.EXP: lambda a, b, c: np.exp(a),
+    Op.LOG: lambda a, b, c: np.log(np.maximum(a, 1e-30)),
+    Op.RCP: lambda a, b, c: np.where(a != 0, 1.0 / np.where(a == 0, 1, a), np.inf),
+    Op.SETP_LT: lambda a, b, c: (a < b).astype(float),
+    Op.SETP_LE: lambda a, b, c: (a <= b).astype(float),
+    Op.SETP_GT: lambda a, b, c: (a > b).astype(float),
+    Op.SETP_GE: lambda a, b, c: (a >= b).astype(float),
+    Op.SETP_EQ: lambda a, b, c: (a == b).astype(float),
+    Op.SETP_NE: lambda a, b, c: (a != b).astype(float),
+    Op.PAND: lambda a, b, c: ((a != 0) & (b != 0)).astype(float),
+    Op.POR: lambda a, b, c: ((a != 0) | (b != 0)).astype(float),
+    Op.PNOT: lambda a, b, c: (a == 0).astype(float),
+    Op.SEL: lambda a, b, c: np.where(a != 0, b, c),
+}
+
 
 class _Decoded(NamedTuple):
-    """The static facts of one instruction the scheduler and issue stage use.
+    """The static facts of one instruction that the two passes use.
 
-    Built once per run from the program, so the per-cycle scoreboard check
-    and the issue stage do tuple lookups instead of re-deriving them.
+    Built once per run from the program, so neither pass re-derives them.
     """
 
     instr: Instruction
+    kind: int
     #: Index of the instruction's execution pipe (its latency class).
     pipe: int
     #: Cycles the instruction occupies its pipe (``FermiConfig.dispatch_cycles``).
     dispatch: int
-    #: ``_Warp.ready`` slots the scoreboard waits on (sources + guard).
+    #: Scoreboard slots the instruction waits on (sources + guard).
     reads: tuple[int, ...]
+    #: Scoreboard slot of the destination, or ``-1``.
+    write: int
+    #: Cycles from issue to an ALU/SFU result (0 for other kinds).
+    latency: int
     #: Register-file reads per active lane (``Reg``/``Pred`` source operands).
     reg_sources: int
     #: ``(kind, payload)`` per source operand; see :meth:`FermiSimulator._operand`.
     srcs: tuple[tuple[int, Any], ...]
     #: Branch target pc, or ``-1``.
     target: int
+    #: The memory instruction's array, or ``None``.
+    spec: ArraySpec | None
 
 
-# Source-operand kinds of ``_Decoded.srcs``.
-_REG, _PRED, _IMM, _SPECIAL = range(4)
+class _Group(NamedTuple):
+    """The lanes of a set of warps that run one value-pass step together."""
 
-
-@dataclass
-class _Warp:
-    """Mutable per-warp execution state."""
-
-    warp_id: int
-    lanes: np.ndarray  # linear thread IDs covered by this warp
-    #: ``lanes`` as a slice (warps cover contiguous thread IDs).
-    span: slice
-    #: All-lanes-active mask (read-only; used for unguarded instructions).
-    full_mask: np.ndarray
-    #: Per-lane value of every ``Special`` register (read-only).
-    specials: dict[Special, np.ndarray]
-    #: Scoreboard: the cycle each register, then each predicate, is ready.
-    ready: list[int]
-    pc: int = 0
-    done: bool = False
-    at_barrier: bool = False
-    next_free: int = 0
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
+    #: Column index into the register file: a slice when the warps are
+    #: contiguous, else the thread IDs.
+    lanes: slice | np.ndarray
+    #: The thread IDs of ``lanes``.
+    tids: np.ndarray
+    #: Offset of each warp's first lane within the group.
+    offsets: np.ndarray
+    #: Lanes per warp.
+    widths: list[int]
+    #: The group-local warp index (0..len-1) of every lane.
+    seg: np.ndarray
+    #: The warp ID of every lane.
+    warp_of: np.ndarray
 
 
 class FermiSimulator:
@@ -120,23 +192,22 @@ class FermiSimulator:
         )
         # Execution-pipe occupancy: a warp instruction is dispatched over the
         # SM's execution units of its class (32 CUDA cores, 16 LD/ST units,
-        # 4 SFUs), which bounds per-class instruction throughput.  One slot
+        # 4 SFUs), which bounds per-class instruction throughput.  One pipe
         # per latency class, indexed by ``_Decoded.pipe``.
         self._pipes: list[str] = []
-        self._pipe_free: list[int] = []
-        # ``_Warp.ready`` holds the registers, then the predicates.
+        # Scoreboard slots hold the registers, then the predicates.
         self._pred_base = max(1, program.num_registers)
+        self._slots = self._pred_base + max(1, program.num_predicates)
         self._decoded = [self._decode(instr) for instr in program.instructions]
-        self._warps = self._build_warps()
-        self._live = len(self._warps)
-        self._waiting = 0  # warps parked at the barrier
+        self._warp_bounds = self._build_warps()
+        self._specials = self._special_values()
+        self._groups: dict[tuple[int, ...], _Group] = {}
 
     # ------------------------------------------------------------------ setup
     def _decode(self, instr: Instruction) -> _Decoded:
         cls = instr.latency_class
         if cls not in self._pipes:
             self._pipes.append(cls)
-            self._pipe_free.append(0)
         srcs = []
         for operand in instr.srcs:
             if isinstance(operand, Reg):
@@ -149,105 +220,88 @@ class FermiSimulator:
                 srcs.append((_SPECIAL, operand))
             else:
                 raise GpgpuExecutionError(f"unknown operand {operand!r}")
+        kind = _KIND.get(instr.op, _ALU)
+        latency = 0
+        if kind == _ALU:
+            latency = self.fermi.sfu_latency if cls == "sfu" else self.fermi.alu_latency
         return _Decoded(
             instr=instr,
+            kind=kind,
             pipe=self._pipes.index(cls),
             dispatch=self.fermi.dispatch_cycles(cls),
             reads=tuple(self._ready_slot(operand) for operand in instr.reads),
+            write=-1 if instr.dst is None else self._ready_slot(instr.dst),
+            latency=latency,
             reg_sources=sum(1 for s in instr.srcs if isinstance(s, (Reg, Pred))),
             srcs=tuple(srcs),
             target=self.program.labels[instr.target] if instr.op is Op.BRA else -1,
+            spec=self.program.arrays.get(instr.array) if instr.is_memory else None,
         )
 
     def _ready_slot(self, operand: Reg | Pred) -> int:
-        """Index of ``operand``'s entry in ``_Warp.ready``."""
+        """Index of ``operand``'s scoreboard slot."""
         if isinstance(operand, Reg):
             return operand.index
         return self._pred_base + operand.index
 
-    def _build_warps(self) -> list[_Warp]:
+    def _build_warps(self) -> list[tuple[int, int]]:
+        """The ``(first, stop)`` thread IDs of each warp."""
         warp_size = self.fermi.warp_size
-        coords = np.array(
-            [self.program.geometry.unlinearize(t) for t in range(self.num_threads)],
-            dtype=float,
-        ).reshape(-1, 3)
-        dims = self.program.geometry.block_dim + (1, 1)
-        slots = self._pred_base + max(1, self.program.num_predicates)
-        warps = []
-        for start in range(0, self.num_threads, warp_size):
-            stop = min(start + warp_size, self.num_threads)
-            lanes = np.arange(start, stop)
-            width = len(lanes)
-            specials = {
-                Special.TID_X: coords[start:stop, 0],
-                Special.TID_Y: coords[start:stop, 1],
-                Special.TID_Z: coords[start:stop, 2],
-                Special.TID_LINEAR: lanes.astype(float),
-                Special.NTID_X: np.full(width, float(dims[0])),
-                Special.NTID_Y: np.full(width, float(dims[1])),
-                Special.NTID_Z: np.full(width, float(dims[2])),
-            }
-            warps.append(
-                _Warp(
-                    warp_id=len(warps),
-                    lanes=lanes,
-                    span=slice(start, stop),
-                    full_mask=_read_only(np.ones(width, dtype=bool)),
-                    specials={k: _read_only(v.copy()) for k, v in specials.items()},
-                    ready=[0] * slots,
-                )
-            )
-        if len(warps) > self.fermi.max_resident_warps:
+        bounds = [
+            (start, min(start + warp_size, self.num_threads))
+            for start in range(0, self.num_threads, warp_size)
+        ]
+        if len(bounds) > self.fermi.max_resident_warps:
             raise GpgpuExecutionError(
-                f"kernel needs {len(warps)} warps, the SM holds "
+                f"kernel needs {len(bounds)} warps, the SM holds "
                 f"{self.fermi.max_resident_warps}"
             )
-        return warps
+        return bounds
+
+    def _special_values(self) -> dict[Special, np.ndarray]:
+        """Per-thread value of every ``Special`` register (read-only)."""
+        tids = np.arange(self.num_threads)
+        x, y, z = unlinearize(tids, self.program.geometry.block_dim)
+        dims = self.program.geometry.block_dim + (1, 1)
+        specials = {
+            Special.TID_X: x.astype(float),
+            Special.TID_Y: y.astype(float),
+            Special.TID_Z: z.astype(float),
+            Special.TID_LINEAR: tids.astype(float),
+            Special.NTID_X: np.full(self.num_threads, float(dims[0])),
+            Special.NTID_Y: np.full(self.num_threads, float(dims[1])),
+            Special.NTID_Z: np.full(self.num_threads, float(dims[2])),
+        }
+        for values in specials.values():
+            values.setflags(write=False)
+        return specials
+
+    def _group(self, warps: tuple[int, ...]) -> _Group:
+        group = self._groups.get(warps)
+        if group is None:
+            bounds = [self._warp_bounds[w] for w in warps]
+            widths = [stop - start for start, stop in bounds]
+            if warps[-1] - warps[0] + 1 == len(warps):
+                lanes: slice | np.ndarray = slice(bounds[0][0], bounds[-1][1])
+                tids = np.arange(bounds[0][0], bounds[-1][1])
+            else:
+                tids = np.concatenate([np.arange(start, stop) for start, stop in bounds])
+                lanes = tids
+            group = _Group(
+                lanes=lanes,
+                tids=tids,
+                offsets=np.cumsum([0] + widths[:-1]),
+                widths=widths,
+                seg=np.repeat(np.arange(len(warps)), widths),
+                warp_of=np.repeat(np.array(warps), widths),
+            )
+            self._groups[warps] = group
+        return group
 
     # ------------------------------------------------------------------ driver
     def run(self) -> SimulationResult:
-        cycle = 0
-        rr_start = 0
-        warps = self._warps
-        count = len(warps)
-        issue_limit = self.fermi.schedulers * self.fermi.issue_width_per_scheduler
-        decoded = self._decoded
-        pipe_free = self._pipe_free
-        while self._live:
-            if cycle > MAX_CYCLES:
-                raise GpgpuExecutionError(
-                    f"SIMT kernel '{self.program.name}' exceeded {MAX_CYCLES} cycles"
-                )
-            if self._waiting and self._waiting == self._live:
-                self._release_barrier(cycle)
-            # Round-robin from ``rr_start``; each warp is visited once, so
-            # it issues at most one instruction per cycle.
-            issued = 0
-            position = rr_start % count
-            for _ in range(count):
-                warp = warps[position]
-                position = position + 1 if position + 1 < count else 0
-                if warp.done or warp.at_barrier or warp.next_free > cycle:
-                    continue
-                d = decoded[warp.pc]
-                if pipe_free[d.pipe] > cycle:
-                    continue
-                # Scoreboard: every register the instruction reads is ready.
-                ready = warp.ready
-                for slot in d.reads:
-                    if ready[slot] > cycle:
-                        break
-                else:
-                    self._issue(warp, d, cycle)
-                    issued += 1
-                    if issued >= issue_limit:
-                        break
-            rr_start += 1
-            if issued == 0:
-                cycle = self._next_interesting_cycle(cycle)
-            else:
-                cycle += 1
-
+        streams, payloads = self._value_pass()
+        cycle = self._time(streams, payloads)
         self.stats.cycles = cycle
         self.stats.extra["engine"] = "fermi"
         self.stats.extra.setdefault("cores", 1)
@@ -261,250 +315,401 @@ class FermiSimulator:
             hierarchies=(self.hierarchy,),
         )
 
-    def _next_interesting_cycle(self, cycle: int) -> int:
-        """Skip idle cycles directly to the next scoreboard/barrier event."""
-        decoded = self._decoded
-        pipe_free = self._pipe_free
-        future = []
-        for warp in self._warps:
-            if warp.done or warp.at_barrier:
+    # ------------------------------------------------------------- value pass
+    def _value_pass(self) -> tuple[list[list[int]], list[list[Any]]]:
+        """Run the block's values; return each warp's pc stream and the
+        timing inputs of its memory instructions, in program order."""
+        count = len(self._warp_bounds)
+        pcs = [0] * count
+        streams: list[list[int]] = [[] for _ in range(count)]
+        payloads: list[list[Any]] = [[] for _ in range(count)]
+        running = list(range(count))  # in warp order
+        parked: list[int] = []  # at the barrier
+        phase: list[tuple[str, np.ndarray, np.ndarray, bool]] = []
+        steps = 0
+        while True:
+            if not running:
+                self._check_races(phase)
+                if not parked:
+                    return streams, payloads
+                running, parked, phase = sorted(parked), [], []
                 continue
-            d = decoded[warp.pc]
-            candidates = [warp.next_free, pipe_free[d.pipe]]
-            candidates += [warp.ready[slot] for slot in d.reads]
-            future += [c for c in candidates if c > cycle]
-        if not future:
-            return cycle + 1
-        return min(future)
+            pc = min(pcs[w] for w in running)
+            warps = tuple(w for w in running if pcs[w] == pc)
+            steps += 1
+            if steps > MAX_CYCLES and max(map(len, streams)) >= MAX_CYCLES:
+                raise GpgpuExecutionError(
+                    f"SIMT kernel '{self.program.name}' exceeded {MAX_CYCLES} cycles"
+                )
+            for w in warps:
+                streams[w].append(pc)
+            d = self._decoded[pc]
+            kind = d.kind
+            group = self._group(warps)
+            nxt = self._step(d, pc, group, phase, payloads, warps)
+            if kind == _EXIT or kind == _BAR:
+                running = [w for w in running if pcs[w] != pc]
+                if kind == _BAR:
+                    parked.extend(warps)
+                    for w in warps:
+                        pcs[w] = pc + 1
+            elif nxt is None:
+                for w in warps:
+                    pcs[w] = pc + 1
+            else:
+                for w, target in zip(warps, nxt):
+                    pcs[w] = target
 
-    # -------------------------------------------------------------- scheduling
-    def _release_barrier(self, cycle: int) -> None:
-        """Every live warp is parked at the barrier: release them all."""
-        for warp in self._warps:
-            if not warp.done:
-                warp.at_barrier = False
-                warp.next_free = cycle + 1
-        self._waiting = 0
-
-    # ------------------------------------------------------------------- issue
-    def _issue(self, warp: _Warp, d: _Decoded, cycle: int) -> None:
+    def _step(
+        self,
+        d: _Decoded,
+        pc: int,
+        group: _Group,
+        phase: list[tuple[str, np.ndarray, np.ndarray, bool]],
+        payloads: list[list[Any]],
+        warps: tuple[int, ...],
+    ) -> list[int] | None:
+        """Execute instruction ``d`` over ``group``; return each warp's
+        next pc after a branch, else ``None`` (fall through)."""
         instr = d.instr
-        warp.pc += 1
-        warp.next_free = cycle + 1
-        self._pipe_free[d.pipe] = cycle + d.dispatch
-        stats = self.stats
-        stats.instructions_issued += 1
-
+        lanes = group.lanes
+        width = len(group.tids)
         guard = instr.guard
         if guard is None:
-            mask = warp.full_mask
-            active_lanes = len(mask)
+            mask = None
+            active = width
         else:
-            values = self.predicates[guard.index, warp.span]
+            values = self.predicates[guard.index, lanes]
             mask = ~values if instr.guard_negated else values.copy()
-            active_lanes = int(np.count_nonzero(mask))
-        stats.instructions_per_lane += active_lanes
-        stats.register_reads += active_lanes * d.reg_sources
+            active = int(np.count_nonzero(mask))
+        stats = self.stats
+        stats.instructions_issued += len(warps)
+        stats.instructions_per_lane += active
+        stats.register_reads += active * d.reg_sources
         if instr.dst is not None:
-            stats.register_writes += active_lanes
+            stats.register_writes += active
 
-        op = instr.op
-        if op is Op.EXIT:
-            warp.done = True
-            self._live -= 1
-            return
-        if op is Op.BAR_SYNC:
-            warp.at_barrier = True
-            self._waiting += 1
-            stats.barrier_arrivals += len(warp.lanes)
-            return
-        if op is Op.BRA:
-            self._execute_branch(warp, d, active_lanes)
-            return
-        if instr.is_memory:
-            self._execute_memory(warp, d, mask, cycle)
-            return
-        self._execute_alu(warp, d, mask, cycle, active_lanes)
+        kind = d.kind
+        if kind == _EXIT:
+            return None
+        if kind == _BAR:
+            stats.barrier_arrivals += width
+            return None
+        if kind == _BRA:
+            if mask is None:
+                return [d.target] * len(warps)
+            taken = np.add.reduceat(mask, group.offsets).tolist()
+            nxt = []
+            for w, lanes_taken, lanes_in in zip(warps, taken, group.widths):
+                if 0 < lanes_taken < lanes_in:
+                    raise GpgpuExecutionError(
+                        f"divergent branch at pc {pc} in '{self.program.name}'; "
+                        "baseline kernels must use predication for lane-divergent control"
+                    )
+                nxt.append(d.target if lanes_taken else pc + 1)
+            return nxt
+        if kind == _ALU:
+            fn = _ALU_OPS.get(instr.op)
+            if fn is None:
+                raise GpgpuExecutionError(f"unhandled ALU opcode {instr.op.value}")
+            srcs = [self._operand(s, lanes, width) for s in d.srcs]
+            srcs += [None] * (3 - len(srcs))
+            if self._pipes[d.pipe] == "sfu":
+                stats.special_ops += active
+            else:
+                stats.alu_ops += active
+            if instr.dst is not None:
+                self._write(instr.dst, group, fn(*srcs[:3]), mask)
+            return None
+        self._memory(d, group, mask, phase, payloads, warps)
+        return None
 
-    # ---------------------------------------------------------------- operands
-    def _operand(self, warp: _Warp, source: tuple[int, Any]) -> np.ndarray:
+    def _operand(
+        self, source: tuple[int, Any], lanes: slice | np.ndarray, width: int
+    ) -> np.ndarray:
         """Per-lane values of one decoded source operand.
 
-        Register reads are views into the register file and specials are
-        shared read-only arrays: callers build new arrays from them and
-        never write through them.
+        Register reads may be views into the register file and specials
+        are read-only: callers build new arrays from them and never write
+        through them.
         """
         kind, payload = source
         if kind == _REG:
-            return self.registers[payload, warp.span]
+            return self.registers[payload, lanes]
         if kind == _PRED:
-            return self.predicates[payload, warp.span].astype(float)
+            return self.predicates[payload, lanes].astype(float)
         if kind == _IMM:
-            return np.full(len(warp.lanes), payload)
-        return warp.specials[payload]
+            return np.full(width, payload)
+        return self._specials[payload][lanes]
 
-    def _writeback(
-        self, warp: _Warp, dst: Reg | Pred, values: np.ndarray, mask: np.ndarray, ready: int
+    def _write(
+        self, dst: Reg | Pred, group: _Group, values: np.ndarray, mask: np.ndarray | None
     ) -> None:
-        lanes = warp.span
-        if mask is not warp.full_mask:
-            lanes, values = warp.lanes[mask], values[mask]
+        lanes = group.lanes
+        if mask is not None:
+            lanes, values = group.tids[mask], values[mask]
         if isinstance(dst, Reg):
             self.registers[dst.index, lanes] = values
         else:
             self.predicates[dst.index, lanes] = values.astype(bool)
-        warp.ready[self._ready_slot(dst)] = ready
 
-    # --------------------------------------------------------------------- ALU
-    def _execute_alu(
-        self, warp: _Warp, d: _Decoded, mask: np.ndarray, cycle: int, active: int
+    def _memory(
+        self,
+        d: _Decoded,
+        group: _Group,
+        mask: np.ndarray | None,
+        phase: list[tuple[str, np.ndarray, np.ndarray, bool]],
+        payloads: list[list[Any]],
+        warps: tuple[int, ...],
     ) -> None:
-        instr = d.instr
-        srcs = [self._operand(warp, s) for s in d.srcs]
-        if self._pipes[d.pipe] == "sfu":
-            latency = self.fermi.sfu_latency
-            self.stats.special_ops += active
-        else:
-            latency = self.fermi.alu_latency
-            self.stats.alu_ops += active
-
-        values = self._alu_result(instr.op, srcs)
-        if instr.dst is not None:
-            self._writeback(warp, instr.dst, values, mask, cycle + latency)
-
-    def _alu_result(self, op: Op, srcs: list[np.ndarray]) -> np.ndarray:
-        a = srcs[0] if srcs else None
-        b = srcs[1] if len(srcs) > 1 else None
-        c = srcs[2] if len(srcs) > 2 else None
-        if op is Op.MOV:
-            return a.copy()
-        if op is Op.ADD:
-            return a + b
-        if op is Op.SUB:
-            return a - b
-        if op is Op.MUL:
-            return a * b
-        if op is Op.DIV:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(b != 0, a / np.where(b == 0, 1, b), np.inf)
-        if op is Op.MOD:
-            return np.where(b != 0, np.fmod(a, np.where(b == 0, 1, b)), 0.0)
-        if op is Op.MIN:
-            return np.minimum(a, b)
-        if op is Op.MAX:
-            return np.maximum(a, b)
-        if op in (Op.FMA, Op.MAD):
-            return a * b + c
-        if op is Op.NEG:
-            return -a
-        if op is Op.ABS:
-            return np.abs(a)
-        if op is Op.AND:
-            return (a.astype(np.int64) & b.astype(np.int64)).astype(float)
-        if op is Op.OR:
-            return (a.astype(np.int64) | b.astype(np.int64)).astype(float)
-        if op is Op.XOR:
-            return (a.astype(np.int64) ^ b.astype(np.int64)).astype(float)
-        if op is Op.SHL:
-            return (a.astype(np.int64) << b.astype(np.int64)).astype(float)
-        if op is Op.SHR:
-            return (a.astype(np.int64) >> b.astype(np.int64)).astype(float)
-        if op is Op.SQRT:
-            return np.sqrt(np.maximum(a, 0.0))
-        if op is Op.RSQRT:
-            return 1.0 / np.sqrt(np.maximum(a, 1e-30))
-        if op is Op.EXP:
-            return np.exp(a)
-        if op is Op.LOG:
-            return np.log(np.maximum(a, 1e-30))
-        if op is Op.RCP:
-            return np.where(a != 0, 1.0 / np.where(a == 0, 1, a), np.inf)
-        if op is Op.SETP_LT:
-            return (a < b).astype(float)
-        if op is Op.SETP_LE:
-            return (a <= b).astype(float)
-        if op is Op.SETP_GT:
-            return (a > b).astype(float)
-        if op is Op.SETP_GE:
-            return (a >= b).astype(float)
-        if op is Op.SETP_EQ:
-            return (a == b).astype(float)
-        if op is Op.SETP_NE:
-            return (a != b).astype(float)
-        if op is Op.PAND:
-            return ((a != 0) & (b != 0)).astype(float)
-        if op is Op.POR:
-            return ((a != 0) | (b != 0)).astype(float)
-        if op is Op.PNOT:
-            return (a == 0).astype(float)
-        if op is Op.SEL:
-            return np.where(a != 0, b, c)
-        raise GpgpuExecutionError(f"unhandled ALU opcode {op.value}")
-
-    # ------------------------------------------------------------------ memory
-    def _execute_memory(
-        self, warp: _Warp, d: _Decoded, mask: np.ndarray, cycle: int
-    ) -> None:
-        instr = d.instr
-        op = instr.op
-        name = instr.array
-        spec = self.program.arrays.get(name)
-        is_store = op in (Op.ST_GLOBAL, Op.ST_SHARED)
-        full = mask is warp.full_mask
-        indices = self._operand(warp, d.srcs[0]).astype(np.int64)
-        active = indices if full else indices[mask]
+        kind = d.kind
+        spec = d.spec
+        is_store = kind == _ST_GLOBAL or kind == _ST_SHARED
+        width = len(group.tids)
+        indices = self._operand(d.srcs[0], group.lanes, width).astype(np.int64)
+        active = indices if mask is None else indices[mask]
         # Check every active lane before indexing: NumPy would silently wrap
         # a negative index, and a store must leave memory untouched.
         bad = (active < 0) | (active >= spec.length)
         if bad.any():
             raise out_of_bounds("store" if is_store else "load", spec, int(active[bad.argmax()]))
-        addresses = (spec.base_address + active * spec.elem_bytes).tolist()
-
-        if op in (Op.LD_SHARED, Op.ST_SHARED):
-            complete = self.hierarchy.scratch_access_group(addresses, is_store, cycle)
+        seg = group.seg if mask is None else group.seg[mask]
+        phase.append(
+            (spec.name, active, group.warp_of if mask is None else group.warp_of[mask], is_store)
+        )
+        addresses = spec.base_address + active * spec.elem_bytes
+        if kind == _LD_SHARED or kind == _ST_SHARED:
+            per_warp = self._bank_counts(addresses, seg, len(warps))
         else:
-            # Global memory: coalesce the active lanes into line transactions
-            # (``None`` marks an inactive lane).
-            if not full:
-                per_lane: list[int | None] = [None] * len(mask)
-                for lane, address in zip(np.flatnonzero(mask).tolist(), addresses):
-                    per_lane[lane] = address
-                addresses = per_lane
-            access = AccessType.STORE if is_store else AccessType.LOAD
-            complete, transactions = self.hierarchy.access_group(addresses, access, cycle)
-            self.stats.extra["global_transactions"] = (
-                self.stats.extra.get("global_transactions", 0) + transactions
-            )
+            per_warp = self._lines(addresses, seg, len(warps))
+        for w, payload in zip(warps, per_warp):
+            payloads[w].append(payload)
 
-        backing = self.memory.array(name)
+        stats = self.stats
+        backing = self.memory.array(spec.name)
         count = len(active)
         if is_store:
-            values = self._operand(warp, d.srcs[1])
-            backing[active] = values if full else values[mask]
-            if op is Op.ST_SHARED:
-                self.stats.scratch_stores += count
+            values = self._operand(d.srcs[1], group.lanes, width)
+            backing[active] = values if mask is None else values[mask]
+            if kind == _ST_SHARED:
+                stats.scratch_stores += count
             else:
-                self.stats.global_stores += count
+                stats.global_stores += count
             return
-        loaded = np.zeros(len(mask))
-        loaded[mask] = backing[active]
-        if op is Op.LD_SHARED:
-            self.stats.scratch_loads += count
+        if kind == _LD_SHARED:
+            stats.scratch_loads += count
         else:
-            self.stats.global_loads += count
-        self._writeback(warp, instr.dst, loaded, mask, complete)
+            stats.global_loads += count
+        loaded = np.zeros(width)
+        if mask is None:
+            loaded[:] = backing[active]
+        else:
+            loaded[mask] = backing[active]
+        self._write(d.instr.dst, group, loaded, mask)
 
-    # ----------------------------------------------------------------- control
-    def _execute_branch(self, warp: _Warp, d: _Decoded, active: int) -> None:
-        """Branches are warp-uniform: every lane or none must take them."""
-        width = len(warp.lanes)
-        if 0 < active < width:
-            raise GpgpuExecutionError(
-                f"divergent branch at pc {warp.pc - 1} in '{self.program.name}'; "
-                "baseline kernels must use predication for lane-divergent control"
-            )
-        if active == width:
-            warp.pc = d.target
+    def _lines(self, addresses: np.ndarray, seg: np.ndarray, warps: int) -> list[list[int]]:
+        """Each warp's coalesced global access: its sorted distinct line
+        addresses."""
+        line_bytes = self.config.memory.l1.line_bytes
+        lines = addresses // line_bytes
+        if lines.size == 0:
+            per_warp: list[list[int]] = [[] for _ in range(warps)]
+        else:
+            span = int(lines.max()) + 1
+            keys = _distinct(seg * span + lines)
+            owner = keys // span
+            flat = ((keys - owner * span) * line_bytes).tolist()
+            per_warp = _split(flat, np.bincount(owner, minlength=warps).tolist())
+        extra = self.stats.extra
+        extra["global_transactions"] = extra.get("global_transactions", 0) + sum(
+            map(len, per_warp)
+        )
+        return per_warp
+
+    def _bank_counts(
+        self, addresses: np.ndarray, seg: np.ndarray, warps: int
+    ) -> list[tuple[list[int], list[int]]]:
+        """Each warp's shared access: ``(banks, distinct words per bank)``.
+
+        Lanes touching one word are a broadcast and count once."""
+        pad = self.hierarchy.scratchpad
+        banks = pad.config.banks
+        words = addresses // pad.word_bytes
+        if words.size == 0:
+            return [([], [])] * warps
+        span = int(words.max()) + 1
+        distinct = _distinct(seg * span + words)
+        owner = distinct // span
+        per_bank = np.bincount(
+            owner * banks + (distinct - owner * span) % banks, minlength=warps * banks
+        ).reshape(warps, banks)
+        rows, cols = np.nonzero(per_bank)
+        sizes = np.bincount(rows, minlength=warps).tolist()
+        return list(
+            zip(_split(cols.tolist(), sizes), _split(per_bank[rows, cols].tolist(), sizes))
+        )
+
+    def _check_races(self, phase: list[tuple[str, np.ndarray, np.ndarray, bool]]) -> None:
+        """Raise if two warps touched one word in the barrier phase just
+        ended and at least one of them stored to it.
+
+        The round-robin timing would otherwise silently pick the winner.
+        """
+        stored = {name for name, _, _, is_store in phase if is_store}
+        count = len(self._warp_bounds)
+        for name in sorted(stored):
+            accesses = [a for a in phase if a[0] == name]
+            words = np.concatenate([a[1] for a in accesses])
+            warps = np.concatenate([a[2] for a in accesses])
+            # One entry per distinct (word, warp), sorted by word.
+            touched = _distinct(words * count + warps) // count
+            shared = touched[1:][touched[1:] == touched[:-1]]
+            if not shared.size:
+                continue
+            writes = np.concatenate([a[1] for a in accesses if a[3]])
+            racy = shared[np.isin(shared, writes)]
+            if racy.size:
+                word = int(racy[0])
+                involved = sorted(set(warps[words == word].tolist()))
+                raise GpgpuExecutionError(
+                    f"race in '{self.program.name}': warps {involved} access "
+                    f"{name}[{word}] in one barrier phase and at least one stores to it"
+                )
+
+    # ------------------------------------------------------------ timing pass
+    def _time(self, streams: list[list[int]], payloads: list[list[Any]]) -> int:
+        """Replay the warps' streams through the schedulers, the scoreboard,
+        the execution pipes and the memory models; return the cycle count.
+
+        Each warp keeps the cycle its next instruction's operands are ready
+        (known at issue, when the writebacks' cycles are), so the
+        round-robin visit is one comparison per warp.
+        """
+        table = [(d.kind, d.pipe, d.dispatch, d.reads, d.write, d.latency) for d in self._decoded]
+        hierarchy = self.hierarchy
+        scratchpad = hierarchy.scratchpad
+        count = len(streams)
+        issue_limit = self.fermi.schedulers * self.fermi.issue_width_per_scheduler
+        # The visit order of each round-robin start.
+        rotations = [list(range(start, count)) + list(range(start)) for start in range(count)]
+        pipe_free = [0] * len(self._pipes)
+        scoreboard = [[0] * self._slots for _ in range(count)]
+        heads = [table[stream[0]] for stream in streams]  # each warp's next instruction
+        position = [0] * count  # index of that instruction in the warp's stream
+        next_mem = [0] * count  # index of the warp's next memory payload
+        next_free = [0] * count
+        ready_at: list[float] = [0] * count
+        live = count
+        parked: list[int] = []
+        load, store = AccessType.LOAD, AccessType.STORE
+
+        cycle = 0
+        rr_start = 0
+        while live:
+            if cycle > MAX_CYCLES:
+                raise GpgpuExecutionError(
+                    f"SIMT kernel '{self.program.name}' exceeded {MAX_CYCLES} cycles"
+                )
+            if parked and len(parked) == live:
+                # Every live warp is parked at the barrier: release them all.
+                for warp in parked:
+                    next_free[warp] = cycle + 1
+                    ready_at[warp] = _ready(cycle + 1, scoreboard[warp], heads[warp][3])
+                parked = []
+            # Round-robin from ``rr_start``; each warp is visited once, so
+            # it issues at most one instruction per cycle.
+            issued = 0
+            for warp in rotations[rr_start % count]:
+                if ready_at[warp] > cycle:
+                    continue
+                kind, pipe, dispatch, _, write, latency = heads[warp]
+                if pipe_free[pipe] > cycle:
+                    continue
+                index = position[warp] + 1
+                position[warp] = index
+                next_free[warp] = cycle + 1
+                pipe_free[pipe] = cycle + dispatch
+                issued += 1
+                if kind == _EXIT:
+                    live -= 1
+                    ready_at[warp] = _NEVER
+                else:
+                    heads[warp] = head = table[streams[warp][index]]
+                    board = scoreboard[warp]
+                    if kind == _ALU:
+                        if write >= 0:
+                            board[write] = cycle + latency
+                    elif kind == _BAR:
+                        parked.append(warp)
+                    elif kind != _BRA:
+                        payload = payloads[warp][next_mem[warp]]
+                        next_mem[warp] += 1
+                        if kind == _LD_GLOBAL:
+                            board[write] = hierarchy.access_group(payload, load, cycle)
+                        elif kind == _ST_GLOBAL:
+                            hierarchy.access_group(payload, store, cycle)
+                        elif kind == _LD_SHARED:
+                            board[write] = scratchpad.access_group(*payload, False, cycle)
+                        else:
+                            scratchpad.access_group(*payload, True, cycle)
+                    ready_at[warp] = _NEVER if kind == _BAR else _ready(cycle + 1, board, head[3])
+                if issued >= issue_limit:
+                    break
+            rr_start += 1
+            if issued == 0:
+                cycle = _next_event(cycle, heads, next_free, ready_at, pipe_free, scoreboard)
+            else:
+                cycle += 1
+        return cycle
+
+
+def _next_event(
+    cycle: int,
+    heads: list[tuple],
+    next_free: list[int],
+    ready_at: list[float],
+    pipe_free: list[int],
+    scoreboard: list[list[int]],
+) -> int:
+    """Skip idle cycles to the next cycle at which some waiting warp's
+    issue slot, pipe or operand frees up (``cycle + 1`` if none does)."""
+    best: float = _NEVER
+    for warp, at in enumerate(ready_at):
+        if at == _NEVER:
+            continue
+        _, pipe, _, reads, _, _ = heads[warp]
+        board = scoreboard[warp]
+        for candidate in (next_free[warp], pipe_free[pipe], *(board[s] for s in reads)):
+            if cycle < candidate < best:
+                best = candidate
+    return cycle + 1 if best == _NEVER else int(best)
+
+
+def _ready(free: int, board: list[int], reads: tuple[int, ...]) -> int:
+    """The cycle an instruction reading ``reads`` can issue, from a warp
+    whose issue slot frees at ``free``."""
+    for slot in reads:
+        if board[slot] > free:
+            free = board[slot]
+    return free
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct elements of an integer array."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _split(flat: list, sizes: list[int]) -> list[list]:
+    """``flat`` cut into consecutive runs of ``sizes``."""
+    out, start = [], 0
+    for size in sizes:
+        out.append(flat[start : start + size])
+        start += size
+    return out
 
 
 def run_fermi(

@@ -1,7 +1,6 @@
-"""Memory hierarchy models: caches, DRAM, scratchpad, coalescer, image."""
+"""Memory hierarchy models: caches, DRAM, scratchpad, image."""
 
 from repro.memory.cache import CacheStats, SetAssociativeCache
-from repro.memory.coalescer import Transaction, coalesce, coalescing_efficiency
 from repro.memory.dram import DramModel, DramStats
 from repro.memory.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.memory.image import MemoryImage
@@ -24,7 +23,4 @@ __all__ = [
     "SetAssociativeCache",
     "SharedDRAM",
     "SharedDramPort",
-    "Transaction",
-    "coalesce",
-    "coalescing_efficiency",
 ]

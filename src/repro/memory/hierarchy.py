@@ -3,7 +3,8 @@
 One :class:`MemoryHierarchy` instance is shared by a whole simulated core.
 It offers scalar accesses (used by the CGRA load/store units, one token at
 a time) and coalesced group accesses (used by the Fermi SIMT core, one
-warp at a time), both returning absolute completion cycles.
+warp's line transactions at a time), both returning absolute completion
+cycles.
 
 The CGRA cores use a write-back / write-allocate L1 while the Fermi
 baseline uses write-through / write-no-allocate, exactly as stated in the
@@ -19,7 +20,6 @@ from typing import Sequence
 from repro.config.system import MemorySystemConfig
 from repro.errors import MemoryModelError
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.coalescer import coalesce
 from repro.memory.dram import DramModel
 from repro.memory.request import AccessType
 from repro.memory.scratchpad import Scratchpad
@@ -101,32 +101,21 @@ class MemoryHierarchy:
         return self.access(address, AccessType.STORE, cycle, size)
 
     # ------------------------------------------------------------ group access
-    def access_group(
-        self,
-        addresses: Sequence[int | None],
-        access: AccessType,
-        cycle: int,
-    ) -> tuple[int, int]:
-        """A warp-wide coalesced access.
+    def access_group(self, lines: Sequence[int], access: AccessType, cycle: int) -> int:
+        """A warp-wide coalesced access: one transaction per line address.
 
-        Returns ``(complete_cycle, num_transactions)`` where the completion
-        cycle is that of the slowest transaction.
+        ``lines`` holds the distinct ``l1.line_bytes``-aligned addresses
+        the warp's active lanes touch, in ascending order; each is one
+        scalar :meth:`access` on ``cycle``.  Returns the completion cycle
+        of the slowest transaction (``cycle`` for no lines).
         """
-        transactions = coalesce(addresses, self.config.l1.line_bytes)
-        if not transactions:
-            return cycle, 0
         complete = cycle
-        for txn in transactions:
-            txn_complete = self.access(txn.line_address, access, cycle, size=txn.size)
-            complete = max(complete, txn_complete)
-        return complete, len(transactions)
-
-    # ------------------------------------------------------------- scratchpad
-    def scratch_access_group(
-        self, addresses: Sequence[int], is_write: bool, cycle: int
-    ) -> int:
-        """A warp-wide scratchpad access with bank-conflict serialisation."""
-        return self.scratchpad.access_group(addresses, is_write, cycle)
+        l1_access = self.l1.access
+        for line in lines:
+            done = l1_access(line, access, cycle)
+            if done > complete:
+                complete = done
+        return complete
 
     # ----------------------------------------------------------------- queries
     def stats(self) -> HierarchyStats:

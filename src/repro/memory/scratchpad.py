@@ -18,7 +18,6 @@ batched engine's scratch replay and equals calling
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,15 +147,17 @@ class Scratchpad:
         stats.reads += addresses.size - writes
         return start + config.access_latency
 
-    def access_group(self, addresses: Sequence[int], is_write: bool, cycle: int) -> int:
-        """A warp-wide access: one address per active lane, issued together.
+    def access_group(
+        self, banks: Sequence[int], counts: Sequence[int], is_write: bool, cycle: int
+    ) -> int:
+        """A warp-wide access: ``counts[i]`` distinct words in bank ``banks[i]``.
 
-        Returns the completion cycle of the slowest lane.  Lanes touching
-        the same bank are serialised (the classic shared-memory bank
-        conflict), lanes touching the same *word* are broadcast and count
-        as a single access.
+        Returns the completion cycle of the slowest lane.  Words in one
+        bank are serialised (the classic shared-memory bank conflict);
+        lanes touching the same *word* are a broadcast, so the caller
+        counts that word once.
 
-        Every unique word issues on ``cycle``, so along one bank the
+        Every word issues on ``cycle``, so along one bank the
         :func:`bank_queue` recurrence is ``start_k = first + p·k`` with
         ``first = max(cycle, bank_free)``: each bank is served in closed
         form from its word count — the same completions, bank state and
@@ -165,12 +166,10 @@ class Scratchpad:
         """
         config = self.config
         penalty = config.bank_conflict_penalty
-        word_bytes = self.word_bytes
-        per_bank = Counter(word % config.banks for word in {a // word_bytes for a in addresses})
         free_at = self._bank_free_at
         last_start = cycle
         conflicts = 0
-        for bank, count in per_bank.items():
+        for bank, count in zip(banks, counts):
             first = free_at[bank] if free_at[bank] > cycle else cycle
             last = first + penalty * (count - 1)
             if first > cycle:
@@ -182,7 +181,7 @@ class Scratchpad:
                 last_start = last
         stats = self.stats
         stats.bank_conflicts += conflicts
-        words = sum(per_bank.values())
+        words = sum(counts)
         if is_write:
             stats.writes += words
         else:

@@ -208,3 +208,105 @@ def test_out_of_bounds_lane_raises_and_leaves_memory_unchanged(op, bad):
     assert sorted(after) == sorted(before)
     for name in before:
         np.testing.assert_array_equal(after[name], before[name], err_msg=name)
+
+
+def test_multi_warp_out_of_bounds_store_leaves_memory_untouched():
+    # Lane 8 of the second warp is out of bounds: no warp's store lands.
+    n = 64
+    b = SimtProgramBuilder("oob_block", n)
+    b.global_array("data", n)
+    tid = b.tid_linear()
+    index = b.select(b.setp(Op.SETP_EQ, tid, Imm(40)), Imm(-1), tid)
+    b.st_global("data", index, Imm(9.0))
+    simulator = FermiSimulator(b.finish(), {"data": np.arange(float(n))})
+    with pytest.raises(MemoryModelError, match=r"data\[-1\]"):
+        simulator.run()
+    np.testing.assert_array_equal(simulator.memory.array("data"), np.arange(float(n)))
+
+
+def test_global_access_coalesces_lanes_by_line():
+    # Lanes read data[(tid % 4) * 32]: four words 128 bytes apart, so the
+    # warp's load is four line transactions however many lanes share them.
+    n = 32
+    b = SimtProgramBuilder("lines", n)
+    b.global_array("data", 128)
+    b.global_array("out", n)
+    tid = b.tid_linear()
+    v = b.ld_global("data", b.mul(b.mod(tid, Imm(4)), Imm(32)))
+    b.st_global("out", tid, v)
+    program = b.finish()
+    result = run_fermi(program, {"data": np.arange(128.0)})
+    np.testing.assert_array_equal(result.array("out"), (np.arange(n) % 4) * 32.0)
+    out = program.arrays.get("out")
+    store_lines = len({(out.base_address + 4 * t) // 128 for t in range(n)})
+    counters = result.counters()
+    assert counters["l1_read_hits"] + counters["l1_read_misses"] == 4
+    assert counters["l1_write_hits"] + counters["l1_write_misses"] == store_lines
+    assert counters["global_transactions"] == 4 + store_lines
+
+
+def test_shared_broadcast_reads_one_word_per_warp():
+    n = 64
+    b = SimtProgramBuilder("broadcast", n)
+    b.global_array("out", n)
+    b.shared_array("tile", n)
+    tid = b.tid_linear()
+    b.st_shared("tile", tid, tid)
+    b.barrier()
+    b.st_global("out", tid, b.ld_shared("tile", Imm(3)))
+    result = run_fermi(b.finish())
+    np.testing.assert_array_equal(result.array("out"), 3.0)
+    counters = result.counters()
+    assert counters["scratch_loads"] == n
+    assert counters["scratchpad_reads"] == 2  # one word per warp
+
+
+def test_two_warps_storing_one_shared_word_is_a_race():
+    n = 64
+    b = SimtProgramBuilder("shared_race", n)
+    b.shared_array("tile", 32)
+    tid = b.tid_linear()
+    b.st_shared("tile", b.mod(tid, Imm(32)), tid)
+    with pytest.raises(GpgpuExecutionError, match=r"race .*tile\[0\]"):
+        run_fermi(b.finish())
+
+
+def test_loading_a_global_word_another_warp_stores_is_a_race():
+    # Warp 1 loads data[0..31] while warp 0 stores them, in one phase.
+    n = 64
+    b = SimtProgramBuilder("global_race", n)
+    b.global_array("data", n)
+    tid = b.tid_linear()
+    v = b.ld_global("data", b.mod(b.add(tid, Imm(32)), Imm(n)))
+    b.st_global("data", tid, b.add(v, Imm(1.0)))
+    with pytest.raises(GpgpuExecutionError, match=r"race .*data\[0\]"):
+        run_fermi(b.finish(), {"data": np.arange(float(n))})
+
+
+def test_a_barrier_or_one_warp_owning_the_word_is_not_a_race():
+    n = 64
+    b = SimtProgramBuilder("no_race", n)
+    b.global_array("data", n)
+    b.global_array("out", n)
+    b.shared_array("tile", n)
+    tid = b.tid_linear()
+    # Each warp re-reads the words it stored; the other warp's words are
+    # read only after the barrier.
+    b.st_global("data", tid, b.add(b.ld_global("data", tid), Imm(1.0)))
+    b.st_shared("tile", tid, b.ld_global("data", tid))
+    b.barrier()
+    b.st_global("out", tid, b.ld_shared("tile", b.mod(b.add(tid, Imm(32)), Imm(n))))
+    result = run_fermi(b.finish(), {"data": np.arange(float(n))})
+    np.testing.assert_array_equal(result.array("data"), np.arange(n) + 1.0)
+    np.testing.assert_array_equal(result.array("out"), np.roll(np.arange(n) + 1.0, -32))
+
+
+def test_unbounded_loop_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr("repro.gpgpu.simulator.MAX_CYCLES", 2_000)
+    b = SimtProgramBuilder("spin", 64)
+    i = b.mov(Imm(0))
+    b.label("spin")
+    b.add(i, Imm(1), dst=i)
+    b.branch("spin", guard=b.setp(Op.SETP_GE, i, Imm(0)))
+    with pytest.raises(GpgpuExecutionError, match="exceeded 2000"):
+        run_fermi(b.finish())

@@ -1,10 +1,10 @@
-"""Tests for DRAM, scratchpad, coalescer and the assembled hierarchy."""
+"""Tests for DRAM, scratchpad and the assembled hierarchy."""
+
+from collections import Counter
 
 import numpy as np
-import pytest
 
 from repro.config.system import DramConfig, MemorySystemConfig, ScratchpadConfig
-from repro.memory.coalescer import Transaction, coalesce, coalescing_efficiency
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.request import AccessType
@@ -33,18 +33,23 @@ def test_dram_channels_interleave():
 
 # ---------------------------------------------------------------- scratchpad
 def test_scratchpad_bank_conflicts_serialise():
-    pad = Scratchpad(ScratchpadConfig(banks=2, access_latency=4, bank_conflict_penalty=1))
-    same_bank = [0, 8]  # word 0 and word 2 both map to bank 0
-    done = pad.access_group(same_bank, is_write=False, cycle=0)
-    assert done > 4
+    config = ScratchpadConfig(banks=2, access_latency=4, bank_conflict_penalty=1)
+    pad, scalar = Scratchpad(config), Scratchpad(config)
+    # Words 0 and 2 both map to bank 0: two words queue in one bank.
+    done = pad.access_group([0], [2], is_write=False, cycle=0)
+    assert done == max(scalar.access(0, False, 0), scalar.access(8, False, 0)) > 4
+    assert pad.stats == scalar.stats
     assert pad.stats.bank_conflicts >= 1
 
 
 def test_scratchpad_broadcast_counts_once():
-    pad = Scratchpad(ScratchpadConfig(banks=32, access_latency=4))
-    done = pad.access_group([0, 0, 0, 0], is_write=False, cycle=0)
+    # Four lanes reading word 0 are one word in bank 0: one scalar access.
+    config = ScratchpadConfig(banks=32, access_latency=4)
+    pad, scalar = Scratchpad(config), Scratchpad(config)
+    done = pad.access_group([0], [1], is_write=False, cycle=0)
+    assert done == scalar.access(0, False, 0) == 4
+    assert pad.stats == scalar.stats
     assert pad.stats.reads == 1
-    assert done == 4
 
 
 def test_scratchpad_access_batch_equals_scalar_accesses():
@@ -88,23 +93,11 @@ def test_scratchpad_access_group_equals_scalar_word_accesses():
             want = max(
                 [cycle + 24] + [scalar.access(w * 4, write, cycle) for w in words]
             )
-            assert grouped.access_group(addresses, write, cycle) == want
+            per_bank = Counter(w % banks for w in words)
+            got = grouped.access_group(list(per_bank), list(per_bank.values()), write, cycle)
+            assert got == want
         assert grouped.stats == scalar.stats
         assert grouped._bank_free_at == scalar._bank_free_at
-
-
-# ----------------------------------------------------------------- coalescer
-def test_coalesce_groups_by_line():
-    txns = coalesce([0, 4, 8, 128, None], line_bytes=128)
-    assert len(txns) == 2
-    assert txns[0] == Transaction(line_address=0, size=128, lanes=(0, 1, 2))
-    assert coalescing_efficiency([0, 4, 8], 128) == 1.0
-    assert coalescing_efficiency([0, 128], 128) == 0.5
-
-
-def test_coalesce_rejects_bad_line_size():
-    with pytest.raises(ValueError):
-        coalesce([0], line_bytes=0)
 
 
 # ----------------------------------------------------------------- hierarchy
@@ -119,12 +112,21 @@ def test_hierarchy_hit_levels_progress():
 
 
 def test_hierarchy_group_access_counts_transactions():
-    h = MemoryHierarchy(MemorySystemConfig())
-    addresses = [i * 4 for i in range(32)]
-    _, transactions = h.access_group(addresses, AccessType.LOAD, 0)
-    assert transactions == 1
-    _, transactions = h.access_group([0, 1024, 2048], AccessType.LOAD, 100)
-    assert transactions == 3
+    """A warp's line list is one scalar access per line, on the warp's cycle."""
+    grouped = MemoryHierarchy(MemorySystemConfig(), l1_write_through=True)
+    scalar = MemoryHierarchy(MemorySystemConfig(), l1_write_through=True)
+    for lines, access, cycle in (
+        ([0], AccessType.LOAD, 0),
+        ([0, 1024, 2048], AccessType.LOAD, 100),
+        ([128, 1024], AccessType.STORE, 101),
+        ([], AccessType.LOAD, 102),
+    ):
+        want = max([cycle] + [scalar.access(line, access, cycle) for line in lines])
+        assert grouped.access_group(lines, access, cycle) == want
+    assert grouped.stats() == scalar.stats()
+    l1 = grouped.l1.stats
+    assert l1.read_hits + l1.read_misses == 4
+    assert l1.write_hits + l1.write_misses == 2
 
 
 def test_hierarchy_write_through_option_changes_policy():

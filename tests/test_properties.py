@@ -11,8 +11,10 @@ from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import linearize, producer_map, unlinearize
 from repro.compiler.pipeline import compile_kernel
 from repro.graph.opcodes import Opcode
+from repro.gpgpu.isa import Imm, Op
+from repro.gpgpu.program import SimtProgramBuilder
+from repro.gpgpu.simulator import run_fermi
 from repro.kernel.builder import KernelBuilder
-from repro.memory.coalescer import coalesce
 from repro.sim import simulate
 from repro.sim.cycle import _map_tables
 from repro.sim.functional import run_functional
@@ -95,16 +97,48 @@ def test_producer_map_matches_coordinate_reference(shape, opcode, window):
     assert {(p, c) for p, c in enumerate(destinations) if c >= 0} == links
 
 
-@given(st.lists(st.one_of(st.none(), st.integers(0, 1 << 20)), min_size=1, max_size=64))
-def test_coalesce_partitions_active_lanes(addresses):
-    transactions = coalesce(addresses, line_bytes=128)
-    covered = sorted(lane for txn in transactions for lane in txn.lanes)
-    active = sorted(i for i, a in enumerate(addresses) if a is not None)
-    assert covered == active
-    for txn in transactions:
-        assert txn.line_address % 128 == 0
-        for lane in txn.lanes:
-            assert addresses[lane] // 128 * 128 == txn.line_address
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.one_of(st.none(), st.integers(0, 4095)), min_size=1, max_size=80))
+def test_coalesce_partitions_active_lanes(indices):
+    """A Fermi load of ``data[index]`` (``None``: lane inactive) issues one
+    L1 transaction per distinct 128-byte line among each warp's active
+    lanes, and every active lane gets its element."""
+    n = len(indices)
+    b = SimtProgramBuilder("gather", n)
+    for name in ("index", "active", "out"):
+        b.global_array(name, n)
+    b.global_array("data", 4096)
+    tid = b.tid_linear()
+    index = b.ld_global("index", tid)
+    active = b.setp(Op.SETP_NE, b.ld_global("active", tid), Imm(0))
+    b.st_global("out", tid, b.ld_global("data", index, guard=active), guard=active)
+    program = b.finish()
+    data = np.arange(4096.0) + 0.5
+    inputs = {
+        "index": np.array([i or 0 for i in indices], dtype=float),
+        "active": np.array([i is not None for i in indices], dtype=float),
+        "data": data,
+    }
+    result = run_fermi(program, inputs)
+
+    def lines(name, lanes):
+        spec = program.arrays.get(name)
+        return {(spec.base_address + lane * spec.elem_bytes) // 128 for lane in lanes}
+
+    expected = {"loads": 0, "stores": 0}
+    for start in range(0, n, 32):
+        warp = range(start, min(start + 32, n))
+        live = [t for t in warp if indices[t] is not None]
+        expected["loads"] += len(lines("index", warp)) + len(lines("active", warp))
+        expected["loads"] += len(lines("data", [indices[t] for t in live]))
+        expected["stores"] += len(lines("out", live))
+    counters = result.counters()
+    assert counters["l1_read_hits"] + counters["l1_read_misses"] == expected["loads"]
+    assert counters["l1_write_hits"] + counters["l1_write_misses"] == expected["stores"]
+    assert counters["global_transactions"] == expected["loads"] + expected["stores"]
+    out = result.array("out")
+    for t, i in enumerate(indices):
+        assert out[t] == (data[i] if i is not None else 0.0)
 
 
 @settings(deadline=None, max_examples=25)
