@@ -42,6 +42,18 @@ ARCHITECTURES = ("fermi", "mt", "dmt")
 GRAPH_VARIANTS = ("mt", "dmt", "dmt_win", "stream")
 
 
+def _param_problem(default: Any, value: Any) -> str:
+    """What ``value`` must be to replace ``default``, or ``""`` if it fits."""
+    is_bool = isinstance(value, (bool, np.bool_))
+    if isinstance(default, int):
+        fits = isinstance(value, (int, np.integer)) and not is_bool and value >= 1
+        return "" if fits else "an int of at least 1"
+    if isinstance(default, float):
+        fits = isinstance(value, (int, float, np.integer, np.floating)) and not is_bool
+        return "" if fits else "a number"
+    return "" if isinstance(value, type(default)) else f"a {type(default).__name__}"
+
+
 @dataclass
 class PreparedWorkload:
     """One workload instantiated with concrete parameters and data."""
@@ -203,6 +215,13 @@ class Workload(abc.ABC):
 
     # -------------------------------------------------------------- conveniences
     def params_with_defaults(self, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
+        """The default parameters with ``overrides`` applied.
+
+        Each override must fit its default's type: an int parameter is a
+        size, so it takes an int of at least 1 (not a bool), and a float
+        parameter takes an int or a float.  An unknown name or an unfit
+        value raises :class:`WorkloadError`.
+        """
         params = self.default_params()
         if overrides:
             unknown = set(overrides) - set(params)
@@ -210,6 +229,13 @@ class Workload(abc.ABC):
                 raise WorkloadError(
                     f"unknown parameter(s) {sorted(unknown)} for workload '{self.name}'"
                 )
+            for name, value in overrides.items():
+                expected = _param_problem(params[name], value)
+                if expected:
+                    raise WorkloadError(
+                        f"parameter '{name}' of workload '{self.name}' must be {expected}, "
+                        f"got {value!r}"
+                    )
             params.update(overrides)
         return params
 

@@ -146,6 +146,40 @@ def test_override_type_is_checked_after_an_equal_value_was_memoised(alias):
         canonicalize_simulate({"workload": "matrixMul", "overrides": {"cores": alias}})
 
 
+@pytest.mark.parametrize("canonicalize", [canonicalize_simulate, canonicalize_compile])
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"dim": "x"},
+        {"dim": None},
+        {"dim": -3},
+        {"dim": 0},
+        {"dim": True},
+        {"dim": 8.0},
+    ],
+    ids=["str", "null", "negative", "zero", "bool", "float"],
+)
+def test_wrong_typed_or_non_positive_size_params_raise_serve_error_400(canonicalize, params):
+    with pytest.raises(ServeError) as excinfo:
+        canonicalize({"workload": "matrixMul", "params": params})
+    assert excinfo.value.status == 400
+    assert "'dim'" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "value,ok",
+    [(0.75, True), (1, True), ("x", False), (None, False), (False, False)],
+    ids=["float", "int", "str", "null", "bool"],
+)
+def test_float_params_take_ints_and_floats_only(value, ok):
+    body = {"workload": "hotspot", "params": {"step": value}}
+    if ok:
+        assert isinstance(canonicalize_simulate(body), CanonicalRequest)
+    else:
+        with pytest.raises(ServeError, match="'step'"):
+            canonicalize_simulate(body)
+
+
 def test_compile_rejects_fermi_and_simulate_only_keys():
     with pytest.raises(ServeError) as excinfo:
         canonicalize_compile({"workload": "matrixMul", "variant": "fermi"})
@@ -165,7 +199,8 @@ def test_compile_key_is_stable_and_config_sensitive():
 
 
 # ------------------------------------------------------------- body fuzzing
-#: Valid bodies whose every key, config leaf and override the fuzz replaces.
+#: Valid bodies whose every key, parameter, config leaf and override the
+#: fuzz replaces.
 VALID_BODIES = {
     canonicalize_simulate: {
         "workload": "matrixMul",
@@ -191,11 +226,12 @@ VALID_BODIES = {
 
 
 def _slots(body, prefix=()):
-    """Paths of every top-level key and every leaf under ``config``/``overrides``."""
+    """Paths of every top-level key and every leaf under ``params``,
+    ``config`` and ``overrides``."""
     for key, value in body.items():
         path = (*prefix, key)
         yield path
-        if isinstance(value, dict) and (prefix or key in ("config", "overrides")):
+        if isinstance(value, dict) and (prefix or key in ("params", "config", "overrides")):
             yield from _slots(value, path)
 
 

@@ -232,6 +232,11 @@ def test_http_error_paths(server):
     status, payload = server.request("POST", "/v1/simulate", {"workload": "noSuch"})
     assert status == 400 and "noSuch" in payload["error"]
 
+    for dim in ("x", None, -3, True):
+        body = {"workload": "matrixMul", "variant": "fermi", "params": {"dim": dim}}
+        status, payload = server.request("POST", "/v1/simulate", body)
+        assert status == 400 and "'dim'" in payload["error"]
+
     status, payload = server.request("POST", "/v1/explore", {"bogus": True})
     assert status == 400
 
