@@ -10,8 +10,10 @@ engines against the functional interpreter (outputs bit-identical),
 then a windowed reduce
 sharded across 4 cores against its single-core run (no fallback, outputs
 bit-identical, operation counters equal), then the Fermi SM baseline on
-``reduce`` (barrier + shared memory) and ``matrixMul`` with outputs
-checked against the NumPy references — the cheap end-to-end signal that
+all nine paper workloads at ``DEFAULT_SUITE_PARAMS`` with outputs
+checked against the NumPy references (each row's seconds, cycles and
+issued warp instructions go into the ``--json`` record) — the cheap
+end-to-end signal that
 a regression in either engine, the dispatch between them, the
 window-aligned multi-core partitioner or the Fermi model is caught
 before the full benchmark suite runs.  Usage::
@@ -208,28 +210,32 @@ def run_sharding_smoke() -> int:
     return 0
 
 
-#: Fermi baseline smoke kernels: a barrier + shared-memory reduction and a
-#: global-memory-bound matrix multiply.
-FERMI_KERNELS = ("reduce", "matrixMul")
-
-
 def run_fermi_smoke() -> int:
     from repro.errors import WorkloadError
     from repro.harness.experiments import run_workload
     from repro.harness.figures import DEFAULT_SUITE_PARAMS
+    from repro.workloads.registry import paper_workloads
 
-    for name in FERMI_KERNELS:
+    for workload in paper_workloads():
+        name = workload.name
         start = time.perf_counter()
         try:
-            result = run_workload(name, "fermi", DEFAULT_SUITE_PARAMS[name], check=True)
+            result = run_workload(name, "fermi", DEFAULT_SUITE_PARAMS.get(name), check=True)
         except WorkloadError as exc:
             log.error(f"FAIL: {name} fermi outputs differ from the NumPy reference: {exc}")
             return 1
         elapsed = time.perf_counter() - start
-        log.info(f"  fermi    {name}: {elapsed:.2f}s, {result.cycles} cycles, "
-                 f"outputs match the NumPy reference")
+        issued = result.counters["instructions_issued"]
+        log.info(f"  fermi    {name}: {elapsed:.3f}s, {result.cycles} cycles, "
+                 f"{issued} warp instructions, outputs match the NumPy reference")
         RESULTS.append(
-            {"check": "fermi", "kernel": name, "seconds": elapsed, "cycles": result.cycles}
+            {
+                "check": "fermi",
+                "kernel": name,
+                "seconds": elapsed,
+                "cycles": result.cycles,
+                "instructions_issued": issued,
+            }
         )
     return 0
 
@@ -257,7 +263,7 @@ def main(argv: list[str]) -> int:
         log.info("== sharding smoke (windowed reduce, 1 vs 4 cores) ==")
         rc = run_sharding_smoke()
     if rc == 0:
-        log.info("== Fermi smoke (reduce, matrixMul vs NumPy references) ==")
+        log.info("== Fermi smoke (nine paper workloads vs NumPy references) ==")
         rc = run_fermi_smoke()
     if json_path:
         sys.path.insert(0, REPO_ROOT)
