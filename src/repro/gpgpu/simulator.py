@@ -511,15 +511,12 @@ class FermiSimulator:
         """Each warp's coalesced global access: its sorted distinct line
         addresses."""
         line_bytes = self.config.memory.l1.line_bytes
-        lines = addresses // line_bytes
-        if lines.size == 0:
+        if addresses.size == 0:
             per_warp: list[list[int]] = [[] for _ in range(warps)]
         else:
-            span = int(lines.max()) + 1
-            keys = _distinct(seg * span + lines)
-            owner = keys // span
-            flat = ((keys - owner * span) * line_bytes).tolist()
-            per_warp = _split(flat, np.bincount(owner, minlength=warps).tolist())
+            owner, lines = _distinct_per_warp(addresses // line_bytes, seg)
+            sizes = np.bincount(owner, minlength=warps).tolist()
+            per_warp = _split((lines * line_bytes).tolist(), sizes)
         extra = self.stats.extra
         extra["global_transactions"] = extra.get("global_transactions", 0) + sum(
             map(len, per_warp)
@@ -534,20 +531,14 @@ class FermiSimulator:
         Lanes touching one word are a broadcast and count once."""
         pad = self.hierarchy.scratchpad
         banks = pad.config.banks
-        words = addresses // pad.word_bytes
-        if words.size == 0:
+        if addresses.size == 0:
             return [([], [])] * warps
-        span = int(words.max()) + 1
-        distinct = _distinct(seg * span + words)
-        owner = distinct // span
-        per_bank = np.bincount(
-            owner * banks + (distinct - owner * span) % banks, minlength=warps * banks
-        ).reshape(warps, banks)
-        rows, cols = np.nonzero(per_bank)
+        owner, words = _distinct_per_warp(addresses // pad.word_bytes, seg)
+        per_bank = np.bincount(owner * banks + words % banks, minlength=warps * banks)
+        rows, cols = np.nonzero(per_bank.reshape(warps, banks))
         sizes = np.bincount(rows, minlength=warps).tolist()
-        return list(
-            zip(_split(cols.tolist(), sizes), _split(per_bank[rows, cols].tolist(), sizes))
-        )
+        counts = per_bank[rows * banks + cols].tolist()
+        return list(zip(_split(cols.tolist(), sizes), _split(counts, sizes)))
 
     def _check_races(self, phase: list[tuple[str, np.ndarray, np.ndarray, bool]]) -> None:
         """Raise if two warps touched one word in the barrier phase just
@@ -701,6 +692,15 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _distinct_per_warp(values: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(seg, value)`` pairs of non-negative ``values``,
+    sorted, as a ``seg`` array and a ``value`` array."""
+    span = int(values.max()) + 1
+    keys = _distinct(seg * span + values)
+    owner = keys // span
+    return owner, keys - owner * span
 
 
 def _split(flat: list, sizes: list[int]) -> list[list]:
