@@ -1,15 +1,11 @@
 """Benchmark-harness options.
 
-``--engine`` forces every dataflow simulation of the benchmark suite onto
-one engine (``auto``/``event``/``batched``/``window-batched``) so
-regressions in any engine fail fast, e.g.::
+``--engine`` runs every dataflow simulation of the benchmark suite with
+one of :data:`repro.sim.ENGINES`: ``auto`` (default; the analyzer's
+verdict, batched or window-batched wherever the graph allows) or
+``event`` (the exact event-driven engine on every kernel), e.g.::
 
-    pytest benchmarks/ --benchmark-only --engine batched
-
-Forcing an engine is best-effort: :func:`repro.sim.simulate` degrades a
-forced engine to a capable one when the graph demands it (a ``batched``
-sweep runs communicating kernels window-batched when they are
-feed-forward, and on the event engine otherwise).
+    pytest benchmarks/ --benchmark-only --engine event
 """
 
 from __future__ import annotations

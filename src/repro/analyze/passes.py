@@ -14,7 +14,7 @@ consume these predictions instead of re-deriving them:
   exists) that ``sim/multicore.py::plan_shards`` applies a core count to;
 * :func:`engine_diagnostics` / :func:`pure_load_ancestors` — the
   batched-engine eligibility and replay-order stability facts
-  ``sim/api.py::resolve_engine`` and ``sim/batched.py`` act on;
+  ``sim/api.py::simulate`` and ``sim/batched.py`` act on;
 * :func:`critical_path_bound` — a static lower bound on single-core
   cycles from unit and routed-edge latencies.
 
@@ -572,13 +572,13 @@ def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[D
 
     Exactly one of ``RA040`` (batched-eligible, no inter-thread nodes),
     ``RA044`` (window-batchable communicating kernel) or ``RA041``
-    (event-only) is emitted; ``repro.sim.resolve_engine`` dispatches on it;
-    for either batched engine ``RA043``/``RA042`` states whether the
-    analytic cache model keeps the event engine's replay order or
-    degrades to per-node replay.  ``RA041`` kernels additionally carry
-    ``RA045`` naming the reason the batched path is out of reach
-    (:func:`repro.graph.interthread.window_batch_problem`: a recurrence,
-    or scratch levels that may interleave in time).
+    (event-only) is emitted; ``engine="auto"`` in :func:`repro.sim.simulate`
+    dispatches on it; for either batched engine ``RA043``/``RA042``
+    states whether the analytic cache model keeps the event engine's
+    replay order or degrades to per-node replay.  ``RA041`` kernels
+    additionally carry ``RA045`` naming the reason the batched path is
+    out of reach (:func:`repro.graph.interthread.window_batch_problem`:
+    a recurrence, or scratch levels that may interleave in time).
     """
     out: list[Diagnostic] = []
     interthread = tuple(

@@ -34,7 +34,7 @@ from typing import Any, Mapping, Sequence
 from repro.config.system import SystemConfig, canonical_config_json, default_system_config
 from repro.errors import ExplorationError, WorkloadError
 from repro.sim.api import ENGINES
-from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS
+from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS, check_seed
 from repro.workloads.registry import get_workload, workload_names
 
 __all__ = [
@@ -228,6 +228,11 @@ class CampaignSpec:
                 raise ExplorationError(
                     f"unknown engine '{engine}'; expected one of {ENGINES}"
                 )
+        for seed in self.seeds:
+            try:
+                check_seed(seed)
+            except WorkloadError as exc:
+                raise ExplorationError(f"'seeds': {exc}") from exc
         if self.zipped:
             lengths = {len(values) for _, values in self.zipped}
             if len(lengths) != 1:
@@ -299,10 +304,6 @@ class CampaignSpec:
         seeds = data.get("seeds", (0,))
         if not isinstance(seeds, (list, tuple)):
             raise ExplorationError("'seeds' must be a list of integers")
-        try:
-            seeds = tuple(int(s) for s in seeds)
-        except (TypeError, ValueError) as exc:
-            raise ExplorationError(f"'seeds' must be a list of integers: {exc}") from exc
         base_config = data.get("base_config", {})
         if not isinstance(base_config, Mapping):
             raise ExplorationError("'base_config' must be a (partial) config object")
@@ -311,7 +312,7 @@ class CampaignSpec:
             workloads=string_list("workloads", ()),
             variants=string_list("variants", ("dmt",)),
             engines=string_list("engines", ("auto",)),
-            seeds=seeds,
+            seeds=tuple(seeds),
             params={str(k): dict(v) for k, v in params.items()},
             grid=_axes(dict(sweep.get("grid", {})), "grid"),
             zipped=_axes(dict(sweep.get("zip", {})), "zip"),

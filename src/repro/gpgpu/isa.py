@@ -176,6 +176,10 @@ class Instruction:
             raise IsaError("bra has no destination register")
         if self.op in (Op.BAR_SYNC, Op.EXIT) and (self.dst or self.srcs):
             raise IsaError(f"{self.op.value} takes no operands")
+        if self.op in (Op.BAR_SYNC, Op.EXIT) and self.guard is not None:
+            # The simulator retires or parks the whole warp; a guard would
+            # be ignored, so it is rejected instead.
+            raise IsaError(f"{self.op.value} cannot be guarded")
         if self.op.value.startswith("setp") and not isinstance(self.dst, Pred):
             raise IsaError(f"{self.op.value} writes a predicate register")
 

@@ -164,20 +164,6 @@ class DataflowGraph:
         wanted = set(opcodes)
         return [n for n in self._nodes.values() if n.opcode in wanted]
 
-    def has_interthread(self) -> bool:
-        """True if any node couples different threads at run time.
-
-        ELEVATOR and ELDST nodes move tokens between threads and BARRIER
-        nodes synchronise the whole block; graphs containing none of them
-        execute every thread independently, which is what allows the
-        wave-batched engine and multi-core sharding to split the thread
-        space freely.
-        """
-        return any(
-            n.opcode in (Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER)
-            for n in self._nodes.values()
-        )
-
     # ------------------------------------------------------------- structure
     def structural_edges(self) -> Iterator[Edge]:
         """Edges excluding temporal edges (inputs of ELEVATOR/ELDST value port).

@@ -131,16 +131,15 @@ def run_workload(
     config: SystemConfig | None = None,
     check: bool = True,
     engine: str = "auto",
-    cores: int | None = None,
 ) -> RunResult:
     """Run one workload on one architecture and return cycles/energy/outputs.
 
     ``architecture`` is one of the paper's three architectures
     (``fermi``/``mt``/``dmt``) or an additional graph variant from
-    :data:`GRAPH_VARIANTS` (``dmt_win``, ``stream``).  ``engine`` and
-    ``cores`` are forwarded to :func:`repro.sim.simulate`; the resolved
-    engine (never ``"auto"``) lands in ``counters["engine"]``.  Both are
-    ignored by the Fermi baseline.
+    :data:`GRAPH_VARIANTS` (``dmt_win``, ``stream``).  ``engine`` is
+    forwarded to :func:`repro.sim.simulate`, and the core count is
+    ``config.cores``; the resolved engine (never ``"auto"``) lands in
+    ``counters["engine"]``.  Both are ignored by the Fermi baseline.
     """
     if architecture not in ARCHITECTURES and architecture not in GRAPH_VARIANTS:
         raise WorkloadError(
@@ -173,7 +172,7 @@ def run_workload(
             compiled = compile_kernel(launch.graph, config)
         phases["compile"] = span.seconds
         with timer("simulate") as span:
-            result = simulate(compiled, launch, engine=engine, cores=cores)
+            result = simulate(compiled, launch, engine=engine)
         phases["simulate"] = span.seconds
         counters = result.counters()
         # Report the static critical-path lower bound next to the measured
@@ -215,9 +214,7 @@ def run_suite(
     params: Mapping[str, Mapping[str, Any]] | None = None,
     seed: int = 0,
     config: SystemConfig | None = None,
-    check: bool = True,
     engine: str = "auto",
-    cores: int | None = None,
 ) -> ComparisonTable:
     """Run the full Table 3 suite on all three architectures (Figs. 11/12)."""
     table = ComparisonTable()
@@ -231,9 +228,7 @@ def run_suite(
                 params=overrides,
                 seed=seed,
                 config=config,
-                check=check,
                 engine=engine,
-                cores=cores,
             )
             for architecture in ARCHITECTURES
         }

@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, ExplorationError, ReproError, Workl
 from repro.explore.spec import CACHE_SCHEMA_VERSION, RunPoint, resolved_base_config
 from repro.graph.dfg import DataflowGraph
 from repro.sim.api import ENGINES
-from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS
+from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS, check_seed
 from repro.workloads.registry import get_workload
 
 __all__ = [
@@ -182,9 +182,9 @@ def canonicalize_simulate(body: Any) -> CanonicalRequest:
     if engine not in ENGINES:
         raise ServeError(f"unknown engine '{engine}'; expected one of {list(ENGINES)}")
     try:
-        seed = int(body.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ServeError(f"'seed' must be an integer: {exc}") from exc
+        seed = check_seed(body.get("seed", 0))
+    except WorkloadError as exc:
+        raise ServeError(str(exc)) from exc
     overrides = _scalar_mapping(body.get("overrides"), "overrides")
 
     point = RunPoint(

@@ -30,14 +30,15 @@ Three execution layers share one semantics:
   :mod:`repro.memory.tagcore` core, replayed in the event engine's
   access order and mirrored into the hierarchy counters — exactly equal
   to the event engine's counters on order-stable traces).  One class
-  serves both batched verdicts and reports ``"window-batched"`` on a
-  communicating graph, ``"batched"`` otherwise.
+  serves both batched verdicts and reports the one it runs.
 
-Engine selection (:func:`resolve_engine`, the one place it is decided)
-consumes the static analyzer's verdict — ``RA040`` inter-thread-free →
-batched, ``RA044`` window-batchable → window-batched, ``RA041``
-otherwise → event — so the static verdict IS the dispatch decision.  All engines produce
-bit-identical outputs and identical operation counters.
+:func:`simulate` takes ``engine="auto"`` or ``engine="event"``.
+``"event"`` forces the exact engine; ``"auto"`` runs the static
+analyzer's verdict — ``RA040`` inter-thread-free → batched, ``RA044``
+window-batchable → window-batched, ``RA041`` otherwise → event — so the
+static verdict IS the dispatch decision, and the batched class names
+itself after it.  All engines produce bit-identical outputs and
+identical operation counters.
 
 :mod:`repro.sim.multicore` plans the multi-core cut: a launch is
 sharded block-cyclically across ``SystemConfig.cores`` simulated cores
@@ -53,7 +54,7 @@ untimed oracle.
 """
 
 from repro.sim.analytic_cache import AnalyticMemoryModel
-from repro.sim.api import ENGINES, resolve_engine, simulate
+from repro.sim.api import ENGINES, simulate
 from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import FunctionalResult, FunctionalSimulator, run_functional
@@ -72,7 +73,6 @@ __all__ = [
     "FunctionalSimulator",
     "KernelLaunch",
     "SimulationResult",
-    "resolve_engine",
     "run_functional",
     "shard_threads",
     "simulate",

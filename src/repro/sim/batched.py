@@ -149,9 +149,9 @@ simulator (:func:`~repro.graph.interthread.map_key`):
 
 On a multi-core run each core executes its shard of the analyzer's plan
 (:func:`~repro.sim.multicore.core_threads`, the same shards the event
-engine runs), a union of whole transmission windows.  The engine reports itself as
-``"window-batched"`` on a communicating graph and ``"batched"``
-otherwise — the analyzer's ``RA044``/``RA040`` verdict names.
+engine runs), a union of whole transmission windows.  The engine reports itself
+under the analyzer's verdict: ``"window-batched"`` (``RA044``) or
+``"batched"`` (``RA040``).
 
 Outputs and memory contents are bit-identical to the event engine and
 all operation counters (``alu_ops``, ``fpu_ops``, ``global_loads``,
@@ -223,6 +223,8 @@ class _StaticTables(NamedTuple):
     track_order: bool
     push_offset: dict
     injector_base: dict
+    #: The analyzer's verdict, ``"batched"`` or ``"window-batched"``.
+    engine: str
 
 
 class _Stream(NamedTuple):
@@ -710,6 +712,7 @@ def _static_tables(compiled: CompiledKernel) -> _StaticTables:
         if track_order
         else {},
         injector_base=_injector_bases(graph, successors) if track_order else {},
+        engine=analysis.engine,
     )
 
 
@@ -829,9 +832,8 @@ class BatchedSimulator:
     Constructed for graphs the analyzer's engine verdict sends to a
     batched engine (:func:`repro.graph.interthread.window_batch_problem`
     returns ``None``) — the verdict ``engine="auto"`` dispatches on, so
-    eligibility is decided in exactly one place;
-    :func:`repro.sim.simulate` falls back to a capable engine
-    automatically.
+    eligibility is decided in exactly one place.  The engine names itself
+    after that verdict: ``"batched"`` or ``"window-batched"``.
     """
 
     def __init__(
@@ -862,7 +864,7 @@ class BatchedSimulator:
         self.config: SystemConfig = compiled.config
         self.graph: DataflowGraph = compiled.graph
         #: Engine name recorded in ``stats.extra["engine"]`` and the result.
-        self.engine = "window-batched" if self.graph.has_interthread() else "batched"
+        self.engine = static.engine
         self.launch = launch
         self.geometry: ThreadGeometry = ThreadGeometry(compiled.block_dim)
         self.num_threads = self.geometry.num_threads

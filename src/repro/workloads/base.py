@@ -30,7 +30,7 @@ from repro.graph.opcodes import Opcode
 from repro.gpgpu.program import SimtProgram
 from repro.sim.launch import KernelLaunch
 
-__all__ = ["ARCHITECTURES", "GRAPH_VARIANTS", "Workload", "PreparedWorkload"]
+__all__ = ["ARCHITECTURES", "GRAPH_VARIANTS", "Workload", "PreparedWorkload", "check_seed"]
 
 #: Architecture identifiers used throughout the harness and the benches.
 ARCHITECTURES = ("fermi", "mt", "dmt")
@@ -52,6 +52,15 @@ def _param_problem(default: Any, value: Any) -> str:
         fits = isinstance(value, (int, float, np.integer, np.floating)) and not is_bool
         return "" if fits else "a number"
     return "" if isinstance(value, type(default)) else f"a {type(default).__name__}"
+
+
+def check_seed(seed: Any) -> int:
+    """``seed`` as an input seed: an int of at least 0 (not a bool, float
+    or string), else :class:`WorkloadError`."""
+    is_int = isinstance(seed, (int, np.integer)) and not isinstance(seed, (bool, np.bool_))
+    if not is_int or seed < 0:
+        raise WorkloadError(f"the seed must be an int of at least 0, got {seed!r}")
+    return int(seed)
 
 
 @dataclass
@@ -244,6 +253,7 @@ class Workload(abc.ABC):
     ) -> PreparedWorkload:
         """Instantiate the workload with concrete parameters and data."""
         full = self.params_with_defaults(params)
+        seed = check_seed(seed)
         rng = np.random.default_rng(seed)
         inputs = self.make_inputs(full, rng)
         expected = self.reference(full, inputs)

@@ -22,9 +22,9 @@ from repro.compiler.pipeline import compile_kernel
 from repro.errors import DeadlockError, SimulationError
 from repro.kernel.builder import KernelBuilder
 from repro.graph.interthread import window_batch_problem
+from repro.graph.opcodes import Opcode
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim import resolve_engine, simulate
-from repro.sim.api import _SIMULATORS
+from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
 from repro.sim.cycle import CycleSimulator
 from repro.sim.launch import KernelLaunch
@@ -158,16 +158,17 @@ def test_static_verdicts_match_dynamic_dispatch(workload, variant, graph):
 
     # Engine eligibility: the static verdict agrees with the graph
     # predicates the engines check, and IS the auto dispatch.
-    if not compiled.graph.has_interthread():
+    graph = compiled.graph
+    if not graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER):
         assert result.engine == "batched"
-    elif window_batch_problem(compiled.graph) is None:
+    elif window_batch_problem(graph) is None:
         assert result.engine == "window-batched"
     else:
         assert result.engine == "event"
-    assert resolve_engine(compiled, "auto") == result.engine
     prepared = workload.prepare(workload.params_with_defaults(SMALL_PARAMS.get(workload.name)))
     launch = prepared.launch(variant)
-    simulator = _SIMULATORS[resolve_engine(compiled, "auto")](compiled, launch)
+    simulator_class = CycleSimulator if result.engine == "event" else BatchedSimulator
+    simulator = simulator_class(compiled, launch)
     assert simulator.engine == result.engine
 
     # Window-batchability verdict codes travel with the engine verdict.
@@ -250,7 +251,7 @@ def test_overlapping_scratch_levels_stay_on_the_event_engine():
         return access(address, is_write, cycle)
 
     hierarchy.scratchpad.access = logged
-    run = simulate(compiled, KernelLaunch(graph, {}), memory=hierarchy)
+    run = CycleSimulator(compiled, KernelLaunch(graph, {}), hierarchy=hierarchy).run()
     assert run.engine == "event"
     # The levels really interleave: a store follows some load.
     assert writes.index(False) < len(writes) - 1 - writes[::-1].index(True)

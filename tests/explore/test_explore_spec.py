@@ -172,6 +172,13 @@ def test_from_dict_rejects_malformed_shapes():
         CampaignSpec.from_dict({**base, "seeds": ["a"]})
     with pytest.raises(ExplorationError):
         CampaignSpec.from_dict({**base, "seeds": 3})
+    for seed in (-5, 1.9, True, "1"):
+        with pytest.raises(ExplorationError, match="seed must be an int of at least 0"):
+            CampaignSpec.from_dict({**base, "seeds": [seed]})
+        with pytest.raises(ExplorationError, match="seed must be an int of at least 0"):
+            CampaignSpec(name="x", workloads=("matrixMul",), seeds=(seed,))
+    with pytest.raises(ExplorationError, match="'auto', 'event'"):
+        CampaignSpec.from_dict({**base, "engines": ["batched"]})
     with pytest.raises(ExplorationError):
         CampaignSpec.from_dict({**base, "params": {"matrixMul": [1, 2]}})
     with pytest.raises(ExplorationError):

@@ -40,17 +40,33 @@ def test_label_past_the_last_instruction_is_rejected():
 @pytest.mark.parametrize(
     "last",
     [
-        Instruction(Op.MOV, dst=Reg(0), srcs=(Imm(1),)),
-        Instruction(Op.EXIT, guard=Pred(0)),
-        Instruction(Op.BRA, target="top", guard=Pred(0), guard_negated=True),
+        lambda: Instruction(Op.MOV, dst=Reg(0), srcs=(Imm(1),)),
+        lambda: Instruction(Op.EXIT, guard=Pred(0)),
+        lambda: Instruction(Op.BRA, target="top", guard=Pred(0), guard_negated=True),
     ],
     ids=["mov", "guarded-exit", "guarded-bra"],
 )
 def test_program_must_end_in_an_unguarded_transfer(last):
     b = SimtProgramBuilder("tail", 32)
-    instructions = [Instruction(Op.EXIT), last]
-    with pytest.raises(IsaError, match="last instruction"):
+    # A guarded exit is already rejected as an instruction.
+    with pytest.raises(IsaError, match="last instruction|cannot be guarded"):
+        instructions = [Instruction(Op.EXIT), last()]
         SimtProgram("tail", b.geometry, instructions, {"top": 0}, b.arrays, 1, 1)
+
+
+@pytest.mark.parametrize("op", [Op.EXIT, Op.BAR_SYNC], ids=["exit", "bar.sync"])
+def test_guarded_exit_and_barrier_are_rejected(op):
+    """``@(tid < 0) exit; st.global out[tid] = 1`` must not build: the
+    simulator would retire every warp at the exit and leave ``out`` zero
+    (and park every warp at a guarded ``bar.sync``)."""
+    b = SimtProgramBuilder("guarded", 32)
+    b.global_array("out", 32)
+    tid = b.tid_linear()
+    never = b.setp(Op.SETP_LT, tid, Imm(0))
+    with pytest.raises(IsaError, match=f"{op.value} cannot be guarded"):
+        b.emit(Instruction(op, guard=never))
+        b.st_global("out", tid, Imm(1.0))
+        run_fermi(b.finish())
 
 
 def test_listing_contains_labels_and_instructions():

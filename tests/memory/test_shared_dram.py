@@ -104,8 +104,9 @@ def test_shared_dram_contention_slows_the_sharded_run():
 def test_batched_engine_mirrors_contention_into_its_estimate():
     launch = _stream_launch(n=256)
     compiled = compile_kernel(launch.graph)
-    single = simulate(compiled, _stream_launch(n=256), cores=1, engine="batched")
-    multi = simulate(compiled, _stream_launch(n=256), cores=4, engine="batched")
+    single = simulate(compiled, _stream_launch(n=256), cores=1)
+    multi = simulate(compiled, _stream_launch(n=256), cores=4)
+    assert single.engine == multi.engine == "batched"
     assert np.array_equal(single.array("out"), multi.array("out"))
     multi_queue = sum(h.dram.stats.queue_cycles for h in multi.hierarchies)
     single_queue = sum(h.dram.stats.queue_cycles for h in single.hierarchies)
@@ -142,12 +143,12 @@ def test_sharded_batched_run_models_the_sliced_l2():
     prepared = get_workload("convolution").prepare({"n": 1024})
     compiled = compile_kernel(prepared.launch("stream").graph, config)
 
-    def l2_misses(engine):
+    def l2_misses(engine, resolved):
         result = simulate(compiled, prepared.launch("stream"), cores=4, engine=engine)
-        assert (result.engine, result.cores) == (engine, 4)
+        assert (result.engine, result.cores) == (resolved, 4)
         for hierarchy in result.hierarchies:
             assert hierarchy.l2.config.size_bytes == 4096 // 4
         counters = result.counters()
         return counters["l2_read_misses"] + counters["l2_write_misses"]
 
-    assert l2_misses("batched") == l2_misses("event") == 352
+    assert l2_misses("auto", "batched") == l2_misses("event", "event") == 352

@@ -110,6 +110,12 @@ def test_canonical_from_point_matches_equivalent_http_body():
             "token_buffer.depth",
         ),
         ({"workload": "matrixMul", "variant": "dmt", "seed": "zero"}, "seed"),
+        ({"workload": "matrixMul", "variant": "dmt", "engine": "batched"}, "'auto', 'event'"),
+        ({"workload": "matrixMul", "variant": "dmt", "seed": "1"}, "seed"),
+        ({"workload": "matrixMul", "variant": "dmt", "seed": -5}, "seed"),
+        ({"workload": "matrixMul", "variant": "dmt", "seed": 1.9}, "seed"),
+        ({"workload": "matrixMul", "variant": "dmt", "seed": 1.0}, "seed"),
+        ({"workload": "matrixMul", "variant": "dmt", "seed": True}, "seed"),
     ],
 )
 def test_bad_simulate_bodies_raise_serve_error_400(body, fragment):
@@ -280,3 +286,7 @@ def test_fuzzed_bodies_canonicalize_or_raise_serve_error_4xx(case):
         assert 400 <= exc.status < 500
     else:
         assert isinstance(request, CanonicalRequest)
+        # Only an int seed of at least 0 gets a key; no other JSON value
+        # may alias one (``true`` or ``1.9`` to seed 1).
+        seed = body.get("seed", 0)
+        assert type(seed) is int and seed >= 0 and request.point.seed == seed

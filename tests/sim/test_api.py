@@ -6,10 +6,8 @@ import pytest
 from repro.compiler.pipeline import compile_kernel
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim import SimulationResult, simulate
 from repro.sim.launch import KernelLaunch
-from repro.workloads.registry import get_workload
 
 
 def _axpy_launch(n=24):
@@ -37,25 +35,13 @@ def test_simulate_records_resolved_engine_never_auto():
 
 
 def test_simulate_rejects_unknown_engine():
+    """Only ``auto`` and ``event`` are selectable; the batched engines are
+    what ``auto`` resolves to, not names a caller passes."""
     launch = _axpy_launch()
     compiled = compile_kernel(launch.graph)
-    with pytest.raises(SimulationError, match="unknown engine"):
-        simulate(compiled, launch, engine="warp")
-
-
-def test_simulate_memory_kwarg_pins_single_core():
-    launch = _axpy_launch()
-    compiled = compile_kernel(launch.graph)
-    hierarchy = MemoryHierarchy(compiled.config.memory)
-    result = simulate(compiled, launch, memory=hierarchy)
-    assert result.engine == "event"  # explicit hierarchy wants exact counters
-    assert result.cores == 1
-    assert result.hierarchy is hierarchy
-    assert hierarchy.l1.stats.accesses > 0
-    with pytest.raises(SimulationError, match="single core"):
-        simulate(compiled, _axpy_launch(), memory=hierarchy, cores=2)
-    # cores=1 is redundant but legal next to an explicit hierarchy.
-    simulate(compiled, _axpy_launch(), memory=MemoryHierarchy(compiled.config.memory), cores=1)
+    for engine in ("warp", "batched", "window-batched"):
+        with pytest.raises(SimulationError, match="unknown engine.*'auto', 'event'"):
+            simulate(compiled, launch, engine=engine)
 
 
 def test_simulate_sharded_result_has_no_single_hierarchy():
@@ -78,29 +64,3 @@ def test_single_core_result_carries_no_shard_provenance():
     assert len(result.hierarchies) == 1
     # One core: the counters are the stats plus that core's hierarchy.
     assert result.counters() == {**result.stats.as_dict(), **result.hierarchy.stats().flat()}
-
-
-@pytest.mark.parametrize(
-    "name,variant,engine,resolved",
-    [
-        ("scan", "dmt", "batched", "event"),
-        ("reduce", "dmt", "batched", "window-batched"),
-        ("scan", "dmt", "window-batched", "event"),
-    ],
-)
-def test_forced_engine_with_memory_degrades_like_without(name, variant, engine, resolved):
-    """A forced engine degrades to a capable one whether or not the caller
-    passes a hierarchy, and the degraded run says what was asked for."""
-    workload = get_workload(name)
-    prepared = workload.prepare({"n": 64, "window": 16} if name == "reduce" else {"n": 64})
-    launch = prepared.launch(variant)
-    compiled = compile_kernel(launch.graph)
-    hierarchy = MemoryHierarchy(compiled.config.memory)
-    result = simulate(compiled, launch, engine=engine, memory=hierarchy)
-    assert result.engine == resolved
-    assert result.stats.extra["requested_engine"] == engine
-    assert result.hierarchy is hierarchy
-    assert hierarchy.l1.stats.accesses > 0
-    prepared.check_outputs({k: result.array(k) for k in prepared.expected})
-    unpinned = simulate(compiled, prepared.launch(variant), engine=engine)
-    assert unpinned.engine == resolved

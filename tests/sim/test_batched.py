@@ -7,7 +7,8 @@ from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
-from repro.sim import resolve_engine, simulate
+from repro.analyze.manager import analyze_kernel
+from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import shard_threads
@@ -34,7 +35,7 @@ def test_batched_matches_event_bitwise():
     launch = _axpy_launch()
     compiled = compile_kernel(launch.graph)
     event = simulate(compiled, launch, engine="event")
-    batched = simulate(compiled, launch, engine="batched")
+    batched = simulate(compiled, launch)
     assert np.array_equal(event.array("out"), batched.array("out"))
     event_counters = event.stats.as_dict()
     batched_counters = batched.stats.as_dict()
@@ -49,17 +50,16 @@ def test_batched_matches_event_bitwise():
 
 def test_graph_interthread_detection(scan_launch):
     launch, _ = scan_launch
-    assert launch.graph.has_interthread()  # prefix sum uses an elevator
-    assert not _axpy_launch().graph.has_interthread()
+    scan = analyze_kernel(compile_kernel(launch.graph))
+    assert "RA041" in scan.codes()  # prefix sum uses an elevator
+    assert "RA040" in analyze_kernel(compile_kernel(_axpy_launch().graph)).codes()
 
 
 def test_auto_engine_picks_batched_for_interthread_free_graphs(scan_launch):
     launch, _ = scan_launch
-    scan = compile_kernel(launch.graph)
-    assert resolve_engine(scan, "auto") == "event"
-    assert resolve_engine(compile_kernel(_axpy_launch().graph), "auto") == "batched"
-    with pytest.raises(SimulationError):
-        resolve_engine(scan, "warp")
+    assert simulate(compile_kernel(launch.graph), launch).engine == "event"
+    axpy = _axpy_launch()
+    assert simulate(compile_kernel(axpy.graph), axpy).engine == "batched"
 
 
 def test_batched_engine_rejects_interthread_graphs(scan_launch):
@@ -84,7 +84,8 @@ def test_batched_outputs_match_event_outputs():
     inputs = {"x": np.arange(n) * 1.5}
     compiled = compile_kernel(graph)
     event = simulate(compiled, KernelLaunch(graph, inputs), engine="event")
-    batched = simulate(compiled, KernelLaunch(graph, inputs), engine="batched")
+    batched = simulate(compiled, KernelLaunch(graph, inputs))
+    assert batched.engine == "batched"
     assert event.output("doubled") == batched.output("doubled")
 
 
@@ -117,7 +118,8 @@ def test_multicore_event_engine_agrees_with_batched():
     launch = _axpy_launch(n=32)
     compiled = compile_kernel(launch.graph)
     event = simulate(compiled, _axpy_launch(n=32), cores=3, engine="event")
-    batched = simulate(compiled, _axpy_launch(n=32), cores=3, engine="batched")
+    batched = simulate(compiled, _axpy_launch(n=32), cores=3)
+    assert batched.engine == "batched"
     assert event.cores == batched.cores == 3
     assert np.array_equal(event.array("out"), batched.array("out"))
     for counter in OP_COUNTERS:
@@ -151,30 +153,6 @@ def test_simulate_uses_config_cores():
     reference = _axpy_launch(n=24)
     expected = reference.inputs["x"] * 2.5 + reference.inputs["y"]
     np.testing.assert_allclose(result.array("out"), expected)
-
-
-def test_auto_engine_honours_explicit_hierarchy():
-    """A caller passing a hierarchy wants its counters populated, so
-    auto must resolve to the event engine for that call."""
-    from repro.memory.hierarchy import MemoryHierarchy
-
-    launch = _axpy_launch(n=16)
-    compiled = compile_kernel(launch.graph)
-    hierarchy = MemoryHierarchy(compiled.config.memory)
-    result = simulate(compiled, launch, memory=hierarchy)
-    assert hierarchy.l1.stats.accesses > 0
-    flat = result.counters()
-    assert flat["l1_read_hits"] + flat["l1_read_misses"] > 0
-    assert flat["l1_read_misses"] == hierarchy.l1.stats.read_misses
-
-
-def test_simulate_forced_batched_downgrades_for_interthread(scan_launch):
-    """--engine batched sweeps must run communicating kernels on the
-    event engine instead of failing on the first barrier/elevator."""
-    launch, data = scan_launch
-    compiled = compile_kernel(launch.graph)
-    result = simulate(compiled, launch, engine="batched")
-    np.testing.assert_allclose(result.array("prefix"), np.cumsum(data))
 
 
 def test_multicore_counters_include_per_core_hierarchies():

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analyze import analyze_kernel
 from repro.analyze.passes import pure_load_ancestors
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
@@ -41,7 +42,6 @@ from repro.graph.opcodes import Opcode
 from repro.harness.figures import DEFAULT_SUITE_PARAMS
 from repro.kernel.builder import KernelBuilder
 from repro.sim import simulate
-from repro.sim.api import resolve_engine
 from repro.sim.batched import BatchedSimulator, _rank_forest, _resolve_forest
 from repro.sim.launch import KernelLaunch
 from repro.workloads.registry import get_workload, registry_kernels
@@ -88,7 +88,7 @@ def _ordered_cells():
     for workload, variant in registry_kernels():
         launch = workload.prepare(DEFAULT_SUITE_PARAMS.get(workload.name)).launch(variant)
         compiled = compile_kernel(launch.graph)
-        if resolve_engine(compiled) == "event":
+        if analyze_kernel(compiled).engine == "event":
             continue
         if pure_load_ancestors(compiled.graph) is not None:
             cells.append(pytest.param(workload, variant, id=f"{workload.name}/{variant}"))
@@ -263,7 +263,7 @@ def _interthread_cells():
         compiled = compile_kernel(launch.graph)
         if not compiled.graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST):
             continue
-        if resolve_engine(compiled) != "event":
+        if analyze_kernel(compiled).engine != "event":
             cells.append(pytest.param(workload, variant, id=f"{workload.name}/{variant}"))
     return cells
 

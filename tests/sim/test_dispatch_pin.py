@@ -6,15 +6,14 @@ entry of ``ENGINES`` and ``cores`` in ``(None, 4)``, this test pins what
 ``dispatch_pin.json``:
 
 * the resolved ``engine`` and ``cores``;
-* ``stats.extra["requested_engine"]`` (set when a forced engine was
-  degraded) and ``stats.extra["shard_fallback_code"]`` (set when a
-  multi-core request fell back to one core);
+* ``stats.extra["shard_fallback_code"]`` (set when a multi-core request
+  fell back to one core);
 * the sorted key set of ``counters()``, space-joined.
 
 It covers what ``EXPECTED_MATRIX`` in ``test_engine_equivalence.py``
-does not: forced engines on every cell (``window-batched`` on the
-``stream`` cells too) and the counter schema of every run.  Cycles and
-values are pinned elsewhere (``test_event_golden.py``).
+does not: the forced event engine on every cell, the multi-core
+fallbacks and the counter schema of every run.  Cycles and values are
+pinned elsewhere (``test_event_golden.py``).
 
 The table is a recorded measurement.  Regenerate it only for an
 intended dispatch change, and say why in the change::
@@ -67,7 +66,6 @@ def _measure(workload, variant) -> dict:
             cases[_case_id(engine, cores)] = {
                 "engine": result.engine,
                 "cores": result.cores,
-                "requested_engine": extra.get("requested_engine"),
                 "shard_fallback_code": extra.get("shard_fallback_code"),
                 "counter_keys": " ".join(sorted(result.counters())),
             }

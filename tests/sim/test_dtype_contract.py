@@ -128,10 +128,10 @@ def test_dtype_edges_are_bit_identical_across_engines(make_kernel):
     launch = KernelLaunch(graph, inputs)
     compiled = compile_kernel(graph)
     runs = {"functional": run_functional(launch)}
-    for engine in ("event", "batched"):
+    for engine, resolved in (("event", "event"), ("auto", "batched")):
         result = simulate(compiled, KernelLaunch(graph, inputs), engine=engine)
-        assert result.engine == engine
-        runs[engine] = result
+        assert result.engine == resolved
+        runs[resolved] = result
     for name, expected in reference.items():
         for engine, run in runs.items():
             got = np.asarray(run.array(name))

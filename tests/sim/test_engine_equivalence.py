@@ -10,11 +10,11 @@ losing its window, a stream variant growing a barrier) fails loudly.
 Every batched-capable cell then runs on both the event engine and its
 batched engine at two problem sizes; outputs must be bit-identical and
 every operation counter equal.  Event-only cells are pinned the other
-way: forcing ``engine="batched"`` must degrade to the event engine and
-record the request in ``stats.extra["requested_engine"]``.  The small
-sizes run in the fast lane; the full sweep at the larger thread count is
-marked ``slow`` (tier-1 and the CI ``tier1`` job include it, the
-per-version fast test job skips it).
+way: ``engine="auto"`` must run them on the event engine, with the
+analyzer's reason in ``RA045``.  The small sizes run in the fast lane;
+the full sweep at the larger thread count is marked ``slow`` (tier-1
+and the CI ``tier1`` job include it, the per-version fast test job
+skips it).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import pytest
 from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
 from repro.graph.interthread import window_batch_problem
+from repro.graph.opcodes import Opcode
 from repro.sim import simulate
 from repro.workloads.registry import (
     all_workloads,
@@ -106,7 +107,7 @@ EXPECTED_MATRIX = {
 
 def _classify(graph) -> str:
     """The batched engine able to run ``graph``, or "event-only"."""
-    if not graph.has_interthread():
+    if not graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER):
         return "batched"
     if window_batch_problem(graph) is None:
         return "window-batched"
@@ -170,7 +171,7 @@ def _assert_engines_equivalent(name, variant, params, engine):
     prepared = workload.prepare(params)
     compiled = compile_kernel(prepared.launch(variant).graph)
     event = simulate(compiled, prepared.launch(variant), engine="event")
-    batched = simulate(compiled, prepared.launch(variant), engine=engine)
+    batched = simulate(compiled, prepared.launch(variant))
     assert event.engine == "event"
     assert batched.engine == engine
     for array_name in prepared.expected:
@@ -216,14 +217,13 @@ def test_engines_bit_identical_large(name, variant, params, engine):
     ids=[f"{n}-{v}" for n, v, _ in EVENT_ONLY_CASES],
 )
 def test_event_only_cells_degrade_observably(name, variant, params):
-    """Forcing the batched engine on an event-only kernel must run the
-    event engine and record the original request next to the resolved
-    one (the forced-engine degradation satellite, pinned for scan)."""
+    """``auto`` on an event-only kernel runs the event engine, and the
+    analyzer says why the batched path is out of reach (pinned for scan)."""
     workload = next(w for w in all_workloads() if w.name == name)
     prepared = workload.prepare(params)
     compiled = compile_kernel(prepared.launch(variant).graph)
-    run = simulate(compiled, prepared.launch(variant), engine="batched")
+    run = simulate(compiled, prepared.launch(variant))
     assert run.engine == "event"
     assert run.stats.extra["engine"] == "event"
-    assert run.stats.extra["requested_engine"] == "batched"
+    assert analyze_kernel(compiled)["RA045"].data["problem"]
     prepared.check_outputs({n: run.array(n) for n in prepared.expected})

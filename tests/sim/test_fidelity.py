@@ -61,7 +61,8 @@ def capacity_config(size_bytes: int = 1024, ways: int = 2):
 def run_both(launch_factory, config):
     compiled = compile_kernel(launch_factory().graph, config)
     event = simulate(compiled, launch_factory(), engine="event")
-    batched = simulate(compiled, launch_factory(), engine="batched")
+    batched = simulate(compiled, launch_factory())
+    assert batched.engine == "batched"
     return event, batched
 
 

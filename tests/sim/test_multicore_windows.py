@@ -305,9 +305,10 @@ def test_simulate_records_fallback_reason(scan_launch):
 
 # ------------------------------------------------------------------- harness
 def test_harness_runs_windowed_variant_on_four_cores():
-    result = run_workload("reduce", "dmt", params={"n": 256, "window": 64}, cores=4)
+    config = dataclasses.replace(default_system_config(), cores=4).validate()
+    result = run_workload("reduce", "dmt", params={"n": 256, "window": 64}, config=config)
     assert result.counters["sharded_cores"] == 4
-    result_win = run_workload("matrixMul", "dmt_win", params={"dim": 8}, cores=4)
+    result_win = run_workload("matrixMul", "dmt_win", params={"dim": 8}, config=config)
     assert result_win.counters["sharded_cores"] == 4
     assert "shard_fallback_reason" not in result_win.counters
     assert "shard_fallback_code" not in result_win.counters

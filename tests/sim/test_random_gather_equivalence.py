@@ -81,7 +81,7 @@ def test_random_gather_chain_is_engine_invariant(chain):
 
     compiled = compile_kernel(graph)
     event = simulate(compiled, KernelLaunch(graph, dict(inputs)), engine="event")
-    batched = simulate(compiled, KernelLaunch(graph, dict(inputs)), engine="batched")
+    batched = simulate(compiled, KernelLaunch(graph, dict(inputs)))
     assert batched.engine == "batched"
 
     # NumPy reference: follow the chain, then scale — in float64, the

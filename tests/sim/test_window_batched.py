@@ -8,10 +8,11 @@ the cycle count and cache counters produced by the analytic replay.
 import numpy as np
 import pytest
 
+from repro.analyze.manager import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
 from repro.errors import SimulationError
 from repro.kernel.builder import KernelBuilder
-from repro.sim import resolve_engine, simulate
+from repro.sim import simulate
 from repro.sim.functional import run_functional
 from repro.sim.batched import BatchedSimulator
 from repro.sim.launch import KernelLaunch
@@ -73,7 +74,7 @@ def _windowed_eldst_launch(n=32, window=8):
 def test_window_batched_matches_event_bitwise(name, variant, params):
     prepared, compiled, launch = _prepared(name, variant, params)
     event = simulate(compiled, launch, engine="event")
-    window = simulate(compiled, launch, engine="window-batched")
+    window = simulate(compiled, launch)
     assert window.engine == "window-batched"
     assert event.engine == "event"
     for array in prepared.expected:
@@ -88,8 +89,9 @@ def test_window_batched_matches_event_bitwise(name, variant, params):
 
 
 def test_auto_engine_resolves_window_batched_for_feedforward_traffic():
-    _, compiled, _ = _prepared("matrixMul", "dmt_win", {"dim": 4})
-    assert resolve_engine(compiled, "auto") == "window-batched"
+    _, compiled, launch = _prepared("matrixMul", "dmt_win", {"dim": 4})
+    assert analyze_kernel(compiled).engine == "window-batched"
+    assert simulate(compiled, launch).engine == "window-batched"
 
 
 def test_window_batched_rejects_interthread_recurrences(scan_launch):
@@ -117,18 +119,18 @@ def test_one_batched_class_names_itself_after_the_graph():
         BatchedSimulator(scan, scan_launch)
 
 
-def test_forced_window_batched_degrades_to_capable_engine(scan_launch):
+def test_auto_runs_a_capable_engine_and_batched_names_are_not_selectable(scan_launch):
     launch, data = scan_launch
     compiled = compile_kernel(launch.graph)
-    result = simulate(compiled, launch, engine="window-batched")
+    with pytest.raises(SimulationError, match="'auto', 'event'"):
+        simulate(compiled, launch, engine="window-batched")
+    result = simulate(compiled, launch)
     assert result.engine == "event"  # recurrence: only the event engine can
     np.testing.assert_allclose(result.array("prefix"), np.cumsum(data))
 
     stream_prepared = get_workload("matrixMul").prepare({"dim": 4})
     stream_launch = stream_prepared.launch("stream")
-    stream = simulate(
-        compile_kernel(stream_launch.graph), stream_launch, engine="window-batched"
-    )
+    stream = simulate(compile_kernel(stream_launch.graph), stream_launch)
     assert stream.engine == "batched"  # no inter-thread traffic to window
 
 
@@ -168,9 +170,9 @@ def test_windowed_eldst_loads_once_per_window():
     compiled = compile_kernel(launch.graph)
     tid = np.arange(n)
     direct = launch.inputs["x"][tid - tid % window]
-    for engine in ("event", "window-batched"):
+    for engine, resolved in (("event", "event"), ("auto", "window-batched")):
         result = simulate(compiled, _windowed_eldst_launch(n, window), engine=engine)
-        assert result.engine == engine
+        assert result.engine == resolved
         assert np.array_equal(result.array("out"), direct), engine
         assert result.stats.eldst_memory_loads == n // window, engine
         assert result.stats.eldst_forwards == n - n // window, engine
@@ -178,7 +180,8 @@ def test_windowed_eldst_loads_once_per_window():
 
 def test_window_batched_shards_across_cores():
     prepared, compiled, launch = _prepared("matrixMul", "dmt_win", {"dim": 8})
-    single = simulate(compiled, launch, engine="window-batched")
+    single = simulate(compiled, launch)
+    assert single.engine == "window-batched"
     multi = simulate(compiled, prepared.launch("dmt_win"), cores=4)
     assert multi.cores == 4
     assert multi.engine == "window-batched"

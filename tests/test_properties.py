@@ -198,7 +198,8 @@ def test_registry_exposes_stream_workloads():
     assert {w.name for w in _STREAM_WORKLOADS} == set(_STREAM_PARAMS)
     for workload in _STREAM_WORKLOADS:
         params = workload.params_with_defaults(_STREAM_PARAMS[workload.name])
-        assert not workload.build_stream(params).has_interthread()
+        graph = workload.build_stream(params)
+        assert not graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER)
 
 
 @settings(deadline=None, max_examples=9)
@@ -207,14 +208,16 @@ def test_registry_exposes_stream_workloads():
     st.integers(0, 3),
 )
 def test_batched_engine_matches_event_engine_on_stream_workloads(index, seed):
-    """engine="batched" and engine="event" agree bit for bit on every
+    """The batched engine (``auto`` on a stream kernel) and the event engine
+    agree bit for bit on every
     inter-thread-free workload of the registry: same output arrays and the
     same operation counters, for any input data."""
     workload = _STREAM_WORKLOADS[index]
     prepared = workload.prepare(_STREAM_PARAMS[workload.name], seed=seed)
     compiled = compile_kernel(prepared.launch("stream").graph)
     event = simulate(compiled, prepared.launch("stream"), engine="event")
-    batched = simulate(compiled, prepared.launch("stream"), engine="batched")
+    batched = simulate(compiled, prepared.launch("stream"))
+    assert batched.engine == "batched"
     for name in prepared.expected:
         assert np.array_equal(event.array(name), batched.array(name)), name
     prepared.check_outputs({n: batched.array(n) for n in prepared.expected})

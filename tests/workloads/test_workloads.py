@@ -67,6 +67,22 @@ def test_unknown_workload_rejected():
         get_workload("nonexistent")
 
 
+@pytest.mark.parametrize("seed", [-5, 1.9, True, "1", None], ids=repr)
+def test_prepare_takes_only_non_negative_int_seeds(seed):
+    from repro.errors import WorkloadError
+
+    with pytest.raises(WorkloadError, match="seed must be an int of at least 0"):
+        get_workload("matrixMul").prepare({"dim": 4}, seed=seed)
+
+
+def test_numpy_int_seed_is_the_same_seed():
+    workload = get_workload("matrixMul")
+    a = workload.prepare({"dim": 4}, seed=np.int64(3))
+    b = workload.prepare({"dim": 4}, seed=3)
+    assert type(a.seed) is int and a.seed == 3
+    assert all(np.array_equal(a.inputs[k], b.inputs[k]) for k in b.inputs)
+
+
 def test_table3_rows_have_descriptions():
     for workload in all_workloads():
         row = workload.table3_row()
