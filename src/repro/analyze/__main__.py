@@ -80,8 +80,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.compiler.pipeline import compile_kernel
+    from repro.errors import WorkloadError
     from repro.workloads.registry import (
         available_variants,
+        check_variant,
         get_workload,
         registry_kernels,
     )
@@ -89,8 +91,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.registry:
         targets = registry_kernels()
     elif args.workload:
-        workload = get_workload(args.workload)
-        variants = args.variant or list(available_variants(workload))
+        try:
+            workload = get_workload(args.workload)
+            variants = args.variant or list(available_variants(workload))
+            for variant in variants:
+                check_variant(workload, variant)
+        except WorkloadError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         targets = [(workload, v) for v in variants]
     else:
         parser.error("give a workload name or --registry")

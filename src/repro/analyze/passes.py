@@ -252,60 +252,32 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
 def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
     """Per node, the OR of ``bit`` over the nodes reachable in one or more edges.
 
-    ``bit`` maps each scratch node to its own bit.  One iterative Tarjan pass
-    closes each strongly connected component after every component it
-    reaches, so a component's set is the union over its outgoing edges of
-    the target's bit and set — plus its own scratch bits when it holds a
-    cycle.  Every edge is visited twice, whatever the number of scratch
-    nodes.
+    ``bit`` maps each scratch node to its own bit.  Tarjan emits the
+    strongly connected components in reverse topological order, so each
+    component is closed after every component it reaches: its set is the
+    union over its outgoing edges of the target's bit and set — plus its
+    own scratch bits when it holds a cycle.  Every edge is visited twice,
+    whatever the number of scratch nodes.
     """
     successors: dict[int, list[int]] = {n.node_id: [] for n in graph.nodes}
     for edge in graph.edges():
         successors[edge.src].append(edge.dst)
     reach: dict[int, int] = {}
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    for root in successors:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(successors[root]))]
-        while work:
-            nid, pending = work[-1]
-            for succ in pending:
-                if succ not in index:
-                    index[succ] = low[succ] = len(index)
-                    stack.append(succ)
-                    work.append((succ, iter(successors[succ])))
-                    break
-                if succ not in reach:  # still on the stack
-                    low[nid] = min(low[nid], index[succ])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[nid])
-                if low[nid] != index[nid]:
-                    continue
-                component = [stack.pop()]
-                while component[-1] != nid:
-                    component.append(stack.pop())
-                members = set(component)
-                cyclic = len(component) > 1
-                bits = 0
-                for member in component:
-                    for succ in successors[member]:
-                        if succ in members:
-                            cyclic = True
-                        else:
-                            bits |= bit.get(succ, 0) | reach[succ]
-                if cyclic:
-                    for member in component:
-                        bits |= bit.get(member, 0)
-                for member in component:
-                    reach[member] = bits
+    for component in _strongly_connected_components(list(successors), successors):
+        members = set(component)
+        cyclic = len(component) > 1
+        bits = 0
+        for member in component:
+            for succ in successors[member]:
+                if succ in members:
+                    cyclic = True
+                else:
+                    bits |= bit.get(succ, 0) | reach[succ]
+        if cyclic:
+            for member in component:
+                bits |= bit.get(member, 0)
+        for member in component:
+            reach[member] = bits
     return reach
 
 

@@ -25,7 +25,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.config.system import SystemConfig, config_digest
 from repro.errors import ExplorationError
@@ -142,7 +142,6 @@ def run_campaign(
     jobs: int = 1,
     cache_dir: str | Path = DEFAULT_CACHE_DIR,
     cache: ResultCache | None = None,
-    progress: Callable[[str], None] | None = None,
     rerun_errors: bool = False,
 ) -> CampaignResult:
     """Run every point of ``spec`` that is not already cached.
@@ -159,15 +158,6 @@ def run_campaign(
     """
     if jobs < 1:
         raise ExplorationError("jobs must be >= 1")
-
-    def say(line: str) -> None:
-        # Progress always flows through the ``repro.explore`` logger
-        # (enable with ``repro.obs.log.configure``); an explicit
-        # ``progress`` callback additionally receives every line, so
-        # embedding callers and tests can capture them directly.
-        log.info("%s", line)
-        if progress is not None:
-            progress(line)
 
     started = time.perf_counter()
 
@@ -187,7 +177,9 @@ def run_campaign(
     for point, key in zip(points, keys):
         if not cached_ok(key) and key not in pending:
             pending[key] = point
-    say(
+    # Progress lines go to the ``repro.explore`` logger (enable with
+    # ``repro.obs.log.configure``).
+    log.info(
         f"campaign '{spec.name}': {len(points)} points "
         f"({len(points) - len(pending)} cached, {len(pending)} to simulate, "
         f"jobs={jobs})"
@@ -207,14 +199,14 @@ def run_campaign(
             result = record["result"]
             phases = result.get("phases") or {}
             sim = f" sim={phases['simulate']:.2f}s" if "simulate" in phases else ""
-            say(
+            log.info(
                 f"  [{completed}/{len(pending)}] {label}: "
                 f"cycles={result['cycles']} "
                 f"energy={result['energy_pj'] / 1e6:.2f}uJ "
                 f"({record['duration_s']:.2f}s{sim})"
             )
         else:
-            say(f"  [{completed}/{len(pending)}] {label}: ERROR {record.get('error')}")
+            log.info(f"  [{completed}/{len(pending)}] {label}: ERROR {record.get('error')}")
 
     if jobs == 1 or len(pending) <= 1:
         for key, point in pending.items():
@@ -263,7 +255,7 @@ def run_campaign(
             )
         )
     result = CampaignResult(spec=spec, outcomes=outcomes, duration_s=time.perf_counter() - started)
-    say(result.summary())
+    log.info(result.summary())
     return result
 
 

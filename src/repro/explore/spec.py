@@ -34,8 +34,8 @@ from typing import Any, Mapping, Sequence
 from repro.config.system import SystemConfig, canonical_config_json, default_system_config
 from repro.errors import ExplorationError, WorkloadError
 from repro.sim.api import ENGINES
-from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS, check_seed
-from repro.workloads.registry import get_workload, workload_names
+from repro.workloads.base import check_seed
+from repro.workloads.registry import check_variant, get_workload
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -88,6 +88,14 @@ class RunPoint:
     ``overrides`` are the dotted-path config overrides of this point, kept
     as a sorted tuple so the point is hashable and its identity is
     insertion-order independent.
+
+    A point is legal or is never built: construction raises
+    :class:`ExplorationError` unless the workload is registered, builds
+    the variant (:func:`~repro.workloads.registry.check_variant`), the
+    engine is one of :data:`~repro.sim.api.ENGINES`, the seed passes
+    :func:`~repro.workloads.base.check_seed` and the params resolve.
+    Serve requests, campaign specs and their expansions all go through
+    this one check.  Config overrides are checked when the key is taken.
     """
 
     workload: str
@@ -97,6 +105,17 @@ class RunPoint:
     params: tuple[tuple[str, Any], ...] = ()
     overrides: tuple[tuple[str, Any], ...] = ()
     base_config: "SystemConfig | None" = None
+
+    def __post_init__(self) -> None:
+        try:
+            workload = get_workload(self.workload)
+            check_variant(workload, self.variant)
+            check_seed(self.seed)
+            workload.params_with_defaults(dict(self.params))
+        except WorkloadError as exc:
+            raise ExplorationError(str(exc)) from exc
+        if self.engine not in ENGINES:
+            raise ExplorationError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
 
     def config_dict(self) -> dict[str, Any]:
         """The point's full configuration as a validated plain dict."""
@@ -211,28 +230,6 @@ class CampaignSpec:
             raise ExplorationError("campaign spec needs a name")
         if not self.workloads:
             raise ExplorationError("campaign spec lists no workloads")
-        known = set(workload_names())
-        for workload in self.workloads:
-            if workload not in known:
-                raise ExplorationError(
-                    f"unknown workload '{workload}'; available: {', '.join(sorted(known))}"
-                )
-        legal_variants = set(ARCHITECTURES) | set(GRAPH_VARIANTS)
-        for variant in self.variants:
-            if variant not in legal_variants:
-                raise ExplorationError(
-                    f"unknown variant '{variant}'; expected one of {sorted(legal_variants)}"
-                )
-        for engine in self.engines:
-            if engine not in ENGINES:
-                raise ExplorationError(
-                    f"unknown engine '{engine}'; expected one of {ENGINES}"
-                )
-        for seed in self.seeds:
-            try:
-                check_seed(seed)
-            except WorkloadError as exc:
-                raise ExplorationError(f"'seeds': {exc}") from exc
         if self.zipped:
             lengths = {len(values) for _, values in self.zipped}
             if len(lengths) != 1:
@@ -252,15 +249,13 @@ class CampaignSpec:
                 raise ExplorationError(
                     f"params given for '{workload}' which is not in the campaign"
                 )
-        # Parameter typos must fail here, before any simulation time is
-        # spent — the same loud-early guarantee apply_override gives the
-        # sweep axes (a typo'd point would otherwise be cached as a
-        # permanent error record).
-        for workload in self.workloads:
-            try:
-                get_workload(workload).params_with_defaults(dict(self.params.get(workload, {})))
-            except WorkloadError as exc:
-                raise ExplorationError(str(exc)) from exc
+        # Every (workload, variant, engine, seed) must be a legal point
+        # before any simulation time is spent: a bad one would otherwise
+        # be cached as a permanent error record.
+        for workload, variant, engine, seed in itertools.product(
+            self.workloads, self.variants, self.engines, self.seeds
+        ):
+            RunPoint(workload, variant, engine, seed, _params(self.params, workload))
 
     # ------------------------------------------------------------- construction
     @classmethod
@@ -361,7 +356,7 @@ class CampaignSpec:
         base = self._resolved_base()
         points = []
         for workload in self.workloads:
-            params = tuple(sorted(dict(self.params.get(workload, {})).items()))
+            params = _params(self.params, workload)
             for variant, engine, seed, combo in itertools.product(
                 self.variants, self.engines, self.seeds, self.override_combos()
             ):
@@ -381,6 +376,12 @@ class CampaignSpec:
     def swept_paths(self) -> tuple[str, ...]:
         """The dotted config paths this campaign varies (for sensitivity tables)."""
         return tuple(path for path, _ in self.grid) + tuple(path for path, _ in self.zipped)
+
+
+def _params(
+    params: Mapping[str, Mapping[str, Any]], workload: str
+) -> tuple[tuple[str, Any], ...]:
+    return tuple(sorted(dict(params.get(workload, {})).items()))
 
 
 def _deep_merge(dst: dict[str, Any], src: Mapping[str, Any]) -> None:

@@ -20,13 +20,12 @@ from repro.analysis.comparison import ArchitectureComparison, ComparisonTable
 from repro.analyze.manager import analyze_kernel
 from repro.compiler.pipeline import CompiledKernel, compile_kernel
 from repro.config.system import SystemConfig, default_system_config
-from repro.errors import WorkloadError
 from repro.gpgpu.simulator import run_fermi
 from repro.obs.metrics import timer
 from repro.power.model import EnergyBreakdown, cgra_energy, fermi_energy
 from repro.sim import simulate
-from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS, PreparedWorkload, Workload
-from repro.workloads.registry import get_workload, paper_workloads
+from repro.workloads.base import ARCHITECTURES, PreparedWorkload, Workload
+from repro.workloads.registry import check_variant, get_workload, paper_workloads
 
 __all__ = [
     "RunResult",
@@ -135,19 +134,17 @@ def run_workload(
     """Run one workload on one architecture and return cycles/energy/outputs.
 
     ``architecture`` is one of the paper's three architectures
-    (``fermi``/``mt``/``dmt``) or an additional graph variant from
-    :data:`GRAPH_VARIANTS` (``dmt_win``, ``stream``).  ``engine`` is
+    (``fermi``/``mt``/``dmt``) or an additional graph variant
+    (``dmt_win``, ``stream``) the workload builds; anything else raises
+    :class:`~repro.errors.WorkloadError`
+    (:func:`~repro.workloads.registry.check_variant`).  ``engine`` is
     forwarded to :func:`repro.sim.simulate`, and the core count is
     ``config.cores``; the resolved engine (never ``"auto"``) lands in
     ``counters["engine"]``.  Both are ignored by the Fermi baseline.
     """
-    if architecture not in ARCHITECTURES and architecture not in GRAPH_VARIANTS:
-        raise WorkloadError(
-            f"unknown architecture '{architecture}'; expected one of "
-            f"{ARCHITECTURES + tuple(v for v in GRAPH_VARIANTS if v not in ARCHITECTURES)}"
-        )
-    config = config or default_system_config()
     resolved = _resolve(workload)
+    check_variant(resolved, architecture)
+    config = config or default_system_config()
     phases: dict[str, float] = {}
     with timer("prepare") as span:
         prepared = resolved.prepare(params, seed=seed)

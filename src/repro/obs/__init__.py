@@ -5,8 +5,8 @@ The package is the instrumentation seam of the whole stack:
 * :mod:`repro.obs.trace` — Chrome trace-event timeline capture with a
   zero-overhead-when-off ambient tracer (engines guard every hook with
   one ``is not None`` branch); ring-buffer mode bounds memory.
-* :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
-  and the ``with timer("compile")`` phase spans the harness threads into
+* :mod:`repro.obs.metrics` — process-local counters/histograms and
+  the ``with timer("compile")`` phase spans the harness threads into
   run records.
 * :mod:`repro.obs.log` — stdlib logging under the ``repro.*`` namespace
   with a one-call :func:`~repro.obs.log.configure` entry point.

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, histograms and phase timers.
+"""Process-local metrics: counters, histograms and phase timers.
 
 One module-level :data:`REGISTRY` instruments the pipeline phases
 (compile → analyze → simulate → report, see
@@ -13,7 +13,6 @@ Usage::
     from repro.obs.metrics import REGISTRY, timer
 
     REGISTRY.inc("explore.points")
-    REGISTRY.set_gauge("explore.jobs", 4)
     with timer("compile") as span:
         compiled = compile_kernel(graph)
     print(span.seconds)
@@ -70,18 +69,14 @@ class TimerSpan:
 
 @dataclass
 class MetricsRegistry:
-    """Counters, gauges and histograms for one process."""
+    """Counters and histograms for one process."""
 
     counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
 
     # ---------------------------------------------------------------- update
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + float(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         self.histograms.setdefault(name, Histogram()).observe(value)
@@ -113,7 +108,7 @@ class MetricsRegistry:
         return self.counters.get(numerator, 0.0) / total if total else 0.0
 
     def snapshot(self, prefix: str | None = None) -> dict[str, Any]:
-        """Flat JSON-able view: ``counter.*``, ``gauge.*``, ``<hist>.*``.
+        """Flat JSON-able view: ``counter.*`` and ``<hist>.*``.
 
         ``prefix`` restricts the view to metric names starting with it
         (e.g. ``snapshot("serve.")`` for one subsystem's corner of a
@@ -127,9 +122,6 @@ class MetricsRegistry:
         for name, value in sorted(self.counters.items()):
             if keep(name):
                 out[f"counter.{name}"] = value
-        for name, value in sorted(self.gauges.items()):
-            if keep(name):
-                out[f"gauge.{name}"] = value
         for name, hist in sorted(self.histograms.items()):
             if keep(name):
                 for stat, value in hist.as_dict().items():
@@ -138,7 +130,6 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self.counters.clear()
-        self.gauges.clear()
         self.histograms.clear()
 
 

@@ -19,10 +19,12 @@ Two digests matter per request:
   characterization tables, under which many config digests' rows
   accumulate.
 
-Validation is eager and loud: unknown body keys, unknown workloads,
-parameter typos, illegal config overrides — every one of them raises
-:class:`ServeError` with an HTTP status before any simulation time is
-spent, mirroring the explore spec's fail-before-you-burn contract.
+Validation is eager and loud: unknown body keys, unknown workloads, a
+variant the workload does not build, parameter typos, illegal config
+overrides — every one of them raises :class:`ServeError` with an HTTP
+status before any simulation time is spent.  Point legality is
+:class:`RunPoint`'s one rule, shared with campaign specs; this module
+adds only the JSON-shape checks and compile's "no ``fermi``" rule.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Mapping
 
-from repro.config.system import SystemConfig, config_digest
+from repro.config.system import config_digest
 from repro.errors import ConfigurationError, ExplorationError, ReproError, WorkloadError
 from repro.explore.spec import CACHE_SCHEMA_VERSION, RunPoint, resolved_base_config
 from repro.graph.dfg import DataflowGraph
-from repro.sim.api import ENGINES
-from repro.workloads.base import ARCHITECTURES, GRAPH_VARIANTS, check_seed
 from repro.workloads.registry import get_workload
 
 __all__ = [
@@ -50,12 +50,6 @@ __all__ = [
     "canonicalize_simulate",
     "kernel_digest",
 ]
-
-#: Graph variants a simulate request may name (the paper's architectures
-#: plus the extra graph variants the harness runs).
-SIMULATE_VARIANTS = tuple(dict.fromkeys(ARCHITECTURES + GRAPH_VARIANTS))
-#: Variants that compile to a CGRA kernel (everything but the SIMT baseline).
-COMPILE_VARIANTS = tuple(v for v in SIMULATE_VARIANTS if v != "fermi")
 
 _SIMULATE_KEYS = {"workload", "variant", "engine", "seed", "params", "config", "overrides"}
 _COMPILE_KEYS = {"workload", "variant", "params", "config"}
@@ -119,12 +113,6 @@ def kernel_digest(workload: str, variant: str, params: Mapping[str, Any] | None 
     return _kernel_digest(str(workload), str(variant), params_blob)
 
 
-def _require_mapping(body: Any, what: str) -> Mapping[str, Any]:
-    if not isinstance(body, Mapping):
-        raise ServeError(f"{what} must be a JSON object")
-    return body
-
-
 def _scalar_mapping(value: Any, field: str) -> dict[str, Any]:
     value = value or {}
     if not isinstance(value, Mapping):
@@ -137,9 +125,16 @@ def _scalar_mapping(value: Any, field: str) -> dict[str, Any]:
     return out
 
 
-def _common_fields(
-    body: Mapping[str, Any], allowed: set[str], legal_variants: tuple[str, ...]
-) -> tuple[str, str, dict[str, Any], SystemConfig]:
+def _point(body: Any, what: str, allowed: set[str]) -> RunPoint:
+    """The :class:`RunPoint` a request body names, or a ``ServeError``.
+
+    Only the JSON shape is checked here; whether the point is legal
+    (workload, variant, engine, seed, params) is :class:`RunPoint`'s rule.
+    Keys outside ``allowed`` are refused, so a compile body never sets
+    the engine, seed or overrides: they keep the point's defaults.
+    """
+    if not isinstance(body, Mapping):
+        raise ServeError(f"{what} must be a JSON object")
     unknown = set(body) - allowed
     if unknown:
         raise ServeError(
@@ -148,10 +143,8 @@ def _common_fields(
     workload = body.get("workload")
     if not isinstance(workload, str) or not workload:
         raise ServeError("'workload' is required and must be a string")
-    variant = body.get("variant", "dmt")
-    if variant not in legal_variants:
-        raise ServeError(f"unknown variant '{variant}'; expected one of {list(legal_variants)}")
     params = _scalar_mapping(body.get("params"), "params")
+    overrides = _scalar_mapping(body.get("overrides"), "overrides")
     config = body.get("config") or {}
     if not isinstance(config, Mapping):
         raise ServeError("'config' must be a (partial) nested config object")
@@ -159,13 +152,18 @@ def _common_fields(
         base = resolved_base_config(config)
     except ConfigurationError as exc:
         raise ServeError(f"invalid config: {exc}") from exc
-    # Unknown workloads and parameter typos fail here, loudly, before any
-    # digest exists for them.
     try:
-        get_workload(workload).params_with_defaults(params)
-    except WorkloadError as exc:
+        return RunPoint(
+            workload=workload,
+            variant=body.get("variant", "dmt"),
+            engine=body.get("engine", "auto"),
+            seed=body.get("seed", 0),
+            params=tuple(sorted(params.items())),
+            overrides=tuple(sorted(overrides.items())),
+            base_config=base,
+        )
+    except ExplorationError as exc:
         raise ServeError(str(exc)) from exc
-    return workload, str(variant), params, base
 
 
 def canonicalize_simulate(body: Any) -> CanonicalRequest:
@@ -176,26 +174,7 @@ def canonicalize_simulate(body: Any) -> CanonicalRequest:
     nested :class:`SystemConfig` merged over the Table 2 defaults) and
     ``overrides`` (dotted-path config overrides, the sweep-axis form).
     """
-    body = _require_mapping(body, "simulate request")
-    workload, variant, params, base = _common_fields(body, _SIMULATE_KEYS, SIMULATE_VARIANTS)
-    engine = body.get("engine", "auto")
-    if engine not in ENGINES:
-        raise ServeError(f"unknown engine '{engine}'; expected one of {list(ENGINES)}")
-    try:
-        seed = check_seed(body.get("seed", 0))
-    except WorkloadError as exc:
-        raise ServeError(str(exc)) from exc
-    overrides = _scalar_mapping(body.get("overrides"), "overrides")
-
-    point = RunPoint(
-        workload=workload,
-        variant=variant,
-        engine=str(engine),
-        seed=seed,
-        params=tuple(sorted(params.items())),
-        overrides=tuple(sorted(overrides.items())),
-        base_config=base,
-    )
+    point = _point(body, "simulate request", _SIMULATE_KEYS)
     try:
         key = point.key()
         digest = config_digest(point.config_dict())
@@ -205,18 +184,17 @@ def canonicalize_simulate(body: Any) -> CanonicalRequest:
         point=point,
         key=key,
         config_digest=digest,
-        kernel_digest=kernel_digest(workload, variant, params),
+        kernel_digest=kernel_digest(point.workload, point.variant, dict(point.params)),
     )
 
 
 def canonical_from_point(point: RunPoint) -> CanonicalRequest:
     """Wrap an already-validated :class:`RunPoint` (explore expansion path).
 
-    Campaign specs validate their own fields in
-    :meth:`CampaignSpec.__post_init__`; their expanded points skip the
-    body validation and go straight to the digests, guaranteeing a served
-    campaign and an offline ``python -m repro.explore run`` of the same
-    spec key into the same store entries.
+    A point validates itself on construction, so a campaign's expanded
+    points skip the body checks and go straight to the digests,
+    guaranteeing a served campaign and an offline ``python -m repro.explore
+    run`` of the same spec key into the same store entries.
     """
     return CanonicalRequest(
         point=point,
@@ -235,19 +213,14 @@ def canonicalize_compile(body: Any) -> CanonicalRequest:
     (``kernel digest + config digest`` — compilation is pure w.r.t.
     those two identities).
     """
-    body = _require_mapping(body, "compile request")
-    workload, variant, params, base = _common_fields(body, _COMPILE_KEYS, COMPILE_VARIANTS)
-    point = RunPoint(
-        workload=workload,
-        variant=variant,
-        params=tuple(sorted(params.items())),
-        base_config=base,
-    )
+    point = _point(body, "compile request", _COMPILE_KEYS)
+    if point.variant == "fermi":
+        raise ServeError("variant 'fermi' is the SIMT baseline and has no CGRA kernel")
     try:
         digest = config_digest(point.config_dict())
     except ConfigurationError as exc:
         raise ServeError(str(exc)) from exc
-    kdigest = kernel_digest(workload, variant, params)
+    kdigest = kernel_digest(point.workload, point.variant, dict(point.params))
     return CanonicalRequest(
         point=point,
         key=f"{kdigest}:{digest}",

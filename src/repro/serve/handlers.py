@@ -243,7 +243,7 @@ class SimulationService:
         """
         self.metrics.inc("serve.requests.explore")
         try:
-            spec = CampaignSpec.from_dict(_require_mapping(body))
+            spec = CampaignSpec.from_dict(body)
             points = spec.expand()
         except ExplorationError as exc:
             raise ServeError(str(exc)) from exc
@@ -399,9 +399,3 @@ class SimulationService:
     def healthz(self) -> tuple[int, dict[str, Any]]:
         """``GET /healthz`` — liveness (never touches store or pools)."""
         return 200, {"status": "ok"}
-
-
-def _require_mapping(body: Any) -> Mapping[str, Any]:
-    if not isinstance(body, Mapping):
-        raise ServeError("explore request must be a campaign spec JSON object")
-    return body

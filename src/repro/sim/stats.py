@@ -126,9 +126,8 @@ class ExecutionStats:
         Counters are summed element-wise without coercion, so float-valued
         ``extra`` counters (e.g. merged in from the memory hierarchy) keep
         their fractional part.  ``cycles`` takes the maximum (the cores run
-        concurrently), ``threads`` the total, and ``instructions_per_lane``
-        — a per-lane average, not a volume counter — is averaged weighted
-        by the thread count of each side.
+        concurrently); every other numeric counter, ``threads`` and
+        ``instructions_per_lane`` included, is a volume and is summed.
         """
         merged = ExecutionStats()
         for name, value in self.as_dict().items():
@@ -136,14 +135,4 @@ class ExecutionStats:
         for name, value in other.as_dict().items():
             merged.bump(name, value)
         merged.cycles = max(self.cycles, other.cycles)
-        merged.threads = self.threads + other.threads
-        if merged.threads:
-            merged.instructions_per_lane = (
-                self.instructions_per_lane * self.threads
-                + other.instructions_per_lane * other.threads
-            ) // merged.threads
-        else:
-            merged.instructions_per_lane = (
-                self.instructions_per_lane + other.instructions_per_lane
-            ) // 2
         return merged

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from repro.errors import WorkloadError
@@ -21,6 +22,7 @@ __all__ = [
     "WORKLOAD_CLASSES",
     "all_workloads",
     "available_variants",
+    "check_variant",
     "get_workload",
     "paper_workloads",
     "registry_kernel_count",
@@ -85,12 +87,35 @@ def available_variants(workload: Workload) -> tuple[str, ...]:
     from :func:`registry_kernels` instead of hard-coding them, so adding
     a variant can never silently shrink their coverage.
     """
+    return _class_variants(type(workload))
+
+
+@lru_cache(maxsize=None)
+def _class_variants(cls: type[Workload]) -> tuple[str, ...]:
+    # Cached per class: ``has_windowed_variant`` may build the default
+    # dMT graph, which no per-request check should pay for.
+    workload = cls()
     variants = ["mt", "dmt"]
     if workload.has_windowed_variant():
         variants.append("dmt_win")
     if workload.has_stream_variant():
         variants.append("stream")
     return tuple(variants)
+
+
+def check_variant(workload: Workload, variant: str) -> None:
+    """Raise :class:`WorkloadError` unless ``workload`` runs ``variant``.
+
+    The one statement of a legal run point's variant: the SIMT baseline
+    ``fermi`` or one of :func:`available_variants`.  The harness, serve
+    requests and campaign specs all check through it.
+    """
+    legal = ("fermi", *available_variants(workload))
+    if variant not in legal:
+        raise WorkloadError(
+            f"workload '{workload.name}' has no variant {variant!r}; "
+            f"expected one of {list(legal)}"
+        )
 
 
 def registry_kernels() -> list[tuple[Workload, str]]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analyze import CODES, Diagnostic, Severity, structure_diagnostics
+from repro.analyze.__main__ import main
 from repro.errors import GraphValidationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.opcodes import Opcode
@@ -80,3 +81,11 @@ def test_structure_codes_for_malformed_nodes():
     g.add_edge(c, st, 1)
     codes = [d.code for d in structure_diagnostics(g)]
     assert codes == ["RA002"]
+
+
+def test_cli_rejects_a_variant_the_workload_does_not_build(capsys):
+    assert main(["scan", "--variant", "dmt_win"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: workload 'scan' has no variant 'dmt_win'")

@@ -65,22 +65,26 @@ def test_resume_after_kill_with_partial_jsonl(tmp_path):
     assert campaign_status(spec, cache_dir=tmp_path)["missing"] == 0
 
 
+def _mixed_spec() -> CampaignSpec:
+    """One good point and one legal point that fails at build time: reduce
+    needs ``n`` to be a multiple of ``window``, which only the graph
+    builder checks, so the point raises WorkloadError inside the worker."""
+    return CampaignSpec(
+        name="mixed",
+        workloads=("matrixMul", "reduce"),
+        params={"matrixMul": {"dim": 4}, "reduce": {"n": 96, "window": 64}},
+    )
+
+
 def test_worker_error_is_captured_not_fatal(tmp_path):
     """A point that raises inside the pool yields an error record and the
     campaign still completes the remaining points."""
-    spec = CampaignSpec(
-        name="mixed",
-        workloads=("matrixMul", "scan"),
-        # scan's cyclic recurrence has no windowed dMT form -> its point
-        # raises WorkloadError inside the worker process.
-        variants=("dmt_win",),
-        params={"matrixMul": {"dim": 4}},
-    )
+    spec = _mixed_spec()
     result = run_campaign(spec, jobs=2, cache_dir=tmp_path)
     assert result.total == 2
     by_workload = {o.point.workload: o for o in result.outcomes}
     assert by_workload["matrixMul"].ok
-    failed = by_workload["scan"]
+    failed = by_workload["reduce"]
     assert not failed.ok
     assert "WorkloadError" in failed.record["error"]
     assert failed.record["traceback"]
@@ -94,13 +98,7 @@ def test_rerun_errors_invalidates_cached_error_records(tmp_path):
     """``--rerun-errors`` re-simulates exactly the cached error points:
     the failing point is executed again (a fresh record replaces the
     cached one) while successful records stay cache hits."""
-    spec = CampaignSpec(
-        name="mixed",
-        workloads=("matrixMul", "scan"),
-        # scan has no windowed dMT variant -> its point errors in the worker.
-        variants=("dmt_win",),
-        params={"matrixMul": {"dim": 4}},
-    )
+    spec = _mixed_spec()
     cold = run_campaign(spec, jobs=1, cache_dir=tmp_path)
     assert len(cold.errors) == 1
     # A plain re-run serves the error from the cache and simulates nothing.
@@ -111,8 +109,8 @@ def test_rerun_errors_invalidates_cached_error_records(tmp_path):
     assert rerun.hits == 1 and rerun.misses == 1  # only the error point re-ran
     by_workload = {o.point.workload: o for o in rerun.outcomes}
     assert by_workload["matrixMul"].cached
-    assert not by_workload["scan"].cached  # re-simulated, not served from cache
-    assert not by_workload["scan"].ok  # still an error, now freshly produced
+    assert not by_workload["reduce"].cached  # re-simulated, not served from cache
+    assert not by_workload["reduce"].ok  # still an error, now freshly produced
 
     # The fresh record was appended: a later load still sees one record per
     # key and the campaign remains fully cached without --rerun-errors.

@@ -83,6 +83,9 @@ def test_unknown_workload_variant_engine_rejected():
         CampaignSpec(name="v", workloads=("matrixMul",), variants=("warp",))
     with pytest.raises(ExplorationError):
         CampaignSpec(name="e", workloads=("matrixMul",), engines=("fast",))
+    # scan's recurrence spans the block, so it has no windowed dMT build.
+    with pytest.raises(ExplorationError, match="'scan' has no variant 'dmt_win'"):
+        CampaignSpec.from_dict({"name": "s", "workloads": ["scan"], "variants": ["dmt_win"]})
 
 
 def test_apply_override_rejects_unknown_paths():

@@ -7,14 +7,11 @@ import pytest
 from repro.obs.metrics import REGISTRY, MetricsRegistry, timer
 
 
-def test_counters_and_gauges():
+def test_counters():
     registry = MetricsRegistry()
     registry.inc("runs")
     registry.inc("runs", 2)
-    registry.set_gauge("threads", 4096)
-    snapshot = registry.snapshot()
-    assert snapshot["counter.runs"] == 3
-    assert snapshot["gauge.threads"] == 4096
+    assert registry.snapshot() == {"counter.runs": 3}
 
 
 def test_histogram_observation_statistics():
@@ -52,7 +49,6 @@ def test_timer_records_on_exception():
 def test_reset_clears_everything():
     registry = MetricsRegistry()
     registry.inc("runs")
-    registry.set_gauge("threads", 1)
     registry.observe("h", 1.0)
     registry.reset()
     assert registry.snapshot() == {}

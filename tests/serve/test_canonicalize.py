@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.system import default_system_config
+from repro.errors import ExplorationError
 from repro.explore.spec import CampaignSpec
 from repro.serve.canonicalize import (
     CanonicalRequest,
@@ -16,7 +17,8 @@ from repro.serve.canonicalize import (
     canonicalize_simulate,
     kernel_digest,
 )
-from repro.workloads.registry import get_workload
+from repro.workloads.base import GRAPH_VARIANTS
+from repro.workloads.registry import available_variants, get_workload, workload_names
 
 
 def test_default_params_digest_identically_to_explicit_defaults():
@@ -116,6 +118,7 @@ def test_canonical_from_point_matches_equivalent_http_body():
         ({"workload": "matrixMul", "variant": "dmt", "seed": 1.9}, "seed"),
         ({"workload": "matrixMul", "variant": "dmt", "seed": 1.0}, "seed"),
         ({"workload": "matrixMul", "variant": "dmt", "seed": True}, "seed"),
+        ({"workload": "bpnn", "variant": "dmt_win"}, "dmt_win"),
     ],
 )
 def test_bad_simulate_bodies_raise_serve_error_400(body, fragment):
@@ -123,6 +126,26 @@ def test_bad_simulate_bodies_raise_serve_error_400(body, fragment):
         canonicalize_simulate(body)
     assert excinfo.value.status == 400
     assert fragment in str(excinfo.value)
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except (ServeError, ExplorationError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_front_ends_accept_exactly_the_variants_the_workload_builds(name):
+    built = available_variants(get_workload(name))
+    for variant in ("fermi", *GRAPH_VARIANTS, "junk"):
+        body = {"workload": name, "variant": variant}
+        runs = variant == "fermi" or variant in built
+        assert _accepts(canonicalize_simulate, body) == runs, variant
+        assert _accepts(canonicalize_compile, body) == (variant in built), variant
+        spec = {"name": "v", "workloads": [name], "variants": [variant]}
+        assert _accepts(CampaignSpec.from_dict, spec) == runs, variant
 
 
 @pytest.mark.parametrize("canonicalize", [canonicalize_simulate, canonicalize_compile])

