@@ -228,8 +228,11 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ExplorationError("campaign spec needs a name")
-        if not self.workloads:
-            raise ExplorationError("campaign spec lists no workloads")
+        # An empty axis expands to no points: the campaign would run
+        # nothing and its params would never be checked.
+        for axis in ("workloads", "variants", "engines", "seeds"):
+            if not getattr(self, axis):
+                raise ExplorationError(f"campaign spec lists no {axis}")
         if self.zipped:
             lengths = {len(values) for _, values in self.zipped}
             if len(lengths) != 1:

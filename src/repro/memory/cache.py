@@ -101,9 +101,9 @@ class SetAssociativeCache:
         self._mshr: dict[int, int] = {}
 
     # ------------------------------------------------------------------ helpers
-    def _bank_ready(self, line_addr: int, cycle: int) -> int:
+    def _bank_ready(self, line_index: int, cycle: int) -> int:
         """Account for bank contention; return the cycle the bank accepts us."""
-        bank = self.geometry.bank_index(line_addr, self.config.banks)
+        bank = self.geometry.bank_index(line_index, self.config.banks)
         start = max(cycle, self._bank_free_at[bank])
         self.stats.bank_conflict_cycles += start - cycle
         self._bank_free_at[bank] = start + 1
@@ -114,9 +114,10 @@ class SetAssociativeCache:
         """Perform one access; return the absolute completion cycle."""
         if cycle < 0:
             raise MemoryModelError("access cycle must be non-negative")
-        line_addr = self.geometry.line_address(address)
-        start = self._bank_ready(line_addr, cycle)
-        cset = self._sets[self.geometry.set_index(line_addr)]
+        index = self.geometry.line_index(address)
+        line_addr = index * self.config.line_bytes
+        start = self._bank_ready(index, cycle)
+        cset = self._sets[self.geometry.set_index(index)]
         is_write = access is AccessType.STORE
 
         if line_addr in cset:
@@ -197,8 +198,8 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------ queries
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is currently resident."""
-        line_addr = self.geometry.line_address(address)
-        return line_addr in self._sets[self.geometry.set_index(line_addr)]
+        index = self.geometry.line_index(address)
+        return index * self.config.line_bytes in self._sets[self.geometry.set_index(index)]
 
     def flush(self) -> int:
         """Invalidate every line; return the number of dirty lines written back."""

@@ -3,26 +3,27 @@
 The event-driven engine's caches
 (:class:`repro.memory.cache.SetAssociativeCache`) and the batched
 engines' vectorised L1 (:mod:`repro.sim.analytic_cache`) must classify
-the same line-address stream identically — the cross-engine fidelity
-contract is *exact* L1/L2 miss-count equality on order-stable traces.
-That only holds if both engines share one implementation of the address
-math and make the same LRU replacement decision:
+the same line stream identically — the cross-engine fidelity contract
+is *exact* L1/L2 miss-count equality on order-stable traces.  That only
+holds if both engines share one implementation of the address math and
+make the same LRU replacement decision:
 
 * :class:`CacheGeometry` — line/set/bank address arithmetic written with
   plain arithmetic operators so the same methods work on Python ints
   (event engine, one access at a time) and on NumPy arrays (batched
-  engine, one wave of accesses at a time);
+  engine, one wave of accesses at a time).  An address is divided once,
+  into its *line index* (``address // line_bytes``); the set, the bank
+  and the line's first byte address all derive from that index;
 * :class:`LruTagArray` — the vectorised twin of the scalar cache's tag
   state: the same per-set MRU-ordered lines held as ``(num_sets, ways)``
-  NumPy arrays, replayed over a whole replay-ordered line-address stream
-  at once.  Each set's LRU state is independent, so the stream is
-  decomposed per set (:func:`group_spans`) and walked in synchronous
-  rounds — round ``r`` advances the ``r``-th access of *every* set with
-  one vector operation — after collapsing consecutive same-line runs
-  (guaranteed hits under write-allocate).  Per access it reports the
-  same hit/victim/victim-dirty decisions the scalar cache makes, and it
-  hands back the set partition and its runs for callers that work per
-  run.
+  NumPy arrays, replayed over a whole replay-ordered line stream at
+  once.  Each set's LRU state is independent, so the stream is stably
+  partitioned per set and cut into same-line runs (every access of a run
+  after the first is a guaranteed hit under write-allocate).  The runs
+  are walked in synchronous rounds — round ``r`` advances the ``r``-th
+  run of *every* set with one vector operation — and classified per run:
+  the same hit/victim/victim-dirty decisions the scalar cache makes for
+  the run's first access (:class:`TagReplay`).
 
 Timing, banks, MSHRs and statistics deliberately stay out of this module.
 :class:`~repro.memory.cache.SetAssociativeCache` keeps its own per-set
@@ -46,7 +47,34 @@ __all__ = [
     "LruTagArray",
     "TagReplay",
     "group_spans",
+    "span_lengths",
 ]
+
+
+def _sort_keys(keys: np.ndarray, upper_bound: "int | None") -> np.ndarray:
+    """``keys`` in the narrowest unsigned dtype below ``upper_bound``.
+
+    NumPy's stable argsort radix-sorts keys of 16 bits or fewer, and an
+    8-bit key needs one counting pass instead of two.
+    """
+    if upper_bound is None or upper_bound > 1 << 16:
+        return keys
+    return keys.astype(np.uint8 if upper_bound <= 1 << 8 else np.uint16, copy=False)
+
+
+def _span_starts(values: np.ndarray) -> np.ndarray:
+    """Positions where each run of equal consecutive ``values`` begins."""
+    starts = np.flatnonzero(values[1:] != values[:-1])
+    starts += 1
+    return np.concatenate((np.zeros(min(values.size, 1), dtype=np.int64), starts))
+
+
+def span_lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the spans that begin at ``starts`` and tile ``total`` positions."""
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = total - starts[-1:]
+    return lengths
 
 
 def group_spans(
@@ -58,27 +86,27 @@ def group_spans(
     equal keys are contiguous while preserving stream order inside each
     group, and ``keys[order][starts[g]:ends[g]]`` is the ``g``-th group.
 
-    ``upper_bound`` (exclusive) lets callers with small keys — set and
-    bank indices — promise a narrow dtype, which switches NumPy's stable
-    sort to its much faster radix path.
+    ``upper_bound`` (exclusive) lets callers with small non-negative
+    keys — set and bank indices — promise a narrow dtype, which switches
+    NumPy's stable sort to its much faster radix path.
     """
     if keys.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
-    if upper_bound is not None and upper_bound <= np.iinfo(np.int16).max:
-        keys = keys.astype(np.int16, copy=False)
+    keys = _sort_keys(keys, upper_bound)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    ends = np.r_[starts[1:], keys.size]
-    return order, starts, ends
+    starts = _span_starts(sorted_keys)
+    return order, starts, starts + span_lengths(starts, keys.size)
 
 
 class CacheGeometry:
     """Address arithmetic of a set-associative level (scalar and vector).
 
-    Every method uses only ``//``, ``%`` and ``*``, so ``address`` may be
+    Every method uses only ``//``, ``%`` and ``*``, so its argument may be
     a Python int or a NumPy integer array; the result has the same type.
+    The set and the bank are functions of the *line index*
+    (:meth:`line_index`), so a caller divides each address once.
     """
 
     __slots__ = ("line_bytes", "num_sets", "ways")
@@ -92,17 +120,17 @@ class CacheGeometry:
     def from_config(cls, config: CacheConfig) -> "CacheGeometry":
         return cls(config.line_bytes, config.num_sets, config.ways)
 
-    def line_address(self, address):
-        """First byte address of the line holding ``address``."""
-        return address - (address % self.line_bytes)
+    def line_index(self, address):
+        """Which line holds ``address``: ``address // line_bytes``."""
+        return address // self.line_bytes
 
-    def set_index(self, line_addr):
-        """Which set a line address maps to."""
-        return (line_addr // self.line_bytes) % self.num_sets
+    def set_index(self, line_index):
+        """Which set a line (given by its line index) maps to."""
+        return line_index % self.num_sets
 
-    def bank_index(self, line_addr, banks: int):
-        """Which of ``banks`` line-interleaved banks services a line address."""
-        return (line_addr // self.line_bytes) % banks
+    def bank_index(self, line_index, banks: int):
+        """Which of ``banks`` line-interleaved banks services a line index."""
+        return line_index % banks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -112,34 +140,39 @@ class CacheGeometry:
 
 
 class TagReplay(NamedTuple):
-    """Per-access classification of one replayed line-address stream.
+    """Run-level classification of one replayed line stream.
 
-    ``victim_line`` is ``-1`` where an access evicted nothing; where it
-    did, ``victim_dirty`` says whether the eviction owes a writeback.
+    ``order`` permutes the stream so each set's accesses are contiguous,
+    in stream order within the set.  ``run_starts`` indexes that
+    set-grouped stream: the positions where a run of consecutive
+    same-line accesses of one set begins.  The other fields hold one
+    entry per run.  Only a run's first access can miss or evict; every
+    later access of the run is a hit.  Under write-no-allocate every run
+    is a single access.
 
-    The replay's set partition comes back with it.  ``order`` permutes
-    the stream so each set's accesses are contiguous, in stream order
-    within the set.  ``run_starts`` indexes that set-grouped stream: the
-    positions where a run of consecutive same-line accesses of one set
-    begins.  Only a run's first access can miss or evict; under
-    write-no-allocate every run is a single access.
+    ``line`` is the run's line index.  ``hit`` says whether the run's
+    first access hit.  ``victim`` is the line index that access evicted,
+    or ``-1``; where it evicted a line, ``victim_dirty`` says whether the
+    eviction owes a writeback.
     """
 
-    hit: np.ndarray
-    victim_line: np.ndarray
-    victim_dirty: np.ndarray
     order: np.ndarray
     run_starts: np.ndarray
+    line: np.ndarray
+    hit: np.ndarray
+    victim: np.ndarray
+    victim_dirty: np.ndarray
 
 
 class LruTagArray:
     """Vectorised per-set twin of the scalar cache's LRU tag state.
 
-    State is ``(num_sets, ways)`` arrays ordered MRU-first per row;
-    invalid ways hold line ``-1`` and stay contiguous at the LRU end, so
-    an install is always "shift right, insert at column 0" and the
-    victim of a full set is always column ``ways - 1`` — exactly the
-    move-to-back discipline of the scalar cache's per-set tags, transposed.
+    State is ``(num_sets, ways)`` arrays of line indices ordered
+    MRU-first per row; invalid ways hold ``-1`` and stay contiguous at
+    the LRU end, so an install is always "shift right, insert at column
+    0" and the victim of a full set is always column ``ways - 1`` —
+    exactly the move-to-back discipline of the scalar cache's per-set
+    tags, transposed.
 
     The write policy lives here too: whether a write miss installs
     (write-allocate) and whether a write hit dirties the line (write-back)
@@ -172,68 +205,70 @@ class LruTagArray:
         )
 
     # ------------------------------------------------------------------ replay
-    def replay(self, line_addrs: np.ndarray, is_write: np.ndarray) -> TagReplay:
-        """Classify a replay-ordered stream of (non-negative) line addresses.
+    def replay(self, lines: np.ndarray, is_write: "bool | np.ndarray") -> TagReplay:
+        """Classify a replay-ordered stream of (non-negative) line indices.
 
-        The stream is stably partitioned per set, consecutive same-line
-        runs are collapsed under write-allocate (every access after the
-        first is a guaranteed hit that at most dirties the line), and the
-        compressed per-set streams advance in synchronous rounds: one
-        vector step touches the next pending run of every set at once.
+        ``is_write`` is a scalar for a homogeneous stream or a per-access
+        boolean vector.  The stream is stably partitioned per set and cut
+        into same-line runs under write-allocate (every access after a
+        run's first is a guaranteed hit that at most dirties the line);
+        the per-set run sequences advance in synchronous rounds, one
+        vector step touching the next pending run of every set at once.
         State persists across calls, so replaying a stream in chunks is
-        identical to replaying it whole.  The set partition and its run
-        starts come back with the classification (:class:`TagReplay`).
+        identical to replaying it whole.  The result is per run
+        (:class:`TagReplay`); the set partition ``order`` is its only
+        stream-length part.
         """
-        lines = np.asarray(line_addrs, dtype=np.int64)
-        writes = np.asarray(is_write, dtype=bool)
+        geometry = self.geometry
+        lines = np.asarray(lines, dtype=np.int64)
         n = lines.size
-        hit = np.zeros(n, dtype=bool)
-        victim_line = np.full(n, -1, dtype=np.int64)
-        victim_dirty = np.zeros(n, dtype=bool)
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return TagReplay(hit, victim_line, victim_dirty, empty, empty.copy())
-
-        order, set_starts_g, _ = group_spans(
-            self.geometry.set_index(lines), upper_bound=self.geometry.num_sets
+        order = np.argsort(
+            _sort_keys(geometry.set_index(lines), geometry.num_sets), kind="stable"
         )
-        g_lines = lines[order]
-        g_writes = writes[order]
-        set_first = np.zeros(n, dtype=bool)
-        set_first[set_starts_g] = True
-
+        grouped = lines[order]
         if self.write_allocate:
-            run_first = set_first | np.r_[True, g_lines[1:] != g_lines[:-1]]
+            # A line maps to one set, so every set boundary is a line change.
+            run_starts = _span_starts(grouped)
         else:
             # Under write-no-allocate a missing write leaves the set
             # untouched, so same-line runs do not collapse.
-            run_first = np.ones(n, dtype=bool)
-        run_starts = np.flatnonzero(run_first)
+            run_starts = np.arange(n)
+        r_lines = grouped[run_starts]
+        del grouped
         nruns = run_starts.size
-        r_lines = g_lines[run_starts]
-        r_wfirst = g_writes[run_starts]
-        write_counts = np.add.reduceat(g_writes, run_starts)
-        r_any_write = write_counts > 0
-        r_rest_write = write_counts > r_wfirst
-
-        # Per-set sequences of runs: seq_starts/seq_counts index into runs.
-        r_setfirst = set_first[run_starts]
-        seq_starts = np.flatnonzero(r_setfirst)
-        seq_counts = np.r_[seq_starts[1:], nruns] - seq_starts
-        seq_sets = self.geometry.set_index(r_lines[seq_starts])
+        if np.ndim(is_write) == 0:
+            r_wfirst = np.full(nruns, bool(is_write))
+            r_wrest = r_wfirst & (span_lengths(run_starts, n) > 1)
+        else:
+            g_writes = np.asarray(is_write, dtype=bool)[order]
+            r_wfirst = g_writes[run_starts]
+            r_wrest = np.add.reduceat(g_writes, run_starts, dtype=np.int64) > r_wfirst
+            del g_writes
+        r_any_write = r_wfirst | r_wrest
 
         r_hit = np.zeros(nruns, dtype=bool)
-        r_vline = np.full(nruns, -1, dtype=np.int64)
+        r_victim = np.full(nruns, -1, dtype=np.int64)
         r_vdirty = np.zeros(nruns, dtype=bool)
+        if nruns == 0:
+            return TagReplay(order, run_starts, r_lines, r_hit, r_victim, r_vdirty)
 
-        ways = self.geometry.ways
+        # Per-set sequences of runs, longest first, so that the sets
+        # still live in round ``rnd`` are the first ``live[rnd]``.
+        r_sets = geometry.set_index(r_lines)
+        seq_starts = _span_starts(r_sets)
+        seq_counts = span_lengths(seq_starts, nruns)
+        longest = np.argsort(-seq_counts, kind="stable")
+        seq_starts, seq_counts = seq_starts[longest], seq_counts[longest]
+        seq_sets = r_sets[seq_starts]
+        live = np.searchsorted(-seq_counts, -np.arange(int(seq_counts[0])), side="left")
+
+        ways = geometry.ways
         cols = np.arange(ways)
         state_lines, state_dirty = self._lines, self._dirty
         wb, wa = self.write_back, self.write_allocate
-        for rnd in range(int(seq_counts.max())):
-            live = seq_counts > rnd
-            runs = seq_starts[live] + rnd
-            rows = seq_sets[live]
+        for rnd, k in enumerate(live.tolist()):
+            runs = seq_starts[:k] + rnd
+            rows = seq_sets[:k]
             cur = r_lines[runs]
             cur_w = r_wfirst[runs]
             sl = state_lines[rows]
@@ -241,12 +276,12 @@ class LruTagArray:
             eq = sl == cur[:, None]
             h = eq.any(axis=1)
             depth = np.where(h, eq.argmax(axis=1), ways - 1)
-            row_idx = np.arange(rows.size)
+            row_idx = np.arange(k)
             install = ~h if wa else ~h & ~cur_w
             lru_line = sl[:, ways - 1]
             has_victim = install & (lru_line != -1)
             r_hit[runs] = h
-            r_vline[runs] = np.where(has_victim, lru_line, -1)
+            r_victim[runs] = np.where(has_victim, lru_line, -1)
             r_vdirty[runs] = has_victim & sd[:, ways - 1]
             # The new MRU entry's dirty bit: on a hit the run's writes
             # dirty the old entry (write-back only); on a miss the first
@@ -255,7 +290,7 @@ class LruTagArray:
             d_front = np.where(
                 h,
                 sd[row_idx, depth] | (r_any_write[runs] & wb),
-                (cur_w & wa) | (r_rest_write[runs] & wb),
+                (cur_w & wa) | (r_wrest[runs] & wb),
             )
             # Rotate columns 0..depth right by one and insert at the front.
             src = np.where(cols <= depth[:, None], cols - 1, cols)
@@ -267,22 +302,12 @@ class LruTagArray:
             changed = h | install
             state_lines[rows[changed]] = new_l[changed]
             state_dirty[rows[changed]] = new_d[changed]
-
-        # Expand runs back to accesses: every non-first access of a run
-        # is a guaranteed hit; victims belong to the run's first access.
-        g_hit = r_hit[np.cumsum(run_first) - 1]
-        g_hit[~run_first] = True
-        hit[order] = g_hit
-        first_orig = order[run_starts]
-        victim_line[first_orig] = r_vline
-        victim_dirty[first_orig] = r_vdirty
-        return TagReplay(hit, victim_line, victim_dirty, order, run_starts)
+        return TagReplay(order, run_starts, r_lines, r_hit, r_victim, r_vdirty)
 
     # ----------------------------------------------------------------- queries
     def contains(self, address: int) -> bool:
-        line_addr = self.geometry.line_address(int(address))
-        row = self._lines[self.geometry.set_index(line_addr)]
-        return bool((row == line_addr).any())
+        index = self.geometry.line_index(int(address))
+        return bool((self._lines[self.geometry.set_index(index)] == index).any())
 
     def resident_lines(self) -> int:
         return int((self._lines != -1).sum())

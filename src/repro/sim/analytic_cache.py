@@ -42,15 +42,26 @@ appear.
 
 How the walk is split
 ---------------------
-* **L1** is vectorised per batch: per-set LRU classification with one
-  :class:`~repro.memory.tagcore.LruTagArray` replay, bank-queue timing
-  from a closed-form per-bank recurrence, and MSHR-merge timing from the
-  latest fill of each same-line run, found on the replay's set partition.
+* **L1** is vectorised per batch and works one same-line run at a time.
+  Each address is divided once, into its line index, which gives the
+  set, the bank and the line address.  The bank queues are timed in
+  closed form, with one gather of the stream into bank order and one
+  scatter back.  One :class:`~repro.memory.tagcore.LruTagArray` replay
+  classifies each run of consecutive same-line accesses of one set: hit,
+  victim and victim-dirty belong to the run's first access, and every
+  later access of the run is a hit.  The hit/miss counters, the L2-bound
+  residue and the MSHR entry that serves each run all come from the
+  runs.  Only the bank times, the completion cycles and the merge check
+  (is the run's fill still outstanding at this access's bank slot?) are
+  stream-length.
 * **L2** is the hierarchy's ``l2``, the event engine's
   :class:`~repro.memory.cache.SetAssociativeCache`.  Only the L1 accesses
-  that consult it — misses, dirty writebacks, write-throughs — walk it,
-  one at a time; on cache-friendly configurations they are a tiny
-  fraction of the stream.
+  that consult it — the missed runs' first accesses with their dirty
+  writebacks, and write-throughs — walk it, one at a time, in stream
+  order; on cache-friendly configurations they are a tiny fraction of
+  the stream.  The MSHR map is walked there too, and each prune records
+  which entries it dropped, so a later hit merges only into an entry the
+  one-access-at-a-time walk would still hold.
 * **DRAM** is whatever the L2 was built over: the hierarchy's private
   :class:`~repro.memory.dram.DramModel` on one core, or a
   :class:`~repro.memory.shared_dram.SharedDramPort` onto the one device
@@ -69,7 +80,7 @@ import numpy as np
 
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.request import AccessType
-from repro.memory.tagcore import LruTagArray, group_spans
+from repro.memory.tagcore import LruTagArray, group_spans, span_lengths
 from repro.obs.trace import active_tracer
 
 __all__ = ["AnalyticMemoryModel"]
@@ -88,11 +99,12 @@ class AnalyticMemoryModel:
         # Each bank accepts one access per cycle; with the replay ordered
         # like the event engine's processing, the queue build-up on
         # oversubscribed banks evolves the same way there and here.
-        self.l1_bank_free: list[float] = [0.0] * l1.banks
+        self.l1_bank_free = np.zeros(l1.banks)
         self.l2 = hierarchy.l2
 
-    def _prune_l1_mshr(self, cycle: float) -> None:
-        """Drop landed fills (same size trigger as the event engine's MSHR).
+    def _prune_l1_mshr(self, cycle: float) -> list[int]:
+        """Drop landed fills (same size trigger as the event engine's MSHR)
+        and return the line addresses dropped.
 
         Prunes in place: the batch walk holds a direct reference to the
         mapping while it replays, so rebinding would strand its updates.
@@ -100,33 +112,41 @@ class AnalyticMemoryModel:
         expired = [addr for addr, t in self.l1_mshr.items() if t <= cycle]
         for addr in expired:
             del self.l1_mshr[addr]
+        return expired
 
     # ------------------------------------------------------------------ L1
     def _l1_bank_times(self, lines: np.ndarray, cycles: np.ndarray) -> np.ndarray:
         """Per-bank service times for a whole batch, in closed form.
 
         Each bank accepts one access per cycle, so along one bank's
-        subsequence ``t_k = max(r_k, t_{k-1} + 1)`` — which unrolls to
-        ``t_k = k + max(bank_free, cummax(r_j - j))``, a running maximum
-        instead of a Python loop.  The carried ``bank_free`` state and the
-        per-access truncated conflict-cycle counter match the event
+        subsequence ``t_k = max(r_k, t_{k-1} + 1)``, which unrolls to
+        ``t_i = i + max(bank_free - s, cummax(r_j - j))`` over the
+        bank-grouped positions ``i`` of a bank whose group starts at
+        ``s``: a running maximum per bank instead of a Python loop per
+        access.  The stream is gathered into bank order once and the
+        result scattered back once.  The carried ``bank_free`` state and
+        the per-access truncated conflict-cycle counter match the event
         engine's one-access-at-a-time bank model exactly.
         """
-        start = np.empty(lines.size, dtype=np.float64)
-        geometry = self.l1_tags.geometry
         banks = self.l1_config.banks
+        geometry = self.l1_tags.geometry
         order, starts, ends = group_spans(geometry.bank_index(lines, banks), upper_bound=banks)
-        sorted_banks = geometry.bank_index(lines[order[starts]], banks)
-        for bank, lo, hi in zip(sorted_banks.tolist(), starts.tolist(), ends.tolist()):
-            span = order[lo:hi]
-            offsets = np.arange(hi - lo, dtype=np.float64)
-            ready = cycles[span] - offsets
-            ready[0] = max(ready[0], self.l1_bank_free[bank])
-            np.maximum.accumulate(ready, out=ready)
-            ready += offsets
-            start[span] = ready
-            self.l1_bank_free[bank] = float(ready[-1]) + 1.0
-        self.l1_stats.bank_conflict_cycles += int(np.trunc(start - cycles).sum())
+        bank_of = geometry.bank_index(lines[order[starts]], banks)
+        position = np.arange(lines.size, dtype=np.float64)
+        ready = cycles[order]
+        ready -= position
+        free = self.l1_bank_free
+        ready[starts] = np.maximum(ready[starts], free[bank_of] - starts)
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            np.maximum.accumulate(ready[lo:hi], out=ready[lo:hi])
+        ready += position
+        del position
+        free[bank_of] = ready[ends - 1] + 1.0
+        start = np.empty_like(ready)
+        start[order] = ready
+        del ready, order
+        waited = start - cycles
+        self.l1_stats.bank_conflict_cycles += int(np.trunc(waited, out=waited).sum())
         return start
 
     def access_batch(
@@ -149,140 +169,158 @@ class AnalyticMemoryModel:
         access at a time:
 
         1. bank-queue service times for every access (closed-form);
-        2. per-set LRU hit/miss/victim classification
-           (:meth:`LruTagArray.replay`);
+        2. per-set LRU hit/miss/victim classification of every same-line
+           run (:meth:`LruTagArray.replay`); the hit and miss counters
+           follow from the runs;
         3. a sequential walk over only the accesses that consult L2 —
-           fills (with exact MSHR-merge and prune bookkeeping), dirty
-           victim writebacks and forwarded write-throughs;
-        4. hit completion times, vectorised per same-line run of the
-           replay's set partition: the latest fill of the run's line at
-           or before the run (or the carried MSHR entry) decides which of
-           its hits merge into an MSHR entry and wait for it.
+           the missed runs' first accesses (with exact MSHR-merge and
+           prune bookkeeping, dirty victim writebacks) and forwarded
+           write-throughs;
+        4. hit completion times: each run is served by its line's latest
+           MSHR entry at or before the run (the walk's fill, or the entry
+           carried from an earlier batch), and a hit issued before that
+           entry lands, while the entry is still held, merges into it and
+           completes no earlier than the fill.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         cycles = np.asarray(cycles, dtype=np.float64)
-        if np.ndim(is_store) == 0:
-            writes = np.full(addresses.shape, bool(is_store))
-        else:
-            writes = np.asarray(is_store, dtype=bool)
         n = addresses.size
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        stats = self.l1_stats
-        lines = self.l1_tags.geometry.line_address(addresses)
-        start = self._l1_bank_times(lines, cycles)
-        hit, victim_line, victim_dirty, order, run_starts = self.l1_tags.replay(lines, writes)
-
-        hits = int(np.count_nonzero(hit))
-        write_count = int(np.count_nonzero(writes))
-        write_hits = int(np.count_nonzero(hit & writes))
-        stats.read_hits += hits - write_hits
-        stats.write_hits += write_hits
-        stats.read_misses += (n - hits) - (write_count - write_hits)
-        stats.write_misses += write_count - write_hits
-        stats.writebacks += int(np.count_nonzero(victim_dirty))
-
-        l1 = self.l1_config
+        writes = np.broadcast_to(np.asarray(is_store, dtype=bool), addresses.shape)
+        l1, stats, mshr = self.l1_config, self.l1_stats, self.l1_mshr
         write_back, write_allocate = l1.write_back, l1.write_allocate
-        # Accesses that install a fill and thereby publish an MSHR entry.
-        fills = ~hit if write_allocate else ~hit & ~writes
-        # Accesses that consult the next level one at a time: every miss,
-        # plus write hits when the level is write-through.
-        slow = ~hit if write_back else ~hit | writes
+        lines = self.l1_tags.geometry.line_index(addresses)
+        start = self._l1_bank_times(lines, cycles)
+        tags = self.l1_tags.replay(lines, is_store)
+        del lines
+        order, run_starts = tags.order, tags.run_starts
+        nruns = run_starts.size
+        run_pos = order[run_starts]
+        run_lines = tags.line * l1.line_bytes
+        missed = np.flatnonzero(~tags.hit)
+        miss_pos = run_pos[missed]
+
+        write_count = int(np.count_nonzero(writes))
+        write_misses = int(np.count_nonzero(writes[miss_pos]))
+        write_hits = write_count - write_misses
+        stats.read_hits += n - missed.size - write_hits
+        stats.write_hits += write_hits
+        stats.read_misses += missed.size - write_misses
+        stats.write_misses += write_misses
+        stats.writebacks += int(np.count_nonzero(tags.victim_dirty))
 
         # Stage-4 structure, built *before* stage 3 mutates the MSHR map.
-        # A line maps to one set, so the replay's set partition already
-        # holds each line's accesses in stream order, cut into same-line
-        # runs; only a run's first access can fill.  Group the runs (not
-        # the accesses) by line and find, per run, the latest fill at or
-        # before it: a segmented running maximum over run positions.
-        # Lines with no such fill take their carried MSHR entry.
-        mshr = self.l1_mshr
-        run_pos = order[run_starts]
-        run_lines = lines[run_pos]
+        # A line maps to one set, so the replay's runs of one line are in
+        # stream order.  Group the runs by line and find, per run, the
+        # latest filling run at or before it: a segmented running maximum
+        # over run positions.  MSHR entries are numbered: entry ``r`` is
+        # the fill of run ``r``, entry ``nruns + g`` the entry that line
+        # group ``g`` carries in from an earlier batch.
+        fills = ~tags.hit if write_allocate else ~tags.hit & ~writes[run_pos]
         by_line, line_starts, line_ends = group_spans(run_lines)
-        segment = np.repeat(np.arange(line_starts.size), line_ends - line_starts)
-        fill_at = np.where(fills[run_pos[by_line]], np.arange(by_line.size), -1)
-        np.maximum.accumulate(fill_at, out=fill_at)
-        in_batch = fill_at >= line_starts[segment]
-        fill_pos = run_pos[by_line[np.maximum(fill_at, 0)]]
-        carried = np.full(line_starts.size, -np.inf)
+        group = np.repeat(np.arange(line_starts.size), line_ends - line_starts)
+        latest = np.where(fills[by_line], np.arange(nruns), -1)
+        np.maximum.accumulate(latest, out=latest)
+        entry = np.empty(nruns, dtype=np.int64)
+        entry[by_line] = np.where(
+            latest >= line_starts[group], by_line[np.maximum(latest, 0)], nruns + group
+        )
+        del group, latest
+        entry_fill = np.full(nruns + line_starts.size, -np.inf)
+        # Where the walk's prunes dropped each entry (``n``: never).
+        entry_dropped = np.full(entry_fill.size, n, dtype=np.int64)
+        # Line address -> number of the entry the MSHR map holds for it.
+        held: dict[int, int] = {}
         if mshr:
             heads = run_lines[by_line[line_starts]].tolist()
-            carried[:] = [mshr.get(line, -np.inf) for line in heads]
+            for g, line in enumerate(heads, start=nruns):
+                carried = mshr.get(line)
+                if carried is not None:
+                    entry_fill[g] = carried
+                    held[line] = g
 
         # Stage 3: the L2-bound residue, walked sequentially in stream
-        # order with the exact policy of ``SetAssociativeCache.access``.
-        # ``complete`` starts as the plain hit service time; the walk
-        # overwrites every L2-bound access and the stage-4 merge pass
-        # lifts pending hits onto their outstanding fills.  L2 takes an
-        # int cycle, so its counters stay integers.
+        # order with the exact policy of ``SetAssociativeCache.access``:
+        # every missed run's first access, plus every write when the
+        # level is write-through.  L2 takes an int cycle, so its counters
+        # stay integers.
+        if write_back:
+            residue, residue_run = miss_pos, missed
+        else:
+            forwarded = np.setdiff1d(np.flatnonzero(writes), miss_pos, assume_unique=True)
+            residue = np.concatenate((miss_pos, forwarded))
+            residue_run = np.concatenate((missed, np.full(forwarded.size, -1)))
+        in_stream = np.argsort(residue, kind="stable")
+        residue, residue_run = residue[in_stream], residue_run[in_stream]
+        runs = residue_run.tolist()
+        safe_run = np.maximum(residue_run, 0)
+        victims = np.where(tags.victim_dirty[safe_run], tags.victim[safe_run], -1)
         hit_latency = float(l1.hit_latency)
-        complete = start + hit_latency
-        fill_time = np.full(n, -np.inf, dtype=np.float64)
-        prune_positions: list[int] = []
-        prune_cycles: list[float] = []
         mshr_limit = 4 * l1.mshr_entries
         l2_access = self.l2.access
         load, store = AccessType.LOAD, AccessType.STORE
+        merged: list[tuple[int, int]] = []
+        done: list[float] = []
         tracer = active_tracer()
         walk_begin = tracer.clock() if tracer is not None else 0.0
-        residue = np.flatnonzero(slow).tolist()
-        for k in residue:
-            line = int(lines[k])
-            cycle = float(start[k])
-            if hit[k] or (writes[k] and not write_allocate):
+        for k, r, line, cycle, is_write, victim in zip(
+            residue.tolist(),
+            runs,
+            (addresses[residue] // l1.line_bytes * l1.line_bytes).tolist(),
+            start[residue].tolist(),
+            writes[residue].tolist(),
+            (victims * l1.line_bytes).tolist(),
+        ):
+            if r < 0 or (is_write and not write_allocate):
                 # Write-through write hit / no-allocate write miss: the
                 # write is forwarded, nothing is installed.
-                complete[k] = max(cycle + hit_latency, l2_access(line, store, int(cycle)))
+                done.append(max(cycle + hit_latency, l2_access(line, store, int(cycle))))
                 continue
             outstanding = mshr.get(line)
             if outstanding is not None and outstanding > cycle:
                 stats.mshr_merges += 1
                 fill = outstanding
+                merged.append((r, held[line]))
             else:
                 fill = max(cycle + hit_latency, l2_access(line, load, int(cycle)))
                 mshr[line] = fill
+                held[line] = r
+                entry_fill[r] = fill
                 if len(mshr) > mshr_limit:
-                    self._prune_l1_mshr(cycle)
-                    prune_positions.append(k)
-                    prune_cycles.append(cycle)
-            if victim_dirty[k]:
-                l2_access(int(victim_line[k]), store, int(cycle))
-            complete[k] = fill
-            fill_time[k] = fill
+                    for gone in self._prune_l1_mshr(cycle):
+                        number = held.pop(gone, None)
+                        if number is not None:
+                            entry_dropped[number] = k
+            if victim >= 0:
+                l2_access(victim, store, int(cycle))
+            done.append(fill)
         if tracer is not None:
-            tracer.wall_event(
-                "residue walk", walk_begin, args={"accesses": len(residue)}
-            )
+            tracer.wall_event("residue walk", walk_begin, args={"accesses": len(done)})
+        if merged:
+            # A missed run that merged is served by the entry it merged into.
+            alias = np.arange(entry_fill.size)
+            alias[[r for r, _ in merged]] = [number for _, number in merged]
+            entry = alias[entry]
 
-        # Stage 4: hit completions.  A hit on a line whose fill is still
-        # outstanding merges and completes no earlier than the fill.  A
-        # run's first access is a miss, which never merges, or a hit, for
-        # which the fill at or before its run is the latest earlier one.
-        run_fill = np.empty(by_line.size, dtype=np.float64)
-        run_fill[by_line] = np.where(in_batch, fill_time[fill_pos], carried[segment])
-        grouped_fill = np.repeat(run_fill, np.diff(np.r_[run_starts, n]))
-        at_grouped = np.flatnonzero(grouped_fill > start[order])
-        at_grouped = at_grouped[hit[order[at_grouped]]]
-        chosen = order[at_grouped]
-        previous_fill = grouped_fill[at_grouped]
-        if prune_positions and chosen.size:
-            # A prune between the fill and the hit may have dropped the
-            # landed entry; mirror the one-at-a-time walk's visibility.
-            run_source = np.empty(by_line.size, dtype=np.int64)
-            run_source[by_line] = np.where(in_batch, fill_pos, -1)
-            run_of = np.searchsorted(run_starts, at_grouped, side="right") - 1
-            previous_position = run_source[run_of]
-            at = np.asarray(prune_positions, dtype=np.int64)[None, :]
-            when = np.asarray(prune_cycles, dtype=np.float64)[None, :]
-            in_window = (at > previous_position[:, None]) & (at < chosen[:, None])
-            dropped = np.any(in_window & (when >= previous_fill[:, None]), axis=1)
-            chosen = chosen[~dropped]
-            previous_fill = previous_fill[~dropped]
-        stats.mshr_merges += int(chosen.size)
-        if not write_back:
-            fast = ~writes[chosen]
-            chosen, previous_fill = chosen[fast], previous_fill[fast]
-        complete[chosen] = np.maximum(complete[chosen], previous_fill)
-        return complete
+        # Stage 4: hit completions.  A hit merges when its run's entry
+        # lands after the hit's bank slot and no prune dropped the entry
+        # before the hit; it then completes no earlier than the fill.  A
+        # miss never merges here: the walk above served it.  Each run's
+        # entry fill is spread over its accesses in set-grouped order and
+        # scattered once into stream order.
+        run_length = span_lengths(run_starts, n)
+        pending = np.repeat(entry_fill[entry], run_length)
+        pending[run_starts[missed]] = -np.inf
+        dropped = entry_dropped[entry]
+        if bool((dropped < n).any()):
+            pending[order >= np.repeat(dropped, run_length)] = -np.inf
+        del dropped, run_length
+        fill = np.empty(n)
+        fill[order] = pending
+        del pending
+        stats.mshr_merges += int(np.count_nonzero(fill > start))
+        start += hit_latency
+        np.maximum(start, fill, out=start)
+        start[residue] = done
+        return start

@@ -64,9 +64,11 @@ engine's* processing order: the order a token arrival fires a load is
 a thread-independent property of the graph (the arrival-cycle chain
 through its pure index computation, tie-broken by the heap's push
 sequence), so the engine precomputes one order key per load node,
-ranks the load nodes by it once per compiled kernel, and sorts the whole
-wave's load stream by one integer composite (first key component, node
-rank, thread position) before running it through the tag model.  Stores
+ranks the load nodes by it once per compiled kernel, and orders the
+whole wave's load stream by (first key component, node rank, thread
+position) before running it through the tag model.  That order is
+counted, not sorted (``BatchedSimulator._replay_order``), and each load's
+rows are written straight to their places in the replayed stream.  Stores
 are replayed after the loads of their wave, each at its node's
 topological position — exact whenever the store phase drains after the
 load phase (it does on the streaming workloads at the fidelity-gate
@@ -83,12 +85,12 @@ issue order otherwise.  Every L1 walk — the prepass's merged load
 stream and each per-node walk — goes through ``BatchedSimulator._walk``,
 one host ``tag walk`` span and one count-weighted ``mem`` event.
 
-The L1 walk is vectorised (``sim/analytic_cache.py``): per-set LRU
-classification via :class:`~repro.memory.tagcore.LruTagArray`,
-closed-form per-bank queue timing and MSHR-merge timing from the latest
-fill of each same-line run of the replay's set partition.  Only the
-L2-bound residue (misses, writebacks, write-throughs) walks the L2 one
-access at a time.  Replayed through
+The L1 walk is vectorised (``sim/analytic_cache.py``) and works one
+same-line run at a time: per-set LRU classification of each run via
+:class:`~repro.memory.tagcore.LruTagArray`, closed-form per-bank queue
+timing and MSHR-merge timing from the MSHR entry that serves each run.
+Only the L2-bound residue (missed runs, writebacks, write-throughs)
+walks the L2 one access at a time.  Replayed through
 the event engine's :class:`~repro.memory.hierarchy.MemoryHierarchy`
 one access at a time, the same stream completes on the same cycles
 and leaves the same counters.
@@ -1178,16 +1180,28 @@ class BatchedSimulator:
         n = self._threads.size
         nids = [node.node_id for node, _ in loads]
         rows = [streams[nid].rows for nid in nids]
-        valid = np.concatenate([np.ones(n, dtype=np.bool_) if r is None else r for r in rows])
-        complete = self._walk(
-            "wave loads",
-            np.concatenate([streams[nid].addresses for nid in nids]),
-            np.concatenate([issue for _, issue in loads]),
-            self._replay_order(nids, self._inject, valid),
-            is_store=False,
-        )
-        for b, (node, issue) in enumerate(loads):
-            done = complete[b * n : (b + 1) * n]
+        slots = self._replay_order(nids, self._inject, rows)
+        walked = sum(n if mask is None else int(np.count_nonzero(mask)) for mask in rows)
+        # Each load's rows go straight to their replay slots: the stream is
+        # built once, in replay order, and read back through the same slots.
+        addresses = np.empty(walked, dtype=np.int64)
+        issued = np.empty(walked, dtype=np.float64)
+        for slot, mask, nid, (_, issue) in zip(slots, rows, nids, loads):
+            source = streams[nid].addresses
+            if mask is not None:
+                slot, source, issue = slot[mask], source[mask], issue[mask]
+            addresses[slot] = source
+            issued[slot] = issue
+        complete = self._walk("wave loads", addresses, issued, is_store=False)
+        del addresses, issued
+        for slot, mask, (node, issue) in zip(slots, rows, loads):
+            if mask is None:
+                done = complete[slot]
+            else:
+                # Only an eLDST's loading heads touch memory; the other
+                # rows take their forwarded value (:meth:`_time_eldst`).
+                done = np.full(n, np.nan)
+                done[mask] = complete[slot[mask]]
             if node.opcode is Opcode.ELDST:
                 done = self._time_eldst(node, issue, streams[node.node_id], done)
             avail[node.node_id] = done
@@ -1195,32 +1209,76 @@ class BatchedSimulator:
                 self._trace_node(node, issue, done)
 
     def _replay_order(
-        self, nids: list[int], inject: np.ndarray, valid: np.ndarray
+        self, nids: list[int], inject: np.ndarray, rows: "list[np.ndarray | None]"
     ) -> np.ndarray:
-        """Event-order permutation of a wave's load stream.
+        """Event-order slot of every row of a wave's load stream.
 
-        The stream holds one block of ``inject.size`` accesses per load
-        node in ``nids``, in thread position order.  Accesses replay by
-        their first key component ``first + 2*inject``, then by the load
-        node's per-kernel rank (:func:`_load_ranks`), then by thread
-        position; one int64 composite carries all three.  Each block of
-        it increases with position, so the stable argsort merges
-        ``len(nids)`` sorted runs.  Rows outside ``valid`` (eLDST: only
-        the loading threads touch memory) drop out without perturbing
-        the surviving rows' relative order.
+        The stream holds one block of ``inject.size`` rows per load node
+        in ``nids``, in thread position order; ``rows[b]`` masks the rows
+        of block ``b`` that touch memory (``None``: all; an eLDST loads
+        only at its heads).  Accesses replay by their first key component
+        ``first + 2*inject``, then by the load node's per-kernel rank
+        (:func:`_load_ranks`), then by thread position.  Returns
+        ``slots``: ``slots[b, i]`` is the replay position of row ``i`` of
+        block ``b``, and ``-1`` on a row that touches no memory.
+
+        The order is found by counting, not sorting.  The first two
+        components form one integer per (block, inject cycle) pair,
+        ``K = (first_b + 2j)·L + rank_b`` over the ``L`` ranked load
+        nodes, and ``K`` is unique per pair.  With ``c_b = first_b·L +
+        rank_b = 2L·d_b + e_b`` (``0 <= e_b < 2L``),
+        ``K = 2L·(j + d_b) + e_b``: the pairs in ``K`` order are the
+        cells of a grid with one row per block, ranked by ``e_b``, and
+        one column per ``j + d_b``, read column by column.  Each cell
+        holds its pair's count of memory rows; a prefix sum over the grid
+        gives where each pair's rows end, and thread position orders the
+        rows inside a pair.  Inject cycles never decrease with position,
+        so a pair's rows are consecutive within the block.
         """
         n = inject.size
         load_keys, load_rank = self._static.load_keys, self._static.load_rank
+        ranked = 2 * len(load_rank)
         first = np.array([load_keys[nid][0][0] for nid in nids], dtype=np.int64)
-        rank = np.array([load_rank[nid] for nid in nids], dtype=np.int64)
-        moment = first[:, None] + 2 * inject.astype(np.int64)
-        composite = (moment * len(load_rank) + rank[:, None]) * n
-        composite += np.arange(n, dtype=np.int64)
-        composite = composite.ravel()
-        if bool(valid.all()):
-            return np.argsort(composite, kind="stable")
-        sel = np.flatnonzero(valid)
-        return sel[np.argsort(composite[sel], kind="stable")]
+        c = first * len(load_rank) + np.array([load_rank[nid] for nid in nids], dtype=np.int64)
+        d = c // ranked
+        grid_row = np.empty(c.size, dtype=np.int64)
+        grid_row[np.argsort(c - ranked * d, kind="stable")] = np.arange(c.size)
+        d -= d.min()
+        cycle = inject.astype(np.int64)
+        cycles = int(cycle[-1]) + 1
+
+        def memory_rows(memory: "np.ndarray | None") -> tuple:
+            """A block's memory rows (``None``: all), their inject cycles,
+            the count of memory rows per cycle and, per memory row, the
+            pair's memory rows at or after it."""
+            at = cycle if memory is None else cycle[memory]
+            count = np.bincount(at, minlength=cycles)
+            return memory, at, count, np.cumsum(count)[at] - np.arange(at.size)
+
+        every = memory_rows(None)
+        blocks = [every if mask is None else memory_rows(np.flatnonzero(mask)) for mask in rows]
+        grid = np.zeros((c.size, cycles + int(d.max())), dtype=np.int64)
+        for g, lo, (_, _, count, _) in zip(grid_row.tolist(), d.tolist(), blocks):
+            grid[g, lo : lo + cycles] = count
+        # Inclusive prefix sum in column-major order: down each column,
+        # plus every earlier column's total.
+        np.cumsum(grid, axis=0, out=grid)
+        earlier = np.cumsum(grid[-1])
+        earlier -= grid[-1]
+        grid += earlier
+        # A memory row's slot is its pair's end minus the pair's memory
+        # rows at or after it.
+        slots = np.empty((c.size, n), dtype=np.int64)
+        for slot, g, lo, block in zip(slots, grid_row.tolist(), d.tolist(), blocks):
+            memory, at, _, after = block
+            end = grid[g, lo : lo + cycles][at]
+            end -= after
+            if memory is None:
+                slot[:] = end
+            else:
+                slot.fill(-1)
+                slot[memory] = end
+        return slots
 
     def _time_node(
         self, node: Node, streams: dict[int, _Stream], avail: dict[int, np.ndarray]
@@ -1483,39 +1541,32 @@ class BatchedSimulator:
             order = order[stream.rows[order]]
         is_store = node.opcode is Opcode.STORE
         label = f"{node.opcode.value} {node.param('array')}"
-        complete = self._walk(label, stream.addresses, issue, order, is_store)
+        complete = np.full(issue.shape, np.nan)
+        complete[order] = self._walk(label, stream.addresses[order], issue[order], is_store)
         if node.opcode is Opcode.ELDST:
             return self._time_eldst(node, issue, stream, complete)
         return complete
 
     def _walk(
-        self,
-        label: str,
-        addresses: np.ndarray,
-        issue: np.ndarray,
-        order: np.ndarray,
-        is_store: bool,
+        self, label: str, addresses: np.ndarray, issue: np.ndarray, is_store: bool
     ) -> np.ndarray:
-        """Replay the rows ``order`` selects, in that order, through the L1.
+        """Replay an access stream, already in replay order, through the L1.
 
-        Returns every row's completion cycle, NaN in the rows that touch
-        no memory.  This is the engine's only L1 walk: it is one host
-        ``tag walk`` span and one count-weighted ``mem`` event.
+        Returns each access's completion cycle, in the same order.  This
+        is the engine's only L1 walk: it is one host ``tag walk`` span
+        and one count-weighted ``mem`` event.
         """
         tracer = self._trace
         begin = tracer.clock() if tracer is not None else 0.0
-        complete = np.full(issue.shape, np.nan)
-        complete[order] = self._analytic.access_batch(
-            addresses[order], issue[order], is_store=is_store
-        )
+        complete = self._analytic.access_batch(addresses, issue, is_store=is_store)
         if tracer is not None:
-            tracer.wall_event("tag walk", begin, args={"accesses": int(order.size)})
-            if order.size:
-                ts = float(issue[order].min())
+            tracer.wall_event("tag walk", begin, args={"accesses": int(issue.size)})
+            if issue.size:
+                ts = float(issue.min())
                 tracer.event(
-                    label, "mem", ts, float(complete[order].max()) - ts,
+                    label, "mem", ts, float(complete.max()) - ts,
                     pid=self._core, tid=MEM_LANE,
-                    args={"count": int(order.size)},
+                    args={"count": int(issue.size)},
                 )
         return complete
 

@@ -88,6 +88,15 @@ def test_unknown_workload_variant_engine_rejected():
         CampaignSpec.from_dict({"name": "s", "workloads": ["scan"], "variants": ["dmt_win"]})
 
 
+@pytest.mark.parametrize("axis", ["workloads", "variants", "engines", "seeds"])
+def test_an_empty_axis_is_rejected(axis):
+    """An empty list would expand to no points, and its params (here a
+    bad one) would never be checked."""
+    data = {"name": "empty", "workloads": ["matrixMul"], "params": {"matrixMul": {"dim": -1}}}
+    with pytest.raises(ExplorationError, match=f"lists no {axis}"):
+        CampaignSpec.from_dict({**data, axis: []})
+
+
 def test_apply_override_rejects_unknown_paths():
     data = default_system_config().to_dict()
     apply_override(data, "token_buffer.entries", 8)

@@ -32,15 +32,14 @@ from repro.memory.tagcore import CacheGeometry, LruTagArray, group_spans
 def test_geometry_scalar_and_vector_agree():
     geometry = CacheGeometry(line_bytes=128, num_sets=4, ways=2)
     addresses = np.array([0, 1, 127, 128, 513, 4096, 65535], dtype=np.int64)
-    lines = geometry.line_address(addresses)
-    sets = geometry.set_index(lines)
-    banks = geometry.bank_index(lines, 3)
+    indices = geometry.line_index(addresses)
+    sets = geometry.set_index(indices)
+    banks = geometry.bank_index(indices, 3)
     for i, address in enumerate(addresses.tolist()):
-        line = geometry.line_address(address)
-        assert lines[i] == line
-        assert sets[i] == geometry.set_index(line)
-        assert banks[i] == geometry.bank_index(line, 3)
-        assert line % 128 == 0
+        index = geometry.line_index(address)
+        assert indices[i] == index == address // 128
+        assert sets[i] == geometry.set_index(index) == index % 4
+        assert banks[i] == geometry.bank_index(index, 3) == index % 3
         assert 0 <= sets[i] < 4
 
 
@@ -106,8 +105,9 @@ def _cache_replay(config: CacheConfig, trace):
     seen: dict[int, set[int]] = {}  # set index -> every line that touched it
     hits, victims, victim_dirty = [], [], []
     for cycle, (address, is_write) in enumerate(trace):
-        line_addr = geometry.line_address(address)
-        candidates = seen.setdefault(geometry.set_index(line_addr), set())
+        index = geometry.line_index(address)
+        line_addr = index * geometry.line_bytes
+        candidates = seen.setdefault(geometry.set_index(index), set())
         resident = [line for line in sorted(candidates) if cache.contains(line)]
         hits_before, calls_before = cache.stats.hits, len(calls)
         cache.access(address, AccessType.STORE if is_write else AccessType.LOAD, cycle)
@@ -122,42 +122,68 @@ def _cache_replay(config: CacheConfig, trace):
     return hits, victims, victim_dirty
 
 
-def _assert_set_partition(array: LruTagArray, lines: np.ndarray, result) -> None:
-    """``order`` groups the stream by set in stream order, ``run_starts``
-    cuts it into same-line runs, and only a run's first access misses or
-    evicts (every access is its own run under write-no-allocate)."""
+def _expand_runs(array: LruTagArray, lines: np.ndarray, result):
+    """Check the run structure of a :class:`TagReplay` and expand it back
+    to per-access hit, victim-line-address and victim-dirty sequences.
+
+    ``order`` groups the stream by set in stream order, ``run_starts``
+    cuts it into same-line runs (every access is its own run under
+    write-no-allocate), ``line`` names each run's line, and every access
+    after a run's first is a hit that evicts nothing.
+    """
     order, run_starts = result.order, result.run_starts
-    assert sorted(order.tolist()) == list(range(lines.size))
-    keys = array.geometry.set_index(lines[order]) * (lines.size + 1) + order
+    n = lines.size
+    assert sorted(order.tolist()) == list(range(n))
+    keys = array.geometry.set_index(lines[order]) * (n + 1) + order
     assert np.all(np.diff(keys) > 0)
     grouped = lines[order]
-    run_first = np.zeros(lines.size, dtype=bool)
+    run_first = np.zeros(n, dtype=bool)
     run_first[run_starts] = True
     if array.write_allocate:
         assert np.all(grouped[~run_first] == grouped[np.flatnonzero(~run_first) - 1])
+        assert np.all(grouped[run_starts[1:]] != grouped[run_starts[1:] - 1])
     else:
         assert run_first.all()
-    assert result.hit[order][~run_first].all()
-    assert np.all(result.victim_line[order][~run_first] == -1)
+    assert np.array_equal(result.line, grouped[run_starts])
+    nruns = run_starts.size
+    for field in (result.hit, result.victim, result.victim_dirty):
+        assert field.shape == (nruns,)
+    assert not np.any(result.victim_dirty & (result.victim == -1))
+    line_bytes = array.geometry.line_bytes
+    hits = np.ones(n, dtype=bool)
+    victims = np.full(n, -1, dtype=np.int64)
+    victim_dirty = np.zeros(n, dtype=bool)
+    first = order[run_starts]
+    hits[first] = result.hit
+    victims[first] = np.where(result.victim == -1, -1, result.victim * line_bytes)
+    victim_dirty[first] = result.victim_dirty
+    return hits, victims, victim_dirty
 
 
-def _tagarray_replay(config: CacheConfig, trace, chunks=()):
-    """The vectorised per-set kernel, optionally replayed in chunks."""
+def _tagarray_replay(config: CacheConfig, trace, chunks=(), scalar_writes=False):
+    """The vectorised per-set kernel, optionally replayed in chunks.
+
+    With ``scalar_writes`` every chunk must be all loads or all stores,
+    and is replayed with a scalar ``is_write``, the engine's call shape.
+    """
     array = LruTagArray.from_config(config)
     addresses = np.array([address for address, _ in trace], dtype=np.int64)
     writes = np.array([is_write for _, is_write in trace], dtype=bool)
-    lines = array.geometry.line_address(addresses)
+    lines = array.geometry.line_index(addresses)
     n = lines.size
     hits = np.empty(n, dtype=bool)
     victims = np.empty(n, dtype=np.int64)
     victim_dirty = np.empty(n, dtype=bool)
     bounds = [0, *sorted(int(c) % (n + 1) for c in chunks), n]
     for lo, hi in zip(bounds, bounds[1:]):
-        result = array.replay(lines[lo:hi], writes[lo:hi])
-        _assert_set_partition(array, lines[lo:hi], result)
-        hits[lo:hi] = result.hit
-        victims[lo:hi] = result.victim_line
-        victim_dirty[lo:hi] = result.victim_dirty
+        is_write = writes[lo:hi]
+        if scalar_writes and hi > lo:
+            assert is_write.all() or not is_write.any()
+            is_write = bool(is_write[0])
+        result = array.replay(lines[lo:hi], is_write)
+        hits[lo:hi], victims[lo:hi], victim_dirty[lo:hi] = _expand_runs(
+            array, lines[lo:hi], result
+        )
     return hits.tolist(), victims.tolist(), victim_dirty.tolist()
 
 
@@ -189,6 +215,33 @@ def test_tagarray_matches_set_associative_cache(
     assert _tagarray_replay(config, trace, chunks) == _cache_replay(config, trace)
 
 
+@pytest.mark.slow
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([16, 64]),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.lists(
+        st.tuples(st.lists(st.integers(0, 1 << 12), min_size=1, max_size=60), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_tagarray_matches_cache_on_scalar_write_batches(
+    line_bytes, num_sets, ways, write_back, write_allocate, batches
+):
+    """The engine's call shape: each batch all loads or all stores, with a
+    scalar ``is_write``; state carries from batch to batch."""
+    config = _reference_config(line_bytes, num_sets, ways, write_back, write_allocate)
+    trace = [(address, is_write) for addresses, is_write in batches for address in addresses]
+    bounds = np.cumsum([len(addresses) for addresses, _ in batches])[:-1]
+    assert _tagarray_replay(config, trace, bounds, scalar_writes=True) == _cache_replay(
+        config, trace
+    )
+
+
 def test_tagarray_two_way_agreement_on_thrashing_trace():
     """Fast-lane pin of the two-way equivalence on a deterministic
     direct-mapped thrashing trace with mixed loads and stores."""
@@ -200,6 +253,13 @@ def test_tagarray_two_way_agreement_on_thrashing_trace():
     hits, victims, victim_dirty = _cache_replay(config, trace)
     assert _tagarray_replay(config, trace, chunks=(97, 201)) == (hits, victims, victim_dirty)
     assert any(victim_dirty) and not all(hits)
+    # The engine's call shape: load-only and store-only batches with a
+    # scalar ``is_write``, over lines that repeat so runs collapse.
+    blocks = [(rng.integers(0, 16, 40) * 32, bool(b % 2)) for b in range(6)]
+    trace = [(int(address), is_write) for block, is_write in blocks for address in block]
+    assert _tagarray_replay(
+        config, trace, chunks=range(40, 240, 40), scalar_writes=True
+    ) == _cache_replay(config, trace)
 
 
 def test_group_spans_partitions_stably():
@@ -232,7 +292,6 @@ def test_tagarray_contains_matches_cache_residency(line_bytes, num_sets, ways, a
     array = LruTagArray.from_config(config)
     for cycle, address in enumerate(addresses):
         cache.access(address, AccessType.LOAD, cycle)
-    lines = array.geometry.line_address(np.array(addresses, dtype=np.int64))
-    array.replay(lines, np.zeros(lines.size, dtype=bool))
+    array.replay(array.geometry.line_index(np.array(addresses, dtype=np.int64)), False)
     for address in addresses:
         assert cache.contains(address) == array.contains(address)

@@ -212,6 +212,15 @@ def test_a_variant_the_workload_does_not_build_is_400_before_any_work(server):
     assert server.service.metrics.counter("serve.compiles") == compiles
 
 
+def test_a_campaign_with_an_empty_axis_is_400(server):
+    records = len(server.service.store)
+    for axis in ("variants", "engines", "seeds"):
+        spec = {"name": "empty", "workloads": ["matrixMul"], axis: []}
+        status, payload = server.request("POST", "/v1/explore", spec)
+        assert status == 400 and f"lists no {axis}" in payload["error"]
+    assert len(server.service.store) == records
+
+
 def test_stats_reports_counters_and_hit_ratio(server):
     status, stats = server.request("GET", "/v1/stats")
     assert status == 200

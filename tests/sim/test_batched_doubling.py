@@ -1,7 +1,8 @@
 """The batched engine's replay order and eLDST forwarding against loop references.
 
-The engine sorts a wave's load stream by one int64 composite built from
-a per-kernel rank of its load nodes (``_load_ranks``), and resolves
+The engine orders a wave's load stream by counting over a grid of
+(load node, inject cycle) pairs keyed by a per-kernel rank of its load
+nodes (``_load_ranks``), and resolves
 eLDST forwarding forests by pointer doubling: ``_rank_forest`` finds
 every row's head and distance once per (communication map, predicate)
 and ``_resolve_forest`` runs each node's prefix-maximum rounds over the
@@ -109,12 +110,18 @@ def test_replay_order_matches_pair_column_lexsort(workload, variant, monkeypatch
     calls = []
     replay_order = BatchedSimulator._replay_order
 
-    def recording(self, nids, inject, valid):
-        order = replay_order(self, nids, inject, valid)
+    def recording(self, nids, inject, rows):
+        slots = replay_order(self, nids, inject, rows)
+        n = inject.size
+        valid = np.concatenate([np.ones(n, dtype=bool) if r is None else r for r in rows])
+        flat = slots.ravel()
+        assert np.all(flat[~valid] == -1)
+        order = np.full(int(valid.sum()), -1, dtype=np.int64)
+        order[flat[valid]] = np.flatnonzero(valid)
         static = self._static
         expected = _pair_column_order(static.load_keys, static.order_pos, nids, inject, valid)
         calls.append((order, expected))
-        return order
+        return slots
 
     monkeypatch.setattr(BatchedSimulator, "_replay_order", recording)
     default = default_system_config()
@@ -128,6 +135,46 @@ def test_replay_order_matches_pair_column_lexsort(workload, variant, monkeypatch
             assert calls, "the wave never replayed its loads"
             for order, expected in calls:
                 assert np.array_equal(order, expected)
+
+
+def _composite_slots(first, rank, ranked, inject, rows):
+    """Reference slots: a stable argsort of the one-int64 composite
+    ``((first + 2*inject) * L + rank) * n + position``, inverted."""
+    n = inject.size
+    moment = first[:, None] + 2 * inject.astype(np.int64)
+    composite = ((moment * ranked + rank[:, None]) * n + np.arange(n)).ravel()
+    valid = np.concatenate([np.ones(n, dtype=bool) if r is None else r for r in rows])
+    slots = np.full(composite.size, -1, dtype=np.int64)
+    chosen = np.flatnonzero(valid)
+    slots[chosen[np.argsort(composite[chosen], kind="stable")]] = np.arange(chosen.size)
+    return slots.reshape(len(rows), n)
+
+
+def test_replay_order_grid_matches_composite_sort():
+    """The counting grid gives every row the slot the composite sort
+    gives it, on random key components (negative ones too), ranks that
+    skip values, replica counts and eLDST-style row masks."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        blocks = int(rng.integers(1, 10))
+        n = int(rng.integers(1, 50))
+        ranked = blocks + int(rng.integers(0, 3))
+        first = rng.integers(-5, 30, blocks)
+        rank = rng.permutation(ranked)[:blocks]
+        inject = (np.arange(n) // int(rng.integers(1, 4))).astype(np.float64)
+        rows = [None if rng.random() < 0.5 else rng.random(n) < 0.6 for _ in range(blocks)]
+        nids = list(range(blocks))
+        load_rank = {nid: int(rank[nid]) for nid in nids}
+        # Ranked load nodes that are not in this wave.
+        load_rank.update({-1 - k: k for k in range(ranked) if k not in rank})
+        static = SimpleNamespace(
+            load_keys={nid: (np.array([float(first[nid])]), None) for nid in nids},
+            load_rank=load_rank,
+        )
+        got = BatchedSimulator._replay_order(SimpleNamespace(_static=static), nids, inject, rows)
+        assert np.array_equal(got, _composite_slots(first, rank, ranked, inject, rows))
 
 
 def test_registry_sweep_runs_more_than_one_replica():

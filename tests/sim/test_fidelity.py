@@ -238,7 +238,8 @@ def _mixed_stream_config(**l1_fields):
 def _assert_model_matches_hierarchy(config, batches):
     """Each ``(addresses, cycles, writes)`` batch, fed to the vectorised
     model and walked one access at a time through a fresh hierarchy,
-    completes on the same cycles; counters and MSHR state agree after."""
+    completes on the same cycles; counters and MSHR state agree after.
+    Returns the vectorised model."""
     model = AnalyticMemoryModel(MemoryHierarchy(config))
     oracle = MemoryHierarchy(config)
     for addresses, cycles, writes in batches:
@@ -248,6 +249,7 @@ def _assert_model_matches_hierarchy(config, batches):
         )
     assert model.hierarchy.stats().flat() == oracle.stats().flat()
     assert model.l1_mshr == oracle.l1._mshr
+    return model
 
 
 def test_vectorised_model_identical_on_random_mixed_streams():
@@ -284,6 +286,59 @@ def test_vectorised_model_identical_on_random_mixed_streams():
             clock = float(cycles.max()) + 1
             batches.append((addresses, cycles, writes))
         _assert_model_matches_hierarchy(config, batches)
+
+
+@pytest.mark.parametrize("write_back", [True, False])
+@pytest.mark.parametrize("write_allocate", [True, False])
+def test_vectorised_model_identical_on_scalar_batches(write_back, write_allocate):
+    """The engine's call shape: every batch is all loads or all stores,
+    with a scalar ``is_store``.  Alternating load and store batches over
+    a hot-line pool, with long same-line runs and a tiny MSHR, match the
+    hierarchy walked one access at a time under every write policy."""
+    rng = np.random.default_rng(77)
+    config = _mixed_stream_config(
+        size_bytes=512,
+        ways=2,
+        banks=3,
+        write_back=write_back,
+        write_allocate=write_allocate,
+        mshr_entries=1,
+    )
+    batches = []
+    clock = 0
+    for batch in range(6):
+        lines = np.repeat(rng.integers(0, 40, 60), rng.integers(1, 12, 60))
+        addresses = lines * 64 + rng.integers(0, 64, lines.size)
+        cycles = clock + np.cumsum(rng.integers(0, 2, lines.size)) + rng.integers(0, 6, lines.size)
+        clock = int(cycles.max()) + int(rng.integers(0, 300))
+        batches.append((addresses, cycles.astype(np.float64), bool(batch % 2)))
+    _assert_model_matches_hierarchy(config, batches)
+
+
+def test_vectorised_model_identical_on_a_long_default_stream():
+    """A long stream on the default L1: 2^16 loads, then 2^16 stores,
+    each over every set, in same-line runs of up to 64 accesses over
+    twice the L1's lines, so fills, evictions, dirty writebacks, MSHR
+    merges and MSHR prunes all happen and the tag and MSHR state carries
+    from the first batch into the second."""
+    rng = np.random.default_rng(2024)
+    config = default_system_config().memory
+    lines_in_l1 = config.l1.size_bytes // config.l1.line_bytes
+    batches = []
+    clock = 0
+    for is_store in (False, True):
+        lengths = rng.integers(1, 65, 4096)
+        lines = np.repeat(rng.integers(0, 2 * lines_in_l1, lengths.size), lengths)[: 1 << 16]
+        assert lines.size == 1 << 16
+        addresses = lines * config.l1.line_bytes + rng.integers(0, 32, lines.size) * 4
+        cycles = clock + np.arange(lines.size) // 16
+        clock = int(cycles.max()) + 1
+        batches.append((addresses, cycles.astype(np.float64), is_store))
+    assert np.unique(addresses // config.l1.line_bytes % config.l1.num_sets).size == (
+        config.l1.num_sets
+    )
+    stats = _assert_model_matches_hierarchy(config, batches).l1_stats
+    assert stats.writebacks > 0 and stats.mshr_merges > 0
 
 
 @st.composite
