@@ -44,12 +44,13 @@ How the walk is split
 ---------------------
 * **L1** is vectorised per batch and works one same-line run at a time.
   Each address is divided once, into its line index, which gives the
-  set, the bank and the line address.  The bank queues are timed in
-  closed form, with one gather of the stream into bank order and one
-  scatter back.  One :class:`~repro.memory.tagcore.LruTagArray` replay
-  classifies each run of consecutive same-line accesses of one set: hit,
-  victim and victim-dirty belong to the run's first access, and every
-  later access of the run is a hit.  The hit/miss counters, the L2-bound
+  set, the bank and the line address.  The bank queues are timed by
+  :func:`~repro.memory.fifo.fifo_starts`, with one gather of the stream
+  into bank order and one scatter back.  One
+  :class:`~repro.memory.tagcore.LruTagArray` replay classifies each run
+  of consecutive same-line accesses of one set: hit, victim and
+  victim-dirty belong to the run's first access, and every later access
+  of the run is a hit.  The hit/miss counters, the L2-bound
   residue and the MSHR entry that serves each run all come from the
   runs.  Only the bank times, the completion cycles and the merge check
   (is the run's fill still outstanding at this access's bank slot?) are
@@ -78,6 +79,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memory.fifo import fifo_starts
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.request import AccessType
 from repro.memory.tagcore import LruTagArray, group_spans, span_lengths
@@ -118,29 +120,18 @@ class AnalyticMemoryModel:
     def _l1_bank_times(self, lines: np.ndarray, cycles: np.ndarray) -> np.ndarray:
         """Per-bank service times for a whole batch, in closed form.
 
-        Each bank accepts one access per cycle, so along one bank's
-        subsequence ``t_k = max(r_k, t_{k-1} + 1)``, which unrolls to
-        ``t_i = i + max(bank_free - s, cummax(r_j - j))`` over the
-        bank-grouped positions ``i`` of a bank whose group starts at
-        ``s``: a running maximum per bank instead of a Python loop per
-        access.  The stream is gathered into bank order once and the
-        result scattered back once.  The carried ``bank_free`` state and
-        the per-access truncated conflict-cycle counter match the event
+        Each bank is a FIFO accepting one access per cycle
+        (:func:`~repro.memory.fifo.fifo_starts`, on the stream gathered into
+        bank order once and scattered back once).  The carried ``bank_free``
+        state and the truncated conflict-cycle counter match the event
         engine's one-access-at-a-time bank model exactly.
         """
         banks = self.l1_config.banks
         geometry = self.l1_tags.geometry
         order, starts, ends = group_spans(geometry.bank_index(lines, banks), upper_bound=banks)
         bank_of = geometry.bank_index(lines[order[starts]], banks)
-        position = np.arange(lines.size, dtype=np.float64)
-        ready = cycles[order]
-        ready -= position
         free = self.l1_bank_free
-        ready[starts] = np.maximum(ready[starts], free[bank_of] - starts)
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            np.maximum.accumulate(ready[lo:hi], out=ready[lo:hi])
-        ready += position
-        del position
+        ready = fifo_starts(cycles[order], starts.tolist(), free[bank_of].tolist(), 1)
         free[bank_of] = ready[ends - 1] + 1.0
         start = np.empty_like(ready)
         start[order] = ready

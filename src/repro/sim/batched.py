@@ -45,9 +45,8 @@ Per-thread completion times are computed analytically:
   edge model);
 * issue-port contention is resolved with a deterministic multi-server
   queue: the node's ``replicas`` issue ports each retire one operation
-  per cycle, and firings are serviced in ready order.  The recurrence
-  ``t_k = max(r_k, t_{k-ports} + 1)`` is evaluated in closed form with a
-  running maximum, so the whole queue is vectorised.
+  per cycle, and firings are serviced in ready order, round-robin over
+  the ports; :func:`~repro.memory.fifo.fifo_starts` times every port.
 
 Memory model (:mod:`repro.sim.analytic_cache`)
 ----------------------------------------------
@@ -106,8 +105,8 @@ which push the released threads in barrier-arrival order.  Scratch
 nodes are grouped by scratch-dependency level; barriers keep the
 levels' arrival ranges apart (the static condition of
 :func:`~repro.graph.interthread.window_batch_problem`), so each level is
-one merged stream served by the closed-form per-bank FIFO of
-:meth:`~repro.memory.scratchpad.Scratchpad.access_batch`, with bank
+one merged stream of :meth:`~repro.memory.scratchpad.Scratchpad.access_batch`
+(banks timed by :func:`~repro.memory.fifo.fifo_starts`), with bank
 state carried from level to level — the event engine's completions and
 ``scratchpad_bank_conflicts``, access for access.
 
@@ -181,6 +180,7 @@ from repro.graph.node import Node
 from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, SOURCE_OPCODES, DType, Opcode
 from repro.graph.semantics import PURE_OPCODES, coerce
 from repro.kernel.geometry import ThreadGeometry
+from repro.memory.fifo import fifo_starts
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE, active_tracer
@@ -1174,8 +1174,6 @@ class BatchedSimulator:
             else:
                 self._time_node(node, streams, avail)
             _retire(nid, static.inputs[nid], avail, uses)
-        if tracer is not None:
-            tracer.wall_event("prepass", prepass_begin, args={"loads": len(loads)})
 
         n = self._threads.size
         nids = [node.node_id for node, _ in loads]
@@ -1192,6 +1190,8 @@ class BatchedSimulator:
                 slot, source, issue = slot[mask], source[mask], issue[mask]
             addresses[slot] = source
             issued[slot] = issue
+        if tracer is not None:
+            tracer.wall_event("prepass", prepass_begin, args={"loads": len(loads)})
         complete = self._walk("wave loads", addresses, issued, is_store=False)
         del addresses, issued
         for slot, mask, (node, issue) in zip(slots, rows, loads):
@@ -1351,35 +1351,27 @@ class BatchedSimulator:
         """Deterministic multi-server queue over the node's issue ports.
 
         Firings are serviced in ``order`` (the event engine's processing
-        order, on waves that track it) or else in ready order, assigned
-        round-robin to the ``replicas`` ports; each port retires one
-        operation per cycle.
-        ``t_k = max(r_k, t_{k-ports} + 1)`` has the closed form
-        ``t_i = i + cummax(r_i - i)`` along each port stream.
+        order, on waves that track it) or else in ready order, round-robin
+        over the ``replicas`` ports, each a FIFO retiring one operation per
+        cycle: :func:`~repro.memory.fifo.fifo_starts` over the port streams.
         """
-        ports = self._ports
+        ports, n = self._ports, ready.size
         # Ready times of a pure chain are monotone in thread position
         # (inject order plus uniform latencies), so the sort is usually a
         # no-op; detect that with one cheap pass instead of an argsort.
-        if order is not None:
-            r = ready[order]
-        elif ready.size < 2 or bool((ready[1:] >= ready[:-1]).all()):
-            order = None
-            r = ready
-        else:
+        if order is None and not bool((ready[1:] >= ready[:-1]).all()):
             order = np.argsort(ready, kind="stable")
-            r = ready[order]
-        issue_sorted = np.empty_like(r)
-        for p in range(ports):
-            seq = r[p::ports]
-            if seq.size == 0:
-                continue
-            idx = np.arange(seq.size, dtype=np.float64)
-            issue_sorted[p::ports] = idx + np.maximum.accumulate(seq - idx)
+        starts = [0]
+        if ports > 1:
+            # Port p serves firings p, p + ports, ...; the first n % ports get one extra.
+            starts = [p * (n // ports) + min(p, n % ports) for p in range(ports)]
+            layout = np.concatenate([np.arange(p, n, ports) for p in range(ports)])
+            order = layout if order is None else order[layout]
+        idle = [-math.inf] * len(starts)
         if order is None:
-            return issue_sorted
-        issue = np.empty_like(r)
-        issue[order] = issue_sorted
+            return fifo_starts(ready.copy(), starts, idle, 1)
+        issue = np.empty_like(ready)
+        issue[order] = fifo_starts(ready[order], starts, idle, 1)
         return issue
 
     # ---------------------------------------------------------- inter-thread
