@@ -132,9 +132,6 @@ class PhysicalGrid:
         except IndexError as exc:
             raise ConfigurationError(f"unknown physical unit {unit_id}") from exc
 
-    def units_of_class(self, unit_class: UnitClass) -> list[PhysicalUnit]:
-        return list(self._by_class.get(unit_class, []))
-
     def units_compatible_with(self, node_class: UnitClass) -> list[PhysicalUnit]:
         """Physical units that may host a dataflow node of ``node_class``."""
         compatible = COMPATIBLE_CLASSES.get(node_class, (node_class,))

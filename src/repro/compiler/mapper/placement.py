@@ -16,13 +16,24 @@ The algorithm is the classic two-step used by CGRA mappers:
    geometric cooling schedule (deterministically seeded so builds are
    reproducible).
 
-Each annealing move is costed incrementally, as in VPR's placer (Betz &
-Rose, FPL 1997): the refiner lists every placed node's incident placed
-edges once, keeps a unit -> occupants index and the unit coordinates in
-flat lists, so a move's wire-length delta is summed over the edges of the
-moved node and its swap partner only — O(degree), not O(edges).  The
-swap partner is the first compatible occupant of the target unit in
-``node_to_unit`` order.
+Both steps run over flat tables.  The greedy seed keeps unit rows, cols
+and loads in lists indexed by unit id and lists each class's compatible
+units once.  The refiner numbers the placed nodes 0..m-1 in
+``node_to_unit`` order and keeps, per position, its unit, its allowed
+units (a list and a set, shared per class) and the far end of every
+incident placed edge, and per unit id its occupants by ascending
+position; the swap partner is the first that may take the moved node's
+unit.  A move is costed incrementally, as in VPR's placer (Betz & Rose,
+FPL 1997): the delta sums ``dist[new][u] - dist[old][u]`` over the edges
+of the moved node and its partner only, O(degree), from one distance
+row per unit built per call (``bytes`` from int16 coordinates: a cached
+table of Python ints, or int64 temporaries, raise the peak RSS).  The
+move loop calls no Python function.  ``rng.choice(seq)`` is inlined as
+CPython 3.10-3.13 implement it (``_randbelow_with_getrandbits``: draw
+``getrandbits(len(seq).bit_length())`` until it is below ``len(seq)``),
+so the random stream, and with it every placement, is the one ``choice``
+gives; ``_ReferenceRefiner`` in ``tests/compiler/test_mapper.py``, which
+re-walks the whole edge list per move, is the oracle it must match.
 
 If the graph demands more nodes of a class than the grid has units, the
 mapper falls back to sharing units (several nodes time-multiplex one
@@ -35,6 +46,8 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.arch.grid import PhysicalGrid
 from repro.errors import MappingError
@@ -88,64 +101,46 @@ class GreedyPlacer:
         self.grid = grid
 
     def place(self, graph: DataflowGraph) -> Placement:
-        placement = Placement(graph=graph, grid=self.grid)
-        free_units: dict[UnitClass, list[int]] = {
-            cls: [u.unit_id for u in self.grid.units_of_class(cls)]
-            for cls in self.grid.capacity()
-        }
-        usage: dict[int, int] = {}
+        grid = self.grid
+        placement = Placement(graph=graph, grid=grid)
+        node_to_unit = placement.node_to_unit
+        rows = [u.row for u in grid]
+        cols = [u.col for u in grid]
+        usage = [0] * len(grid)
+        compatible: dict[UnitClass, list[int]] = {}
 
         for node in graph.topological_order(ignore_temporal=True):
-            if node.unit_class in UNPLACED_CLASSES:
+            unit_class = node.unit_class
+            if unit_class in UNPLACED_CLASSES:
                 continue
-            candidates = self._candidate_units(node.unit_class, free_units, usage)
-            if not candidates:
+            units = compatible.get(unit_class)
+            if units is None:
+                units = [u.unit_id for u in grid.units_compatible_with(unit_class)]
+                compatible[unit_class] = units
+            if not units:
                 raise MappingError(
-                    f"no physical unit can host node {node.label()} "
-                    f"(class {node.unit_class.value})"
+                    f"no physical unit can host node {node.label()} (class {unit_class.value})"
                 )
-            target = self._closest_to_neighbours(node.node_id, candidates, placement)
-            placement.node_to_unit[node.node_id] = target
-            usage[target] = usage.get(target, 0) + 1
+            candidates = [u for u in units if not usage[u]]
+            if not candidates:
+                # Every compatible unit is taken: share the least-loaded ones.
+                min_load = min(map(usage.__getitem__, units))
+                candidates = [u for u in units if usage[u] == min_load]
+            predecessors = graph.predecessors(node.node_id)
+            placed = [node_to_unit[n] for n in predecessors if n in node_to_unit]
+            target = candidates[0]
+            if placed:
+                # The first candidate nearest the neighbours' centroid.
+                crow = sum(map(rows.__getitem__, placed)) / len(placed)
+                ccol = sum(map(cols.__getitem__, placed)) / len(placed)
+                best = math.inf
+                for u in candidates:
+                    cost = abs(rows[u] - crow) + abs(cols[u] - ccol)
+                    if cost < best:
+                        best, target = cost, u
+            node_to_unit[node.node_id] = target
+            usage[target] += 1
         return placement
-
-    def _candidate_units(
-        self,
-        node_class: UnitClass,
-        free_units: dict[UnitClass, list[int]],
-        usage: dict[int, int],
-    ) -> list[int]:
-        compatible = self.grid.units_compatible_with(node_class)
-        if not compatible:
-            return []
-        unused = [u.unit_id for u in compatible if usage.get(u.unit_id, 0) == 0]
-        if unused:
-            return unused
-        # Every compatible unit is taken: share the least-loaded ones.
-        min_load = min(usage.get(u.unit_id, 0) for u in compatible)
-        return [u.unit_id for u in compatible if usage.get(u.unit_id, 0) == min_load]
-
-    def _closest_to_neighbours(
-        self, node_id: int, candidates: list[int], placement: Placement
-    ) -> int:
-        graph = placement.graph
-        placed_neighbours = [
-            placement.node_to_unit[n]
-            for n in graph.predecessors(node_id)
-            if n in placement.node_to_unit
-        ]
-        if not placed_neighbours:
-            return candidates[0]
-        rows = [placement.grid.unit(u).row for u in placed_neighbours]
-        cols = [placement.grid.unit(u).col for u in placed_neighbours]
-        crow = sum(rows) / len(rows)
-        ccol = sum(cols) / len(cols)
-
-        def cost(unit_id: int) -> float:
-            unit = placement.grid.unit(unit_id)
-            return abs(unit.row - crow) + abs(unit.col - ccol)
-
-        return min(candidates, key=cost)
 
 
 class AnnealingRefiner:
@@ -172,89 +167,94 @@ class AnnealingRefiner:
         grid = placement.grid
         node_to_unit = placement.node_to_unit
         placed_nodes = list(node_to_unit)
-        if len(placed_nodes) < 2 or self.iterations == 0:
+        count = len(placed_nodes)
+        if count < 2 or self.iterations == 0:
             return placement
         rng = random.Random(self.seed)
+        getrandbits, uniform, exp, insort = rng.getrandbits, rng.random, math.exp, bisect.insort
         temperature = self.initial_temperature
+        cooling = self.cooling
 
-        # Pre-compute, per node, the units it may occupy (one list and one
-        # set per unit class, shared by every node of that class).
-        by_class: dict[UnitClass, tuple[list[int], frozenset[int]]] = {}
-        allowed: dict[int, list[int]] = {}
-        allowed_set: dict[int, frozenset[int]] = {}
-        for node_id in placed_nodes:
-            unit_class = graph.node(node_id).unit_class
-            if unit_class not in by_class:
-                units = [u.unit_id for u in grid.units_compatible_with(unit_class)]
-                by_class[unit_class] = (units, frozenset(units))
-            allowed[node_id], allowed_set[node_id] = by_class[unit_class]
-
-        # Unit coordinates, indexed by unit id.
-        rows = [u.row for u in grid]
-        cols = [u.col for u in grid]
-
-        # Per placed node, the far endpoint of every incident placed edge
-        # (one entry per edge, so parallel edges keep their multiplicity).
-        # Self-loops never change length and edges from unplaced sources
-        # have none, so neither is listed.
-        neighbours: dict[int, list[int]] = {node_id: [] for node_id in placed_nodes}
+        position = {node_id: pos for pos, node_id in enumerate(placed_nodes)}
+        unit = list(node_to_unit.values())
+        classes = [graph.node(node_id).unit_class for node_id in placed_nodes]
+        by_class = {c: [u.unit_id for u in grid.units_compatible_with(c)] for c in set(classes)}
+        sets = {c: frozenset(units) for c, units in by_class.items()}
+        allowed = [by_class[c] for c in classes]
+        allowed_set = [sets[c] for c in classes]
+        # Parallel edges keep their multiplicity; self-loops never change
+        # length and edges from unplaced sources have none.
+        neighbours: list[list[int]] = [[] for _ in placed_nodes]
         for edge in graph.edges():
-            src, dst = edge.src, edge.dst
-            if src == dst or src not in neighbours or dst not in neighbours:
+            src, dst = position.get(edge.src), position.get(edge.dst)
+            if src is None or dst is None or src == dst:
                 continue
             neighbours[src].append(dst)
             neighbours[dst].append(src)
+        occupants: list[list[int]] = [[] for _ in range(len(grid))]
+        for pos, unit_id in enumerate(unit):
+            occupants[unit_id].append(pos)
+        dist = _distance_rows(grid)
 
-        # Unit -> positions (in ``node_to_unit`` insertion order) of the
-        # nodes it hosts; the swap partner is the first eligible one.
-        occupants: dict[int, list[int]] = {}
-        for pos, node_id in enumerate(placed_nodes):
-            occupants.setdefault(node_to_unit[node_id], []).append(pos)
-        position = {node_id: pos for pos, node_id in enumerate(placed_nodes)}
-
+        count_bits = count.bit_length()
         for _ in range(self.iterations):
-            node_id = rng.choice(placed_nodes)
-            old_unit = node_to_unit[node_id]
-            new_unit = rng.choice(allowed[node_id])
+            # ``rng.choice(seq)``, inlined: ``_randbelow_with_getrandbits``.
+            pos = getrandbits(count_bits)
+            while pos >= count:
+                pos = getrandbits(count_bits)
+            units = allowed[pos]
+            n = len(units)
+            bits = n.bit_length()
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            new_unit = units[r]
+            old_unit = unit[pos]
             if new_unit == old_unit:
-                temperature *= self.cooling
+                temperature *= cooling
                 continue
-            swap_partner = None
-            for pos in occupants.get(new_unit, ()):
-                if old_unit in allowed_set[placed_nodes[pos]]:
-                    swap_partner = placed_nodes[pos]
+            partner = -1
+            for other in occupants[new_unit]:
+                if old_unit in allowed_set[other]:
+                    partner = other
                     break
 
-            # Wire-length change of the edges touching the moved node(s).
             # An edge between the two swapped nodes keeps its length.
-            old_r, old_c = rows[old_unit], cols[old_unit]
-            new_r, new_c = rows[new_unit], cols[new_unit]
+            to_new, to_old = dist[new_unit], dist[old_unit]
             delta = 0
-            for other in neighbours[node_id]:
-                if other == swap_partner:
-                    continue
-                unit = node_to_unit[other]
-                r, c = rows[unit], cols[unit]
-                delta += abs(new_r - r) + abs(new_c - c) - abs(old_r - r) - abs(old_c - c)
-            if swap_partner is not None:
-                for other in neighbours[swap_partner]:
-                    if other == node_id:
-                        continue
-                    unit = node_to_unit[other]
-                    r, c = rows[unit], cols[unit]
-                    delta += abs(old_r - r) + abs(old_c - c) - abs(new_r - r) - abs(new_c - c)
+            for other in neighbours[pos]:
+                if other != partner:
+                    at = unit[other]
+                    delta += to_new[at] - to_old[at]
+            if partner >= 0:
+                for other in neighbours[partner]:
+                    if other != pos:
+                        at = unit[other]
+                        delta += to_old[at] - to_new[at]
 
-            accept = delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9))
-            if accept:
-                node_to_unit[node_id] = new_unit
-                occupants[old_unit].remove(position[node_id])
-                if swap_partner is not None:
-                    node_to_unit[swap_partner] = old_unit
-                    occupants[new_unit].remove(position[swap_partner])
-                    bisect.insort(occupants[old_unit], position[swap_partner])
-                bisect.insort(occupants.setdefault(new_unit, []), position[node_id])
-            temperature *= self.cooling
+            if delta <= 0 or uniform() < exp(-delta / max(temperature, 1e-9)):
+                unit[pos] = new_unit
+                occupants[old_unit].remove(pos)
+                if partner >= 0:
+                    unit[partner] = old_unit
+                    occupants[new_unit].remove(partner)
+                    insort(occupants[old_unit], partner)
+                insort(occupants[new_unit], pos)
+            temperature *= cooling
+        for node_id, unit_id in zip(placed_nodes, unit):
+            node_to_unit[node_id] = unit_id
         return placement
+
+
+def _distance_rows(grid: PhysicalGrid) -> list:
+    """Per unit id, the Manhattan distance to every unit id (module docstring)."""
+    rows = np.array([u.row for u in grid], dtype=np.int16)
+    cols = np.array([u.col for u in grid], dtype=np.int16)
+    table = np.abs(rows[:, None] - rows)
+    table += np.abs(cols[:, None] - cols)
+    if table.max(initial=0) < 256:
+        return [row.tobytes() for row in table.astype(np.uint8)]
+    return table.tolist()
 
 
 def place_graph(

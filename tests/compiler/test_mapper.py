@@ -12,7 +12,7 @@ from repro.compiler.mapper.routing import route_placement
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import CgraGridConfig
 from repro.graph.opcodes import UnitClass
-from repro.harness.figures import DEFAULT_SUITE_PARAMS
+from repro.harness.figures import BENCHMARK_SUITE_PARAMS, DEFAULT_SUITE_PARAMS
 from repro.workloads.convolution import ConvolutionWorkload
 from repro.workloads.registry import get_workload, registry_kernels
 
@@ -188,8 +188,8 @@ def _compiled_graph(workload, variant, params):
     return compile_kernel(graph).graph
 
 
-def _assert_same_placement(graph, seed):
-    grid = PhysicalGrid(CgraGridConfig())
+def _assert_same_placement(graph, seed, grid=None):
+    grid = grid or PhysicalGrid(CgraGridConfig())
     iterations = inspect.signature(place_graph).parameters["anneal_iterations"].default
     fast = AnnealingRefiner(iterations=iterations, seed=seed).refine(
         GreedyPlacer(grid).place(graph)
@@ -211,11 +211,21 @@ _SEEDS = (0xC6A4, 7)
         ("scan", "dmt", {"n": 4}),
         ("convolution", "dmt", None),
         ("matrixMul", "mt", {"dim": 16}),  # oversubscribed: shared units
+        # 108 placed nodes on shared units: the inlined ``getrandbits`` draw
+        # against ``Random.choice`` on every interpreter the fast lane runs.
+        ("matrixMul", "mt", BENCHMARK_SUITE_PARAMS["matrixMul"]),
     ],
 )
 def test_incremental_annealing_matches_reference(workload, variant, params, seed):
     graph = _compiled_graph(get_workload(workload), variant, params)
     _assert_same_placement(graph, seed)
+
+
+def test_incremental_annealing_matches_reference_past_one_byte_distances():
+    # 508 units in one column: distances reach 507, past the refiner's
+    # one-byte distance rows.
+    grid = PhysicalGrid(CgraGridConfig(rows=508, cols=1, num_alu=400))
+    _assert_same_placement(_graph(), 7, grid)
 
 
 @pytest.mark.slow
