@@ -24,15 +24,15 @@ units (a list and a set, shared per class) and the far end of every
 incident placed edge, and per unit id its occupants by ascending
 position; the swap partner is the first that may take the moved node's
 unit.  A move is costed incrementally, as in VPR's placer (Betz & Rose,
-FPL 1997): the delta sums ``dist[new][u] - dist[old][u]`` over the edges
-of the moved node and its partner only, O(degree), from one distance
-row per unit built per call (``bytes`` from int16 coordinates: a cached
-table of Python ints, or int64 temporaries, raise the peak RSS).  The
-move loop calls no Python function.  ``rng.choice(seq)`` is inlined as
-CPython 3.10-3.13 implement it (``_randbelow_with_getrandbits``: draw
+FPL 1997): the delta sums ``dist[new·n + u] - dist[old·n + u]`` over the
+edges of the moved node and its partner only, O(degree), from a flat
+distance table built per call as one ``bytes`` object (no per-process
+cache, and no Python ints or int64 temporaries: each raised peak RSS).
+The move loop calls no Python function: ``rng.choice(seq)`` is inlined
+as CPython 3.10-3.13 implement it (``_randbelow_with_getrandbits``: draw
 ``getrandbits(len(seq).bit_length())`` until it is below ``len(seq)``),
 so the random stream, and with it every placement, is the one ``choice``
-gives; ``_ReferenceRefiner`` in ``tests/compiler/test_mapper.py``, which
+gives.  ``_ReferenceRefiner`` in ``tests/compiler/test_mapper.py``, which
 re-walks the whole edge list per move, is the oracle it must match.
 
 If the graph demands more nodes of a class than the grid has units, the
@@ -194,7 +194,7 @@ class AnnealingRefiner:
         occupants: list[list[int]] = [[] for _ in range(len(grid))]
         for pos, unit_id in enumerate(unit):
             occupants[unit_id].append(pos)
-        dist = _distance_rows(grid)
+        dist, stride = _distance_table(grid), len(grid)
 
         count_bits = count.bit_length()
         for _ in range(self.iterations):
@@ -220,17 +220,17 @@ class AnnealingRefiner:
                     break
 
             # An edge between the two swapped nodes keeps its length.
-            to_new, to_old = dist[new_unit], dist[old_unit]
+            to_new, to_old = new_unit * stride, old_unit * stride
             delta = 0
             for other in neighbours[pos]:
                 if other != partner:
                     at = unit[other]
-                    delta += to_new[at] - to_old[at]
+                    delta += dist[to_new + at] - dist[to_old + at]
             if partner >= 0:
                 for other in neighbours[partner]:
                     if other != pos:
                         at = unit[other]
-                        delta += to_old[at] - to_new[at]
+                        delta += dist[to_old + at] - dist[to_new + at]
 
             if delta <= 0 or uniform() < exp(-delta / max(temperature, 1e-9)):
                 unit[pos] = new_unit
@@ -246,15 +246,15 @@ class AnnealingRefiner:
         return placement
 
 
-def _distance_rows(grid: PhysicalGrid) -> list:
-    """Per unit id, the Manhattan distance to every unit id (module docstring)."""
+def _distance_table(grid: PhysicalGrid) -> bytes | list[int]:
+    """Manhattan distances, unit ``a`` to unit ``b`` at ``a * len(grid) + b``."""
     rows = np.array([u.row for u in grid], dtype=np.int16)
     cols = np.array([u.col for u in grid], dtype=np.int16)
     table = np.abs(rows[:, None] - rows)
     table += np.abs(cols[:, None] - cols)
     if table.max(initial=0) < 256:
-        return [row.tobytes() for row in table.astype(np.uint8)]
-    return table.tolist()
+        return table.astype(np.uint8).tobytes()
+    return table.ravel().tolist()
 
 
 def place_graph(

@@ -6,8 +6,8 @@ the delta and the Metropolis test call only builtins.  So the number of
 Python ``call`` events ``sys.setprofile`` sees during one ``refine`` does
 not depend on the iteration count.  A helper function, or a library
 draw such as ``Random.choice``, in the move loop adds calls per move at
-once (``choice`` costs two frames a draw: 6 994 calls at 1 500 moves and
-12 994 at 3 000 on this graph).  The test pins the equality, not the
+once (``choice`` costs two frames a draw: 6 993 calls at 1 500 moves and
+12 993 at 3 000 on this graph).  The test pins the equality, not the
 count, which depends on the interpreter.
 """
 
