@@ -49,6 +49,7 @@ if __package__ in (None, ""):
 from benchmarks.common import add_json_option, run_against_hierarchy, write_json
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import SystemConfig, default_system_config
+from repro.graph.index import KernelIndex
 from repro.graph.interthread import window_batch_problem
 from repro.sim import simulate
 from repro.sim.batched import BatchedSimulator
@@ -157,7 +158,7 @@ def batchable_variants(params_by_workload) -> list[tuple[str, str, dict]]:
         prepared = workload.prepare(params)
         for variant in available_variants(workload):
             graph = prepared.launch(variant).graph
-            if window_batch_problem(graph) is not None:
+            if window_batch_problem(KernelIndex.of(graph)) is not None:
                 continue  # barrier/recurrence: event-engine only
             cases.append((workload.name, variant, params))
     return cases

@@ -2,9 +2,9 @@
 
 :func:`analyze_kernel` is the single entry point.  It runs the ordered
 passes (deadlock, scratch-race, shardability, engine, critical path)
-over a compiled kernel and returns an
-:class:`AnalysisResult` whose *verdict* fields are what the dynamic
-layers consume:
+over a compiled kernel's :class:`~repro.graph.index.KernelIndex` and
+returns an :class:`AnalysisResult` whose *verdict* fields are what the
+dynamic layers consume:
 
 * ``result.engine`` — what ``engine="auto"`` dispatch resolves to;
 * ``result.order_stable`` / ``result.prepass_nodes`` — the batched
@@ -96,15 +96,15 @@ def analyze_kernel(compiled: "CompiledKernel") -> AnalysisResult:
     if cached is not None:
         return cached
 
-    graph = compiled.graph
-    prepass = pure_load_ancestors(graph)
+    index = compiled.index
+    prepass = pure_load_ancestors(index)
     diagnostics: list[Diagnostic] = []
-    deadlock_diags = deadlock_diagnostics(graph, compiled.config)
+    deadlock_diags = deadlock_diagnostics(index, compiled.config)
     diagnostics.extend(deadlock_diags)
-    diagnostics.extend(scratch_race_diagnostics(graph))
-    shard, shard_diag = shard_plan(graph)
+    diagnostics.extend(scratch_race_diagnostics(index))
+    shard, shard_diag = shard_plan(index)
     diagnostics.append(shard_diag)
-    engine_diags = engine_diagnostics(graph, prepass)
+    engine_diags = engine_diagnostics(index, prepass)
     diagnostics.extend(engine_diags)
     min_cycles, cp_diag = critical_path_bound(compiled)
     diagnostics.append(cp_diag)

@@ -1,8 +1,11 @@
 """The analyzer's kernel-level passes.
 
-Each pass is a pure function from a graph (plus, where needed, the
-system configuration or the compiled mapping) to a list of
-:class:`~repro.analyze.diagnostics.Diagnostic`.  The passes statically
+Each pass is a pure function from a kernel's frozen
+:class:`~repro.graph.index.KernelIndex` (plus, where needed, the system
+configuration or the compiled kernel) to a list of
+:class:`~repro.analyze.diagnostics.Diagnostic`.  The index holds the
+adjacency, both topological orders and the strongly connected components
+every pass reads, so no pass walks the graph itself.  The passes statically
 predict what the simulators decide dynamically, and the dynamic layers
 consume these predictions instead of re-deriving them:
 
@@ -18,9 +21,8 @@ consume these predictions instead of re-deriving them:
 * :func:`critical_path_bound` — a static lower bound on single-core
   cycles from unit and routed-edge latencies.
 
-Only graph submodules and the config layer are imported at module scope;
-``repro.sim.cycle`` is imported lazily inside the critical-path pass so
-the analyze package stays importable from ``repro.graph.validate``
+Only graph submodules and the config layer are imported at module scope,
+so the analyze package stays importable from ``repro.graph.validate``
 mid-initialisation.
 """
 
@@ -28,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.analyze.diagnostics import Diagnostic, Severity
 from repro.config.system import SystemConfig
-from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import communication_windows, window_batch_problem
 from repro.graph.node import Node
 from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, SOURCE_OPCODES, Opcode
@@ -40,6 +41,7 @@ from repro.graph.semantics import PURE_OPCODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.compiler.pipeline import CompiledKernel
+    from repro.graph.index import KernelIndex
 
 __all__ = [
     "critical_path_bound",
@@ -52,64 +54,13 @@ __all__ = [
 ]
 
 
-def _labels(graph: DataflowGraph, node_ids: Iterable[int]) -> tuple[str, ...]:
-    return tuple(graph.node(nid).label() for nid in node_ids)
+def _labels(index: KernelIndex, node_ids: Iterable[int]) -> tuple[str, ...]:
+    return tuple(index.by_id[nid].label() for nid in node_ids)
 
 
 # --------------------------------------------------------------- deadlock pass
-def _strongly_connected_components(
-    nodes: list[int], successors: dict[int, list[int]]
-) -> list[list[int]]:
-    """Iterative Tarjan SCC over the given adjacency."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            nid, child = work[-1]
-            if child == 0:
-                index[nid] = lowlink[nid] = counter
-                counter += 1
-                stack.append(nid)
-                on_stack.add(nid)
-            advanced = False
-            succ = successors.get(nid, [])
-            while child < len(succ):
-                nxt = succ[child]
-                child += 1
-                if nxt not in index:
-                    work[-1] = (nid, child)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[nid] = min(lowlink[nid], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[nid] == index[nid]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == nid:
-                        break
-                components.append(component)
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[nid])
-    return components
-
-
 def _has_cycle_with_nonpositive_weight(
-    nodes: list[int], edges: list[tuple[int, int, int]]
+    nodes: Sequence[int], edges: list[tuple[int, int, int]]
 ) -> bool:
     """True if some cycle over ``edges`` has total weight <= 0.
 
@@ -135,7 +86,7 @@ def _has_cycle_with_nonpositive_weight(
     return False
 
 
-def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Diagnostic]:
+def deadlock_diagnostics(index: KernelIndex, config: SystemConfig) -> list[Diagnostic]:
     """Statically predict run-time :class:`DeadlockError` conditions.
 
     The dependence graph includes temporal edges; an edge into an
@@ -156,17 +107,15 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
     capacity hazard — the simulators' buffers are unbounded, so this
     never deadlocks a simulation).
     """
-    node_ids = [node.node_id for node in graph.nodes]
-    successors: dict[int, list[int]] = {nid: [] for nid in node_ids}
+    by_id = index.by_id
     weighted: list[tuple[int, int, int]] = []
-    for edge in graph.edges():
-        dst = graph.node(edge.dst)
-        weight = int(dst.param("delta")) if dst.opcode is Opcode.ELEVATOR else 0
-        successors[edge.src].append(edge.dst)
-        weighted.append((edge.src, edge.dst, weight))
+    for src, dst, _ in index.edges:
+        node = by_id[dst]
+        weight = int(node.param("delta")) if node.opcode is Opcode.ELEVATOR else 0
+        weighted.append((src, dst, weight))
 
-    components = _strongly_connected_components(node_ids, successors)
-    component_of = {nid: index for index, component in enumerate(components) for nid in component}
+    components = index.components
+    component_of = {nid: c for c, component in enumerate(components) for nid in component}
     # One pass buckets every edge whose ends share a component; a
     # singleton's only such edge is a self-loop.
     inner_edges: dict[int, list[tuple[int, int, int]]] = {}
@@ -175,17 +124,13 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
             inner_edges.setdefault(component_of[src], []).append((src, dst, weight))
 
     out: list[Diagnostic] = []
-    for index, component in enumerate(components):
-        inner = inner_edges.get(index, [])
+    for c, component in enumerate(components):
+        inner = inner_edges.get(c, [])
         if len(component) < 2 and not inner:
             continue
         members = set(component)
-        elevators = sorted(
-            nid for nid in members if graph.node(nid).opcode is Opcode.ELEVATOR
-        )
-        barriers = sorted(
-            nid for nid in members if graph.node(nid).opcode is Opcode.BARRIER
-        )
+        elevators = sorted(nid for nid in members if by_id[nid].opcode is Opcode.ELEVATOR)
+        barriers = sorted(nid for nid in members if by_id[nid].opcode is Opcode.BARRIER)
         provenance = tuple(sorted(members))
         if barriers:
             out.append(
@@ -193,12 +138,12 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
                     code="RA011",
                     severity=Severity.ERROR,
                     message=(
-                        f"barrier {_labels(graph, barriers)[0]} sits inside an "
+                        f"barrier {_labels(index, barriers)[0]} sits inside an "
                         f"inter-thread dependence cycle of {len(members)} nodes; "
                         "its release waits on tokens it gates"
                     ),
                     nodes=provenance,
-                    labels=_labels(graph, provenance),
+                    labels=_labels(index, provenance),
                     hint="break the cycle or move the barrier out of it",
                 )
             )
@@ -216,31 +161,31 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
                     severity=Severity.ERROR,
                     message=(
                         "inter-thread dependence cycle through "
-                        f"{', '.join(_labels(graph, elevators))} has no consistent "
+                        f"{', '.join(_labels(index, elevators))} has no consistent "
                         "thread direction (net shifts cancel); no thread's "
                         "operands can ever all arrive"
                     ),
                     nodes=provenance,
-                    labels=_labels(graph, provenance),
+                    labels=_labels(index, provenance),
                     hint="make every elevator in the cycle shift the same direction",
                 )
             )
             continue
         entries = config.token_buffer.entries
         for nid in elevators:
-            demand = abs(int(graph.node(nid).param("delta"))) + 1
+            demand = abs(int(by_id[nid].param("delta"))) + 1
             if demand > entries:
                 out.append(
                     Diagnostic(
                         code="RA012",
                         severity=Severity.WARNING,
                         message=(
-                            f"recurrence through {graph.node(nid).label()} keeps "
+                            f"recurrence through {by_id[nid].label()} keeps "
                             f"{demand} threads in flight but the token buffer has "
                             f"only {entries} entr{'y' if entries == 1 else 'ies'}"
                         ),
                         nodes=(nid,),
-                        labels=_labels(graph, (nid,)),
+                        labels=_labels(index, (nid,)),
                         hint="raise TokenBufferConfig.entries or shorten the shift",
                         data={"demand": demand, "entries": entries},
                     )
@@ -249,7 +194,7 @@ def deadlock_diagnostics(graph: DataflowGraph, config: SystemConfig) -> list[Dia
 
 
 # ----------------------------------------------------------- scratch-race pass
-def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
+def _scratch_reach(index: KernelIndex, bit: dict[int, int]) -> dict[int, int]:
     """Per node, the OR of ``bit`` over the nodes reachable in one or more edges.
 
     ``bit`` maps each scratch node to its own bit.  Tarjan emits the
@@ -259,16 +204,14 @@ def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
     own scratch bits when it holds a cycle.  Every edge is visited twice,
     whatever the number of scratch nodes.
     """
-    successors: dict[int, list[int]] = {n.node_id: [] for n in graph.nodes}
-    for edge in graph.edges():
-        successors[edge.src].append(edge.dst)
+    successors = index.successors
     reach: dict[int, int] = {}
-    for component in _strongly_connected_components(list(successors), successors):
+    for component in index.components:
         members = set(component)
         cyclic = len(component) > 1
         bits = 0
         for member in component:
-            for succ in successors[member]:
+            for succ, _ in successors[member]:
                 if succ in members:
                     cyclic = True
                 else:
@@ -281,7 +224,7 @@ def _scratch_reach(graph: DataflowGraph, bit: dict[int, int]) -> dict[int, int]:
     return reach
 
 
-def scratch_race_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
+def scratch_race_diagnostics(index: KernelIndex) -> list[Diagnostic]:
     """Flag scratchpad access pairs with no ordering between them.
 
     Two static accesses to the same scratch array are *ordered* when a
@@ -292,11 +235,11 @@ def scratch_race_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
     or write/read pair with no path either way races: which access lands
     first depends on scheduling, not the program.
     """
-    scratch_nodes = graph.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
+    scratch_nodes = index.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
     if not scratch_nodes:
         return []
     bit = {node.node_id: 1 << i for i, node in enumerate(scratch_nodes)}
-    reach = _scratch_reach(graph, bit)
+    reach = _scratch_reach(index, bit)
 
     by_array: dict[str, list[Node]] = {}
     for node in scratch_nodes:
@@ -323,7 +266,7 @@ def scratch_race_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
                                 "ordering between them"
                             ),
                             nodes=pair,
-                            labels=_labels(graph, pair),
+                            labels=_labels(index, pair),
                             hint="order the writes through a barrier() token",
                             data={"array": array},
                         )
@@ -341,7 +284,7 @@ def scratch_race_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
                                 f"unordered against read {load.label()}"
                             ),
                             nodes=pair,
-                            labels=_labels(graph, pair),
+                            labels=_labels(index, pair),
                             hint=(
                                 "pass a barrier() token as the load's 'order' "
                                 "operand so the read waits for the writes"
@@ -381,7 +324,7 @@ class ShardPlan:
         return self.cores > 1
 
 
-def shard_plan(graph: DataflowGraph) -> tuple[ShardPlan, Diagnostic]:
+def shard_plan(index: KernelIndex) -> tuple[ShardPlan, Diagnostic]:
     """The kernel's :class:`ShardPlan` and the one diagnostic stating it.
 
     The finding is INFO: not being shardable is a property, not a defect
@@ -390,9 +333,9 @@ def shard_plan(graph: DataflowGraph) -> tuple[ShardPlan, Diagnostic]:
     a fallback's message is the plan's ``fallback_reason``, which
     ``simulate`` records in ``stats.extra["shard_fallback_reason"]``.
     """
-    num_threads = int(graph.metadata.get("num_threads", 0))
-    base_block = max(1, int(graph.metadata.get("replicas", 1)))
-    windows, reason = communication_windows(graph)
+    num_threads = int(index.metadata.get("num_threads", 0))
+    base_block = max(1, int(index.metadata.get("replicas", 1)))
+    windows, reason = communication_windows(index)
 
     def fallback(block: int, lcm: int, diagnostic: Diagnostic) -> tuple[ShardPlan, Diagnostic]:
         plan = ShardPlan(block, lcm, diagnostic.code, diagnostic.message)
@@ -407,7 +350,7 @@ def shard_plan(graph: DataflowGraph) -> tuple[ShardPlan, Diagnostic]:
             hint = "window the barrier so scratch traffic stays inside a shard"
         offenders = tuple(
             node.node_id
-            for node in graph.nodes_with_opcode(*opcodes)
+            for node in index.nodes_with_opcode(*opcodes)
             if node.param("window") is None
         )
         return fallback(
@@ -418,7 +361,7 @@ def shard_plan(graph: DataflowGraph) -> tuple[ShardPlan, Diagnostic]:
                 severity=Severity.INFO,
                 message=reason,
                 nodes=offenders,
-                labels=_labels(graph, offenders),
+                labels=_labels(index, offenders),
                 hint=hint,
             ),
         )
@@ -471,7 +414,7 @@ def shard_plan(graph: DataflowGraph) -> tuple[ShardPlan, Diagnostic]:
 
 
 # ---------------------------------------------- engine / replay-order pass
-def pure_load_ancestors(graph: DataflowGraph) -> set[int] | None:
+def pure_load_ancestors(index: KernelIndex) -> set[int] | None:
     """Memory issue points plus their ancestors when all ancestors are pure.
 
     This is the batched engines' replay-order stability condition: when
@@ -487,34 +430,31 @@ def pure_load_ancestors(graph: DataflowGraph) -> set[int] | None:
     (Inter-thread-free graphs have no ELDST nodes, so for them this is
     exactly the original load-only condition.)
     """
-    inputs = {
-        node.node_id: sorted(graph.inputs_of(node.node_id).values())
-        for node in graph.nodes
-    }
-    accesses = graph.nodes_with_opcode(Opcode.LOAD, Opcode.ELDST)
+    inputs, by_id = index.inputs, index.by_id
+    accesses = index.nodes_with_opcode(Opcode.LOAD, Opcode.ELDST)
     prepass: set[int] = {access.node_id for access in accesses}
     visited: set[int] = set()
     for access in accesses:
-        stack = list(inputs[access.node_id])
+        stack = [src for _, src in inputs[access.node_id]]
         while stack:
             nid = stack.pop()
             if nid in visited:
                 continue
-            node = graph.node(nid)
-            if node.opcode not in PURE_OPCODES and node.opcode not in SOURCE_OPCODES:
+            opcode = by_id[nid].opcode
+            if opcode not in PURE_OPCODES and opcode not in SOURCE_OPCODES:
                 return None  # an access operand depends on a memory access
             visited.add(nid)
-            stack.extend(inputs[nid])
+            stack.extend(src for _, src in inputs[nid])
     return prepass | visited
 
 
-def _replay_order_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> Diagnostic:
+def _replay_order_diagnostics(index: KernelIndex, prepass: set[int] | None) -> Diagnostic:
     """The RA042/RA043 replay-order verdict for a batchable kernel."""
     if prepass is None:
         impure = tuple(
             access.node_id
-            for access in graph.nodes_with_opcode(Opcode.LOAD, Opcode.ELDST)
-            if _index_touches_memory(graph, access)
+            for access in index.nodes_with_opcode(Opcode.LOAD, Opcode.ELDST)
+            if _index_touches_memory(index, access)
         )
         return Diagnostic(
             code="RA042",
@@ -524,7 +464,7 @@ def _replay_order_diagnostics(graph: DataflowGraph, prepass: set[int] | None) ->
                 "engine replays loads per node instead of in event order"
             ),
             nodes=impure,
-            labels=_labels(graph, impure),
+            labels=_labels(index, impure),
         )
     return Diagnostic(
         code="RA043",
@@ -537,10 +477,10 @@ def _replay_order_diagnostics(graph: DataflowGraph, prepass: set[int] | None) ->
     )
 
 
-def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[Diagnostic]:
+def engine_diagnostics(index: KernelIndex, prepass: set[int] | None) -> list[Diagnostic]:
     """Classify the kernel for engine dispatch (all INFO).
 
-    ``prepass`` is :func:`pure_load_ancestors` of ``graph``.
+    ``prepass`` is :func:`pure_load_ancestors` of ``index``.
 
     Exactly one of ``RA040`` (batched-eligible, no inter-thread nodes),
     ``RA044`` (window-batchable communicating kernel) or ``RA041``
@@ -555,15 +495,15 @@ def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[D
     out: list[Diagnostic] = []
     interthread = tuple(
         node.node_id
-        for node in graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER)
+        for node in index.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER)
     )
-    problem = window_batch_problem(graph)
+    problem = window_batch_problem(index)
     if problem is not None:
         # Scratch levels that may interleave keep even an inter-thread-free
         # graph on the event engine.
         gated = interthread or tuple(
             node.node_id
-            for node in graph.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
+            for node in index.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
         )
         kind = "inter-thread" if interthread else "scratchpad"
         out.append(
@@ -572,7 +512,7 @@ def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[D
                 severity=Severity.INFO,
                 message=f"{len(gated)} {kind} node(s) require the event-driven engine",
                 nodes=gated,
-                labels=_labels(graph, gated),
+                labels=_labels(index, gated),
             )
         )
         out.append(
@@ -585,7 +525,7 @@ def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[D
         )
         return out
     if interthread:
-        windows, _ = communication_windows(graph)
+        windows, _ = communication_windows(index)
         out.append(
             Diagnostic(
                 code="RA044",
@@ -596,12 +536,12 @@ def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[D
                     "for the window-batched engine"
                 ),
                 nodes=interthread,
-                labels=_labels(graph, interthread),
+                labels=_labels(index, interthread),
                 # None when nothing is windowed (e.g. whole-block barriers).
                 data={"window_lcm": math.lcm(*windows) if windows else None},
             )
         )
-        out.append(_replay_order_diagnostics(graph, prepass))
+        out.append(_replay_order_diagnostics(index, prepass))
         return out
     out.append(
         Diagnostic(
@@ -610,21 +550,22 @@ def engine_diagnostics(graph: DataflowGraph, prepass: set[int] | None) -> list[D
             message="no inter-thread nodes; eligible for the wave-batched engine",
         )
     )
-    out.append(_replay_order_diagnostics(graph, prepass))
+    out.append(_replay_order_diagnostics(index, prepass))
     return out
 
 
-def _index_touches_memory(graph: DataflowGraph, load: Node) -> bool:
-    stack = list(graph.inputs_of(load.node_id).values())
+def _index_touches_memory(index: KernelIndex, load: Node) -> bool:
+    inputs = index.inputs
+    stack = [src for _, src in inputs[load.node_id]]
     seen: set[int] = set()
     while stack:
         nid = stack.pop()
         if nid in seen:
             continue
         seen.add(nid)
-        if graph.node(nid).opcode in MEMORY_OPCODES:
+        if index.by_id[nid].opcode in MEMORY_OPCODES:
             return True
-        stack.extend(graph.inputs_of(nid).values())
+        stack.extend(src for _, src in inputs[nid])
     return False
 
 
@@ -644,31 +585,23 @@ def critical_path_bound(compiled: "CompiledKernel") -> tuple[int, Diagnostic]:
     is a true lower bound for the event and batched engines alike on one
     core (sharding divides the injection term across cores).
     """
-    from repro.sim.cycle import edge_timing, unit_latency
-
-    graph = compiled.graph
-    edge_latency, _ = edge_timing(compiled)
-    config = compiled.config
-
-    def node_latency(node: Node) -> int:
-        if node.opcode in MEMORY_OPCODES:
-            return 1  # hierarchy access latency is >= 1 cycle; exact value varies
-        return unit_latency(config, node)
+    index = compiled.index
+    edge_latency, unit_latency, inputs = index.edge_latency, index.unit_latency, index.inputs
 
     # A thread retires when its effect nodes complete (the engines' sink
     # set) — not on Node.is_sink, since a STORE still produces an ack token.
     completion: dict[int, int] = {}
     longest_sink_path = 0
-    for node in graph.topological_order(ignore_temporal=True):
+    for node in index.order:
+        nid = node.node_id
         ready = 0
         if node.opcode is not Opcode.ELEVATOR:  # edges into elevators are temporal
-            for src in graph.inputs_of(node.node_id).values():
-                ready = max(
-                    ready, completion[src] + edge_latency[(src, node.node_id)]
-                )
-        completion[node.node_id] = ready + node_latency(node)
+            for _, src in inputs[nid]:
+                ready = max(ready, completion[src] + edge_latency[(src, nid)])
+        # Hierarchy access latency is >= 1 cycle; its exact value varies.
+        completion[nid] = ready + (1 if node.opcode in MEMORY_OPCODES else unit_latency[nid])
         if node.opcode in EFFECT_OPCODES:
-            longest_sink_path = max(longest_sink_path, completion[node.node_id])
+            longest_sink_path = max(longest_sink_path, completion[nid])
 
     replicas = max(1, compiled.replicas)
     injection = (max(1, compiled.num_threads) - 1) // replicas

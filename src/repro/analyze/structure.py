@@ -17,7 +17,7 @@ without a cycle.
 from __future__ import annotations
 
 from repro.analyze.diagnostics import Diagnostic, Severity
-from repro.graph.dfg import DataflowGraph
+from repro.graph.dfg import DataflowGraph, kahn_order
 from repro.graph.node import Node
 from repro.graph.opcodes import EFFECT_OPCODES, DType, Opcode, opcode_info
 
@@ -39,9 +39,9 @@ def _error(
     )
 
 
-def _check_arity(graph: DataflowGraph, node: Node, out: list[Diagnostic]) -> None:
+def _check_arity(node: Node, inputs: dict[int, int], out: list[Diagnostic]) -> None:
     info = opcode_info(node.opcode)
-    arity = graph.arity_of(node.node_id)
+    arity = len(inputs)
     if not info.accepts_arity(arity):
         out.append(
             _error(
@@ -51,7 +51,7 @@ def _check_arity(graph: DataflowGraph, node: Node, out: list[Diagnostic]) -> Non
                 node,
             )
         )
-    ports = sorted(graph.inputs_of(node.node_id))
+    ports = sorted(inputs)
     if ports and ports != list(range(len(ports))):
         out.append(
             _error(
@@ -102,13 +102,14 @@ def _check_params(node: Node, out: list[Diagnostic]) -> None:
         param_error(f"{node.label()}: OUTPUT node is missing its 'name' parameter")
 
 
-def _check_dtypes(graph: DataflowGraph, node: Node, out: list[Diagnostic]) -> None:
+def _check_dtypes(
+    graph: DataflowGraph, node: Node, inputs: dict[int, int], out: list[Diagnostic]
+) -> None:
     if node.opcode in _COMPARISONS and node.dtype is not DType.BOOL:
         out.append(
             _error("RA003", f"{node.label()}: comparison nodes must produce BOOL", node)
         )
     if node.opcode is Opcode.SELECT:
-        inputs = graph.inputs_of(node.node_id)
         if 0 in inputs and graph.node(inputs[0]).dtype is not DType.BOOL:
             out.append(
                 _error(
@@ -122,27 +123,35 @@ def _check_dtypes(graph: DataflowGraph, node: Node, out: list[Diagnostic]) -> No
 def structure_diagnostics(graph: DataflowGraph) -> list[Diagnostic]:
     """Run the structural checks over ``graph`` (all findings are errors)."""
     out: list[Diagnostic] = []
-    for node in graph.nodes:
-        _check_arity(graph, node, out)
+    nodes = graph.nodes
+    drivers: set[int] = set()  # nodes with at least one consumer
+    structural: list[tuple[int, int, int]] = []  # edges not into an ELEVATOR
+    for node in nodes:
+        nid = node.node_id
+        inputs = graph.inputs_of(nid)
+        drivers.update(inputs.values())
+        if node.opcode is not Opcode.ELEVATOR:
+            structural.extend((src, nid, port) for port, src in inputs.items())
+        _check_arity(node, inputs, out)
         _check_params(node, out)
-        _check_dtypes(graph, node, out)
+        _check_dtypes(graph, node, inputs, out)
 
     # Sinks must not feed anyone; already enforced by add_edge, re-check defensively.
-    for node in graph.nodes:
-        if node.is_sink and graph.successors(node.node_id):
+    for node in nodes:
+        if node.is_sink and node.node_id in drivers:
             out.append(
                 _error("RA004", f"{node.label()}: sink node drives downstream consumers", node)
             )
 
     # The graph must be acyclic once temporal edges are removed.
-    try:
-        graph.topological_order(ignore_temporal=True)
-    except Exception as exc:  # GraphError
-        out.append(_error("RA005", str(exc)))
+    if kahn_order((node.node_id for node in nodes), structural) is None:
+        out.append(
+            _error("RA005", f"graph '{graph.name}' contains a cycle through non-temporal edges")
+        )
 
     # A kernel must observably do something.
-    has_effect = any(n.opcode in EFFECT_OPCODES for n in graph.nodes)
-    if graph.nodes and not has_effect:
+    has_effect = any(n.opcode in EFFECT_OPCODES for n in nodes)
+    if nodes and not has_effect:
         out.append(
             _error(
                 "RA006",

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.arch.grid import PhysicalGrid
 from repro.errors import MappingError
-from repro.graph.dfg import DataflowGraph
+from repro.graph.index import KernelIndex
 from repro.graph.opcodes import UnitClass
 
 __all__ = ["Placement", "GreedyPlacer", "AnnealingRefiner", "place_graph"]
@@ -68,7 +68,7 @@ ANNEAL_SEED = 0xC6A4
 class Placement:
     """A (possibly partial) assignment of graph nodes to physical units."""
 
-    graph: DataflowGraph
+    index: KernelIndex
     grid: PhysicalGrid
     node_to_unit: dict[int, int] = field(default_factory=dict)
 
@@ -85,9 +85,9 @@ class Placement:
     def wire_length(self) -> int:
         """Total Manhattan length of all placed edges."""
         total = 0
-        for edge in self.graph.edges():
-            src_unit = self.node_to_unit.get(edge.src)
-            dst_unit = self.node_to_unit.get(edge.dst)
+        for src, dst, _ in self.index.edges:
+            src_unit = self.node_to_unit.get(src)
+            dst_unit = self.node_to_unit.get(dst)
             if src_unit is None or dst_unit is None:
                 continue
             total += self.grid.distance(src_unit, dst_unit)
@@ -100,17 +100,17 @@ class GreedyPlacer:
     def __init__(self, grid: PhysicalGrid) -> None:
         self.grid = grid
 
-    def place(self, graph: DataflowGraph) -> Placement:
+    def place(self, index: KernelIndex) -> Placement:
         grid = self.grid
-        placement = Placement(graph=graph, grid=grid)
+        placement = Placement(index=index, grid=grid)
         node_to_unit = placement.node_to_unit
         rows = [u.row for u in grid]
         cols = [u.col for u in grid]
         usage = [0] * len(grid)
         compatible: dict[UnitClass, list[int]] = {}
 
-        for node in graph.topological_order(ignore_temporal=True):
-            unit_class = node.unit_class
+        for node in index.order:
+            unit_class = index.unit_class[node.node_id]
             if unit_class in UNPLACED_CLASSES:
                 continue
             units = compatible.get(unit_class)
@@ -126,7 +126,7 @@ class GreedyPlacer:
                 # Every compatible unit is taken: share the least-loaded ones.
                 min_load = min(map(usage.__getitem__, units))
                 candidates = [u for u in units if usage[u] == min_load]
-            predecessors = graph.predecessors(node.node_id)
+            predecessors = {src for _, src in index.inputs[node.node_id]}
             placed = [node_to_unit[n] for n in predecessors if n in node_to_unit]
             target = candidates[0]
             if placed:
@@ -163,7 +163,7 @@ class AnnealingRefiner:
         self.seed = seed
 
     def refine(self, placement: Placement) -> Placement:
-        graph = placement.graph
+        index = placement.index
         grid = placement.grid
         node_to_unit = placement.node_to_unit
         placed_nodes = list(node_to_unit)
@@ -177,7 +177,7 @@ class AnnealingRefiner:
 
         position = {node_id: pos for pos, node_id in enumerate(placed_nodes)}
         unit = list(node_to_unit.values())
-        classes = [graph.node(node_id).unit_class for node_id in placed_nodes]
+        classes = [index.unit_class[node_id] for node_id in placed_nodes]
         by_class = {c: [u.unit_id for u in grid.units_compatible_with(c)] for c in set(classes)}
         sets = {c: frozenset(units) for c, units in by_class.items()}
         allowed = [by_class[c] for c in classes]
@@ -185,7 +185,7 @@ class AnnealingRefiner:
         # Parallel edges keep their multiplicity; self-loops never change
         # length and edges from unplaced sources have none.
         neighbours: list[list[int]] = [[] for _ in placed_nodes]
-        for edge in graph.edges():
+        for edge in index.edges:
             src, dst = position.get(edge.src), position.get(edge.dst)
             if src is None or dst is None or src == dst:
                 continue
@@ -258,12 +258,12 @@ def _distance_table(grid: PhysicalGrid) -> bytes | list[int]:
 
 
 def place_graph(
-    graph: DataflowGraph,
+    index: KernelIndex,
     grid: PhysicalGrid,
     anneal_iterations: int = ANNEAL_ITERATIONS,
     seed: int = ANNEAL_SEED,
 ) -> Placement:
-    """Greedy seed followed by annealing refinement."""
-    seed_placement = GreedyPlacer(grid).place(graph)
+    """Greedy seed followed by annealing refinement of ``index``'s graph."""
+    seed_placement = GreedyPlacer(grid).place(index)
     refiner = AnnealingRefiner(iterations=anneal_iterations, seed=seed)
     return refiner.refine(seed_placement)

@@ -62,11 +62,11 @@ def route_placement(placement: Placement) -> RoutedMapping:
     """Count the hops of the static XY route of every placed edge."""
     grid = placement.grid
     mapping = RoutedMapping(placement=placement)
-    for edge in placement.graph.edges():
-        src_unit = placement.unit_of(edge.src)
-        dst_unit = placement.unit_of(edge.dst)
+    for src, dst, port in placement.index.edges:
+        src_unit = placement.unit_of(src)
+        dst_unit = placement.unit_of(dst)
         # Edges from unplaced sources (thread-ID injection) have no route.
         hops = 0 if src_unit is None or dst_unit is None else grid.distance(src_unit, dst_unit)
-        mapping.edge_hops[(edge.src, edge.dst, edge.dst_port)] = hops
-        mapping.pair_hops.setdefault((edge.src, edge.dst), hops)
+        mapping.edge_hops[(src, dst, port)] = hops
+        mapping.pair_hops.setdefault((src, dst), hops)
     return mapping

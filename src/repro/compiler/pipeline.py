@@ -30,6 +30,7 @@ from repro.compiler.passes.replicate import ReplicatePass
 from repro.config.system import SystemConfig, default_system_config
 from repro.errors import CompilationError
 from repro.graph.dfg import DataflowGraph
+from repro.graph.index import KernelIndex
 from repro.graph.opcodes import Opcode
 from repro.graph.validate import validate_graph
 
@@ -38,12 +39,18 @@ __all__ = ["CompiledKernel", "compile_kernel", "placement_memo"]
 
 @dataclass(frozen=True)
 class CompiledKernel:
-    """A kernel ready for simulation."""
+    """A kernel ready for simulation.
+
+    ``index`` is the one adjacency source after compile: the routed
+    :class:`~repro.graph.index.KernelIndex` of ``graph``, built once when
+    the last pass has run.
+    """
 
     graph: DataflowGraph
     config: SystemConfig
     pass_results: tuple[PassResult, ...]
     mapping: RoutedMapping
+    index: KernelIndex
 
     # ------------------------------------------------------------------ queries
     @property
@@ -102,20 +109,20 @@ class _PlacementInput:
     seed, the nodes in insertion order as ``(node_id, opcode, dtype)``
     (unit classes and temporal edges derive from these) and the edges in
     ``graph.edges()`` order as ``(src, dst)`` (Kahn's order and the
-    annealer's node order follow it).  ``graph`` and ``grid`` carry a
-    miss to the search and are dropped once it has run, so the memo keeps
-    keys and assignments only.
+    annealer's node order follow it), all read from the kernel's index.
+    ``index`` and ``grid`` carry a miss to the search and are dropped once
+    it has run, so the memo keeps keys and assignments only.
     """
 
     key: tuple
-    graph: DataflowGraph | None = field(compare=False)
+    index: KernelIndex | None = field(compare=False)
     grid: PhysicalGrid | None = field(compare=False)
 
     @classmethod
-    def of(cls, graph: DataflowGraph, grid: PhysicalGrid) -> "_PlacementInput":
-        nodes = tuple((n.node_id, n.opcode, n.dtype) for n in graph.nodes)
-        edges = tuple((e.src, e.dst) for e in graph.edges())
-        return cls((grid.config, ANNEAL_ITERATIONS, ANNEAL_SEED, nodes, edges), graph, grid)
+    def of(cls, index: KernelIndex, grid: PhysicalGrid) -> "_PlacementInput":
+        nodes = tuple((n.node_id, n.opcode, n.dtype) for n in index.nodes)
+        edges = tuple((src, dst) for src, dst, _ in index.edges)
+        return cls((grid.config, ANNEAL_ITERATIONS, ANNEAL_SEED, nodes, edges), index, grid)
 
 
 @functools.lru_cache(maxsize=64)
@@ -125,8 +132,8 @@ def placement_memo(request: _PlacementInput) -> tuple[tuple[int, int], ...]:
     Process-local and thread-safe; ``cache_info()`` feeds ``GET
     /v1/stats`` and ``cache_clear()`` forces the next compile to search.
     """
-    placement = place_graph(request.graph, request.grid, ANNEAL_ITERATIONS, ANNEAL_SEED)
-    request.graph = request.grid = None
+    placement = place_graph(request.index, request.grid, ANNEAL_ITERATIONS, ANNEAL_SEED)
+    request.index = request.grid = None
     return tuple(placement.node_to_unit.items())
 
 
@@ -134,8 +141,9 @@ def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> 
     """Compile a kernel graph for the configured dMT-CGRA system.
 
     Validates the graph, runs the five passes (re-validating after each
-    one that changed the graph), places and routes it on one grid layout,
-    and analyzes the result once; each error-severity finding becomes a
+    one that changed the graph), indexes the result once
+    (:class:`~repro.graph.index.KernelIndex`), places and routes it on one
+    grid layout, and analyzes it once; each error-severity finding becomes a
     :class:`UserWarning`.  The input graph is not modified; compilation
     operates on a copy.  The placement search runs once per placement
     input (:data:`placement_memo`); a repeat reuses its assignment.
@@ -164,17 +172,21 @@ def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> 
         if result.changed:
             validate_graph(working)
 
+    index = KernelIndex.of(working)
     grid = PhysicalGrid(config.grid)
-    placement = Placement(working, grid, dict(placement_memo(_PlacementInput.of(working, grid))))
+    placement = Placement(index, grid, dict(placement_memo(_PlacementInput.of(index, grid))))
+    mapping = route_placement(placement)
     compiled = CompiledKernel(
         graph=working,
         config=config,
         pass_results=tuple(results),
-        mapping=route_placement(placement),
+        mapping=mapping,
+        index=index.routed(config, mapping),
     )
 
-    # Deferred import: the analyzer's critical-path pass reaches into the
-    # sim layer, which itself imports this module.
+    # Looked up per call, so a wrapper patched onto
+    # ``repro.analyze.manager.analyze_kernel`` (a profiler's span) sees
+    # the compile-time analysis too.
     from repro.analyze.manager import analyze_kernel
 
     for diagnostic in analyze_kernel(compiled).errors():

@@ -15,13 +15,37 @@ removed.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import GraphError
 from repro.graph.node import Edge, Node
 from repro.graph.opcodes import DType, Opcode, UnitClass, opcode_info
 
-__all__ = ["DataflowGraph"]
+__all__ = ["DataflowGraph", "kahn_order"]
+
+
+def kahn_order(node_ids: Iterable[int], edges: Iterable[tuple[int, int, int]]) -> list[int] | None:
+    """Kahn's topological order of ``node_ids`` over ``(src, dst, port)``
+    edges; ``None`` on a cycle.
+
+    The sources start in ascending id order, and each node releases its
+    consumers in the order of ``edges``.
+    """
+    indeg = dict.fromkeys(node_ids, 0)
+    succ: dict[int, list[int]] = defaultdict(list)
+    for src, dst, _ in edges:
+        indeg[dst] += 1
+        succ[src].append(dst)
+    queue = deque(sorted(nid for nid, d in indeg.items() if d == 0))
+    order: list[int] = []
+    while queue:
+        nid = queue.popleft()
+        order.append(nid)
+        for nxt in succ[nid]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                queue.append(nxt)
+    return order if len(order) == len(indeg) else None
 
 
 class DataflowGraph:
@@ -141,16 +165,6 @@ class DataflowGraph:
                     out.append((dst_id, port))
         return sorted(out)
 
-    def successor_map(self) -> dict[int, list[tuple[int, int]]]:
-        """``{node_id: successors(node_id)}`` for every node, in one edge pass."""
-        out: dict[int, list[tuple[int, int]]] = {nid: [] for nid in self._nodes}
-        for dst_id, ports in self._inputs.items():
-            for port, src_id in ports.items():
-                out[src_id].append((dst_id, port))
-        for succ in out.values():
-            succ.sort()
-        return out
-
     def predecessors(self, node_id: int) -> list[int]:
         return sorted(set(self._inputs.get(node_id, {}).values()))
 
@@ -180,32 +194,19 @@ class DataflowGraph:
             yield edge
 
     def topological_order(self, ignore_temporal: bool = True) -> list[Node]:
-        """Kahn topological sort.
+        """Kahn topological sort (:func:`kahn_order`).
 
         With ``ignore_temporal`` (the default) temporal edges are excluded,
         which makes graphs containing inter-thread recurrences sortable.
         Raises :class:`GraphError` if a non-temporal cycle exists.
         """
         edges = self.structural_edges() if ignore_temporal else self.edges()
-        indeg = {nid: 0 for nid in self._nodes}
-        succ: dict[int, list[int]] = defaultdict(list)
-        for edge in edges:
-            indeg[edge.dst] += 1
-            succ[edge.src].append(edge.dst)
-        queue = deque(sorted(nid for nid, d in indeg.items() if d == 0))
-        order: list[Node] = []
-        while queue:
-            nid = queue.popleft()
-            order.append(self._nodes[nid])
-            for nxt in succ[nid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    queue.append(nxt)
-        if len(order) != len(self._nodes):
+        order = kahn_order(self._nodes, edges)
+        if order is None:
             raise GraphError(
                 f"graph '{self.name}' contains a cycle through non-temporal edges"
             )
-        return order
+        return [self._nodes[nid] for nid in order]
 
     def copy(self, name: str | None = None) -> "DataflowGraph":
         """Return a deep structural copy of the graph."""

@@ -24,7 +24,7 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from repro.errors import GraphError
 from repro.graph.node import Node
 from repro.graph.opcodes import Opcode
 from repro.graph.semantics import PURE_OPCODES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.index import KernelIndex
 
 __all__ = [
     "linearize",
@@ -131,8 +134,8 @@ def producer_map(node: Node, block_dim: Sequence[int]) -> np.ndarray:
     return np.where(valid, src, np.int64(-1))
 
 
-def communication_windows(graph) -> tuple[list[int], Optional[str]]:
-    """The transmission windows bounding ``graph``'s inter-thread traffic.
+def communication_windows(index: "KernelIndex") -> tuple[list[int], Optional[str]]:
+    """The transmission windows bounding an indexed kernel's inter-thread traffic.
 
     This is the single statement of the shard legality rule; the
     analyzer's shardability pass (``analyze/passes.py::shard_plan``)
@@ -150,15 +153,15 @@ def communication_windows(graph) -> tuple[list[int], Optional[str]]:
     legal, or ``([], reason)`` when no cut is.
     """
     windows: list[int] = []
-    for node in graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST):
+    for node in index.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST):
         window = node.param("window")
         if window is None:
             return [], f"{node.label()} has no bounded transmission window"
         windows.append(int(window))
     has_scratch = bool(
-        graph.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
+        index.nodes_with_opcode(Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
     )
-    for node in graph.nodes_with_opcode(Opcode.BARRIER):
+    for node in index.nodes_with_opcode(Opcode.BARRIER):
         window = node.param("window")
         if window is not None:
             windows.append(int(window))
@@ -181,9 +184,9 @@ _MEMORY_FREE_OPCODES = PURE_OPCODES | {
 
 
 def scratch_levels(
-    graph, order: Sequence[Node]
+    index: "KernelIndex", order: Sequence[Node]
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """Scratch-dependency levels of ``graph`` (``order`` is topological).
+    """Scratch-dependency levels of an indexed kernel (``order`` is topological).
 
     Returns ``(levels, above)``: a scratch node's level is one more than
     the deepest scratch node among its ancestors, so level 1 holds the
@@ -192,10 +195,11 @@ def scratch_levels(
     """
     above: dict[int, int] = {}
     levels: dict[int, int] = {}
+    inputs = index.inputs
     for node in order:
         nid = node.node_id
         above[nid] = max(
-            (max(above[src], levels.get(src, 0)) for src in graph.inputs_of(nid).values()),
+            (max(above[src], levels.get(src, 0)) for _, src in inputs[nid]),
             default=0,
         )
         if node.opcode in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
@@ -203,8 +207,8 @@ def scratch_levels(
     return levels, above
 
 
-def _scratch_level_problem(graph, order: Sequence[Node]) -> Optional[str]:
-    """Why ``graph``'s scratch levels may interleave in time (``None`` =
+def _scratch_level_problem(index: "KernelIndex", order: Sequence[Node]) -> Optional[str]:
+    """Why an indexed kernel's scratch levels may interleave in time (``None`` =
     every level's accesses arrive before any access of the next level).
 
     Level ``k`` is barrier-separated from level ``k-1`` when either
@@ -220,7 +224,7 @@ def _scratch_level_problem(graph, order: Sequence[Node]) -> Optional[str]:
       level arrives in that burst, before any level-``k`` access (which
       waits for a level-``k-1`` access to complete).
     """
-    levels, _ = scratch_levels(graph, order)
+    levels, _ = scratch_levels(index, order)
     depth = max(levels.values(), default=0)
     if depth < 2:
         return None
@@ -229,7 +233,7 @@ def _scratch_level_problem(graph, order: Sequence[Node]) -> Optional[str]:
     members = [0] * (depth + 1)
     for nid, level in levels.items():
         members[level] |= bit[nid]
-    num_threads = int(graph.metadata.get("num_threads", 0))
+    num_threads = int(index.metadata.get("num_threads", 0))
 
     def whole_block_barrier(node: Node) -> bool:
         window = node.param("window")
@@ -242,7 +246,7 @@ def _scratch_level_problem(graph, order: Sequence[Node]) -> Optional[str]:
     barriers: set[int] = set()
     for node in order:
         nid = node.node_id
-        srcs = list(graph.inputs_of(nid).values())
+        srcs = [src for _, src in index.inputs[nid]]
         feeds[nid] = closes[nid] = 0
         for src in srcs:
             feeds[nid] |= feeds[src]
@@ -273,15 +277,15 @@ def _scratch_level_problem(graph, order: Sequence[Node]) -> Optional[str]:
         for nid in sorted(by_level[level]):
             if not closes[nid] >> (level - 1) & 1:
                 return (
-                    f"{graph.node(nid).label()} (scratch level {level}) may overlap "
+                    f"{index.by_id[nid].label()} (scratch level {level}) may overlap "
                     f"scratch level {level - 1} in time: no whole-block barrier "
                     "separates them"
                 )
     return None
 
 
-def window_batch_problem(graph) -> Optional[str]:
-    """Why ``graph`` cannot run on the batched engine (``None`` = it can).
+def window_batch_problem(index: "KernelIndex") -> Optional[str]:
+    """Why an indexed kernel cannot run on the batched engine (``None`` = it can).
 
     This is the single statement of batchability, shared by the static
     analyzer (``RA044``/``RA045``) and the engine's own construction
@@ -306,11 +310,9 @@ def window_batch_problem(graph) -> Optional[str]:
     of the paper's matrixMul) batch just as well — only *recurrences*
     are out of reach.
     """
-    try:
-        order = graph.topological_order(ignore_temporal=False)
-    except GraphError:
+    if index.full_order is None:
         return (
             "an inter-thread recurrence cycle requires token-by-token "
             "resolution"
         )
-    return _scratch_level_problem(graph, order)
+    return _scratch_level_problem(index, index.full_order)

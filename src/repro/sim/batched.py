@@ -175,6 +175,7 @@ from repro.compiler.pipeline import CompiledKernel
 from repro.config.system import SystemConfig
 from repro.errors import DeadlockError, MemoryModelError, SimulationError
 from repro.graph.dfg import DataflowGraph
+from repro.graph.index import KernelIndex
 from repro.graph.interthread import map_key, producer_map, scratch_levels
 from repro.graph.node import Node
 from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, SOURCE_OPCODES, DType, Opcode
@@ -185,13 +186,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.image import MemoryImage
 from repro.obs.trace import MEM_LANE, active_tracer
 from repro.sim.analytic_cache import AnalyticMemoryModel
-from repro.sim.cycle import (
-    _OP_COUNTERS,
-    LVC_ACCESS_LATENCY,
-    edge_timing,
-    trace_lanes,
-    unit_latency,
-)
+from repro.sim.cycle import _OP_COUNTERS, LVC_ACCESS_LATENCY, trace_lanes
 from repro.sim.launch import KernelLaunch
 from repro.sim.multicore import core_threads
 from repro.sim.result import MAX_CYCLES, SimulationResult
@@ -205,13 +200,11 @@ _U32_MASK = 0xFFFFFFFF
 
 class _StaticTables(NamedTuple):
     """Launch-independent analysis of one compiled kernel, cached on it
-    (:func:`_static_tables`)."""
+    (:func:`_static_tables`); its adjacency and edge timing are the
+    kernel's :class:`~repro.graph.index.KernelIndex`."""
 
-    order: list
-    inputs: dict
-    successors: dict
-    edge_latency: dict
-    edge_hops: dict
+    #: The index's topological order over every edge.
+    order: tuple
     sink_nodes: list
     order_pos: dict
     #: The analyzer's prepass nodes (every load and its pure ancestors),
@@ -223,7 +216,6 @@ class _StaticTables(NamedTuple):
     wave_order: list
     scratch_level_ends: frozenset
     track_order: bool
-    push_offset: dict
     injector_base: dict
     #: The analyzer's verdict, ``"batched"`` or ``"window-batched"``.
     engine: str
@@ -663,40 +655,28 @@ def _static_tables(compiled: CompiledKernel) -> _StaticTables:
     construction.  Raises :class:`SimulationError` for a graph the
     batched engine cannot run.
     """
-    graph = compiled.graph
+    index = compiled.index
     analysis = analyze_kernel(compiled)
     if analysis.engine == "event":
         raise SimulationError(
-            f"'{graph.name}' cannot run on the batched engine: "
+            f"'{index.name}' cannot run on the batched engine: "
             f"{analysis['RA045'].data['problem']}; use engine='auto' to dispatch "
             "to a capable engine automatically"
         )
-    order = graph.topological_order(ignore_temporal=False)
-    inputs = {node.node_id: sorted(graph.inputs_of(node.node_id).items()) for node in order}
-    successor_map = graph.successor_map()
-    successors = {node.node_id: successor_map[node.node_id] for node in order}
-    edge_latency, edge_hops = edge_timing(compiled)
+    order = index.full_order
     order_pos = {node.node_id: i for i, node in enumerate(order)}
     prepass = analysis.prepass_nodes
-    load_keys = (
-        {}
-        if prepass is None
-        else _event_order_keys(compiled, order, inputs, successors, edge_latency)
-    )
+    load_keys = {} if prepass is None else _event_order_keys(index)
     # Only barriers and scratch nodes need the event engine's firing
     # order (and scratch levels); other graphs keep none of its tables.
     track_order = bool(
-        graph.nodes_with_opcode(Opcode.BARRIER, Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
+        index.nodes_with_opcode(Opcode.BARRIER, Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE)
     )
     wave_order, level_ends = (
-        _scratch_levels(graph, order, order_pos) if track_order else (order, frozenset())
+        _scratch_levels(index, order_pos) if track_order else (order, frozenset())
     )
     return _StaticTables(
         order=order,
-        inputs=inputs,
-        successors=successors,
-        edge_latency=edge_latency,
-        edge_hops=edge_hops,
         sink_nodes=[n.node_id for n in order if n.opcode in EFFECT_OPCODES],
         order_pos=order_pos,
         prepass_nodes=prepass,
@@ -706,36 +686,27 @@ def _static_tables(compiled: CompiledKernel) -> _StaticTables:
         wave_order=wave_order,
         scratch_level_ends=level_ends,
         track_order=track_order,
-        push_offset={
-            (src, dst, port): f
-            for src, succ in successors.items()
-            for f, (dst, port) in enumerate(succ)
-        }
-        if track_order
-        else {},
-        injector_base=_injector_bases(graph, successors) if track_order else {},
+        injector_base=_injector_bases(index) if track_order else {},
         engine=analysis.engine,
     )
 
 
-def _injector_bases(graph: DataflowGraph, successors: dict) -> dict[int, int]:
+def _injector_bases(index: KernelIndex) -> dict[int, int]:
     """Push-index base of each injected source's tokens.
 
     The injection event sends every injector's tokens in graph node
     order (``CycleSimulator._inject_thread``), one per fan-out edge.
     """
-    stride = 1 + max((len(s) for s in successors.values()), default=0)
+    stride = 1 + max((len(s) for s in index.successors.values()), default=0)
     injectors = [
         node.node_id
-        for node in graph.nodes
+        for node in index.nodes
         if node.opcode in SOURCE_OPCODES or node.opcode is Opcode.ELEVATOR
     ]
     return {nid: i * stride for i, nid in enumerate(injectors)}
 
 
-def _scratch_levels(
-    graph: DataflowGraph, order: list, order_pos: dict
-) -> tuple[list, frozenset]:
+def _scratch_levels(index: KernelIndex, order_pos: dict) -> tuple[list, frozenset]:
     """Wave evaluation order and the last scratch node of each level.
 
     A scratch node's level is one more than the deepest scratch node
@@ -744,7 +715,8 @@ def _scratch_levels(
     every level-``k`` scratch node before any consumer of one, so a
     level's accesses are all issued before its merged stream replays.
     """
-    level, depth = scratch_levels(graph, order)
+    order = index.full_order
+    level, depth = scratch_levels(index, order)
     wave_order = sorted(order, key=lambda n: (depth[n.node_id], order_pos[n.node_id]))
     last: dict[int, int] = {}
     for node in wave_order:
@@ -753,13 +725,7 @@ def _scratch_levels(
     return wave_order, frozenset(last.values())
 
 
-def _event_order_keys(
-    compiled: CompiledKernel,
-    order: list,
-    inputs: dict,
-    successors: dict,
-    edge_latency: dict,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _event_order_keys(index: KernelIndex) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per-load-node key vectors reproducing the event engine's order.
 
     The event engine classifies a load at the heap-processing moment
@@ -777,11 +743,12 @@ def _event_order_keys(
     these vectors (then node position, then thread position)
     reproduces the event engine's access order exactly.
     """
-    graph = compiled.graph
+    inputs, push_offset = index.inputs, index.push_offset
+    unit_latency, edge_latency = index.unit_latency, index.edge_latency
     arrival: dict[int, float] = {}
     chains: dict[int, list[tuple[float, bool]]] = {}
     keys: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for position, node in enumerate(order):
+    for position, node in enumerate(index.full_order):
         nid = node.node_id
         if node.opcode in SOURCE_OPCODES:
             arrival[nid] = 0.0
@@ -793,18 +760,9 @@ def _event_order_keys(
         best: "tuple[float, list[tuple[float, bool]], int] | None" = None
         arr = 0.0
         for port, src in node_inputs:
-            moment = (
-                arrival[src]
-                + unit_latency(compiled.config, graph.node(src))
-                + edge_latency[(src, nid)]
-            )
+            moment = arrival[src] + unit_latency[src] + edge_latency[(src, nid)]
             arr = max(arr, moment)
-            push_index = next(
-                i
-                for i, (dst, dst_port) in enumerate(successors[src])
-                if dst == nid and dst_port == port
-            )
-            candidate = (moment, chains[src], push_index)
+            candidate = (moment, chains[src], push_offset[(src, nid, port)])
             if best is None or candidate > best:
                 best = candidate
         chain = [(2.0 * arr, True)] + best[1] + [(float(best[2]), False)]
@@ -862,6 +820,7 @@ class BatchedSimulator:
             static = _static_tables(compiled)
             compiled.__dict__["_batched_static"] = static
         self._static = static
+        self._index = compiled.index
         self.compiled = compiled
         self.config: SystemConfig = compiled.config
         self.graph: DataflowGraph = compiled.graph
@@ -1014,14 +973,14 @@ class BatchedSimulator:
         makes no memory-model call.  Returns each memory node's access
         stream for the timing sweep (:meth:`_time`).
         """
-        static = self._static
+        inputs = self._index.inputs
         values: dict[int, np.ndarray] = {}
-        uses = {nid: len(succ) for nid, succ in static.successors.items()}
+        uses = {nid: len(succ) for nid, succ in self._index.successors.items()}
         streams: dict[int, _Stream] = {}
-        for node in static.wave_order:
+        for node in self._static.wave_order:
             nid = node.node_id
             op = node.opcode
-            operands = [values[src] for _, src in static.inputs[nid]]
+            operands = [values[src] for _, src in inputs[nid]]
             if op in SOURCE_OPCODES:
                 value = self._source_value(node)
             elif op in PURE_OPCODES:
@@ -1045,7 +1004,7 @@ class BatchedSimulator:
             else:
                 raise SimulationError(f"batched engine cannot execute {op.value}")
             values[nid] = value
-            _retire(nid, static.inputs[nid], values, uses)
+            _retire(nid, inputs[nid], values, uses)
         return streams
 
     def _source_value(self, node: Node) -> np.ndarray:
@@ -1111,7 +1070,7 @@ class BatchedSimulator:
         per pair and simulator.
         """
         nid = node.node_id
-        key = (map_key(node), self._static.inputs[nid][1][1])
+        key = (map_key(node), self._index.inputs[nid][1][1])
         ranking = self._rankings.get(key)
         if ranking is not None:
             return ranking
@@ -1139,7 +1098,7 @@ class BatchedSimulator:
         """
         static = self._static
         avail: dict[int, np.ndarray] = {}
-        uses = {nid: len(succ) for nid, succ in static.successors.items()}
+        uses = {nid: len(succ) for nid, succ in self._index.successors.items()}
         if static.track_order:
             self._fo = _FireOrder(static.order, self._threads.size, self._inject)
         prepass = static.prepass_nodes or frozenset()
@@ -1149,7 +1108,7 @@ class BatchedSimulator:
             nid = node.node_id
             if nid not in prepass:
                 self._time_node(node, streams, avail)
-                _retire(nid, static.inputs[nid], avail, uses)
+                _retire(nid, self._index.inputs[nid], avail, uses)
 
     def _time_wave_loads(
         self, streams: dict[int, _Stream], avail: dict[int, np.ndarray], uses: dict[int, int]
@@ -1173,7 +1132,7 @@ class BatchedSimulator:
                 loads.append((node, self._ready_issue(node, avail)[1]))
             else:
                 self._time_node(node, streams, avail)
-            _retire(nid, static.inputs[nid], avail, uses)
+            _retire(nid, self._index.inputs[nid], avail, uses)
 
         n = self._threads.size
         nids = [node.node_id for node, _ in loads]
@@ -1304,7 +1263,7 @@ class BatchedSimulator:
                 self._scratch_level = []
             return
         if op in PURE_OPCODES:
-            complete = issue + unit_latency(self.config, node)
+            complete = issue + self._index.unit_latency[nid]
         elif op in (Opcode.LOAD, Opcode.STORE, Opcode.ELDST):
             complete = self._time_global(node, streams[nid], issue, order)
         elif op is Opcode.ELEVATOR:
@@ -1326,10 +1285,10 @@ class BatchedSimulator:
         """Operand-ready cycles, issue cycles and (when the wave tracks the
         event order) the firings' processing order of one node."""
         nid = node.node_id
-        edge_latency = self._static.edge_latency
+        edge_latency = self._index.edge_latency
         arrivals = [
             (port, src, avail[src] + edge_latency[(src, nid)])
-            for port, src in self._static.inputs[nid]
+            for port, src in self._index.inputs[nid]
         ]
         ready = self._inject
         for _, _, arrival in arrivals:
@@ -1337,7 +1296,7 @@ class BatchedSimulator:
         fo = self._fo
         if fo is None:
             return ready, self._issue(ready), None
-        push_offset = self._static.push_offset
+        push_offset = self._index.push_offset
         order = fo.fire_node(
             nid,
             ready,
@@ -1384,7 +1343,7 @@ class BatchedSimulator:
         gather = np.where(valid, table.src_pos, 0)
         n = issue.size
         n_valid = table.forwards
-        latency = float(unit_latency(self.config, node))
+        latency = float(self._index.unit_latency[node.node_id])
         complete_valid = issue[gather] + latency
         if node.param("spilled"):
             # Producer writes the LVC, consumer reads it back.
@@ -1504,7 +1463,7 @@ class BatchedSimulator:
         in_group = np.empty(arrival.size, dtype=np.int64)
         in_group[by_arrival] = np.arange(arrival.size) - np.repeat(starts, counts)
         last = by_arrival[starts + counts - 1]
-        fanout = len(self._static.successors[node.node_id])
+        fanout = len(self._index.successors[node.node_id])
         fo.emit[node.node_id] = (
             np.full(arrival.size, row, dtype=np.int64),
             last[inverse],
@@ -1625,18 +1584,18 @@ class BatchedSimulator:
         """
         n = int(self._threads.size)
         stats = self.stats
-        static = self._static
-        for node in static.order:
+        index = self._index
+        for node in self._static.order:
             nid = node.node_id
-            succ = static.successors[nid]
+            succ = index.successors[nid]
             stats.tokens_sent += len(succ) * n
             for dst, _ in succ:
-                stats.noc_hops += static.edge_hops[(nid, dst)] * n
+                stats.noc_hops += index.edge_hops[(nid, dst)] * n
             if node.opcode in SOURCE_OPCODES:
                 continue
-            stats.token_buffer_inserts += len(static.inputs[nid]) * n
+            stats.token_buffer_inserts += len(index.inputs[nid]) * n
             stats.token_buffer_matches += n
-            counter = _OP_COUNTERS.get(node.unit_class)
+            counter = _OP_COUNTERS.get(index.unit_class[nid])
             if counter is not None:
                 stats.bump(counter, n)
             if node.opcode is Opcode.LOAD:

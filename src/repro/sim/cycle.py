@@ -59,9 +59,7 @@ from repro.sim.stats import ExecutionStats
 __all__ = [
     "CycleSimulator",
     "LVC_ACCESS_LATENCY",
-    "edge_timing",
     "trace_lanes",
-    "unit_latency",
 ]
 
 
@@ -71,49 +69,10 @@ _EV_FORWARD = 1
 _EV_INJECT = 2
 
 
-def edge_timing(
-    compiled: CompiledKernel,
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Per-edge ``(latency, hops)`` maps shared by both engines.
-
-    Token transfer latency is the NoC injection latency plus one
-    ``hop_latency`` per mapped hop, clamped to at least one cycle; the
-    hop count itself is what ``noc_hops`` accounting uses.  Keeping this
-    in one place is part of the engines' equivalence contract.
-    """
-    noc = compiled.config.noc
-    latency: dict[tuple[int, int], int] = {}
-    hops_of: dict[tuple[int, int], int] = {}
-    for edge in compiled.graph.edges():
-        hops = compiled.edge_hops(edge.src, edge.dst)
-        latency[(edge.src, edge.dst)] = max(1, noc.injection_latency + hops * noc.hop_latency)
-        hops_of[(edge.src, edge.dst)] = hops
-    return latency, hops_of
-
-
 #: Cycles of one Live Value Cache access.  The LVC parks live values that
 #: cannot stay in the fabric: spilled inter-thread transfers (Sec. 4.3)
 #: and values waiting at a barrier.  Both engines charge it per access.
 LVC_ACCESS_LATENCY = 6
-
-
-def unit_latency(config: SystemConfig, node: Node) -> int:
-    """Pipeline latency of the functional unit that hosts ``node``."""
-    lat = config.latency
-    table = {
-        UnitClass.ALU: lat.alu,
-        UnitClass.FPU: lat.fpu,
-        UnitClass.SPECIAL: lat.special,
-        UnitClass.CONTROL: lat.control,
-        UnitClass.SPLIT_JOIN: lat.split_join,
-        UnitClass.ELEVATOR: lat.elevator,
-        UnitClass.BARRIER: lat.control,
-        UnitClass.LDST: lat.ldst_issue,
-        UnitClass.ELDST: lat.ldst_issue,
-        UnitClass.SINK: 1,
-        UnitClass.SOURCE: 0,
-    }
-    return table[node.unit_class]
 
 
 #: The ``ExecutionStats`` field counting each functional-unit class's
@@ -145,7 +104,7 @@ def trace_lanes(tracer: Any, compiled: CompiledKernel, pid: int) -> dict[int, in
     placement = compiled.mapping.placement.node_to_unit
     tracer.set_process_name(pid, f"core {pid}")
     lanes: dict[int, int] = {}
-    for node in compiled.graph.nodes:
+    for node in compiled.index.nodes:
         lane = int(placement.get(node.node_id, node.node_id))
         lanes[node.node_id] = lane
         tracer.set_lane_name(pid, lane, f"PE {lane}")
@@ -274,14 +233,18 @@ class CycleSimulator:
             Opcode.BARRIER: cls._execute_barrier,
             Opcode.OUTPUT: cls._execute_output,
         }
+        index = self.compiled.index
         maps: dict[tuple, tuple[list[int], list[int]]] = {}
-        for node in self.graph.nodes:
+        for node in index.nodes:
             op = node.opcode
+            nid = node.node_id
+            inputs = index.inputs[nid]
             state = _NodeState(
                 node=node,
-                arity=self.graph.arity_of(node.node_id),
-                latency=unit_latency(self.config, node),
-                op_counter=_OP_COUNTERS.get(node.unit_class),
+                arity=len(inputs),
+                latency=index.unit_latency[nid],
+                ports=tuple(port for port, _ in inputs),
+                op_counter=_OP_COUNTERS.get(index.unit_class[nid]),
                 port_free_at=[0] * max(1, replicas),
             )
             if op in PURE_OPCODES:
@@ -301,7 +264,7 @@ class CycleSimulator:
                 if key not in maps:
                     maps[key] = _map_tables(node, self.geometry.block_dim)
                 state.sources, state.destinations = maps[key]
-            self._nodes[node.node_id] = state
+            self._nodes[nid] = state
             if op is Opcode.CONST:
                 self._injectors.append((state, coerce(node.param("value"), node.dtype)))
             elif op in _TID_OPCODES:
@@ -314,14 +277,13 @@ class CycleSimulator:
                     group = tid // int(window) if window else -1
                     state.barrier_expected[group] = state.barrier_expected.get(group, 0) + 1
             if op in EFFECT_OPCODES:
-                self._sink_nodes.append(node.node_id)
+                self._sink_nodes.append(nid)
             if op is Opcode.OUTPUT:
                 self.outputs.setdefault(
                     str(node.param("name")), [None] * self.num_threads
                 )
-        latency, hops = edge_timing(self.compiled)
-        ports: dict[int, list[int]] = {node_id: [] for node_id in self._nodes}
-        for src, successors in self.graph.successor_map().items():
+        latency, hops = index.edge_latency, index.edge_hops
+        for src, successors in index.successors.items():
             state = self._nodes[src]
             state.fanout = tuple(
                 (self._nodes[dst], port, latency[(src, dst)]) for dst, port in successors
@@ -329,10 +291,6 @@ class CycleSimulator:
             # One token traverses the mapped route exactly once; hops come
             # from the routed mapping, not from the clamped edge latency.
             state.fanout_hops = sum(hops[(src, dst)] for dst, _ in successors)
-            for dst, port in successors:
-                ports[dst].append(port)
-        for node_id, node_ports in ports.items():
-            self._nodes[node_id].ports = tuple(sorted(node_ports))
         self._sink_done = {tid: 0 for tid in self._threads}
 
     # ------------------------------------------------------------------ events

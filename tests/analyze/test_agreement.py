@@ -161,7 +161,7 @@ def test_static_verdicts_match_dynamic_dispatch(workload, variant, graph):
     graph = compiled.graph
     if not graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER):
         assert result.engine == "batched"
-    elif window_batch_problem(graph) is None:
+    elif window_batch_problem(compiled.index) is None:
         assert result.engine == "window-batched"
     else:
         assert result.engine == "event"

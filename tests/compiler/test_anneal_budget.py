@@ -22,8 +22,8 @@ from repro.config.system import CgraGridConfig
 from repro.workloads.registry import get_workload
 
 
-def _calls_during_refine(graph, iterations: int) -> int:
-    seed = GreedyPlacer(PhysicalGrid(CgraGridConfig())).place(graph)
+def _calls_during_refine(index, iterations: int) -> int:
+    seed = GreedyPlacer(PhysicalGrid(CgraGridConfig())).place(index)
     refiner = AnnealingRefiner(iterations=iterations)
     calls = 0
 
@@ -44,5 +44,5 @@ def _calls_during_refine(graph, iterations: int) -> int:
 def test_refine_makes_no_python_call_per_move():
     workload = get_workload("matrixMul")
     params = workload.params_with_defaults({"dim": 16})
-    graph = compile_kernel(workload.build_graph("mt", params)).graph
-    assert _calls_during_refine(graph, 1500) == _calls_during_refine(graph, 3000)
+    index = compile_kernel(workload.build_graph("mt", params)).index
+    assert _calls_during_refine(index, 1500) == _calls_during_refine(index, 3000)

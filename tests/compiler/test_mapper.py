@@ -11,6 +11,7 @@ from repro.compiler.mapper.placement import AnnealingRefiner, GreedyPlacer, Plac
 from repro.compiler.mapper.routing import route_placement
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import CgraGridConfig
+from repro.graph.index import KernelIndex
 from repro.graph.opcodes import UnitClass
 from repro.harness.figures import BENCHMARK_SUITE_PARAMS, DEFAULT_SUITE_PARAMS
 from repro.workloads.convolution import ConvolutionWorkload
@@ -24,7 +25,7 @@ def _graph():
 def test_greedy_placement_respects_unit_classes():
     graph = _graph()
     grid = PhysicalGrid(CgraGridConfig())
-    placement = GreedyPlacer(grid).place(graph)
+    placement = GreedyPlacer(grid).place(KernelIndex.of(graph))
     for node in graph.nodes:
         if node.unit_class is UnitClass.SOURCE:
             assert placement.unit_of(node.node_id) is None
@@ -38,7 +39,7 @@ def test_greedy_placement_respects_unit_classes():
 def test_annealing_does_not_increase_wire_length():
     graph = _graph()
     grid = PhysicalGrid(CgraGridConfig())
-    seed = GreedyPlacer(grid).place(graph)
+    seed = GreedyPlacer(grid).place(KernelIndex.of(graph))
     before = seed.wire_length()
     refined = AnnealingRefiner(iterations=800, seed=1).refine(seed)
     assert refined.wire_length() <= before * 1.25  # annealing may wander slightly
@@ -47,15 +48,15 @@ def test_annealing_does_not_increase_wire_length():
 def test_placement_is_deterministic_for_fixed_seed():
     graph = _graph()
     grid = PhysicalGrid(CgraGridConfig())
-    a = place_graph(graph, grid, anneal_iterations=300, seed=7)
-    b = place_graph(graph.copy(), grid, anneal_iterations=300, seed=7)
+    a = place_graph(KernelIndex.of(graph), grid, anneal_iterations=300, seed=7)
+    b = place_graph(KernelIndex.of(graph.copy()), grid, anneal_iterations=300, seed=7)
     assert a.node_to_unit == b.node_to_unit
 
 
 def test_routing_produces_hops_for_every_placed_edge():
     graph = _graph()
     grid = PhysicalGrid(CgraGridConfig())
-    placement = place_graph(graph, grid, anneal_iterations=200)
+    placement = place_graph(KernelIndex.of(graph), grid, anneal_iterations=200)
     mapping = route_placement(placement)
     assert len(mapping.edge_hops) == graph.num_edges()
     assert mapping.total_hops >= 0
@@ -82,7 +83,7 @@ def test_oversubscribed_graph_shares_units():
 
     graph = MatmulWorkload().build_mt({"dim": 16})
     grid = PhysicalGrid(CgraGridConfig())
-    placement = place_graph(graph, grid, anneal_iterations=100)
+    placement = place_graph(KernelIndex.of(graph), grid, anneal_iterations=100)
     assert placement.shared_units()  # at least one unit hosts several nodes
 
 
@@ -96,7 +97,7 @@ class _ReferenceRefiner(AnnealingRefiner):
     """
 
     def refine(self, placement: Placement) -> Placement:
-        graph = placement.graph
+        index = placement.index
         grid = placement.grid
         placed_nodes = list(placement.node_to_unit)
         if len(placed_nodes) < 2 or self.iterations == 0:
@@ -108,7 +109,7 @@ class _ReferenceRefiner(AnnealingRefiner):
         # Pre-compute, per node, the units it may occupy.
         allowed: dict[int, list[int]] = {}
         for node_id in placed_nodes:
-            node = graph.node(node_id)
+            node = index.by_id[node_id]
             allowed[node_id] = [
                 u.unit_id for u in grid.units_compatible_with(node.unit_class)
             ]
@@ -169,9 +170,8 @@ class _ReferenceRefiner(AnnealingRefiner):
         return after - before
 
     def _local_cost(self, placement: Placement, nodes: set[int]) -> int:
-        graph = placement.graph
         total = 0
-        for edge in graph.edges():
+        for edge in placement.index.edges:
             if edge.src not in nodes and edge.dst not in nodes:
                 continue
             src_unit = placement.node_to_unit.get(edge.src)
@@ -182,20 +182,20 @@ class _ReferenceRefiner(AnnealingRefiner):
         return total
 
 
-def _compiled_graph(workload, variant, params):
-    """The post-pass graph ``compile_kernel`` hands to the placer."""
+def _compiled_index(workload, variant, params):
+    """The post-pass index ``compile_kernel`` hands to the placer."""
     graph = workload.build_graph(variant, workload.params_with_defaults(params))
-    return compile_kernel(graph).graph
+    return compile_kernel(graph).index
 
 
-def _assert_same_placement(graph, seed, grid=None):
+def _assert_same_placement(index, seed, grid=None):
     grid = grid or PhysicalGrid(CgraGridConfig())
     iterations = inspect.signature(place_graph).parameters["anneal_iterations"].default
     fast = AnnealingRefiner(iterations=iterations, seed=seed).refine(
-        GreedyPlacer(grid).place(graph)
+        GreedyPlacer(grid).place(index)
     )
     reference = _ReferenceRefiner(iterations=iterations, seed=seed).refine(
-        GreedyPlacer(grid).place(graph)
+        GreedyPlacer(grid).place(index)
     )
     assert list(fast.node_to_unit.items()) == list(reference.node_to_unit.items())
     assert fast.wire_length() == reference.wire_length()
@@ -217,15 +217,14 @@ _SEEDS = (0xC6A4, 7)
     ],
 )
 def test_incremental_annealing_matches_reference(workload, variant, params, seed):
-    graph = _compiled_graph(get_workload(workload), variant, params)
-    _assert_same_placement(graph, seed)
+    _assert_same_placement(_compiled_index(get_workload(workload), variant, params), seed)
 
 
 def test_incremental_annealing_matches_reference_past_one_byte_distances():
     # 508 units in one column: distances reach 507, past the refiner's
     # one-byte distance rows.
     grid = PhysicalGrid(CgraGridConfig(rows=508, cols=1, num_alu=400))
-    _assert_same_placement(_graph(), 7, grid)
+    _assert_same_placement(KernelIndex.of(_graph()), 7, grid)
 
 
 @pytest.mark.slow
@@ -236,5 +235,5 @@ def test_incremental_annealing_matches_reference_past_one_byte_distances():
     ids=[f"{w.name}-{v}" for w, v in registry_kernels()],
 )
 def test_incremental_annealing_matches_reference_registry(workload, variant, seed):
-    graph = _compiled_graph(workload, variant, DEFAULT_SUITE_PARAMS.get(workload.name))
-    _assert_same_placement(graph, seed)
+    index = _compiled_index(workload, variant, DEFAULT_SUITE_PARAMS.get(workload.name))
+    _assert_same_placement(index, seed)

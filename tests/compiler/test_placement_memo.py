@@ -56,7 +56,7 @@ def _placement_input(compiled):
 
 def _searched(compiled):
     """The assignment a fresh search gives ``compiled``'s post-pass graph."""
-    fresh = place_graph(compiled.graph, PhysicalGrid(compiled.config.grid))
+    fresh = place_graph(compiled.index, PhysicalGrid(compiled.config.grid))
     return list(fresh.node_to_unit.items())
 
 

@@ -52,8 +52,8 @@ def _pin() -> dict:
 
 def _measure(workload, variant, size: str) -> dict:
     params = workload.params_with_defaults(SIZES[size].get(workload.name))
-    graph = compile_kernel(workload.build_graph(variant, params)).graph
-    placement = place_graph(graph, PhysicalGrid(CgraGridConfig()))
+    index = compile_kernel(workload.build_graph(variant, params)).index
+    placement = place_graph(index, PhysicalGrid(CgraGridConfig()))
     items = json.dumps(list(placement.node_to_unit.items()))
     return {
         "sha256": hashlib.sha256(items.encode()).hexdigest(),

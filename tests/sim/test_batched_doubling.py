@@ -91,7 +91,7 @@ def _ordered_cells():
         compiled = compile_kernel(launch.graph)
         if analyze_kernel(compiled).engine == "event":
             continue
-        if pure_load_ancestors(compiled.graph) is not None:
+        if pure_load_ancestors(compiled.index) is not None:
             cells.append(pytest.param(workload, variant, id=f"{workload.name}/{variant}"))
     return cells
 

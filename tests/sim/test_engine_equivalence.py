@@ -24,6 +24,7 @@ import pytest
 
 from repro.analyze import analyze_kernel
 from repro.compiler.pipeline import compile_kernel
+from repro.graph.index import KernelIndex
 from repro.graph.interthread import window_batch_problem
 from repro.graph.opcodes import Opcode
 from repro.sim import simulate
@@ -109,7 +110,7 @@ def _classify(graph) -> str:
     """The batched engine able to run ``graph``, or "event-only"."""
     if not graph.nodes_with_opcode(Opcode.ELEVATOR, Opcode.ELDST, Opcode.BARRIER):
         return "batched"
-    if window_batch_problem(graph) is None:
+    if window_batch_problem(KernelIndex.of(graph)) is None:
         return "window-batched"
     return "event-only"
 
