@@ -452,4 +452,6 @@ class KernelBuilder:
         if validate:
             validate_graph(self.graph)
         self._finished = True
+        # Tagged values point back at the builder; a closed builder needs none.
+        self._tagged.clear()
         return self.graph

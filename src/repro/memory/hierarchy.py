@@ -67,16 +67,18 @@ class MemoryHierarchy:
         self.dram = dram if dram is not None else DramModel(
             config.dram, line_bytes=config.l2.line_bytes
         )
-        self.l2 = SetAssociativeCache(config.l2, next_level_access=self.dram.access)
+        self.l2 = l2 = SetAssociativeCache(config.l2, next_level_access=self.dram.access)
 
         def l2_access(line_addr: int, is_write: bool, cycle: int) -> int:
             # Adapt the boolean next-level protocol to the cache's
             # AccessType one: an L1 writeback (or write-through) must reach
             # L2 as a *store* — passing the bool straight through silently
             # classified every L1 writeback as an L2 read, so L2 lines
-            # never turned dirty and DRAM never saw a write.
+            # never turned dirty and DRAM never saw a write.  The closure
+            # holds the L2, not the hierarchy, so the hierarchy is freed by
+            # reference count.
             access = AccessType.STORE if is_write else AccessType.LOAD
-            return self.l2.access(line_addr, access, cycle)
+            return l2.access(line_addr, access, cycle)
 
         l1_config = config.l1
         if l1_write_through:

@@ -407,6 +407,9 @@ class CycleSimulator:
             if state.pure is not None:
                 self.stats.tokens_sent += state.executions * len(state.fanout)
                 self.stats.noc_hops += state.executions * state.fanout_hops
+            # A recurrence makes the states' fan-out links a cycle; drop
+            # them so the finished run is freed by reference count.
+            state.fanout = ()
         self.stats.cycles = self._completion_cycle
         # Provenance: cached counter rows must be able to tell which engine
         # (and how many cores — overwritten by the multi-core merge) made them.
