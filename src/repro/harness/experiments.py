@@ -49,10 +49,12 @@ class RunResult:
     #: Static-analyzer findings for the compiled kernel (plain
     #: ``Diagnostic.to_dict`` form; empty for the Fermi baseline).
     diagnostics: list[dict[str, Any]] = field(default_factory=list)
-    #: Wall-clock seconds per pipeline phase (compile, simulate, analyze,
-    #: report, ...).  Kept apart from ``counters`` on purpose: counters
-    #: are bit-for-bit deterministic (and cached as such by the explore
-    #: layer); phase timings are host-dependent provenance.
+    #: Wall-clock seconds per pipeline phase (prepare, build, compile,
+    #: simulate, analyze, report, check).  ``build`` is the kernel graph
+    #: (or Fermi program) build and its validation.  Kept apart from
+    #: ``counters`` on purpose: counters are bit-for-bit deterministic
+    #: (and cached as such by the explore layer); phase timings are
+    #: host-dependent provenance.
     phases: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -151,7 +153,9 @@ def run_workload(
     phases["prepare"] = span.seconds
 
     if architecture == "fermi":
-        program = prepared.fermi_program()
+        with timer("build") as span:
+            program = prepared.fermi_program()
+        phases["build"] = span.seconds
         with timer("simulate") as span:
             result = run_fermi(program, prepared.fermi_inputs(program), config=config)
         phases["simulate"] = span.seconds
@@ -164,7 +168,9 @@ def run_workload(
         cycles = result.cycles
         diagnostics = []
     else:
-        launch = prepared.launch(architecture)
+        with timer("build") as span:
+            launch = prepared.launch(architecture)
+        phases["build"] = span.seconds
         with timer("compile") as span:
             compiled = compile_kernel(launch.graph, config)
         phases["compile"] = span.seconds

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
+import pytest
 
 from repro.compiler.pipeline import compile_kernel
 from repro.explore.analysis import render_campaign_report, timing_rows
@@ -12,6 +15,7 @@ from repro.kernel.builder import KernelBuilder
 from repro.obs.trace import HOST_PID, ChromeTracer, tracing
 from repro.sim import simulate
 from repro.sim.launch import KernelLaunch
+from repro.workloads.base import PreparedWorkload
 
 
 def _axpy_launch(n=64):
@@ -51,13 +55,28 @@ def test_multicore_trace_uses_one_process_per_core():
 
 def test_run_workload_records_phase_timers():
     result = run_workload("matrixMul", "dmt", params={"dim": 4})
-    assert {"prepare", "compile", "simulate", "analyze", "report"} <= set(result.phases)
+    assert {"prepare", "build", "compile", "simulate", "analyze", "report"} <= set(result.phases)
     assert all(seconds >= 0.0 for seconds in result.phases.values())
     record = result.to_record()
     assert record["phases"] == result.phases
     # Wall-clock provenance must stay out of the deterministic counters.
     assert not any(key.startswith("phase") for key in record["counters"])
     assert "simulate" not in record["counters"]
+
+
+@pytest.mark.parametrize(("variant", "method"), [("dmt", "launch"), ("fermi", "fermi_program")])
+def test_the_kernel_build_is_timed_as_its_own_phase(monkeypatch, variant, method):
+    """The graph (or Fermi program) build and its validation land in
+    ``phases["build"]``, not outside every phase."""
+    original = getattr(PreparedWorkload, method)
+
+    def slow_build(self, *args):
+        time.sleep(0.05)
+        return original(self, *args)
+
+    monkeypatch.setattr(PreparedWorkload, method, slow_build)
+    phases = run_workload("matrixMul", variant, params={"dim": 4}).phases
+    assert phases["build"] >= 0.05
 
 
 def _record(workload, variant, duration, sim_seconds):
