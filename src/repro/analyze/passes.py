@@ -197,11 +197,11 @@ def deadlock_diagnostics(index: KernelIndex, config: SystemConfig) -> list[Diagn
 def _scratch_reach(index: KernelIndex, bit: dict[int, int]) -> dict[int, int]:
     """Per node, the OR of ``bit`` over the nodes reachable in one or more edges.
 
-    ``bit`` maps each scratch node to its own bit.  Tarjan emits the
+    ``bit`` maps each scratch node to its own bit.  The index lists the
     strongly connected components in reverse topological order, so each
     component is closed after every component it reaches: its set is the
     union over its outgoing edges of the target's bit and set — plus its
-    own scratch bits when it holds a cycle.  Every edge is visited twice,
+    own scratch bits when it holds a cycle.  Every edge is visited once,
     whatever the number of scratch nodes.
     """
     successors = index.successors
@@ -211,7 +211,7 @@ def _scratch_reach(index: KernelIndex, bit: dict[int, int]) -> dict[int, int]:
         cyclic = len(component) > 1
         bits = 0
         for member in component:
-            for succ, _ in successors[member]:
+            for _, succ, _ in successors[member]:
                 if succ in members:
                     cyclic = True
                 else:
@@ -435,7 +435,7 @@ def pure_load_ancestors(index: KernelIndex) -> set[int] | None:
     prepass: set[int] = {access.node_id for access in accesses}
     visited: set[int] = set()
     for access in accesses:
-        stack = [src for _, src in inputs[access.node_id]]
+        stack = [edge.src for edge in inputs[access.node_id]]
         while stack:
             nid = stack.pop()
             if nid in visited:
@@ -444,7 +444,7 @@ def pure_load_ancestors(index: KernelIndex) -> set[int] | None:
             if opcode not in PURE_OPCODES and opcode not in SOURCE_OPCODES:
                 return None  # an access operand depends on a memory access
             visited.add(nid)
-            stack.extend(src for _, src in inputs[nid])
+            stack.extend(edge.src for edge in inputs[nid])
     return prepass | visited
 
 
@@ -556,7 +556,7 @@ def engine_diagnostics(index: KernelIndex, prepass: set[int] | None) -> list[Dia
 
 def _index_touches_memory(index: KernelIndex, load: Node) -> bool:
     inputs = index.inputs
-    stack = [src for _, src in inputs[load.node_id]]
+    stack = [edge.src for edge in inputs[load.node_id]]
     seen: set[int] = set()
     while stack:
         nid = stack.pop()
@@ -565,7 +565,7 @@ def _index_touches_memory(index: KernelIndex, load: Node) -> bool:
         seen.add(nid)
         if index.by_id[nid].opcode in MEMORY_OPCODES:
             return True
-        stack.extend(src for _, src in inputs[nid])
+        stack.extend(edge.src for edge in inputs[nid])
     return False
 
 
@@ -596,7 +596,7 @@ def critical_path_bound(compiled: "CompiledKernel") -> tuple[int, Diagnostic]:
         nid = node.node_id
         ready = 0
         if node.opcode is not Opcode.ELEVATOR:  # edges into elevators are temporal
-            for _, src in inputs[nid]:
+            for src, _, _ in inputs[nid]:
                 ready = max(ready, completion[src] + edge_latency[(src, nid)])
         # Hierarchy access latency is >= 1 cycle; its exact value varies.
         completion[nid] = ready + (1 if node.opcode in MEMORY_OPCODES else unit_latency[nid])

@@ -126,7 +126,7 @@ class GreedyPlacer:
                 # Every compatible unit is taken: share the least-loaded ones.
                 min_load = min(map(usage.__getitem__, units))
                 candidates = [u for u in units if usage[u] == min_load]
-            predecessors = {src for _, src in index.inputs[node.node_id]}
+            predecessors = {edge.src for edge in index.inputs[node.node_id]}
             placed = [node_to_unit[n] for n in predecessors if n in node_to_unit]
             target = candidates[0]
             if placed:

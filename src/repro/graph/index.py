@@ -10,11 +10,13 @@ toolchain (Sec. 5.1), which lowers a kernel to one static configuration
 that the fabric only reads.
 
 The index is built in two steps.  :meth:`KernelIndex.of` holds the
-structure: the nodes in insertion order, each node's unit class, its
-operands by port, its consumers as sorted ``(dst, port)`` pairs and the
-push offset of each, the edges in ``graph.edges()`` order (which the
-placement memo key and the annealer's node order depend on), both
-topological orders and the strongly connected components.
+structure: the nodes in insertion order, each node's unit class, the
+edges in ``graph.edges()`` order (which the placement memo key and the
+annealer's node order depend on), each node's operand edges by port and
+consumer edges sorted by ``(dst, port)`` with the push offset of each,
+both topological orders and the strongly connected components.  The
+per-node edge lists hold the same :class:`~repro.graph.node.Edge`
+objects as ``edges``.
 :meth:`KernelIndex.routed` adds what depends on the configuration and
 the routed mapping: each node's unit latency and each edge's hops and
 token latency.  Neither step changes an index in place.
@@ -23,6 +25,7 @@ token latency.  Neither step changes an index in place.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -37,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["KernelIndex"]
 
+#: An edge's ``(dst, port)``, the order of each node's ``successors``.
+_by_consumer = operator.itemgetter(1, 2)
+
 
 @dataclass(frozen=True, eq=False)
 class KernelIndex:
@@ -50,15 +56,15 @@ class KernelIndex:
     nodes: tuple[Node, ...]
     by_id: dict[int, Node]
     unit_class: dict[int, UnitClass]
-    #: ``(port, src)`` per operand of each node, by ascending port.
-    inputs: dict[int, tuple[tuple[int, int], ...]]
-    #: ``(dst, port)`` per consumer of each node, sorted.
-    successors: dict[int, tuple[tuple[int, int], ...]]
-    #: Position of ``(dst, port)`` in ``successors[src]``, keyed ``(src, dst, port)``:
-    #: the order a firing pushes its tokens in.
-    push_offset: dict[tuple[int, int, int], int]
     #: Every edge, in ``graph.edges()`` order.
     edges: tuple[Edge, ...]
+    #: The edges into each node, by ascending operand port.
+    inputs: dict[int, tuple[Edge, ...]]
+    #: The edges out of each node, sorted by ``(dst, port)``: the order a
+    #: firing pushes its tokens in.
+    successors: dict[int, tuple[Edge, ...]]
+    #: Each edge's position in its source's ``successors``.
+    push_offset: dict[Edge, int]
     #: Kahn's order without the temporal edges into ELEVATORs.
     order: tuple[Node, ...]
     #: Kahn's order over every edge; ``None`` when a recurrence makes a cycle.
@@ -79,21 +85,20 @@ class KernelIndex:
         nodes = tuple(graph.nodes)
         by_id = {node.node_id: node for node in nodes}
         edges = tuple(graph.edges())
-        inputs: dict[int, list[tuple[int, int]]] = {nid: [] for nid in by_id}
-        successors: dict[int, list[tuple[int, int]]] = {nid: [] for nid in by_id}
+        inputs: dict[int, list[Edge]] = {nid: [] for nid in by_id}
+        successors: dict[int, list[Edge]] = {nid: [] for nid in by_id}
         structural: list[Edge] = []
         for edge in edges:
-            src, dst, port = edge
             # ``edges()`` yields each node's operands together, by port.
-            inputs[dst].append((port, src))
-            successors[src].append((dst, port))
-            if by_id[dst].opcode is not Opcode.ELEVATOR:
+            inputs[edge.dst].append(edge)
+            successors[edge.src].append(edge)
+            if by_id[edge.dst].opcode is not Opcode.ELEVATOR:
                 structural.append(edge)
-        push_offset: dict[tuple[int, int, int], int] = {}
-        for src, succ in successors.items():
-            succ.sort()
-            for offset, (dst, port) in enumerate(succ):
-                push_offset[(src, dst, port)] = offset
+        push_offset: dict[Edge, int] = {}
+        for succ in successors.values():
+            succ.sort(key=_by_consumer)
+            for offset, edge in enumerate(succ):
+                push_offset[edge] = offset
         order = kahn_order(by_id, structural)
         if order is None:
             raise GraphError(
@@ -115,10 +120,10 @@ class KernelIndex:
             nodes=nodes,
             by_id=by_id,
             unit_class={nid: node.unit_class for nid, node in by_id.items()},
-            inputs={nid: tuple(ports) for nid, ports in inputs.items()},
+            edges=edges,
+            inputs={nid: tuple(ins) for nid, ins in inputs.items()},
             successors={nid: tuple(succ) for nid, succ in successors.items()},
             push_offset=push_offset,
-            edges=edges,
             order=tuple(by_id[nid] for nid in order),
             full_order=None if full_order is None else tuple(by_id[nid] for nid in full_order),
             components=components,

@@ -199,7 +199,7 @@ def scratch_levels(
     for node in order:
         nid = node.node_id
         above[nid] = max(
-            (max(above[src], levels.get(src, 0)) for _, src in inputs[nid]),
+            (max(above[src], levels.get(src, 0)) for src, _, _ in inputs[nid]),
             default=0,
         )
         if node.opcode in (Opcode.SCRATCH_LOAD, Opcode.SCRATCH_STORE):
@@ -246,7 +246,7 @@ def _scratch_level_problem(index: "KernelIndex", order: Sequence[Node]) -> Optio
     barriers: set[int] = set()
     for node in order:
         nid = node.node_id
-        srcs = [src for _, src in index.inputs[nid]]
+        srcs = [edge.src for edge in index.inputs[nid]]
         feeds[nid] = closes[nid] = 0
         for src in srcs:
             feeds[nid] |= feeds[src]

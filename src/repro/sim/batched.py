@@ -755,14 +755,15 @@ def _event_order_keys(index: KernelIndex) -> dict[int, tuple[np.ndarray, np.ndar
             chains[nid] = [(1.0, True), (float(position), False)]
             continue
         node_inputs = inputs[nid]
-        if not node_inputs or any(src not in chains for _, src in node_inputs):
+        if not node_inputs or any(edge.src not in chains for edge in node_inputs):
             continue  # downstream of a memory access: thread-varying
         best: "tuple[float, list[tuple[float, bool]], int] | None" = None
         arr = 0.0
-        for port, src in node_inputs:
+        for edge in node_inputs:
+            src = edge.src
             moment = arrival[src] + unit_latency[src] + edge_latency[(src, nid)]
             arr = max(arr, moment)
-            candidate = (moment, chains[src], push_offset[(src, nid, port)])
+            candidate = (moment, chains[src], push_offset[edge])
             if best is None or candidate > best:
                 best = candidate
         chain = [(2.0 * arr, True)] + best[1] + [(float(best[2]), False)]
@@ -776,9 +777,9 @@ def _event_order_keys(index: KernelIndex) -> dict[int, tuple[np.ndarray, np.ndar
     return keys
 
 
-def _retire(nid: int, inputs: list, live: dict[int, np.ndarray], uses: dict[int, int]) -> None:
+def _retire(nid: int, inputs: tuple, live: dict[int, np.ndarray], uses: dict[int, int]) -> None:
     """Drop the vectors in ``live`` that no node after ``nid`` reads."""
-    for _, src in inputs:
+    for src, _, _ in inputs:
         uses[src] -= 1
         if uses[src] == 0:
             del live[src]
@@ -980,7 +981,7 @@ class BatchedSimulator:
         for node in self._static.wave_order:
             nid = node.node_id
             op = node.opcode
-            operands = [values[src] for _, src in inputs[nid]]
+            operands = [values[edge.src] for edge in inputs[nid]]
             if op in SOURCE_OPCODES:
                 value = self._source_value(node)
             elif op in PURE_OPCODES:
@@ -1070,7 +1071,7 @@ class BatchedSimulator:
         per pair and simulator.
         """
         nid = node.node_id
-        key = (map_key(node), self._index.inputs[nid][1][1])
+        key = (map_key(node), self._index.inputs[nid][1].src)
         ranking = self._rankings.get(key)
         if ranking is not None:
             return ranking
@@ -1287,11 +1288,11 @@ class BatchedSimulator:
         nid = node.node_id
         edge_latency = self._index.edge_latency
         arrivals = [
-            (port, src, avail[src] + edge_latency[(src, nid)])
-            for port, src in self._index.inputs[nid]
+            (edge, avail[edge.src] + edge_latency[(edge.src, nid)])
+            for edge in self._index.inputs[nid]
         ]
         ready = self._inject
-        for _, _, arrival in arrivals:
+        for _, arrival in arrivals:
             ready = np.maximum(ready, arrival)
         fo = self._fo
         if fo is None:
@@ -1300,7 +1301,7 @@ class BatchedSimulator:
         order = fo.fire_node(
             nid,
             ready,
-            [(src, push_offset[(src, nid, port)], arr) for port, src, arr in arrivals],
+            [(edge.src, push_offset[edge], arr) for edge, arr in arrivals],
         )
         if node.opcode not in (Opcode.BARRIER, Opcode.ELEVATOR):
             fo.emit_inline(nid)
@@ -1589,7 +1590,7 @@ class BatchedSimulator:
             nid = node.node_id
             succ = index.successors[nid]
             stats.tokens_sent += len(succ) * n
-            for dst, _ in succ:
+            for _, dst, _ in succ:
                 stats.noc_hops += index.edge_hops[(nid, dst)] * n
             if node.opcode in SOURCE_OPCODES:
                 continue

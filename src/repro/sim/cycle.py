@@ -243,7 +243,7 @@ class CycleSimulator:
                 node=node,
                 arity=len(inputs),
                 latency=index.unit_latency[nid],
-                ports=tuple(port for port, _ in inputs),
+                ports=tuple(edge.dst_port for edge in inputs),
                 op_counter=_OP_COUNTERS.get(index.unit_class[nid]),
                 port_free_at=[0] * max(1, replicas),
             )
@@ -286,11 +286,11 @@ class CycleSimulator:
         for src, successors in index.successors.items():
             state = self._nodes[src]
             state.fanout = tuple(
-                (self._nodes[dst], port, latency[(src, dst)]) for dst, port in successors
+                (self._nodes[dst], port, latency[(src, dst)]) for _, dst, port in successors
             )
             # One token traverses the mapped route exactly once; hops come
             # from the routed mapping, not from the clamped edge latency.
-            state.fanout_hops = sum(hops[(src, dst)] for dst, _ in successors)
+            state.fanout_hops = sum(hops[(src, dst)] for _, dst, _ in successors)
         self._sink_done = {tid: 0 for tid in self._threads}
 
     # ------------------------------------------------------------------ events
