@@ -20,6 +20,7 @@ counted once, at its first entry.
 
 from __future__ import annotations
 
+import inspect
 import sys
 
 import pytest
@@ -52,7 +53,7 @@ def _walks_after_the_last_pass(workload: str, variant: str) -> tuple[dict[str, i
         elif event == "call" and counting and code in walkers:
             if any(seen is frame for seen in entered):
                 return
-            if code.co_flags & 0x20:  # CO_GENERATOR: later resumes are not calls
+            if code.co_flags & inspect.CO_GENERATOR:  # later resumes are not calls
                 entered.append(frame)
             calls[walkers[code]] += 1
 
