@@ -166,9 +166,6 @@ class KernelIndex:
         """The nodes with one of ``opcodes``, in insertion order."""
         return [node for node in self.nodes if node.opcode in opcodes]
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def _strongly_connected_components(
     nodes: list[int], successors: dict[int, list[int]]
