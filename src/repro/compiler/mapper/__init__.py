@@ -6,13 +6,12 @@ from repro.compiler.mapper.placement import (
     Placement,
     place_graph,
 )
-from repro.compiler.mapper.routing import RoutedMapping, route_placement
+from repro.compiler.mapper.routing import route_placement
 
 __all__ = [
     "AnnealingRefiner",
     "GreedyPlacer",
     "Placement",
-    "RoutedMapping",
     "place_graph",
     "route_placement",
 ]

@@ -3,9 +3,9 @@
 A pass transforms a :class:`~repro.graph.dfg.DataflowGraph` in place and
 reports what it did through a :class:`PassResult`.
 :func:`~repro.compiler.pipeline.compile_kernel` runs the five passes in
-order and re-validates the graph after each one that changed it, so a
-broken pass is caught at the point it breaks the graph, not three passes
-later.
+order and re-validates the graph after each one that changed its
+structure, so a broken pass is caught at the point it breaks the graph,
+not three passes later.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ class PassResult:
     """Outcome of one pass over one graph."""
 
     pass_name: str
+    #: The pass edited the structure validation checks (nodes, edges or
+    #: node params); a metadata-only pass leaves it False.
     changed: bool = False
     notes: list[str] = field(default_factory=list)
     metrics: dict[str, int] = field(default_factory=dict)

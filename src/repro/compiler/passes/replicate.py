@@ -53,10 +53,8 @@ class ReplicatePass(Pass):
     def run(self, graph: DataflowGraph, config: SystemConfig) -> PassResult:
         result = PassResult(self.name)
         replicas = max_replicas(graph, config)
-        previous = graph.metadata.get("replicas")
+        # Metadata only: the structure is unchanged, so ``changed`` stays False.
         graph.metadata["replicas"] = replicas
-        if previous != replicas:
-            result.changed = True
         result.metrics["replicas"] = replicas
         demand = sorted(graph.unit_demand().items(), key=lambda x: x[0].value)
         demand_text = ", ".join(f"{k.value}: {v}" for k, v in demand)

@@ -20,21 +20,21 @@ from repro.compiler.mapper.placement import (
     Placement,
     place_graph,
 )
-from repro.compiler.mapper.routing import RoutedMapping, route_placement
+from repro.compiler.mapper.routing import route_placement
 from repro.compiler.passes.base import PassResult
 from repro.compiler.passes.cascade import CascadeElevatorsPass
 from repro.compiler.passes.constant_fold import ConstantFoldPass
 from repro.compiler.passes.dce import DeadCodeEliminationPass
 from repro.compiler.passes.eldst_buffer import EldstBufferPass
 from repro.compiler.passes.replicate import ReplicatePass
-from repro.config.system import SystemConfig, default_system_config
+from repro.config.system import CgraGridConfig, SystemConfig, default_system_config
 from repro.errors import CompilationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.index import KernelIndex
 from repro.graph.opcodes import Opcode
 from repro.graph.validate import validate_graph
 
-__all__ = ["CompiledKernel", "compile_kernel", "placement_memo"]
+__all__ = ["CompiledKernel", "compile_kernel", "grid_layout", "placement_memo"]
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,14 @@ class CompiledKernel:
 
     ``index`` is the one adjacency source after compile: the routed
     :class:`~repro.graph.index.KernelIndex` of ``graph``, built once when
-    the last pass has run.
+    the last pass has run.  Its ``edge_hops`` is the one hop table;
+    ``placement`` assigns each node its physical unit.
     """
 
     graph: DataflowGraph
     config: SystemConfig
     pass_results: tuple[PassResult, ...]
-    mapping: RoutedMapping
+    placement: Placement
     index: KernelIndex
 
     # ------------------------------------------------------------------ queries
@@ -70,30 +71,32 @@ class CompiledKernel:
         return tuple(self.graph.metadata["block_dim"])
 
     def elevator_nodes(self) -> list:
-        return self.graph.nodes_with_opcode(Opcode.ELEVATOR)
+        return self.index.nodes_with_opcode(Opcode.ELEVATOR)
 
     def eldst_nodes(self) -> list:
-        return self.graph.nodes_with_opcode(Opcode.ELDST)
+        return self.index.nodes_with_opcode(Opcode.ELDST)
 
     def uses_barriers(self) -> bool:
-        return bool(self.graph.nodes_with_opcode(Opcode.BARRIER))
+        return bool(self.index.nodes_with_opcode(Opcode.BARRIER))
 
     def spilled_nodes(self) -> list:
-        return [n for n in self.graph.nodes if n.param("spilled")]
-
-    def edge_hops(self, src: int, dst: int) -> int:
-        return self.mapping.hops_between_nodes(src, dst)
+        return [n for n in self.index.nodes if n.param("spilled")]
 
     def report(self) -> str:
+        index = self.index
+        hops = index.edge_hops
+        total_hops = sum(hops[(src, dst)] for src, dst, _ in index.edges)
+        mean_hops = total_hops / len(index.edges) if index.edges else 0.0
         lines = [f"compiled kernel '{self.name}'"]
-        lines.append(f"  nodes               : {len(self.graph)}")
-        lines.append(f"  edges               : {self.graph.num_edges()}")
+        lines.append(f"  nodes               : {len(index.nodes)}")
+        lines.append(f"  edges               : {len(index.edges)}")
         lines.append(f"  threads             : {self.num_threads} (block {self.block_dim})")
         lines.append(f"  replicas            : {self.replicas}")
         lines.append(f"  elevator nodes      : {len(self.elevator_nodes())}")
         lines.append(f"  eLDST nodes         : {len(self.eldst_nodes())}")
         lines.append(f"  spilled transfers   : {len(self.spilled_nodes())}")
-        lines.append(f"  mapping             : {self.mapping.summary()}")
+        lines.append(f"  routed hops         : {total_hops} (mean {mean_hops:.2f} per edge)")
+        lines.append(f"  shared units        : {len(self.placement.shared_units())}")
         for result in self.pass_results:
             if result.metrics:
                 metrics = ", ".join(f"{k}={v}" for k, v in sorted(result.metrics.items()))
@@ -125,6 +128,16 @@ class _PlacementInput:
         return cls((grid.config, ANNEAL_ITERATIONS, ANNEAL_SEED, nodes, edges), index, grid)
 
 
+@functools.lru_cache(maxsize=16)
+def grid_layout(config: CgraGridConfig) -> PhysicalGrid:
+    """The one :class:`PhysicalGrid` laid out per grid config.
+
+    A grid is read-only once built, so every compile on ``config`` shares
+    it; ``cache_clear()`` makes the next compile lay it out again.
+    """
+    return PhysicalGrid(config)
+
+
 @functools.lru_cache(maxsize=64)
 def placement_memo(request: _PlacementInput) -> tuple[tuple[int, int], ...]:
     """The ``node_to_unit`` items :func:`place_graph` gives ``request``.
@@ -141,12 +154,13 @@ def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> 
     """Compile a kernel graph for the configured dMT-CGRA system.
 
     Validates the graph, runs the five passes (re-validating after each
-    one that changed the graph), indexes the result once
-    (:class:`~repro.graph.index.KernelIndex`), places and routes it on one
-    grid layout, and analyzes it once; each error-severity finding becomes a
-    :class:`UserWarning`.  The input graph is not modified; compilation
-    operates on a copy.  The placement search runs once per placement
-    input (:data:`placement_memo`); a repeat reuses its assignment.
+    one that changed its structure), indexes the result once
+    (:class:`~repro.graph.index.KernelIndex`), places and routes it on the
+    config's grid layout (:func:`grid_layout`), and analyzes it once; each
+    error-severity finding becomes a :class:`UserWarning`.  The input
+    graph is not modified; compilation operates on a copy.  The placement
+    search runs once per placement input (:data:`placement_memo`); a
+    repeat reuses its assignment.
     """
     config = config or default_system_config()
     working = graph.copy()
@@ -173,15 +187,14 @@ def compile_kernel(graph: DataflowGraph, config: SystemConfig | None = None) -> 
             validate_graph(working)
 
     index = KernelIndex.of(working)
-    grid = PhysicalGrid(config.grid)
+    grid = grid_layout(config.grid)
     placement = Placement(index, grid, dict(placement_memo(_PlacementInput.of(index, grid))))
-    mapping = route_placement(placement)
     compiled = CompiledKernel(
         graph=working,
         config=config,
         pass_results=tuple(results),
-        mapping=mapping,
-        index=index.routed(config, mapping),
+        placement=placement,
+        index=index.routed(config, route_placement(placement)),
     )
 
     # Looked up per call, so a wrapper patched onto

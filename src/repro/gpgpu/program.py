@@ -157,11 +157,6 @@ class SimtProgramBuilder:
         self.emit(Instruction(Op.NEG, dst=dst, srcs=(a,)))
         return dst
 
-    def absolute(self, a: Operand, dst: Reg | None = None) -> Reg:
-        dst = dst or self.reg()
-        self.emit(Instruction(Op.ABS, dst=dst, srcs=(a,)))
-        return dst
-
     def minimum(self, a: Operand, b: Operand, dst: Reg | None = None) -> Reg:
         return self._binary(Op.MIN, a, b, dst)
 

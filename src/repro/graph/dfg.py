@@ -153,9 +153,6 @@ class DataflowGraph:
         """Return ``{operand_port: src_node_id}`` for ``node_id``."""
         return dict(self._inputs.get(node_id, {}))
 
-    def arity_of(self, node_id: int) -> int:
-        return len(self._inputs.get(node_id, {}))
-
     def successors(self, node_id: int) -> list[tuple[int, int]]:
         """Return ``[(dst_node_id, dst_port), ...]`` fed by ``node_id``."""
         out: list[tuple[int, int]] = []
@@ -177,36 +174,6 @@ class DataflowGraph:
     def nodes_with_opcode(self, *opcodes: Opcode) -> list[Node]:
         wanted = set(opcodes)
         return [n for n in self._nodes.values() if n.opcode in wanted]
-
-    # ------------------------------------------------------------- structure
-    def structural_edges(self) -> Iterator[Edge]:
-        """Edges excluding temporal edges (inputs of ELEVATOR/ELDST value port).
-
-        For an ``ELEVATOR`` node the single input edge is temporal.  For an
-        ``ELDST`` node only the implicit loop through its own token buffer
-        is temporal; its explicit operand edges (address, predicate,
-        ordering) are ordinary intra-thread edges.
-        """
-        for edge in self.edges():
-            dst = self._nodes[edge.dst]
-            if dst.opcode is Opcode.ELEVATOR:
-                continue
-            yield edge
-
-    def topological_order(self, ignore_temporal: bool = True) -> list[Node]:
-        """Kahn topological sort (:func:`kahn_order`).
-
-        With ``ignore_temporal`` (the default) temporal edges are excluded,
-        which makes graphs containing inter-thread recurrences sortable.
-        Raises :class:`GraphError` if a non-temporal cycle exists.
-        """
-        edges = self.structural_edges() if ignore_temporal else self.edges()
-        order = kahn_order(self._nodes, edges)
-        if order is None:
-            raise GraphError(
-                f"graph '{self.name}' contains a cycle through non-temporal edges"
-            )
-        return [self._nodes[nid] for nid in order]
 
     def copy(self, name: str | None = None) -> "DataflowGraph":
         """Return a deep structural copy of the graph."""

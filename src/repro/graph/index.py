@@ -18,8 +18,9 @@ both topological orders and the strongly connected components.  The
 per-node edge lists hold the same :class:`~repro.graph.node.Edge`
 objects as ``edges``.
 :meth:`KernelIndex.routed` adds what depends on the configuration and
-the routed mapping: each node's unit latency and each edge's hops and
-token latency.  Neither step changes an index in place.
+the routing: each node's unit latency and each edge's hops and token
+latency.  Its ``edge_hops`` is the compiled kernel's one hop table.
+Neither step changes an index in place.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.graph.node import Edge, Node
 from repro.graph.opcodes import Opcode, UnitClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compiler.mapper.routing import RoutedMapping
     from repro.config.system import SystemConfig
 
 __all__ = ["KernelIndex"]
@@ -81,7 +81,8 @@ class KernelIndex:
     @classmethod
     def of(cls, graph: DataflowGraph) -> "KernelIndex":
         """Index ``graph``'s structure; raises :class:`GraphError` on a
-        cycle through non-temporal edges, as ``topological_order`` does."""
+        cycle through non-temporal edges (the edges into ELEVATORs are the
+        temporal ones)."""
         nodes = tuple(graph.nodes)
         by_id = {node.node_id: node for node in nodes}
         edges = tuple(graph.edges())
@@ -129,9 +130,10 @@ class KernelIndex:
             components=components,
         )
 
-    def routed(self, config: "SystemConfig", mapping: "RoutedMapping") -> "KernelIndex":
+    def routed(self, config: "SystemConfig", hops: dict[tuple[int, int], int]) -> "KernelIndex":
         """This index with the unit latencies of ``config`` and the edge
-        timing of ``mapping``.
+        timing of ``hops``, the routed hop count of each ``(src, dst)`` pair
+        (:func:`~repro.compiler.mapper.routing.route_placement`).
 
         A token's transfer latency is the NoC injection latency plus one
         ``hop_latency`` per routed hop, at least one cycle; the hop count
@@ -154,7 +156,6 @@ class KernelIndex:
             UnitClass.SOURCE: 0,
         }
         base, per_hop = config.noc.injection_latency, config.noc.hop_latency
-        hops = mapping.pair_hops
         return dataclasses.replace(
             self,
             unit_latency={nid: by_class[c] for nid, c in self.unit_class.items()},

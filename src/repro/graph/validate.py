@@ -1,7 +1,7 @@
 """Structural validation of kernel dataflow graphs.
 
 ``compile_kernel`` runs validation on its input and after every pass
-that changed the graph; it rejects
+that changed the graph's structure; it rejects
 graphs that cannot be configured onto the CGRA: missing operands,
 non-temporal cycles, malformed elevator/eLDST parameters, sinks driving
 consumers and similar structural mistakes.

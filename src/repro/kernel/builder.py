@@ -436,7 +436,7 @@ class KernelBuilder:
         return self._value(node)
 
     # ----------------------------------------------------------------- finish
-    def finish(self, validate: bool = True) -> DataflowGraph:
+    def finish(self) -> DataflowGraph:
         """Finalise and validate the kernel graph."""
         self._check_open()
         if self._pending_elevators:
@@ -449,8 +449,7 @@ class KernelBuilder:
         self.graph.metadata["num_threads"] = self.geometry.num_threads
         self.graph.metadata["arrays"] = {spec.name: spec for spec in self.arrays}
         self.graph.metadata["kernel_name"] = self.name
-        if validate:
-            validate_graph(self.graph)
+        validate_graph(self.graph)
         self._finished = True
         # Tagged values point back at the builder; a closed builder needs none.
         self._tagged.clear()

@@ -117,7 +117,7 @@ def cgra_energy(
         + counters.get("eldst_forwards", 0) * table.eldst_bypass,
     )
     breakdown.add("lvc", counters.get("lvc_accesses", 0) * table.lvc_access)
-    configured_units = len(compiled.mapping.placement.node_to_unit)
+    configured_units = len(compiled.placement.node_to_unit)
     breakdown.add("configuration", configured_units * table.configuration_per_unit)
     _memory_energy(counters, table, breakdown)
     breakdown.add(

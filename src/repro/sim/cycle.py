@@ -101,7 +101,7 @@ def _map_tables(node: Node, block_dim: Sequence[int]) -> tuple[list[int], list[i
 def trace_lanes(tracer: Any, compiled: CompiledKernel, pid: int) -> dict[int, int]:
     """Name core ``pid``'s trace process and one lane per node, after the
     physical PE hosting it; returns each node's lane."""
-    placement = compiled.mapping.placement.node_to_unit
+    placement = compiled.placement.node_to_unit
     tracer.set_process_name(pid, f"core {pid}")
     lanes: dict[int, int] = {}
     for node in compiled.index.nodes:
@@ -289,7 +289,7 @@ class CycleSimulator:
                 (self._nodes[dst], port, latency[(src, dst)]) for _, dst, port in successors
             )
             # One token traverses the mapped route exactly once; hops come
-            # from the routed mapping, not from the clamped edge latency.
+            # from the hop table, not from the clamped edge latency.
             state.fanout_hops = sum(hops[(src, dst)] for _, dst, _ in successors)
         self._sink_done = {tid: 0 for tid in self._threads}
 

@@ -4,15 +4,16 @@
 when the last pass has run, and placement, routing, the analyzer and
 both engines read their adjacency from it.  So from the end of the
 last pass to the end of ``simulate`` the mutable graph is walked only by
-the checks that run on the graph itself (``validate_graph`` after a pass
-that changed it) and by the index build.  ``sys.setprofile`` counts the
-calls into the graph's adjacency walkers over that span.  Validation's
-operand check reads ``inputs_of`` once per node and the index build
-reads ``edges()`` once, which fits ``len(graph) + 4`` with a margin of
-three whole-graph walks.  A consumer that goes back to the graph per
-node, or a second index build, exceeds it at once: before the index
-existed, matrixMul ``mt`` made 682 such calls on its 95-node graph,
-matrixMul ``dmt`` 471 on 91 and scan ``dmt`` 28 on 5.
+the index build.  ``sys.setprofile`` counts the calls into the graph's
+adjacency walkers over that span.  The last pass, replicate, writes
+only metadata, so no structure check runs in the window: each of the
+three kernels reads ``edges()`` once and nothing else.  The bound,
+``len(graph) + 4``, still leaves room for one validation (its operand
+check reads ``inputs_of`` once per node), as when replicate counted as a
+change and matrixMul ``mt`` read 96 calls.  A consumer that goes back to
+the graph per node, or a second index build, exceeds it at once: before
+the index existed, matrixMul ``mt`` made 682 such calls on its 95-node
+graph, matrixMul ``dmt`` 471 on 91 and scan ``dmt`` 28 on 5.
 
 A generator's resumes are ``call`` events too; each generator frame is
 counted once, at its first entry.
@@ -33,7 +34,7 @@ from repro.sim import simulate
 from repro.workloads.registry import get_workload
 
 #: The graph's whole-graph and per-node adjacency walkers.
-WALKERS = ("topological_order", "edges", "successors", "inputs_of")
+WALKERS = ("edges", "successors", "inputs_of")
 
 
 def _walks_after_the_last_pass(workload: str, variant: str) -> tuple[dict[str, int], int]:

@@ -4,7 +4,7 @@ import sys
 
 from repro.analyze import analyze_kernel, structure_diagnostics
 from repro.arch.grid import PhysicalGrid
-from repro.compiler.pipeline import compile_kernel
+from repro.compiler.pipeline import compile_kernel, grid_layout
 from repro.config.system import config_digest, default_system_config
 from repro.workloads.matmul import MatmulWorkload
 from repro.workloads.scan import ScanWorkload
@@ -70,11 +70,16 @@ def test_one_compile_lays_out_one_grid_and_checks_structure_once_per_change(monk
 
     monkeypatch.setattr(PhysicalGrid, "__init__", counting_init)
     _patch_everywhere(monkeypatch, structure_diagnostics, counting_structure)
+    grid_layout.cache_clear()
     compiled = compile_kernel(graph)
 
     assert len(layouts) == 1
     changed = sum(result.changed for result in compiled.pass_results)
     assert len(structure_runs) == 1 + changed
+
+    # The layout is shared: a second compile on the same grid lays out none.
+    assert compile_kernel(graph).placement.grid is compiled.placement.grid
+    assert len(layouts) == 1
 
     first = analyze_kernel(compiled)
 

@@ -38,10 +38,10 @@ def _compile(graph, config=DEFAULT):
         return compile_kernel(graph, config)
 
 
-def _mapping(compiled):
+def _configuration(compiled):
     return (
-        list(compiled.mapping.placement.node_to_unit.items()),
-        list(compiled.mapping.edge_hops.items()),
+        list(compiled.placement.node_to_unit.items()),
+        list(compiled.index.edge_hops.items()),
     )
 
 
@@ -76,10 +76,10 @@ def test_memo_hit_is_byte_identical_to_a_fresh_search(workload, variant):
 
     # A hit exactly when the placer's input is unchanged.
     assert hit == (_placement_input(default) == _placement_input(swept))
-    assert _mapping(swept) == _mapping(fresh)
+    assert _configuration(swept) == _configuration(fresh)
     if hit:
-        assert _mapping(default) == _mapping(swept)
-    assert list(fresh.mapping.placement.node_to_unit.items()) == _searched(fresh)
+        assert _configuration(default) == _configuration(swept)
+    assert list(fresh.placement.node_to_unit.items()) == _searched(fresh)
 
 
 def _matmul():
@@ -136,7 +136,7 @@ def test_a_changed_placement_input_searches_again(change):
 
     assert _placement_input(changed) != _placement_input(base)
     assert placement_memo.cache_info().misses == 2
-    assert list(changed.mapping.placement.node_to_unit.items()) == _searched(changed)
+    assert list(changed.placement.node_to_unit.items()) == _searched(changed)
 
 
 def test_edge_order_change_keeps_nodes_and_edge_set():
@@ -176,8 +176,8 @@ def test_concurrent_compiles_share_one_search_result():
     assert not any(worker.is_alive() for worker in workers)
 
     assert len(compiled) == threads
-    assert all(_mapping(kernel) == _mapping(compiled[0]) for kernel in compiled)
-    assert list(compiled[0].mapping.placement.node_to_unit.items()) == _searched(compiled[0])
+    assert all(_configuration(kernel) == _configuration(compiled[0]) for kernel in compiled)
+    assert list(compiled[0].placement.node_to_unit.items()) == _searched(compiled[0])
     info = placement_memo.cache_info()
     assert info.hits + info.misses == threads
     assert info.currsize == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph.dfg import DataflowGraph
+from repro.graph.index import KernelIndex
 from repro.graph.opcodes import DType, Opcode, UnitClass
 
 
@@ -29,7 +30,7 @@ def test_edges_and_inputs():
     g = _small_graph()
     add = g.nodes_with_opcode(Opcode.ADD)[0]
     assert sorted(g.inputs_of(add.node_id)) == [0, 1]
-    assert g.arity_of(add.node_id) == 2
+    assert len(g.inputs_of(add.node_id)) == 2
     assert g.num_edges() == 3
 
 
@@ -84,7 +85,7 @@ def test_remove_node_drops_edges():
     g.remove_node(add.node_id)
     assert add.node_id not in g
     out = g.nodes_with_opcode(Opcode.OUTPUT)[0]
-    assert g.arity_of(out.node_id) == 0
+    assert g.inputs_of(out.node_id) == {}
 
 
 def test_replace_input():
@@ -107,7 +108,7 @@ def test_successors_and_predecessors():
 
 def test_topological_order_is_consistent():
     g = _small_graph()
-    order = [n.node_id for n in g.topological_order()]
+    order = [n.node_id for n in KernelIndex.of(g).order]
     add = g.nodes_with_opcode(Opcode.ADD)[0]
     out = g.nodes_with_opcode(Opcode.OUTPUT)[0]
     assert order.index(add.node_id) < order.index(out.node_id)
@@ -120,7 +121,7 @@ def test_cycle_detection_in_topological_order():
     g.add_edge(a, b, 0)
     g.add_edge(b, a, 0)
     with pytest.raises(GraphError):
-        g.topological_order()
+        KernelIndex.of(g)
 
 
 def test_temporal_edges_excluded_from_cycles():
@@ -131,8 +132,12 @@ def test_temporal_edges_excluded_from_cycles():
     g.add_edge(elev, add, 0)
     g.add_edge(c, add, 1)
     g.add_edge(add, elev, 0)  # the recurrence (prefix sum shape)
-    order = g.topological_order(ignore_temporal=True)
-    assert len(order) == 3
+    index = KernelIndex.of(g)
+    assert len(index.order) == 3
+    # Over every edge the recurrence is a cycle through ELEVATOR and ADD.
+    assert index.full_order is None
+    components = sorted(sorted(component) for component in index.components)
+    assert components == [[elev.node_id, add.node_id], [c.node_id]]
 
 
 def test_copy_is_independent():

@@ -80,7 +80,7 @@ def test_tag_value_connects_pending_elevators():
     b.store("out", tid, total)
     graph = b.finish()
     elevator = graph.nodes_with_opcode(Opcode.ELEVATOR)[0]
-    assert graph.arity_of(elevator.node_id) == 1
+    assert list(graph.inputs_of(elevator.node_id)) == [0]
 
 
 def test_duplicate_tag_rejected():

@@ -65,7 +65,7 @@ def test_fermi_energy_is_dominated_by_front_end_for_compute_kernels():
 
 def test_cgra_energy_charges_configuration_for_the_placed_units_only(scan_dmt):
     compiled = scan_dmt[1]
-    placed = len(compiled.mapping.placement.node_to_unit)
+    placed = len(compiled.placement.node_to_unit)
     assert placed < compiled.config.grid.total_units
     configuration = cgra_energy({}, compiled).components["configuration"]
     assert configuration == placed * default_energy_table().configuration_per_unit

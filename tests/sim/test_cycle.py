@@ -110,9 +110,8 @@ def test_noc_hops_match_mapped_route_lengths():
     compiled = compile_kernel(graph)
     launch = KernelLaunch(graph, {"in_data": np.arange(float(n))})
     result = simulate(compiled, launch, engine="event")
-    expected_hops_per_thread = sum(
-        compiled.edge_hops(edge.src, edge.dst) for edge in compiled.graph.edges()
-    )
+    hops = compiled.index.edge_hops
+    expected_hops_per_thread = sum(hops[(edge.src, edge.dst)] for edge in compiled.index.edges)
     assert result.stats.noc_hops == n * expected_hops_per_thread
 
 
@@ -139,9 +138,8 @@ def test_noc_hops_independent_of_latency_parameters():
         compiled = compile_kernel(graph, config)
         launch = KernelLaunch(graph, {"in_data": np.arange(float(n))})
         result = simulate(compiled, launch, engine="event")
-        expected = n * sum(
-            compiled.edge_hops(e.src, e.dst) for e in compiled.graph.edges()
-        )
+        hops = compiled.index.edge_hops
+        expected = n * sum(hops[(e.src, e.dst)] for e in compiled.index.edges)
         assert result.stats.noc_hops == expected
         results.append(result.stats.noc_hops)
     # Same seed, same placement: identical hop counts across NoC timings.

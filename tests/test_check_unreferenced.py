@@ -55,6 +55,30 @@ def test_dead_public_method_is_caught(tmp_path):
     assert _dead(root) == ["Widget.never_called_helper"]
 
 
+def test_docstring_and_comment_mentions_are_not_uses(tmp_path):
+    root = _tree(
+        tmp_path,
+        "class Widget:\n"
+        "    def spin(self):\n"
+        "        return 1\n\n"
+        "    def described(self):\n"
+        "        return 2\n\n"
+        "    def wrapped(self):\n"
+        "        return 3\n\n"
+        "    def documented(self):\n"
+        "        return 4\n",
+        '"""Widget.described is named in this docstring only."""\n\n'
+        "from repro.widgets import Widget  # and described in a comment\n\n\n"
+        "def test_spin():\n"
+        '    """Not described() either."""\n'
+        "    assert Widget().spin()\n"
+        '    assert getattr(Widget(), "wrapped")()  # a string literal is a use\n',
+    )
+    (root / "docs").mkdir()
+    (root / "docs" / "widgets.md").write_text("Call `Widget.documented()`.\n", encoding="utf-8")
+    assert _dead(root) == ["Widget.described"]
+
+
 def test_allowlisted_member_passes(tmp_path):
     owner, member = sorted(_checker().ALLOWLIST)[0].split(".")
     root = _tree(

@@ -6,12 +6,13 @@ public definitions: module-level functions and classes, and the methods,
 properties and nested classes of every class (names without a leading
 underscore).  A definition passes when its name occurs as an identifier
 anywhere in the scanned tree *outside its own definition* — a call, an
-attribute access, an import, a string key, a docs mention.  Two kinds of
-mention only list a name and do not count: an entry of an ``__all__``
-list, and a ``from ... import`` in a ``src/repro`` package
-``__init__.py`` (a re-export).  A name that occurs nowhere else is API
-that no code path, test, benchmark, example or document reaches, and
-fails the lint.
+attribute access, an import, a string literal (a profiler names the
+functions it wraps by string), a mention in a ``.md`` document.  Some
+mentions only describe or list a name and do not count: a docstring or
+a comment in a ``.py`` file, an entry of an ``__all__`` list, and a
+``from ... import`` in a ``src/repro`` package ``__init__.py`` (a
+re-export).  A name that occurs nowhere else is API that no code path,
+test, benchmark, example or document reaches, and fails the lint.
 
 The scan covers the ``*.py`` and ``*.md`` files of ``src/ tests/
 benchmarks/ perfbench/ tools/ examples/ docs/`` and ``README.md``.  This
@@ -29,8 +30,10 @@ Exit status is 1 when any definition is unreferenced, else 0.
 from __future__ import annotations
 
 import ast
+import io
 import re
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -100,44 +103,70 @@ def scanned_files(root: Path) -> list[Path]:
     return files
 
 
-def _listing_lines(path: Path, text: str, package: Path) -> set[int]:
-    """Line numbers of the statements in ``path`` that only list names.
+def _listing_spans(tree: ast.Module, path: Path, package: Path) -> list[ast.AST]:
+    """The statements of ``path`` whose names are listed or described, not used.
 
-    Those are ``__all__`` assignments anywhere, and ``from ... import``
-    re-exports in a package ``__init__.py`` under ``package``.
+    Those are docstrings (any bare string statement), ``__all__``
+    assignments, and ``from ... import`` re-exports in a package
+    ``__init__.py`` under ``package``.
     """
-    if path.suffix != ".py":
-        return set()
     reexports = path.name == "__init__.py" and package in path.parents
-    found: set[int] = set()
-    for node in ast.walk(ast.parse(text, filename=str(path))):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+    found: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr):
+            listing = isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             listing = any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
         else:
             listing = reexports and isinstance(node, ast.ImportFrom)
         if listing:
-            found.update(range(node.lineno, (node.end_lineno or node.lineno) + 1))
+            found.append(node)
+    return found
+
+
+def identifiers(path: Path, text: str, package: Path) -> dict[int, list[str]]:
+    """The identifiers that count as uses in ``path``, by line number.
+
+    A ``.md`` file counts every identifier.  A ``.py`` file counts those
+    of its tokens outside comments and the spans of :func:`_listing_spans`.
+    """
+    found: dict[int, list[str]] = {}
+    if path.suffix != ".py":
+        for number, line in enumerate(text.splitlines(), 1):
+            found[number] = _IDENT.findall(line)
+        return found
+    spans = [
+        ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
+        for node in _listing_spans(ast.parse(text, filename=str(path)), path, package)
+    ]
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT or any(
+            start <= token.start and token.end <= end for start, end in spans
+        ):
+            continue
+        for offset, line in enumerate(token.string.splitlines()):
+            found.setdefault(token.start[0] + offset, []).extend(_IDENT.findall(line))
     return found
 
 
 def unreferenced(root: Path) -> list[Definition]:
     """Every public definition under ``root/src/repro`` used nowhere else."""
     package = root / "src" / "repro"
-    lines: dict[Path, list[str]] = {}
+    used: dict[Path, dict[int, list[str]]] = {}
     counts: Counter[str] = Counter()
     for path in scanned_files(root):
         text = path.read_text(encoding="utf-8", errors="replace")
-        lines[path] = text.splitlines()
-        skip = _listing_lines(path, text, package)
-        for number, line in enumerate(lines[path], 1):
-            if number not in skip:
-                counts.update(_IDENT.findall(line))
+        used[path] = identifiers(path, text, package)
+        for names in used[path].values():
+            counts.update(names)
     dead: list[Definition] = []
     for path in sorted(package.rglob("*.py")):
         for definition in definitions(path):
-            own_span = lines[path][definition.first_line - 1 : definition.last_line]
-            own = sum(_IDENT.findall(line).count(definition.name) for line in own_span)
+            own = sum(
+                used[path].get(number, []).count(definition.name)
+                for number in range(definition.first_line, definition.last_line + 1)
+            )
             if counts[definition.name] == own and definition.qualname not in ALLOWLIST:
                 dead.append(definition)
     return dead
