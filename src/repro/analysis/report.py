@@ -18,7 +18,11 @@ __all__ = [
     "render_figure5",
     "render_figure11",
     "render_figure12",
+    "FIG5_BUFFER_ENTRIES",
 ]
+
+#: Token-buffer entries whose coverage Figure 5 reports (the paper's 16).
+FIG5_BUFFER_ENTRIES = 16
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -42,14 +46,14 @@ def render_table3(rows: Sequence[Mapping[str, str]]) -> str:
     )
 
 
-def render_figure5(cdf: TransmissionCdf, buffer_size: int = 16) -> str:
+def render_figure5(cdf: TransmissionCdf) -> str:
     """Render the ΔTID CDF and the coverage of one token buffer."""
     rows = [[d, f"{frac:.3f}"] for d, frac in cdf.points()]
     table = format_table(["Transmission distance", "CDF"], rows)
-    coverage = cdf.fraction_within(buffer_size)
+    coverage = cdf.fraction_within(FIG5_BUFFER_ENTRIES)
     return (
         f"{table}\n"
-        f"fraction of tokens with |dTID| <= {buffer_size}: {coverage:.2%} "
+        f"fraction of tokens with |dTID| <= {FIG5_BUFFER_ENTRIES}: {coverage:.2%} "
         f"(paper: 87% at 16)"
     )
 

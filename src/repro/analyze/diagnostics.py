@@ -37,9 +37,6 @@ class Severity(enum.Enum):
     WARNING = "warning"
     INFO = "info"
 
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return self.value
-
 
 #: The stable diagnostic-code table (code -> short title).
 CODES: dict[str, str] = {

@@ -146,8 +146,3 @@ class PhysicalGrid:
 
     def distance(self, unit_a: int, unit_b: int) -> int:
         return self.unit(unit_a).distance_to(self.unit(unit_b))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        capacity = sorted(self.capacity().items(), key=lambda x: x[0].value)
-        caps = {cls.value: n for cls, n in capacity}
-        return f"PhysicalGrid({self.config.rows}x{self.config.cols}, {caps})"

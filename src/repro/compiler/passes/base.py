@@ -52,6 +52,3 @@ class Pass(abc.ABC):
     @abc.abstractmethod
     def run(self, graph: DataflowGraph, config: SystemConfig) -> PassResult:
         """Transform ``graph`` in place and describe what happened."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"

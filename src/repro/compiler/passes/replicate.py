@@ -14,6 +14,8 @@ unit demand fit the grid inventory, capped by ``max_graph_replicas``.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.arch.grid import COMPATIBLE_CLASSES
 from repro.compiler.passes.base import Pass, PassResult
 from repro.config.system import SystemConfig
@@ -23,8 +25,11 @@ from repro.graph.opcodes import UnitClass
 __all__ = ["ReplicatePass", "max_replicas"]
 
 
-def max_replicas(graph: DataflowGraph, config: SystemConfig) -> int:
-    """Largest replica count whose combined unit demand fits the grid."""
+def max_replicas(demand: Mapping[UnitClass, int], config: SystemConfig) -> int:
+    """Largest replica count whose combined unit ``demand`` fits the grid.
+
+    ``demand`` is a graph's :meth:`~repro.graph.dfg.DataflowGraph.unit_demand`.
+    """
     grid = config.grid
     units = {
         UnitClass.ALU: grid.num_alu,
@@ -35,7 +40,7 @@ def max_replicas(graph: DataflowGraph, config: SystemConfig) -> int:
         UnitClass.SPLIT_JOIN: grid.num_split_join,
     }
     best = config.max_graph_replicas
-    for unit_class, needed in graph.unit_demand().items():
+    for unit_class, needed in demand.items():
         if unit_class in (UnitClass.SINK, UnitClass.BARRIER):
             continue
         capacity = sum(units[cls] for cls in COMPATIBLE_CLASSES[unit_class])
@@ -52,12 +57,13 @@ class ReplicatePass(Pass):
 
     def run(self, graph: DataflowGraph, config: SystemConfig) -> PassResult:
         result = PassResult(self.name)
-        replicas = max_replicas(graph, config)
+        demand = graph.unit_demand()
+        replicas = max_replicas(demand, config)
         # Metadata only: the structure is unchanged, so ``changed`` stays False.
         graph.metadata["replicas"] = replicas
         result.metrics["replicas"] = replicas
-        demand = sorted(graph.unit_demand().items(), key=lambda x: x[0].value)
-        demand_text = ", ".join(f"{k.value}: {v}" for k, v in demand)
+        ordered = sorted(demand.items(), key=lambda x: x[0].value)
+        demand_text = ", ".join(f"{k.value}: {v}" for k, v in ordered)
         result.note(
             f"graph '{graph.name}' replicated {replicas}x (demand {{{demand_text}}})"
         )

@@ -198,15 +198,3 @@ class Instruction:
         if self.guard is not None:
             regs = regs + (self.guard,)
         return regs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        guard = ""
-        if self.guard is not None:
-            guard = f"@{'!' if self.guard_negated else ''}{self.guard} "
-        parts = [repr(self.dst)] if self.dst is not None else []
-        parts += [repr(s) for s in self.srcs]
-        if self.array:
-            parts.append(f"[{self.array}]")
-        if self.target:
-            parts.append(self.target)
-        return f"{guard}{self.op.value} " + ", ".join(parts)

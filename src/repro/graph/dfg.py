@@ -165,12 +165,6 @@ class DataflowGraph:
     def predecessors(self, node_id: int) -> list[int]:
         return sorted(set(self._inputs.get(node_id, {}).values()))
 
-    def nodes_by_class(self) -> dict[UnitClass, list[Node]]:
-        grouped: dict[UnitClass, list[Node]] = defaultdict(list)
-        for node in self._nodes.values():
-            grouped[node.unit_class].append(node)
-        return dict(grouped)
-
     def nodes_with_opcode(self, *opcodes: Opcode) -> list[Node]:
         wanted = set(opcodes)
         return [n for n in self._nodes.values() if n.opcode in wanted]
@@ -201,13 +195,3 @@ class DataflowGraph:
                 continue  # sources are injected by the streamer, not placed
             demand[node.unit_class] += 1
         return dict(demand)
-
-    def summary(self) -> str:
-        by_class = {k.value: len(v) for k, v in self.nodes_by_class().items()}
-        return (
-            f"DataflowGraph('{self.name}', nodes={len(self)}, "
-            f"edges={self.num_edges()}, by_class={by_class})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.summary()

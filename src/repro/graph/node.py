@@ -53,28 +53,12 @@ class Node:
     def is_sink(self) -> bool:
         return not opcode_info(self.opcode).has_output
 
-    @property
-    def is_memory(self) -> bool:
-        return self.opcode in (
-            Opcode.LOAD,
-            Opcode.STORE,
-            Opcode.SCRATCH_LOAD,
-            Opcode.SCRATCH_STORE,
-            Opcode.ELDST,
-        )
-
     def param(self, key: str, default: Any = None) -> Any:
         return self.params.get(key, default)
 
     def label(self) -> str:
         base = self.name or self.opcode.value
         return f"{base}#{self.node_id}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Node(id={self.node_id}, op={self.opcode.value}, "
-            f"dtype={self.dtype.value}, name={self.name!r})"
-        )
 
 
 class Edge(NamedTuple):

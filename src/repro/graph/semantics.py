@@ -124,9 +124,27 @@ _SEMANTICS: dict[Opcode, Callable[[type], Callable[[Sequence], Any]]] = {
 #: Opcodes whose result depends only on their operand values.
 PURE_OPCODES = frozenset(_SEMANTICS)
 
+
+def _canonical_nan(f: Callable[[Sequence], Any]) -> Callable[[Sequence], Any]:
+    """``f`` with a NaN result replaced by ``math.nan``.
+
+    IEEE 754 leaves the sign of a propagated NaN open, and CPython's
+    float ops pick an operand's NaN differently when a profile or trace
+    hook is set, so every F32 result carries one NaN bit pattern.
+    """
+
+    def canonical(o: Sequence) -> Any:
+        result = f(o)
+        return result if result == result else math.nan
+
+    return canonical
+
+
 #: ``(opcode, dtype) -> f(operands)`` for every pure opcode and dtype.
 _PURE_FUNCTIONS: dict[tuple[Opcode, DType], Callable[[Sequence], Any]] = {
-    (op, dt): make(conv) for op, make in _SEMANTICS.items() for dt, conv in _CONVERTERS.items()
+    (op, dt): _canonical_nan(make(conv)) if dt is DType.F32 else make(conv)
+    for op, make in _SEMANTICS.items()
+    for dt, conv in _CONVERTERS.items()
 }
 
 

@@ -61,12 +61,6 @@ class RunResult:
     def energy_pj(self) -> float:
         return self.energy.total_pj
 
-    def summary(self) -> str:
-        return (
-            f"{self.workload:<12} {self.architecture:<6} "
-            f"cycles={self.cycles:<8} energy={self.energy.total_uj:.2f} uJ"
-        )
-
     def to_record(self) -> dict[str, Any]:
         """Plain-data form of this result (picklable and JSON-serialisable).
 

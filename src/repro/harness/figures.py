@@ -6,8 +6,9 @@ artefact:
 * :func:`table2`  — the system configuration dump.
 * :func:`table3`  — the benchmark inventory.
 * :func:`figure5` — the ΔTID transmission-distance CDF.
-* :func:`figure11`/- :func:`figure12` — the speedup / energy-efficiency
-  comparison, produced from a full suite run.
+* :func:`figure11`/:func:`figure12` — the speedup / energy-efficiency
+  comparison, read from the :class:`ComparisonTable` of a suite run
+  (:func:`repro.harness.experiments.run_suite`).
 
 The benchmark modules under ``benchmarks/`` call these functions and print
 their output, so running ``pytest benchmarks/ --benchmark-only`` recreates
@@ -17,19 +18,18 @@ the paper's evaluation artefacts end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.analysis.comparison import ComparisonTable
 from repro.analysis.delta_cdf import TransmissionCdf, build_cdf
 from repro.analysis.report import (
+    FIG5_BUFFER_ENTRIES,
     render_figure5,
     render_figure11,
     render_figure12,
     render_table3,
 )
-from repro.config.system import SystemConfig, default_system_config
-from repro.harness.experiments import run_suite
-from repro.workloads.base import Workload
+from repro.config.system import default_system_config
 from repro.workloads.registry import paper_workloads
 from repro.workloads.registry import table3 as table3_rows
 
@@ -82,32 +82,28 @@ class FigureResult:
     data: Any
     text: str
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text
 
-
-def table2(config: SystemConfig | None = None) -> FigureResult:
+def table2() -> FigureResult:
     """Table 2: the dMT-CGRA system configuration."""
-    config = config or default_system_config()
+    config = default_system_config()
     return FigureResult(name="table2", data=config.to_dict(), text=config.describe())
 
 
-def table3(workloads: Sequence[Workload] | None = None) -> FigureResult:
+def table3() -> FigureResult:
     """Table 3: the benchmark inventory."""
-    rows = table3_rows(workloads)
+    rows = table3_rows()
     return FigureResult(name="table3", data=rows, text=render_table3(rows))
 
 
-def figure5(
-    workloads: Sequence[Workload] | None = None,
-    params: Mapping[str, Mapping[str, Any]] | None = None,
-    buffer_size: int = 16,
-) -> FigureResult:
-    """Figure 5: CDF of ΔTID transmission distances across the suite."""
-    selected = list(workloads or paper_workloads())
+def figure5(params: Mapping[str, Mapping[str, Any]] | None = None) -> FigureResult:
+    """Figure 5: CDF of ΔTID transmission distances across the suite.
+
+    ``params`` maps workload names to size overrides
+    (:data:`DEFAULT_SUITE_PARAMS` when omitted).
+    """
     overrides = params if params is not None else DEFAULT_SUITE_PARAMS
     graphs = []
-    for workload in selected:
+    for workload in paper_workloads():
         merged = workload.params_with_defaults(overrides.get(workload.name))
         graphs.append(workload.build_dmt(merged))
     cdf: TransmissionCdf = build_cdf(graphs)
@@ -115,33 +111,15 @@ def figure5(
         name="figure5",
         data={
             "points": cdf.points(),
-            "fraction_within_buffer": cdf.fraction_within(buffer_size),
+            "fraction_within_buffer": cdf.fraction_within(FIG5_BUFFER_ENTRIES),
             "max_distance": cdf.max_distance(),
         },
-        text=render_figure5(cdf, buffer_size),
+        text=render_figure5(cdf),
     )
 
 
-def _suite(
-    params: Mapping[str, Mapping[str, Any]] | None,
-    config: SystemConfig | None,
-    workloads: Sequence[Workload] | None,
-) -> ComparisonTable:
-    return run_suite(
-        workloads=workloads,
-        params=params if params is not None else DEFAULT_SUITE_PARAMS,
-        config=config,
-    )
-
-
-def figure11(
-    params: Mapping[str, Mapping[str, Any]] | None = None,
-    config: SystemConfig | None = None,
-    workloads: Sequence[Workload] | None = None,
-    table: ComparisonTable | None = None,
-) -> FigureResult:
+def figure11(table: ComparisonTable) -> FigureResult:
     """Figure 11: speedup of MT-CGRA and dMT-CGRA over the Fermi SM."""
-    table = table or _suite(params, config, workloads)
     data = {
         "speedup_mt": table.speedups("mt"),
         "speedup_dmt": table.speedups("dmt"),
@@ -152,14 +130,8 @@ def figure11(
     return FigureResult(name="figure11", data=data, text=render_figure11(table))
 
 
-def figure12(
-    params: Mapping[str, Mapping[str, Any]] | None = None,
-    config: SystemConfig | None = None,
-    workloads: Sequence[Workload] | None = None,
-    table: ComparisonTable | None = None,
-) -> FigureResult:
+def figure12(table: ComparisonTable) -> FigureResult:
     """Figure 12: energy efficiency of MT-CGRA and dMT-CGRA over the Fermi SM."""
-    table = table or _suite(params, config, workloads)
     data = {
         "efficiency_mt": table.energy_efficiencies("mt"),
         "efficiency_dmt": table.energy_efficiencies("dmt"),

@@ -104,12 +104,6 @@ class ArrayTable:
     def __iter__(self):
         return iter(self._arrays.values())
 
-    def __len__(self) -> int:
-        return len(self._arrays)
-
-    def names(self) -> list[str]:
-        return list(self._arrays)
-
     def shared_arrays(self) -> list[ArraySpec]:
         return [a for a in self._arrays.values() if a.space == MemorySpace.SHARED]
 

@@ -137,9 +137,6 @@ class KernelBuilder:
     def thread_idx_y(self) -> Value:
         return self._tid(Opcode.TID_Y, "tid.y")
 
-    def thread_idx_z(self) -> Value:
-        return self._tid(Opcode.TID_Z, "tid.z")
-
     def thread_idx_linear(self) -> Value:
         """The linearised thread ID used as the dataflow token tag."""
         return self._tid(Opcode.TID_LINEAR, "tid")
@@ -211,17 +208,8 @@ class KernelBuilder:
         self.graph.add_edge(f.node, node, 2)
         return self._value(node)
 
-    def sqrt(self, a: ValueLike) -> Value:
-        return self.unary(Opcode.SQRT, a, DType.F32)
-
-    def rsqrt(self, a: ValueLike) -> Value:
-        return self.unary(Opcode.RSQRT, a, DType.F32)
-
     def exp(self, a: ValueLike) -> Value:
         return self.unary(Opcode.EXP, a, DType.F32)
-
-    def log(self, a: ValueLike) -> Value:
-        return self.unary(Opcode.LOG, a, DType.F32)
 
     def rcp(self, a: ValueLike) -> Value:
         return self.unary(Opcode.RCP, a, DType.F32)

@@ -105,19 +105,3 @@ class Value:
     def eq(self, other: ValueLike) -> "Value":
         """Element-wise equality (``==`` is kept as Python identity)."""
         return self.builder.compare(Opcode.EQ, self, other)
-
-    def ne(self, other: ValueLike) -> "Value":
-        return self.builder.compare(Opcode.NE, self, other)
-
-    # ------------------------------------------------------------- logical
-    def logical_and(self, other: ValueLike) -> "Value":
-        return self.builder.binary(Opcode.LAND, self, other, dtype=DType.BOOL)
-
-    def logical_or(self, other: ValueLike) -> "Value":
-        return self.builder.binary(Opcode.LOR, self, other, dtype=DType.BOOL)
-
-    def logical_not(self) -> "Value":
-        return self.builder.unary(Opcode.LNOT, self, dtype=DType.BOOL)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Value({self.node.label()}, {self.dtype.value})"

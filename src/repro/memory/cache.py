@@ -55,10 +55,6 @@ class CacheStats:
     def misses(self) -> int:
         return self.read_misses + self.write_misses
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
     def as_dict(self) -> dict[str, int]:
         return {
             "read_hits": self.read_hits,
@@ -209,9 +205,3 @@ class SetAssociativeCache:
         self.stats.writebacks += dirty
         self._mshr.clear()
         return dirty
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SetAssociativeCache({self.config.name}, sets={self.config.num_sets}, "
-            f"ways={self.config.ways}, accesses={self.stats.accesses})"
-        )

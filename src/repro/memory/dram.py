@@ -73,9 +73,3 @@ class DramModel:
         else:
             self.stats.reads += 1
         return start + self.config.access_latency
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DramModel(channels={self.config.channels}, "
-            f"banks={self.config.banks_per_channel}, accesses={self.stats.accesses})"
-        )

@@ -99,9 +99,6 @@ class MemoryHierarchy:
     def load(self, address: int, cycle: int, size: int = 4) -> int:
         return self.access(address, AccessType.LOAD, cycle, size)
 
-    def store(self, address: int, cycle: int, size: int = 4) -> int:
-        return self.access(address, AccessType.STORE, cycle, size)
-
     # ------------------------------------------------------------ group access
     def access_group(self, lines: Sequence[int], access: AccessType, cycle: int) -> int:
         """A warp-wide coalesced access: one transaction per line address.
@@ -126,13 +123,4 @@ class MemoryHierarchy:
             l2=self.l2.stats.as_dict(),
             dram=self.dram.stats.as_dict(),
             scratchpad=self.scratchpad.stats.as_dict(),
-        )
-
-    def dram_accesses(self) -> int:
-        return self.dram.stats.accesses
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoryHierarchy(l1_accesses={self.l1.stats.accesses}, "
-            f"l2_accesses={self.l2.stats.accesses}, dram_accesses={self.dram.stats.accesses})"
         )

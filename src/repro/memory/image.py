@@ -72,9 +72,6 @@ class MemoryImage:
     def names(self) -> list[str]:
         return list(self._specs)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
     # ------------------------------------------------------------------ access
     def load(self, name: str, index: int) -> float | int | bool:
         """Read element ``index`` of array ``name``."""
@@ -103,6 +100,3 @@ class MemoryImage:
     def snapshot(self) -> dict[str, np.ndarray]:
         """Return a copy of every array (for result comparison)."""
         return {name: arr.copy() for name, arr in self._data.items()}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MemoryImage(arrays={list(self._specs)})"

@@ -36,10 +36,6 @@ class ScratchpadStats:
     writes: int = 0
     bank_conflicts: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
     def as_dict(self) -> dict[str, int]:
         return {
             "reads": self.reads,
@@ -153,6 +149,3 @@ class Scratchpad:
         else:
             stats.reads += words
         return last_start + config.access_latency
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Scratchpad(banks={self.config.banks}, accesses={self.stats.accesses})"

@@ -39,10 +39,6 @@ class SharedDRAM:
         self.device = DramModel(config, line_bytes=line_bytes)
 
     @property
-    def config(self) -> DramConfig:
-        return self.device.config
-
-    @property
     def stats(self) -> DramStats:
         """Aggregate counters of the device.
 
@@ -55,9 +51,6 @@ class SharedDRAM:
     def port(self) -> "SharedDramPort":
         """Open a new per-core port onto the shared device."""
         return SharedDramPort(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedDRAM(accesses={self.device.stats.accesses})"
 
 
 class SharedDramPort:
@@ -74,14 +67,6 @@ class SharedDramPort:
         self._shared = shared
         self.stats = DramStats()
 
-    @property
-    def config(self) -> DramConfig:
-        return self._shared.config
-
-    @property
-    def line_bytes(self) -> int:
-        return self._shared.device.line_bytes
-
     def access(self, address: int, is_write: bool, cycle: int) -> int:
         """Issue one line-sized access on the shared device."""
         device = self._shared.device
@@ -93,6 +78,3 @@ class SharedDramPort:
         else:
             self.stats.reads += 1
         return complete
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedDramPort(accesses={self.stats.accesses})"

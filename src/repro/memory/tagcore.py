@@ -132,12 +132,6 @@ class CacheGeometry:
         """Which of ``banks`` line-interleaved banks services a line index."""
         return line_index % banks
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheGeometry(line_bytes={self.line_bytes}, "
-            f"num_sets={self.num_sets}, ways={self.ways})"
-        )
-
 
 class TagReplay(NamedTuple):
     """Run-level classification of one replayed line stream.
@@ -308,9 +302,3 @@ class LruTagArray:
     def contains(self, address: int) -> bool:
         index = self.geometry.line_index(int(address))
         return bool((self._lines[self.geometry.set_index(index)] == index).any())
-
-    def resident_lines(self) -> int:
-        return int((self._lines != -1).sum())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LruTagArray({self.geometry!r}, resident={self.resident_lines()})"

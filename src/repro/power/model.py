@@ -48,9 +48,6 @@ class EnergyBreakdown:
         out["total_pj"] = self.total_pj
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EnergyBreakdown(total={self.total_pj:.1f} pJ, parts={len(self.components)})"
-
 
 def _memory_energy(
     counters: Mapping[str, int | float], table: EnergyTable, breakdown: EnergyBreakdown

@@ -42,12 +42,6 @@ class KernelLRU:
         self.misses = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def get(self, key: str) -> Any | None:
         """Return the cached value (refreshing its recency) or ``None``."""
         try:

@@ -287,8 +287,18 @@ def _eval_pure_vec(node: Node, operands: list[np.ndarray]) -> np.ndarray:
 
     Every branch mirrors the scalar semantics bit for bit (including the
     Python-style NaN/zero corner cases), so both engines produce the same
-    IEEE doubles.
+    IEEE doubles; a NaN result is ``math.nan``'s bit pattern, as there.
     """
+    out = _pure_vec(node, operands)
+    if out.dtype.kind == "f":
+        nan = np.isnan(out)
+        if nan.any():
+            out = np.where(nan, math.nan, out)
+    return out
+
+
+def _pure_vec(node: Node, operands: list[np.ndarray]) -> np.ndarray:
+    """:func:`_eval_pure_vec` before its NaN results are made canonical."""
     op = node.opcode
     dt = node.dtype
     a = operands[0] if operands else None

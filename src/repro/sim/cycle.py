@@ -43,7 +43,13 @@ from repro.errors import DeadlockError, SimulationError
 from repro.graph.dfg import DataflowGraph
 from repro.graph.interthread import map_key, producer_map
 from repro.graph.node import Node
-from repro.graph.opcodes import EFFECT_OPCODES, MEMORY_OPCODES, Opcode, UnitClass
+from repro.graph.opcodes import (
+    EFFECT_OPCODES,
+    MEMORY_OPCODES,
+    SOURCE_OPCODES,
+    Opcode,
+    UnitClass,
+)
 from repro.graph.semantics import PURE_OPCODES, coerce, converter, pure_function
 from repro.kernel.arrays import ArraySpec
 from repro.kernel.geometry import ThreadGeometry
@@ -222,17 +228,6 @@ class CycleSimulator:
     # ------------------------------------------------------------------ setup
     def _prepare(self) -> None:
         replicas = self.compiled.replicas
-        cls = type(self)
-        handlers = {
-            Opcode.LOAD: cls._execute_load,
-            Opcode.STORE: cls._execute_store,
-            Opcode.SCRATCH_LOAD: cls._execute_scratch,
-            Opcode.SCRATCH_STORE: cls._execute_scratch,
-            Opcode.ELEVATOR: cls._execute_elevator,
-            Opcode.ELDST: cls._execute_eldst,
-            Opcode.BARRIER: cls._execute_barrier,
-            Opcode.OUTPUT: cls._execute_output,
-        }
         index = self.compiled.index
         maps: dict[tuple, tuple[list[int], list[int]]] = {}
         for node in index.nodes:
@@ -249,8 +244,8 @@ class CycleSimulator:
             )
             if op in PURE_OPCODES:
                 state.pure = pure_function(node)
-            else:
-                state.fire = handlers.get(op, cls._execute_unsupported)
+            elif op not in SOURCE_OPCODES:
+                state.fire = _FIRING_RULES[op]
             if op in MEMORY_OPCODES:
                 name = node.param("array")
                 state.memory = (
@@ -480,11 +475,6 @@ class CycleSimulator:
         self.outputs[str(state.node.param("name"))][tid] = operands[0]
         self._sink_completed(tid, issue + 1)
 
-    def _execute_unsupported(
-        self, state: _NodeState, tid: int, operands: list[Any], issue: int
-    ) -> None:
-        raise SimulationError(f"cycle simulator cannot execute {state.node.opcode.value}")
-
     # ------------------------------------------------------------------ memory
     @staticmethod
     def _address(spec: ArraySpec, index: int) -> int:
@@ -669,3 +659,17 @@ class CycleSimulator:
         self._sink_done[tid] += 1
         if self._sink_done[tid] == len(self._sink_nodes):
             self._retired += 1
+
+
+#: The handler that fires each opcode that is neither pure nor a source
+#: (sources only inject tokens; an ELEVATOR injects and fires).
+_FIRING_RULES: dict[Opcode, Callable[..., None]] = {
+    Opcode.LOAD: CycleSimulator._execute_load,
+    Opcode.STORE: CycleSimulator._execute_store,
+    Opcode.SCRATCH_LOAD: CycleSimulator._execute_scratch,
+    Opcode.SCRATCH_STORE: CycleSimulator._execute_scratch,
+    Opcode.ELEVATOR: CycleSimulator._execute_elevator,
+    Opcode.ELDST: CycleSimulator._execute_eldst,
+    Opcode.BARRIER: CycleSimulator._execute_barrier,
+    Opcode.OUTPUT: CycleSimulator._execute_output,
+}

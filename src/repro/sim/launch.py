@@ -57,9 +57,3 @@ class KernelLaunch:
         image = MemoryImage(self.arrays.values())
         image.initialise(self.inputs)
         return image
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"KernelLaunch('{self.graph.name}', threads={self.num_threads}, "
-            f"inputs={sorted(self.inputs)})"
-        )

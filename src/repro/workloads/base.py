@@ -149,6 +149,15 @@ class Workload(abc.ABC):
         """MT-CGRA kernel graph (scratchpad + barrier)."""
 
     @abc.abstractmethod
+    def build_stream(self, params: Mapping[str, Any]) -> DataflowGraph:
+        """Inter-thread-free ("streaming") kernel graph.
+
+        Every thread loads its own operands from global memory — no
+        scratchpad, barriers or inter-thread forwarding — which is the
+        form the wave-batched engine and multi-core sharding can execute.
+        """
+
+    @abc.abstractmethod
     def build_fermi(self, params: Mapping[str, Any]) -> SimtProgram:
         """Fermi baseline SIMT program (shared memory + barrier)."""
 
@@ -166,23 +175,6 @@ class Workload(abc.ABC):
                 f"expected one of {GRAPH_VARIANTS}"
             )
         return builders[variant](params)
-
-    def build_stream(self, params: Mapping[str, Any]) -> DataflowGraph:
-        """Inter-thread-free ("streaming") kernel graph, if the workload has one.
-
-        Every thread loads its own operands from global memory — no
-        scratchpad, barriers or inter-thread forwarding — which is the
-        form the wave-batched engine and multi-core sharding can execute.
-        Workloads whose algorithm fundamentally shares data between
-        threads (e.g. scan's running recurrence) do not override this.
-        """
-        raise WorkloadError(
-            f"workload '{self.name}' has no streaming (inter-thread-free) variant"
-        )
-
-    def has_stream_variant(self) -> bool:
-        """True if :meth:`build_stream` is overridden by this workload."""
-        return type(self).build_stream is not Workload.build_stream
 
     def build_dmt_windowed(self, params: Mapping[str, Any]) -> DataflowGraph:
         """dMT kernel whose inter-thread communication is window-bounded.
@@ -270,6 +262,3 @@ class Workload(abc.ABC):
             "description": self.description,
             "suite": self.suite,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"

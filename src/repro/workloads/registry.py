@@ -79,9 +79,9 @@ def get_workload(name: str) -> Workload:
 def available_variants(workload: Workload) -> tuple[str, ...]:
     """The dataflow-graph variants this workload declares.
 
-    Every workload has ``mt`` and ``dmt``; ``dmt_win`` and ``stream``
-    exist where the communication structure admits them (see
-    :meth:`Workload.has_windowed_variant` / ``has_stream_variant``).
+    Every workload has ``mt``, ``dmt`` and ``stream``; ``dmt_win``
+    exists where the communication structure admits it (see
+    :meth:`Workload.has_windowed_variant`).
     This is the single source of truth for "how many kernels does the
     registry hold" — sweeps and gates must derive their expected counts
     from :func:`registry_kernels` instead of hard-coding them, so adding
@@ -98,8 +98,7 @@ def _class_variants(cls: type[Workload]) -> tuple[str, ...]:
     variants = ["mt", "dmt"]
     if workload.has_windowed_variant():
         variants.append("dmt_win")
-    if workload.has_stream_variant():
-        variants.append("stream")
+    variants.append("stream")
     return tuple(variants)
 
 

@@ -100,8 +100,7 @@ def _variant_graphs(workload):
     yield "dmt", workload.build_dmt(params)
     if workload.has_windowed_variant():
         yield "dmt_win", workload.build_dmt_windowed(params)
-    if workload.has_stream_variant():
-        yield "stream", workload.build_stream(params)
+    yield "stream", workload.build_stream(params)
 
 
 def _registry_cases():

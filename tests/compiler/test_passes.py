@@ -10,6 +10,7 @@ from repro.compiler.passes.replicate import ReplicatePass, max_replicas
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
 from repro.errors import CompilationError
+from repro.graph.dfg import DataflowGraph
 from repro.graph.opcodes import Opcode
 from repro.kernel.builder import KernelBuilder
 
@@ -122,7 +123,7 @@ def test_eldst_buffer_pass_plans_loops():
 # ----------------------------------------------------------------- replicate
 def test_max_replicas_respects_grid_capacity():
     graph = _simple_kernel()
-    replicas = max_replicas(graph, _config())
+    replicas = max_replicas(graph.unit_demand(), _config())
     assert 1 <= replicas <= _config().max_graph_replicas
 
 
@@ -130,6 +131,16 @@ def test_replicate_pass_records_metadata():
     graph = _simple_kernel()
     result = ReplicatePass().run(graph, _config())
     assert graph.metadata["replicas"] == result.metrics["replicas"]
+
+
+def test_replicate_pass_walks_the_unit_demand_once(monkeypatch):
+    graph = _simple_kernel()
+    walks = []
+    walk = DataflowGraph.unit_demand
+    monkeypatch.setattr(DataflowGraph, "unit_demand", lambda g: walks.append(g) or walk(g))
+    result = ReplicatePass().run(graph, _config())
+    assert len(walks) == 1
+    assert result.metrics["replicas"] == max_replicas(walk(graph), _config())
 
 
 # ---------------------------------------------------------------- pass order

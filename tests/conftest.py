@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
@@ -17,6 +18,17 @@ from repro.sim.launch import KernelLaunch
 # examples on every run, so a red CI run means a regression, not a new draw.
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture
+def repro_logging_restored():
+    """Restore the ``repro`` logger after a test runs a CLI that configures it."""
+    root = logging.getLogger("repro")
+    saved = root.level, list(root.handlers), root.propagate
+    yield
+    root.setLevel(saved[0])
+    root.handlers[:] = saved[1]
+    root.propagate = saved[2]
 
 
 @pytest.fixture

@@ -1,10 +1,15 @@
 """Tests for the kernel-builder DSL (the Table 1 programming model)."""
 
+import numpy as np
 import pytest
 
+from repro.compiler.pipeline import compile_kernel
 from repro.errors import KernelBuildError
 from repro.graph.opcodes import DType, Opcode
 from repro.kernel.builder import KernelBuilder
+from repro.sim import simulate
+from repro.sim.functional import run_functional
+from repro.sim.launch import KernelLaunch
 
 
 def test_constants_are_deduplicated():
@@ -147,3 +152,34 @@ def test_values_cannot_cross_builders():
     v = b1.const(1.0)
     with pytest.raises(KernelBuildError):
         b2.unary(Opcode.NEG, v)
+
+
+#: Each Python operator a kernel may write and the opcode it builds.  The
+#: same expression on Python numbers is the reference (``t`` the thread,
+#: ``x`` its element of ``X``).
+OPERATORS = {
+    "radd": (lambda t, x: 3 + t, Opcode.ADD),
+    "rmul": (lambda t, x: 2.5 * x, Opcode.MUL),
+    "rtruediv": (lambda t, x: 1.0 / x, Opcode.DIV),
+    "abs": (lambda t, x: abs(x), Opcode.ABS),
+    "or": (lambda t, x: t | 5, Opcode.OR),
+    "xor": (lambda t, x: t ^ 3, Opcode.XOR),
+    "lshift": (lambda t, x: t << 2, Opcode.SHL),
+    "le": (lambda t, x: t <= 4, Opcode.LE),
+}
+X = [-2.5, -1.0, 0.5, 1.0, 2.0, 3.5, -4.0, 8.0]
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_python_operators_run_on_both_simulators(name):
+    build, opcode = OPERATORS[name]
+    b = KernelBuilder(name, len(X))
+    b.global_array("x", len(X))
+    tid = b.thread_idx_x()
+    b.output("r", build(tid, b.load("x", tid)))
+    graph = b.finish()
+    assert opcode in {node.opcode for node in graph.nodes}
+    launch = KernelLaunch(graph, {"x": np.array(X)})
+    functional = run_functional(launch).output("r")
+    event = simulate(compile_kernel(graph), launch, engine="event").outputs["r"]
+    assert functional == event == [build(t, x) for t, x in enumerate(X)]

@@ -10,6 +10,8 @@ The acceptance bar from the issue, verified over real HTTP traffic:
 * N concurrent duplicate requests simulate exactly once (single-flight).
 """
 
+import json
+import socket
 import threading
 
 import pytest
@@ -18,6 +20,7 @@ from repro.compiler.pipeline import placement_memo
 from repro.explore.runner import run_campaign
 from repro.explore.spec import CampaignSpec
 from repro.harness.experiments import run_workload
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.client import LocalServer
 
 BODY = {"workload": "matrixMul", "variant": "dmt", "params": {"dim": 8}}
@@ -284,3 +287,33 @@ def test_malformed_json_body_is_400(server):
         assert b"not valid JSON" in response.read()
     finally:
         connection.close()
+
+
+def _raw_reply(server, request: bytes) -> tuple[int, dict]:
+    """Send ``request`` bytes as they are; read the reply until the server closes."""
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    ("request_bytes", "status", "message"),
+    [
+        (b"NOT-HTTP\r\n\r\n", 400, "malformed request line"),
+        (b"POST /v1/simulate HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400, "Content-Length"),
+        # Only the header: the server must refuse before reading a body.
+        (
+            b"POST /v1/simulate HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+            413,
+            "too large",
+        ),
+    ],
+    ids=["request-line", "content-length", "oversized-body"],
+)
+def test_http_framing_errors(server, request_bytes, status, message):
+    got, payload = _raw_reply(server, request_bytes)
+    assert got == status and message in payload["error"]

@@ -6,9 +6,11 @@ import pytest
 from repro.compiler.pipeline import compile_kernel
 from repro.config.system import default_system_config
 from repro.errors import DeadlockError
+from repro.graph.opcodes import SOURCE_OPCODES, Opcode
+from repro.graph.semantics import PURE_OPCODES
 from repro.kernel.builder import KernelBuilder
 from repro.sim import simulate
-from repro.sim.cycle import CycleSimulator
+from repro.sim.cycle import _FIRING_RULES, CycleSimulator
 from repro.sim.functional import run_functional
 from repro.sim.launch import KernelLaunch
 from repro.workloads.convolution import ConvolutionWorkload
@@ -153,3 +155,7 @@ def test_replicas_increase_injection_rate():
     launch = prepared.launch("dmt")
     compiled = compile_kernel(launch.graph, config)
     assert compiled.replicas > 1
+
+
+def test_every_opcode_is_pure_a_source_or_has_a_firing_rule():
+    assert PURE_OPCODES | set(SOURCE_OPCODES) | set(_FIRING_RULES) == set(Opcode)

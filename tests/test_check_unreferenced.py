@@ -79,16 +79,6 @@ def test_docstring_and_comment_mentions_are_not_uses(tmp_path):
     assert _dead(root) == ["Widget.described"]
 
 
-def test_allowlisted_member_passes(tmp_path):
-    owner, member = sorted(_checker().ALLOWLIST)[0].split(".")
-    root = _tree(
-        tmp_path,
-        f"class {owner}:\n    def {member}(self):\n        return 1\n",
-        f"from repro.widgets import {owner}\n",
-    )
-    assert _dead(root) == []
-
-
 def test_name_only_listed_in_all_and_reexported_is_caught(tmp_path):
     root = _tree(
         tmp_path,

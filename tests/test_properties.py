@@ -189,7 +189,7 @@ _STREAM_PARAMS = {
     "pathfinder": {"cols": 32, "rows": 4},
     "spmv": {"rows": 8, "max_nnz": 4},
 }
-_STREAM_WORKLOADS = [w for w in all_workloads() if w.has_stream_variant()]
+_STREAM_WORKLOADS = all_workloads()
 
 
 def test_registry_exposes_stream_workloads():

@@ -16,7 +16,7 @@ test, benchmark, example or document reaches, and fails the lint.
 
 The scan covers the ``*.py`` and ``*.md`` files of ``src/ tests/
 benchmarks/ perfbench/ tools/ examples/ docs/`` and ``README.md``.  This
-tool is left out, since naming a member in its allowlist is not a use,
+tool, whose own identifiers are no uses of ``repro`` names, is left out,
 and so are the planning documents (``ROADMAP.md``, ``CHANGES.md``).
 The tool uses only the standard library and never imports ``repro``.
 
@@ -44,17 +44,6 @@ REPO = SELF.parents[1]
 SCAN_DIRS = ("src", "tests", "benchmarks", "perfbench", "tools", "examples", "docs")
 SCAN_FILES = ("README.md",)
 SCAN_SUFFIXES = {".py", ".md"}
-
-# Kernel-DSL surface kept for users writing their own kernels; no
-# shipped kernel happens to need these operators yet.
-ALLOWLIST = frozenset(
-    {
-        "Value.logical_and",
-        "Value.logical_or",
-        "Value.logical_not",
-        "KernelBuilder.thread_idx_z",
-    }
-)
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -167,7 +156,7 @@ def unreferenced(root: Path) -> list[Definition]:
                 used[path].get(number, []).count(definition.name)
                 for number in range(definition.first_line, definition.last_line + 1)
             )
-            if counts[definition.name] == own and definition.qualname not in ALLOWLIST:
+            if counts[definition.name] == own:
                 dead.append(definition)
     return dead
 
