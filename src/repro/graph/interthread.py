@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.node import Node
-from repro.graph.opcodes import Opcode
+from repro.graph.opcodes import SOURCE_OPCODES, Opcode
 from repro.graph.semantics import PURE_OPCODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -174,13 +174,7 @@ def communication_windows(index: "KernelIndex") -> tuple[list[int], Optional[str
 
 
 #: Opcodes whose value is a pure function of the thread's own sources.
-_MEMORY_FREE_OPCODES = PURE_OPCODES | {
-    Opcode.CONST,
-    Opcode.TID_X,
-    Opcode.TID_Y,
-    Opcode.TID_Z,
-    Opcode.TID_LINEAR,
-}
+_MEMORY_FREE_OPCODES = PURE_OPCODES | set(SOURCE_OPCODES)
 
 
 def scratch_levels(

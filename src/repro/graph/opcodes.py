@@ -61,7 +61,6 @@ class Opcode(enum.Enum):
     CONST = "const"
     TID_X = "tid_x"
     TID_Y = "tid_y"
-    TID_Z = "tid_z"
     TID_LINEAR = "tid_linear"
 
     # --- integer / floating-point arithmetic ------------------------------
@@ -173,7 +172,6 @@ _SOURCES = {
     Opcode.CONST: OpInfo(UnitClass.SOURCE, 0, 0),
     Opcode.TID_X: OpInfo(UnitClass.SOURCE, 0, 0),
     Opcode.TID_Y: OpInfo(UnitClass.SOURCE, 0, 0),
-    Opcode.TID_Z: OpInfo(UnitClass.SOURCE, 0, 0),
     Opcode.TID_LINEAR: OpInfo(UnitClass.SOURCE, 0, 0),
 }
 

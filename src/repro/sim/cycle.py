@@ -91,8 +91,8 @@ _OP_COUNTERS = {
     UnitClass.SPLIT_JOIN: "split_join_ops",
 }
 
-#: Thread-index source opcodes, in the order of ``(x, y, z, linear)``.
-_TID_OPCODES = (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_Z, Opcode.TID_LINEAR)
+#: Thread-index source opcodes, in the order of ``(x, y, linear)``.
+_TID_OPCODES = (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_LINEAR)
 
 
 def _map_tables(node: Node, block_dim: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -452,7 +452,8 @@ class CycleSimulator:
                     self._send(state, tid, source, cycle + state.latency)
             else:
                 if thread_index is None:
-                    thread_index = (*self.geometry.unlinearize(tid), tid)
+                    x, y, _ = self.geometry.unlinearize(tid)
+                    thread_index = (x, y, tid)
                 self._send(state, tid, thread_index[source], cycle)
 
     def _issue_cycle(self, state: _NodeState, ready_cycle: int) -> int:

@@ -178,14 +178,9 @@ class FunctionalSimulator:
 
         if op is Opcode.CONST:
             return coerce(node.param("value"), node.dtype)
-        if op in (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_Z, Opcode.TID_LINEAR):
-            x, y, z = self.geometry.unlinearize(tid)
-            return {
-                Opcode.TID_X: x,
-                Opcode.TID_Y: y,
-                Opcode.TID_Z: z,
-                Opcode.TID_LINEAR: tid,
-            }[op]
+        if op in (Opcode.TID_X, Opcode.TID_Y, Opcode.TID_LINEAR):
+            x, y, _ = self.geometry.unlinearize(tid)
+            return {Opcode.TID_X: x, Opcode.TID_Y: y, Opcode.TID_LINEAR: tid}[op]
 
         if op in PURE_OPCODES:
             operands = [self._values[(inputs[p], tid)] for p in sorted(inputs)]
